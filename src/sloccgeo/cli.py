@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import DegenerateInputError, SloccGeoError
+from .errors import DegenerateInputError, SloccGeoError, WorkLimitError
 from .linalg import DEFAULT_PRIMES
 from .states import parse_state, random_state, state_to_json
 from .geometry import smoothness_scan, section_count
@@ -26,7 +26,12 @@ from .invariants import (
     slocc_compare,
     _frac_str,
 )
-from .zalgebra import cubic_hilbert, quadratic_hilbert, roundtrip_check
+from .zalgebra import (
+    check_hilbert_degree,
+    cubic_hilbert,
+    quadratic_hilbert,
+    roundtrip_check,
+)
 
 TOOL = "sloccgeo"
 
@@ -125,6 +130,8 @@ def _cmd_hilbert(args):
     else:
         raise SloccGeoError(f"no Hilbert profile for format {(t.n, t.d)}")
     k_max = args.k_max if args.k_max is not None else default_k
+    # checked here because the loop below reports errors per prime
+    check_hilbert_degree(t.d, k_max)
     profiles = []
     degenerate = False
     for p in args.primes:
@@ -149,6 +156,8 @@ def _cmd_roundtrip(args):
             ok = roundtrip_check(t, p)
             results.append({"prime": p, "ok": ok})
             degenerate = degenerate or not ok
+        except WorkLimitError:
+            raise
         except (DegenerateInputError, SloccGeoError) as exc:
             results.append({"prime": p, "error": str(exc)})
             degenerate = True

@@ -48,6 +48,11 @@ class DuplicateIndexError(SchemaError):
     """A state document lists the same coefficient index twice."""
 
 
+class WorkLimitError(SloccGeoError):
+    """A request lies outside the bounded-work envelope: a point sweep over
+    the prefix budget, or a Hilbert degree out of range."""
+
+
 class SingularOperatorError(SloccGeoError):
     """A local operator factor is not invertible."""
 

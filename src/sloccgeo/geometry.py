@@ -18,11 +18,17 @@ from .errors import (
     NotOnVarietyError,
     RankDeficientError,
     UnsupportedFormatError,
+    WorkLimitError,
 )
 from .linalg import DEFAULT_PRIMES, Matrix, reduce_scalar
 from .states import flattening_image, state_hash
 
 _GROUP_NAMES = "xyzw"
+
+#: Most prefixes one point sweep may visit: summed over the requested primes
+#: in smoothness_scan, per call in enumerate_points.  A full default-prime
+#: (5,2) sweep visits 92,624; a (4,3) sweep visits ~10^6 at p = 31 alone.
+PREFIX_BUDGET = 200_000
 
 
 class MultiForm:
@@ -448,53 +454,142 @@ def _subspace_points(basis_rows, dim, p):
         yield _normalize_projective(vec, p)
 
 
+def _check_prefix_budget(d, groups, primes):
+    """Refuse a sweep whose prefix count, summed over the primes, exceeds
+    PREFIX_BUDGET; the count is known before any point is enumerated."""
+    total = sum(sum(p**i for i in range(d)) ** (groups - 1) for p in primes)
+    if total > PREFIX_BUDGET:
+        raise WorkLimitError(
+            f"a point sweep of (P^{d - 1})^{groups} at primes "
+            f"{list(primes)} visits {total} prefixes, over the budget of "
+            f"{PREFIX_BUDGET}"
+        )
+
+
+def _coefficient_tensor(reduced):
+    """The forms of a model over F_p as one flat integer tensor, indexed
+    row-major by one variable per group (first group slowest) and then by
+    the form (fastest)."""
+    d, groups, m = reduced.d, reduced.groups, len(reduced.forms)
+    tensor = [0] * (d**groups * m)
+    for k, form in enumerate(reduced.forms):
+        if form.group_dims != (d,) * groups or not (
+            form.is_zero() or form.multidegree == (1,) * groups
+        ):
+            raise ValueError("model forms must be multilinear, one variable per group")
+        for exps, c in form.terms.items():
+            flat = 0
+            for g in range(groups):
+                flat = flat * d + exps.index(1, g * d, (g + 1) * d) - g * d
+            tensor[flat * m + k] = c
+    return tensor
+
+
+def _contract(tensor, x):
+    """Contract the first axis of a flat row-major tensor with x."""
+    inner = len(tensor) // len(x)
+    acc = None
+    for i, xi in enumerate(x):
+        if xi:
+            part = tensor[i * inner : (i + 1) * inner]
+            if acc is None:
+                acc = part if xi == 1 else [xi * v for v in part]
+            else:
+                acc = [a + xi * v for a, v in zip(acc, part)]
+    return acc if acc is not None else [0] * inner
+
+
+def _kernel_points(system, d, p):
+    """Normalized projective points of the right kernel of one prefix
+    system (rows of d unreduced integers), in the order of _subspace_points.
+
+    For d = 2, 3 with d rows, a nonzero determinant mod p means no point,
+    and a rank d-1 system yields its one point directly: (v, -u) for a
+    nonzero row (u, v) when d = 2, a nonzero cross product of two rows when
+    d = 3.  Every other system goes through Matrix.kernel.
+    """
+    if len(system) == d == 2:
+        (a, b), (c, e) = system
+        if (a * e - b * c) % p:
+            return ()
+        for u, v in ((a, b), (c, e)):
+            if u % p or v % p:
+                return (_normalize_projective((v % p, -u % p), p),)
+    elif len(system) == d == 3:
+        r0, r1, r2 = system
+        c0 = _cross(r1, r2)
+        if (r0[0] * c0[0] + r0[1] * c0[1] + r0[2] * c0[2]) % p:
+            return ()
+        for vec in (c0, _cross(r0, r2), _cross(r0, r1)):
+            vec = [x % p for x in vec]
+            if any(vec):
+                return (_normalize_projective(vec, p),)
+    kernel = Matrix(system, cols=d, p=p).kernel()
+    return tuple(_subspace_points(kernel.basis.entries, d, p))
+
+
+def _cross(u, v):
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
 def enumerate_points(model, p):
     """Exhaustive, duplicate-free list of F_p-points of the model.
 
     The forms are multilinear, so once every group but the last is fixed
-    they become a square linear system in the last group; points over each
-    prefix are exactly the projective points of that system's kernel.  This
-    keeps the sweep at (number of prefixes) x (small RREF) instead of a
-    full product over all groups.
+    they become a linear system in the last group; points over each prefix
+    are exactly the projective points of that system's kernel.  The
+    coefficients of all forms are contracted with the prefix one group at
+    a time, and each outer contraction is reused for all inner prefixes,
+    so each prefix's system comes out directly.  For d = 2, 3 a prefix
+    whose square system has a nonzero determinant mod p has no point and
+    is skipped; a kernel is taken only where the determinant vanishes.
+    Points come in prefix order (``projective_points`` per group), then in
+    kernel order.  Raises WorkLimitError when the prefix count exceeds
+    PREFIX_BUDGET.
     """
     reduced = model_mod_p(model, p)
     groups = reduced.groups
     d = reduced.d
+    m = len(reduced.forms)
+    _check_prefix_budget(d, groups, (p,))
+    # n = 2 has no prefix group; its P^(d-1) is never listed
+    line = tuple(projective_points(d, p)) if groups > 1 else ()
     points = []
-    if groups == 1:
-        for x in projective_points(d, p):
-            if all(f.evaluate((x,)) == 0 for f in reduced.forms):
-                points.append(ProjPoint(p, (x,)))
-        return points
-    units = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    prefix_space = [projective_points(d, p) for _ in range(groups - 1)]
-    for prefix in product(*prefix_space):
-        rows = [
-            [f.evaluate(prefix + (units[j],)) for j in range(d)]
-            for f in reduced.forms
-        ]
-        kernel = Matrix(rows, cols=d, p=p).kernel()
-        for tail in _subspace_points(kernel.basis.entries, d, p):
-            points.append(ProjPoint(p, prefix + (tail,)))
+
+    def sweep(tensor, prefix):
+        if len(prefix) == groups - 1:
+            system = [tensor[k::m] for k in range(m)]
+            for tail in _kernel_points(system, d, p):
+                points.append(ProjPoint(p, prefix + (tail,)))
+            return
+        for x in line:
+            sweep(_contract(tensor, x), prefix + (x,))
+
+    sweep(_coefficient_tensor(reduced), ())
     return points
 
 
-def _jacobian_rows(partials, pt):
-    return [
-        [pf.evaluate(pt.coords) for pf in form_partials]
-        for form_partials in partials
-    ]
-
-
-def _model_partials(reduced):
-    return [
-        [
-            form.partial(g, i)
-            for g in range(reduced.groups)
-            for i in range(reduced.d)
-        ]
-        for form in reduced.forms
-    ]
+def _jacobian_rows(tensor, coords, d, p):
+    """Partial derivatives of each form at a point, group by group.  The
+    entry for variable i of group g contracts the coefficients with every
+    coordinate vector except that of group g: the groups before g first,
+    then, in slice i of group g, the groups after it."""
+    columns = []
+    for g in range(len(coords)):
+        part = tensor
+        for x in coords[:g]:
+            part = _contract(part, x)
+        size = len(part) // d
+        for i in range(d):
+            column = part[i * size : (i + 1) * size]
+            for x in coords[g + 1 :]:
+                column = _contract(column, x)
+            columns.append([v % p for v in column])
+    return [list(row) for row in zip(*columns)]
 
 
 def jacobian_rank_at(model, pt):
@@ -504,11 +599,15 @@ def jacobian_rank_at(model, pt):
     point must satisfy every defining form, else NotOnVarietyError.
     """
     reduced = model_mod_p(model, pt.p)
-    for f in reduced.forms:
-        if f.evaluate(pt.coords) != 0:
+    d = reduced.d
+    if len(pt.coords) != reduced.groups or any(len(c) != d for c in pt.coords):
+        raise ValueError("coordinate arity mismatch")
+    jac = _jacobian_rows(_coefficient_tensor(reduced), pt.coords, d, pt.p)
+    # Euler's identity for a multilinear form: f(x) = sum_i x_0[i] df/dx_0[i].
+    for f, row in zip(reduced.forms, jac):
+        if sum(x * v for x, v in zip(pt.coords[0], row)) % pt.p:
             raise NotOnVarietyError(f"form {f!r} does not vanish at {pt}")
-    rows = _jacobian_rows(_model_partials(reduced), pt)
-    return Matrix(rows, cols=reduced.groups * reduced.d, p=pt.p).rank()
+    return Matrix(jac, cols=reduced.groups * d, p=pt.p).rank()
 
 
 def smoothness_scan(t, primes=None):
@@ -524,10 +623,11 @@ def smoothness_scan(t, primes=None):
     """
     from .invariants import curve_singular_mod_p, exact_projection_discriminants
 
-    model = variety_from_state(t)
     if primes is None:
         primes = DEFAULT_PRIMES
     primes = tuple(sorted(set(primes)))
+    _check_prefix_budget(t.d, t.n - 1, primes)
+    model = variety_from_state(t)
     discs = exact_projection_discriminants(t)
     smooth_curve_over_q = discs is not None and all(d != 0 for d in discs)
     counts = []
@@ -547,10 +647,10 @@ def smoothness_scan(t, primes=None):
         used.append(p)
         pts = enumerate_points(reduced, p)
         counts.append((p, len(pts)))
-        partials = _model_partials(reduced)
+        tensor = _coefficient_tensor(reduced)
         for pt in pts:
-            rows = _jacobian_rows(partials, pt)
-            rank = Matrix(rows, cols=reduced.groups * reduced.d, p=p).rank()
+            jac = _jacobian_rows(tensor, pt.coords, reduced.d, p)
+            rank = Matrix(jac, cols=reduced.groups * reduced.d, p=p).rank()
             if rank < model.d:
                 witnesses.append((p, pt, rank))
                 break

@@ -24,6 +24,20 @@ from .linalg import Matrix, Subspace, reduce_scalar
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
+#: Most coefficients d**n a state may have.
+MAX_COEFFICIENTS = 2**16
+
+
+def _check_state_size(n, d):
+    """Raise SchemaError when a state of n factors of dimension d would
+    exceed MAX_COEFFICIENTS entries.  With d >= 2, any n of at least
+    MAX_COEFFICIENTS.bit_length() is too large, so d**n is never computed
+    for a larger n."""
+    if d >= 2 and d ** min(n, MAX_COEFFICIENTS.bit_length()) > MAX_COEFFICIENTS:
+        raise SchemaError(
+            f"format (n={n}, d={d}) exceeds the limit of {MAX_COEFFICIENTS} coefficients"
+        )
+
 
 class Tensor:
     """Immutable dense tensor of Fractions with equal local dimensions."""
@@ -46,6 +60,7 @@ class Tensor:
     @classmethod
     def from_entries(cls, n, d, entries):
         """Build from {index tuple: coefficient}; unspecified entries are 0."""
+        _check_state_size(n, d)
         coeffs = [Fraction(0)] * d**n
         for idx, c in entries.items():
             coeffs[cls._offset_static(n, d, idx)] = Fraction(c)
@@ -154,6 +169,7 @@ def parse_state(document):
         raise SchemaError("n and d must be integers")
     if n < 2 or d < 2:
         raise SchemaError("need n >= 2 and d >= 2")
+    _check_state_size(n, d)
     if not isinstance(entries, list):
         raise SchemaError("entries must be a list")
     seen = {}
@@ -276,6 +292,7 @@ def random_state(n, d, bound, seed):
     """i.i.d. integer coefficients in [-bound, bound], fixed by the seed."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    _check_state_size(n, d)
     rng = random.Random(seed)
     return Tensor(n, d, [rng.randint(-bound, bound) for _ in range(d**n)])
 

@@ -26,6 +26,7 @@ from .errors import (
     BadReductionError,
     InsufficientPointsError,
     RankDeficientError,
+    WorkLimitError,
     WrongFormatError,
 )
 from .linalg import Matrix, Subspace
@@ -194,7 +195,25 @@ def _insertion_rank(relation_spaces, arity, k, d, p):
     return Matrix(rows, cols=d**k, p=p).rank()
 
 
+#: Widest degree a Hilbert profile may reach: d**k_max columns.  That is
+#: k_max <= 5 for (3,3) and k_max <= 8 for (4,2); the rank costs ~35x more
+#: per (3,3) degree.
+MAX_PROFILE_WIDTH = 256
+
+
+def check_hilbert_degree(d, k_max):
+    """Raise WorkLimitError unless 0 <= k_max and d**k_max <= MAX_PROFILE_WIDTH.
+    With d >= 2, any k_max of at least MAX_PROFILE_WIDTH.bit_length() is too
+    wide, so d**k_max is never computed for a larger k_max."""
+    if k_max < 0 or d ** min(k_max, MAX_PROFILE_WIDTH.bit_length()) > MAX_PROFILE_WIDTH:
+        raise WorkLimitError(
+            f"k_max={k_max} is out of range: need k_max >= 0 and "
+            f"{d}**k_max <= {MAX_PROFILE_WIDTH}"
+        )
+
+
 def _hilbert_profile(state, p, k_max, kind, expected_fn):
+    check_hilbert_degree(state.d, k_max)
     spaces = cyclic_relations(state, p)
     arity = state.n - 1
     d = state.d

@@ -176,6 +176,30 @@ def test_bad_state_file_exits_2(tmp_path, capsys):
     assert code == 2 and captured.err
 
 
+def test_out_of_envelope_requests_exit_2(tmp_path, capsys):
+    from sloccgeo.states import random_state
+
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"n": 40, "d": 2, "entries": []}', encoding="utf-8")
+    s33 = write_state(tmp_path, "s33.json", random_state(3, 3, 5, seed=7))
+    s42 = write_state(tmp_path, "s42.json", random_state(4, 2, 5, seed=7))
+    s43 = write_state(tmp_path, "s43.json", random_state(4, 3, 5, seed=1))
+    s53 = write_state(tmp_path, "s53.json", random_state(5, 3, 5, seed=1))
+    for argv in (
+        ["classify", str(huge)],
+        ["sample", "--n", "40", "--d", "2"],
+        ["smoothness", s53],
+        ["classify", s43],
+        ["roundtrip", s43, "--primes", "31"],
+        ["hilbert", s33, "--k-max", "-1", "--strict"],
+        ["hilbert", s33, "--k-max", "6"],
+        ["hilbert", s42, "--k-max", "9"],
+    ):
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err and not captured.out, argv
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

@@ -1,19 +1,27 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from sloccgeo.errors import (
     AllPrimesBadError,
+    BadReductionError,
     NotOnVarietyError,
     RankDeficientError,
     UnsupportedFormatError,
+    WorkLimitError,
 )
+from sloccgeo.invariants import classify
 from sloccgeo.linalg import Matrix
 from sloccgeo.geometry import (
+    PREFIX_BUDGET,
     MultiForm,
     ProjPoint,
     VarietyModel,
+    _coefficient_tensor,
+    _jacobian_rows,
+    _subspace_points,
     determinantal_projection,
     enumerate_points,
     hasse_window,
@@ -24,7 +32,7 @@ from sloccgeo.geometry import (
     smoothness_scan,
     variety_from_state,
 )
-from sloccgeo.states import basis_state, random_state
+from sloccgeo.states import Tensor, basis_state, ghz, random_state
 
 
 def bilinear(i, j):
@@ -262,3 +270,107 @@ def test_section_count_values():
     assert section_count(5, 2) == 14
     with pytest.raises(ValueError):
         section_count(1, 3)
+
+
+def reference_points(model, p):
+    """The dict-polynomial enumeration: evaluate every form at each prefix
+    and each unit vector of the last group, then one kernel per prefix."""
+    reduced = model_mod_p(model, p)
+    d = reduced.d
+    units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    points = []
+    for prefix in product(*[list(projective_points(d, p))] * (reduced.groups - 1)):
+        rows = [[f.evaluate(prefix + (u,)) for u in units] for f in reduced.forms]
+        kernel = Matrix(rows, cols=d, p=p).kernel()
+        for tail in _subspace_points(kernel.basis.entries, d, p):
+            points.append(ProjPoint(p, prefix + (tail,)))
+    return points
+
+
+def _small_state_model(draw, n, d):
+    """A model from a state with coefficients in [-2, 2]: many zeros, so
+    rank-deficient prefix systems (several kernel points) occur too."""
+    from hypothesis import assume, strategies as st
+
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=d**n, max_size=d**n))
+    try:
+        return variety_from_state(Tensor(n, d, coeffs))
+    except RankDeficientError:
+        assume(False)
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2), (3, 2), (2, 3), (3, 4)])
+def test_enumeration_matches_reference(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), p=st.sampled_from((5, 7, 11)))
+    def check(data, p):
+        model = _small_state_model(data.draw, *fmt)
+        try:
+            expected = reference_points(model, p)
+        except BadReductionError:
+            assume(False)
+        assert enumerate_points(model, p) == expected
+
+    check()
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2), (3, 2), (3, 4)])
+def test_jacobian_rows_match_partials(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    n, d = fmt
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((5, 7, 11)))
+    def check(data, p):
+        model = _small_state_model(data.draw, n, d)
+        try:
+            reduced = model_mod_p(model, p)
+        except BadReductionError:
+            assume(False)
+        vec = st.tuples(*[st.integers(0, p - 1)] * d)
+        coords = data.draw(st.tuples(*[vec] * (n - 1)))
+        expected = [
+            [f.partial(g, i).evaluate(coords) for g in range(n - 1) for i in range(d)]
+            for f in reduced.forms
+        ]
+        assert _jacobian_rows(_coefficient_tensor(reduced), coords, d, p) == expected
+
+    check()
+
+
+def test_default_prime_first_witnesses(singlet_times_bell):
+    cases = [
+        (ghz(3, 3), (5, ((1, 0, 0), (0, 1, 0)), 2)),
+        (ghz(4, 2), (5, ((1, 0), (1, 0), (0, 1)), 1)),
+        (singlet_times_bell, (5, ((1, 0), (1, 0), (1, 0)), 1)),
+    ]
+    for state, expected in cases:
+        p, pt, rank = smoothness_scan(state).witnesses[0]
+        assert (p, pt.coords, rank) == expected
+
+
+def test_sweep_without_prefix_groups_solves_one_system():
+    # n = 2: the model is d linear forms on P^(d-1), so each prime costs one
+    # d x d system, not a pass over the (p^d - 1)/(p - 1) points of P^(d-1)
+    report = smoothness_scan(random_state(2, 5, 5, seed=1))
+    assert report.verdict == "NoSingularPointFound"
+    assert report.primes == (5, 7, 11, 13, 17, 23, 29, 31)  # 19 divides the det
+    assert [count for _, count in report.point_counts] == [0] * 8
+
+
+def test_sweep_over_prefix_budget_is_refused():
+    t43 = random_state(4, 3, 5, seed=1)
+    with pytest.raises(WorkLimitError):
+        classify(t43)  # ~2.3 * 10^6 prefixes over the default primes
+    with pytest.raises(WorkLimitError):
+        smoothness_scan(random_state(5, 3, 5, seed=1))
+    model = variety_from_state(t43)
+    with pytest.raises(WorkLimitError):
+        enumerate_points(model, 31)  # 993^2 prefixes in one call
+    assert (5**2 + 5 + 1) ** 2 <= PREFIX_BUDGET
+    assert smoothness_scan(t43, (5,)).primes == (5,)

@@ -264,3 +264,16 @@ def test_w_state_entries():
     t = w_state(3)
     assert t[(0, 0, 1)] == 1 and t[(0, 1, 0)] == 1 and t[(1, 0, 0)] == 1
     assert sum(1 for c in t.coeffs if c != 0) == 3
+
+
+def test_oversized_format_is_refused_before_allocation():
+    with pytest.raises(SchemaError):
+        parse_state('{"n": 40, "d": 2, "entries": []}')
+    with pytest.raises(SchemaError):
+        Tensor.from_entries(40, 2, {})
+    with pytest.raises(SchemaError):
+        random_state(40, 2, 5, seed=0)
+    with pytest.raises(SchemaError):
+        random_state(11, 3, 5, seed=0)  # 3^11 = 177147 > 2^16
+    with pytest.raises(SchemaError):
+        parse_state('{"n": 3, "d": 41, "entries": []}')  # 68921 > 2^16

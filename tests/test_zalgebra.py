@@ -4,6 +4,7 @@ from sloccgeo.errors import (
     BadReductionError,
     InsufficientPointsError,
     RankDeficientError,
+    WorkLimitError,
     WrongFormatError,
 )
 from sloccgeo.linalg import Subspace
@@ -19,6 +20,7 @@ from sloccgeo.states import (
     reduced_flattening_image,
 )
 from sloccgeo.zalgebra import (
+    check_hilbert_degree,
     cubic_expected_dims,
     cubic_hilbert,
     cyclic_relations,
@@ -234,3 +236,17 @@ def test_roundtrip_generic_42(family_1235):
 def test_roundtrip_separable_rank_deficient():
     with pytest.raises(RankDeficientError):
         roundtrip_check(basis_state(3, 3, (0, 0, 0)), 11)
+
+
+def test_hilbert_degree_bounds():
+    check_hilbert_degree(3, 5)  # 243 columns
+    check_hilbert_degree(2, 8)  # 256 columns
+    check_hilbert_degree(3, 0)
+    for d, k_max in ((3, 6), (2, 9), (3, -1), (2, -1), (3, 10**9)):
+        with pytest.raises(WorkLimitError):
+            check_hilbert_degree(d, k_max)
+    t = random_state(3, 3, 5, seed=7)
+    with pytest.raises(WorkLimitError):
+        quadratic_hilbert(t, 11, -1)  # was an empty profile that "matches"
+    with pytest.raises(WorkLimitError):
+        cubic_hilbert(random_state(4, 2, 5, seed=7), 11, 9)
