@@ -24,6 +24,7 @@ from .errors import (
     SingularOperatorError,
     SloccGeoError,
     UnsupportedFormatError,
+    UnsupportedPrimeError,
     WorkLimitError,
     WrongDegreeError,
     WrongFormatError,

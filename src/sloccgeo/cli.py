@@ -14,8 +14,8 @@ import json
 import sys
 
 from . import __version__
-from .errors import DegenerateInputError, SloccGeoError, WorkLimitError
-from .linalg import DEFAULT_PRIMES
+from .errors import DegenerateInputError, SloccGeoError, UnsupportedPrimeError, WorkLimitError
+from .linalg import DEFAULT_PRIMES, check_primes
 from .states import parse_state, random_state, state_to_json
 from .geometry import smoothness_scan, section_count
 from .invariants import (
@@ -49,13 +49,13 @@ def _hash(data):
 
 
 def _parse_primes(text):
+    """--primes as a checked tuple; a bad entry raises UnsupportedPrimeError,
+    which run() reports with exit 2."""
     try:
-        primes = tuple(sorted({int(x) for x in text.split(",") if x.strip()}))
+        primes = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise SystemExit(f"{TOOL}: bad prime list {text!r}")
-    if not primes:
-        raise SystemExit(f"{TOOL}: empty prime list")
-    return primes
+        raise UnsupportedPrimeError(f"bad prime list {text!r}")
+    return check_primes(primes)
 
 
 def _cmd_classify(args):
@@ -274,10 +274,9 @@ _HANDLERS = {
 def run(argv):
     """Parse arguments, run one command, print its report; returns the
     exit code instead of raising SystemExit (except for usage errors)."""
-    args = build_parser().parse_args(argv)
-    handler = _HANDLERS[args.command]
     try:
-        payload, input_hash, degenerate = handler(args)
+        args = build_parser().parse_args(argv)
+        payload, input_hash, degenerate = _HANDLERS[args.command](args)
     except DegenerateInputError as exc:
         payload = {"error": type(exc).__name__, "detail": str(exc)}
         input_hash = None

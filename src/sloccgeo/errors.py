@@ -53,6 +53,10 @@ class WorkLimitError(SloccGeoError):
     the prefix budget, or a Hilbert degree out of range."""
 
 
+class UnsupportedPrimeError(SloccGeoError):
+    """A requested prime is not a prime in the supported range (at least 5)."""
+
+
 class SingularOperatorError(SloccGeoError):
     """A local operator factor is not invertible."""
 

@@ -10,7 +10,8 @@ evidence by exhaustive point enumeration plus Jacobian ranks.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from functools import cache
+from itertools import product
 
 from .errors import (
     AllPrimesBadError,
@@ -20,7 +21,7 @@ from .errors import (
     UnsupportedFormatError,
     WorkLimitError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, reduce_scalar
+from .linalg import DEFAULT_PRIMES, Matrix, check_primes, clear_denominators, reduce_scalar
 from .states import flattening_image, state_hash
 
 _GROUP_NAMES = "xyzw"
@@ -29,6 +30,26 @@ _GROUP_NAMES = "xyzw"
 #: in smoothness_scan, per call in enumerate_points.  A full default-prime
 #: (5,2) sweep visits 92,624; a (4,3) sweep visits ~10^6 at p = 31 alone.
 PREFIX_BUDGET = 200_000
+
+#: Exponent triples of the ternary-cubic monomials, lexicographically
+#: descending: x0^3, x0^2*x1, x0^2*x2, x0*x1^2, x0*x1*x2, x0*x2^2, x1^3,
+#: x1^2*x2, x1*x2^2, x2^3.
+CUBIC_MONOMIALS = tuple(
+    sorted(
+        ((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)),
+        reverse=True,
+    )
+)
+
+#: Exponent vectors (x0, x1, y0, y1) of the bidegree-(2,2) monomials in
+#: three blocks by the y part (y0^2, y0*y1, y1^2), each block ordered
+#: x0^2, x0*x1, x1^2: a form reads as A(x)*y0^2 + B(x)*y0*y1 + C(x)*y1^2.
+BIQUADRATIC_MONOMIALS = tuple(
+    (2 - i, i, 2 - k, k) for k in range(3) for i in range(3)
+)
+
+#: Output monomials of the determinantal projection, per format.
+PROJECTION_MONOMIALS = {(3, 3): CUBIC_MONOMIALS, (4, 2): BIQUADRATIC_MONOMIALS}
 
 
 class MultiForm:
@@ -376,21 +397,58 @@ def variety_from_state(t):
     return VarietyModel(t.n, t.d, forms, state_hash(t), t)
 
 
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+@cache
+def _projection_layout(n, d, kept):
+    """Index tables for projection_coefficients.
+
+    A kept monomial takes one variable from each kept group.  ``columns``
+    lists, per kept monomial, the flat row positions of its d coefficients
+    along the dropped group; ``terms`` pairs every choice of one kept
+    monomial per row with the output monomial their product gives.
+    """
+    groups = n - 1
+    dropped = next(g for g in range(groups) if g not in kept)
+    stride = [d ** (groups - 1 - g) for g in range(groups)]
+    monomials = tuple(product(range(d), repeat=len(kept)))
+    columns = []
+    for mono in monomials:
+        base = sum(v * stride[g] for g, v in zip(kept, mono))
+        columns.append([base + l * stride[dropped] for l in range(d)])
+    index = {m: i for i, m in enumerate(PROJECTION_MONOMIALS[(n, d)])}
+    terms = []
+    for choice in product(range(len(monomials)), repeat=d):
+        exps = [0] * (d * len(kept))
+        for s in choice:
+            for g, v in enumerate(monomials[s]):
+                exps[g * d + v] += 1
+        terms.append((choice, index[tuple(exps)]))
+    return columns, terms
+
+
+def projection_coefficients(rows, n, d, kept):
+    """Coefficients of the determinantal projection of d coefficient rows.
+
+    Row k holds form k's coefficients, row-major over the n-1 variable
+    groups.  The matrix of linear forms M[k][l] = df_k/dz_l (z the dropped
+    group) is a sum over kept monomials of a scalar matrix times the
+    monomial, so det M is a sum over one kept monomial per row of a d x d
+    determinant of plain numbers.  Integer rows give integer coefficients,
+    in PROJECTION_MONOMIALS order: 10 for a (3,3) cubic, 9 for a (4,2)
+    form of bidegree (2,2).
+    """
+    columns, terms = _projection_layout(n, d, kept)
+    vectors = [[[row[i] for i in column] for column in columns] for row in rows]
+    out = [0] * len(PROJECTION_MONOMIALS[(n, d)])
+    for choice, target in terms:
+        out[target] += _det([vectors[k][s] for k, s in enumerate(choice)])
+    return out
+
+
+def model_rows(model):
+    """The coefficient rows of a model's forms, row-major over the groups."""
+    tensor = _coefficient_tensor(model)
+    m = len(model.forms)
+    return [tensor[k::m] for k in range(m)]
 
 
 def determinantal_projection(model, kept_axes):
@@ -400,6 +458,9 @@ def determinantal_projection(model, kept_axes):
     For (3,3) keep one axis and get a ternary cubic; for (4,2) keep two and
     get a form of bidegree (2,2).  The matrix entry (k, j) is the partial
     derivative of form k with respect to variable j of the dropped group.
+    The coefficients come from ``projection_coefficients`` on integer
+    rows: over Q the model's rows times L, the lcm of their denominators,
+    and the result is divided by L^d; over F_p the reduced rows.
     """
     kept = tuple(sorted(kept_axes))
     fmt = (model.n, model.d)
@@ -411,17 +472,14 @@ def determinantal_projection(model, kept_axes):
             raise UnsupportedFormatError("(4,2) projections keep exactly two of axes 0,1,2")
     else:
         raise UnsupportedFormatError(f"no determinantal projection for format {fmt}")
-    dropped = next(g for g in range(model.groups) if g not in kept)
-    entries = [
-        [form.partial(dropped, j) for j in range(model.d)] for form in model.forms
-    ]
-    det = MultiForm.zero(model.forms[0].group_dims, p=model.forms[0].p)
-    for perm in permutations(range(model.d)):
-        prod_form = entries[0][perm[0]]
-        for k in range(1, model.d):
-            prod_form = prod_form.mul(entries[k][perm[k]])
-        det = det.add(prod_form.scale(_perm_sign(perm)))
-    return det.drop_groups(kept)
+    rows, den = clear_denominators(model_rows(model))
+    coeffs = projection_coefficients(rows, model.n, model.d, kept)
+    if model.p is None:
+        den = den**model.d
+        coeffs = [Fraction(c, den) for c in coeffs]
+    return MultiForm(
+        (model.d,) * len(kept), dict(zip(PROJECTION_MONOMIALS[fmt], coeffs)), p=model.p
+    )
 
 
 def projective_points(dim, p):
@@ -467,9 +525,9 @@ def _check_prefix_budget(d, groups, primes):
 
 
 def _coefficient_tensor(reduced):
-    """The forms of a model over F_p as one flat integer tensor, indexed
-    row-major by one variable per group (first group slowest) and then by
-    the form (fastest)."""
+    """The forms of a model as one flat tensor, indexed row-major by one
+    variable per group (first group slowest) and then by the form
+    (fastest); integers over F_p, Fractions over Q."""
     d, groups, m = reduced.d, reduced.groups, len(reduced.forms)
     tensor = [0] * (d**groups * m)
     for k, form in enumerate(reduced.forms):
@@ -508,24 +566,30 @@ def _kernel_points(system, d, p):
     nonzero row (u, v) when d = 2, a nonzero cross product of two rows when
     d = 3.  Every other system goes through Matrix.kernel.
     """
-    if len(system) == d == 2:
-        (a, b), (c, e) = system
-        if (a * e - b * c) % p:
+    if len(system) == d and d in (2, 3):
+        if _det(system) % p:
             return ()
-        for u, v in ((a, b), (c, e)):
-            if u % p or v % p:
-                return (_normalize_projective((v % p, -u % p), p),)
-    elif len(system) == d == 3:
-        r0, r1, r2 = system
-        c0 = _cross(r1, r2)
-        if (r0[0] * c0[0] + r0[1] * c0[1] + r0[2] * c0[2]) % p:
-            return ()
-        for vec in (c0, _cross(r0, r2), _cross(r0, r1)):
+        if d == 2:
+            candidates = [(v, -u) for u, v in system]
+        else:
+            r0, r1, r2 = system
+            candidates = (_cross(r1, r2), _cross(r0, r2), _cross(r0, r1))
+        for vec in candidates:
             vec = [x % p for x in vec]
             if any(vec):
                 return (_normalize_projective(vec, p),)
     kernel = Matrix(system, cols=d, p=p).kernel()
     return tuple(_subspace_points(kernel.basis.entries, d, p))
+
+
+def _det(rows):
+    """Determinant of a 2 x 2 or 3 x 3 matrix given as plain lists."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return a * e - b * c
+    r0, r1, r2 = rows
+    c = _cross(r1, r2)
+    return r0[0] * c[0] + r0[1] * c[1] + r0[2] * c[2]
 
 
 def _cross(u, v):
@@ -619,17 +683,18 @@ def smoothness_scan(t, primes=None):
     drops) are reported bad; for curve formats that are smooth by the exact
     discriminant test, primes where the reduced curve degenerates are
     excluded from the sweep, since rank drops there say nothing about the
-    original model.
+    original model.  Those are the primes dividing the numerator of an
+    exact discriminant of the projections of the state's own slices,
+    computed once.  Every prime must pass ``check_primes``.
     """
-    from .invariants import curve_singular_mod_p, exact_projection_discriminants
+    from .invariants import slice_discriminants
 
-    if primes is None:
-        primes = DEFAULT_PRIMES
-    primes = tuple(sorted(set(primes)))
+    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
     model = variety_from_state(t)
-    discs = exact_projection_discriminants(t)
-    smooth_curve_over_q = discs is not None and all(d != 0 for d in discs)
+    discs = slice_discriminants(t)
+    if discs is None or not all(discs):
+        discs = ()
     counts = []
     bad = []
     excluded = []
@@ -641,7 +706,7 @@ def smoothness_scan(t, primes=None):
         except BadReductionError:
             bad.append(p)
             continue
-        if smooth_curve_over_q and curve_singular_mod_p(reduced):
+        if any(disc.numerator % p == 0 for disc in discs):
             excluded.append(p)
             continue
         used.append(p)

@@ -8,13 +8,22 @@ j = KAPPA * S^3 / (64*S^3 - T^2) reproduces 1728*4a^3/(4a^3 + 27b^2).
 Requiring S = -3a and T = 108b on that family pins the scale of both
 invariants and forces KAPPA = 110592; the discriminant 64*S^3 - T^2 then
 vanishes exactly on singular cubics.
+
+Each invariant is kept as one list of integer terms and one Fraction
+scale (1/16 for S, -1/8 for T).  A curve with rational coefficients is
+evaluated on its coefficients times L, the lcm of their denominators, and
+divided once: by L^4 for S and L^6 for T.  The projected curves of a model
+are built the same way from its integer rows (``projection_coefficients``),
+so S/T and the quartic I/J of a projection are integer polynomials divided
+once by a power of L.  Over F_p the same integers decide whether a
+discriminant vanishes: p divides its numerator.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import permutations, product
-from math import factorial
+from math import factorial, gcd
 
 from .errors import (
     BadReductionError,
@@ -25,28 +34,25 @@ from .errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix
+from .linalg import DEFAULT_PRIMES, clear_denominators
 from .states import flattening_image
 from .geometry import (
+    BIQUADRATIC_MONOMIALS,
+    CUBIC_MONOMIALS,
     MultiForm,
-    determinantal_projection,
+    model_rows,
+    projection_coefficients,
     smoothness_scan,
-    variety_from_state,
 )
 
 KAPPA = 110592
 QUARTIC_J_SCALE = 6912
 
-#: Exponent triples of the ternary-cubic monomials, lexicographically
-#: descending: x0^3, x0^2*x1, x0^2*x2, x0*x1^2, x0*x1*x2, x0*x2^2, x1^3,
-#: x1^2*x2, x1*x2^2, x2^3.
-CUBIC_MONOMIALS = tuple(
-    sorted(
-        ((i, j, 3 - i - j) for i in range(4) for j in range(4 - i)),
-        reverse=True,
-    )
-)
 _CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
+
+#: The formats whose models are curves with determinantal projections, and
+#: the kept axes of each projection.
+CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
 class TernaryCubic:
@@ -175,38 +181,60 @@ def _contract_degree6():
     return poly
 
 
-def _evaluate_poly(poly, coeffs):
-    total = Fraction(0)
-    for exps, k in poly.items():
-        term = Fraction(k)
-        for m, e in enumerate(exps):
-            if e:
-                term *= coeffs[m] ** e
-        total += term
+def _evaluate(terms, coeffs):
+    """Sum of k * prod(coeffs[i] for i in idx) over the (k, idx) terms."""
+    total = 0
+    for k, idx in terms:
+        for i in idx:
+            k *= coeffs[i]
+        total += k
     return total
 
 
-@cache
-def _calibrated_invariant_polys():
-    s_raw = _contract_degree4()
-    t_raw = _contract_degree6()
-    unit_a = TernaryCubic.weierstrass(1, 0).coeffs
-    unit_b = TernaryCubic.weierstrass(0, 1).coeffs
-    u = _evaluate_poly(s_raw, unit_a)
-    v = _evaluate_poly(t_raw, unit_b)
-    if u == 0 or v == 0:
+def _term_list(poly, target, unit):
+    """An integer contraction as (terms, scale): the terms divided by their
+    content, and the scale that makes the invariant equal ``target`` on
+    the cubic with coefficients ``unit``."""
+    content = reduce(gcd, poly.values())
+    terms = [
+        (k // content, tuple(m for m, e in enumerate(exps) for _ in range(e)))
+        for exps, k in poly.items()
+    ]
+    value = _evaluate(terms, unit)
+    if value == 0:
         raise SloccGeoError("invariant contraction degenerated; calibration impossible")
-    s_scale = Fraction(-3) / u
-    t_scale = Fraction(108) / v
-    s_poly = {e: s_scale * k for e, k in s_raw.items()}
-    t_poly = {e: t_scale * k for e, k in t_raw.items()}
-    return s_poly, t_poly
+    return terms, Fraction(target, value)
+
+
+@cache
+def _calibrated_invariants():
+    """((S terms, S scale), (T terms, T scale)); computed once per process."""
+    unit_a = [int(c) for c in TernaryCubic.weierstrass(1, 0).coeffs]
+    unit_b = [int(c) for c in TernaryCubic.weierstrass(0, 1).coeffs]
+    return (
+        _term_list(_contract_degree4(), -3, unit_a),
+        _term_list(_contract_degree6(), 108, unit_b),
+    )
+
+
+def _divide(value, scale, den):
+    """scale * value / den as one Fraction."""
+    return Fraction(scale.numerator * value, scale.denominator * den)
+
+
+def _cubic_st(coeffs, den):
+    """(S, T) of the cubic with integer coefficients coeffs / den."""
+    (s_terms, s_scale), (t_terms, t_scale) = _calibrated_invariants()
+    return (
+        _divide(_evaluate(s_terms, coeffs), s_scale, den**4),
+        _divide(_evaluate(t_terms, coeffs), t_scale, den**6),
+    )
 
 
 def aronhold_invariants(f):
     """The degree-4 and degree-6 invariants (S, T) of a ternary cubic."""
-    s_poly, t_poly = _calibrated_invariant_polys()
-    return _evaluate_poly(s_poly, f.coeffs), _evaluate_poly(t_poly, f.coeffs)
+    (coeffs,), den = clear_denominators([f.coeffs])
+    return _cubic_st(coeffs, den)
 
 
 def cubic_discriminant(f):
@@ -238,9 +266,7 @@ class BinaryQuartic:
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d), Fraction(e))
 
 
-def quartic_invariants(g):
-    """The classical degree-2 and degree-3 invariants (I, J)."""
-    a, b, c, d, e = g.a, g.b, g.c, g.d, g.e
+def _ij(a, b, c, d, e):
     i_val = 12 * a * e - 3 * b * d + c * c
     j_val = (
         72 * a * c * e
@@ -250,6 +276,11 @@ def quartic_invariants(g):
         - 2 * c**3
     )
     return i_val, j_val
+
+
+def quartic_invariants(g):
+    """The classical degree-2 and degree-3 invariants (I, J)."""
+    return _ij(g.a, g.b, g.c, g.d, g.e)
 
 
 def quartic_discriminant(g):
@@ -266,24 +297,20 @@ def j_binary_quartic(g):
     return QUARTIC_J_SCALE * i_val**3 / disc
 
 
-def _quadratic_in_second_group(m):
-    """Split a (2,2)-form as A(x)*y0^2 + B(x)*y0*y1 + C(x)*y1^2, each of
-    A, B, C a triple of x-quadratic coefficients (x0^2, x0*x1, x1^2)."""
-    zero = 0 if m.p is not None else Fraction(0)
-    out = {(2, 0): [zero] * 3, (1, 1): [zero] * 3, (0, 2): [zero] * 3}
-    for exps, c in m.terms.items():
-        xpart, ypart = (exps[0], exps[1]), (exps[2], exps[3])
-        out[ypart][2 - xpart[0]] = c
-    return out[(2, 0)], out[(1, 1)], out[(0, 2)]
-
-
-def _conv3(u, v, zero=Fraction(0)):
-    """Product of two binary quadratics as a binary quartic coefficient list."""
-    out = [zero] * 5
+def _conv(u, v):
+    """Product of two binary forms given as coefficient lists."""
+    out = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         for j, b in enumerate(v):
             out[i + j] += a * b
     return out
+
+
+def _branch(coeffs):
+    """B^2 - 4AC for the (2,2)-form with coefficients in
+    BIQUADRATIC_MONOMIALS order, A, B, C its y0^2, y0*y1, y1^2 parts."""
+    a_q, b_q, c_q = coeffs[0:3], coeffs[3:6], coeffs[6:9]
+    return [x - 4 * y for x, y in zip(_conv(b_q, b_q), _conv(a_q, c_q))]
 
 
 def branch_quartic(m):
@@ -294,9 +321,7 @@ def branch_quartic(m):
         raise WrongDegreeError("expected a form on two groups of 2 variables")
     if not m.is_zero() and m.multidegree != (2, 2):
         raise WrongDegreeError(f"expected bidegree (2,2), got {m.multidegree}")
-    a_q, b_q, c_q = _quadratic_in_second_group(m)
-    disc = [x - 4 * y for x, y in zip(_conv3(b_q, b_q), _conv3(a_q, c_q))]
-    return BinaryQuartic(*disc)
+    return BinaryQuartic(*_branch([m.coefficient(e) for e in BIQUADRATIC_MONOMIALS]))
 
 
 def j_biquadratic(m):
@@ -318,6 +343,19 @@ def _slices_along_last(t):
     ]
 
 
+def _pencil_cayley(e):
+    """b^2 - 4ac of a 2x2x2 tensor whose entries e[4i+2j+k] are binary
+    forms (coefficient lists of one length): a and c are the determinants
+    of the slices k = 0, 1 and b their mixed term.  Scalars are forms of
+    length 1."""
+    def minor(w, x, y, z):
+        return [u - v for u, v in zip(_conv(e[w], e[x]), _conv(e[y], e[z]))]
+
+    a, c = minor(0, 6, 2, 4), minor(1, 7, 3, 5)
+    b = [u + v for u, v in zip(minor(0, 7, 2, 5), minor(1, 6, 3, 4))]
+    return [u - 4 * v for u, v in zip(_conv(b, b), _conv(a, c))]
+
+
 def cayley_hyperdet(t):
     """Degree-4 hyperdeterminant of a 2x2x2 tensor.
 
@@ -327,14 +365,7 @@ def cayley_hyperdet(t):
     """
     if (t.n, t.d) != (3, 2):
         raise WrongFormatError(f"Cayley hyperdeterminant needs format 2x2x2, got {(t.n, t.d)}")
-    s0, s1 = _slices_along_last(t)
-    m0 = Matrix([[s0[0], s0[1]], [s0[2], s0[3]]])
-    m1 = Matrix([[s1[0], s1[1]], [s1[2], s1[3]]])
-    msum = Matrix([[a + b for a, b in zip(r0, r1)] for r0, r1 in zip(m0.entries, m1.entries)])
-    a = m0.det()
-    c = m1.det()
-    b = msum.det() - a - c
-    return b * b - 4 * a * c
+    return _pencil_cayley([[c] for c in t.coeffs])[0]
 
 
 def schlaefli_hyperdet(t):
@@ -342,30 +373,15 @@ def schlaefli_hyperdet(t):
 
     The Cayley hyperdeterminant of the slice pencil s*T0 + u*T1 is a binary
     quartic in (s, u); the value returned is its discriminant normalized as
-    (4*I^3 - J^2)/27.
+    (4*I^3 - J^2)/27.  The quartic comes from integer 2 x 2 determinants of
+    the slices times L, the lcm of the state's denominators, and the value
+    is divided once, by 27 * L^24.
     """
-    from .states import Tensor
-
     if (t.n, t.d) != (4, 2):
         raise WrongFormatError(f"Schlaefli hyperdeterminant needs format 2x2x2x2, got {(t.n, t.d)}")
-    s0, s1 = _slices_along_last(t)
-
-    def pencil_value(s, u):
-        coeffs = [s * x + u * y for x, y in zip(s0, s1)]
-        return cayley_hyperdet(Tensor(3, 2, coeffs))
-
-    a = pencil_value(Fraction(1), Fraction(0))
-    e = pencil_value(Fraction(0), Fraction(1))
-    f1 = pencil_value(Fraction(1), Fraction(1)) - a - e
-    f2 = pencil_value(Fraction(1), Fraction(-1)) - a - e
-    f3 = pencil_value(Fraction(1), Fraction(2)) - a - 16 * e
-    c = (f1 + f2) / 2
-    s1_val = f1 - c                      # b + d
-    s2_val = (f3 - 4 * c) / 2            # b + 4 d
-    d_coef = (s2_val - s1_val) / 3
-    b_coef = s1_val - d_coef
-    quartic = BinaryQuartic(a, b_coef, c, d_coef, e)
-    return quartic_discriminant(quartic) / 27
+    (s0, s1), den = clear_denominators(_slices_along_last(t))
+    i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(s0, s1)]))
+    return Fraction(4 * i_val**3 - j_val**2, 27 * den**24)
 
 
 def moduli_dimension(n, d):
@@ -473,87 +489,84 @@ def _j_json(j):
     return [str(j.numerator), str(j.denominator)]
 
 
-def _curve_projections(t):
-    fmt = (t.n, t.d)
-    model = variety_from_state(t)
-    projections = []
-    if fmt == (3, 3):
-        for axes in ((0,), (1,)):
-            cubic = TernaryCubic.from_form(determinantal_projection(model, axes))
-            s, tv = aronhold_invariants(cubic)
-            disc = 64 * s**3 - tv**2
-            j = None if disc == 0 else KAPPA * s**3 / disc
-            projections.append(
-                Projection(axes, CurveInvariants(PLANE_CUBIC, (s, tv), disc, j))
-            )
-    else:
-        for axes in ((0, 1), (0, 2), (1, 2)):
-            quartic = branch_quartic(determinantal_projection(model, axes))
-            i_val, j_val = quartic_invariants(quartic)
-            disc = 4 * i_val**3 - j_val**2
-            j = None if disc == 0 else QUARTIC_J_SCALE * i_val**3 / disc
-            projections.append(
-                Projection(axes, CurveInvariants(BIQUADRATIC, (i_val, j_val), disc, j))
-            )
-    return projections
+def _plane_cubic(coeffs, den):
+    """Invariants of the plane cubic with integer coefficients coeffs / den."""
+    s, tv = _cubic_st(coeffs, den)
+    disc = 64 * s**3 - tv**2
+    j = None if disc == 0 else KAPPA * s**3 / disc
+    return CurveInvariants(PLANE_CUBIC, (s, tv), disc, j)
+
+
+def _biquadratic(coeffs, den):
+    """Invariants of the (2,2)-curve with integer coefficients coeffs / den:
+    its branch quartic is _branch(coeffs) / den^2, so I and J are integers
+    divided by den^4 and den^6."""
+    i_int, j_int = _ij(*_branch(coeffs))
+    i_val, j_val = Fraction(i_int, den**4), Fraction(j_int, den**6)
+    disc = 4 * i_val**3 - j_val**2
+    j = None if disc == 0 else QUARTIC_J_SCALE * i_val**3 / disc
+    return CurveInvariants(BIQUADRATIC, (i_val, j_val), disc, j)
+
+
+def _curve_projections(fmt, rows):
+    """Exact invariants of every projection of the model whose forms have
+    these coefficient rows (Fractions or ints).  The rows are cleared to
+    integers once, with L the lcm of their denominators; each projection
+    is integer and stands for its value divided by L^d."""
+    n, d = fmt
+    rows, den = clear_denominators(rows)
+    invariants = _plane_cubic if fmt == (3, 3) else _biquadratic
+    return [
+        Projection(axes, invariants(projection_coefficients(rows, n, d, axes), den**d))
+        for axes in CURVE_AXES[fmt]
+    ]
+
+
+def _discriminants(fmt, rows):
+    return tuple(pr.invariants.discriminant for pr in _curve_projections(fmt, rows))
 
 
 def exact_projection_discriminants(t):
     """Exact discriminants of every projected curve, or None when the
     format has no determinantal projections or the rank is deficient."""
-    if (t.n, t.d) not in ((3, 3), (4, 2)):
+    if (t.n, t.d) not in CURVE_AXES:
         return None
-    if flattening_image(t).dim != t.d:
+    sub = flattening_image(t)
+    if sub.dim != t.d:
         return None
-    return tuple(pr.invariants.discriminant for pr in _curve_projections(t))
+    return _discriminants((t.n, t.d), sub.basis.entries)
 
 
-def _evaluate_poly_mod(poly, coeffs, p):
-    total = 0
-    for exps, k in poly.items():
-        k = Fraction(k)
-        term = k.numerator * pow(k.denominator, -1, p) % p
-        for m, e in enumerate(exps):
-            if e:
-                term = term * pow(coeffs[m], e, p) % p
-        total = (total + term) % p
-    return total
+def slice_discriminants(t):
+    """Discriminants of the projections of the model whose rows are the
+    state's own slices along the last axis, or None outside the curve
+    formats.  With full flattening rank these rows differ from the
+    canonical basis by an invertible d x d change, which scales every
+    discriminant by a nonzero power of its determinant; over F_p the same
+    holds for the reduced basis whenever the reduction is good.  So for
+    such p >= 5 a reduced curve is singular exactly when p divides the
+    numerator of one of these values."""
+    if (t.n, t.d) not in CURVE_AXES:
+        return None
+    return _discriminants((t.n, t.d), _slices_along_last(t))
 
 
 def curve_singular_mod_p(model_p):
     """Whether a curve model over F_p has a vanishing projection
     discriminant; used to recognize primes of bad geometric reduction.
-    Requires p > 3 so the invariant denominators stay invertible."""
-    p = model_p.forms[0].p
+
+    The reduced rows are read as integers and run through the exact
+    projection and invariants; a discriminant vanishes mod p exactly when
+    p divides its numerator.  Requires p > 3 so the invariant denominators
+    stay invertible.
+    """
     fmt = (model_p.n, model_p.d)
-    if fmt == (3, 3):
-        s_poly, t_poly = _calibrated_invariant_polys()
-        for axes in ((0,), (1,)):
-            proj = determinantal_projection(model_p, axes)
-            coeffs = [proj.coefficient(m) for m in CUBIC_MONOMIALS]
-            s = _evaluate_poly_mod(s_poly, coeffs, p)
-            tv = _evaluate_poly_mod(t_poly, coeffs, p)
-            if (64 * pow(s, 3, p) - tv * tv) % p == 0:
-                return True
-        return False
-    if fmt == (4, 2):
-        for axes in ((0, 1), (0, 2), (1, 2)):
-            proj = determinantal_projection(model_p, axes)
-            a_q, b_q, c_q = _quadratic_in_second_group(proj)
-            quartic = [
-                (x - 4 * y) % p
-                for x, y in zip(_conv3(b_q, b_q, 0), _conv3(a_q, c_q, 0))
-            ]
-            a, b, c, d, e = quartic
-            i_val = (12 * a * e - 3 * b * d + c * c) % p
-            j_val = (
-                72 * a * c * e + 9 * b * c * d - 27 * a * d * d
-                - 27 * b * b * e - 2 * pow(c, 3, p)
-            ) % p
-            if (4 * pow(i_val, 3, p) - j_val * j_val) % p == 0:
-                return True
-        return False
-    raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
+    if fmt not in CURVE_AXES:
+        raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
+    return any(
+        disc.numerator % model_p.p == 0
+        for disc in _discriminants(fmt, model_rows(model_p))
+    )
 
 
 def _format_hyperdet(t):
@@ -576,15 +589,16 @@ def classify(t, primes=None):
         primes = DEFAULT_PRIMES
     primes = tuple(sorted(set(primes)))
     fmt = (t.n, t.d)
-    rank = flattening_image(t).dim
+    sub = flattening_image(t)
+    rank = sub.dim
     hyperdet = _format_hyperdet(t)
     hint = None if hyperdet is None else hyperdet != 0
 
     if rank < t.d:
         return Verdict(t.n, t.d, RANK_DEFICIENT, rank, (), None, hyperdet, hint, (), None)
 
-    if fmt in ((3, 3), (4, 2)):
-        projections = tuple(_curve_projections(t))
+    if fmt in CURVE_AXES:
+        projections = tuple(_curve_projections(fmt, sub.basis.entries))
         if all(pr.invariants.discriminant != 0 for pr in projections):
             js = {pr.invariants.j for pr in projections}
             if len(js) != 1:

@@ -8,12 +8,48 @@ canonical and subspaces compare by simple equality.
 
 import random
 from fractions import Fraction
+from math import isqrt, lcm
 
-from .errors import BadReductionError
+from .errors import BadReductionError, UnsupportedPrimeError
 
 #: Primes used by default for finite-field reductions.  Small enough for
 #: exhaustive point enumeration, large enough that bad reduction is rare.
 DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+#: Largest prime accepted by check_primes; primality is decided by trial
+#: division, so the bound keeps that check to ~2*10^4 divisions.
+MAX_PRIME = 2**31 - 1
+
+
+def check_primes(primes):
+    """The sorted distinct primes of a request, each checked to be a prime
+    in [5, MAX_PRIME].  2 and 3 divide denominators of the invariant
+    constants, and other integers do not give a field.  Raises
+    UnsupportedPrimeError naming the first bad entry."""
+    primes = tuple(sorted(set(primes)))
+    if not primes:
+        raise UnsupportedPrimeError("the prime list is empty")
+    for p in primes:
+        if (
+            not isinstance(p, int)
+            or isinstance(p, bool)
+            or not 5 <= p <= MAX_PRIME
+            or any(p % q == 0 for q in range(2, isqrt(p) + 1))
+        ):
+            raise UnsupportedPrimeError(
+                f"{p!r} is not a prime in [5, {MAX_PRIME}]"
+            )
+    return primes
+
+
+def clear_denominators(rows):
+    """(integer rows, L): the rows of Fractions or ints times L, the least
+    common multiple of all their denominators."""
+    den = 1
+    for row in rows:
+        for x in row:
+            den = lcm(den, x.denominator)
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
 def reduce_scalar(x, p):

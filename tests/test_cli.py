@@ -200,6 +200,20 @@ def test_out_of_envelope_requests_exit_2(tmp_path, capsys):
         assert code == 2 and captured.err and not captured.out, argv
 
 
+def test_bad_primes_exit_2(tmp_path, capsys):
+    # --primes 0 used to end in a ZeroDivisionError; 1, 3 and -5 exited 0
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 3))
+    commands = ("classify", "smoothness", "roundtrip", "hilbert")
+    for command in commands:
+        for primes in ("0", "1", "-5", "2", "3", "4", "5,6"):
+            code = run([command, path, "--primes", primes])
+            captured = capsys.readouterr()
+            assert code == 2 and "not a prime" in captured.err, (command, primes)
+            assert not captured.out
+        assert run([command, path, "--primes", "5"]) == 0
+        capsys.readouterr()
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

@@ -10,6 +10,7 @@ from sloccgeo.errors import (
     NotOnVarietyError,
     RankDeficientError,
     UnsupportedFormatError,
+    UnsupportedPrimeError,
     WorkLimitError,
 )
 from sloccgeo.invariants import classify
@@ -244,6 +245,12 @@ def test_scan_all_primes_bad(ghz3_qutrit):
         smoothness_scan(fifth, (5,))
     # other primes unaffected by the denominator
     assert smoothness_scan(fifth, (5, 7)).verdict == "SingularFound"
+
+
+def test_scan_refuses_non_primes_and_small_primes(family_1235):
+    for primes in ((0,), (1,), (-5,), (2,), (3,), (4,), (5, 6), (), (2**31 + 11,)):
+        with pytest.raises(UnsupportedPrimeError):
+            smoothness_scan(family_1235, primes)
 
 
 def test_scan_report_is_deterministic(family_1235):

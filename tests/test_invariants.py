@@ -1,15 +1,25 @@
+import functools
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from sloccgeo.errors import (
+    BadReductionError,
     FormatMismatchError,
     WrongDegreeError,
     WrongFormatError,
 )
-from sloccgeo.linalg import random_invertible
-from sloccgeo.geometry import MultiForm, determinantal_projection, model_mod_p, variety_from_state
+from sloccgeo.linalg import DEFAULT_PRIMES, Matrix, random_invertible, reduce_scalar
+from sloccgeo.geometry import (
+    CUBIC_MONOMIALS,
+    MultiForm,
+    determinantal_projection,
+    model_mod_p,
+    smoothness_scan,
+    variety_from_state,
+)
 from sloccgeo.invariants import (
     BOTH_DEGENERATE,
     CONSISTENT_UNKNOWN,
@@ -30,13 +40,20 @@ from sloccgeo.invariants import (
     j_biquadratic,
     j_plane_cubic,
     moduli_dimension,
+    _contract_degree4,
+    _contract_degree6,
+    _curve_projections,
+    quartic_discriminant,
     quartic_invariants,
     schlaefli_hyperdet,
+    slice_discriminants,
     slocc_compare,
 )
 from sloccgeo.states import (
     SloccOperator,
+    Tensor,
     apply_slocc,
+    flattening_image,
     basis_state,
     four_qubit_generic_family,
     ghz,
@@ -305,3 +322,216 @@ def test_compare_both_degenerate(ghz3_qutrit):
 def test_compare_format_mismatch(ghz3_qutrit, ghz4):
     with pytest.raises(FormatMismatchError):
         slocc_compare(ghz3_qutrit, ghz4)
+
+
+# ---------------------------------------------------------------- reference
+# Test-only copies of the dict-polynomial constructions that the integer
+# core replaced: the permutation loop over MultiForm.mul, the Fraction
+# evaluation of the calibrated S/T polynomials, and the Schlaefli pencil
+# interpolated from Cayley values at five points.
+
+
+def _reference_perm_sign(perm):
+    sign = 1
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if perm[i] > perm[j]:
+                sign = -sign
+    return sign
+
+
+def reference_projection(model, kept):
+    dropped = next(g for g in range(model.groups) if g not in kept)
+    entries = [[f.partial(dropped, j) for j in range(model.d)] for f in model.forms]
+    det = MultiForm.zero(model.forms[0].group_dims, p=model.forms[0].p)
+    for perm in permutations(range(model.d)):
+        prod_form = entries[0][perm[0]]
+        for k in range(1, model.d):
+            prod_form = prod_form.mul(entries[k][perm[k]])
+        det = det.add(prod_form.scale(_reference_perm_sign(perm)))
+    return det.drop_groups(kept)
+
+
+def reference_evaluate(poly, coeffs):
+    total = Fraction(0)
+    for exps, k in poly.items():
+        term = Fraction(k)
+        for m, e in enumerate(exps):
+            if e:
+                term *= coeffs[m] ** e
+        total += term
+    return total
+
+
+@functools.cache
+def reference_st_polys():
+    s_raw, t_raw = _contract_degree4(), _contract_degree6()
+    u = reference_evaluate(s_raw, TernaryCubic.weierstrass(1, 0).coeffs)
+    v = reference_evaluate(t_raw, TernaryCubic.weierstrass(0, 1).coeffs)
+    return (
+        {e: Fraction(-3) / u * k for e, k in s_raw.items()},
+        {e: Fraction(108) / v * k for e, k in t_raw.items()},
+    )
+
+
+def reference_invariants(form):
+    """(pair, discriminant, j) of a projected curve, from its MultiForm."""
+    if form.group_dims == (3,):
+        s_poly, t_poly = reference_st_polys()
+        coeffs = [form.coefficient(m) for m in CUBIC_MONOMIALS]
+        s, t = reference_evaluate(s_poly, coeffs), reference_evaluate(t_poly, coeffs)
+        disc = 64 * s**3 - t**2
+        return (s, t), disc, None if disc == 0 else 110592 * s**3 / disc
+    quad = {(2, 0): [0] * 3, (1, 1): [0] * 3, (0, 2): [0] * 3}
+    for exps, c in form.terms.items():
+        quad[exps[2:]][exps[1]] = c
+    a_q, b_q, c_q = quad[(2, 0)], quad[(1, 1)], quad[(0, 2)]
+
+    def conv(u, v):
+        return [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
+
+    quartic = [x - 4 * y for x, y in zip(conv(b_q, b_q), conv(a_q, c_q))]
+    i_val, j_val = quartic_invariants(BinaryQuartic.of(*quartic))
+    disc = 4 * i_val**3 - j_val**2
+    return (i_val, j_val), disc, None if disc == 0 else 6912 * i_val**3 / disc
+
+
+def reference_curve_singular_mod_p(model_p):
+    p = model_p.p
+    axes = ((0,), (1,)) if model_p.d == 3 else ((0, 1), (0, 2), (1, 2))
+    return any(
+        reduce_scalar(reference_invariants(reference_projection(model_p, kept))[1], p) == 0
+        for kept in axes
+    )
+
+
+def reference_schlaefli(t):
+    size = len(t.coeffs) // 2
+    s0 = [t.coeffs[2 * m] for m in range(size)]
+    s1 = [t.coeffs[2 * m + 1] for m in range(size)]
+
+    def cayley(c):
+        m0 = Matrix([[c[0], c[2]], [c[4], c[6]]])
+        m1 = Matrix([[c[1], c[3]], [c[5], c[7]]])
+        msum = Matrix([[c[0] + c[1], c[2] + c[3]], [c[4] + c[5], c[6] + c[7]]])
+        a, e = m0.det(), m1.det()
+        b = msum.det() - a - e
+        return b * b - 4 * a * e
+
+    def pencil(s, u):
+        return cayley([s * x + u * y for x, y in zip(s0, s1)])
+
+    a, e = pencil(1, 0), pencil(0, 1)
+    f1, f2 = pencil(1, 1) - a - e, pencil(1, -1) - a - e
+    f3 = pencil(1, 2) - a - 16 * e
+    c = (f1 + f2) / 2
+    d_coef = ((f3 - 4 * c) / 2 - (f1 - c)) / 3
+    quartic = BinaryQuartic.of(a, f1 - c - d_coef, c, d_coef, e)
+    return quartic_discriminant(quartic) / 27
+
+
+def _drawn_state(draw, n, d):
+    """Coefficients in [-2, 2], optionally times a rational and moved by a
+    rational SLOCC operator."""
+    from hypothesis import strategies as st
+
+    t = Tensor(n, d, draw(st.lists(st.integers(-2, 2), min_size=d**n, max_size=d**n)))
+    num = draw(st.integers(-6, 6).filter(bool))
+    t = t.scale(Fraction(num, draw(st.integers(1, 9))))
+    if draw(st.booleans()):
+        g = SloccOperator.random(n, d, 2, seed=draw(st.integers(0, 10**6)))
+        scale = Matrix([[Fraction(1, 3) if i == j else 0 for j in range(d)] for i in range(d)])
+        t = apply_slocc(t, SloccOperator([f.mul(scale) for f in g.factors]))
+    return t
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
+def test_integer_core_matches_reference(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    n, d = fmt
+    axes = ((0,), (1,)) if fmt == (3, 3) else ((0, 1), (0, 2), (1, 2))
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        t = _drawn_state(data.draw, n, d)
+        if fmt == (4, 2):
+            assert schlaefli_hyperdet(t) == reference_schlaefli(t)
+        sub = flattening_image(t)
+        if sub.dim < d:
+            return
+        model = variety_from_state(t)
+        projections = _curve_projections(fmt, sub.basis.entries)
+        assert [pr.axes for pr in projections] == list(axes)
+        assert exact_projection_discriminants(t) == tuple(
+            pr.invariants.discriminant for pr in projections
+        )
+        for kept, pr in zip(axes, projections):
+            form = determinantal_projection(model, kept)
+            assert form == reference_projection(model, kept)
+            inv = pr.invariants
+            assert (inv.pair, inv.discriminant, inv.j) == reference_invariants(form)
+        for p in (5, 7, 11):
+            try:
+                reduced = model_mod_p(model, p)
+            except BadReductionError:
+                continue
+            for kept in axes:
+                assert determinantal_projection(reduced, kept) == reference_projection(
+                    reduced, kept
+                )
+            assert curve_singular_mod_p(reduced) == reference_curve_singular_mod_p(reduced)
+
+    check()
+
+
+def test_prime_exclusion_matches_reduced_curve_test(smooth_corpus_33, smooth_corpus_42):
+    # smoothness_scan excludes p when p divides the numerator of a
+    # discriminant of the state's own slices; the former test projected
+    # the reduced model at every prime.  They agree on every good prime.
+    pairs = excluded = 0
+    for t in smooth_corpus_33 + smooth_corpus_42:
+        discs = slice_discriminants(t)
+        model = variety_from_state(t)
+        for p in DEFAULT_PRIMES:
+            try:
+                reduced = model_mod_p(model, p)
+            except BadReductionError:
+                continue
+            by_slices = any(disc.numerator % p == 0 for disc in discs)
+            assert by_slices == reference_curve_singular_mod_p(reduced), (t, p)
+            pairs += 1
+            excluded += by_slices
+    assert pairs > 800 and excluded > 0
+
+
+def test_scan_excludes_primes_by_slice_discriminants(smooth_corpus_42):
+    for t in smooth_corpus_42[:8]:
+        discs = slice_discriminants(t)
+        report = smoothness_scan(t, (5, 7, 11, 13))
+        expected = tuple(
+            p for p in (5, 7, 11, 13)
+            if p not in report.bad_primes and any(disc.numerator % p == 0 for disc in discs)
+        )
+        assert report.excluded_primes == expected
+
+
+def test_classify_status_and_j_are_slocc_invariant():
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        fmt=st.sampled_from([(3, 3), (4, 2)]),
+        seed=st.integers(0, 10**6),
+        op_seed=st.integers(0, 10**6),
+    )
+    def check(fmt, seed, op_seed):
+        t = random_state(*fmt, 3, seed=seed)
+        moved = apply_slocc(t, SloccOperator.random(*fmt, 3, seed=op_seed))
+        a, b = classify(t, (5, 7)), classify(moved, (5, 7))
+        assert (a.status, a.j) == (b.status, b.j)
+
+    check()

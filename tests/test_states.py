@@ -91,6 +91,23 @@ def test_canonical_serialization_round_trip():
     assert state_hash(t) == state_hash(parse_state(text))
 
 
+def test_serialization_round_trip_property():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    coefficient = st.fractions(max_denominator=10**6) | st.just(Fraction(0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), fmt=st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (2, 5)]))
+    def check(data, fmt):
+        n, d = fmt
+        coeffs = data.draw(st.lists(coefficient, min_size=d**n, max_size=d**n))
+        t = Tensor(n, d, coeffs)
+        assert parse_state(state_to_json(t)) == t
+
+    check()
+
+
 def test_flatten_ghz3_columns_are_unit_matrices():
     m = flatten_last(ghz(3, 3))
     expected = [[0] * 3 for _ in range(9)]
