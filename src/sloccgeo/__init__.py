@@ -17,6 +17,7 @@ from .errors import (
     DegenerateInputError,
     DuplicateIndexError,
     FormatMismatchError,
+    InputFileError,
     InsufficientPointsError,
     NotOnVarietyError,
     RankDeficientError,

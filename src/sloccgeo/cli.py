@@ -14,7 +14,13 @@ import json
 import sys
 
 from . import __version__
-from .errors import DegenerateInputError, SloccGeoError, UnsupportedPrimeError, WorkLimitError
+from .errors import (
+    DegenerateInputError,
+    InputFileError,
+    SloccGeoError,
+    UnsupportedPrimeError,
+    WorkLimitError,
+)
 from .linalg import DEFAULT_PRIMES, check_primes
 from .states import parse_state, random_state, state_to_json
 from .geometry import smoothness_scan, section_count
@@ -41,7 +47,7 @@ def _read_input(path):
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise SystemExit(f"{TOOL}: cannot read {path}: {exc.strerror}")
+        raise InputFileError(f"cannot read {path}: {exc.strerror}")
 
 
 def _hash(data):

@@ -40,6 +40,10 @@ class BadReductionError(SloccGeoError):
         self.p = p
 
 
+class InputFileError(SloccGeoError):
+    """A state file cannot be opened or read."""
+
+
 class SchemaError(SloccGeoError):
     """A state document does not match the expected JSON schema."""
 
@@ -49,8 +53,9 @@ class DuplicateIndexError(SchemaError):
 
 
 class WorkLimitError(SloccGeoError):
-    """A request lies outside the bounded-work envelope: a point sweep over
-    the prefix budget, or a Hilbert degree out of range."""
+    """A request lies outside the bounded-work envelope: an exact flattening
+    over its cost bound, a point sweep over the prefix budget, or a Hilbert
+    degree out of range."""
 
 
 class UnsupportedPrimeError(SloccGeoError):

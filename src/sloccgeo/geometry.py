@@ -592,12 +592,101 @@ def _det(rows):
     return r0[0] * c[0] + r0[1] * c[1] + r0[2] * c[2]
 
 
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
 def _cross(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
+
+
+def _pencil_roots(a, b, d, p):
+    """The t in F_p where det(A + tB) vanishes, A and B the d x d matrices
+    with rows a and b (d = 2, 3).  The determinant is a polynomial of
+    degree at most d in t: its coefficients come from the rows once, and
+    it is evaluated at t = 0..p-1 in one pass; a polynomial that vanishes
+    identically mod p has every t as a root."""
+    if d == 2:
+        (a0, a1), (a2, a3) = a
+        (b0, b1), (b2, b3) = b
+        c0 = a0 * a3 - a1 * a2
+        c1 = (a0 * b3 + b0 * a3 - a1 * b2 - b1 * a2) % p
+        c2 = (b0 * b3 - b1 * b2) % p
+        c3 = 0
+    else:
+        x, z = _cross(a[1], a[2]), _cross(b[1], b[2])
+        y = [u + v for u, v in zip(_cross(b[1], a[2]), _cross(a[1], b[2]))]
+        c0 = _dot(a[0], x)
+        c1 = (_dot(b[0], x) + _dot(a[0], y)) % p
+        c2 = (_dot(b[0], y) + _dot(a[0], z)) % p
+        c3 = _dot(b[0], z) % p
+    c0 %= p
+    if not (c0 or c1 or c2 or c3):
+        return range(p)
+    return [t for t in range(p) if (((c3 * t + c2) * t + c1) * t + c0) % p == 0]
+
+
+def _line_points(tensor, d, p, starts):
+    """(x, kernel point) pairs over the innermost prefix group (d = 2, 3,
+    d forms), in projective_points order.
+
+    That group's points split into the lines x = u + t*e_last for the
+    base points u in ``starts`` and t = 0..p-1, then e_last itself.  On a
+    line the prefix system is A + tB, with A the contraction with u and B
+    the one with e_last, so one determinant polynomial per line tells
+    which t can carry points, and kernels are taken only there.
+    """
+    size = d * d
+    b = tensor[(d - 1) * size :]
+    b_rows = [b[k::d] for k in range(d)]
+    for u in starts:
+        a = _contract(tensor, u)
+        a_rows = [a[k::d] for k in range(d)]
+        for t in _pencil_roots(a_rows, b_rows, d, p):
+            system = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
+            for tail in _kernel_points(system, d, p):
+                yield u[:-1] + (t,), tail
+    e_last = (0,) * (d - 1) + (1,)
+    for tail in _kernel_points(b_rows, d, p):
+        yield e_last, tail
+
+
+def _points(reduced, p):
+    """The points of enumerate_points, lazily and in the same order."""
+    groups, d, m = reduced.groups, reduced.d, len(reduced.forms)
+    tensor = _coefficient_tensor(reduced)
+    if groups == 1:  # n = 2: one system, no prefix group
+        for tail in _kernel_points([tensor[k::m] for k in range(m)], d, p):
+            yield ProjPoint(p, (tail,))
+        return
+    line = tuple(projective_points(d, p))
+    if m == d and d in (2, 3):
+        starts = tuple(x for x in line if x[-1] == 0)
+
+        def innermost(part):
+            return _line_points(part, d, p, starts)
+
+    else:
+
+        def innermost(part):
+            for x in line:
+                system = _contract(part, x)
+                for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
+                    yield x, tail
+
+    def walk(part, prefix):
+        if len(prefix) == groups - 2:
+            for x, tail in innermost(part):
+                yield ProjPoint(p, prefix + (x, tail))
+            return
+        for x in line:
+            yield from walk(_contract(part, x), prefix + (x,))
+
+    yield from walk(tensor, ())
 
 
 def enumerate_points(model, p):
@@ -607,34 +696,40 @@ def enumerate_points(model, p):
     they become a linear system in the last group; points over each prefix
     are exactly the projective points of that system's kernel.  The
     coefficients of all forms are contracted with the prefix one group at
-    a time, and each outer contraction is reused for all inner prefixes,
-    so each prefix's system comes out directly.  For d = 2, 3 a prefix
-    whose square system has a nonzero determinant mod p has no point and
-    is skipped; a kernel is taken only where the determinant vanishes.
+    a time, and each outer contraction is reused for all inner prefixes.
+    For d = 2, 3 the innermost prefix group is solved one projective line
+    at a time: along x = u + t*e_last the system is A + tB, so the
+    coefficients of the polynomial det(A + tB) are computed once per line
+    and evaluated at every t in one pass, and a kernel is taken only at its
+    roots (at every t when it vanishes identically mod p), plus at e_last.
     Points come in prefix order (``projective_points`` per group), then in
     kernel order.  Raises WorkLimitError when the prefix count exceeds
-    PREFIX_BUDGET.
+    PREFIX_BUDGET; the budget still counts prefixes, not lines.
     """
     reduced = model_mod_p(model, p)
-    groups = reduced.groups
-    d = reduced.d
-    m = len(reduced.forms)
-    _check_prefix_budget(d, groups, (p,))
-    # n = 2 has no prefix group; its P^(d-1) is never listed
-    line = tuple(projective_points(d, p)) if groups > 1 else ()
-    points = []
+    _check_prefix_budget(reduced.d, reduced.groups, (p,))
+    return list(_points(reduced, p))
 
-    def sweep(tensor, prefix):
-        if len(prefix) == groups - 1:
-            system = [tensor[k::m] for k in range(m)]
-            for tail in _kernel_points(system, d, p):
-                points.append(ProjPoint(p, prefix + (tail,)))
-            return
-        for x in line:
-            sweep(_contract(tensor, x), prefix + (x,))
 
-    sweep(_coefficient_tensor(reduced), ())
-    return points
+def _prefix_contractions(tensor, coords):
+    """The coefficients contracted with none, the first, the first two, ...
+    of the coordinate vectors, up to all but the last; the last entry,
+    read by the last group's variable, holds the prefix system."""
+    parts = [tensor]
+    for x in coords[:-1]:
+        parts.append(_contract(parts[-1], x))
+    return parts
+
+
+def _partials(part, later, d, i):
+    """Derivatives of every form along variable i of the group that
+    ``part`` (a prefix contraction) starts with, at the later groups'
+    coordinate vectors."""
+    size = len(part) // d
+    column = part[i * size : (i + 1) * size]
+    for x in later:
+        column = _contract(column, x)
+    return column
 
 
 def _jacobian_rows(tensor, coords, d, p):
@@ -642,17 +737,12 @@ def _jacobian_rows(tensor, coords, d, p):
     entry for variable i of group g contracts the coefficients with every
     coordinate vector except that of group g: the groups before g first,
     then, in slice i of group g, the groups after it."""
-    columns = []
-    for g in range(len(coords)):
-        part = tensor
-        for x in coords[:g]:
-            part = _contract(part, x)
-        size = len(part) // d
-        for i in range(d):
-            column = part[i * size : (i + 1) * size]
-            for x in coords[g + 1 :]:
-                column = _contract(column, x)
-            columns.append([v % p for v in column])
+    parts = _prefix_contractions(tensor, coords)
+    columns = [
+        [v % p for v in _partials(part, coords[g + 1 :], d, i)]
+        for g, part in enumerate(parts)
+        for i in range(d)
+    ]
     return [list(row) for row in zip(*columns)]
 
 
@@ -674,61 +764,106 @@ def jacobian_rank_at(model, pt):
     return Matrix(jac, cols=reduced.groups * d, p=pt.p).rank()
 
 
-def smoothness_scan(t, primes=None):
-    """Sweep primes: enumerate all points and test every Jacobian rank.
+def _first_witness(reduced, points):
+    """(p, point, rank) for the first of ``points`` (points of the reduced
+    model) where the Jacobian rank drops below d, or None.
 
-    Any rank drop is recorded as a witness and the verdict becomes
-    SingularFound; a clean sweep is probabilistic evidence only.  Primes
-    where the state itself has a denominator (or where the flattening rank
-    drops) are reported bad; for curve formats that are smooth by the exact
-    discriminant test, primes where the reduced curve degenerates are
-    excluded from the sweep, since rank drops there say nothing about the
-    original model.  Those are the primes dividing the numerator of an
-    exact discriminant of the projections of the state's own slices,
-    computed once.  Every prime must pass ``check_primes``.
+    The Jacobian's last-group block S is the point's prefix system, which
+    the point's last coordinates solve, so rank S <= d - 1.  When rank S is
+    exactly d - 1 its left kernel is one line, spanned by a vector l that
+    _kernel_points finds on the transpose of S (closed form for d = 2, 3),
+    and the Jacobian has rank d unless l*J = 0 mod p.  The other blocks of
+    l*J are built from the prefix contractions, innermost group first, up
+    to the first nonzero entry.  Matrix.rank runs only when the test fails,
+    so a witness reports its exact rank, or when rank S <= d - 2.
     """
-    from .invariants import slice_discriminants
+    d, p, m = reduced.d, reduced.p, len(reduced.forms)
+    tensor = _coefficient_tensor(reduced)
+    for pt in points:
+        coords = pt.coords
+        parts = _prefix_contractions(tensor, coords)
+        system = parts[-1]
+        left = _kernel_points([system[l * m : (l + 1) * m] for l in range(d)], m, p)
+        if len(left) == 1 and any(
+            sum(x * v for x, v in zip(left[0], _partials(parts[g], coords[g + 1 :], d, i))) % p
+            for g in reversed(range(len(parts) - 1))
+            for i in range(d)
+        ):
+            continue
+        rank = Matrix(_jacobian_rows(tensor, coords, d, p), cols=len(coords) * d, p=p).rank()
+        if rank < d:
+            return p, pt, rank
+    return None
 
-    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
-    _check_prefix_budget(t.d, t.n - 1, primes)
-    model = variety_from_state(t)
-    discs = slice_discriminants(t)
-    if discs is None or not all(discs):
-        discs = ()
+
+class _PrimeSweep:
+    """The one per-prime loop of smoothness_scan and of classify's sweeps.
+
+    Construction checks every prime (``check_primes``) and the prefix
+    budget before any work.  Iterating files each prime as bad (the state
+    has a denominator there, or the flattening rank drops), excluded (for a
+    curve format that is smooth by the exact discriminant test, p divides
+    the numerator of a discriminant of the projections of the state's own
+    slices, so the reduced curve degenerates and says nothing about the
+    original model) or used, and yields (p, reduced model) for each used
+    prime in order; how much of that prime to sweep is the caller's choice.
+    Once the primes run out it raises AllPrimesBadError if none was used or
+    excluded.
+    """
+
+    def __init__(self, t, primes):
+        from .invariants import slice_discriminants
+
+        self.primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
+        _check_prefix_budget(t.d, t.n - 1, self.primes)
+        self.model = variety_from_state(t)
+        discs = slice_discriminants(t)
+        self.discs = discs if discs is not None and all(discs) else ()
+        self.used, self.bad, self.excluded = [], [], []
+
+    def __iter__(self):
+        for p in self.primes:
+            try:
+                reduced = model_mod_p(self.model, p)
+            except BadReductionError:
+                self.bad.append(p)
+                continue
+            if any(disc.numerator % p == 0 for disc in self.discs):
+                self.excluded.append(p)
+                continue
+            self.used.append(p)
+            yield p, reduced
+        if not self.used and not self.excluded:
+            raise AllPrimesBadError(f"all primes {list(self.primes)} hit bad reduction")
+
+
+def smoothness_scan(t, primes=None):
+    """Sweep primes: enumerate all points and test the Jacobian rank at
+    each until the first singular one.
+
+    Any rank drop is recorded as a witness (the first per prime, in point
+    order) and the verdict becomes SingularFound; a clean sweep is
+    probabilistic evidence only.  Every point is counted.  Primes are
+    filed as used, bad or excluded as ``_PrimeSweep`` describes, and every
+    prime must pass ``check_primes``.  Each rank test is one left-kernel
+    test, not an elimination (see ``_first_witness``).
+    """
+    sweep = _PrimeSweep(t, primes)
     counts = []
-    bad = []
-    excluded = []
     witnesses = []
-    used = []
-    for p in primes:
-        try:
-            reduced = model_mod_p(model, p)
-        except BadReductionError:
-            bad.append(p)
-            continue
-        if any(disc.numerator % p == 0 for disc in discs):
-            excluded.append(p)
-            continue
-        used.append(p)
+    for p, reduced in sweep:
         pts = enumerate_points(reduced, p)
         counts.append((p, len(pts)))
-        tensor = _coefficient_tensor(reduced)
-        for pt in pts:
-            jac = _jacobian_rows(tensor, pt.coords, reduced.d, p)
-            rank = Matrix(jac, cols=reduced.groups * reduced.d, p=p).rank()
-            if rank < model.d:
-                witnesses.append((p, pt, rank))
-                break
-    if not used and not excluded:
-        raise AllPrimesBadError(f"all primes {list(primes)} hit bad reduction")
-    verdict = "SingularFound" if witnesses else "NoSingularPointFound"
+        witness = _first_witness(reduced, pts)
+        if witness is not None:
+            witnesses.append(witness)
     return SmoothnessReport(
-        primes=tuple(used),
+        primes=tuple(sweep.used),
         point_counts=tuple(counts),
-        bad_primes=tuple(bad),
-        excluded_primes=tuple(excluded),
+        bad_primes=tuple(sweep.bad),
+        excluded_primes=tuple(sweep.excluded),
         witnesses=tuple(witnesses),
-        verdict=verdict,
+        verdict="SingularFound" if witnesses else "NoSingularPointFound",
     )
 
 

@@ -40,9 +40,11 @@ from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
     MultiForm,
+    _PrimeSweep,
+    _first_witness,
+    _points,
     model_rows,
     projection_coefficients,
-    smoothness_scan,
 )
 
 KAPPA = 110592
@@ -584,6 +586,12 @@ def classify(t, primes=None):
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
     discriminants; the prime sweep only supplies a singular witness.  For
     other formats (notably (5,2)) the verdict rests on the sweep alone.
+
+    Neither reads a point count, so the sweep here is lazy: a singular
+    curve model is swept only up to its first witness, and the (5,2) rule
+    sweeps each prime up to that prime's first witness.  The primes are
+    still all filed as used, bad or excluded, so ``primes_used`` and the
+    witness are those of the full ``smoothness_scan``.
     """
     if primes is None:
         primes = DEFAULT_PRIMES
@@ -609,15 +617,15 @@ def classify(t, primes=None):
                 t.n, t.d, SMOOTH_GENERIC, rank, projections,
                 js.pop(), hyperdet, hint, (), None,
             )
+        sweep = _PrimeSweep(t, primes)
         witness = None
-        used = ()
         try:
-            report = smoothness_scan(t, primes)
-            used = report.primes
-            if report.witnesses:
-                witness = report.witnesses[0]
+            for p, reduced in sweep:
+                if witness is None:
+                    witness = _first_witness(reduced, _points(reduced, p))
+            used = tuple(sweep.used)
         except (AllPrimesBadError, BadReductionError):
-            pass
+            used, witness = (), None
         return Verdict(
             t.n, t.d, SINGULAR_MODEL, rank, projections,
             None, hyperdet, hint, used, witness,
@@ -626,18 +634,22 @@ def classify(t, primes=None):
     scan_primes = tuple(p for p in primes if p <= 13) if fmt == (5, 2) else primes
     if not scan_primes:
         scan_primes = primes
-    report = smoothness_scan(t, scan_primes)
+    sweep = _PrimeSweep(t, scan_primes)
+    witnesses = [
+        witness
+        for p, reduced in sweep
+        if (witness := _first_witness(reduced, _points(reduced, p))) is not None
+    ]
+    used = tuple(sweep.used)
     # No exact discriminant exists here, so a single-prime witness may be
     # bad-reduction noise; only a strict majority of usable primes decides.
-    witness_primes = {w[0] for w in report.witnesses}
-    if report.primes and 2 * len(witness_primes) > len(report.primes):
+    if used and 2 * len(witnesses) > len(used):
         return Verdict(
             t.n, t.d, SINGULAR_MODEL, rank, (), None, hyperdet, hint,
-            report.primes, report.witnesses[0],
+            used, witnesses[0],
         )
     return Verdict(
-        t.n, t.d, SMOOTH_GENERIC, rank, (), None, hyperdet, hint,
-        report.primes, None,
+        t.n, t.d, SMOOTH_GENERIC, rank, (), None, hyperdet, hint, used, None,
     )
 
 

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateIndexError,
     SchemaError,
     SingularOperatorError,
+    WorkLimitError,
 )
 from .linalg import Matrix, Subspace, reduce_scalar
 
@@ -26,6 +27,11 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
 #: Most coefficients d**n a state may have.
 MAX_COEFFICIENTS = 2**16
+
+#: Most cell updates d**(n+1) an exact flattening may cost: eliminating its
+#: d rows of d**(n-1) Fractions takes about d updates per cell.  (2,32)
+#: costs 32,768 and passes; (2,64) costs 262,144 and is refused.
+MAX_FLATTENING_COST = 2**16
 
 
 def _check_state_size(n, d):
@@ -229,7 +235,17 @@ def flatten_last(t):
 
 
 def flattening_image(t):
-    """Column span of flatten_last(t) inside Q^(d**(n-1)); dim <= d."""
+    """Column span of flatten_last(t) inside Q^(d**(n-1)); dim <= d.
+
+    Raises WorkLimitError, before any elimination, when d**(n+1) exceeds
+    MAX_FLATTENING_COST: the exact elimination's cost grows with it.
+    """
+    cost = t.d ** (t.n + 1)
+    if cost > MAX_FLATTENING_COST:
+        raise WorkLimitError(
+            f"an exact flattening of format (n={t.n}, d={t.d}) costs {cost} "
+            f"cell updates, over the limit of {MAX_FLATTENING_COST}"
+        )
     return Subspace.from_rows(
         flatten_last(t).transpose().entries, t.d ** (t.n - 1)
     )

@@ -162,10 +162,12 @@ def test_report_determinism(tmp_path, capsys):
     assert first == second
 
 
-def test_missing_file_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        run(["classify", "/nonexistent/state.json"])
-    assert "cannot read" in str(err.value)
+def test_missing_file_exits_2(tmp_path, capsys):
+    for path in ("/nonexistent/state.json", str(tmp_path)):  # missing; a directory
+        code = run(["classify", path])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert f"cannot read {path}" in captured.err
 
 
 def test_bad_state_file_exits_2(tmp_path, capsys):
@@ -185,6 +187,7 @@ def test_out_of_envelope_requests_exit_2(tmp_path, capsys):
     s42 = write_state(tmp_path, "s42.json", random_state(4, 2, 5, seed=7))
     s43 = write_state(tmp_path, "s43.json", random_state(4, 3, 5, seed=1))
     s53 = write_state(tmp_path, "s53.json", random_state(5, 3, 5, seed=1))
+    wide = write_state(tmp_path, "wide.json", random_state(2, 64, 5, seed=1))
     for argv in (
         ["classify", str(huge)],
         ["sample", "--n", "40", "--d", "2"],
@@ -194,6 +197,7 @@ def test_out_of_envelope_requests_exit_2(tmp_path, capsys):
         ["hilbert", s33, "--k-max", "-1", "--strict"],
         ["hilbert", s33, "--k-max", "6"],
         ["hilbert", s42, "--k-max", "9"],
+        ["classify", str(wide)],
     ):
         code = run(argv)
         captured = capsys.readouterr()

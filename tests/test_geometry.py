@@ -13,15 +13,17 @@ from sloccgeo.errors import (
     UnsupportedPrimeError,
     WorkLimitError,
 )
-from sloccgeo.invariants import classify
-from sloccgeo.linalg import Matrix
+from sloccgeo.invariants import SINGULAR_MODEL, classify
+from sloccgeo.linalg import DEFAULT_PRIMES, Matrix
 from sloccgeo.geometry import (
     PREFIX_BUDGET,
     MultiForm,
     ProjPoint,
     VarietyModel,
     _coefficient_tensor,
+    _first_witness,
     _jacobian_rows,
+    _pencil_roots,
     _subspace_points,
     determinantal_projection,
     enumerate_points,
@@ -33,7 +35,7 @@ from sloccgeo.geometry import (
     smoothness_scan,
     variety_from_state,
 )
-from sloccgeo.states import Tensor, basis_state, ghz, random_state
+from sloccgeo.states import SloccOperator, Tensor, apply_slocc, basis_state, ghz, random_state
 
 
 def bilinear(i, j):
@@ -322,6 +324,74 @@ def test_enumeration_matches_reference(fmt):
         assert enumerate_points(model, p) == expected
 
     check()
+
+
+def _with_slocc_images(states):
+    """The states and one image of each under a fixed random SLOCC operator."""
+    return states + [
+        apply_slocc(t, SloccOperator.random(t.n, t.d, 3, seed=k)) for k, t in enumerate(states)
+    ]
+
+
+def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
+    # GHZ(3,3) along x = (1, 0, t): the system diag(1, 0, t) has det 0 for
+    # every t, and rank 1 = d - 2 at t = 0; singlet (x) Bell and GHZ(4,2)
+    # have prefixes whose system vanishes.  The SLOCC images move these
+    # lines off the coordinate axes.
+    empty, last = [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
+    empty[0][0] = last[2][2] = 1
+    assert list(_pencil_roots(empty, last, 3, 5)) == [0, 1, 2, 3, 4]
+    for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell]):
+        model = variety_from_state(t)
+        for p in DEFAULT_PRIMES:
+            try:
+                expected = reference_points(model, p)
+            except BadReductionError:
+                with pytest.raises(BadReductionError):
+                    enumerate_points(model, p)
+                continue
+            assert enumerate_points(model, p) == expected, (t, p)
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2)])
+def test_jacobian_shortcut_matches_rank(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), p=st.sampled_from((5, 7, 11)))
+    def check(data, p):
+        model = _small_state_model(data.draw, *fmt)
+        try:
+            reduced = model_mod_p(model, p)
+        except BadReductionError:
+            assume(False)
+        tensor = _coefficient_tensor(reduced)
+        for pt in enumerate_points(reduced, p):
+            jac = _jacobian_rows(tensor, pt.coords, reduced.d, p)
+            rank = Matrix(jac, cols=len(jac[0]), p=p).rank()
+            expected = (p, pt, rank) if rank < reduced.d else None
+            assert _first_witness(reduced, [pt]) == expected
+
+    check()
+
+
+def test_classify_sweep_matches_full_scan(singlet_times_bell):
+    # classify stops its sweep at the first witness (curve formats) or at
+    # each prime's first witness ((5,2)); the full scan counts every point
+    for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell]):
+        report = smoothness_scan(t)
+        verdict = classify(t)
+        assert verdict.status == SINGULAR_MODEL
+        assert verdict.primes_used == report.primes
+        assert verdict.singular_witness == report.witnesses[0]
+    for t in [ghz(5, 2)] + [random_state(5, 2, 5, seed=seed) for seed in range(20)]:
+        report = smoothness_scan(t, (5, 7, 11, 13))
+        verdict = classify(t)
+        singular = 2 * len(report.witnesses) > len(report.primes)
+        assert verdict.status == (SINGULAR_MODEL if singular else "SmoothGeneric")
+        assert verdict.primes_used == report.primes
+        assert verdict.singular_witness == (report.witnesses[0] if singular else None)
 
 
 @pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2), (3, 2), (3, 4)])

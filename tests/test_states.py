@@ -9,9 +9,11 @@ from sloccgeo.errors import (
     DuplicateIndexError,
     SchemaError,
     SingularOperatorError,
+    WorkLimitError,
 )
 from sloccgeo.linalg import Matrix, Subspace, kron
 from sloccgeo.states import (
+    MAX_FLATTENING_COST,
     SloccOperator,
     Tensor,
     apply_slocc,
@@ -294,3 +296,20 @@ def test_oversized_format_is_refused_before_allocation():
         random_state(11, 3, 5, seed=0)  # 3^11 = 177147 > 2^16
     with pytest.raises(SchemaError):
         parse_state('{"n": 3, "d": 41, "entries": []}')  # 68921 > 2^16
+
+
+def test_exact_flattening_cost_is_bounded():
+    from sloccgeo.invariants import RANK_DEFICIENT, classify
+
+    # (2,64) passes the 2^16 coefficient cap, but its Fraction elimination
+    # ran for seconds; it is refused before any elimination now
+    with pytest.raises(WorkLimitError):
+        classify(random_state(2, 64, 5, seed=1))
+    assert flattening_image(ghz(2, 32)).dim == 32
+    # every format of the tests, demos and benchmark is inside the bound
+    for n, d in ((2, 2), (3, 2), (4, 2), (5, 2), (2, 3), (3, 3), (4, 3), (5, 3),
+                 (2, 5), (3, 4)):
+        assert d ** (n + 1) <= MAX_FLATTENING_COST
+    # a rank-deficient state inside the bound keeps its verdict
+    verdict = classify(basis_state(3, 3, (0, 0, 0)))
+    assert verdict.status == RANK_DEFICIENT and verdict.rank == 1
