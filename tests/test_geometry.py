@@ -13,7 +13,7 @@ from sloccgeo.errors import (
     UnsupportedPrimeError,
     WorkLimitError,
 )
-from sloccgeo.invariants import SINGULAR_MODEL, classify
+from sloccgeo.invariants import SINGULAR_MODEL, SMOOTH_GENERIC, classify
 from sloccgeo.linalg import DEFAULT_PRIMES, Matrix
 from sloccgeo.geometry import (
     PREFIX_BUDGET,
@@ -338,9 +338,9 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
     # every t, and rank 1 = d - 2 at t = 0; singlet (x) Bell and GHZ(4,2)
     # have prefixes whose system vanishes.  The SLOCC images move these
     # lines off the coordinate axes.
-    empty, last = [[0] * 3 for _ in range(3)], [[0] * 3 for _ in range(3)]
-    empty[0][0] = last[2][2] = 1
-    assert list(_pencil_roots(empty, last, 3, 5)) == [0, 1, 2, 3, 4]
+    at_u = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]  # the system at u = (1, 0, 0)
+    at_e_last = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
+    assert list(_pencil_roots(at_u, at_e_last, 3, 5)) == [0, 1, 2, 3, 4]
     for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell]):
         model = variety_from_state(t)
         for p in DEFAULT_PRIMES:
@@ -389,7 +389,7 @@ def test_classify_sweep_matches_full_scan(singlet_times_bell):
         report = smoothness_scan(t, (5, 7, 11, 13))
         verdict = classify(t)
         singular = 2 * len(report.witnesses) > len(report.primes)
-        assert verdict.status == (SINGULAR_MODEL if singular else "SmoothGeneric")
+        assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
         assert verdict.primes_used == report.primes
         assert verdict.singular_witness == (report.witnesses[0] if singular else None)
 
