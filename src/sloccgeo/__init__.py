@@ -1,8 +1,9 @@
 """Exact-arithmetic SLOCC classification of n-qudit states through the
 complete-intersection curve and surface models they cut out.
 
-The pipeline: a state is a dense rational tensor; its flattening against
-the last factor spans a subspace whose multilinear forms cut out a model
+The pipeline: a state is a dense rational tensor, kept as integer
+numerators over one common denominator; its flattening against the last
+factor spans a subspace whose multilinear forms cut out a model
 in a product of projective spaces; classical invariants of the projected
 curves (j-invariants, hyperdeterminants) separate generic orbits, and
 finite-field point counts supply smoothness evidence where exact
@@ -16,6 +17,7 @@ from .errors import (
     BadReductionError,
     DegenerateInputError,
     DuplicateIndexError,
+    IndexRangeError,
     FormatMismatchError,
     InputFileError,
     InsufficientPointsError,

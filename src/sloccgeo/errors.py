@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Out-of-range state-file indices raise the builtin ``IndexError``; everything
-else gets a dedicated class so callers can tell input degeneracy apart from
-bad prime choices and malformed data.
+Every package error derives from ``SloccGeoError``, so callers can tell
+input degeneracy apart from bad prime choices and malformed data.
+Out-of-range state-file indices raise ``IndexRangeError``, which is also the
+builtin ``IndexError``.
 """
 
 
@@ -50,6 +51,10 @@ class SchemaError(SloccGeoError):
 
 class DuplicateIndexError(SchemaError):
     """A state document lists the same coefficient index twice."""
+
+
+class IndexRangeError(SchemaError, IndexError):
+    """A state document lists an index outside range(d)."""
 
 
 class WorkLimitError(SloccGeoError):

@@ -21,8 +21,8 @@ from .errors import (
     UnsupportedFormatError,
     WorkLimitError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, check_primes, clear_denominators, reduce_scalar
-from .states import flattening_image, state_hash
+from .linalg import DEFAULT_PRIMES, Matrix, check_primes, reduce_scalar
+from .states import flattening_basis, state_hash
 
 _GROUP_NAMES = "xyzw"
 
@@ -225,15 +225,6 @@ class MultiForm:
             terms[key] = c
         return MultiForm(tuple(self.group_dims[g] for g in kept), terms, p=self.p)
 
-    def reduce_mod(self, p):
-        if self.p is not None:
-            raise ValueError("form already lives over a prime field")
-        return MultiForm(
-            self.group_dims,
-            {e: reduce_scalar(c, p) for e, c in self.terms.items()},
-            p=p,
-        )
-
     def coefficient(self, exps):
         zero = 0 if self.p is not None else Fraction(0)
         return self.terms.get(tuple(exps), zero)
@@ -272,12 +263,18 @@ class MultiForm:
 
 @dataclass(frozen=True)
 class VarietyModel:
-    """d multilinear forms whose coefficient rows are the canonical basis
-    of the flattening image."""
+    """Multilinear forms on (P^(d-1))^(n-1), kept as integer coefficient
+    rows: row k holds form k's coefficients, row-major over the variable
+    groups (first group slowest).  Over Q (p None) the forms are the rows
+    divided by den, and a model built from a state has the canonical basis
+    of its flattening image; over F_p the rows are residues and den is 1.
+    """
 
     n: int
     d: int
-    forms: tuple
+    rows: tuple
+    den: int
+    p: object
     source_hash: str
     source: object = None    # source Tensor, when built from one
 
@@ -286,28 +283,30 @@ class VarietyModel:
         return self.n - 1
 
     @property
-    def p(self):
-        return self.forms[0].p if self.forms else None
+    def forms(self):
+        """The rows as MultiForms."""
+        dims = (self.d,) * self.groups
+        return tuple(
+            MultiForm.from_multilinear(dims, [Fraction(x, self.den) for x in row], p=self.p)
+            for row in self.rows
+        )
 
     def reduce_mod(self, p):
         """Entrywise reduction of the rational coefficient rows; raises
-        BadReductionError when a basis denominator is divisible by p."""
-        return VarietyModel(
-            self.n,
-            self.d,
-            tuple(f.reduce_mod(p) for f in self.forms),
-            self.source_hash,
-            self.source,
-        )
+        BadReductionError when p divides the denominator of an entry."""
+        if self.p is not None:
+            raise ValueError("model already lives over a prime field")
+        rows = tuple(tuple(reduce_scalar(Fraction(x, self.den), p) for x in r) for r in self.rows)
+        return VarietyModel(self.n, self.d, rows, 1, p, self.source_hash, self.source)
 
 
 def model_mod_p(model, p):
     """The model over F_p, preferring the state-side (saturated) reduction.
 
-    When the source tensor is available the forms are rebuilt from the
-    reduced flattening image, so denominators of the rational canonical
-    basis cannot poison the prime; a rank drop of the reduced flattening
-    is genuine geometric degeneration and raises BadReductionError.
+    When the source tensor is available the rows are those of the reduced
+    flattening image, so denominators of the rational canonical basis
+    cannot poison the prime; a rank drop of the reduced flattening is
+    genuine geometric degeneration and raises BadReductionError.
     """
     from .states import reduced_flattening_image
 
@@ -318,11 +317,7 @@ def model_mod_p(model, p):
     sub = reduced_flattening_image(model.source, p)
     if sub.dim < model.d:
         raise BadReductionError(p, "flattening rank drops modulo p")
-    dims = (model.d,) * model.groups
-    forms = tuple(
-        MultiForm.from_multilinear(dims, row, p=p) for row in sub.basis.entries
-    )
-    return VarietyModel(model.n, model.d, forms, model.source_hash, model.source)
+    return VarietyModel(model.n, model.d, sub.basis.entries, 1, p, model.source_hash, model.source)
 
 
 @dataclass(frozen=True)
@@ -387,14 +382,10 @@ def variety_from_state(t):
     state sits outside the generic locus and has no complete-intersection
     model of the expected codimension.
     """
-    sub = flattening_image(t)
-    if sub.dim != t.d:
-        raise RankDeficientError(sub.dim, t.d)
-    dims = (t.d,) * (t.n - 1)
-    forms = tuple(
-        MultiForm.from_multilinear(dims, row) for row in sub.basis.entries
-    )
-    return VarietyModel(t.n, t.d, forms, state_hash(t), t)
+    rows, den = flattening_basis(t)
+    if len(rows) != t.d:
+        raise RankDeficientError(len(rows), t.d)
+    return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, state_hash(t), t)
 
 
 @cache
@@ -444,13 +435,6 @@ def projection_coefficients(rows, n, d, kept):
     return out
 
 
-def model_rows(model):
-    """The coefficient rows of a model's forms, row-major over the groups."""
-    tensor = _coefficient_tensor(model)
-    m = len(model.forms)
-    return [tensor[k::m] for k in range(m)]
-
-
 def determinantal_projection(model, kept_axes):
     """Eliminate one variable group through the determinant of the matrix
     of linear forms.
@@ -458,9 +442,8 @@ def determinantal_projection(model, kept_axes):
     For (3,3) keep one axis and get a ternary cubic; for (4,2) keep two and
     get a form of bidegree (2,2).  The matrix entry (k, j) is the partial
     derivative of form k with respect to variable j of the dropped group.
-    The coefficients come from ``projection_coefficients`` on integer
-    rows: over Q the model's rows times L, the lcm of their denominators,
-    and the result is divided by L^d; over F_p the reduced rows.
+    The coefficients come from ``projection_coefficients`` on the model's
+    integer rows; over Q the result is divided by den^d.
     """
     kept = tuple(sorted(kept_axes))
     fmt = (model.n, model.d)
@@ -472,11 +455,9 @@ def determinantal_projection(model, kept_axes):
             raise UnsupportedFormatError("(4,2) projections keep exactly two of axes 0,1,2")
     else:
         raise UnsupportedFormatError(f"no determinantal projection for format {fmt}")
-    rows, den = clear_denominators(model_rows(model))
-    coeffs = projection_coefficients(rows, model.n, model.d, kept)
+    coeffs = projection_coefficients(model.rows, model.n, model.d, kept)
     if model.p is None:
-        den = den**model.d
-        coeffs = [Fraction(c, den) for c in coeffs]
+        coeffs = [Fraction(c, model.den**model.d) for c in coeffs]
     return MultiForm(
         (model.d,) * len(kept), dict(zip(PROJECTION_MONOMIALS[fmt], coeffs)), p=model.p
     )
@@ -524,23 +505,11 @@ def _check_prefix_budget(d, groups, primes):
         )
 
 
-def _coefficient_tensor(reduced):
-    """The forms of a model as one flat tensor, indexed row-major by one
+def _coefficient_tensor(model):
+    """The rows of a model as one flat tensor, indexed row-major by one
     variable per group (first group slowest) and then by the form
-    (fastest); integers over F_p, Fractions over Q."""
-    d, groups, m = reduced.d, reduced.groups, len(reduced.forms)
-    tensor = [0] * (d**groups * m)
-    for k, form in enumerate(reduced.forms):
-        if form.group_dims != (d,) * groups or not (
-            form.is_zero() or form.multidegree == (1,) * groups
-        ):
-            raise ValueError("model forms must be multilinear, one variable per group")
-        for exps, c in form.terms.items():
-            flat = 0
-            for g in range(groups):
-                flat = flat * d + exps.index(1, g * d, (g + 1) * d) - g * d
-            tensor[flat * m + k] = c
-    return tensor
+    (fastest)."""
+    return [x for column in zip(*model.rows) for x in column]
 
 
 def _contract(tensor, x):
@@ -657,7 +626,7 @@ def _line_points(tensor, d, p, starts):
 
 def _points(reduced, p):
     """The points of enumerate_points, lazily and in the same order."""
-    groups, d, m = reduced.groups, reduced.d, len(reduced.forms)
+    groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
     tensor = _coefficient_tensor(reduced)
     if groups == 1:  # n = 2: one system, no prefix group
         for tail in _kernel_points([tensor[k::m] for k in range(m)], d, p):
@@ -758,9 +727,9 @@ def jacobian_rank_at(model, pt):
         raise ValueError("coordinate arity mismatch")
     jac = _jacobian_rows(_coefficient_tensor(reduced), pt.coords, d, pt.p)
     # Euler's identity for a multilinear form: f(x) = sum_i x_0[i] df/dx_0[i].
-    for f, row in zip(reduced.forms, jac):
+    for k, row in enumerate(jac):
         if sum(x * v for x, v in zip(pt.coords[0], row)) % pt.p:
-            raise NotOnVarietyError(f"form {f!r} does not vanish at {pt}")
+            raise NotOnVarietyError(f"form {reduced.forms[k]!r} does not vanish at {pt}")
     return Matrix(jac, cols=reduced.groups * d, p=pt.p).rank()
 
 
@@ -777,7 +746,7 @@ def _first_witness(reduced, points):
     to the first nonzero entry.  Matrix.rank runs only when the test fails,
     so a witness reports its exact rank, or when rank S <= d - 2.
     """
-    d, p, m = reduced.d, reduced.p, len(reduced.forms)
+    d, p, m = reduced.d, reduced.p, len(reduced.rows)
     tensor = _coefficient_tensor(reduced)
     for pt in points:
         coords = pt.coords
@@ -820,6 +789,11 @@ class _PrimeSweep:
         discs = slice_discriminants(t)
         self.discs = discs if discs is not None and all(discs) else ()
         self.used, self.bad, self.excluded = [], [], []
+
+    @property
+    def pending(self):
+        """How many primes are not filed yet."""
+        return len(self.primes) - len(self.used) - len(self.bad) - len(self.excluded)
 
     def __iter__(self):
         for p in self.primes:

@@ -35,7 +35,7 @@ from .errors import (
     WrongFormatError,
 )
 from .linalg import DEFAULT_PRIMES, clear_denominators
-from .states import flattening_image
+from .states import flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
@@ -43,7 +43,6 @@ from .geometry import (
     _PrimeSweep,
     _first_witness,
     _points,
-    model_rows,
     projection_coefficients,
 )
 
@@ -336,15 +335,6 @@ def j_biquadratic(m):
     return j_binary_quartic(branch_quartic(m))
 
 
-def _slices_along_last(t):
-    """The d slices of a tensor along its distinguished last axis, each a
-    coefficient list of an (n-1)-factor tensor."""
-    size = len(t.coeffs) // t.d
-    return [
-        [t.coeffs[m * t.d + k] for m in range(size)] for k in range(t.d)
-    ]
-
-
 def _pencil_cayley(e):
     """b^2 - 4ac of a 2x2x2 tensor whose entries e[4i+2j+k] are binary
     forms (coefficient lists of one length): a and c are the determinants
@@ -367,7 +357,7 @@ def cayley_hyperdet(t):
     """
     if (t.n, t.d) != (3, 2):
         raise WrongFormatError(f"Cayley hyperdeterminant needs format 2x2x2, got {(t.n, t.d)}")
-    return _pencil_cayley([[c] for c in t.coeffs])[0]
+    return Fraction(_pencil_cayley([[a] for a in t.nums])[0], t.den**4)
 
 
 def schlaefli_hyperdet(t):
@@ -376,14 +366,13 @@ def schlaefli_hyperdet(t):
     The Cayley hyperdeterminant of the slice pencil s*T0 + u*T1 is a binary
     quartic in (s, u); the value returned is its discriminant normalized as
     (4*I^3 - J^2)/27.  The quartic comes from integer 2 x 2 determinants of
-    the slices times L, the lcm of the state's denominators, and the value
-    is divided once, by 27 * L^24.
+    the slices' numerators, and the value is divided once, by 27 * den^24.
     """
     if (t.n, t.d) != (4, 2):
         raise WrongFormatError(f"Schlaefli hyperdeterminant needs format 2x2x2x2, got {(t.n, t.d)}")
-    (s0, s1), den = clear_denominators(_slices_along_last(t))
+    s0, s1 = t.nums[0::2], t.nums[1::2]
     i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(s0, s1)]))
-    return Fraction(4 * i_val**3 - j_val**2, 27 * den**24)
+    return Fraction(4 * i_val**3 - j_val**2, 27 * t.den**24)
 
 
 def moduli_dimension(n, d):
@@ -510,13 +499,11 @@ def _biquadratic(coeffs, den):
     return CurveInvariants(BIQUADRATIC, (i_val, j_val), disc, j)
 
 
-def _curve_projections(fmt, rows):
+def _curve_projections(fmt, rows, den):
     """Exact invariants of every projection of the model whose forms have
-    these coefficient rows (Fractions or ints).  The rows are cleared to
-    integers once, with L the lcm of their denominators; each projection
-    is integer and stands for its value divided by L^d."""
+    the coefficient rows rows / den (integer rows); each projection is
+    integer and stands for its value divided by den^d."""
     n, d = fmt
-    rows, den = clear_denominators(rows)
     invariants = _plane_cubic if fmt == (3, 3) else _biquadratic
     return [
         Projection(axes, invariants(projection_coefficients(rows, n, d, axes), den**d))
@@ -524,8 +511,8 @@ def _curve_projections(fmt, rows):
     ]
 
 
-def _discriminants(fmt, rows):
-    return tuple(pr.invariants.discriminant for pr in _curve_projections(fmt, rows))
+def _discriminants(fmt, rows, den):
+    return tuple(pr.invariants.discriminant for pr in _curve_projections(fmt, rows, den))
 
 
 def exact_projection_discriminants(t):
@@ -533,16 +520,17 @@ def exact_projection_discriminants(t):
     format has no determinantal projections or the rank is deficient."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
-    sub = flattening_image(t)
-    if sub.dim != t.d:
+    rows, den = flattening_basis(t)
+    if len(rows) != t.d:
         return None
-    return _discriminants((t.n, t.d), sub.basis.entries)
+    return _discriminants((t.n, t.d), rows, den)
 
 
 def slice_discriminants(t):
     """Discriminants of the projections of the model whose rows are the
     state's own slices along the last axis, or None outside the curve
-    formats.  With full flattening rank these rows differ from the
+    formats; they are the numerators t.nums[k::d], over the state's
+    denominator.  With full flattening rank these rows differ from the
     canonical basis by an invertible d x d change, which scales every
     discriminant by a nonzero power of its determinant; over F_p the same
     holds for the reduced basis whenever the reduction is good.  So for
@@ -550,7 +538,7 @@ def slice_discriminants(t):
     numerator of one of these values."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
-    return _discriminants((t.n, t.d), _slices_along_last(t))
+    return _discriminants((t.n, t.d), [t.nums[k :: t.d] for k in range(t.d)], t.den)
 
 
 def curve_singular_mod_p(model_p):
@@ -565,10 +553,7 @@ def curve_singular_mod_p(model_p):
     fmt = (model_p.n, model_p.d)
     if fmt not in CURVE_AXES:
         raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
-    return any(
-        disc.numerator % model_p.p == 0
-        for disc in _discriminants(fmt, model_rows(model_p))
-    )
+    return any(disc.numerator % model_p.p == 0 for disc in _discriminants(fmt, model_p.rows, 1))
 
 
 def _format_hyperdet(t):
@@ -589,16 +574,19 @@ def classify(t, primes=None):
 
     Neither reads a point count, so the sweep here is lazy: a singular
     curve model is swept only up to its first witness, and the (5,2) rule
-    sweeps each prime up to that prime's first witness.  The primes are
-    still all filed as used, bad or excluded, so ``primes_used`` and the
-    witness are those of the full ``smoothness_scan``.
+    sweeps each prime up to that prime's first witness, and no further
+    prime once the vote is settled: with W witnesses, C clean primes and R
+    primes not yet filed, the model is smooth when W + R <= C and singular
+    when W > C + R, whatever those R primes show.  The primes are still all
+    filed as used, bad or excluded, so ``primes_used`` and the witness are
+    those of the full ``smoothness_scan``.
     """
     if primes is None:
         primes = DEFAULT_PRIMES
     primes = tuple(sorted(set(primes)))
     fmt = (t.n, t.d)
-    sub = flattening_image(t)
-    rank = sub.dim
+    rows, den = flattening_basis(t)
+    rank = len(rows)
     hyperdet = _format_hyperdet(t)
     hint = None if hyperdet is None else hyperdet != 0
 
@@ -606,7 +594,7 @@ def classify(t, primes=None):
         return Verdict(t.n, t.d, RANK_DEFICIENT, rank, (), None, hyperdet, hint, (), None)
 
     if fmt in CURVE_AXES:
-        projections = tuple(_curve_projections(fmt, sub.basis.entries))
+        projections = tuple(_curve_projections(fmt, rows, den))
         if all(pr.invariants.discriminant != 0 for pr in projections):
             js = {pr.invariants.j for pr in projections}
             if len(js) != 1:
@@ -635,11 +623,16 @@ def classify(t, primes=None):
     if not scan_primes:
         scan_primes = primes
     sweep = _PrimeSweep(t, scan_primes)
-    witnesses = [
-        witness
-        for p, reduced in sweep
-        if (witness := _first_witness(reduced, _points(reduced, p))) is not None
-    ]
+    witnesses, clean, settled = [], 0, False
+    for p, reduced in sweep:
+        if not settled:
+            witness = _first_witness(reduced, _points(reduced, p))
+            if witness is None:
+                clean += 1
+            else:
+                witnesses.append(witness)
+            w, rest = len(witnesses), sweep.pending
+            settled = w + rest <= clean or w > clean + rest
     used = tuple(sweep.used)
     # No exact discriminant exists here, so a single-prime witness may be
     # bad-reduction noise; only a strict majority of usable primes decides.

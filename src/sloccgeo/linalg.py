@@ -8,7 +8,7 @@ canonical and subspaces compare by simple equality.
 
 import random
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import BadReductionError, UnsupportedPrimeError
 
@@ -50,6 +50,38 @@ def clear_denominators(rows):
         for x in row:
             den = lcm(den, x.denominator)
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
+def integer_rref(rows, cols):
+    """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
+
+    Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
+    den * RREF, as integers in lowest terms with den > 0.  Each step
+    replaces every other row by (pivot * row - entry * pivot row) divided
+    exactly by the previous pivot, so entries stay minors of the input;
+    after the last step every pivot equals the last pivot.
+    """
+    m = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        piv = top[col]
+        for i, row in enumerate(m):
+            if i != rank:
+                f = row[col]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, top)]
+        prev, rank = piv, rank + 1
+        if rank == len(m):
+            break
+    basis = m[:rank]
+    g = gcd(prev, *(x for row in basis for x in row))
+    if prev < 0:
+        g = -g
+    return rank, [[x // g for x in row] for row in basis], prev // g
 
 
 def reduce_scalar(x, p):
@@ -155,34 +187,30 @@ class Matrix:
             sum(row[k] * vector[k] for k in range(self.cols)) for row in self.entries
         )
 
-    def _inv(self, x):
-        return pow(x, -1, self.p) if self.p is not None else 1 / x
-
     def rref(self):
-        """Return (rank, reduced) where reduced is the canonical RREF."""
-        m = [list(row) for row in self.entries]
+        """Return (rank, reduced) where reduced is the canonical RREF.  Over
+        Q it is integer_rref of the matrix cleared of its denominators."""
+        p, m = self.p, [list(row) for row in self.entries]
+        if p is None:
+            rank, rows, den = integer_rref(clear_denominators(m)[0], self.cols)
+            m = [[Fraction(x, den) for x in row] for row in rows]
+            return rank, Matrix(m + [[0] * self.cols] * (self.rows - rank), cols=self.cols)
         rank = 0
         for col in range(self.cols):
             pivot = next((i for i in range(rank, self.rows) if m[i][col] != 0), None)
             if pivot is None:
                 continue
             m[rank], m[pivot] = m[pivot], m[rank]
-            inv = self._inv(m[rank][col])
-            if self.p is None:
-                m[rank] = [x * inv for x in m[rank]]
-            else:
-                m[rank] = [x * inv % self.p for x in m[rank]]
+            inv = pow(m[rank][col], -1, p)
+            m[rank] = [x * inv % p for x in m[rank]]
             for i in range(self.rows):
                 if i != rank and m[i][col] != 0:
                     f = m[i][col]
-                    if self.p is None:
-                        m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-                    else:
-                        m[i] = [(a - f * b) % self.p for a, b in zip(m[i], m[rank])]
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
             rank += 1
             if rank == self.rows:
                 break
-        return rank, Matrix(m, cols=self.cols, p=self.p)
+        return rank, Matrix(m, cols=self.cols, p=p)
 
     def rank(self):
         return self.rref()[0]
@@ -233,11 +261,7 @@ class Matrix:
     def reduce_mod(self, p):
         if self.p is not None:
             raise ValueError("matrix already lives over a prime field")
-        return Matrix(
-            [[reduce_scalar(x, p) for x in row] for row in self.entries],
-            cols=self.cols,
-            p=p,
-        )
+        return Matrix([[reduce_scalar(x, p) for x in row] for row in self.entries], self.cols, p)
 
 
 class Subspace:

@@ -1,10 +1,13 @@
-"""n-qudit states as dense rational tensors, plus the local group action.
+"""n-qudit states as integer tensors over one denominator, plus the local
+group action.
 
 A state of n qudits with local dimension d is a dense array of d**n exact
-rational coefficients in row-major order (last index fastest).  The last
-tensor factor is the distinguished one: ``flatten_last`` reads the state as
-a linear map from the dual of the last factor into the product of the rest,
-and ``flattening_image`` is the column span of that map.
+rational coefficients in row-major order (last index fastest), stored as
+integer numerators over one positive common denominator, in lowest terms.
+The last tensor factor is the distinguished one: ``flatten_last`` reads the
+state as a linear map from the dual of the last factor into the product of
+the rest, and ``flattening_image`` is the column span of that map, whose
+canonical basis ``flattening_basis`` computes by fraction-free elimination.
 """
 
 import hashlib
@@ -12,26 +15,37 @@ import json
 import re
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 import random
 
 from .errors import (
+    BadReductionError,
     DuplicateIndexError,
+    IndexRangeError,
     SchemaError,
     SingularOperatorError,
     WorkLimitError,
 )
-from .linalg import Matrix, Subspace, reduce_scalar
+from .linalg import Matrix, Subspace, clear_denominators, integer_rref, random_invertible
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?)(\d+)(?:/([1-9]\d*))?$")
 
 #: Most coefficients d**n a state may have.
 MAX_COEFFICIENTS = 2**16
 
 #: Most cell updates d**(n+1) an exact flattening may cost: eliminating its
-#: d rows of d**(n-1) Fractions takes about d updates per cell.  (2,32)
-#: costs 32,768 and passes; (2,64) costs 262,144 and is refused.
+#: d integer rows of d**(n-1) entries takes about d updates per cell.
+#: (2,32) costs 32,768 and passes; (2,64) costs 262,144 and is refused.
 MAX_FLATTENING_COST = 2**16
+
+#: Most decimal digits parse_state accepts in a numerator or denominator of
+#: a coefficient, as written and once the state is over its common
+#: denominator in lowest terms.  The largest number a (3,3) report prints
+#: has about 36 digits per digit of the state, so 100 digits keep every
+#: report under Python's 4,300-digit limit on int-to-string conversion.
+MAX_COEFFICIENT_DIGITS = 100
 
 
 def _check_state_size(n, d):
@@ -46,30 +60,50 @@ def _check_state_size(n, d):
 
 
 class Tensor:
-    """Immutable dense tensor of Fractions with equal local dimensions."""
+    """Immutable dense tensor with equal local dimensions: integer
+    numerators ``nums`` over one common denominator ``den`` > 0, in lowest
+    terms.  ``coeffs`` builds the Fraction coefficients on demand."""
 
-    __slots__ = ("n", "d", "coeffs")
+    __slots__ = ("n", "d", "nums", "den")
 
     def __init__(self, n, d, coeffs):
+        (nums,), den = clear_denominators([[Fraction(c) for c in coeffs]])
+        self._set(n, d, nums, den)
+
+    @classmethod
+    def from_integers(cls, n, d, nums, den=1):
+        """The tensor with coefficients nums[i] / den (den nonzero)."""
+        t = cls.__new__(cls)
+        t._set(n, d, list(nums), den)
+        return t
+
+    def _set(self, n, d, nums, den):
         if n < 2 or d < 2:
             raise ValueError("need n >= 2 and d >= 2")
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != d**n:
-            raise ValueError(f"expected {d**n} coefficients, got {len(coeffs)}")
+        if len(nums) != d**n:
+            raise ValueError(f"expected {d**n} coefficients, got {len(nums)}")
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        if g != 1:
+            nums, den = [a // g for a in nums], den // g
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    @property
+    def coeffs(self):
+        return tuple(Fraction(a, self.den) for a in self.nums)
 
     @classmethod
     def from_entries(cls, n, d, entries):
         """Build from {index tuple: coefficient}; unspecified entries are 0."""
         _check_state_size(n, d)
-        coeffs = [Fraction(0)] * d**n
+        coeffs = [0] * d**n
         for idx, c in entries.items():
-            coeffs[cls._offset_static(n, d, idx)] = Fraction(c)
+            coeffs[cls._offset_static(n, d, idx)] = c
         return cls(n, d, coeffs)
 
     @staticmethod
@@ -87,36 +121,42 @@ class Tensor:
         return self._offset_static(self.n, self.d, idx)
 
     def __getitem__(self, idx):
-        return self.coeffs[self.offset(idx)]
+        return Fraction(self.nums[self.offset(idx)], self.den)
 
     def indices(self):
         return product(range(self.d), repeat=self.n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and (self.n, self.d) == (other.n, other.d)
-            and self.coeffs == other.coeffs
-        )
+        key = (self.n, self.d, self.den, self.nums)
+        return isinstance(other, Tensor) and key == (other.n, other.d, other.den, other.nums)
 
     def __hash__(self):
-        return hash((self.n, self.d, self.coeffs))
+        return hash((self.n, self.d, self.nums, self.den))
 
     def __repr__(self):
-        nonzero = sum(1 for c in self.coeffs if c != 0)
-        return f"Tensor(n={self.n}, d={self.d}, nonzero={nonzero})"
+        return f"Tensor(n={self.n}, d={self.d}, nonzero={sum(1 for a in self.nums if a)})"
 
     def scale(self, factor):
-        return Tensor(self.n, self.d, [factor * c for c in self.coeffs])
+        f = Fraction(factor)
+        nums = [f.numerator * a for a in self.nums]
+        return Tensor.from_integers(self.n, self.d, nums, f.denominator * self.den)
 
     def add(self, other):
         if (self.n, self.d) != (other.n, other.d):
             raise ValueError("format mismatch")
-        return Tensor(self.n, self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        nums = [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)]
+        return Tensor.from_integers(self.n, self.d, nums, self.den * other.den)
 
     def reduce_mod(self, p):
-        """Entrywise residues; raises BadReductionError on a bad denominator."""
-        return [reduce_scalar(c, p) for c in self.coeffs]
+        """Entrywise residues; raises BadReductionError when p divides the
+        denominator, naming the first coefficient whose denominator it
+        divides."""
+        if self.den % p == 0:
+            raise BadReductionError(
+                p, next(c for c in self.coeffs if c.denominator % p == 0)
+            )
+        inv = pow(self.den, -1, p)
+        return [a * inv % p for a in self.nums]
 
 
 class SloccOperator:
@@ -146,8 +186,6 @@ class SloccOperator:
     @classmethod
     def random(cls, n, d, bound, seed):
         """n independent deterministic invertible factors."""
-        from .linalg import random_invertible
-
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
     def compose(self, other):
@@ -160,7 +198,10 @@ def parse_state(document):
 
     The document is JSON: {"n": int, "d": int, "entries": [{"idx": [...],
     "c": "num" or "num/den"}]}.  Coefficients are exact decimal-free
-    rationals; duplicate indices and out-of-range indices are rejected.
+    rationals; duplicate indices and out-of-range indices are rejected, and
+    so is a state with a numerator or denominator of more than
+    MAX_COEFFICIENT_DIGITS digits, as written or over the common
+    denominator, before any arithmetic on the state.
     """
     if isinstance(document, bytes):
         document = document.decode("utf-8")
@@ -171,34 +212,47 @@ def parse_state(document):
     if not isinstance(doc, dict) or set(doc) != {"n", "d", "entries"}:
         raise SchemaError('top level must be {"n", "d", "entries"}')
     n, d, entries = doc["n"], doc["d"], doc["entries"]
-    if not isinstance(n, int) or not isinstance(d, int) or isinstance(n, bool) or isinstance(d, bool):
+    if type(n) is not int or type(d) is not int:
         raise SchemaError("n and d must be integers")
     if n < 2 or d < 2:
         raise SchemaError("need n >= 2 and d >= 2")
     _check_state_size(n, d)
     if not isinstance(entries, list):
         raise SchemaError("entries must be a list")
-    seen = {}
+    seen, digits = {}, MAX_COEFFICIENT_DIGITS  # seen: offset -> (num, den) in lowest terms
     for entry in entries:
         if not isinstance(entry, dict) or set(entry) != {"idx", "c"}:
             raise SchemaError('each entry must be {"idx", "c"}')
         idx = entry["idx"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != n
-            or any(not isinstance(i, int) or isinstance(i, bool) for i in idx)
-        ):
+        if type(idx) is not list or len(idx) != n or any(type(i) is not int for i in idx):
             raise SchemaError(f"idx must be a list of {n} integers")
-        if any(not 0 <= i < d for i in idx):
-            raise IndexError(f"index {idx} out of range for d={d}")
-        key = tuple(idx)
-        if key in seen:
+        off = 0
+        for i in idx:
+            if not 0 <= i < d:
+                raise IndexRangeError(f"index {idx} out of range for d={d}")
+            off = off * d + i
+        if off in seen:
             raise DuplicateIndexError(f"index {idx} appears twice")
         c = entry["c"]
-        if not isinstance(c, str) or not _RATIONAL_RE.match(c):
+        match = _RATIONAL_RE.match(c) if isinstance(c, str) else None
+        if match is None:
             raise SchemaError(f"coefficient {c!r} is not a decimal-free rational string")
-        seen[key] = Fraction(c)
-    return Tensor.from_entries(n, d, seen)
+        sign, num, den = match.groups(default="1")
+        if len(num.lstrip("0")) > digits or len(den) > digits:
+            raise SchemaError(f"coefficient at {idx} has more than {digits} digits")
+        a, b = int(sign + num), int(den)
+        g = gcd(a, b)
+        seen[off] = (a // g, b // g)
+    limit, den, nums = 10**digits, 1, [0] * d**n
+    too_long = f"a coefficient over the common denominator has more than {digits} digits"
+    for _, b in seen.values():
+        if (den := lcm(den, b)) >= limit:
+            raise SchemaError(too_long)
+    for off, (a, b) in seen.items():
+        nums[off] = a * (den // b)
+    if any(abs(a) >= limit for a in nums):
+        raise SchemaError(too_long)
+    return Tensor.from_integers(n, d, nums, den)
 
 
 def _coeff_str(c):
@@ -208,9 +262,9 @@ def _coeff_str(c):
 def state_to_json(t):
     """Canonical serialization: entries sorted by index, zeros omitted."""
     entries = [
-        {"idx": list(idx), "c": _coeff_str(t[idx])}
-        for idx in t.indices()
-        if t[idx] != 0
+        {"idx": list(idx), "c": _coeff_str(Fraction(a, t.den))}
+        for idx, a in zip(t.indices(), t.nums)
+        if a
     ]
     return json.dumps({"n": t.n, "d": t.d, "entries": entries}, separators=(",", ":"))
 
@@ -227,15 +281,16 @@ def flatten_last(t):
     the state viewed as a map from the dual of the last factor into the
     tensor product of the remaining factors.
     """
-    rows = t.d ** (t.n - 1)
-    return Matrix(
-        [[t.coeffs[r * t.d + k] for k in range(t.d)] for r in range(rows)],
-        cols=t.d,
-    )
+    coeffs = t.coeffs
+    return Matrix([coeffs[r : r + t.d] for r in range(0, len(coeffs), t.d)], cols=t.d)
 
 
-def flattening_image(t):
-    """Column span of flatten_last(t) inside Q^(d**(n-1)); dim <= d.
+def flattening_basis(t):
+    """(rows, den): the canonical basis of the flattening image as integer
+    rows over one denominator, rows / den being the RREF basis, in lowest
+    terms with den > 0.  The rows come from one fraction-free Gauss-Jordan
+    pass over the state's slices along the last axis (``integer_rref``);
+    there are as many as the image has dimensions.
 
     Raises WorkLimitError, before any elimination, when d**(n+1) exceeds
     MAX_FLATTENING_COST: the exact elimination's cost grows with it.
@@ -246,9 +301,15 @@ def flattening_image(t):
             f"an exact flattening of format (n={t.n}, d={t.d}) costs {cost} "
             f"cell updates, over the limit of {MAX_FLATTENING_COST}"
         )
-    return Subspace.from_rows(
-        flatten_last(t).transpose().entries, t.d ** (t.n - 1)
-    )
+    return integer_rref([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))[1:]
+
+
+def flattening_image(t):
+    """Column span of flatten_last(t) inside Q^(d**(n-1)); dim <= d.  Its
+    basis is flattening_basis(t) as Fractions."""
+    rows, den = flattening_basis(t)
+    basis = [[Fraction(x, den) for x in row] for row in rows]
+    return Subspace(t.d ** (t.n - 1), Matrix(basis, cols=t.d ** (t.n - 1)))
 
 
 def reduced_flattening_image(t, p):
@@ -260,32 +321,33 @@ def reduced_flattening_image(t, p):
     denominators still raise BadReductionError.
     """
     residues = t.reduce_mod(p)
-    rows = t.d ** (t.n - 1)
-    cols = [
-        [residues[r * t.d + k] for r in range(rows)] for k in range(t.d)
-    ]
-    return Subspace.from_rows(cols, rows, p=p)
+    return Subspace.from_rows([residues[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1), p=p)
 
 
 def apply_slocc(t, g):
-    """Act by a local operator: coefficients transform by one factor per axis."""
+    """Act by a local operator: coefficients transform by one factor per axis.
+
+    Each factor is cleared to an integer matrix over its own denominator
+    and checked by integer elimination; the numerators are contracted over
+    the integers, one axis at a time, and the denominators multiply.
+    """
     if g.n != t.n or g.d != t.d:
         raise ValueError("operator format mismatch")
-    for f in g.factors:
-        if f.rank() != t.d:
-            raise SingularOperatorError("operator factor is singular")
-    coeffs = list(t.coeffs)
     d, n = t.d, t.n
-    for axis in range(n):
-        a = g.factors[axis]
+    factors = [clear_denominators(f.entries) for f in g.factors]
+    if any(integer_rref(rows, d)[0] != d for rows, _ in factors):
+        raise SingularOperatorError("operator factor is singular")
+    nums, den = t.nums, t.den
+    for axis, (rows, f_den) in enumerate(factors):
         stride = d ** (n - 1 - axis)
-        new = [Fraction(0)] * len(coeffs)
-        for off in range(len(coeffs)):
-            j = (off // stride) % d
-            base = off - j * stride
-            new[off] = sum(a.entries[j][i] * coeffs[base + i * stride] for i in range(d))
-        coeffs = new
-    return Tensor(n, d, coeffs)
+        new = []
+        for base in range(0, len(nums), d * stride):
+            parts = (nums[i : i + stride] for i in range(base, base + d * stride, stride))
+            columns = list(zip(*parts))
+            for row in rows:
+                new.extend(sum(map(mul, row, column)) for column in columns)
+        nums, den = new, den * f_den
+    return Tensor.from_integers(n, d, nums, den)
 
 
 def permute_factors(t, perm):
@@ -296,12 +358,8 @@ def permute_factors(t, perm):
     """
     if sorted(perm) != list(range(t.n)):
         raise ValueError("not a permutation of the factors")
-    entries = {}
-    for idx in t.indices():
-        c = t[tuple(idx[perm[k]] for k in range(t.n))]
-        if c != 0:
-            entries[idx] = c
-    return Tensor.from_entries(t.n, t.d, entries)
+    nums = [t.nums[t.offset([idx[perm[k]] for k in range(t.n)])] for idx in t.indices()]
+    return Tensor.from_integers(t.n, t.d, nums, t.den)
 
 
 def random_state(n, d, bound, seed):
@@ -310,23 +368,16 @@ def random_state(n, d, bound, seed):
         raise ValueError("bound must be >= 1")
     _check_state_size(n, d)
     rng = random.Random(seed)
-    return Tensor(n, d, [rng.randint(-bound, bound) for _ in range(d**n)])
+    return Tensor.from_integers(n, d, [rng.randint(-bound, bound) for _ in range(d**n)])
 
 
 def tensor_product(s, t):
     """Tensor product of two states with the same local dimension."""
     if s.d != t.d:
         raise ValueError("local dimensions differ")
-    entries = {}
-    for i in s.indices():
-        a = s[i]
-        if a == 0:
-            continue
-        for j in t.indices():
-            b = t[j]
-            if b != 0:
-                entries[i + j] = a * b
-    return Tensor.from_entries(s.n + t.n, s.d, entries)
+    _check_state_size(s.n + t.n, s.d)
+    nums = [a * b for a in s.nums for b in t.nums]
+    return Tensor.from_integers(s.n + t.n, s.d, nums, s.den * t.den)
 
 
 def basis_state(n, d, idx):

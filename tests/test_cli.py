@@ -1,10 +1,13 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
 from sloccgeo import __version__
 from sloccgeo.cli import run
 from sloccgeo.states import (
+    MAX_COEFFICIENT_DIGITS,
     SloccOperator,
     apply_slocc,
     basis_state,
@@ -241,3 +244,123 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(dest.read_text(encoding="utf-8"))
     assert doc["status"] == "SingularModel"
+
+
+def _entries_doc(n, d, strings):
+    entries = [
+        {"idx": list(idx), "c": c} for idx, c in zip(product(range(d), repeat=n), strings)
+    ]
+    return json.dumps({"n": n, "d": d, "entries": entries})
+
+
+def test_oversized_coefficients_exit_2(tmp_path, capsys):
+    # Both states used to parse; classify and jinv then ended in Python's
+    # 4,300-digit limit on printing an int (a ValueError raised while the
+    # report was printed).  The parser refuses them.
+    rng = random.Random(4)
+    big = [str(rng.randint(1, 9)) for _ in range(27)]
+    big[13] = str(rng.randrange(10**3999, 10**4000))
+    rng = random.Random(5)
+    rational = []
+    for _ in range(27):
+        num = rng.randrange(10**15, 10**16)
+        rational.append(f"{num}/{rng.randrange(10**15, 10**16)}")
+    paths = []
+    for name, strings in (("big.json", big), ("rational.json", rational)):
+        path = tmp_path / name
+        path.write_text(_entries_doc(3, 3, strings), encoding="utf-8")
+        paths.append(str(path))
+    for path in paths:
+        for argv in (["classify", path], ["jinv", path], ["equiv", path, path]):
+            code = run(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and not captured.out, argv
+            assert f"more than {MAX_COEFFICIENT_DIGITS} digits" in captured.err
+
+
+def test_reports_print_at_the_coefficient_bound(tmp_path, capsys):
+    # the widest accepted states: every numerator with MAX_COEFFICIENT_DIGITS
+    # digits; the largest (3,3) report number has ~36 digits per digit
+    digits = MAX_COEFFICIENT_DIGITS
+    rng = random.Random(11)
+    for n, d in ((3, 3), (4, 2), (3, 2)):
+        paths = []
+        for name in ("a", "b"):
+            strings = [
+                str(rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits))
+                for _ in range(d**n)
+            ]
+            path = tmp_path / f"{name}{n}{d}.json"
+            path.write_text(_entries_doc(n, d, strings), encoding="utf-8")
+            paths.append(str(path))
+        for argv in (["classify", paths[0]], ["jinv", paths[0]], ["equiv", *paths]):
+            code, doc = run_json(capsys, argv)
+            assert code == 0 and doc["command"] == argv[0], argv
+
+
+MALFORMED_COEFFICIENTS = ("1.5", "1/0", "", "abc", " 1", "1/-2", "+1", "1e3", "0x10", "1/2/3")
+
+
+def test_malformed_documents_exit_2(tmp_path, capsys):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    from sloccgeo.errors import SloccGeoError
+    from sloccgeo.states import _RATIONAL_RE, parse_state
+
+    valid = {
+        "n": 3, "d": 2, "entries": [{"idx": [0, 0, 0], "c": "1"}, {"idx": [1, 1, 1], "c": "-2/3"}]
+    }
+    path = tmp_path / "state.json"
+    not_int = st.sampled_from([True, False, 1.0, "1", None, [1]])
+    not_str = st.sampled_from([True, 1, 1.0, None, ["1"]])
+    bad_rational = st.sampled_from(MALFORMED_COEFFICIENTS) | st.text(max_size=8).filter(
+        lambda s: not _RATIONAL_RE.match(s)
+    )
+
+    def mutations(doc):
+        entry = doc["entries"][0]
+        return st.one_of(
+            st.sampled_from(["n", "d", "entries"]).map(lambda k: ("drop", doc, k)),
+            st.just(("set", doc, "extra", 1)),
+            st.tuples(st.just("set"), st.just(doc), st.sampled_from(["n", "d"]), not_int),
+            st.tuples(
+                st.just("set"), st.just(doc), st.just("entries"), st.sampled_from([{}, "x", 3])
+            ),
+            st.sampled_from(["idx", "c"]).map(lambda k: ("drop", entry, k)),
+            st.just(("set", entry, "extra", 0)),
+            st.tuples(
+                st.just("set"), st.just(entry), st.just("idx"),
+                st.sampled_from(
+                    ["000", 0, {"0": 0}, [0, 0], [0, 0, 0, 0], [0, True, 0], [0, 0.0, 0]]
+                ),
+            ),
+            st.tuples(st.just("set"), st.just(entry), st.just("c"), bad_rational | not_str),
+            st.tuples(
+                st.just("set"), st.just(entry), st.just("idx"),
+                st.sampled_from([[0, 2, 0], [-1, 0, 0], [0, 0, 5]]),
+            ),
+            st.just(("set", entry, "idx", [1, 1, 1])),  # duplicates the second entry
+        )
+
+    @settings(
+        max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(data=st.data())
+    def check(data):
+        doc = json.loads(json.dumps(valid))
+        op, target, key, *value = data.draw(mutations(doc))
+        if op == "drop":
+            del target[key]
+        else:
+            target[key] = value[0]
+        text = json.dumps(doc)
+        with pytest.raises(SloccGeoError):
+            parse_state(text)
+        path.write_text(text, encoding="utf-8")
+        code = run(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("sloccgeo: ") and captured.err.count("\n") == 1
+
+    check()

@@ -177,8 +177,7 @@ def test_enumerate_ghz3_points(ghz3_qutrit):
 
 def test_enumerate_zero_forms_full_space():
     p = 3
-    zero = MultiForm.zero((3, 3), p=p)
-    model = VarietyModel(3, 3, (zero,), "none")
+    model = VarietyModel(3, 3, ((0,) * 9,), 1, p, "none")  # one zero form over F_3
     pts = enumerate_points(model, p)
     count = (p * p + p + 1) ** 2
     assert len(pts) == count == 169

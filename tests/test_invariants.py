@@ -11,7 +11,13 @@ from sloccgeo.errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from sloccgeo.linalg import DEFAULT_PRIMES, Matrix, random_invertible, reduce_scalar
+from sloccgeo.linalg import (
+    DEFAULT_PRIMES,
+    Matrix,
+    clear_denominators,
+    random_invertible,
+    reduce_scalar,
+)
 from sloccgeo.geometry import (
     CUBIC_MONOMIALS,
     MultiForm,
@@ -267,6 +273,34 @@ def test_classify_five_qubits():
     assert verdict.projections == () and verdict.j is None
 
 
+def test_five_qubit_vote_stops_once_settled(monkeypatch):
+    # With primes 5, 7, 11, 13, two clean primes already rule out a strict
+    # majority of witnesses, and three witnesses ensure one; the remaining
+    # primes are filed but not swept, so primes_used and the witness stay.
+    import sloccgeo.invariants as inv
+
+    swept = []
+
+    def counting(reduced, points):
+        swept.append(reduced.p)
+        return first_witness(reduced, points)
+
+    first_witness = inv._first_witness
+    monkeypatch.setattr(inv, "_first_witness", counting)
+    # seed 1 has a witness at 7 only, so the vote needs p = 11 as well
+    for seed, expected in ((0, [5, 7]), (1, [5, 7, 11]), (2, [5, 7]), (4, [5, 7])):
+        swept.clear()
+        verdict = classify(random_state(5, 2, 5, seed=seed))
+        assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+        assert verdict.primes_used == (5, 7, 11, 13)
+        assert swept == expected, seed
+    swept.clear()
+    verdict = classify(ghz(5, 2))
+    assert verdict.status == SINGULAR_MODEL and verdict.primes_used == (5, 7, 11, 13)
+    assert verdict.singular_witness[0] == 5
+    assert swept == [5, 7, 11]
+
+
 def test_verdict_json_shape(family_1235, ghz3_qutrit):
     doc = classify(family_1235).to_json_dict()
     assert list(doc) == [
@@ -463,7 +497,7 @@ def test_integer_core_matches_reference(fmt):
         if sub.dim < d:
             return
         model = variety_from_state(t)
-        projections = _curve_projections(fmt, sub.basis.entries)
+        projections = _curve_projections(fmt, *clear_denominators(sub.basis.entries))
         assert [pr.axes for pr in projections] == list(axes)
         assert exact_projection_discriminants(t) == tuple(
             pr.invariants.discriminant for pr in projections

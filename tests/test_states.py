@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,6 +14,7 @@ from sloccgeo.errors import (
 )
 from sloccgeo.linalg import Matrix, Subspace, kron
 from sloccgeo.states import (
+    MAX_COEFFICIENT_DIGITS,
     MAX_FLATTENING_COST,
     SloccOperator,
     Tensor,
@@ -313,3 +315,205 @@ def test_exact_flattening_cost_is_bounded():
     # a rank-deficient state inside the bound keeps its verdict
     verdict = classify(basis_state(3, 3, (0, 0, 0)))
     assert verdict.status == RANK_DEFICIENT and verdict.rank == 1
+
+
+# Reference copy of the Fraction state path that the integer core replaced
+# (Fraction coefficients, Fraction parse, a Fraction RREF and the
+# coefficient-by-coefficient SLOCC loop), kept only to check the integer
+# core against.  A state here is a tuple of d**n Fractions.
+
+
+def reference_parse(document):
+    doc = json.loads(document)
+    n, d = doc["n"], doc["d"]
+    coeffs = [Fraction(0)] * d**n
+    for entry in doc["entries"]:
+        off = 0
+        for i in entry["idx"]:
+            off = off * d + i
+        coeffs[off] = Fraction(entry["c"])
+    return tuple(coeffs)
+
+
+def reference_state_to_json(n, d, coeffs):
+    entries = [
+        {"idx": list(idx), "c": str(c)}
+        for idx, c in zip(product(range(d), repeat=n), coeffs)
+        if c != 0
+    ]
+    return json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"))
+
+
+def reference_rref(rows, cols):
+    """The nonzero rows of the RREF, by Fraction elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
+def reference_flattening_basis(n, d, coeffs):
+    return reference_rref([coeffs[k::d] for k in range(d)], d ** (n - 1))
+
+
+def reference_apply_slocc(n, d, coeffs, factors):
+    """factors: one list of d Fraction rows per axis."""
+    for f in factors:
+        if len(reference_rref(f, d)) != d:
+            raise SingularOperatorError("operator factor is singular")
+    coeffs = list(coeffs)
+    for axis in range(n):
+        a = factors[axis]
+        stride = d ** (n - 1 - axis)
+        new = [Fraction(0)] * len(coeffs)
+        for off in range(len(coeffs)):
+            j = (off // stride) % d
+            base = off - j * stride
+            new[off] = sum(a[j][i] * coeffs[base + i * stride] for i in range(d))
+        coeffs = new
+    return tuple(coeffs)
+
+
+REFERENCE_FORMATS = [(2, 2), (3, 2), (3, 3), (4, 2), (2, 3)]
+
+
+def _rational_coeffs(draw, n, d):
+    """Rational coefficients whose flattening has rank at most r, for a
+    drawn r in 0..d: the slices beyond the first r are combinations of
+    them, and the slices are then shuffled along the last axis."""
+    from hypothesis import strategies as st
+
+    small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    rank = draw(st.integers(0, d))
+    size = d ** (n - 1)
+    slices = [draw(st.lists(small, min_size=size, max_size=size)) for _ in range(rank)]
+    for _ in range(d - rank):
+        weights = draw(st.lists(small, min_size=rank, max_size=rank))
+        slices.append(
+            [sum((w * s[m] for w, s in zip(weights, slices)), Fraction(0)) for m in range(size)]
+        )
+    order = draw(st.permutations(range(d)))
+    return [slices[order[k]][m] for m in range(size) for k in range(d)]
+
+
+def _rational_factors(draw, n, d, may_be_singular=True):
+    """n rational d x d factors; if may_be_singular and drawn so, one
+    factor gets a last row that is a combination of its other rows."""
+    from hypothesis import strategies as st
+
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    factors = [
+        [draw(st.lists(small, min_size=d, max_size=d)) for _ in range(d)] for _ in range(n)
+    ]
+    if may_be_singular and draw(st.booleans()):
+        f = factors[draw(st.integers(0, n - 1))]
+        weights = draw(st.lists(small, min_size=d - 1, max_size=d - 1))
+        f[-1] = [sum((w * row[c] for w, row in zip(weights, f)), Fraction(0)) for c in range(d)]
+    return factors
+
+
+@pytest.mark.parametrize("fmt", REFERENCE_FORMATS)
+def test_integer_core_matches_fraction_reference(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from sloccgeo.linalg import clear_denominators
+    from sloccgeo.states import flattening_basis
+
+    n, d = fmt
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        coeffs = _rational_coeffs(data.draw, n, d)
+        t = Tensor(n, d, coeffs)
+        (nums,), den = clear_denominators([coeffs])
+        assert t.coeffs == tuple(coeffs)
+        assert (list(t.nums), t.den) == (nums, den)  # lowest terms, den > 0
+        doc = reference_state_to_json(n, d, coeffs)
+        assert state_to_json(t) == doc
+        parsed = parse_state(doc)
+        assert parsed == t and parsed.coeffs == reference_parse(doc)
+        basis = reference_flattening_basis(n, d, coeffs)
+        sub = flattening_image(t)
+        assert sub.dim == len(basis)
+        assert [list(row) for row in sub.basis.entries] == basis
+        rows, den = flattening_basis(t)
+        assert (rows, den) == clear_denominators(basis)
+        factors = _rational_factors(data.draw, n, d)
+        g = SloccOperator([Matrix(f) for f in factors])
+        try:
+            expected = reference_apply_slocc(n, d, coeffs, factors)
+        except SingularOperatorError:
+            with pytest.raises(SingularOperatorError):
+                apply_slocc(t, g)
+            return
+        moved = apply_slocc(t, g)
+        (nums,), den = clear_denominators([expected])
+        assert moved.coeffs == expected
+        assert (list(moved.nums), moved.den) == (nums, den)
+
+    check()
+
+
+@pytest.mark.parametrize("fmt", [(3, 2), (3, 3), (4, 2)])
+def test_apply_respects_composition_property(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    n, d = fmt
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        t = Tensor(n, d, _rational_coeffs(data.draw, n, d))
+        g, h = (
+            SloccOperator([Matrix(f) for f in _rational_factors(data.draw, n, d, False)])
+            for _ in "gh"
+        )
+        assume(all(f.rank() == d for f in g.factors + h.factors))
+        assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, g.compose(h))
+
+    check()
+
+
+def _doc(n, d, strings):
+    entries = [
+        {"idx": list(idx), "c": c} for idx, c in zip(product(range(d), repeat=n), strings)
+    ]
+    return json.dumps({"n": n, "d": d, "entries": entries})
+
+
+def test_coefficient_digits_are_bounded():
+    limit = MAX_COEFFICIENT_DIGITS
+    rng = random.Random(3)
+    widest = [str(rng.randrange(10 ** (limit - 1), 10**limit)) for _ in range(27)]
+    assert parse_state(_doc(3, 3, widest)).nums[0] == int(widest[0])
+    # as written: one digit too many, leading zeros not counted
+    assert parse_state(_doc(3, 3, ["0" * 200 + "1"] + ["1"] * 26)).nums[0] == 1
+    for c in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "-" + "9" * (limit + 1)):
+        with pytest.raises(SchemaError):
+            parse_state(_doc(3, 3, [c] + ["1"] * 26))
+    # over the common denominator: 27 five-digit denominators whose lcm has
+    # more than 100 digits, and a 100-digit numerator times a denominator
+    primes = [p for p in range(10007, 10500) if all(p % q for q in range(2, 102))][:27]
+    with pytest.raises(SchemaError):
+        parse_state(_doc(3, 3, [f"1/{p}" for p in primes]))
+    with pytest.raises(SchemaError):
+        parse_state(_doc(3, 3, ["9" * limit] + ["1/7"] * 26))
+    # entries are reduced before the bound is applied: p/p is 1, although
+    # the lcm of the written denominators has more than 100 digits
+    assert parse_state(_doc(3, 3, [f"{p}/{p}" for p in primes])) == parse_state(
+        _doc(3, 3, ["1"] * 27)
+    )
