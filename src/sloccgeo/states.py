@@ -203,11 +203,9 @@ def parse_state(document):
     MAX_COEFFICIENT_DIGITS digits, as written or over the common
     denominator, before any arithmetic on the state.
     """
-    if isinstance(document, bytes):
-        document = document.decode("utf-8")
     try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too deep nesting
         raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != {"n", "d", "entries"}:
         raise SchemaError('top level must be {"n", "d", "entries"}')

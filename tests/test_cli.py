@@ -298,6 +298,23 @@ def test_reports_print_at_the_coefficient_bound(tmp_path, capsys):
             assert code == 0 and doc["command"] == argv[0], argv
 
 
+def test_undecodable_documents_exit_2(tmp_path, capsys):
+    # bad UTF-8 used to raise UnicodeDecodeError in parse_state, and deep
+    # nesting a RecursionError traceback with exit 1
+    from sloccgeo.errors import SchemaError
+    from sloccgeo.states import parse_state
+
+    path = tmp_path / "state.json"
+    for data in (b'{"n": 3, "d": 2, "entries": [\xff]}', b"[" * 100_000 + b"]" * 100_000):
+        with pytest.raises(SchemaError):
+            parse_state(data)
+        path.write_bytes(data)
+        code = run(["classify", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith("sloccgeo: not valid JSON")
+
+
 MALFORMED_COEFFICIENTS = ("1.5", "1/0", "", "abc", " 1", "1/-2", "+1", "1e3", "0x10", "1/2/3")
 
 
