@@ -22,15 +22,15 @@ from .errors import (
     WorkLimitError,
 )
 from .linalg import DEFAULT_PRIMES, check_primes
-from .states import parse_state, random_state, state_to_json
+from .states import _frac_str, parse_state, random_state, state_to_json
 from .geometry import smoothness_scan, section_count
 from .invariants import (
+    HYPERDETERMINANTS,
     SMOOTH_GENERIC,
     BOTH_DEGENERATE,
     classify,
     moduli_dimension,
     slocc_compare,
-    _frac_str,
 )
 from .zalgebra import (
     check_hilbert_degree,
@@ -100,14 +100,10 @@ def _cmd_equiv(args):
 def _cmd_hyperdet(args):
     data = _read_input(args.state)
     t = parse_state(data)
-    from .invariants import cayley_hyperdet, schlaefli_hyperdet
-
-    if (t.n, t.d) == (3, 2):
-        kind, value = "cayley", cayley_hyperdet(t)
-    elif (t.n, t.d) == (4, 2):
-        kind, value = "schlaefli", schlaefli_hyperdet(t)
-    else:
+    if (t.n, t.d) not in HYPERDETERMINANTS:
         raise SloccGeoError(f"no hyperdeterminant for format {(t.n, t.d)}")
+    kind, hyperdet = HYPERDETERMINANTS[(t.n, t.d)]
+    value = hyperdet(t)
     payload = {
         "format": [t.n, t.d],
         "kind": kind,

@@ -6,6 +6,11 @@ intersection (a plane-cubic-like curve for (3,3) and (4,2), a surface for
 (5,2)).  This module builds those forms, eliminates one factor through
 determinants of the linear-form matrix, and gathers finite-field smoothness
 evidence by exhaustive point enumeration plus Jacobian ranks.
+
+A model over Q reduces modulo p in one way only: through its source state
+(``model_mod_p``).  Points come from one walk over the variable groups
+(``enumerate_points``), and the curve formats and their projections are
+listed once, in ``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
@@ -21,8 +26,8 @@ from .errors import (
     UnsupportedFormatError,
     WorkLimitError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, check_primes, reduce_scalar
-from .states import flattening_basis, state_hash
+from .linalg import DEFAULT_PRIMES, Matrix, check_primes
+from .states import flattening_basis, reduced_flattening_image
 
 _GROUP_NAMES = "xyzw"
 
@@ -50,6 +55,10 @@ BIQUADRATIC_MONOMIALS = tuple(
 
 #: Output monomials of the determinantal projection, per format.
 PROJECTION_MONOMIALS = {(3, 3): CUBIC_MONOMIALS, (4, 2): BIQUADRATIC_MONOMIALS}
+
+#: The formats whose models are curves with determinantal projections, and
+#: the kept axes of each projection.
+CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
 class MultiForm:
@@ -268,6 +277,9 @@ class VarietyModel:
     groups (first group slowest).  Over Q (p None) the forms are the rows
     divided by den, and a model built from a state has the canonical basis
     of its flattening image; over F_p the rows are residues and den is 1.
+
+    A model over Q reduces modulo a prime only through its ``source``
+    state (``model_mod_p``); a model built by hand over F_p needs none.
     """
 
     n: int
@@ -275,7 +287,6 @@ class VarietyModel:
     rows: tuple
     den: int
     p: object
-    source_hash: str
     source: object = None    # source Tensor, when built from one
 
     @property
@@ -291,33 +302,26 @@ class VarietyModel:
             for row in self.rows
         )
 
-    def reduce_mod(self, p):
-        """Entrywise reduction of the rational coefficient rows; raises
-        BadReductionError when p divides the denominator of an entry."""
-        if self.p is not None:
-            raise ValueError("model already lives over a prime field")
-        rows = tuple(tuple(reduce_scalar(Fraction(x, self.den), p) for x in r) for r in self.rows)
-        return VarietyModel(self.n, self.d, rows, 1, p, self.source_hash, self.source)
-
 
 def model_mod_p(model, p):
-    """The model over F_p, preferring the state-side (saturated) reduction.
+    """The model over F_p, reduced on the state side.
 
-    When the source tensor is available the rows are those of the reduced
-    flattening image, so denominators of the rational canonical basis
-    cannot poison the prime; a rank drop of the reduced flattening is
-    genuine geometric degeneration and raises BadReductionError.
+    The rows are those of the source state's flattening image reduced
+    modulo p (``reduced_flattening_image``), so denominators of the
+    rational canonical basis cannot poison the prime, and p must pass
+    ``check_primes``.  A state denominator divisible by p, or a rank drop
+    of the reduced flattening (genuine geometric degeneration), raises
+    BadReductionError.  A model already over F_p is returned as it is; any
+    other model without a source raises ValueError.
     """
-    from .states import reduced_flattening_image
-
     if model.p == p:
         return model
     if model.source is None:
-        return model.reduce_mod(p)
+        raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
     sub = reduced_flattening_image(model.source, p)
     if sub.dim < model.d:
         raise BadReductionError(p, "flattening rank drops modulo p")
-    return VarietyModel(model.n, model.d, sub.basis.entries, 1, p, model.source_hash, model.source)
+    return VarietyModel(model.n, model.d, sub.basis.entries, 1, p, model.source)
 
 
 @dataclass(frozen=True)
@@ -385,7 +389,7 @@ def variety_from_state(t):
     rows, den = flattening_basis(t)
     if len(rows) != t.d:
         raise RankDeficientError(len(rows), t.d)
-    return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, state_hash(t), t)
+    return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, t)
 
 
 @cache
@@ -440,21 +444,17 @@ def determinantal_projection(model, kept_axes):
     of linear forms.
 
     For (3,3) keep one axis and get a ternary cubic; for (4,2) keep two and
-    get a form of bidegree (2,2).  The matrix entry (k, j) is the partial
-    derivative of form k with respect to variable j of the dropped group.
-    The coefficients come from ``projection_coefficients`` on the model's
-    integer rows; over Q the result is divided by den^d.
+    get a form of bidegree (2,2).  The kept axes must be listed for the
+    format in CURVE_AXES, else UnsupportedFormatError.  The matrix entry
+    (k, j) is the partial derivative of form k with respect to variable j
+    of the dropped group.  The coefficients come from
+    ``projection_coefficients`` on the model's integer rows; over Q the
+    result is divided by den^d.
     """
     kept = tuple(sorted(kept_axes))
     fmt = (model.n, model.d)
-    if fmt == (3, 3):
-        if len(kept) != 1 or not all(0 <= a < 2 for a in kept):
-            raise UnsupportedFormatError("(3,3) projections keep exactly one of axes 0,1")
-    elif fmt == (4, 2):
-        if len(kept) != 2 or not all(0 <= a < 3 for a in kept):
-            raise UnsupportedFormatError("(4,2) projections keep exactly two of axes 0,1,2")
-    else:
-        raise UnsupportedFormatError(f"no determinantal projection for format {fmt}")
+    if kept not in CURVE_AXES.get(fmt, ()):
+        raise UnsupportedFormatError(f"format {fmt} has no projection keeping axes {kept}")
     coeffs = projection_coefficients(model.rows, model.n, model.d, kept)
     if model.p is None:
         coeffs = [Fraction(c, model.den**model.d) for c in coeffs]
@@ -599,63 +599,53 @@ def _pencil_roots(a, b, d, p):
     return [t for t in range(p) if (((c3 * t + c2) * t + c1) * t + c0) % p == 0]
 
 
-def _line_points(tensor, d, p, starts):
-    """(x, kernel point) pairs over the innermost prefix group (d = 2, 3,
-    d forms), in projective_points order.
+@cache
+def _line_bases(d, p):
+    """The points (v, 0) of P^(d-1) over F_p, v running over P^(d-2) in
+    projective_points order: the bases of the lines _line_points walks."""
+    return tuple(v + (0,) for v in projective_points(d - 1, p))
 
-    That group's points split into the lines x = u + t*e_last for the
-    base points u in ``starts`` and t = 0..p-1, then e_last itself.  On a
-    line the prefix system is A + tB, with A the contraction with u and B
-    the one with e_last, so one determinant polynomial per line tells
-    which t can carry points, and kernels are taken only there.
+
+def _line_points(part, d, m, p):
+    """(x, part contracted with x) for the points x of the group that
+    ``part`` (a flat tensor over m forms) starts with, in
+    projective_points order.
+
+    Those points split into the lines x = u + t*e_last for the bases u of
+    _line_bases and t = 0..p-1, then e_last itself.  On a line the
+    contraction is A + tB, with A the contraction with u and B the one with
+    e_last, so each line costs one contraction.  When the contraction is a
+    square prefix system (m = d forms, d = 2, 3), one determinant
+    polynomial per line tells which t can carry points: only those t are
+    yielded, and e_last only when det B vanishes mod p.  Otherwise every
+    point is yielded.
     """
-    size = d * d
-    b = tensor[(d - 1) * size :]
-    b_rows = [b[k::d] for k in range(d)]
-    for u in starts:
-        a = _contract(tensor, u)
-        a_rows = [a[k::d] for k in range(d)]
-        for t in _pencil_roots(a_rows, b_rows, d, p):
-            system = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_rows, b_rows)]
-            for tail in _kernel_points(system, d, p):
-                yield u[:-1] + (t,), tail
-    e_last = (0,) * (d - 1) + (1,)
-    for tail in _kernel_points(b_rows, d, p):
-        yield e_last, tail
+    size = len(part) // d
+    b = part[(d - 1) * size :]
+    b_rows = [b[k::m] for k in range(m)]
+    pencil = m == d and d in (2, 3) and size == d * d
+    for u in _line_bases(d, p):
+        a = _contract(part, u)
+        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else range(p)
+        for t in ts:
+            yield u[:-1] + (t,), [x + t * y for x, y in zip(a, b)]
+    if not (pencil and _det(b_rows) % p):
+        yield (0,) * (d - 1) + (1,), b
 
 
 def _points(reduced, p):
     """The points of enumerate_points, lazily and in the same order."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
-    tensor = _coefficient_tensor(reduced)
-    if groups == 1:  # n = 2: one system, no prefix group
-        for tail in _kernel_points([tensor[k::m] for k in range(m)], d, p):
-            yield ProjPoint(p, (tail,))
-        return
-    line = tuple(projective_points(d, p))
-    if m == d and d in (2, 3):
-        starts = tuple(x for x in line if x[-1] == 0)
-
-        def innermost(part):
-            return _line_points(part, d, p, starts)
-
-    else:
-
-        def innermost(part):
-            for x in line:
-                system = _contract(part, x)
-                for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
-                    yield x, tail
 
     def walk(part, prefix):
-        if len(prefix) == groups - 2:
-            for x, tail in innermost(part):
-                yield ProjPoint(p, prefix + (x, tail))
+        if len(prefix) == groups - 1:  # part is the prefix system
+            for tail in _kernel_points([part[k::m] for k in range(m)], d, p):
+                yield ProjPoint(p, prefix + (tail,))
             return
-        for x in line:
-            yield from walk(_contract(part, x), prefix + (x,))
+        for x, inner in _line_points(part, d, m, p):
+            yield from walk(inner, prefix + (x,))
 
-    yield from walk(tensor, ())
+    yield from walk(_coefficient_tensor(reduced), ())
 
 
 def enumerate_points(model, p):
@@ -663,17 +653,20 @@ def enumerate_points(model, p):
 
     The forms are multilinear, so once every group but the last is fixed
     they become a linear system in the last group; points over each prefix
-    are exactly the projective points of that system's kernel.  The
-    coefficients of all forms are contracted with the prefix one group at
-    a time, and each outer contraction is reused for all inner prefixes.
-    For d = 2, 3 the innermost prefix group is solved one projective line
-    at a time: along x = u + t*e_last the system is A + tB, so the
-    coefficients of the polynomial det(A + tB) are computed once per line
-    and evaluated at every t in one pass, and a kernel is taken only at its
+    are exactly the projective points of that system's kernel.  One walk
+    fixes the prefix groups one at a time, contracting the coefficients of
+    all forms with each group's points and reusing every contraction for
+    all inner prefixes; n = 2 has no prefix group and solves one system.
+    A group's points are taken one projective line x = u + t*e_last at a
+    time, along which the contraction is A + tB.  For square systems (d
+    forms) with d = 2 or 3 the innermost prefix group has closed-form
+    roots: the coefficients of det(A + tB) are computed once per line and
+    evaluated at every t in one pass, and a kernel is taken only at its
     roots (at every t when it vanishes identically mod p), plus at e_last.
-    Points come in prefix order (``projective_points`` per group), then in
-    kernel order.  Raises WorkLimitError when the prefix count exceeds
-    PREFIX_BUDGET; the budget still counts prefixes, not lines.
+    Every other system is solved at every t.  Points come in prefix order
+    (``projective_points`` per group), then in kernel order.  Raises
+    WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the budget
+    counts prefixes, not lines.
     """
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))

@@ -26,7 +26,6 @@ from itertools import permutations, product
 from math import factorial, gcd
 
 from .errors import (
-    BadReductionError,
     AllPrimesBadError,
     FormatMismatchError,
     SloccGeoError,
@@ -34,11 +33,12 @@ from .errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from .linalg import DEFAULT_PRIMES, clear_denominators
-from .states import flattening_basis
+from .linalg import DEFAULT_PRIMES, check_primes, clear_denominators
+from .states import _frac_str, flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
+    CURVE_AXES,
     MultiForm,
     _PrimeSweep,
     _first_witness,
@@ -50,10 +50,6 @@ KAPPA = 110592
 QUARTIC_J_SCALE = 6912
 
 _CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
-
-#: The formats whose models are curves with determinantal projections, and
-#: the kept axes of each projection.
-CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
 class TernaryCubic:
@@ -468,11 +464,6 @@ class Verdict:
         }
 
 
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _j_json(j):
     if j is None:
         return "singular"
@@ -556,12 +547,18 @@ def curve_singular_mod_p(model_p):
     return any(disc.numerator % model_p.p == 0 for disc in _discriminants(fmt, model_p.rows, 1))
 
 
+#: The hyperdeterminant of each format that has one, as (name, function).
+#: The functions are looked up when called, so a wrapper installed on the
+#: module attribute (as a profiler does) sees every call.
+HYPERDETERMINANTS = {
+    (3, 2): ("cayley", lambda t: cayley_hyperdet(t)),
+    (4, 2): ("schlaefli", lambda t: schlaefli_hyperdet(t)),
+}
+
+
 def _format_hyperdet(t):
-    if (t.n, t.d) == (3, 2):
-        return cayley_hyperdet(t)
-    if (t.n, t.d) == (4, 2):
-        return schlaefli_hyperdet(t)
-    return None
+    entry = HYPERDETERMINANTS.get((t.n, t.d))
+    return None if entry is None else entry[1](t)
 
 
 def classify(t, primes=None):
@@ -579,11 +576,10 @@ def classify(t, primes=None):
     primes not yet filed, the model is smooth when W + R <= C and singular
     when W > C + R, whatever those R primes show.  The primes are still all
     filed as used, bad or excluded, so ``primes_used`` and the witness are
-    those of the full ``smoothness_scan``.
+    those of the full ``smoothness_scan``.  Every prime must pass
+    ``check_primes``, also when no sweep runs.
     """
-    if primes is None:
-        primes = DEFAULT_PRIMES
-    primes = tuple(sorted(set(primes)))
+    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     fmt = (t.n, t.d)
     rows, den = flattening_basis(t)
     rank = len(rows)
@@ -612,7 +608,7 @@ def classify(t, primes=None):
                 if witness is None:
                     witness = _first_witness(reduced, _points(reduced, p))
             used = tuple(sweep.used)
-        except (AllPrimesBadError, BadReductionError):
+        except AllPrimesBadError:
             used, witness = (), None
         return Verdict(
             t.n, t.d, SINGULAR_MODEL, rank, projections,

@@ -97,7 +97,8 @@ def reduce_scalar(x, p):
 
 
 def reduce_mod(x, p):
-    """Reduce a scalar, matrix, subspace, tensor or form modulo p."""
+    """Reduce a scalar, Matrix, Subspace or Tensor modulo p; a Tensor
+    gives the list of its residues (``Tensor.reduce_mod``)."""
     if hasattr(x, "reduce_mod"):
         return x.reduce_mod(p)
     return reduce_scalar(x, p)

@@ -28,7 +28,14 @@ from .errors import (
     SingularOperatorError,
     WorkLimitError,
 )
-from .linalg import Matrix, Subspace, clear_denominators, integer_rref, random_invertible
+from .linalg import (
+    Matrix,
+    Subspace,
+    check_primes,
+    clear_denominators,
+    integer_rref,
+    random_invertible,
+)
 
 _RATIONAL_RE = re.compile(r"^(-?)(\d+)(?:/([1-9]\d*))?$")
 
@@ -108,12 +115,14 @@ class Tensor:
 
     @staticmethod
     def _offset_static(n, d, idx):
+        """Row-major offset of an index tuple; IndexRangeError (an
+        IndexError) when an index lies outside [0, d)."""
         if len(idx) != n:
             raise ValueError("index arity mismatch")
         off = 0
         for i in idx:
             if not 0 <= i < d:
-                raise IndexError(f"index {list(idx)} out of range for d={d}")
+                raise IndexRangeError(f"index {list(idx)} out of range for d={d}")
             off = off * d + i
         return off
 
@@ -224,11 +233,7 @@ def parse_state(document):
         idx = entry["idx"]
         if type(idx) is not list or len(idx) != n or any(type(i) is not int for i in idx):
             raise SchemaError(f"idx must be a list of {n} integers")
-        off = 0
-        for i in idx:
-            if not 0 <= i < d:
-                raise IndexRangeError(f"index {idx} out of range for d={d}")
-            off = off * d + i
+        off = Tensor._offset_static(n, d, idx)
         if off in seen:
             raise DuplicateIndexError(f"index {idx} appears twice")
         c = entry["c"]
@@ -253,14 +258,15 @@ def parse_state(document):
     return Tensor.from_integers(n, d, nums, den)
 
 
-def _coeff_str(c):
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+def _frac_str(x):
+    """A rational (Fraction or int) as "num" or "num/den"."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def state_to_json(t):
     """Canonical serialization: entries sorted by index, zeros omitted."""
     entries = [
-        {"idx": list(idx), "c": _coeff_str(Fraction(a, t.den))}
+        {"idx": list(idx), "c": _frac_str(Fraction(a, t.den))}
         for idx, a in zip(t.indices(), t.nums)
         if a
     ]
@@ -316,8 +322,12 @@ def reduced_flattening_image(t, p):
     Reducing the tensor first and spanning over F_p is the saturated
     reduction of the subspace: denominators introduced by the canonical
     rational basis cannot produce spurious bad primes.  Genuine state
-    denominators still raise BadReductionError.
+    denominators still raise BadReductionError.  Every reduction of a state
+    or of a model over Q passes through here, so p is checked here
+    (``check_primes``): anything but a prime >= 5 raises
+    UnsupportedPrimeError.
     """
+    check_primes((p,))
     residues = t.reduce_mod(p)
     return Subspace.from_rows([residues[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1), p=p)
 

@@ -78,30 +78,25 @@ class HilbertProfile:
         }
 
 
+def _resolution_dims(k_max, steps):
+    """h(0), ..., h(k_max) of the recurrence h(k) = [k = 0] + the sum of
+    c*h(k-s) over the (c, s) steps read off a minimal resolution."""
+    dims = []
+    for k in range(k_max + 1):
+        dims.append(int(k == 0) + sum(c * dims[k - s] for c, s in steps if s <= k))
+    return tuple(dims)
+
+
 def quadratic_expected_dims(k_max):
     """Euler characteristic of 0 -> P_{i+3} -> P_{i+2}^3 -> P_{i+1}^3 ->
     P_i -> S_i -> 0: h(k) = 3h(k-1) - 3h(k-2) + h(k-3), h(0) = 1."""
-    dims = []
-    for k in range(k_max + 1):
-        val = (1 if k == 0 else 0)
-        for coeff, back in ((3, 1), (-3, 2), (1, 3)):
-            if k - back >= 0:
-                val += coeff * dims[k - back]
-        dims.append(val)
-    return tuple(dims)
+    return _resolution_dims(k_max, ((3, 1), (-3, 2), (1, 3)))
 
 
 def cubic_expected_dims(k_max):
     """Euler characteristic of 0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 ->
     P_i -> S_i -> 0: h(k) = 2h(k-1) - 2h(k-3) + h(k-4), h(0) = 1."""
-    dims = []
-    for k in range(k_max + 1):
-        val = (1 if k == 0 else 0)
-        for coeff, back in ((2, 1), (-2, 3), (1, 4)):
-            if k - back >= 0:
-                val += coeff * dims[k - back]
-        dims.append(val)
-    return tuple(dims)
+    return _resolution_dims(k_max, ((2, 1), (-2, 3), (1, 4)))
 
 
 def _monomial_rows(points, slot_pattern, d, p):
@@ -320,13 +315,10 @@ def roundtrip_check(state, p):
     the state-side reduction of the flattening image, as canonical
     subspaces.  The construction guarantees the kernel contains that
     reduction, so a full evaluation rank forces equality; failures
-    therefore surface only as bad reduction or insufficient points, never
-    as a wrong kernel.
+    therefore surface only as bad reduction (raised by the model's
+    reduction, ``model_mod_p``) or insufficient points, never as a wrong
+    kernel.
     """
     model = variety_from_state(state)
-    natural = tuple(range(state.n - 1))
-    relations = relations_from_points(model, p, natural)
-    reduced = reduced_flattening_image(state, p)
-    if reduced.dim != state.d:
-        raise BadReductionError(p, "flattening rank drops modulo p")
-    return relations.basis == reduced
+    relations = relations_from_points(model, p, tuple(range(state.n - 1)))
+    return relations.basis == reduced_flattening_image(state, p)

@@ -177,7 +177,7 @@ def test_enumerate_ghz3_points(ghz3_qutrit):
 
 def test_enumerate_zero_forms_full_space():
     p = 3
-    model = VarietyModel(3, 3, ((0,) * 9,), 1, p, "none")  # one zero form over F_3
+    model = VarietyModel(3, 3, ((0,) * 9,), 1, p)  # one zero form over F_3
     pts = enumerate_points(model, p)
     count = (p * p + p + 1) ** 2
     assert len(pts) == count == 169
@@ -323,6 +323,38 @@ def test_enumeration_matches_reference(fmt):
         assert enumerate_points(model, p) == expected
 
     check()
+
+
+@pytest.mark.parametrize("fmt", [(2, 3), (3, 2), (3, 3), (3, 4)])
+def test_enumeration_matches_reference_on_hand_built_models(fmt):
+    # m != d forms: no closed-form pencil applies, so the walk solves
+    # every t of every line; zero-biased entries give degenerate systems
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    n, d = fmt
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data(), p=st.sampled_from((5, 7)), m=st.sampled_from((1, d - 1, d + 1)))
+    def check(data, p, m):
+        entry = st.one_of(st.just(0), st.integers(0, p - 1))
+        row = st.tuples(*[entry] * d ** (n - 1))
+        model = VarietyModel(n, d, data.draw(st.tuples(*[row] * m)), 1, p)
+        assert enumerate_points(model, p) == reference_points(model, p)
+
+    check()
+
+
+def test_model_without_source_is_not_reduced():
+    # the canonical rows of this state have den = 22; reduced through the
+    # state they give 9 points at p = 11, and without the state there is
+    # no reduction at all
+    model = variety_from_state(random_state(3, 3, 5, seed=0))
+    assert model.den == 22
+    assert len(enumerate_points(model, 11)) == 9
+    bare = VarietyModel(model.n, model.d, model.rows, model.den, None)
+    with pytest.raises(ValueError):
+        model_mod_p(bare, 11)
 
 
 def _with_slocc_images(states):

@@ -4,17 +4,27 @@ from sloccgeo.errors import (
     BadReductionError,
     InsufficientPointsError,
     RankDeficientError,
+    UnsupportedPrimeError,
     WorkLimitError,
     WrongFormatError,
 )
 from sloccgeo.linalg import Subspace
-from sloccgeo.geometry import variety_from_state
+from sloccgeo.geometry import (
+    ProjPoint,
+    enumerate_points,
+    jacobian_rank_at,
+    model_mod_p,
+    smoothness_scan,
+    variety_from_state,
+)
+from sloccgeo.invariants import classify, slocc_compare
 from sloccgeo.states import (
     SloccOperator,
     Tensor,
     apply_slocc,
     basis_state,
     flattening_image,
+    ghz,
     permute_factors,
     random_state,
     reduced_flattening_image,
@@ -250,3 +260,29 @@ def test_hilbert_degree_bounds():
         quadratic_hilbert(t, 11, -1)  # was an empty profile that "matches"
     with pytest.raises(WorkLimitError):
         cubic_hilbert(random_state(4, 2, 5, seed=7), 11, 9)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 9, -5])
+def test_single_prime_entry_points_refuse_non_primes(p):
+    t, t42 = random_state(3, 3, 5, 1), random_state(4, 2, 5, 1)
+    model = variety_from_state(t)
+    entry_points = {
+        "reduced_flattening_image": lambda: reduced_flattening_image(t, p),
+        "model_mod_p": lambda: model_mod_p(model, p),
+        "enumerate_points": lambda: enumerate_points(model, p),
+        "jacobian_rank_at": lambda: jacobian_rank_at(model, ProjPoint(p, ((1, 0, 0),) * 2)),
+        "relations_from_points": lambda: relations_from_points(model, p, (0, 1)),
+        "cyclic_relations": lambda: cyclic_relations(t, p),
+        "quadratic_hilbert": lambda: quadratic_hilbert(t, p, 3),
+        "cubic_hilbert": lambda: cubic_hilbert(t42, p, 3),
+        "roundtrip_check": lambda: roundtrip_check(t, p),
+        "multiplication_surjectivity": lambda: multiplication_surjectivity(t42, (0, 1), p),
+        "classify smooth": lambda: classify(t, [p]),
+        "classify singular": lambda: classify(ghz(3, 3), [p]),
+        "slocc_compare": lambda: slocc_compare(t, ghz(3, 3), [p]),
+        "smoothness_scan": lambda: smoothness_scan(t, [p]),
+    }
+    for name, call in entry_points.items():
+        with pytest.raises(UnsupportedPrimeError):
+            call()
+            pytest.fail(f"{name} accepted p = {p}")
