@@ -837,8 +837,10 @@ def smoothness_scan(t, primes=None):
 def hasse_window(p):
     """Exact integer point-count window for a genus-one curve over F_p:
     [p + 1 - floor(2*sqrt(p)), p + 1 + floor(2*sqrt(p))].  Used as a
-    sanity oracle for the elliptic-curve cases; violations flag bugs."""
+    sanity oracle for the elliptic-curve cases; violations flag bugs.  p
+    must pass ``check_primes``."""
     from math import isqrt
 
+    check_primes((p,))
     b = isqrt(4 * p)
     return p + 1 - b, p + 1 + b

@@ -576,10 +576,10 @@ def classify(t, primes=None):
     primes not yet filed, the model is smooth when W + R <= C and singular
     when W > C + R, whatever those R primes show.  The primes are still all
     filed as used, bad or excluded, so ``primes_used`` and the witness are
-    those of the full ``smoothness_scan``.  Every prime must pass
+    those of the full ``smoothness_scan``.  Given primes must pass
     ``check_primes``, also when no sweep runs.
     """
-    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
+    primes = DEFAULT_PRIMES if primes is None else check_primes(primes)
     fmt = (t.n, t.d)
     rows, den = flattening_basis(t)
     rank = len(rows)

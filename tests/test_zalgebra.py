@@ -12,6 +12,7 @@ from sloccgeo.linalg import Subspace
 from sloccgeo.geometry import (
     ProjPoint,
     enumerate_points,
+    hasse_window,
     jacobian_rank_at,
     model_mod_p,
     smoothness_scan,
@@ -281,6 +282,7 @@ def test_single_prime_entry_points_refuse_non_primes(p):
         "classify singular": lambda: classify(ghz(3, 3), [p]),
         "slocc_compare": lambda: slocc_compare(t, ghz(3, 3), [p]),
         "smoothness_scan": lambda: smoothness_scan(t, [p]),
+        "hasse_window": lambda: hasse_window(p),
     }
     for name, call in entry_points.items():
         with pytest.raises(UnsupportedPrimeError):
