@@ -602,7 +602,8 @@ def _pencil_roots(a, b, d, p):
 @cache
 def _line_bases(d, p):
     """The points (v, 0) of P^(d-1) over F_p, v running over P^(d-2) in
-    projective_points order: the bases of the lines _line_points walks."""
+    projective_points order: the bases of the lines _line_points walks.
+    Cached per (d, p); PREFIX_BUDGET keeps each entry small."""
     return tuple(v + (0,) for v in projective_points(d - 1, p))
 
 
