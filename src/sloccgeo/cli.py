@@ -32,12 +32,7 @@ from .invariants import (
     moduli_dimension,
     slocc_compare,
 )
-from .zalgebra import (
-    check_hilbert_degree,
-    cubic_hilbert,
-    quadratic_hilbert,
-    roundtrip_check,
-)
+from .zalgebra import cubic_hilbert, quadratic_hilbert, roundtrip_check
 
 TOOL = "sloccgeo"
 
@@ -62,6 +57,24 @@ def _parse_primes(text):
     except ValueError:
         raise UnsupportedPrimeError(f"bad prime list {text!r}")
     return check_primes(primes)
+
+
+def _per_prime(primes, check):
+    """(entries, degenerate) over the primes, where check(p) returns one
+    prime's (entry, degenerate).  A SloccGeoError at one prime becomes that
+    prime's {"prime", "error"} entry and counts as degenerate; a
+    WorkLimitError ends the command."""
+    entries, degenerate = [], False
+    for p in primes:
+        try:
+            entry, bad = check(p)
+        except WorkLimitError:
+            raise
+        except SloccGeoError as exc:
+            entry, bad = {"prime": p, "error": str(exc)}, True
+        entries.append(entry)
+        degenerate = degenerate or bad
+    return entries, degenerate
 
 
 def _cmd_classify(args):
@@ -132,18 +145,12 @@ def _cmd_hilbert(args):
     else:
         raise SloccGeoError(f"no Hilbert profile for format {(t.n, t.d)}")
     k_max = args.k_max if args.k_max is not None else default_k
-    # checked here because the loop below reports errors per prime
-    check_hilbert_degree(t.d, k_max)
-    profiles = []
-    degenerate = False
-    for p in args.primes:
-        try:
-            profile = runner(t, p, k_max)
-            profiles.append(profile.to_json_dict())
-            degenerate = degenerate or not profile.matches()
-        except (DegenerateInputError, SloccGeoError) as exc:
-            profiles.append({"prime": p, "error": str(exc)})
-            degenerate = True
+
+    def check(p):
+        profile = runner(t, p, k_max)
+        return profile.to_json_dict(), not profile.matches()
+
+    profiles, degenerate = _per_prime(args.primes, check)
     payload = {"format": [t.n, t.d], "k_max": k_max, "profiles": profiles}
     return payload, _hash(data), degenerate
 
@@ -151,18 +158,12 @@ def _cmd_hilbert(args):
 def _cmd_roundtrip(args):
     data = _read_input(args.state)
     t = parse_state(data)
-    results = []
-    degenerate = False
-    for p in args.primes:
-        try:
-            ok = roundtrip_check(t, p)
-            results.append({"prime": p, "ok": ok})
-            degenerate = degenerate or not ok
-        except WorkLimitError:
-            raise
-        except (DegenerateInputError, SloccGeoError) as exc:
-            results.append({"prime": p, "error": str(exc)})
-            degenerate = True
+
+    def check(p):
+        ok = roundtrip_check(t, p)
+        return {"prime": p, "ok": ok}, not ok
+
+    results, degenerate = _per_prime(args.primes, check)
     payload = {"format": [t.n, t.d], "results": results}
     return payload, _hash(data), degenerate
 

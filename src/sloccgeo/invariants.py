@@ -2,12 +2,15 @@
 
 The plane-cubic invariants S (degree 4) and T (degree 6) are not copied
 from any table: they are generated at first use as full epsilon
-contractions of the symmetric coefficient tensor, then calibrated on the
-Weierstrass family  x1^2*x2 - x0^3 - a*x0*x2^2 - b*x2^3  so that
-j = KAPPA * S^3 / (64*S^3 - T^2) reproduces 1728*4a^3/(4a^3 + 27b^2).
-Requiring S = -3a and T = 108b on that family pins the scale of both
-invariants and forces KAPPA = 110592; the discriminant 64*S^3 - T^2 then
-vanishes exactly on singular cubics.
+contractions of the symmetric coefficient tensor (``_contract``, which sums
+one epsilon at a time over polynomial-valued partial states), then
+calibrated on the Weierstrass family  x1^2*x2 - x0^3 - a*x0*x2^2 - b*x2^3
+by requiring S = -3a and T = 108b.  Both curve kinds then share one rule
+(``_curve``): with c = 64*S^3 for a plane cubic, or c = 4*I^3 from the
+(I, J) of a (2,2)-curve's branch quartic, and b = T or J, the discriminant
+is c - b^2 and j = 1728*c/(c - b^2).  On the Weierstrass family this is
+1728*4a^3/(4a^3 + 27b^2), and the discriminant vanishes exactly on
+singular curves.
 
 Each invariant is kept as one list of integer terms and one Fraction
 scale (1/16 for S, -1/8 for T).  A curve with rational coefficients is
@@ -22,7 +25,7 @@ discriminant vanishes: p divides its numerator.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial, gcd
 
 from .errors import (
@@ -45,9 +48,6 @@ from .geometry import (
     _points,
     projection_coefficients,
 )
-
-KAPPA = 110592
-QUARTIC_J_SCALE = 6912
 
 _CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
 
@@ -130,52 +130,43 @@ _W = {
 }
 
 
-def _accumulate(poly, key, coeff):
-    val = poly.get(key, 0) + coeff
-    if val:
-        poly[key] = val
-    else:
-        poly.pop(key, None)
+def _contract(wiring):
+    """Complete contraction of copies of the cubic tensor with one epsilon
+    per entry of ``wiring``: copy wiring[e][s] feeds slot s of epsilon e.
+
+    The epsilons are summed one at a time.  A state holds the indices each
+    unfinished copy has received, sorted because the tensor is symmetric;
+    a copy that receives its third index multiplies its entry of _W into
+    the term and leaves the state (its slot reads () again: the wiring
+    fixes which copies are done), so equal states merge.  Returns
+    {sorted monomial indices: integer coefficient}.
+    """
+    states = {((),) * (1 + max(map(max, wiring))): {(): 1}}
+    for slots in wiring:
+        merged = {}
+        for state, poly in states.items():
+            for perm, sign in _PERMS3:
+                got, coeff, monos = list(state), sign, ()
+                for c, i in zip(slots, perm):
+                    got[c] = tuple(sorted(got[c] + (i,)))
+                    if len(got[c]) == 3:
+                        fac, m = _W[got[c]]
+                        coeff, monos, got[c] = coeff * fac, monos + (m,), ()
+                target = merged.setdefault(tuple(got), {})
+                for key, k in poly.items():
+                    key = tuple(sorted(key + monos))
+                    target[key] = target.get(key, 0) + coeff * k
+        states = merged
+    (poly,) = states.values()
+    return {key: k for key, k in poly.items() if k}
 
 
-def _contract_degree4():
-    """Complete contraction of four copies of the cubic tensor with four
-    epsilons; each tensor skips exactly one epsilon, which is the unique
-    3-regular pairing at this degree."""
-    poly = {}
-    for (a, sa), (b, sb), (c, sc), (d, sd) in product(_PERMS3, repeat=4):
-        ents = (
-            _W[(b[0], c[0], d[0])],
-            _W[(a[0], c[1], d[1])],
-            _W[(a[1], b[1], d[2])],
-            _W[(a[2], b[2], c[2])],
-        )
-        coeff = sa * sb * sc * sd
-        exps = [0] * 10
-        for fac, m in ents:
-            coeff *= fac
-            exps[m] += 1
-        _accumulate(poly, tuple(exps), coeff)
-    return poly
-
-
-def _contract_degree6():
-    """Cyclic contraction of six copies with six epsilons: tensor i feeds
-    slot 0 of epsilon i, slot 1 of epsilon i+1, slot 2 of epsilon i+2."""
-    poly = {}
-    for perms in product(_PERMS3, repeat=6):
-        coeff = 1
-        for _, s in perms:
-            coeff *= s
-        exps = [0] * 10
-        for i in range(6):
-            fac, m = _W[
-                (perms[i][0][0], perms[(i + 1) % 6][0][1], perms[(i + 2) % 6][0][2])
-            ]
-            coeff *= fac
-            exps[m] += 1
-        _accumulate(poly, tuple(exps), coeff)
-    return poly
+#: Tensor copies feeding slots 0, 1, 2 of each epsilon.  S: each copy skips
+#: exactly one epsilon, the unique 3-regular pairing at degree 4.  T: the
+#: cyclic contraction, copy i feeding slot 0 of epsilon i, slot 1 of
+#: epsilon i+1 and slot 2 of epsilon i+2.
+_S_WIRING = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+_T_WIRING = tuple((e, (e - 1) % 6, (e - 2) % 6) for e in range(6))
 
 
 def _evaluate(terms, coeffs):
@@ -193,10 +184,7 @@ def _term_list(poly, target, unit):
     content, and the scale that makes the invariant equal ``target`` on
     the cubic with coefficients ``unit``."""
     content = reduce(gcd, poly.values())
-    terms = [
-        (k // content, tuple(m for m, e in enumerate(exps) for _ in range(e)))
-        for exps, k in poly.items()
-    ]
+    terms = [(k // content, idx) for idx, k in poly.items()]
     value = _evaluate(terms, unit)
     if value == 0:
         raise SloccGeoError("invariant contraction degenerated; calibration impossible")
@@ -209,8 +197,8 @@ def _calibrated_invariants():
     unit_a = [int(c) for c in TernaryCubic.weierstrass(1, 0).coeffs]
     unit_b = [int(c) for c in TernaryCubic.weierstrass(0, 1).coeffs]
     return (
-        _term_list(_contract_degree4(), -3, unit_a),
-        _term_list(_contract_degree6(), 108, unit_b),
+        _term_list(_contract(_S_WIRING), -3, unit_a),
+        _term_list(_contract(_T_WIRING), 108, unit_b),
     )
 
 
@@ -235,17 +223,12 @@ def aronhold_invariants(f):
 
 
 def cubic_discriminant(f):
-    s, t = aronhold_invariants(f)
-    return 64 * s**3 - t**2
+    return _curve(PLANE_CUBIC, aronhold_invariants(f)).discriminant
 
 
 def j_plane_cubic(f):
     """j-invariant of a plane cubic; None marks the singular locus."""
-    s, t = aronhold_invariants(f)
-    disc = 64 * s**3 - t**2
-    if disc == 0:
-        return None
-    return KAPPA * s**3 / disc
+    return _curve(PLANE_CUBIC, aronhold_invariants(f)).j
 
 
 @dataclass(frozen=True)
@@ -281,17 +264,12 @@ def quartic_invariants(g):
 
 
 def quartic_discriminant(g):
-    i_val, j_val = quartic_invariants(g)
-    return 4 * i_val**3 - j_val**2
+    return _curve(BIQUADRATIC, quartic_invariants(g)).discriminant
 
 
 def j_binary_quartic(g):
     """j-invariant of the double cover branched at the quartic's roots."""
-    i_val, j_val = quartic_invariants(g)
-    disc = 4 * i_val**3 - j_val**2
-    if disc == 0:
-        return None
-    return QUARTIC_J_SCALE * i_val**3 / disc
+    return _curve(BIQUADRATIC, quartic_invariants(g)).j
 
 
 def _conv(u, v):
@@ -471,12 +449,19 @@ def _j_json(j):
     return [str(j.numerator), str(j.denominator)]
 
 
+def _curve(kind, pair):
+    """The invariants of a plane cubic from (S, T), or of a (2,2)-curve
+    from the (I, J) of its branch quartic.  With c = 64*S^3 or 4*I^3 and
+    b = T or J, the discriminant is c - b^2 and j = 1728*c/(c - b^2); j is
+    None where the discriminant vanishes."""
+    c = (64 if kind == PLANE_CUBIC else 4) * pair[0] ** 3
+    disc = c - pair[1] ** 2
+    return CurveInvariants(kind, pair, disc, None if disc == 0 else 1728 * c / disc)
+
+
 def _plane_cubic(coeffs, den):
     """Invariants of the plane cubic with integer coefficients coeffs / den."""
-    s, tv = _cubic_st(coeffs, den)
-    disc = 64 * s**3 - tv**2
-    j = None if disc == 0 else KAPPA * s**3 / disc
-    return CurveInvariants(PLANE_CUBIC, (s, tv), disc, j)
+    return _curve(PLANE_CUBIC, _cubic_st(coeffs, den))
 
 
 def _biquadratic(coeffs, den):
@@ -484,10 +469,7 @@ def _biquadratic(coeffs, den):
     its branch quartic is _branch(coeffs) / den^2, so I and J are integers
     divided by den^4 and den^6."""
     i_int, j_int = _ij(*_branch(coeffs))
-    i_val, j_val = Fraction(i_int, den**4), Fraction(j_int, den**6)
-    disc = 4 * i_val**3 - j_val**2
-    j = None if disc == 0 else QUARTIC_J_SCALE * i_val**3 / disc
-    return CurveInvariants(BIQUADRATIC, (i_val, j_val), disc, j)
+    return _curve(BIQUADRATIC, (Fraction(i_int, den**4), Fraction(j_int, den**6)))
 
 
 def _curve_projections(fmt, rows, den):

@@ -100,11 +100,12 @@ def cubic_expected_dims(k_max):
 
 
 def _monomial_rows(points, slot_pattern, d, p):
-    """Evaluation matrix: one row per point, one column per slot monomial."""
+    """Evaluation matrix: one row per point, given as a tuple of coordinate
+    vectors, and one column per slot monomial."""
     k = len(slot_pattern)
     rows = []
     for pt in points:
-        coords = [pt.coords[g] for g in slot_pattern]
+        coords = [pt[g] for g in slot_pattern]
         row = []
         for idx in product(range(d), repeat=k):
             val = 1
@@ -132,7 +133,7 @@ def relations_from_points(model, p, slot_pattern):
     reduced = model_mod_p(model, p)
     points = enumerate_points(reduced, p)
     target_rank = min(k * d, d**k)
-    matrix = _monomial_rows(points, slot_pattern, d, p)
+    matrix = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p)
     rank = matrix.rank()
     if rank < target_rank:
         raise InsufficientPointsError(
@@ -301,10 +302,7 @@ def multiplication_surjectivity(state, axis_pair, p):
         raise InsufficientPointsError(
             f"only {len(projected)} projected points at p={p}; kernel not determined"
         )
-    rows = [
-        [x[i] * y[j] % p for i in range(2) for j in range(2)] for x, y in projected
-    ]
-    rank = Matrix(rows, cols=4, p=p).rank()
+    rank = _monomial_rows(projected, (0, 1), 2, p).rank()
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 
@@ -313,12 +311,12 @@ def roundtrip_check(state, p):
 
     True when the kernel of the natural slot-monomial evaluation equals
     the state-side reduction of the flattening image, as canonical
-    subspaces.  The construction guarantees the kernel contains that
+    subspaces: the kernel's RREF rows are those of the reduced model.  The construction guarantees the kernel contains that
     reduction, so a full evaluation rank forces equality; failures
     therefore surface only as bad reduction (raised by the model's
     reduction, ``model_mod_p``) or insufficient points, never as a wrong
     kernel.
     """
-    model = variety_from_state(state)
-    relations = relations_from_points(model, p, tuple(range(state.n - 1)))
-    return relations.basis == reduced_flattening_image(state, p)
+    reduced = model_mod_p(variety_from_state(state), p)
+    relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
+    return relations.basis.basis.entries == reduced.rows

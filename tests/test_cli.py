@@ -134,6 +134,9 @@ def test_roundtrip_degenerate_is_reported(tmp_path, capsys):
     code, doc = run_json(capsys, ["roundtrip", path, "--primes", "7"])
     assert code == 0
     assert "error" in doc["results"][0]
+    # a per-prime error entry counts as degenerate under --strict
+    code, strict_doc = run_json(capsys, ["roundtrip", path, "--primes", "7", "--strict"])
+    assert code == 1 and strict_doc == doc
 
 
 def test_sample_writes_canonical_state(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -46,8 +46,11 @@ from sloccgeo.invariants import (
     j_biquadratic,
     j_plane_cubic,
     moduli_dimension,
-    _contract_degree4,
-    _contract_degree6,
+    _PERMS3,
+    _S_WIRING,
+    _T_WIRING,
+    _W,
+    _contract,
     _curve_projections,
     quartic_discriminant,
     quartic_invariants,
@@ -386,6 +389,73 @@ def reference_projection(model, kept):
     return det.drop_groups(kept)
 
 
+def _accumulate(poly, key, coeff):
+    val = poly.get(key, 0) + coeff
+    if val:
+        poly[key] = val
+    else:
+        poly.pop(key, None)
+
+
+def _contract_degree4():
+    """Complete contraction of four copies of the cubic tensor with four
+    epsilons; each tensor skips exactly one epsilon, which is the unique
+    3-regular pairing at this degree."""
+    poly = {}
+    for (a, sa), (b, sb), (c, sc), (d, sd) in product(_PERMS3, repeat=4):
+        ents = (
+            _W[(b[0], c[0], d[0])],
+            _W[(a[0], c[1], d[1])],
+            _W[(a[1], b[1], d[2])],
+            _W[(a[2], b[2], c[2])],
+        )
+        coeff = sa * sb * sc * sd
+        exps = [0] * 10
+        for fac, m in ents:
+            coeff *= fac
+            exps[m] += 1
+        _accumulate(poly, tuple(exps), coeff)
+    return poly
+
+
+def _contract_degree6():
+    """Cyclic contraction of six copies with six epsilons: tensor i feeds
+    slot 0 of epsilon i, slot 1 of epsilon i+1, slot 2 of epsilon i+2."""
+    poly = {}
+    for perms in product(_PERMS3, repeat=6):
+        coeff = 1
+        for _, s in perms:
+            coeff *= s
+        exps = [0] * 10
+        for i in range(6):
+            fac, m = _W[
+                (perms[i][0][0], perms[(i + 1) % 6][0][1], perms[(i + 2) % 6][0][2])
+            ]
+            coeff *= fac
+            exps[m] += 1
+        _accumulate(poly, tuple(exps), coeff)
+    return poly
+
+
+@functools.cache
+def reference_contractions():
+    """The full brute-force sums over every epsilon permutation, keyed by
+    exponent vectors: (S contraction, T contraction)."""
+    return _contract_degree4(), _contract_degree6()
+
+
+def test_contraction_matches_full_sum():
+    # the epsilon-at-a-time contraction against the 6^4 and 6^6 full sums
+    for wiring, full in zip((_S_WIRING, _T_WIRING), reference_contractions()):
+        contracted, exps = _contract(wiring), {}
+        for idx, k in contracted.items():
+            vec = [0] * 10
+            for m in idx:
+                vec[m] += 1
+            exps[tuple(vec)] = k
+        assert len(exps) == len(contracted) and exps == full
+
+
 def reference_evaluate(poly, coeffs):
     total = Fraction(0)
     for exps, k in poly.items():
@@ -399,7 +469,7 @@ def reference_evaluate(poly, coeffs):
 
 @functools.cache
 def reference_st_polys():
-    s_raw, t_raw = _contract_degree4(), _contract_degree6()
+    s_raw, t_raw = reference_contractions()
     u = reference_evaluate(s_raw, TernaryCubic.weierstrass(1, 0).coeffs)
     v = reference_evaluate(t_raw, TernaryCubic.weierstrass(0, 1).coeffs)
     return (

@@ -244,6 +244,24 @@ def test_roundtrip_generic_42(family_1235):
     assert roundtrip_check(family_1235, 13) is True
 
 
+def test_roundtrip_reduces_the_state_once(monkeypatch):
+    # the reduced model's rows are the reduced flattening image, so the
+    # comparison needs no second reduction
+    import sloccgeo.geometry
+    import sloccgeo.zalgebra
+
+    seen = []
+
+    def counting(t, p):
+        seen.append(p)
+        return reduced_flattening_image(t, p)
+
+    for module in (sloccgeo.geometry, sloccgeo.zalgebra):
+        monkeypatch.setattr(module, "reduced_flattening_image", counting)
+    assert roundtrip_check(random_state(3, 3, 5, 10), 11) is True
+    assert seen == [11]
+
+
 def test_roundtrip_separable_rank_deficient():
     with pytest.raises(RankDeficientError):
         roundtrip_check(basis_state(3, 3, (0, 0, 0)), 11)
