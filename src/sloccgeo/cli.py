@@ -5,7 +5,7 @@ the tool version and the SHA-256 of the raw input bytes, so identical
 invocations produce byte-identical output.  ``--pretty`` switches to a
 plain-text table (no color is ever emitted, so NO_COLOR is honored
 trivially).  Exit codes: 0 success, 1 degenerate-input verdict under
-``--strict``, 2 usage or input errors.
+``--strict``, 2 usage or input errors (an unwritable ``--out`` included).
 """
 
 import argparse
@@ -43,6 +43,18 @@ def _read_input(path):
             return fh.read()
     except OSError as exc:
         raise InputFileError(f"cannot read {path}: {exc.strerror}")
+
+
+def _write(path, text):
+    """Write text to path, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputFileError(f"cannot write {path}: {exc.strerror}")
 
 
 def _hash(data):
@@ -170,12 +182,7 @@ def _cmd_roundtrip(args):
 
 def _cmd_sample(args):
     t = random_state(args.n, args.d, args.bound, args.seed)
-    text = state_to_json(t) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, state_to_json(t) + "\n")
     return None, None, False
 
 
@@ -279,26 +286,22 @@ def run(argv):
     exit code instead of raising SystemExit (except for usage errors)."""
     try:
         args = build_parser().parse_args(argv)
-        payload, input_hash, degenerate = _HANDLERS[args.command](args)
-    except DegenerateInputError as exc:
-        payload = {"error": type(exc).__name__, "detail": str(exc)}
-        input_hash = None
-        degenerate = True
+        try:
+            payload, input_hash, degenerate = _HANDLERS[args.command](args)
+        except DegenerateInputError as exc:
+            payload = {"error": type(exc).__name__, "detail": str(exc)}
+            input_hash = None
+            degenerate = True
+        if payload is not None:  # sample writes the state file itself
+            report = {"tool": TOOL, "version": __version__, "command": args.command}
+            report["input_hash"] = input_hash
+            report.update(payload)
+            pretty = getattr(args, "pretty", False)
+            text = _pretty(report) if pretty else json.dumps(report, indent=2) + "\n"
+            _write(getattr(args, "out", None), text)
     except (SloccGeoError, IndexError, ValueError) as exc:
         print(f"{TOOL}: {exc}", file=sys.stderr)
         return 2
-    if payload is None:  # sample writes the state file itself
-        return 0
-    report = {"tool": TOOL, "version": __version__, "command": args.command}
-    report["input_hash"] = input_hash
-    report.update(payload)
-    text = _pretty(report) if getattr(args, "pretty", False) else json.dumps(report, indent=2) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     if degenerate and getattr(args, "strict", False):
         return 1
     return 0

@@ -42,7 +42,8 @@ class BadReductionError(SloccGeoError):
 
 
 class InputFileError(SloccGeoError):
-    """A state file cannot be opened or read."""
+    """A state file cannot be opened or read, or an ``--out`` file cannot be
+    written."""
 
 
 class SchemaError(SloccGeoError):

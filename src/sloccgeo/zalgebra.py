@@ -5,15 +5,21 @@ A (3,3) or (4,2) state w in V^(x)n defines a Z-algebra: its relation space
 R_j is the flattening image of w with the factors rotated by j, and the
 degree-k part is V^(x)k modulo the span of all
 V^(x)j (x) R_{j mod n} (x) V^(x)(k-a-j), where a = n - 1 is the relation
-degree.  By construction w lies in
-R_0 (x) V and in V (x) R_1, the overlap condition of a regular algebra
-(Artin-Tate-Van den Bergh); generic states give the Hilbert functions of
-3-dimensional quadratic and cubic regular algebras.  The ranks are taken
-over F_p after reducing the state, so a profile is evidence at one prime
-and agreement across good primes is the intended standard.  The expected
-Hilbert values are not hardcoded: they come from the Euler characteristics
-of the two minimal resolution shapes (quadratic and cubic), evaluated by a
-plain linear recurrence.
+degree.  By construction w lies in R_0 (x) V and in V (x) R_1, the
+overlap condition of a regular algebra (Artin-Tate-Van den Bergh); generic
+states give the Hilbert functions of 3-dimensional quadratic and cubic
+regular algebras.  The expected Hilbert values are not hardcoded: they
+come from the Euler characteristics of the two minimal resolution shapes
+(quadratic and cubic), evaluated by a plain linear recurrence.
+
+The profile is built in the quotient one degree at a time.  The span in
+degree k is the span in degree k-1 tensored with V plus
+V^(x)(k-a) (x) R_{(k-a) mod n}, so A_k = (A_{k-1} (x) V) / W_k, where W_k
+is the image of A_{k-a} (x) R_{(k-a) mod n} under the multiplication maps
+that the earlier degrees built.  Each degree ranks an h_{k-a}*d by
+h_{k-1}*d matrix, not the d^k-wide span of every shift.  The ranks are
+taken over F_p after reducing the state, so a profile is evidence at one
+prime and agreement across good primes is the intended standard.
 
 The reconstruction roundtrip and the section-product test evaluate slot
 monomials at the model's F_p-points instead.
@@ -169,31 +175,25 @@ def cyclic_relations(state, p):
     return spaces
 
 
-def _insertion_rank(relation_spaces, arity, k, d, p):
-    """Dimension of the span of all degree-k shifts of the relations:
-    position j contributes V^(x)j (x) R_{j mod n} (x) V^(x)(k-arity-j)."""
-    rows = []
-    for j in range(k - arity + 1):
-        rel = relation_spaces[j % len(relation_spaces)]
-        left = d**j
-        right = d ** (k - arity - j)
-        block = d**arity
-        for basis_row in rel.basis.entries:
-            for li in range(left):
-                for ri in range(right):
-                    row = [0] * d**k
-                    for m, c in enumerate(basis_row):
-                        if c:
-                            row[(li * block + m) * right + ri] = c
-                    rows.append(row)
-    if not rows:
-        return 0
-    return Matrix(rows, cols=d**k, p=p).rank()
+def _push(terms, mu, size, rest, p):
+    """Apply mu (x) id to the (index, coefficient) terms of a vector of
+    A_j (x) V (x) V^(x)rest, indexed (column of A_j (x) V) * d**rest + word;
+    the image lies in A_{j+1} (x) V^(x)rest, where A_{j+1} has dimension
+    size."""
+    out = [0] * (size * rest)
+    for idx, c in terms:
+        if c:
+            col, word = divmod(idx, rest)
+            for i, x in enumerate(mu[col]):
+                if x:
+                    out[i * rest + word] += c * x
+    return [x % p for x in out]
 
 
-#: Widest degree a Hilbert profile may reach: d**k_max columns.  That is
-#: k_max <= 5 for (3,3) and k_max <= 8 for (4,2); the rank costs ~35x more
-#: per (3,3) degree.
+#: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
+#: for (3,3) and k_max <= 8 for (4,2).  The quotient recursion is cheap on
+#: generic states, but degenerate relations let h_k grow like 3*2**(k-1)
+#: (the x^2, y^2, z^2 of GHZ), so the worst case is still d**k wide.
 MAX_PROFILE_WIDTH = 256
 
 
@@ -209,16 +209,46 @@ def check_hilbert_degree(d, k_max):
 
 
 def _hilbert_profile(state, p, k_max, kind, expected_fn):
+    """dim A_m for m <= k_max, built one degree at a time in the quotient.
+
+    I_m = I_{m-1} (x) V + V^(x)(m-a) (x) R_{(m-a) mod n}, so A_m is
+    (A_{m-1} (x) V) / W_m, where W_m is the image of A_{m-a} (x) R.  Each
+    basis vector of A_{m-a} tensored with each basis row of R is carried
+    into A_{m-1} (x) V through the multiplication maps
+    mu_j: A_{j-1} (x) V -> A_j of the earlier degrees.  The RREF of those
+    rows leaves the free columns as A_m's basis; mu_m keeps a free column
+    and sends a pivot column to minus its row on the free columns.
+    """
     check_hilbert_degree(state.d, k_max)
     spaces = cyclic_relations(state, p)
-    arity = state.n - 1
-    d = state.d
-    dims = []
-    for k in range(k_max + 1):
-        if k < arity:
-            dims.append(d**k)
-        else:
-            dims.append(d**k - _insertion_rank(spaces, arity, k, d, p))
+    n, d = state.n, state.d
+    arity = n - 1
+    relations = [space.basis.entries for space in spaces]
+    dims = [1]
+    mus = [None]  # mus[m][c]: image in A_m of column c of A_{m-1} (x) V
+    for m in range(1, k_max + 1):
+        width = dims[m - 1] * d
+        rows = []
+        if m >= arity:
+            block = d**arity
+            for b in range(dims[m - arity]):
+                for rel in relations[(m - arity) % n]:
+                    terms = [(b * block + w, c) for w, c in enumerate(rel)]
+                    for j in range(m - arity + 1, m):
+                        vec = _push(terms, mus[j], dims[j], d ** (m - j), p)
+                        terms = enumerate(vec)
+                    rows.append(vec)
+            rank, reduced = Matrix(rows, cols=width, p=p).rref()
+            rows = reduced.entries[:rank]
+        pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+        free = [c for c in range(width) if c not in pivots]
+        mu = [None] * width
+        for i, c in enumerate(free):
+            mu[c] = [int(i == k) for k in range(len(free))]
+        for pivot, row in zip(pivots, rows):
+            mu[pivot] = [-row[c] % p for c in free]
+        mus.append(mu)
+        dims.append(len(free))
     return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
 
 
@@ -311,11 +341,11 @@ def roundtrip_check(state, p):
 
     True when the kernel of the natural slot-monomial evaluation equals
     the state-side reduction of the flattening image, as canonical
-    subspaces: the kernel's RREF rows are those of the reduced model.  The construction guarantees the kernel contains that
-    reduction, so a full evaluation rank forces equality; failures
-    therefore surface only as bad reduction (raised by the model's
-    reduction, ``model_mod_p``) or insufficient points, never as a wrong
-    kernel.
+    subspaces: the kernel's RREF rows are those of the reduced model.
+    The construction guarantees the kernel contains that reduction, so a
+    full evaluation rank forces equality; failures therefore surface only
+    as bad reduction (raised by the model's reduction, ``model_mod_p``) or
+    insufficient points, never as a wrong kernel.
     """
     reduced = model_mod_p(variety_from_state(state), p)
     relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))

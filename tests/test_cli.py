@@ -176,6 +176,17 @@ def test_missing_file_exits_2(tmp_path, capsys):
         assert f"cannot read {path}" in captured.err
 
 
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    state = write_state(tmp_path, "ghz3.json", ghz(3, 3))
+    out = str(tmp_path / "missing" / "x.json")
+    for argv in (["classify", state], ["moduli-dim", "--n", "3", "--d", "3"],
+                 ["sample", "--n", "3", "--d", "3"]):
+        code = run(argv + ["--out", out])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, argv
+        assert f"cannot write {out}" in captured.err
+
+
 def test_bad_state_file_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"n": 3}', encoding="utf-8")

@@ -8,7 +8,7 @@ from sloccgeo.errors import (
     WorkLimitError,
     WrongFormatError,
 )
-from sloccgeo.linalg import Subspace
+from sloccgeo.linalg import Matrix, Subspace
 from sloccgeo.geometry import (
     ProjPoint,
     enumerate_points,
@@ -112,6 +112,104 @@ def test_relation_dimension_is_slocc_invariant():
         a = relations_from_points(variety_from_state(t), p, (0, 1))
         b = relations_from_points(variety_from_state(moved), p, (0, 1))
         assert a.dim == b.dim
+
+
+def _insertion_rank(relation_spaces, arity, k, d, p):
+    """Dimension of the span of all degree-k shifts of the relations:
+    position j contributes V^(x)j (x) R_{j mod n} (x) V^(x)(k-arity-j)."""
+    rows = []
+    for j in range(k - arity + 1):
+        rel = relation_spaces[j % len(relation_spaces)]
+        left = d**j
+        right = d ** (k - arity - j)
+        block = d**arity
+        for basis_row in rel.basis.entries:
+            for li in range(left):
+                for ri in range(right):
+                    row = [0] * d**k
+                    for m, c in enumerate(basis_row):
+                        if c:
+                            row[(li * block + m) * right + ri] = c
+                    rows.append(row)
+    if not rows:
+        return 0
+    return Matrix(rows, cols=d**k, p=p).rank()
+
+
+def dense_profile_dims(state, p, k_max):
+    """Brute-force reference: dim A_k = d**k minus the rank of every shift
+    of the relations in the d**k-dimensional V^(x)k."""
+    spaces = cyclic_relations(state, p)
+    arity, d = state.n - 1, state.d
+    return tuple(
+        d**k if k < arity else d**k - _insertion_rank(spaces, arity, k, d, p)
+        for k in range(k_max + 1)
+    )
+
+
+def test_quotient_recursion_matches_dense_rank(ghz3_qutrit):
+    hilbert = {(3, 3): quadratic_hilbert, (4, 2): cubic_hilbert}
+    cases = [
+        (random_state(*fmt, 5, seed=seed), p, k_max)
+        for fmt, k_max in (((3, 3), 4), ((4, 2), 6))
+        for seed in range(12)
+        for p in (5, 7, 11, 13)
+    ]
+    cases += [(random_state(3, 3, 5, seed=3), 11, 5), (random_state(4, 2, 5, seed=3), 11, 8)]
+    # primes of bad geometric reduction: off-target, but the same off-target
+    found = [(random_state(3, 3, 5, seed=30), 7, 4), (random_state(3, 3, 5, seed=13), 11, 4),
+             (random_state(4, 2, 5, seed=33), 5, 6)]
+    ghz_case = (ghz3_qutrit, 13, 5)
+    drop_case = (Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11}), 13, 3)
+    compared = 0
+    for state, p, k_max in cases + found + [ghz_case, drop_case]:
+        try:
+            expected = dense_profile_dims(state, p, k_max)
+        except BadReductionError:
+            with pytest.raises(BadReductionError):
+                hilbert[state.n, state.d](state, p, k_max)
+            continue
+        profile = hilbert[state.n, state.d](state, p, k_max)
+        assert profile.dims == expected, (state.n, state.d, p, k_max)
+        compared += 1
+    assert compared > len(cases) // 2
+    for state, p, k_max in found:
+        assert not hilbert[state.n, state.d](state, p, k_max).matches()
+    assert quadratic_hilbert(*ghz_case).dims == (1, 3, 6, 12, 24, 48)
+    assert quadratic_hilbert(*drop_case).dims == (1, 3, 6, 12)
+
+
+def test_profile_is_slocc_invariant():
+    # g acts on the word positions slot by slot, so it carries each I_k onto
+    # the ideal of the image; with every factor invertible mod p the image
+    # reduces exactly when the state does and has the same profile
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), fmt=st.sampled_from(((3, 3), (4, 2))), p=st.sampled_from((5, 7, 11, 13)))
+    def check(data, fmt, p):
+        n, d = fmt
+        hilbert, k_max = {3: (quadratic_hilbert, 5), 4: (cubic_hilbert, 8)}[n]
+        coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=d**n, max_size=d**n))
+        entry = st.integers(-3, 3)
+        factors = [
+            Matrix(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                      min_size=d, max_size=d)))
+            for _ in range(n)
+        ]
+        assume(all(f.det() % p for f in factors))
+        state = Tensor(n, d, coeffs)
+        moved = apply_slocc(state, SloccOperator(factors))
+        try:
+            dims = hilbert(state, p, k_max).dims
+        except (RankDeficientError, BadReductionError) as exc:
+            with pytest.raises(type(exc)):
+                hilbert(moved, p, k_max)
+            assume(False)
+        assert hilbert(moved, p, k_max).dims == dims
+
+    check()
 
 
 def test_quadratic_profile_generic_state():
