@@ -32,7 +32,7 @@ from .errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, Subspace, kron, random_invertible, reduce_mod
+from .linalg import DEFAULT_PRIMES, Matrix, Subspace, random_invertible
 from .states import (
     SloccOperator,
     Tensor,

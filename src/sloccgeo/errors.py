@@ -33,11 +33,11 @@ class AllPrimesBadError(DegenerateInputError):
 
 
 class BadReductionError(SloccGeoError):
-    """A denominator vanishes modulo the chosen prime."""
+    """The chosen prime is bad for a reduction: it divides a denominator, or
+    the reduced flattening loses rank.  ``message`` says which."""
 
-    def __init__(self, p, value=None):
-        detail = f" for {value}" if value is not None else ""
-        super().__init__(f"denominator divisible by {p}{detail}")
+    def __init__(self, p, message):
+        super().__init__(message)
         self.p = p
 
 

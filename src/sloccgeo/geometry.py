@@ -3,9 +3,12 @@
 A state whose flattening image has full dimension d defines d multilinear
 forms on P(V_1) x ... x P(V_{n-1}); their common zero locus is a complete
 intersection (a plane-cubic-like curve for (3,3) and (4,2), a surface for
-(5,2)).  This module builds those forms, eliminates one factor through
-determinants of the linear-form matrix, and gathers finite-field smoothness
-evidence by exhaustive point enumeration plus Jacobian ranks.
+(5,2)).  This module keeps those forms as integer coefficient rows
+(``VarietyModel``), eliminates one factor through determinants of the
+linear-form matrix, and gathers finite-field smoothness evidence by
+exhaustive point enumeration plus Jacobian ranks.  ``MultiForm`` is only
+the readable value of a form or a projection; no computation goes through
+it.
 
 A model over Q reduces modulo p in one way only: through its source state
 (``model_mod_p``).  Points come from one walk over the variable groups
@@ -62,11 +65,14 @@ CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
 class MultiForm:
-    """Multihomogeneous polynomial in groups of variables.
+    """A multihomogeneous polynomial in groups of variables, as a value.
 
     Terms map flat exponent tuples (all groups concatenated) to coefficients;
     every term must have the same degree within each variable group.  Over Q
     coefficients are Fractions (p=None); over F_p they are ints in [0, p).
+    Forms are built by ``from_multilinear`` (a model's defining forms) and
+    ``determinantal_projection``, then read by coefficient, compared and
+    printed; the pipeline computes on integer coefficient rows, not on forms.
     """
 
     __slots__ = ("group_dims", "multidegree", "terms", "p")
@@ -109,10 +115,6 @@ class MultiForm:
         return tuple(degs)
 
     @classmethod
-    def zero(cls, group_dims, p=None):
-        return cls(group_dims, {}, p=p)
-
-    @classmethod
     def from_multilinear(cls, group_dims, vector, p=None):
         """Read a vector in the tensor product of the groups as a form of
         multidegree (1,...,1); the vector is indexed row-major."""
@@ -135,104 +137,6 @@ class MultiForm:
 
     def is_zero(self):
         return not self.terms
-
-    def _offset(self, group):
-        return sum(self.group_dims[:group])
-
-    def add(self, other):
-        if self.group_dims != other.group_dims or self.p != other.p:
-            raise ValueError("incompatible forms")
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, 0) + c
-        return MultiForm(self.group_dims, terms, p=self.p)
-
-    def scale(self, factor):
-        return MultiForm(
-            self.group_dims,
-            {e: factor * c for e, c in self.terms.items()},
-            p=self.p,
-        )
-
-    def mul(self, other):
-        if self.group_dims != other.group_dims or self.p != other.p:
-            raise ValueError("incompatible forms")
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiForm(self.group_dims, terms, p=self.p)
-
-    def partial(self, group, index):
-        """Derivative with respect to one variable of one group."""
-        v = self._offset(group) + index
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[v] == 0:
-                continue
-            key = exps[:v] + (exps[v] - 1,) + exps[v + 1 :]
-            terms[key] = terms.get(key, 0) + c * exps[v]
-        return MultiForm(self.group_dims, terms, p=self.p)
-
-    def evaluate(self, coords):
-        """Evaluate at one coordinate tuple per group."""
-        flat = [x for group in coords for x in group]
-        if len(flat) != sum(self.group_dims):
-            raise ValueError("coordinate arity mismatch")
-        total = 0
-        for exps, c in self.terms.items():
-            term = c
-            for x, e in zip(flat, exps):
-                if e:
-                    term *= x**e
-            total += term
-        if self.p is not None:
-            total %= self.p
-        return total if self.p is not None else Fraction(total)
-
-    def substitute(self, group, matrix):
-        """Replace the group's variable vector v by matrix @ v."""
-        dim = self.group_dims[group]
-        if matrix.rows != dim or matrix.cols != dim:
-            raise ValueError("substitution matrix has the wrong shape")
-        base = self._offset(group)
-        result = {}
-        for exps, c in self.terms.items():
-            # expand prod_i (sum_j m[i][j] v_j)^(e_i) as a dense map on the group
-            partial_polys = {(0,) * dim: c}
-            for i in range(dim):
-                for _ in range(exps[base + i]):
-                    nxt = {}
-                    for mono, coeff in partial_polys.items():
-                        for j in range(dim):
-                            mij = matrix.entries[i][j]
-                            if mij == 0:
-                                continue
-                            key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                            nxt[key] = nxt.get(key, 0) + coeff * mij
-                    partial_polys = nxt
-            for mono, coeff in partial_polys.items():
-                key = exps[:base] + mono + exps[base + dim :]
-                result[key] = result.get(key, 0) + coeff
-        return MultiForm(self.group_dims, result, p=self.p)
-
-    def drop_groups(self, kept):
-        """Restrict to a subset of groups; degree elsewhere must be zero."""
-        kept = tuple(kept)
-        for g, deg in enumerate(self.multidegree):
-            if g not in kept and deg != 0:
-                raise ValueError(f"nonzero degree in dropped group {g}")
-        spans = []
-        pos = 0
-        for dim in self.group_dims:
-            spans.append((pos, pos + dim))
-            pos += dim
-        terms = {}
-        for exps, c in self.terms.items():
-            key = tuple(x for g in kept for x in exps[spans[g][0] : spans[g][1]])
-            terms[key] = c
-        return MultiForm(tuple(self.group_dims[g] for g in kept), terms, p=self.p)
 
     def coefficient(self, exps):
         zero = 0 if self.p is not None else Fraction(0)
@@ -320,7 +224,7 @@ def model_mod_p(model, p):
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
     sub = reduced_flattening_image(model.source, p)
     if sub.dim < model.d:
-        raise BadReductionError(p, "flattening rank drops modulo p")
+        raise BadReductionError(p, f"flattening rank drops modulo {p}")
     return VarietyModel(model.n, model.d, sub.basis.entries, 1, p, model.source)
 
 

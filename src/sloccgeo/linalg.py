@@ -3,14 +3,19 @@
 Matrices carry their field with them: ``p is None`` means entries are
 ``fractions.Fraction``; ``p`` a prime means entries are ints in ``[0, p)``.
 Every operation is pure and rounding-free, so reduced row-echelon forms are
-canonical and subspaces compare by simple equality.
+canonical and subspaces compare by simple equality.  The pipeline's exact
+flattening is ``integer_rref``, fraction-free.
+
+A Q matrix or subspace is never reduced entrywise: a state or model
+reaches F_p only through ``Tensor.reduce_mod`` and
+``states.reduced_flattening_image``, which check the prime.
 """
 
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .errors import BadReductionError, UnsupportedPrimeError
+from .errors import UnsupportedPrimeError
 
 #: Primes used by default for finite-field reductions.  Small enough for
 #: exhaustive point enumeration, large enough that bad reduction is rare.
@@ -84,26 +89,6 @@ def integer_rref(rows, cols):
     return rank, [[x // g for x in row] for row in basis], prev // g
 
 
-def reduce_scalar(x, p):
-    """Reduce a Fraction (or int) modulo p.
-
-    Raises BadReductionError when the denominator is divisible by p; the
-    caller is expected to move on to another prime.
-    """
-    x = Fraction(x)
-    if x.denominator % p == 0:
-        raise BadReductionError(p, x)
-    return x.numerator * pow(x.denominator, -1, p) % p
-
-
-def reduce_mod(x, p):
-    """Reduce a scalar, Matrix, Subspace or Tensor modulo p; a Tensor
-    gives the list of its residues (``Tensor.reduce_mod``)."""
-    if hasattr(x, "reduce_mod"):
-        return x.reduce_mod(p)
-    return reduce_scalar(x, p)
-
-
 class Matrix:
     """Immutable dense matrix over Q (p=None) or F_p."""
 
@@ -161,13 +146,6 @@ class Matrix:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{field}]({self.rows}x{self.cols}: {body})"
 
-    def transpose(self):
-        return Matrix(
-            [[self.entries[r][c] for r in range(self.rows)] for c in range(self.cols)],
-            cols=self.rows,
-            p=self.p,
-        )
-
     def mul(self, other):
         if self.p != other.p or self.cols != other.rows:
             raise ValueError("incompatible matrices")
@@ -179,14 +157,6 @@ class Matrix:
             for i in range(self.rows)
         ]
         return Matrix(prod, cols=other.cols, p=self.p)
-
-    def apply(self, vector):
-        """Matrix-vector product."""
-        if len(vector) != self.cols:
-            raise ValueError("dimension mismatch")
-        return tuple(
-            sum(row[k] * vector[k] for k in range(self.cols)) for row in self.entries
-        )
 
     def rref(self):
         """Return (rank, reduced) where reduced is the canonical RREF.  Over
@@ -250,19 +220,12 @@ class Matrix:
         free = [c for c in range(self.cols) if c not in pivot_set]
         basis = []
         for f in free:
-            v = [Fraction(0)] * self.cols if self.p is None else [0] * self.cols
+            v = [0] * self.cols
             v[f] = 1
             for r, pc in enumerate(pivots):
                 v[pc] = -red.entries[r][f]
-                if self.p is not None:
-                    v[pc] %= self.p
             basis.append(v)
         return Subspace.from_rows(basis, self.cols, p=self.p)
-
-    def reduce_mod(self, p):
-        if self.p is not None:
-            raise ValueError("matrix already lives over a prime field")
-        return Matrix([[reduce_scalar(x, p) for x in row] for row in self.entries], self.cols, p)
 
 
 class Subspace:
@@ -299,10 +262,6 @@ class Subspace:
         m = Matrix(rows, cols=self.ambient_dim, p=self.basis.p)
         return m.rank() == self.dim
 
-    def reduce_mod(self, p):
-        """Entrywise reduction; an RREF basis over Q stays RREF mod p."""
-        return Subspace(self.ambient_dim, self.basis.reduce_mod(p))
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
@@ -315,23 +274,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def kron(a, b):
-    """Kronecker product, same field."""
-    if a.p != b.p:
-        raise ValueError("field mismatch")
-    out = []
-    for i in range(a.rows):
-        for k in range(b.rows):
-            out.append(
-                [
-                    a.entries[i][j] * b.entries[k][l]
-                    for j in range(a.cols)
-                    for l in range(b.cols)
-                ]
-            )
-    return Matrix(out, cols=a.cols * b.cols, p=a.p)
 
 
 def random_invertible(d, bound, seed):

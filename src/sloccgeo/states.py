@@ -161,9 +161,8 @@ class Tensor:
         denominator, naming the first coefficient whose denominator it
         divides."""
         if self.den % p == 0:
-            raise BadReductionError(
-                p, next(c for c in self.coeffs if c.denominator % p == 0)
-            )
+            bad = next(c for c in self.coeffs if c.denominator % p == 0)
+            raise BadReductionError(p, f"denominator divisible by {p} for {bad}")
         inv = pow(self.den, -1, p)
         return [a * inv % p for a in self.nums]
 

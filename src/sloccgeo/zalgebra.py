@@ -170,7 +170,7 @@ def cyclic_relations(state, p):
     for rotated in rotations:
         reduced = reduced_flattening_image(rotated, p)
         if reduced.dim != d:
-            raise BadReductionError(p, "flattening rank drops modulo p")
+            raise BadReductionError(p, f"flattening rank drops modulo {p}")
         spaces.append(reduced)
     return spaces
 

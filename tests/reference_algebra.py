@@ -1,0 +1,160 @@
+"""Test-only reference algebra on MultiForm and Matrix values.
+
+The library keeps MultiForm as a value type and Matrix without products
+other than ``mul``; the dict-polynomial operations, the matrix-vector
+product, the Kronecker product and the entrywise scalar reduction that the
+tests compare the integer core against live here, as plain functions.
+"""
+
+from fractions import Fraction
+
+from sloccgeo.errors import BadReductionError
+from sloccgeo.geometry import MultiForm
+from sloccgeo.linalg import Matrix
+
+
+def _offset(f, group):
+    return sum(f.group_dims[:group])
+
+
+def zero(group_dims, p=None):
+    return MultiForm(group_dims, {}, p=p)
+
+
+def add(f, g):
+    if f.group_dims != g.group_dims or f.p != g.p:
+        raise ValueError("incompatible forms")
+    terms = dict(f.terms)
+    for exps, c in g.terms.items():
+        terms[exps] = terms.get(exps, 0) + c
+    return MultiForm(f.group_dims, terms, p=f.p)
+
+
+def scale(f, factor):
+    return MultiForm(
+        f.group_dims,
+        {e: factor * c for e, c in f.terms.items()},
+        p=f.p,
+    )
+
+
+def mul(f, g):
+    if f.group_dims != g.group_dims or f.p != g.p:
+        raise ValueError("incompatible forms")
+    terms = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return MultiForm(f.group_dims, terms, p=f.p)
+
+
+def partial(f, group, index):
+    """Derivative with respect to one variable of one group."""
+    v = _offset(f, group) + index
+    terms = {}
+    for exps, c in f.terms.items():
+        if exps[v] == 0:
+            continue
+        key = exps[:v] + (exps[v] - 1,) + exps[v + 1 :]
+        terms[key] = terms.get(key, 0) + c * exps[v]
+    return MultiForm(f.group_dims, terms, p=f.p)
+
+
+def evaluate(f, coords):
+    """Evaluate at one coordinate tuple per group."""
+    flat = [x for group in coords for x in group]
+    if len(flat) != sum(f.group_dims):
+        raise ValueError("coordinate arity mismatch")
+    total = 0
+    for exps, c in f.terms.items():
+        term = c
+        for x, e in zip(flat, exps):
+            if e:
+                term *= x**e
+        total += term
+    if f.p is not None:
+        total %= f.p
+    return total if f.p is not None else Fraction(total)
+
+
+def substitute(f, group, matrix):
+    """Replace the group's variable vector v by matrix @ v."""
+    dim = f.group_dims[group]
+    if matrix.rows != dim or matrix.cols != dim:
+        raise ValueError("substitution matrix has the wrong shape")
+    base = _offset(f, group)
+    result = {}
+    for exps, c in f.terms.items():
+        # expand prod_i (sum_j m[i][j] v_j)^(e_i) as a dense map on the group
+        partial_polys = {(0,) * dim: c}
+        for i in range(dim):
+            for _ in range(exps[base + i]):
+                nxt = {}
+                for mono, coeff in partial_polys.items():
+                    for j in range(dim):
+                        mij = matrix.entries[i][j]
+                        if mij == 0:
+                            continue
+                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
+                        nxt[key] = nxt.get(key, 0) + coeff * mij
+                partial_polys = nxt
+        for mono, coeff in partial_polys.items():
+            key = exps[:base] + mono + exps[base + dim :]
+            result[key] = result.get(key, 0) + coeff
+    return MultiForm(f.group_dims, result, p=f.p)
+
+
+def drop_groups(f, kept):
+    """Restrict to a subset of groups; degree elsewhere must be zero."""
+    kept = tuple(kept)
+    for g, deg in enumerate(f.multidegree):
+        if g not in kept and deg != 0:
+            raise ValueError(f"nonzero degree in dropped group {g}")
+    spans = []
+    pos = 0
+    for dim in f.group_dims:
+        spans.append((pos, pos + dim))
+        pos += dim
+    terms = {}
+    for exps, c in f.terms.items():
+        key = tuple(x for g in kept for x in exps[spans[g][0] : spans[g][1]])
+        terms[key] = c
+    return MultiForm(tuple(f.group_dims[g] for g in kept), terms, p=f.p)
+
+
+def apply(matrix, vector):
+    """Matrix-vector product."""
+    if len(vector) != matrix.cols:
+        raise ValueError("dimension mismatch")
+    return tuple(
+        sum(row[k] * vector[k] for k in range(matrix.cols)) for row in matrix.entries
+    )
+
+
+def kron(a, b):
+    """Kronecker product, same field."""
+    if a.p != b.p:
+        raise ValueError("field mismatch")
+    out = []
+    for i in range(a.rows):
+        for k in range(b.rows):
+            out.append(
+                [
+                    a.entries[i][j] * b.entries[k][l]
+                    for j in range(a.cols)
+                    for l in range(b.cols)
+                ]
+            )
+    return Matrix(out, cols=a.cols * b.cols, p=a.p)
+
+
+def reduce_scalar(x, p):
+    """Reduce a Fraction (or int) modulo p.
+
+    Raises BadReductionError when the denominator is divisible by p.
+    """
+    x = Fraction(x)
+    if x.denominator % p == 0:
+        raise BadReductionError(p, f"denominator divisible by {p} for {x}")
+    return x.numerator * pow(x.denominator, -1, p) % p

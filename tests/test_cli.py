@@ -9,6 +9,7 @@ from sloccgeo.cli import run
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     SloccOperator,
+    Tensor,
     apply_slocc,
     basis_state,
     four_qubit_generic_family,
@@ -137,6 +138,16 @@ def test_roundtrip_degenerate_is_reported(tmp_path, capsys):
     # a per-prime error entry counts as degenerate under --strict
     code, strict_doc = run_json(capsys, ["roundtrip", path, "--primes", "7", "--strict"])
     assert code == 1 and strict_doc == doc
+
+
+def test_rank_drop_mod_p_error_entry(tmp_path, capsys):
+    # no denominator: p = 11 only drops the flattening's rank
+    t = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11})
+    path = write_state(tmp_path, "drop.json", t)
+    for command, key in (("hilbert", "profiles"), ("roundtrip", "results")):
+        code, doc = run_json(capsys, [command, path, "--primes", "11,13"])
+        assert code == 0
+        assert doc[key][0] == {"prime": 11, "error": "flattening rank drops modulo 11"}
 
 
 def test_sample_writes_canonical_state(tmp_path, capsys):

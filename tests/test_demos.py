@@ -1,0 +1,25 @@
+"""Every demo prints exactly its recorded output in demos/expected."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_is_unchanged(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-S", str(demo)],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        check=True,
+        timeout=60,
+    ).stdout
+    assert out == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_bytes()

@@ -37,6 +37,8 @@ from sloccgeo.geometry import (
 )
 from sloccgeo.states import SloccOperator, Tensor, apply_slocc, basis_state, ghz, random_state
 
+import reference_algebra as ref
+
 
 def bilinear(i, j):
     """The (3,3)-group monomial x_i * y_j as an exponent vector."""
@@ -127,14 +129,16 @@ def test_multiform_algebra():
     dims = (2, 2)
     f = MultiForm(dims, {(1, 0, 1, 0): 2, (0, 1, 0, 1): 3})
     g = MultiForm(dims, {(1, 0, 0, 1): 1})
-    prod = f.mul(g)
+    prod = ref.mul(f, g)
     assert prod.multidegree == (2, 2)
     assert prod.terms == {(2, 0, 1, 1): Fraction(2), (1, 1, 0, 2): Fraction(3)}
     # Leibniz rule on one variable
-    left = prod.partial(0, 0)
-    rule = f.partial(0, 0).mul(g).add(f.mul(g.partial(0, 0)))
+    left = ref.partial(prod, 0, 0)
+    rule = ref.add(ref.mul(ref.partial(f, 0, 0), g), ref.mul(f, ref.partial(g, 0, 0)))
     assert left == rule
-    assert f.evaluate(((1, 2), (3, 4))) == 2 * 1 * 3 + 3 * 2 * 4
+    assert ref.evaluate(f, ((1, 2), (3, 4))) == 2 * 1 * 3 + 3 * 2 * 4
+    assert ref.add(f, ref.scale(f, -1)) == ref.zero(dims)
+    assert ref.zero(dims).is_zero() and not f.is_zero()
 
 
 def test_multiform_substitute_matches_evaluation():
@@ -142,19 +146,19 @@ def test_multiform_substitute_matches_evaluation():
     dims = (3,)
     cubic = MultiForm(dims, {(3, 0, 0): 1, (1, 1, 1): -2, (0, 2, 1): 5})
     a = Matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
-    sub = cubic.substitute(0, a)
+    sub = ref.substitute(cubic, 0, a)
     for _ in range(6):
         x = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
-        assert sub.evaluate((x,)) == cubic.evaluate((a.apply(x),))
+        assert ref.evaluate(sub, (x,)) == ref.evaluate(cubic, (ref.apply(a, x),))
 
 
 def test_multiform_drop_groups():
     f = MultiForm((2, 2), {(1, 1, 0, 0): 4})
-    dropped = f.drop_groups((0,))
+    dropped = ref.drop_groups(f, (0,))
     assert dropped.group_dims == (2,)
     assert dropped.terms == {(1, 1): Fraction(4)}
     with pytest.raises(ValueError):
-        MultiForm((2, 2), {(1, 0, 1, 0): 1}).drop_groups((0,))
+        ref.drop_groups(MultiForm((2, 2), {(1, 0, 1, 0): 1}), (0,))
 
 
 def test_projective_points_count():
@@ -172,7 +176,7 @@ def test_enumerate_ghz3_points(ghz3_qutrit):
     assert ((1, 0, 0), (0, 1, 0)) in coords
     reduced = model_mod_p(model, 5)
     for pt in pts:  # membership recheck
-        assert all(f.evaluate(pt.coords) == 0 for f in reduced.forms)
+        assert all(ref.evaluate(f, pt.coords) == 0 for f in reduced.forms)
 
 
 def test_enumerate_zero_forms_full_space():
@@ -288,7 +292,7 @@ def reference_points(model, p):
     units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     points = []
     for prefix in product(*[list(projective_points(d, p))] * (reduced.groups - 1)):
-        rows = [[f.evaluate(prefix + (u,)) for u in units] for f in reduced.forms]
+        rows = [[ref.evaluate(f, prefix + (u,)) for u in units] for f in reduced.forms]
         kernel = Matrix(rows, cols=d, p=p).kernel()
         for tail in _subspace_points(kernel.basis.entries, d, p):
             points.append(ProjPoint(p, prefix + (tail,)))
@@ -443,7 +447,11 @@ def test_jacobian_rows_match_partials(fmt):
         vec = st.tuples(*[st.integers(0, p - 1)] * d)
         coords = data.draw(st.tuples(*[vec] * (n - 1)))
         expected = [
-            [f.partial(g, i).evaluate(coords) for g in range(n - 1) for i in range(d)]
+            [
+                ref.evaluate(ref.partial(f, g, i), coords)
+                for g in range(n - 1)
+                for i in range(d)
+            ]
             for f in reduced.forms
         ]
         assert _jacobian_rows(_coefficient_tensor(reduced), coords, d, p) == expected

@@ -16,7 +16,6 @@ from sloccgeo.linalg import (
     Matrix,
     clear_denominators,
     random_invertible,
-    reduce_scalar,
 )
 from sloccgeo.geometry import (
     CUBIC_MONOMIALS,
@@ -70,6 +69,8 @@ from sloccgeo.states import (
     w_state,
 )
 
+import reference_algebra as ref
+
 # regression constants frozen from exact runs of this implementation
 FAMILY_1235_J = Fraction(498677257, 213444)
 FAMILY_1235_SCHLAEFLI = 622402704000000
@@ -119,7 +120,7 @@ def test_aronhold_covariance_under_substitutions():
     s0, t0 = aronhold_invariants(TernaryCubic.from_form(base))
     for trial in range(20):
         g = random_invertible(3, 3, seed=5000 + trial)
-        moved = TernaryCubic.from_form(base.substitute(0, g))
+        moved = TernaryCubic.from_form(ref.substitute(base, 0, g))
         s1, t1 = aronhold_invariants(moved)
         det = g.det()
         assert s1 == det**4 * s0
@@ -134,7 +135,7 @@ def test_j_is_projectively_invariant():
     assert j0 is not None
     for trial in range(5):
         g = random_invertible(3, 4, seed=900 + trial)
-        moved = TernaryCubic.from_form(cubic.to_form().substitute(0, g))
+        moved = TernaryCubic.from_form(ref.substitute(cubic.to_form(), 0, g))
         assert j_plane_cubic(moved) == j0
         scaled = TernaryCubic([7 * c for c in cubic.coeffs])
         assert j_plane_cubic(scaled) == j0
@@ -363,9 +364,9 @@ def test_compare_format_mismatch(ghz3_qutrit, ghz4):
 
 # ---------------------------------------------------------------- reference
 # Test-only copies of the dict-polynomial constructions that the integer
-# core replaced: the permutation loop over MultiForm.mul, the Fraction
-# evaluation of the calibrated S/T polynomials, and the Schlaefli pencil
-# interpolated from Cayley values at five points.
+# core replaced: the permutation loop over reference_algebra.mul, the
+# Fraction evaluation of the calibrated S/T polynomials, and the Schlaefli
+# pencil interpolated from Cayley values at five points.
 
 
 def _reference_perm_sign(perm):
@@ -379,14 +380,14 @@ def _reference_perm_sign(perm):
 
 def reference_projection(model, kept):
     dropped = next(g for g in range(model.groups) if g not in kept)
-    entries = [[f.partial(dropped, j) for j in range(model.d)] for f in model.forms]
-    det = MultiForm.zero(model.forms[0].group_dims, p=model.forms[0].p)
+    entries = [[ref.partial(f, dropped, j) for j in range(model.d)] for f in model.forms]
+    det = ref.zero(model.forms[0].group_dims, p=model.forms[0].p)
     for perm in permutations(range(model.d)):
         prod_form = entries[0][perm[0]]
         for k in range(1, model.d):
-            prod_form = prod_form.mul(entries[k][perm[k]])
-        det = det.add(prod_form.scale(_reference_perm_sign(perm)))
-    return det.drop_groups(kept)
+            prod_form = ref.mul(prod_form, entries[k][perm[k]])
+        det = ref.add(det, ref.scale(prod_form, _reference_perm_sign(perm)))
+    return ref.drop_groups(det, kept)
 
 
 def _accumulate(poly, key, coeff):
@@ -504,7 +505,7 @@ def reference_curve_singular_mod_p(model_p):
     p = model_p.p
     axes = ((0,), (1,)) if model_p.d == 3 else ((0, 1), (0, 2), (1, 2))
     return any(
-        reduce_scalar(reference_invariants(reference_projection(model_p, kept))[1], p) == 0
+        ref.reduce_scalar(reference_invariants(reference_projection(model_p, kept))[1], p) == 0
         for kept in axes
     )
 

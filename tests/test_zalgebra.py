@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sloccgeo.errors import (
@@ -257,10 +259,21 @@ def test_profile_rank_deficient_in_rotated_flattening():
 
 
 def test_profile_rank_drop_mod_p_is_bad_reduction():
+    # the state has no denominator, so the error names the rank drop alone
     t = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11})
-    with pytest.raises(BadReductionError):
-        quadratic_hilbert(t, 11, 4)
+    for call in (
+        lambda: quadratic_hilbert(t, 11, 4),
+        lambda: model_mod_p(variety_from_state(t), 11),
+    ):
+        with pytest.raises(BadReductionError) as info:
+            call()
+        assert str(info.value) == "flattening rank drops modulo 11"
+        assert info.value.p == 11
     assert quadratic_hilbert(t, 13, 3).dims == (1, 3, 6, 12)
+    # a state denominator keeps its own message
+    with pytest.raises(BadReductionError) as info:
+        quadratic_hilbert(t.scale(Fraction(1, 5)), 5, 4)
+    assert str(info.value) == "denominator divisible by 5 for 1/5"
 
 
 def test_quadratic_profile_flags_ghz3(ghz3_qutrit):
