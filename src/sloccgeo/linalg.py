@@ -6,6 +6,13 @@ Every operation is pure and rounding-free, so reduced row-echelon forms are
 canonical and subspaces compare by simple equality.  The pipeline's exact
 flattening is ``integer_rref``, fraction-free.
 
+Every F_p rank, kernel, subspace and Hilbert degree goes through one
+elimination, ``Matrix.rref``: it copies the rows once, updates each row in
+place from the pivot column rightward, and hands its rows to the private
+``Matrix._trusted`` constructor, which stores rows already in ``[0, p)``
+without reducing them again.  The public constructor checks and reduces
+its input; over F_p it takes integer entries only.
+
 A Q matrix or subspace is never reduced entrywise: a state or model
 reaches F_p only through ``Tensor.reduce_mod`` and
 ``states.reduced_flattening_image``, which check the prime.
@@ -13,6 +20,7 @@ reaches F_p only through ``Tensor.reduce_mod`` and
 
 import random
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, isqrt, lcm
 
 from .errors import UnsupportedPrimeError
@@ -90,12 +98,19 @@ def integer_rref(rows, cols):
 
 
 class Matrix:
-    """Immutable dense matrix over Q (p=None) or F_p."""
+    """Immutable dense matrix over Q (p=None) or F_p.
+
+    The constructor checks its input and reduces it to the field's normal
+    form: Fractions over Q, ints in [0, p) over F_p.  An F_p entry must be
+    an int (bools count); anything else, such as a Fraction or a float,
+    raises TypeError, since reducing it entrywise would silently truncate
+    it.  ``_trusted`` skips the check for rows already in normal form.
+    """
 
     __slots__ = ("rows", "cols", "entries", "p")
 
     def __init__(self, entries, cols=None, p=None):
-        entries = [list(row) for row in entries]
+        entries = [tuple(row) for row in entries]
         if entries:
             cols = len(entries[0])
             if any(len(row) != cols for row in entries):
@@ -105,10 +120,26 @@ class Matrix:
         if p is None:
             norm = [tuple(Fraction(x) for x in row) for row in entries]
         else:
-            norm = [tuple(int(x) % p for x in row) for row in entries]
-        object.__setattr__(self, "rows", len(norm))
+            for row in entries:
+                if not all(map(isinstance, row, repeat(int))):
+                    bad = next(x for x in row if not isinstance(x, int))
+                    raise TypeError(f"F_{p} matrix entry {bad!r} is not an integer")
+            norm = [tuple([x % p for x in row]) for row in entries]
+        self._set(tuple(norm), cols, p)
+
+    @classmethod
+    def _trusted(cls, entries, cols, p):
+        """A Matrix of rows already in normal form, stored without a check:
+        equal-length tuples of ints in [0, p) over F_p (of Fractions over
+        Q)."""
+        m = object.__new__(cls)
+        m._set(tuple(entries), cols, p)
+        return m
+
+    def _set(self, entries, cols, p):
+        object.__setattr__(self, "rows", len(entries))
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", tuple(norm))
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "p", p)
 
     def __setattr__(self, name, value):
@@ -160,7 +191,15 @@ class Matrix:
 
     def rref(self):
         """Return (rank, reduced) where reduced is the canonical RREF.  Over
-        Q it is integer_rref of the matrix cleared of its denominators."""
+        Q it is integer_rref of the matrix cleared of its denominators.
+
+        Over F_p it is one Gauss-Jordan pass on a single copy of the rows.
+        At each pivot the pivot row is zero left of the pivot column, so
+        normalising it and clearing the column from the other rows touch
+        only the columns from the pivot column rightward; each row is
+        updated in place.  The result is built by ``_trusted``: its rows
+        are already in [0, p).
+        """
         p, m = self.p, [list(row) for row in self.entries]
         if p is None:
             rank, rows, den = integer_rref(clear_denominators(m)[0], self.cols)
@@ -168,20 +207,23 @@ class Matrix:
             return rank, Matrix(m + [[0] * self.cols] * (self.rows - rank), cols=self.cols)
         rank = 0
         for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if m[i][col] != 0), None)
+            pivot = next((i for i in range(rank, self.rows) if m[i][col]), None)
             if pivot is None:
                 continue
-            m[rank], m[pivot] = m[pivot], m[rank]
-            inv = pow(m[rank][col], -1, p)
-            m[rank] = [x * inv % p for x in m[rank]]
-            for i in range(self.rows):
-                if i != rank and m[i][col] != 0:
-                    f = m[i][col]
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+            top = m[pivot]
+            m[pivot], m[rank] = m[rank], top
+            inv = pow(top[col], -1, p)
+            if inv != 1:
+                top[col:] = [x * inv % p for x in top[col:]]
+            tail = top[col:]
+            for row in m:
+                f = row[col]
+                if f and row is not top:
+                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
             rank += 1
             if rank == self.rows:
                 break
-        return rank, Matrix(m, cols=self.cols, p=p)
+        return rank, Matrix._trusted([tuple(row) for row in m], self.cols, p)
 
     def rank(self):
         return self.rref()[0]
@@ -212,20 +254,27 @@ class Matrix:
 
     def kernel(self):
         """Right null space as a canonical Subspace of F^cols."""
-        rank, red = self.rref()
-        pivots = []
-        for r in range(rank):
-            pivots.append(next(c for c in range(self.cols) if red.entries[r][c] != 0))
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis = []
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][f]
-            basis.append(v)
-        return Subspace.from_rows(basis, self.cols, p=self.p)
+        return _null_space(*self.rref())
+
+
+def _null_space(rank, reduced):
+    """The right null space of a matrix, as a canonical Subspace, from the
+    (rank, reduced) pair of its ``rref``: one basis vector per free
+    column, with 1 there and minus that column of the reduced rows at the
+    pivot columns."""
+    cols, rows = reduced.cols, reduced.entries[:rank]
+    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
+        v = [0] * cols
+        v[f] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
+    return Subspace.from_rows(basis, cols, p=reduced.p)
 
 
 class Subspace:
@@ -245,9 +294,8 @@ class Subspace:
     @classmethod
     def from_rows(cls, vectors, ambient_dim, p=None):
         """Canonicalize a spanning set: RREF, drop zero rows."""
-        m = Matrix(vectors, cols=ambient_dim, p=p)
-        rank, red = m.rref()
-        return cls(ambient_dim, Matrix(red.entries[:rank], cols=ambient_dim, p=p))
+        rank, red = Matrix(vectors, cols=ambient_dim, p=p).rref()
+        return cls(ambient_dim, Matrix._trusted(red.entries[:rank], ambient_dim, p))
 
     @property
     def dim(self):

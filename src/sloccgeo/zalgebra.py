@@ -35,7 +35,7 @@ from .errors import (
     WorkLimitError,
     WrongFormatError,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, _null_space
 from .states import flattening_basis, permute_factors, reduced_flattening_image
 from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
 
@@ -139,13 +139,12 @@ def relations_from_points(model, p, slot_pattern):
     reduced = model_mod_p(model, p)
     points = enumerate_points(reduced, p)
     target_rank = min(k * d, d**k)
-    matrix = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p)
-    rank = matrix.rank()
+    rank, echelon = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p).rref()
     if rank < target_rank:
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {target_rank} at p={p}"
         )
-    return RelationSpace(p, slot_pattern, d, matrix.kernel())
+    return RelationSpace(p, slot_pattern, d, _null_space(rank, echelon))
 
 
 def cyclic_relations(state, p):
@@ -179,7 +178,7 @@ def _push(terms, mu, size, rest, p):
     """Apply mu (x) id to the (index, coefficient) terms of a vector of
     A_j (x) V (x) V^(x)rest, indexed (column of A_j (x) V) * d**rest + word;
     the image lies in A_{j+1} (x) V^(x)rest, where A_{j+1} has dimension
-    size."""
+    size.  Returns the image's entries as a tuple of ints in [0, p)."""
     out = [0] * (size * rest)
     for idx, c in terms:
         if c:
@@ -187,7 +186,7 @@ def _push(terms, mu, size, rest, p):
             for i, x in enumerate(mu[col]):
                 if x:
                     out[i * rest + word] += c * x
-    return [x % p for x in out]
+    return tuple([x % p for x in out])
 
 
 #: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
@@ -238,7 +237,7 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
                         vec = _push(terms, mus[j], dims[j], d ** (m - j), p)
                         terms = enumerate(vec)
                     rows.append(vec)
-            rank, reduced = Matrix(rows, cols=width, p=p).rref()
+            rank, reduced = Matrix._trusted(rows, width, p).rref()
             rows = reduced.entries[:rank]
         pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
         free = [c for c in range(width) if c not in pivots]

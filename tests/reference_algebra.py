@@ -3,7 +3,9 @@
 The library keeps MultiForm as a value type and Matrix without products
 other than ``mul``; the dict-polynomial operations, the matrix-vector
 product, the Kronecker product and the entrywise scalar reduction that the
-tests compare the integer core against live here, as plain functions.
+tests compare the integer core against live here, as plain functions.  So
+does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
+column-restricted elimination is checked against.
 """
 
 from fractions import Fraction
@@ -158,3 +160,42 @@ def reduce_scalar(x, p):
     if x.denominator % p == 0:
         raise BadReductionError(p, f"denominator divisible by {p} for {x}")
     return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def rref_mod_p(matrix):
+    """(rank, reduced) of an F_p Matrix: every row op rewrites whole rows,
+    and the result goes through the public, reducing constructor."""
+    p, m = matrix.p, [list(row) for row in matrix.entries]
+    rank = 0
+    for col in range(matrix.cols):
+        pivot = next((i for i in range(rank, matrix.rows) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for i in range(matrix.rows):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+        if rank == matrix.rows:
+            break
+    return rank, Matrix(m, cols=matrix.cols, p=p)
+
+
+def kernel_mod_p(matrix):
+    """The canonical basis rows of the right null space of an F_p Matrix,
+    from rref_mod_p alone: the free-column vectors, put in RREF."""
+    p, cols = matrix.p, matrix.cols
+    rank, red = rref_mod_p(matrix)
+    pivots = [next(c for c in range(cols) if red[r, c] != 0) for r in range(rank)]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, f] % p
+        basis.append(v)
+    dim, canonical = rref_mod_p(Matrix(basis, cols=cols, p=p))
+    return canonical.entries[:dim]

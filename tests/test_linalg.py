@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -163,6 +164,67 @@ def test_subspace_canonical_representative():
     assert s1.dim == 2
     assert s1.contains((1, 3, 4))
     assert not s1.contains((0, 0, 1))
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 2.7, "1", None])
+def test_fp_matrix_rejects_non_integer_entries(entry):
+    # 1/2 is 4 mod 7: truncating it to 0 would give a wrong matrix
+    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+        Matrix([[1, entry]], p=7)
+
+
+def test_fp_matrix_takes_ints_and_bools():
+    m = Matrix([[True, False, -1, 15]], p=7)
+    assert m.entries == ((1, 0, 6, 1),)
+    assert all(type(x) is int for x in m.entries[0])
+
+
+FP_PRIMES = (5, 7, 11, 13, 2**31 - 1)
+
+
+def _fp_matrix(draw):
+    """An F_p matrix of 0-6 rows and 0-6 columns whose rows are random
+    combinations of at most min(rows, cols) base rows, with repeats: zero,
+    duplicate and rank-deficient rows are common, and entries come
+    unreduced, in [-2p, 2p]."""
+    from hypothesis import strategies as st
+
+    p = draw(st.sampled_from(FP_PRIMES))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-2, 2), st.integers(-2 * p, 2 * p))
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         max_size=min(rows, cols)))
+    entries = []
+    for _ in range(rows):
+        if entries and draw(st.booleans()):
+            entries.append(list(draw(st.sampled_from(entries))))
+            continue
+        coeffs = [draw(entry) for _ in base]
+        entries.append([sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(cols)])
+    return Matrix(entries, cols=cols, p=p)
+
+
+def test_fp_elimination_matches_reference():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        m = _fp_matrix(data.draw)
+        p = m.p
+        rank, red = ref.rref_mod_p(m)
+        assert m.rref() == (rank, red)
+        assert m.rank() == rank
+        kernel = m.kernel()
+        assert kernel.basis.entries == ref.kernel_mod_p(m)
+        assert kernel.dim == m.cols - rank
+        for v in kernel.basis.entries:
+            assert all(x % p == 0 for x in ref.apply(m, v))
+        span = Subspace.from_rows(m.entries, m.cols, p=p)
+        assert span.basis == Matrix(red.entries[:rank], cols=m.cols, p=p)
+
+    check()
 
 
 def test_matrix_immutable():
