@@ -103,8 +103,9 @@ class Matrix:
     The constructor checks its input and reduces it to the field's normal
     form: Fractions over Q, ints in [0, p) over F_p.  An F_p entry must be
     an int (bools count); anything else, such as a Fraction or a float,
-    raises TypeError, since reducing it entrywise would silently truncate
-    it.  ``_trusted`` skips the check for rows already in normal form.
+    raises TypeError instead of being truncated, since a rational reaches
+    F_p only through its state, which checks the denominator.  ``_trusted``
+    skips the check for rows already in normal form.
     """
 
     __slots__ = ("rows", "cols", "entries", "p")
