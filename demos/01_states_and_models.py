@@ -31,7 +31,7 @@ print("canonical serialization:", state_to_json(ghz3))
 # Its flattening has one unit column per diagonal entry, so the image is
 # three-dimensional and the defining forms are x_k * y_k.
 print("flattening:", flatten_last(ghz3))
-print("image dimension:", flattening_image(ghz3).dim)
+print("image dimension:", flattening_image(ghz3).rows)
 model = variety_from_state(ghz3)
 for form in model.forms:
     print("  defining form:", form)
@@ -44,5 +44,5 @@ except RankDeficientError as err:
 
 # Random integer states are generic: full-dimensional image, smooth model.
 t = random_state(3, 3, 5, seed=42)
-print("random state image dimension:", flattening_image(t).dim)
+print("random state image dimension:", flattening_image(t).rows)
 print("first defining form:", variety_from_state(t).forms[0])

@@ -32,7 +32,7 @@ from .errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, Subspace, random_invertible
+from .linalg import DEFAULT_PRIMES, Matrix, random_invertible
 from .states import (
     SloccOperator,
     Tensor,

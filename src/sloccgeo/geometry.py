@@ -222,10 +222,10 @@ def model_mod_p(model, p):
         return model
     if model.source is None:
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
-    sub = reduced_flattening_image(model.source, p)
-    if sub.dim < model.d:
+    basis = reduced_flattening_image(model.source, p)
+    if basis.rows < model.d:
         raise BadReductionError(p, f"flattening rank drops modulo {p}")
-    return VarietyModel(model.n, model.d, sub.basis.entries, 1, p, model.source)
+    return VarietyModel(model.n, model.d, basis.entries, 1, p, model.source)
 
 
 @dataclass(frozen=True)
@@ -452,7 +452,7 @@ def _kernel_points(system, d, p):
             if any(vec):
                 return (_normalize_projective(vec, p),)
     kernel = Matrix(system, cols=d, p=p).kernel()
-    return tuple(_subspace_points(kernel.basis.entries, d, p))
+    return tuple(_subspace_points(kernel.entries, d, p))
 
 
 def _det(rows):

@@ -1,21 +1,26 @@
 """Exact dense linear algebra over the rationals and prime fields.
 
 Matrices carry their field with them: ``p is None`` means entries are
-``fractions.Fraction``; ``p`` a prime means entries are ints in ``[0, p)``.
-Every operation is pure and rounding-free, so reduced row-echelon forms are
-canonical and subspaces compare by simple equality.  The pipeline's exact
-flattening is ``integer_rref``, fraction-free.
+``fractions.Fraction``; ``p`` an int >= 2 means entries are ints in
+``[0, p)``.  Every operation is pure and rounding-free, so reduced
+row-echelon forms are canonical.  A subspace is its canonical basis, the
+nonzero RREF rows as a ``Matrix`` (``Matrix.row_space``): ``rows`` is its
+dimension and ``cols`` the ambient dimension, and two subspaces are equal
+when these matrices are.  The pipeline's exact flattening is
+``integer_rref``, fraction-free.
 
-Every F_p rank, kernel, subspace and Hilbert degree goes through one
+Every F_p rank, kernel, row space and Hilbert degree goes through one
 elimination, ``Matrix.rref``: it copies the rows once, updates each row in
 place from the pivot column rightward, and hands its rows to the private
 ``Matrix._trusted`` constructor, which stores rows already in ``[0, p)``
 without reducing them again.  The public constructor checks and reduces
-its input; over F_p it takes integer entries only.
+its input; over F_p it takes integer entries only.  Kernels and Hilbert
+quotients read the pivots and free columns of reduced rows through one
+routine, ``_free_basis``.
 
-A Q matrix or subspace is never reduced entrywise: a state or model
-reaches F_p only through ``Tensor.reduce_mod`` and
-``states.reduced_flattening_image``, which check the prime.
+A Q matrix is never reduced entrywise: a state or model reaches F_p only
+through ``Tensor.reduce_mod`` and ``states.reduced_flattening_image``,
+which check the prime.
 """
 
 import random
@@ -101,21 +106,28 @@ class Matrix:
     """Immutable dense matrix over Q (p=None) or F_p.
 
     The constructor checks its input and reduces it to the field's normal
-    form: Fractions over Q, ints in [0, p) over F_p.  An F_p entry must be
-    an int (bools count); anything else, such as a Fraction or a float,
-    raises TypeError instead of being truncated, since a rational reaches
-    F_p only through its state, which checks the denominator.  ``_trusted``
-    skips the check for rows already in normal form.
+    form: Fractions over Q, ints in [0, p) over F_p.  The modulus p must be
+    an int >= 2 (not a bool), else UnsupportedPrimeError; a composite p is
+    refused by ``rref`` at the first pivot it cannot invert.  An F_p entry
+    must be an int (bools count); anything else, such as a Fraction or a
+    float, raises TypeError instead of being truncated, since a rational
+    reaches F_p only through its state, which checks the denominator.
+    ``_trusted`` skips the checks for rows already in normal form.
     """
 
     __slots__ = ("rows", "cols", "entries", "p")
 
     def __init__(self, entries, cols=None, p=None):
+        if p is not None and (type(p) is not int or p < 2):
+            raise UnsupportedPrimeError(f"matrix modulus {p!r} is not an int >= 2")
         entries = [tuple(row) for row in entries]
         if entries:
-            cols = len(entries[0])
-            if any(len(row) != cols for row in entries):
+            width = len(entries[0])
+            if any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
+            if cols not in (None, width):
+                raise ValueError(f"rows of length {width} disagree with cols={cols}")
+            cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         if p is None:
@@ -199,7 +211,8 @@ class Matrix:
         normalising it and clearing the column from the other rows touch
         only the columns from the pivot column rightward; each row is
         updated in place.  The result is built by ``_trusted``: its rows
-        are already in [0, p).
+        are already in [0, p).  A pivot that is not invertible modulo a
+        composite p raises UnsupportedPrimeError.
         """
         p, m = self.p, [list(row) for row in self.entries]
         if p is None:
@@ -213,7 +226,12 @@ class Matrix:
                 continue
             top = m[pivot]
             m[pivot], m[rank] = m[rank], top
-            inv = pow(top[col], -1, p)
+            try:
+                inv = pow(top[col], -1, p)
+            except ValueError:
+                raise UnsupportedPrimeError(
+                    f"pivot {top[col]} is not invertible modulo {p}"
+                ) from None
             if inv != 1:
                 top[col:] = [x * inv % p for x in top[col:]]
             tail = top[col:]
@@ -230,99 +248,71 @@ class Matrix:
         return self.rref()[0]
 
     def det(self):
-        """Exact determinant by cofactor expansion; meant for small sizes."""
+        """Exact determinant by one fraction-free elimination (Bareiss 1968)
+        of the integer rows: the rows cleared of their common denominator L
+        over Q (the result is divided by L^n), the residues over F_p (the
+        result is reduced modulo p).  Each step replaces every row below the
+        pivot by (pivot * row - entry * pivot row) divided exactly by the
+        previous pivot, so the last pivot is the determinant up to the sign
+        of the row swaps; O(n^3) operations on integers that stay minors of
+        the input."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
+        m, den = clear_denominators(self.entries)
+        sign, prev = 1, 1
+        for col in range(self.rows):
+            pivot = next((i for i in range(col, self.rows) if m[i][col]), None)
+            if pivot is None:
+                prev = 0
+                break
+            if pivot != col:
+                m[col], m[pivot], sign = m[pivot], m[col], -sign
+            top = m[col]
+            piv, tail = top[col], top[col + 1 :]
+            for row in m[col + 1 :]:
+                f = row[col]
+                row[col + 1 :] = [(piv * a - f * b) // prev for a, b in zip(row[col + 1 :], tail)]
+            prev = piv
+        if self.p is None:
+            return Fraction(sign * prev, den**self.rows)
+        return sign * prev % self.p
 
-        def expand(rows, cols):
-            if len(cols) == 1:
-                return self.entries[rows[0]][cols[0]]
-            total = 0
-            sign = 1
-            for k, c in enumerate(cols):
-                x = self.entries[rows[0]][c]
-                if x != 0:
-                    rest = cols[:k] + cols[k + 1 :]
-                    total += sign * x * expand(rows[1:], rest)
-                sign = -sign
-            return total
-
-        if n == 0:
-            return Fraction(1) if self.p is None else 1
-        val = expand(tuple(range(n)), tuple(range(n)))
-        return val % self.p if self.p is not None else Fraction(val)
+    def row_space(self):
+        """The row span as its canonical basis: the rank nonzero rows of the
+        RREF, a rank x cols Matrix over the same field."""
+        rank, reduced = self.rref()
+        return Matrix._trusted(reduced.entries[:rank], self.cols, self.p)
 
     def kernel(self):
-        """Right null space as a canonical Subspace of F^cols."""
+        """Right null space as its canonical basis (see ``row_space``)."""
         return _null_space(*self.rref())
 
 
-def _null_space(rank, reduced):
-    """The right null space of a matrix, as a canonical Subspace, from the
-    (rank, reduced) pair of its ``rref``: one basis vector per free
-    column, with 1 there and minus that column of the reduced rows at the
-    pivot columns."""
-    cols, rows = reduced.cols, reduced.entries[:rank]
+def _free_basis(rows, cols):
+    """The free-column basis of the right null space of the nonzero rows
+    of an RREF with cols columns: for each column that is no row's pivot,
+    in order, the vector with 1 there, minus that column of the rows at
+    their pivot columns and 0 elsewhere.  Entries are left unreduced."""
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     pivot_set = set(pivots)
     basis = []
     for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [0] * cols
-        v[f] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[f]
-        basis.append(v)
-    return Subspace.from_rows(basis, cols, p=reduced.p)
+        if f not in pivot_set:
+            v = [0] * cols
+            v[f] = 1
+            for row, pc in zip(rows, pivots):
+                v[pc] = -row[f]
+            basis.append(v)
+    return basis
 
 
-class Subspace:
-    """A linear subspace, stored as the unique RREF basis of its row span."""
-
-    __slots__ = ("ambient_dim", "basis")
-
-    def __init__(self, ambient_dim, basis):
-        if basis.cols != ambient_dim:
-            raise ValueError("basis width disagrees with ambient dimension")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def from_rows(cls, vectors, ambient_dim, p=None):
-        """Canonicalize a spanning set: RREF, drop zero rows."""
-        rank, red = Matrix(vectors, cols=ambient_dim, p=p).rref()
-        return cls(ambient_dim, Matrix._trusted(red.entries[:rank], ambient_dim, p))
-
-    @property
-    def dim(self):
-        return self.basis.rows
-
-    @property
-    def p(self):
-        return self.basis.p
-
-    def contains(self, vector):
-        rows = list(self.basis.entries) + [vector]
-        m = Matrix(rows, cols=self.ambient_dim, p=self.basis.p)
-        return m.rank() == self.dim
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+def _null_space(rank, reduced):
+    """The right null space of a matrix, as its canonical basis, from the
+    (rank, reduced) pair of its ``rref``: the row space of the free-column
+    basis."""
+    cols = reduced.cols
+    basis = _free_basis(reduced.entries[:rank], cols)
+    return Matrix(basis, cols=cols, p=reduced.p).row_space()
 
 
 def random_invertible(d, bound, seed):

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    Subspace,
     check_primes,
     clear_denominators,
     integer_rref,
@@ -308,15 +307,16 @@ def flattening_basis(t):
 
 
 def flattening_image(t):
-    """Column span of flatten_last(t) inside Q^(d**(n-1)); dim <= d.  Its
-    basis is flattening_basis(t) as Fractions."""
+    """Column span of flatten_last(t) inside Q^(d**(n-1)), as its canonical
+    basis: a Matrix of at most d rows, flattening_basis(t) as Fractions."""
     rows, den = flattening_basis(t)
     basis = [[Fraction(x, den) for x in row] for row in rows]
-    return Subspace(t.d ** (t.n - 1), Matrix(basis, cols=t.d ** (t.n - 1)))
+    return Matrix(basis, cols=t.d ** (t.n - 1))
 
 
 def reduced_flattening_image(t, p):
-    """The flattening image over F_p, reduced on the state side.
+    """The flattening image over F_p, reduced on the state side, as its
+    canonical basis (``Matrix.row_space``).
 
     Reducing the tensor first and spanning over F_p is the saturated
     reduction of the subspace: denominators introduced by the canonical
@@ -328,7 +328,8 @@ def reduced_flattening_image(t, p):
     """
     check_primes((p,))
     residues = t.reduce_mod(p)
-    return Subspace.from_rows([residues[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1), p=p)
+    slices = [residues[k :: t.d] for k in range(t.d)]
+    return Matrix(slices, cols=t.d ** (t.n - 1), p=p).row_space()
 
 
 def apply_slocc(t, g):

@@ -28,15 +28,9 @@ monomials at the model's F_p-points instead.
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import (
-    BadReductionError,
-    InsufficientPointsError,
-    RankDeficientError,
-    WorkLimitError,
-    WrongFormatError,
-)
-from .linalg import Matrix, Subspace, _null_space
-from .states import flattening_basis, permute_factors, reduced_flattening_image
+from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
+from .linalg import Matrix, _free_basis, _null_space
+from .states import permute_factors
 from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
 
 
@@ -46,12 +40,14 @@ class RelationSpace:
 
     ``slot_pattern`` lists which variable group feeds each slot, so the
     monomials are products of one coordinate per slot in that order.
+    ``basis`` is the kernel's canonical basis, a Matrix over F_p of
+    slot_dim**arity columns (``Matrix.row_space``).
     """
 
     p: int
     slot_pattern: tuple
     slot_dim: int
-    basis: Subspace
+    basis: Matrix
 
     @property
     def arity(self):
@@ -59,7 +55,7 @@ class RelationSpace:
 
     @property
     def dim(self):
-        return self.basis.dim
+        return self.basis.rows
 
 
 @dataclass(frozen=True)
@@ -148,30 +144,23 @@ def relations_from_points(model, p, slot_pattern):
 
 
 def cyclic_relations(state, p):
-    """The relation spaces R_0, ..., R_{n-1} of a state over F_p.
+    """The basis rows of the relation spaces R_0, ..., R_{n-1} of a state
+    over F_p.
 
     R_j is the state-side reduction of the flattening image of the state
     with its factors rotated by j (factor k moves to position k - j mod n),
-    so the rotation by j lies in both R_j (x) V and V (x) R_{j+1}.
-    Raises RankDeficientError when some rotation's flattening has
-    dimension below d over Q, and BadReductionError when the rank drops
-    only modulo p.
+    so the rotation by j lies in both R_j (x) V and V (x) R_{j+1}: the rows
+    of the rotation's model reduced modulo p (``model_mod_p``).  Every
+    rotation's model is built first, so RankDeficientError (the flattening
+    has dimension below d over Q) wins over BadReductionError (the prime
+    divides a denominator, or the rank drops only modulo p).
     """
-    n, d = state.n, state.d
-    rotations = [
-        permute_factors(state, [(k - j) % n for k in range(n)]) for j in range(n)
+    n = state.n
+    models = [
+        variety_from_state(permute_factors(state, [(k - j) % n for k in range(n)]))
+        for j in range(n)
     ]
-    for rotated in rotations:
-        dim = len(flattening_basis(rotated)[0])
-        if dim != d:
-            raise RankDeficientError(dim, d)
-    spaces = []
-    for rotated in rotations:
-        reduced = reduced_flattening_image(rotated, p)
-        if reduced.dim != d:
-            raise BadReductionError(p, f"flattening rank drops modulo {p}")
-        spaces.append(reduced)
-    return spaces
+    return [model_mod_p(model, p).rows for model in models]
 
 
 def _push(terms, mu, size, rest, p):
@@ -214,15 +203,17 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
     (A_{m-1} (x) V) / W_m, where W_m is the image of A_{m-a} (x) R.  Each
     basis vector of A_{m-a} tensored with each basis row of R is carried
     into A_{m-1} (x) V through the multiplication maps
-    mu_j: A_{j-1} (x) V -> A_j of the earlier degrees.  The RREF of those
-    rows leaves the free columns as A_m's basis; mu_m keeps a free column
-    and sends a pivot column to minus its row on the free columns.
+    mu_j: A_{j-1} (x) V -> A_j of the earlier degrees.  The row space of
+    those rows leaves the free columns as A_m's basis, and mu_m is the
+    transpose of the free-column basis of their null space: it keeps a
+    free column and sends a pivot column to minus its row on the free
+    columns (unreduced; ``_push`` reduces).  When A_m is 0, mu_m sends
+    every column to the empty vector.
     """
     check_hilbert_degree(state.d, k_max)
-    spaces = cyclic_relations(state, p)
+    relations = cyclic_relations(state, p)
     n, d = state.n, state.d
     arity = n - 1
-    relations = [space.basis.entries for space in spaces]
     dims = [1]
     mus = [None]  # mus[m][c]: image in A_m of column c of A_{m-1} (x) V
     for m in range(1, k_max + 1):
@@ -237,17 +228,10 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
                         vec = _push(terms, mus[j], dims[j], d ** (m - j), p)
                         terms = enumerate(vec)
                     rows.append(vec)
-            rank, reduced = Matrix._trusted(rows, width, p).rref()
-            rows = reduced.entries[:rank]
-        pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-        free = [c for c in range(width) if c not in pivots]
-        mu = [None] * width
-        for i, c in enumerate(free):
-            mu[c] = [int(i == k) for k in range(len(free))]
-        for pivot, row in zip(pivots, rows):
-            mu[pivot] = [-row[c] % p for c in free]
-        mus.append(mu)
-        dims.append(len(free))
+            rows = Matrix._trusted(rows, width, p).row_space().entries
+        basis = _free_basis(rows, width)
+        mus.append(list(zip(*basis)) if basis else [()] * width)
+        dims.append(len(basis))
     return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
 
 
@@ -348,4 +332,4 @@ def roundtrip_check(state, p):
     """
     reduced = model_mod_p(variety_from_state(state), p)
     relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
-    return relations.basis.basis.entries == reduced.rows
+    return relations.basis.entries == reduced.rows

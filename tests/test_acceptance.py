@@ -168,7 +168,7 @@ def test_criterion_7_hyperdeterminant_fixed_points():
     for seed in range(100):
         t = random_state(4, 2, 5, seed=seed)
         hyperdet = schlaefli_hyperdet(t)
-        if flattening_image(t).dim < 2:
+        if flattening_image(t).rows < 2:
             assert hyperdet == 0
             consistent += 1
             continue

@@ -294,7 +294,7 @@ def reference_points(model, p):
     for prefix in product(*[list(projective_points(d, p))] * (reduced.groups - 1)):
         rows = [[ref.evaluate(f, prefix + (u,)) for u in units] for f in reduced.forms]
         kernel = Matrix(rows, cols=d, p=p).kernel()
-        for tail in _subspace_points(kernel.basis.entries, d, p):
+        for tail in _subspace_points(kernel.entries, d, p):
             points.append(ProjPoint(p, prefix + (tail,)))
     return points
 

@@ -565,10 +565,10 @@ def test_integer_core_matches_reference(fmt):
         if fmt == (4, 2):
             assert schlaefli_hyperdet(t) == reference_schlaefli(t)
         sub = flattening_image(t)
-        if sub.dim < d:
+        if sub.rows < d:
             return
         model = variety_from_state(t)
-        projections = _curve_projections(fmt, *clear_denominators(sub.basis.entries))
+        projections = _curve_projections(fmt, *clear_denominators(sub.entries))
         assert [pr.axes for pr in projections] == list(axes)
         assert exact_projection_discriminants(t) == tuple(
             pr.invariants.discriminant for pr in projections

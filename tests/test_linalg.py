@@ -5,8 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from sloccgeo.errors import BadReductionError
-from sloccgeo.linalg import Matrix, Subspace, random_invertible
+from sloccgeo.errors import BadReductionError, UnsupportedPrimeError
+from sloccgeo.linalg import Matrix, random_invertible
 
 import reference_algebra as ref
 
@@ -79,16 +79,16 @@ def test_rref_is_canonical(p):
 
 
 def test_kernel_zero_matrix():
-    assert Matrix.zero(2, 2).kernel().dim == 2
+    assert Matrix.zero(2, 2).kernel().rows == 2
 
 
 def test_kernel_invertible():
-    assert Matrix([[2, 1], [1, 1]]).kernel().dim == 0
+    assert Matrix([[2, 1], [1, 1]]).kernel().rows == 0
 
 
 def test_kernel_row_of_ones():
     ker = Matrix([[1, 1, 1, 1]]).kernel()
-    assert ker.dim == 3  # rank-nullity: 4 - 1
+    assert ker.rows == 3  # rank-nullity: 4 - 1
 
 
 @pytest.mark.parametrize("p", [None, 5, 31])
@@ -99,8 +99,8 @@ def test_rank_nullity_and_membership(p):
         m = random_matrix(rng, rows, cols, p=p)
         rank, _ = m.rref()
         ker = m.kernel()
-        assert rank + ker.dim == cols
-        for v in ker.basis.entries:
+        assert rank + ker.rows == cols
+        for v in ker.entries:
             prod = ref.apply(m, v)
             assert all(x == 0 or (p is not None and x % p == 0) for x in prod)
 
@@ -109,8 +109,8 @@ def test_kernel_basis_is_canonical():
     rng = random.Random(5)
     for _ in range(20):
         m = random_matrix(rng, 3, 6)
-        basis = m.kernel().basis
-        assert basis.rref()[1] == basis
+        basis = m.kernel()
+        assert basis.row_space() == basis
 
 
 def test_reduce_scalar_examples():
@@ -150,6 +150,46 @@ def test_det_matches_oracle(p):
             assert m.det() == expected
 
 
+@pytest.mark.parametrize("p", [None, 11, 2**31 - 1])
+def test_det_is_multiplicative_at_n_12(p):
+    # 12! permutations rule the oracle out; det(AB) = det(A) det(B) and a
+    # repeated row checks the elimination at this size instead
+    rng = random.Random(12 if p is None else p)
+    a, b = random_matrix(rng, 12, 12, p=p), random_matrix(rng, 12, 12, p=p)
+    expected = a.det() * b.det()
+    assert a.mul(b).det() == (expected if p is None else expected % p)
+    assert expected != 0
+    singular = Matrix(a.entries[:11] + a.entries[:1], p=p)
+    assert singular.det() == 0
+
+
+def test_det_of_rational_and_permuted_matrices():
+    m = Matrix([[0, Fraction(1, 2)], [Fraction(2, 3), 5]])
+    assert m.det() == Fraction(-1, 3) == det_oracle(m.entries)
+    assert Matrix([[0, 1], [1, 0]], p=7).det() == 6
+    assert Matrix.zero(0, 0).det() == 1
+
+
+@pytest.mark.parametrize("p", [0, 1, -7, True, 7.0, "7", Fraction(7)])
+def test_matrix_modulus_must_be_an_int_of_at_least_two(p):
+    with pytest.raises(UnsupportedPrimeError, match=re.escape(repr(p))):
+        Matrix([[2, 1], [1, 1]], p=p)
+
+
+def test_composite_modulus_refused_at_a_non_invertible_pivot():
+    assert Matrix([[1, 1], [1, 3]], p=2).rank() == 1
+    assert Matrix([[3, 1], [1, 0]], p=4).rank() == 2  # both pivots are units mod 4
+    with pytest.raises(UnsupportedPrimeError, match="not invertible modulo 4"):
+        Matrix([[2, 1], [1, 1]], p=4).rref()
+
+
+def test_explicit_cols_must_match_the_rows():
+    with pytest.raises(ValueError, match="cols=5"):
+        Matrix([[1, 2]], cols=5)
+    assert Matrix([[1, 2]], cols=2).cols == 2
+    assert Matrix([], cols=5).cols == 5
+
+
 def test_kron_mixed_product():
     rng = random.Random(3)
     a, b = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
@@ -158,12 +198,16 @@ def test_kron_mixed_product():
 
 
 def test_subspace_canonical_representative():
-    s1 = Subspace.from_rows([[1, 2, 3], [0, 1, 1]], 3)
-    s2 = Subspace.from_rows([[1, 3, 4], [2, 5, 7], [3, 8, 11]], 3)
+    s1 = Matrix([[1, 2, 3], [0, 1, 1]]).row_space()
+    s2 = Matrix([[1, 3, 4], [2, 5, 7], [3, 8, 11]]).row_space()
     assert s1 == s2
-    assert s1.dim == 2
-    assert s1.contains((1, 3, 4))
-    assert not s1.contains((0, 0, 1))
+    assert (s1.rows, s1.cols) == (2, 3)
+
+    def contains(space, v):
+        return Matrix(space.entries + (v,)).rank() == space.rows
+
+    assert contains(s1, (1, 3, 4))
+    assert not contains(s1, (0, 0, 1))
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 2.7, "1", None])
@@ -217,12 +261,12 @@ def test_fp_elimination_matches_reference():
         assert m.rref() == (rank, red)
         assert m.rank() == rank
         kernel = m.kernel()
-        assert kernel.basis.entries == ref.kernel_mod_p(m)
-        assert kernel.dim == m.cols - rank
-        for v in kernel.basis.entries:
+        assert kernel.entries == ref.kernel_mod_p(m)
+        assert kernel.rows == m.cols - rank
+        for v in kernel.entries:
             assert all(x % p == 0 for x in ref.apply(m, v))
-        span = Subspace.from_rows(m.entries, m.cols, p=p)
-        assert span.basis == Matrix(red.entries[:rank], cols=m.cols, p=p)
+        assert kernel.row_space() == kernel
+        assert m.row_space() == Matrix(red.entries[:rank], cols=m.cols, p=p)
 
     check()
 
