@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import log2
 
 from .errors import (
     AllPrimesBadError,
@@ -38,6 +39,13 @@ _GROUP_NAMES = "xyzw"
 #: in smoothness_scan, per call in enumerate_points.  A full default-prime
 #: (5,2) sweep visits 92,624; a (4,3) sweep visits ~10^6 at p = 31 alone.
 PREFIX_BUDGET = 200_000
+
+#: Most bits d**n may have in ``section_count`` and ``moduli_dimension``,
+#: checked as n*log2(d) before any power is computed.  The formulas hold for
+#: every format, but their values must stay cheap to compute and to print:
+#: 2^4096 has 1,234 digits, under Python's 4,300-digit limit on
+#: int-to-string conversion.
+MAX_FORMULA_BITS = 4096
 
 #: Exponent triples of the ternary-cubic monomials, lexicographically
 #: descending: x0^3, x0^2*x1, x0^2*x2, x0*x1^2, x0*x1*x2, x0*x2^2, x1^3,
@@ -275,11 +283,22 @@ class SmoothnessReport:
         }
 
 
-def section_count(n, d):
-    """Expected dimension of the degree-(1,...,1) section space on the model:
-    all multilinear monomials modulo the d defining forms."""
+def _check_formula_format(n, d):
+    """ValueError unless n, d >= 2; WorkLimitError when d**n would have
+    more than MAX_FORMULA_BITS bits.  Since d >= 2, an n above the limit is
+    refused before n*log2(d) is formed, so no huge n meets a float, and the
+    message prints neither, so no huge one meets int-to-string conversion."""
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
+    if n > MAX_FORMULA_BITS or n * log2(d) > MAX_FORMULA_BITS:
+        raise WorkLimitError(f"d**n is over the limit of 2**{MAX_FORMULA_BITS}")
+
+
+def section_count(n, d):
+    """Expected dimension of the degree-(1,...,1) section space on the model:
+    all multilinear monomials modulo the d defining forms.  Formats whose
+    d**n exceeds 2**MAX_FORMULA_BITS raise WorkLimitError."""
+    _check_formula_format(n, d)
     return d ** (n - 1) - d
 
 
@@ -298,30 +317,45 @@ def variety_from_state(t):
 
 @cache
 def _projection_layout(n, d, kept):
-    """Index tables for projection_coefficients.
+    """Expansion steps for projection_coefficients, one per row.
 
-    A kept monomial takes one variable from each kept group.  ``columns``
-    lists, per kept monomial, the flat row positions of its d coefficients
-    along the dropped group; ``terms`` pairs every choice of one kept
-    monomial per row with the output monomial their product gives.
+    A kept monomial takes one variable from each kept group, and row k's
+    entry in column l of the matrix of linear forms is a sum over kept
+    monomials of a coefficient times the monomial.  det M is expanded one
+    row at a time: a partial term is keyed by the columns used so far and
+    the product of the monomials chosen, and equal keys merge.  Each step
+    is (size, plus, minus): the number of keys after the row, and the
+    moves (source key, target key, row position) that add or subtract the
+    source value times that row entry.  The sign is that of the Laplace
+    expansion, -1 per used column to the right of the new one.  The last
+    step's target keys are the indices of PROJECTION_MONOMIALS.
     """
     groups = n - 1
     dropped = next(g for g in range(groups) if g not in kept)
     stride = [d ** (groups - 1 - g) for g in range(groups)]
-    monomials = tuple(product(range(d), repeat=len(kept)))
-    columns = []
-    for mono in monomials:
-        base = sum(v * stride[g] for g, v in zip(kept, mono))
-        columns.append([base + l * stride[dropped] for l in range(d)])
+    monomials = [
+        (sum(v * stride[g] for g, v in zip(kept, mono)), mono)
+        for mono in product(range(d), repeat=len(kept))
+    ]
     index = {m: i for i, m in enumerate(PROJECTION_MONOMIALS[(n, d)])}
-    terms = []
-    for choice in product(range(len(monomials)), repeat=d):
-        exps = [0] * (d * len(kept))
-        for s in choice:
-            for g, v in enumerate(monomials[s]):
-                exps[g * d + v] += 1
-        terms.append((choice, index[tuple(exps)]))
-    return columns, terms
+    keys, steps = {(0, (0,) * (d * len(kept))): 0}, []
+    for k in range(d):
+        targets, moves = index if k == d - 1 else {}, ([], [])
+        for (used, exps), source in keys.items():
+            for l in range(d):
+                if used >> l & 1:
+                    continue
+                sign = (used >> l).bit_count() % 2
+                for base, mono in monomials:
+                    grown = list(exps)
+                    for g, v in enumerate(mono):
+                        grown[g * d + v] += 1
+                    key = tuple(grown) if k == d - 1 else (used | 1 << l, tuple(grown))
+                    target = targets.setdefault(key, len(targets))
+                    moves[sign].append((source, target, base + l * stride[dropped]))
+        steps.append((len(targets), *map(tuple, moves)))
+        keys = targets
+    return tuple(steps)
 
 
 def projection_coefficients(rows, n, d, kept):
@@ -329,18 +363,21 @@ def projection_coefficients(rows, n, d, kept):
 
     Row k holds form k's coefficients, row-major over the n-1 variable
     groups.  The matrix of linear forms M[k][l] = df_k/dz_l (z the dropped
-    group) is a sum over kept monomials of a scalar matrix times the
-    monomial, so det M is a sum over one kept monomial per row of a d x d
-    determinant of plain numbers.  Integer rows give integer coefficients,
-    in PROJECTION_MONOMIALS order: 10 for a (3,3) cubic, 9 for a (4,2)
-    form of bidegree (2,2).
+    group) has entries linear in each kept group, and det M is expanded
+    row by row with equal partial terms merged (``_projection_layout``):
+    a (3,3) projection takes 117 products, a (4,2) one 40.  Integer rows
+    give integer coefficients, in PROJECTION_MONOMIALS order: 10 for a
+    (3,3) cubic, 9 for a (4,2) form of bidegree (2,2).
     """
-    columns, terms = _projection_layout(n, d, kept)
-    vectors = [[[row[i] for i in column] for column in columns] for row in rows]
-    out = [0] * len(PROJECTION_MONOMIALS[(n, d)])
-    for choice, target in terms:
-        out[target] += _det([vectors[k][s] for k, s in enumerate(choice)])
-    return out
+    acc = (1,)
+    for row, (size, plus, minus) in zip(rows, _projection_layout(n, d, kept)):
+        nxt = [0] * size
+        for source, target, pos in plus:
+            nxt[target] += acc[source] * row[pos]
+        for source, target, pos in minus:
+            nxt[target] -= acc[source] * row[pos]
+        acc = nxt
+    return acc
 
 
 def determinantal_projection(model, kept_axes):

@@ -12,14 +12,18 @@ is c - b^2 and j = 1728*c/(c - b^2).  On the Weierstrass family this is
 1728*4a^3/(4a^3 + 27b^2), and the discriminant vanishes exactly on
 singular curves.
 
-Each invariant is kept as one list of integer terms and one Fraction
-scale (1/16 for S, -1/8 for T).  A curve with rational coefficients is
-evaluated on its coefficients times L, the lcm of their denominators, and
-divided once: by L^4 for S and L^6 for T.  The projected curves of a model
-are built the same way from its integer rows (``projection_coefficients``),
-so S/T and the quartic I/J of a projection are integer polynomials divided
-once by a power of L.  Over F_p the same integers decide whether a
-discriminant vanishes: p divides its numerator.
+Each invariant is kept as one tuple of integer terms and one Fraction
+scale (1/16 for S, -1/8 for T).  S and T have even degree, so a term is
+k times two (S) or three (T) of the cubic's 55 pairwise coefficient
+products, which are formed once per cubic.  A curve with rational
+coefficients is evaluated on its coefficients times L, the lcm of their
+denominators, and divided once: by L^4 for S and L^6 for T.  The projected
+curves of a model are built the same way from its integer rows
+(``projection_coefficients``), so S/T and the quartic I/J of a projection
+are integer numerators over integer denominators, and ``_curve`` forms the
+discriminant and j from those integers, with one Fraction normalisation per
+reported value.  Over F_p the same integers decide whether a discriminant
+vanishes: p divides its numerator.
 """
 
 from dataclasses import dataclass
@@ -44,6 +48,7 @@ from .geometry import (
     CURVE_AXES,
     MultiForm,
     _PrimeSweep,
+    _check_formula_format,
     _first_witness,
     _points,
     projection_coefficients,
@@ -169,66 +174,79 @@ _S_WIRING = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 _T_WIRING = tuple((e, (e - 1) % 6, (e - 2) % 6) for e in range(6))
 
 
-def _evaluate(terms, coeffs):
-    """Sum of k * prod(coeffs[i] for i in idx) over the (k, idx) terms."""
-    total = 0
-    for k, idx in terms:
-        for i in idx:
-            k *= coeffs[i]
-        total += k
-    return total
+#: The 55 products c_i*c_j (i <= j) of a cubic's ten coefficients, in the
+#: order the S and T terms index them.
+_PAIRS = tuple((i, j) for i in range(10) for j in range(i, 10))
 
 
-def _term_list(poly, target, unit):
-    """An integer contraction as (terms, scale): the terms divided by their
-    content, and the scale that makes the invariant equal ``target`` on
-    the cubic with coefficients ``unit``."""
+def _pair_terms(poly):
+    """An integer contraction divided by its content, as (k, a, b, ...)
+    terms: the term's sorted monomial indices taken two at a time, each
+    pair given by its position in _PAIRS."""
     content = reduce(gcd, poly.values())
-    terms = [(k // content, idx) for idx, k in poly.items()]
-    value = _evaluate(terms, unit)
-    if value == 0:
-        raise SloccGeoError("invariant contraction degenerated; calibration impossible")
-    return terms, Fraction(target, value)
+    pair = {ij: a for a, ij in enumerate(_PAIRS)}.__getitem__
+    return tuple(
+        (k // content, *map(pair, zip(idx[::2], idx[1::2]))) for idx, k in poly.items()
+    )
+
+
+def _st_sums(coeffs, s_terms, t_terms):
+    """The integer sums of the S and T terms on one cubic's coefficients:
+    its 55 pairwise products once, then two products per S term and three
+    per T term."""
+    pairs = [coeffs[i] * coeffs[j] for i, j in _PAIRS]
+    s = t = 0
+    for k, a, b in s_terms:
+        s += k * pairs[a] * pairs[b]
+    for k, a, b, c in t_terms:
+        t += k * pairs[a] * pairs[b] * pairs[c]
+    return s, t
 
 
 @cache
 def _calibrated_invariants():
-    """((S terms, S scale), (T terms, T scale)); computed once per process."""
-    unit_a = [int(c) for c in TernaryCubic.weierstrass(1, 0).coeffs]
-    unit_b = [int(c) for c in TernaryCubic.weierstrass(0, 1).coeffs]
-    return (
-        _term_list(_contract(_S_WIRING), -3, unit_a),
-        _term_list(_contract(_T_WIRING), 108, unit_b),
-    )
+    """(S terms, T terms, S scale, T scale); computed once per process.
 
-
-def _divide(value, scale, den):
-    """scale * value / den as one Fraction."""
-    return Fraction(scale.numerator * value, scale.denominator * den)
+    The scales make S = -3a and T = 108b on the Weierstrass cubics.  There
+    a has weight 4 and b weight 6, so the degree-4 S is a multiple of a
+    alone and the degree-6 T of b alone, and the one cubic a = b = 1 fixes
+    both scales."""
+    terms = _pair_terms(_contract(_S_WIRING)), _pair_terms(_contract(_T_WIRING))
+    s, t = _st_sums([int(c) for c in TernaryCubic.weierstrass(1, 1).coeffs], *terms)
+    if s == 0 or t == 0:
+        raise SloccGeoError("invariant contraction degenerated; calibration impossible")
+    return (*terms, Fraction(-3, s), Fraction(108, t))
 
 
 def _cubic_st(coeffs, den):
-    """(S, T) of the cubic with integer coefficients coeffs / den."""
-    (s_terms, s_scale), (t_terms, t_scale) = _calibrated_invariants()
+    """(S, T) of the cubic with integer coefficients coeffs / den, each as
+    an integer (numerator, denominator) pair."""
+    s_terms, t_terms, s_scale, t_scale = _calibrated_invariants()
+    s, t = _st_sums(coeffs, s_terms, t_terms)
     return (
-        _divide(_evaluate(s_terms, coeffs), s_scale, den**4),
-        _divide(_evaluate(t_terms, coeffs), t_scale, den**6),
+        (s_scale.numerator * s, s_scale.denominator * den**4),
+        (t_scale.numerator * t, t_scale.denominator * den**6),
     )
+
+
+def _ratios(pair):
+    """A pair of rationals as integer (numerator, denominator) pairs."""
+    return tuple((x.numerator, x.denominator) for x in pair)
 
 
 def aronhold_invariants(f):
     """The degree-4 and degree-6 invariants (S, T) of a ternary cubic."""
     (coeffs,), den = clear_denominators([f.coeffs])
-    return _cubic_st(coeffs, den)
+    return tuple(Fraction(*x) for x in _cubic_st(coeffs, den))
 
 
 def cubic_discriminant(f):
-    return _curve(PLANE_CUBIC, aronhold_invariants(f)).discriminant
+    return _curve(PLANE_CUBIC, _ratios(aronhold_invariants(f))).discriminant
 
 
 def j_plane_cubic(f):
     """j-invariant of a plane cubic; None marks the singular locus."""
-    return _curve(PLANE_CUBIC, aronhold_invariants(f)).j
+    return _curve(PLANE_CUBIC, _ratios(aronhold_invariants(f))).j
 
 
 @dataclass(frozen=True)
@@ -264,12 +282,12 @@ def quartic_invariants(g):
 
 
 def quartic_discriminant(g):
-    return _curve(BIQUADRATIC, quartic_invariants(g)).discriminant
+    return _curve(BIQUADRATIC, _ratios(quartic_invariants(g))).discriminant
 
 
 def j_binary_quartic(g):
     """j-invariant of the double cover branched at the quartic's roots."""
-    return _curve(BIQUADRATIC, quartic_invariants(g)).j
+    return _curve(BIQUADRATIC, _ratios(quartic_invariants(g))).j
 
 
 def _conv(u, v):
@@ -350,9 +368,9 @@ def schlaefli_hyperdet(t):
 
 
 def moduli_dimension(n, d):
-    """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
+    """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1.  Formats
+    whose d**n exceeds 2**MAX_FORMULA_BITS raise WorkLimitError."""
+    _check_formula_format(n, d)
     return d**n - n * d * d + n - 1
 
 
@@ -450,13 +468,22 @@ def _j_json(j):
 
 
 def _curve(kind, pair):
-    """The invariants of a plane cubic from (S, T), or of a (2,2)-curve
-    from the (I, J) of its branch quartic.  With c = 64*S^3 or 4*I^3 and
-    b = T or J, the discriminant is c - b^2 and j = 1728*c/(c - b^2); j is
-    None where the discriminant vanishes."""
-    c = (64 if kind == PLANE_CUBIC else 4) * pair[0] ** 3
-    disc = c - pair[1] ** 2
-    return CurveInvariants(kind, pair, disc, None if disc == 0 else 1728 * c / disc)
+    """The invariants of a plane cubic from its (S, T), or of a (2,2)-curve
+    from the (I, J) of its branch quartic, each given as an integer
+    (numerator, denominator) pair.  With c = 64*S^3 or 4*I^3 and b = T or
+    J, the discriminant is c - b^2 and j = 1728*c/(c - b^2); j is None
+    where the discriminant vanishes.  Both are integers over the common
+    denominator A^3*B^2 of c and b^2 (A, B those of the pair), which
+    cancels from j, so each reported value is one Fraction normalisation."""
+    (a, a_den), (b, b_den) = pair
+    c = (64 if kind == PLANE_CUBIC else 4) * a**3 * b_den**2
+    disc = c - b**2 * a_den**3
+    return CurveInvariants(
+        kind,
+        (Fraction(a, a_den), Fraction(b, b_den)),
+        Fraction(disc, a_den**3 * b_den**2),
+        None if disc == 0 else Fraction(1728 * c, disc),
+    )
 
 
 def _plane_cubic(coeffs, den):
@@ -469,7 +496,7 @@ def _biquadratic(coeffs, den):
     its branch quartic is _branch(coeffs) / den^2, so I and J are integers
     divided by den^4 and den^6."""
     i_int, j_int = _ij(*_branch(coeffs))
-    return _curve(BIQUADRATIC, (Fraction(i_int, den**4), Fraction(j_int, den**6)))
+    return _curve(BIQUADRATIC, ((i_int, den**4), (j_int, den**6)))
 
 
 def _curve_projections(fmt, rows, den):

@@ -224,34 +224,46 @@ def parse_state(document):
     _check_state_size(n, d)
     if not isinstance(entries, list):
         raise SchemaError("entries must be a list")
-    seen, digits = {}, MAX_COEFFICIENT_DIGITS  # seen: offset -> (num, den) in lowest terms
+    digits = MAX_COEFFICIENT_DIGITS
+    seen, dens = {}, {}  # offset -> numerator; offset -> denominator > 1; in lowest terms
     for entry in entries:
-        if not isinstance(entry, dict) or set(entry) != {"idx", "c"}:
+        if not isinstance(entry, dict) or len(entry) != 2 or "idx" not in entry or "c" not in entry:
             raise SchemaError('each entry must be {"idx", "c"}')
         idx = entry["idx"]
-        if type(idx) is not list or len(idx) != n or any(type(i) is not int for i in idx):
+        if type(idx) is not list or len(idx) != n:
             raise SchemaError(f"idx must be a list of {n} integers")
-        off = Tensor._offset_static(n, d, idx)
+        off = 0
+        for i in idx:
+            if type(i) is not int:
+                raise SchemaError(f"idx must be a list of {n} integers")
+            off = off * d + i
+        if min(idx) < 0 or max(idx) >= d:
+            raise IndexRangeError(f"index {idx} out of range for d={d}")
         if off in seen:
             raise DuplicateIndexError(f"index {idx} appears twice")
         c = entry["c"]
         match = _RATIONAL_RE.match(c) if isinstance(c, str) else None
         if match is None:
             raise SchemaError(f"coefficient {c!r} is not a decimal-free rational string")
-        sign, num, den = match.groups(default="1")
-        if len(num.lstrip("0")) > digits or len(den) > digits:
+        sign, num, den = match.groups()
+        if len(num.lstrip("0")) > digits or (den is not None and len(den) > digits):
             raise SchemaError(f"coefficient at {idx} has more than {digits} digits")
-        a, b = int(sign + num), int(den)
-        g = gcd(a, b)
-        seen[off] = (a // g, b // g)
+        a = int(sign + num)
+        if den is not None:
+            b = int(den)
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if b != 1:
+                dens[off] = b
+        seen[off] = a
     limit, den, nums = 10**digits, 1, [0] * d**n
     too_long = f"a coefficient over the common denominator has more than {digits} digits"
-    for _, b in seen.values():
+    for b in dens.values():
         if (den := lcm(den, b)) >= limit:
             raise SchemaError(too_long)
-    for off, (a, b) in seen.items():
-        nums[off] = a * (den // b)
-    if any(abs(a) >= limit for a in nums):
+    for off, a in seen.items():
+        nums[off] = a if den == 1 else a * (den // dens.get(off, 1))
+    if den != 1 and any(abs(a) >= limit for a in nums):
         raise SchemaError(too_long)
     return Tensor.from_integers(n, d, nums, den)
 
@@ -371,9 +383,13 @@ def permute_factors(t, perm):
 
 
 def random_state(n, d, bound, seed):
-    """i.i.d. integer coefficients in [-bound, bound], fixed by the seed."""
+    """i.i.d. integer coefficients in [-bound, bound], fixed by the seed.
+    The bound must be at least 1 and, so that parse_state reads the state
+    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    if bound >= 10**MAX_COEFFICIENT_DIGITS:
+        raise ValueError(f"bound must have at most {MAX_COEFFICIENT_DIGITS} digits")
     _check_state_size(n, d)
     rng = random.Random(seed)
     return Tensor.from_integers(n, d, [rng.randint(-bound, bound) for _ in range(d**n)])

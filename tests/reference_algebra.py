@@ -5,13 +5,19 @@ other than ``mul``; the dict-polynomial operations, the matrix-vector
 product, the Kronecker product and the entrywise scalar reduction that the
 tests compare the integer core against live here, as plain functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
-column-restricted elimination is checked against.
+column-restricted elimination is checked against, and the former exact
+kernels of the curve path: the determinant-sum projection, the
+term-by-term S/T evaluation and the ``Fraction`` discriminant and j.
 """
 
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import product
+from math import gcd
 
 from sloccgeo.errors import BadReductionError
-from sloccgeo.geometry import MultiForm
+from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm
+from sloccgeo.invariants import PLANE_CUBIC, _S_WIRING, _T_WIRING, _contract
 from sloccgeo.linalg import Matrix
 
 
@@ -199,3 +205,89 @@ def kernel_mod_p(matrix):
         basis.append(v)
     dim, canonical = rref_mod_p(Matrix(basis, cols=cols, p=p))
     return canonical.entries[:dim]
+
+
+# ------------------------------------------------- former curve kernels
+
+
+def _det(rows):
+    """Determinant of a 2 x 2 or 3 x 3 matrix given as plain lists."""
+    if len(rows) == 2:
+        (a, b), (c, e) = rows
+        return a * e - b * c
+    (a, b, c), (e, f, g), (h, i, j) = rows
+    return a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
+
+
+def projection_coefficients(rows, n, d, kept):
+    """The determinantal projection as a sum of numeric determinants: the
+    matrix of linear forms is a sum over kept monomials of a scalar matrix
+    times the monomial, so det M sums, over one kept monomial per row, a
+    d x d determinant of plain numbers (27 of 3 x 3 for (3,3), 16 of 2 x 2
+    for (4,2)), each added to the output monomial their product gives."""
+    groups = n - 1
+    dropped = next(g for g in range(groups) if g not in kept)
+    stride = [d ** (groups - 1 - g) for g in range(groups)]
+    monomials = tuple(product(range(d), repeat=len(kept)))
+    columns = []
+    for mono in monomials:
+        base = sum(v * stride[g] for g, v in zip(kept, mono))
+        columns.append([base + l * stride[dropped] for l in range(d)])
+    index = {m: i for i, m in enumerate(PROJECTION_MONOMIALS[(n, d)])}
+    vectors = [[[row[i] for i in column] for column in columns] for row in rows]
+    out = [0] * len(index)
+    for choice in product(range(len(monomials)), repeat=d):
+        exps = [0] * (d * len(kept))
+        for s in choice:
+            for g, v in enumerate(monomials[s]):
+                exps[g * d + v] += 1
+        out[index[tuple(exps)]] += _det([vectors[k][s] for k, s in enumerate(choice)])
+    return out
+
+
+def evaluate_terms(terms, coeffs):
+    """Sum of k * prod(coeffs[i] for i in idx) over the (k, idx) terms."""
+    total = 0
+    for k, idx in terms:
+        for i in idx:
+            k *= coeffs[i]
+        total += k
+    return total
+
+
+@cache
+def st_terms():
+    """((S terms, S scale), (T terms, T scale)) in the former layout: the
+    contractions divided by their content as (k, monomial indices) terms,
+    with the scales that give S = -3a and T = 108b on the Weierstrass
+    cubics x1^2*x2 - x0^3 - a*x0*x2^2 - b*x2^3."""
+    from sloccgeo.invariants import TernaryCubic
+
+    out = []
+    for wiring, unit, target in (
+        (_S_WIRING, TernaryCubic.weierstrass(1, 0), -3),
+        (_T_WIRING, TernaryCubic.weierstrass(0, 1), 108),
+    ):
+        poly = _contract(wiring)
+        content = reduce(gcd, poly.values())
+        terms = [(k // content, idx) for idx, k in poly.items()]
+        out.append((terms, Fraction(target, evaluate_terms(terms, [int(c) for c in unit.coeffs]))))
+    return tuple(out)
+
+
+def cubic_st(coeffs, den):
+    """(S, T) as Fractions of the cubic with integer coefficients coeffs / den."""
+    (s_terms, s_scale), (t_terms, t_scale) = st_terms()
+    return (
+        s_scale * evaluate_terms(s_terms, coeffs) / den**4,
+        t_scale * evaluate_terms(t_terms, coeffs) / den**6,
+    )
+
+
+def curve(kind, pair):
+    """(pair, discriminant, j) from the Fraction pair (S, T) or (I, J):
+    c = 64*S^3 or 4*I^3, b = T or J, discriminant c - b^2 and
+    j = 1728*c/(c - b^2), None where the discriminant vanishes."""
+    c = (64 if kind == PLANE_CUBIC else 4) * pair[0] ** 3
+    disc = c - pair[1] ** 2
+    return tuple(pair), disc, None if disc == 0 else 1728 * c / disc

@@ -162,6 +162,34 @@ def test_sample_writes_canonical_state(tmp_path, capsys):
     assert text == state_to_json(random_state(3, 3, 5, seed=9)) + "\n"
 
 
+def test_moduli_dim_work_is_bounded(capsys):
+    # d**n was computed with no bound: n = 10^7, d = 10 ran for ~27 s and
+    # only failed on printing the 10-million-digit number
+    import time
+
+    start = time.perf_counter()
+    code = run(["moduli-dim", "--n", "10000000", "--d", "10"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and "2**4096" in captured.err and not captured.out
+    assert elapsed < 1.0
+    code, doc = run_json(capsys, ["moduli-dim", "--n", "4096", "--d", "2"])
+    assert code == 0 and doc["sections"] == 2**4095 - 2
+
+
+def test_sample_writes_only_readable_states(tmp_path, capsys):
+    # a 106-digit bound wrote a state that classify refused to read
+    out = tmp_path / "state.json"
+    bound = 10**105
+    code = run(["sample", "--n", "3", "--d", "3", "--bound", str(bound), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and "at most 100 digits" in captured.err and not out.exists()
+    widest = str(10**MAX_COEFFICIENT_DIGITS - 1)
+    assert run(["sample", "--n", "3", "--d", "3", "--bound", widest, "--out", str(out)]) == 0
+    code, doc = run_json(capsys, ["classify", str(out), "--primes", "5"])
+    assert code == 0 and doc["status"]
+
+
 def test_sample_stdout_deterministic(capsys):
     run(["sample", "--n", "4", "--d", "2", "--seed", "3"])
     first = capsys.readouterr().out

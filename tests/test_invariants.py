@@ -152,6 +152,14 @@ def test_j_of_lemniscatic_quartic():
     assert j_binary_quartic(BinaryQuartic.of(1, 0, 0, 0, 1)) == 1728
 
 
+def test_quartic_with_int_fields_gets_exact_j():
+    # the dataclass keeps int fields as given; j was once their float quotient
+    g = BinaryQuartic(1, 0, -1, 0, 2)
+    j = j_binary_quartic(g)
+    assert type(j) is Fraction and j == Fraction(125000, 49)
+    assert j == j_binary_quartic(BinaryQuartic.of(1, 0, -1, 0, 2))
+
+
 def test_biquadratic_with_lemniscatic_branch_quartic():
     # A = -x1^2/4, B = x0^2, C = x1^2 gives B^2 - 4AC = x0^4 + x1^4
     m = MultiForm(
@@ -233,6 +241,23 @@ def test_moduli_dimension_paper_values():
     assert moduli_dimension(5, 2) == 16
     with pytest.raises(ValueError):
         moduli_dimension(2, 1)
+
+
+def test_format_formulas_are_bounded():
+    # d**n is bounded by n*log2(d) before any power is formed
+    from sloccgeo.errors import WorkLimitError
+    from sloccgeo.geometry import MAX_FORMULA_BITS, section_count
+
+    assert moduli_dimension(MAX_FORMULA_BITS, 2) == 2**MAX_FORMULA_BITS - 3 * MAX_FORMULA_BITS - 1
+    wide = 2 ** (MAX_FORMULA_BITS // 3)
+    assert section_count(3, wide) == wide * wide - wide
+    for n, d in ((MAX_FORMULA_BITS + 1, 2), (10**7, 10), (10**400, 2), (2, 2**3000), (1100, 17),
+                 (2, 10**5000)):
+        for formula in (moduli_dimension, section_count):
+            with pytest.raises(WorkLimitError):
+                formula(n, d)
+    with pytest.raises(ValueError):
+        moduli_dimension(10**7, 1)
 
 
 def test_classify_separable():

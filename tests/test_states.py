@@ -250,6 +250,33 @@ def test_random_state_reproducible():
     assert all(-5 <= c <= 5 for c in a.coeffs)
 
 
+def test_random_state_bound_keeps_states_readable():
+    # every coefficient must pass parse_state's digit bound
+    widest = 10**MAX_COEFFICIENT_DIGITS - 1
+    for bound in (0, -3, widest + 1, 10**105):
+        with pytest.raises(ValueError):
+            random_state(3, 3, bound, seed=0)
+    t = random_state(3, 3, widest, seed=0)
+    assert parse_state(state_to_json(t)) == t
+
+
+def test_sampled_states_always_parse():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        fmt=st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (2, 5)]),
+        bound=st.integers(1, 10**MAX_COEFFICIENT_DIGITS - 1),
+        seed=st.integers(0, 10**6),
+    )
+    def check(fmt, bound, seed):
+        t = random_state(*fmt, bound, seed)
+        assert parse_state(state_to_json(t)) == t
+
+    check()
+
+
 def test_random_states_are_generic():
     # empirical genericity: the flattening image has full dimension for
     # at least 95% of seeds
