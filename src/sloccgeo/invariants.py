@@ -28,7 +28,7 @@ vanishes: p divides its numerator.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import permutations
 from math import factorial, gcd
 
@@ -570,9 +570,24 @@ def _format_hyperdet(t):
     return None if entry is None else entry[1](t)
 
 
+#: How many verdicts ``classify`` keeps, least recently used first out.  A
+#: state met again within this many distinct classifications (as a
+#: ``slocc_compare`` of states just classified meets them) is not
+#: recomputed.
+CLASSIFY_MEMO_SIZE = 32
+
+
 def classify(t, primes=None):
     """Full verdict for a state: rank, exact curve invariants where the
     format supports them, finite-field smoothness evidence elsewhere.
+
+    Verdicts are memoized by the exact state value and the checked, sorted
+    primes: equal tensors (same n, d, numerators and denominator in lowest
+    terms) share one entry, so a state built again, parsed again or scaled
+    back is not reclassified.  The memo holds the last CLASSIFY_MEMO_SIZE
+    verdicts and their states; a call that raises is not memoized, and
+    ``classify.cache_clear()`` empties it.  Every verdict is frozen, so
+    callers share it.
 
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
     discriminants; the prime sweep only supplies a singular witness.  For
@@ -586,9 +601,13 @@ def classify(t, primes=None):
     when W > C + R, whatever those R primes show.  The primes are still all
     filed as used, bad or excluded, so ``primes_used`` and the witness are
     those of the full ``smoothness_scan``.  Given primes must pass
-    ``check_primes``, also when no sweep runs.
+    ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
-    primes = DEFAULT_PRIMES if primes is None else check_primes(primes)
+    return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
+
+
+@lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
+def _classify(t, primes):
     fmt = (t.n, t.d)
     rows, den = flattening_basis(t)
     rank = len(rows)
@@ -651,6 +670,10 @@ def classify(t, primes=None):
     )
 
 
+classify.cache_info = _classify.cache_info
+classify.cache_clear = _classify.cache_clear
+
+
 DISTINCT_CERTIFIED = "DistinctCertified"
 CONSISTENT_UNKNOWN = "ConsistentUnknown"
 BOTH_DEGENERATE = "BothDegenerate"
@@ -679,6 +702,9 @@ def slocc_compare(a, b, primes=None):
     different j); agreement never can, because equal j leaves the remaining
     line-bundle data undetermined and the dictionary itself only holds on
     the generic locus.
+
+    Both verdicts come from ``classify``, so a state classified a few calls
+    earlier (with the same primes) is not classified again.
     """
     if (a.n, a.d) != (b.n, b.d):
         raise FormatMismatchError(f"formats {(a.n, a.d)} and {(b.n, b.d)} differ")

@@ -57,12 +57,13 @@ MAX_COEFFICIENT_DIGITS = 100
 def _check_state_size(n, d):
     """Raise SchemaError when a state of n factors of dimension d would
     exceed MAX_COEFFICIENTS entries.  With d >= 2, any n of at least
-    MAX_COEFFICIENTS.bit_length() is too large, so d**n is never computed
-    for a larger n."""
-    if d >= 2 and d ** min(n, MAX_COEFFICIENTS.bit_length()) > MAX_COEFFICIENTS:
-        raise SchemaError(
-            f"format (n={n}, d={d}) exceeds the limit of {MAX_COEFFICIENTS} coefficients"
-        )
+    MAX_COEFFICIENTS.bit_length() is too large, and so is any d above
+    MAX_COEFFICIENTS once n >= 1, so d**n is never computed for a larger n
+    or d.  The message prints neither, so no huge one meets int-to-string
+    conversion."""
+    d, n = min(d, MAX_COEFFICIENTS + 1), min(n, MAX_COEFFICIENTS.bit_length())
+    if d >= 2 and d**n > MAX_COEFFICIENTS:
+        raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
 
 
 class Tensor:
@@ -86,8 +87,11 @@ class Tensor:
     def _set(self, n, d, nums, den):
         if n < 2 or d < 2:
             raise ValueError("need n >= 2 and d >= 2")
-        if len(nums) != d**n:
-            raise ValueError(f"expected {d**n} coefficients, got {len(nums)}")
+        # d**n exceeds size whenever d or n does, so it is formed only for
+        # small d and n, and it is never printed
+        size = len(nums)
+        if d > size or n > size.bit_length() or d**n != size:
+            raise ValueError(f"expected d**n coefficients, got {size}")
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             nums, den = [a // g for a in nums], den // g

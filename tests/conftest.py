@@ -13,6 +13,13 @@ from sloccgeo.states import (
 )
 
 
+@pytest.fixture(autouse=True)
+def empty_classify_memo():
+    """Each test starts with an empty classify memo, so no test reads a
+    verdict that an earlier test computed, or skips work it counts."""
+    classify.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def ghz3_qutrit():
     return ghz(3, 3)

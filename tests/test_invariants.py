@@ -8,6 +8,8 @@ import pytest
 from sloccgeo.errors import (
     BadReductionError,
     FormatMismatchError,
+    UnsupportedPrimeError,
+    WorkLimitError,
     WrongDegreeError,
     WrongFormatError,
 )
@@ -27,6 +29,7 @@ from sloccgeo.geometry import (
 )
 from sloccgeo.invariants import (
     BOTH_DEGENERATE,
+    CLASSIFY_MEMO_SIZE,
     CONSISTENT_UNKNOWN,
     DISTINCT_CERTIFIED,
     RANK_DEFICIENT,
@@ -65,7 +68,9 @@ from sloccgeo.states import (
     basis_state,
     four_qubit_generic_family,
     ghz,
+    parse_state,
     random_state,
+    state_to_json,
     w_state,
 )
 
@@ -245,7 +250,6 @@ def test_moduli_dimension_paper_values():
 
 def test_format_formulas_are_bounded():
     # d**n is bounded by n*log2(d) before any power is formed
-    from sloccgeo.errors import WorkLimitError
     from sloccgeo.geometry import MAX_FORMULA_BITS, section_count
 
     assert moduli_dimension(MAX_FORMULA_BITS, 2) == 2**MAX_FORMULA_BITS - 3 * MAX_FORMULA_BITS - 1
@@ -665,3 +669,115 @@ def test_classify_status_and_j_are_slocc_invariant():
         assert (a.status, a.j) == (b.status, b.j)
 
     check()
+
+
+def test_memoized_verdict_equals_fresh_one():
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        fmt=st.sampled_from([(3, 3), (4, 2), (5, 2)]),
+        seed=st.integers(0, 10**6),
+        op_seed=st.integers(0, 10**6),
+    )
+    def check(fmt, seed, op_seed):
+        t = random_state(*fmt, 3, seed=seed)
+        moved = apply_slocc(t, SloccOperator.random(*fmt, 3, seed=op_seed))
+        classify(t), classify(moved)
+        for s in (t, moved):
+            memoized = classify(s)
+            assert classify(s) is memoized
+            classify.cache_clear()
+            fresh = classify(s)
+            assert fresh is not memoized
+            assert fresh == memoized
+            assert fresh.to_json_dict() == memoized.to_json_dict()
+
+    check()
+
+
+def test_equal_tensors_share_one_memo_entry():
+    t = random_state(3, 3, 5, seed=7)
+    first = classify(t)
+    twins = (
+        parse_state(state_to_json(t)),
+        Tensor.from_integers(3, 3, t.nums, t.den),
+        t.scale(2).scale(Fraction(1, 2)),
+    )
+    for twin in twins:
+        assert twin is not t and twin == t
+        assert classify(twin) is first
+    info = classify.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+
+
+def test_memo_key_is_the_checked_prime_tuple():
+    t = ghz(3, 3)
+    verdict = classify(t, (5, 7, 11))
+    assert classify(t, [11, 5, 7, 5, 11]) is verdict
+    assert classify(t, (5, 7)) is not verdict
+    info = classify.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_memoized_state_still_checks_its_primes():
+    t = random_state(4, 2, 5, seed=7)
+    classify(t, (5, 7))
+    for bad in ([], [4], [5, 7, 9], [2, 5, 7], [True, 5], [5, 7, -7]):
+        with pytest.raises(UnsupportedPrimeError):
+            classify(t, bad)
+    assert classify.cache_info().currsize == 1
+
+
+def test_compare_after_classify_recomputes_nothing(monkeypatch):
+    import sloccgeo.invariants as inv
+
+    calls = []
+    flattening_basis = inv.flattening_basis
+
+    def counting(t):
+        calls.append(t)
+        return flattening_basis(t)
+
+    monkeypatch.setattr(inv, "flattening_basis", counting)
+    for fmt in ((3, 3), (4, 2)):
+        s = random_state(*fmt, 5, seed=11)
+        moved = apply_slocc(s, SloccOperator.random(*fmt, 3, seed=12))
+        left, right = classify(s), classify(moved)
+        calls.clear()
+        result = slocc_compare(s, moved)
+        assert calls == []
+        assert result.left is left and result.right is right
+
+
+def test_raising_classify_is_not_memoized(monkeypatch):
+    import sloccgeo.invariants as inv
+
+    t = random_state(3, 3, 5, seed=7)
+    flattening_basis = inv.flattening_basis
+
+    def refusing(s):
+        raise WorkLimitError("refused")
+
+    monkeypatch.setattr(inv, "flattening_basis", refusing)
+    with pytest.raises(WorkLimitError):
+        classify(t)
+    assert classify.cache_info().currsize == 0
+    monkeypatch.setattr(inv, "flattening_basis", flattening_basis)
+    assert classify(t).status == SMOOTH_GENERIC
+    info = classify.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
+
+
+def test_classify_memo_is_bounded():
+    states = [random_state(4, 2, 5, seed=s) for s in range(CLASSIFY_MEMO_SIZE + 5)]
+    for t in states:
+        classify(t)
+        assert classify.cache_info().currsize <= CLASSIFY_MEMO_SIZE
+    info = classify.cache_info()
+    assert (info.maxsize, info.currsize, info.hits) == (CLASSIFY_MEMO_SIZE,) * 2 + (0,)
+    classify(states[-CLASSIFY_MEMO_SIZE])
+    assert classify.cache_info().hits == 1
+    classify(states[0])
+    assert classify.cache_info().misses == info.misses + 1

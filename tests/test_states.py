@@ -331,6 +331,25 @@ def test_oversized_format_is_refused_before_allocation():
         parse_state('{"n": 3, "d": 41, "entries": []}')  # 68921 > 2^16
 
 
+def test_huge_formats_are_refused_without_printing_them():
+    # a message naming a d or n of over 4,300 digits raised ValueError from
+    # int-to-string conversion; neither message prints them now
+    huge = 10**5000
+    for n, d in ((2, huge), (huge, 2), (huge, huge)):
+        with pytest.raises(SchemaError, match=r"d\*\*n exceeds the limit"):
+            random_state(n, d, 5, seed=0)
+        with pytest.raises(SchemaError):
+            Tensor.from_entries(n, d, {})
+        for nums in ([], [1, 2, 3, 4]):
+            with pytest.raises(ValueError, match=rf"expected d\*\*n coefficients, got {len(nums)}"):
+                Tensor.from_integers(n, d, nums)
+    with pytest.raises(ValueError, match="got 5"):
+        Tensor.from_integers(2, 2, [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError, match="got 4"):
+        Tensor.from_integers(3, 2, [1, 2, 3, 4])
+    assert Tensor.from_integers(2, 2, [1, 2, 3, 4]).nums == (1, 2, 3, 4)
+
+
 def test_exact_flattening_cost_is_bounded():
     from sloccgeo.invariants import RANK_DEFICIENT, classify
 
