@@ -89,26 +89,31 @@ def _per_prime(primes, check):
     return entries, degenerate
 
 
-def _cmd_classify(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
-    verdict = classify(t, args.primes)
-    payload = {"format": [t.n, t.d]}
-    payload.update(verdict.to_json_dict())
-    return payload, _hash(data), verdict.status != SMOOTH_GENERIC
+def _state_command(body):
+    """The handler of a command on one state file: it reads, parses and
+    hashes the file, and ``body(t, args)`` returns (payload, degenerate) for
+    the parsed state t; the report puts the state's format first."""
+
+    def handler(args):
+        data = _read_input(args.state)
+        t = parse_state(data)
+        payload, degenerate = body(t, args)
+        return {"format": [t.n, t.d], **payload}, _hash(data), degenerate
+
+    return handler
 
 
-def _cmd_jinv(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
+@_state_command
+def _cmd_classify(t, args):
     verdict = classify(t, args.primes)
-    payload = {
-        "format": [t.n, t.d],
-        "status": verdict.status,
-        "j": verdict.to_json_dict()["j"],
-        "projections": [pr.to_json_dict() for pr in verdict.projections],
-    }
-    return payload, _hash(data), verdict.status != SMOOTH_GENERIC
+    return verdict.to_json_dict(), verdict.status != SMOOTH_GENERIC
+
+
+@_state_command
+def _cmd_jinv(t, args):
+    doc = classify(t, args.primes).to_json_dict()
+    payload = {key: doc[key] for key in ("status", "j", "projections")}
+    return payload, doc["status"] != SMOOTH_GENERIC
 
 
 def _cmd_equiv(args):
@@ -122,34 +127,23 @@ def _cmd_equiv(args):
     )
 
 
-def _cmd_hyperdet(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
+@_state_command
+def _cmd_hyperdet(t, args):
     if (t.n, t.d) not in HYPERDETERMINANTS:
         raise SloccGeoError(f"no hyperdeterminant for format {(t.n, t.d)}")
     kind, hyperdet = HYPERDETERMINANTS[(t.n, t.d)]
     value = hyperdet(t)
-    payload = {
-        "format": [t.n, t.d],
-        "kind": kind,
-        "value": _frac_str(value),
-        "vanishes": value == 0,
-    }
-    return payload, _hash(data), value == 0
+    return {"kind": kind, "value": _frac_str(value), "vanishes": value == 0}, value == 0
 
 
-def _cmd_smoothness(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
+@_state_command
+def _cmd_smoothness(t, args):
     report = smoothness_scan(t, args.primes)
-    payload = {"format": [t.n, t.d]}
-    payload.update(report.to_json_dict())
-    return payload, _hash(data), report.verdict == "SingularFound"
+    return report.to_json_dict(), report.verdict == "SingularFound"
 
 
-def _cmd_hilbert(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
+@_state_command
+def _cmd_hilbert(t, args):
     if (t.n, t.d) == (3, 3):
         runner, default_k = quadratic_hilbert, 4
     elif (t.n, t.d) == (4, 2):
@@ -163,21 +157,17 @@ def _cmd_hilbert(args):
         return profile.to_json_dict(), not profile.matches()
 
     profiles, degenerate = _per_prime(args.primes, check)
-    payload = {"format": [t.n, t.d], "k_max": k_max, "profiles": profiles}
-    return payload, _hash(data), degenerate
+    return {"k_max": k_max, "profiles": profiles}, degenerate
 
 
-def _cmd_roundtrip(args):
-    data = _read_input(args.state)
-    t = parse_state(data)
-
+@_state_command
+def _cmd_roundtrip(t, args):
     def check(p):
         ok = roundtrip_check(t, p)
         return {"prime": p, "ok": ok}, not ok
 
     results, degenerate = _per_prime(args.primes, check)
-    payload = {"format": [t.n, t.d], "results": results}
-    return payload, _hash(data), degenerate
+    return {"results": results}, degenerate
 
 
 def _cmd_sample(args):
@@ -221,15 +211,18 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"{TOOL} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, state=True):
+    def command(name, handler, help, state=True, primes=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         if state:
             p.add_argument("state", help="state file (JSON)")
-        p.add_argument(
-            "--primes",
-            type=_parse_primes,
-            default=DEFAULT_PRIMES,
-            help="comma-separated primes (default %(default)s)",
-        )
+        if primes:
+            p.add_argument(
+                "--primes",
+                type=_parse_primes,
+                default=DEFAULT_PRIMES,
+                help="comma-separated primes (default %(default)s)",
+            )
         p.add_argument("--out", help="write the report to this path")
         p.add_argument("--pretty", action="store_true", help="text output instead of JSON")
         p.add_argument(
@@ -237,48 +230,35 @@ def build_parser():
             action="store_true",
             help="exit 1 when the verdict signals degenerate input",
         )
+        return p
 
-    common(sub.add_parser("classify", help="full verdict for a state"))
-    common(sub.add_parser("jinv", help="projection j-invariants"))
-    p_equiv = sub.add_parser("equiv", help="compare two states")
+    command("classify", _cmd_classify, "full verdict for a state")
+    command("jinv", _cmd_jinv, "projection j-invariants")
+    p_equiv = command("equiv", _cmd_equiv, "compare two states", state=False)
     p_equiv.add_argument("state_a")
     p_equiv.add_argument("state_b")
-    common(p_equiv, state=False)
-    common(sub.add_parser("hyperdet", help="Cayley or Schlaefli hyperdeterminant"))
-    common(sub.add_parser("smoothness", help="finite-field smoothness sweep"))
-    p_hil = sub.add_parser("hilbert", help="graded dimension profile")
-    common(p_hil)
+    command("hyperdet", _cmd_hyperdet, "Cayley or Schlaefli hyperdeterminant")
+    command("smoothness", _cmd_smoothness, "finite-field smoothness sweep")
+    p_hil = command("hilbert", _cmd_hilbert, "graded dimension profile")
     p_hil.add_argument("--k-max", type=int, default=None, help="top degree (format default)")
-    common(sub.add_parser("roundtrip", help="reconstruct the flattening image from points"))
+    command("roundtrip", _cmd_roundtrip, "reconstruct the flattening image from points")
 
     p_sample = sub.add_parser("sample", help="write a deterministic random state file")
+    p_sample.set_defaults(handler=_cmd_sample)
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--d", type=int, required=True)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--bound", type=int, default=5)
     p_sample.add_argument("--out", help="write the state to this path")
 
-    p_dim = sub.add_parser("moduli-dim", help="orbit-space dimension for a format")
+    p_dim = command(
+        "moduli-dim", _cmd_moduli_dim, "orbit-space dimension for a format",
+        state=False, primes=False,
+    )
     p_dim.add_argument("--n", type=int, required=True)
     p_dim.add_argument("--d", type=int, required=True)
-    p_dim.add_argument("--out", help="write the report to this path")
-    p_dim.add_argument("--pretty", action="store_true")
-    p_dim.add_argument("--strict", action="store_true")
 
     return parser
-
-
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "jinv": _cmd_jinv,
-    "equiv": _cmd_equiv,
-    "hyperdet": _cmd_hyperdet,
-    "smoothness": _cmd_smoothness,
-    "hilbert": _cmd_hilbert,
-    "roundtrip": _cmd_roundtrip,
-    "sample": _cmd_sample,
-    "moduli-dim": _cmd_moduli_dim,
-}
 
 
 def run(argv):
@@ -287,7 +267,7 @@ def run(argv):
     try:
         args = build_parser().parse_args(argv)
         try:
-            payload, input_hash, degenerate = _HANDLERS[args.command](args)
+            payload, input_hash, degenerate = args.handler(args)
         except DegenerateInputError as exc:
             payload = {"error": type(exc).__name__, "detail": str(exc)}
             input_hash = None

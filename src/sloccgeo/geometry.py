@@ -705,24 +705,22 @@ class _PrimeSweep:
 
     Construction checks every prime (``check_primes``) and the prefix
     budget before any work.  Iterating files each prime as bad (the state
-    has a denominator there, or the flattening rank drops), excluded (for a
-    curve format that is smooth by the exact discriminant test, p divides
-    the numerator of a discriminant of the projections of the state's own
-    slices, so the reduced curve degenerates and says nothing about the
-    original model) or used, and yields (p, reduced model) for each used
+    has a denominator there, or the flattening rank drops), excluded (p
+    divides the numerator of one of the caller's ``discs``, when none of
+    them vanishes) or used, and yields (p, reduced model) for each used
     prime in order; how much of that prime to sweep is the caller's choice.
-    Once the primes run out it raises AllPrimesBadError if none was used or
-    excluded.
+    smoothness_scan passes the state's ``slice_discriminants``: for a curve
+    format that is smooth by the exact discriminant test, such a p makes
+    the reduced curve degenerate, and it says nothing about the original
+    model.  Once the primes run out it raises AllPrimesBadError if none was
+    used or excluded.
     """
 
-    def __init__(self, t, primes):
-        from .invariants import slice_discriminants
-
+    def __init__(self, t, primes, discs=None):
         self.primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
         _check_prefix_budget(t.d, t.n - 1, self.primes)
         self.model = variety_from_state(t)
-        discs = slice_discriminants(t)
-        self.discs = discs if discs is not None and all(discs) else ()
+        self.discs = discs if discs and all(discs) else ()
         self.used, self.bad, self.excluded = [], [], []
 
     @property
@@ -757,7 +755,9 @@ def smoothness_scan(t, primes=None):
     prime must pass ``check_primes``.  Each rank test is one left-kernel
     test, not an elimination (see ``_first_witness``).
     """
-    sweep = _PrimeSweep(t, primes)
+    from .invariants import slice_discriminants
+
+    sweep = _PrimeSweep(t, primes, slice_discriminants(t))
     counts = []
     witnesses = []
     for p, reduced in sweep:

@@ -57,19 +57,17 @@ from .geometry import (
 _CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
 
 
+@dataclass(frozen=True)
 class TernaryCubic:
     """A cubic form in three variables, stored as 10 exact coefficients."""
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple
 
-    def __init__(self, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+    def __post_init__(self):
+        coeffs = tuple(Fraction(c) for c in self.coeffs)
         if len(coeffs) != 10:
             raise ValueError("a ternary cubic has 10 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TernaryCubic is immutable")
 
     @classmethod
     def from_form(cls, form):
@@ -94,15 +92,6 @@ class TernaryCubic:
 
     def to_form(self):
         return MultiForm((3,), dict(zip(CUBIC_MONOMIALS, self.coeffs)))
-
-    def __eq__(self, other):
-        return isinstance(other, TernaryCubic) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"TernaryCubic({self.coeffs})"
 
 
 _PERMS3 = []
@@ -368,10 +357,16 @@ def schlaefli_hyperdet(t):
 
 
 def moduli_dimension(n, d):
-    """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1.  Formats
-    whose d**n exceeds 2**MAX_FORMULA_BITS raise WorkLimitError."""
+    """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1, the state
+    space less the GL_d^n orbit (n - 1 of the n*d^2 directions scale the
+    state trivially), where the generic stabilizer is finite: for every
+    n >= 3 but (3,2).  For two parties (matrices of full rank) and for
+    three qubits (the GHZ class) the generic orbit is dense, so the orbit
+    space is a point and the dimension 0; there, and only there, the
+    formula is negative.  Formats whose d**n exceeds 2**MAX_FORMULA_BITS
+    raise WorkLimitError."""
     _check_formula_format(n, d)
-    return d**n - n * d * d + n - 1
+    return max(d**n - n * d * d + n - 1, 0)
 
 
 RANK_DEFICIENT = "RankDeficient"
@@ -593,14 +588,18 @@ def classify(t, primes=None):
     discriminants; the prime sweep only supplies a singular witness.  For
     other formats (notably (5,2)) the verdict rests on the sweep alone.
 
-    Neither reads a point count, so the sweep here is lazy: a singular
-    curve model is swept only up to its first witness, and the (5,2) rule
-    sweeps each prime up to that prime's first witness, and no further
-    prime once the vote is settled: with W witnesses, C clean primes and R
-    primes not yet filed, the model is smooth when W + R <= C and singular
-    when W > C + R, whatever those R primes show.  The primes are still all
-    filed as used, bad or excluded, so ``primes_used`` and the witness are
-    those of the full ``smoothness_scan``.  Given primes must pass
+    Neither reads a point count, so the sweep here is lazy: one loop tests
+    each used prime up to its first witness, and stops testing at the first
+    witness for a curve model, or, for other formats, once the vote is
+    settled: with W witnesses, C clean primes and R primes not yet filed,
+    the model is smooth when W + R <= C and singular when W > C + R,
+    whatever those R primes show.  The primes are still all filed as used
+    or bad, so ``primes_used`` and the witness are those of the full
+    ``smoothness_scan`` (whose exclusions apply only to smooth curve
+    models, which never reach the sweep here).  When every prime is bad, a
+    singular curve model is still SingularModel, with no primes used and
+    no witness, while any other format raises AllPrimesBadError: it has no
+    verdict without a usable prime.  Given primes must pass
     ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
     return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
@@ -617,7 +616,9 @@ def _classify(t, primes):
     if rank < t.d:
         return Verdict(t.n, t.d, RANK_DEFICIENT, rank, (), None, hyperdet, hint, (), None)
 
-    if fmt in CURVE_AXES:
+    curve = fmt in CURVE_AXES
+    projections, scan_primes = (), primes
+    if curve:
         projections = tuple(_curve_projections(fmt, rows, den))
         if all(pr.invariants.discriminant != 0 for pr in projections):
             js = {pr.invariants.j for pr in projections}
@@ -629,41 +630,32 @@ def _classify(t, primes):
                 t.n, t.d, SMOOTH_GENERIC, rank, projections,
                 js.pop(), hyperdet, hint, (), None,
             )
-        sweep = _PrimeSweep(t, primes)
-        witness = None
-        try:
-            for p, reduced in sweep:
-                if witness is None:
-                    witness = _first_witness(reduced, _points(reduced, p))
-            used = tuple(sweep.used)
-        except AllPrimesBadError:
-            used, witness = (), None
-        return Verdict(
-            t.n, t.d, SINGULAR_MODEL, rank, projections,
-            None, hyperdet, hint, used, witness,
-        )
-
-    scan_primes = tuple(p for p in primes if p <= 13) if fmt == (5, 2) else primes
-    if not scan_primes:
-        scan_primes = primes
+    elif fmt == (5, 2):
+        scan_primes = tuple(p for p in primes if p <= 13) or primes
     sweep = _PrimeSweep(t, scan_primes)
     witnesses, clean, settled = [], 0, False
-    for p, reduced in sweep:
-        if not settled:
-            witness = _first_witness(reduced, _points(reduced, p))
-            if witness is None:
-                clean += 1
-            else:
-                witnesses.append(witness)
-            w, rest = len(witnesses), sweep.pending
-            settled = w + rest <= clean or w > clean + rest
+    try:
+        for p, reduced in sweep:
+            if not settled:
+                witness = _first_witness(reduced, _points(reduced, p))
+                if witness is None:
+                    clean += 1
+                else:
+                    witnesses.append(witness)
+                w, rest = len(witnesses), sweep.pending
+                settled = (w > 0) if curve else (w + rest <= clean or w > clean + rest)
+    except AllPrimesBadError:
+        if not curve:
+            raise
     used = tuple(sweep.used)
-    # No exact discriminant exists here, so a single-prime witness may be
-    # bad-reduction noise; only a strict majority of usable primes decides.
-    if used and 2 * len(witnesses) > len(used):
+    # A curve model is singular by its exact discriminants, and the sweep
+    # only looks for a witness.  Elsewhere no exact discriminant exists, so
+    # a single-prime witness may be bad-reduction noise; only a strict
+    # majority of usable primes decides.
+    if curve or 2 * len(witnesses) > len(used):
         return Verdict(
-            t.n, t.d, SINGULAR_MODEL, rank, (), None, hyperdet, hint,
-            used, witnesses[0],
+            t.n, t.d, SINGULAR_MODEL, rank, projections, None, hyperdet, hint,
+            used, witnesses[0] if witnesses else None,
         )
     return Verdict(
         t.n, t.d, SMOOTH_GENERIC, rank, (), None, hyperdet, hint, used, None,

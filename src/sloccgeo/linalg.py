@@ -16,7 +16,8 @@ place from the pivot column rightward, and hands its rows to the private
 without reducing them again.  The public constructor checks and reduces
 its input; over F_p it takes integer entries only.  Kernels and Hilbert
 quotients read the pivots and free columns of reduced rows through one
-routine, ``_free_basis``.
+routine, ``_free_basis``; a kernel is one elimination, of the
+column-reversed matrix (``Matrix.kernel``).
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
 through ``Tensor.reduce_mod`` and ``states.reduced_flattening_image``,
@@ -284,8 +285,18 @@ class Matrix:
         return Matrix._trusted(reduced.entries[:rank], self.cols, self.p)
 
     def kernel(self):
-        """Right null space as its canonical basis (see ``row_space``)."""
-        return _null_space(*self.rref())
+        """Right null space as its canonical basis (see ``row_space``), from
+        one elimination, of the matrix with its columns reversed, whose null
+        space is this one's reversed.  The free-column basis vector of that
+        elimination for free column f is 1 at f and 0 at the other free
+        columns, and it is nonzero elsewhere only at pivot columns left of f.
+        So each vector, reversed, leads with a 1 where every other one is 0:
+        the reversed vectors, in reverse order, are in reduced row-echelon
+        form, and by its uniqueness they are the canonical basis."""
+        rev = Matrix._trusted([row[::-1] for row in self.entries], self.cols, self.p)
+        rank, reduced = rev.rref()
+        basis = _free_basis(reduced.entries[:rank], self.cols)
+        return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
 
 
 def _free_basis(rows, cols):
@@ -304,15 +315,6 @@ def _free_basis(rows, cols):
                 v[pc] = -row[f]
             basis.append(v)
     return basis
-
-
-def _null_space(rank, reduced):
-    """The right null space of a matrix, as its canonical basis, from the
-    (rank, reduced) pair of its ``rref``: the row space of the free-column
-    basis."""
-    cols = reduced.cols
-    basis = _free_basis(reduced.entries[:rank], cols)
-    return Matrix(basis, cols=cols, p=reduced.p).row_space()
 
 
 def random_invertible(d, bound, seed):

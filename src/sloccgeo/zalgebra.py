@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
-from .linalg import Matrix, _free_basis, _null_space
+from .linalg import Matrix, _free_basis
 from .states import permute_factors
 from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
 
@@ -135,12 +135,13 @@ def relations_from_points(model, p, slot_pattern):
     reduced = model_mod_p(model, p)
     points = enumerate_points(reduced, p)
     target_rank = min(k * d, d**k)
-    rank, echelon = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p).rref()
+    kernel = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p).kernel()
+    rank = d**k - kernel.rows
     if rank < target_rank:
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {target_rank} at p={p}"
         )
-    return RelationSpace(p, slot_pattern, d, _null_space(rank, echelon))
+    return RelationSpace(p, slot_pattern, d, kernel)
 
 
 def cyclic_relations(state, p):

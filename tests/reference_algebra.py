@@ -5,7 +5,9 @@ other than ``mul``; the dict-polynomial operations, the matrix-vector
 product, the Kronecker product and the entrywise scalar reduction that the
 tests compare the integer core against live here, as plain functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
-column-restricted elimination is checked against, and the former exact
+column-restricted elimination is checked against, the former
+two-elimination kernel that ``Matrix.kernel`` is checked against, and the
+former exact
 kernels of the curve path: the determinant-sum projection, the
 term-by-term S/T evaluation and the ``Fraction`` discriminant and j.
 """
@@ -205,6 +207,24 @@ def kernel_mod_p(matrix):
         basis.append(v)
     dim, canonical = rref_mod_p(Matrix(basis, cols=cols, p=p))
     return canonical.entries[:dim]
+
+
+def kernel_two_eliminations(matrix):
+    """The canonical basis of the right null space of a Matrix over Q or
+    F_p, by two eliminations: the free-column vectors of the matrix's RREF,
+    then the RREF of those vectors (the library's kernel before it became
+    one elimination of the column-reversed matrix)."""
+    cols = matrix.cols
+    rank, red = matrix.rref()
+    pivots = [next(c for c in range(cols) if red[r, c] != 0) for r in range(rank)]
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [0] * cols
+        v[f] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, f]
+        basis.append(v)
+    return Matrix(basis, cols=cols, p=matrix.p).row_space()
 
 
 # ------------------------------------------------- former curve kernels

@@ -1,3 +1,4 @@
+import argparse
 import json
 import random
 from itertools import product
@@ -5,7 +6,7 @@ from itertools import product
 import pytest
 
 from sloccgeo import __version__
-from sloccgeo.cli import run
+from sloccgeo.cli import build_parser, run
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     SloccOperator,
@@ -58,6 +59,57 @@ def test_moduli_dim(capsys):
     assert doc["sections"] == 14
     code, doc = run_json(capsys, ["moduli-dim", "--n", "3", "--d", "3"])
     assert doc["dimension"] == 2
+
+
+def test_moduli_dim_dense_orbit_formats(capsys):
+    # two parties and three qubits have a dense generic orbit
+    for n, d in ((2, 2), (2, 3), (3, 2)):
+        code, doc = run_json(capsys, ["moduli-dim", "--n", str(n), "--d", str(d)])
+        assert code == 0
+        assert doc["dimension"] == 0
+
+
+def test_moduli_dim_pretty_out_file(tmp_path, capsys):
+    argv = ["moduli-dim", "--n", "3", "--d", "3", "--pretty"]
+    assert run(argv) == 0
+    printed = capsys.readouterr().out
+    assert "dimension: 2" in printed.splitlines()
+    out = tmp_path / "dim.txt"
+    assert run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == printed
+
+
+STATE_OPTIONS = ["--out", "--pretty", "--primes", "--strict"]
+CLI_SURFACE = {
+    "classify": (["state"], STATE_OPTIONS),
+    "jinv": (["state"], STATE_OPTIONS),
+    "equiv": (["state_a", "state_b"], STATE_OPTIONS),
+    "hyperdet": (["state"], STATE_OPTIONS),
+    "smoothness": (["state"], STATE_OPTIONS),
+    "hilbert": (["state"], ["--k-max"] + STATE_OPTIONS),
+    "roundtrip": (["state"], STATE_OPTIONS),
+    "sample": ([], ["--bound", "--d", "--n", "--out", "--seed"]),
+    "moduli-dim": ([], ["--d", "--n", "--out", "--pretty", "--strict"]),
+}
+
+
+def _subcommands():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_cli_commands_are_fixed():
+    assert sorted(_subcommands()) == sorted(CLI_SURFACE)
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_command_arguments_are_fixed(command):
+    positionals, options = CLI_SURFACE[command]
+    actions = _subcommands()[command]._actions
+    assert [a.dest for a in actions if not a.option_strings] == positionals
+    found = [o for a in actions for o in a.option_strings if o not in ("-h", "--help")]
+    assert sorted(found) == sorted(options)
 
 
 def test_equiv_never_distinct_on_orbit(tmp_path, capsys):

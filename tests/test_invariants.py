@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 
 from sloccgeo.errors import (
+    AllPrimesBadError,
     BadReductionError,
     FormatMismatchError,
     UnsupportedPrimeError,
@@ -248,6 +249,34 @@ def test_moduli_dimension_paper_values():
         moduli_dimension(2, 1)
 
 
+#: d^n less the rank of the infinitesimal GL_d^n action at
+#: random_state(n, d, 50, 7) modulo 2^31 - 1.
+TANGENT_QUOTIENTS = {
+    (2, 2): 0, (2, 3): 0, (2, 4): 0, (3, 2): 0, (3, 3): 2,
+    (4, 2): 3, (5, 2): 16, (3, 4): 18, (4, 3): 48, (6, 2): 45,
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TANGENT_QUOTIENTS))
+def test_moduli_dimension_is_the_tangent_quotient(fmt):
+    # The orbit of t has the dimension of the span of E_ij acting on slot k
+    # (over all k, i, j).  Its rank at one state mod p is at most the
+    # generic rank over Q, which is at most n*d^2 - n + 1 (n - 1 scalings
+    # act trivially), so the measured quotient is at least the orbit-space
+    # dimension, and that is at least the formula: where they meet, or the
+    # quotient is 0, the dimension is certified.
+    n, d = fmt
+    t = random_state(n, d, 50, 7)
+    index = list(product(range(d), repeat=n))
+    rows = [
+        # E_ij on slot k carries the entries with slot-k index j to index i
+        [t.nums[t.offset(x[:k] + (j,) + x[k + 1 :])] if x[k] == i else 0 for x in index]
+        for k, i, j in product(range(n), range(d), range(d))
+    ]
+    rank = Matrix(rows, cols=d**n, p=2**31 - 1).rank()
+    assert d**n - rank == TANGENT_QUOTIENTS[fmt] == moduli_dimension(n, d)
+
+
 def test_format_formulas_are_bounded():
     # d**n is bounded by n*log2(d) before any power is formed
     from sloccgeo.geometry import MAX_FORMULA_BITS, section_count
@@ -262,6 +291,18 @@ def test_format_formulas_are_bounded():
                 formula(n, d)
     with pytest.raises(ValueError):
         moduli_dimension(10**7, 1)
+
+
+def test_classify_when_every_prime_is_bad():
+    # 35 = 5 * 7 divides the denominator, so both primes are bad.  A curve
+    # model is singular by its exact discriminants and keeps that verdict,
+    # without a prime or a witness; a (5,2) verdict rests on the sweep alone
+    curve = classify(ghz(3, 3).scale(Fraction(1, 35)), (5, 7))
+    assert curve.status == SINGULAR_MODEL
+    assert curve.primes_used == ()
+    assert curve.singular_witness is None
+    with pytest.raises(AllPrimesBadError):
+        classify(ghz(5, 2).scale(Fraction(1, 35)), (5, 7))
 
 
 def test_classify_separable():

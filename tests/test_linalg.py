@@ -271,6 +271,44 @@ def test_fp_elimination_matches_reference():
     check()
 
 
+def _q_matrix(draw):
+    """A Q matrix of 0-6 rows and 0-6 columns whose rows are random
+    combinations of at most min(rows, cols) base rows with small rational
+    entries, with repeats, so rank-deficient matrices are common."""
+    from hypothesis import strategies as st
+
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         max_size=min(rows, cols)))
+    coeff = st.integers(-3, 3)
+    entries = []
+    for _ in range(rows):
+        coeffs = [draw(coeff) for _ in base]
+        entries.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0))
+                        for j in range(cols)])
+    return Matrix(entries, cols=cols)
+
+
+def test_kernel_matches_two_elimination_reference():
+    # Matrix.kernel eliminates once, the column-reversed matrix; the
+    # reference eliminates the matrix and then its free-column basis
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), over_q=st.booleans())
+    def check(data, over_q):
+        m = _q_matrix(data.draw) if over_q else _fp_matrix(data.draw)
+        kernel = m.kernel()
+        assert kernel == ref.kernel_two_eliminations(m)
+        assert kernel.rows == m.cols - m.rank()
+        for v in kernel.entries:
+            assert all(x == 0 or (m.p is not None and x % m.p == 0) for x in ref.apply(m, v))
+
+    check()
+
+
 def test_matrix_immutable():
     m = Matrix.identity(2)
     with pytest.raises(AttributeError):

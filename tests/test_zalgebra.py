@@ -389,15 +389,16 @@ def test_roundtrip_reduces_the_state_once(monkeypatch):
 
 
 def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
-    # the rank check and the kernel come from one RREF of the evaluation
-    # matrix; point enumeration and the kernel's canonical basis eliminate
-    # other matrices
+    # the rank check and the kernel come from one RREF, of the evaluation
+    # matrix with its columns reversed (Matrix.kernel); no other matrix is
+    # eliminated, neither the evaluation matrix itself nor the kernel basis
     from sloccgeo.zalgebra import _monomial_rows
 
     t = random_state(3, 3, 5, seed=42)
     model = model_mod_p(variety_from_state(t), 11)
     points = [pt.coords for pt in enumerate_points(model, 11)]
     evaluation = _monomial_rows(points, (0, 1), 3, 11)
+    reversed_columns = Matrix([row[::-1] for row in evaluation.entries], cols=9, p=11)
     seen = []
     rref = Matrix.rref
 
@@ -407,8 +408,8 @@ def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
 
     monkeypatch.setattr(Matrix, "rref", counting)
     rel = relations_from_points(model, 11, (0, 1))
+    assert seen == [reversed_columns]
     assert rel.basis == reduced_flattening_image(t, 11)
-    assert sum(m == evaluation for m in seen) == 1
 
 
 def test_roundtrip_separable_rank_deficient():
