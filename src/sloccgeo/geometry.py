@@ -72,6 +72,7 @@ PROJECTION_MONOMIALS = {(3, 3): CUBIC_MONOMIALS, (4, 2): BIQUADRATIC_MONOMIALS}
 CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class MultiForm:
     """A multihomogeneous polynomial in groups of variables, as a value.
 
@@ -83,7 +84,10 @@ class MultiForm:
     printed; the pipeline computes on integer coefficient rows, not on forms.
     """
 
-    __slots__ = ("group_dims", "multidegree", "terms", "p")
+    group_dims: tuple
+    multidegree: tuple
+    terms: dict
+    p: object
 
     def __init__(self, group_dims, terms, p=None):
         group_dims = tuple(group_dims)
@@ -109,9 +113,6 @@ class MultiForm:
         object.__setattr__(self, "multidegree", multidegree)
         object.__setattr__(self, "terms", cleaned)
         object.__setattr__(self, "p", p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiForm is immutable")
 
     @staticmethod
     def _group_degrees(group_dims, exps):
@@ -150,15 +151,8 @@ class MultiForm:
         zero = 0 if self.p is not None else Fraction(0)
         return self.terms.get(tuple(exps), zero)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiForm)
-            and self.group_dims == other.group_dims
-            and self.p == other.p
-            and self.terms == other.terms
-        )
-
     def __hash__(self):
+        # terms is a dict, which the generated hash could not hash
         return hash((self.group_dims, self.p, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):

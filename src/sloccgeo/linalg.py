@@ -20,11 +20,12 @@ routine, ``_free_basis``; a kernel is one elimination, of the
 column-reversed matrix (``Matrix.kernel``).
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
-through ``Tensor.reduce_mod`` and ``states.reduced_flattening_image``,
-which check the prime.
+through ``Tensor.reduce_mod`` (``states.reduced_flattening_image`` calls
+it), which checks the prime.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
@@ -103,6 +104,7 @@ def integer_rref(rows, cols):
     return rank, [[x // g for x in row] for row in basis], prev // g
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Matrix:
     """Immutable dense matrix over Q (p=None) or F_p.
 
@@ -116,7 +118,10 @@ class Matrix:
     ``_trusted`` skips the checks for rows already in normal form.
     """
 
-    __slots__ = ("rows", "cols", "entries", "p")
+    rows: int
+    cols: int
+    p: object
+    entries: tuple
 
     def __init__(self, entries, cols=None, p=None):
         if p is not None and (type(p) is not int or p < 2):
@@ -156,9 +161,6 @@ class Matrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "p", p)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
     @classmethod
     def identity(cls, n, p=None):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p=p)
@@ -173,18 +175,6 @@ class Matrix:
 
     def row(self, i):
         return self.entries[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.p == other.p
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.p, self.entries))
 
     def __repr__(self):
         field = "Q" if self.p is None else f"F{self.p}"

@@ -13,6 +13,7 @@ canonical basis ``flattening_basis`` computes by fraction-free elimination.
 import hashlib
 import json
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -66,12 +67,16 @@ def _check_state_size(n, d):
         raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Tensor:
     """Immutable dense tensor with equal local dimensions: integer
     numerators ``nums`` over one common denominator ``den`` > 0, in lowest
     terms.  ``coeffs`` builds the Fraction coefficients on demand."""
 
-    __slots__ = ("n", "d", "nums", "den")
+    n: int
+    d: int
+    nums: tuple
+    den: int
 
     def __init__(self, n, d, coeffs):
         (nums,), den = clear_denominators([[Fraction(c) for c in coeffs]])
@@ -99,9 +104,6 @@ class Tensor:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "nums", tuple(nums))
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Tensor is immutable")
 
     @property
     def coeffs(self):
@@ -138,13 +140,6 @@ class Tensor:
     def indices(self):
         return product(range(self.d), repeat=self.n)
 
-    def __eq__(self, other):
-        key = (self.n, self.d, self.den, self.nums)
-        return isinstance(other, Tensor) and key == (other.n, other.d, other.den, other.nums)
-
-    def __hash__(self):
-        return hash((self.n, self.d, self.nums, self.den))
-
     def __repr__(self):
         return f"Tensor(n={self.n}, d={self.d}, nonzero={sum(1 for a in self.nums if a)})"
 
@@ -160,9 +155,12 @@ class Tensor:
         return Tensor.from_integers(self.n, self.d, nums, self.den * other.den)
 
     def reduce_mod(self, p):
-        """Entrywise residues; raises BadReductionError when p divides the
-        denominator, naming the first coefficient whose denominator it
-        divides."""
+        """Entrywise residues modulo a prime p.  Every reduction of a state
+        starts here, so p is checked here (``check_primes``): anything but
+        a prime in [5, MAX_PRIME] raises UnsupportedPrimeError.  Raises
+        BadReductionError when p divides the denominator, naming the first
+        coefficient whose denominator it divides."""
+        check_primes((p,))
         if self.den % p == 0:
             bad = next(c for c in self.coeffs if c.denominator % p == 0)
             raise BadReductionError(p, f"denominator divisible by {p} for {bad}")
@@ -170,21 +168,32 @@ class Tensor:
         return [a * inv % p for a in self.nums]
 
 
+@dataclass(frozen=True)
 class SloccOperator:
-    """A tuple of n invertible d x d rational matrices acting locally."""
+    """A tuple of n invertible d x d rational matrices acting locally.
 
-    __slots__ = ("factors",)
+    The factors are checked once, here: they must be square rational
+    matrices of one size (else ValueError) and each invertible (else
+    SingularOperatorError), which one integer elimination per factor
+    decides.  Each factor is kept cleared to integer rows over its
+    denominator, the form ``apply_slocc`` contracts."""
 
-    def __init__(self, factors):
-        factors = tuple(factors)
+    factors: tuple
+    _cleared: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        factors = tuple(self.factors)
+        if not factors:
+            raise ValueError("an operator needs at least one factor")
         d = factors[0].rows
         for f in factors:
             if f.p is not None or f.rows != d or f.cols != d:
                 raise ValueError("factors must be square rational matrices of equal size")
+        cleared = tuple(clear_denominators(f.entries) for f in factors)
+        if any(integer_rref(rows, d)[0] != d for rows, _ in cleared):
+            raise SingularOperatorError("operator factor is singular")
         object.__setattr__(self, "factors", factors)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SloccOperator is immutable")
+        object.__setattr__(self, "_cleared", cleared)
 
     @property
     def n(self):
@@ -337,12 +346,11 @@ def reduced_flattening_image(t, p):
     Reducing the tensor first and spanning over F_p is the saturated
     reduction of the subspace: denominators introduced by the canonical
     rational basis cannot produce spurious bad primes.  Genuine state
-    denominators still raise BadReductionError.  Every reduction of a state
-    or of a model over Q passes through here, so p is checked here
-    (``check_primes``): anything but a prime >= 5 raises
+    denominators still raise BadReductionError.  Every reduction of a model
+    over Q passes through here, and every reduction of a state through
+    ``Tensor.reduce_mod``, which checks p: anything but a prime >= 5 raises
     UnsupportedPrimeError.
     """
-    check_primes((p,))
     residues = t.reduce_mod(p)
     slices = [residues[k :: t.d] for k in range(t.d)]
     return Matrix(slices, cols=t.d ** (t.n - 1), p=p).row_space()
@@ -351,18 +359,15 @@ def reduced_flattening_image(t, p):
 def apply_slocc(t, g):
     """Act by a local operator: coefficients transform by one factor per axis.
 
-    Each factor is cleared to an integer matrix over its own denominator
-    and checked by integer elimination; the numerators are contracted over
-    the integers, one axis at a time, and the denominators multiply.
+    The numerators are contracted over the integers, one axis at a time,
+    with each factor's integer rows (cleared and checked when the operator
+    was built), and the denominators multiply.
     """
     if g.n != t.n or g.d != t.d:
         raise ValueError("operator format mismatch")
     d, n = t.d, t.n
-    factors = [clear_denominators(f.entries) for f in g.factors]
-    if any(integer_rref(rows, d)[0] != d for rows, _ in factors):
-        raise SingularOperatorError("operator factor is singular")
     nums, den = t.nums, t.den
-    for axis, (rows, f_den) in enumerate(factors):
+    for axis, (rows, f_den) in enumerate(g._cleared):
         stride = d ** (n - 1 - axis)
         new = []
         for base in range(0, len(nums), d * stride):

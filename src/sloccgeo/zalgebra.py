@@ -294,13 +294,16 @@ def multiplication_surjectivity(state, axis_pair, p):
     bad prime.  The number of distinct projected points must be plausible
     for a curve of genus one: a count above the Hasse window certifies a
     degenerate model, and fewer than five points cannot pin the kernel
-    down; both abort with InsufficientPointsError.
+    down; both abort with InsufficientPointsError.  The axis pair must name
+    two distinct groups among 0, 1 and 2 (ints, in either order), else
+    ValueError.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
+    pairs = ([0, 1], [0, 2], [1, 2])
+    if any(type(a) is not int for a in axis_pair) or sorted(axis_pair) not in pairs:
+        raise ValueError("axis pair must name two distinct groups of 0,1,2")
     axis_pair = tuple(sorted(axis_pair))
-    if len(axis_pair) != 2 or not all(0 <= a < 3 for a in axis_pair):
-        raise ValueError("axis pair must name two of the groups 0,1,2")
     model = variety_from_state(state)
     reduced = model_mod_p(model, p)
     projected = sorted(

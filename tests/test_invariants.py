@@ -743,14 +743,15 @@ def test_equal_tensors_share_one_memo_entry():
     first = classify(t)
     twins = (
         parse_state(state_to_json(t)),
+        Tensor(3, 3, t.coeffs),
         Tensor.from_integers(3, 3, t.nums, t.den),
         t.scale(2).scale(Fraction(1, 2)),
     )
     for twin in twins:
-        assert twin is not t and twin == t
+        assert twin is not t and twin == t and hash(twin) == hash(t)
         assert classify(twin) is first
     info = classify.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+    assert (info.hits, info.misses, info.currsize) == (4, 1, 1)
 
 
 def test_memo_key_is_the_checked_prime_tuple():

@@ -1,12 +1,15 @@
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from sloccgeo.errors import BadReductionError, UnsupportedPrimeError
+from sloccgeo.geometry import MultiForm
 from sloccgeo.linalg import Matrix, random_invertible
+from sloccgeo.states import Tensor, random_state
 
 import reference_algebra as ref
 
@@ -313,3 +316,51 @@ def test_matrix_immutable():
     m = Matrix.identity(2)
     with pytest.raises(AttributeError):
         m.rows = 5
+
+
+def check_value_fields(make, changed):
+    """make() builds a fresh value; changed maps each declared field to
+    another value for it.  Every build is equal and hash-equal to the
+    first, refuses assignment to each field, and becomes unequal once any
+    one field is changed."""
+    value = make()
+    assert set(changed) == {f.name for f in fields(value)}
+    for name, other in changed.items():
+        twin = make()
+        assert twin is not value and twin == value and hash(twin) == hash(value)
+        with pytest.raises(AttributeError):
+            setattr(twin, name, other)
+        object.__setattr__(twin, name, other)
+        assert twin != value
+
+
+def test_matrix_is_a_value():
+    entries = [[2, 4, 1], [1, 3, 0]]
+    check_value_fields(
+        lambda: Matrix(entries, p=7),
+        {"rows": 1, "cols": 2, "p": 11, "entries": ((2, 4, 1), (1, 3, 1))},
+    )
+    # the same values reached through rref, row_space and kernel, whose
+    # F_p results skip the public constructor (Matrix._trusted)
+    for p in (None, 7):
+        m = Matrix(entries, p=p)
+        reduced = m.rref()[1]
+        for trusted in (reduced, m.row_space(), m.kernel()):
+            public = Matrix(trusted.entries, cols=m.cols, p=p)
+            assert trusted == public and hash(trusted) == hash(public)
+
+
+def test_tensor_and_form_are_values():
+    t = random_state(3, 2, 5, seed=4)
+    check_value_fields(
+        lambda: Tensor.from_integers(3, 2, t.nums, t.den),
+        {"n": 2, "d": 3, "nums": t.nums[::-1], "den": 2 * t.den},
+    )
+    terms = {(1, 0, 0, 1): 3, (0, 1, 1, 0): Fraction(-1, 2)}
+    check_value_fields(
+        lambda: MultiForm((2, 2), terms),
+        {"group_dims": (2, 1, 1), "multidegree": (2, 0), "terms": {(1, 0, 0, 1): 3}, "p": 5},
+    )
+    # reordered terms and terms with zero coefficients name the same form
+    same = MultiForm((2, 2), {(0, 1, 1, 0): Fraction(-1, 2), (1, 1, 0, 0): 0, (1, 0, 0, 1): 3})
+    assert same == MultiForm((2, 2), terms) and hash(same) == hash(MultiForm((2, 2), terms))

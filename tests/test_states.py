@@ -10,9 +10,10 @@ from sloccgeo.errors import (
     DuplicateIndexError,
     SchemaError,
     SingularOperatorError,
+    UnsupportedPrimeError,
     WorkLimitError,
 )
-from sloccgeo.linalg import Matrix
+from sloccgeo.linalg import Matrix, random_invertible
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     MAX_FLATTENING_COST,
@@ -164,7 +165,11 @@ def test_tensor_reduce_mod():
     t = Tensor.from_entries(2, 2, {(0, 0): Fraction(1, 2), (1, 1): -1})
     assert t.reduce_mod(5) == [3, 0, 0, 4]
     with pytest.raises(BadReductionError):
-        t.reduce_mod(2)
+        t.scale(Fraction(1, 7)).reduce_mod(7)
+    # the modulus is checked before the denominator: 2 divides it here
+    for p in (0, 1, 2, 4, 9):
+        with pytest.raises(UnsupportedPrimeError):
+            t.reduce_mod(p)
 
 
 def test_reduced_flattening_image_bad_state_denominator():
@@ -206,10 +211,53 @@ def test_apply_respects_composition():
 
 
 def test_apply_singular_operator_rejected():
-    t = random_state(3, 2, 5, seed=5)
+    # a singular or malformed factor is refused when the operator is built
     factors = [Matrix.identity(2)] * 2 + [Matrix([[1, 1], [1, 1]])]
     with pytest.raises(SingularOperatorError):
-        apply_slocc(t, SloccOperator(factors))
+        SloccOperator(factors)
+    with pytest.raises(ValueError, match="an operator needs at least one factor"):
+        SloccOperator([])
+    for bad in (
+        [Matrix.identity(2), Matrix.identity(3)],
+        [Matrix([[1, 0, 0], [0, 1, 0]])],
+        [Matrix.identity(2, p=5)],
+    ):
+        with pytest.raises(ValueError, match="square rational matrices"):
+            SloccOperator(bad)
+
+
+def test_operator_eliminates_each_factor_once(monkeypatch):
+    # invertibility is decided when the operator is built, so applying it
+    # eliminates nothing
+    import sloccgeo.states as states
+
+    calls = []
+    integer_rref = states.integer_rref
+
+    def counting(rows, cols):
+        calls.append(cols)
+        return integer_rref(rows, cols)
+
+    monkeypatch.setattr(states, "integer_rref", counting)
+    for n, d in ((3, 3), (4, 2), (5, 2)):
+        factors = [random_invertible(d, 3, seed=10 * n + k) for k in range(n)]
+        g = SloccOperator(factors)
+        assert calls == [d] * n
+        calls.clear()
+        for seed in (1, 2):
+            apply_slocc(random_state(n, d, 5, seed=seed), g)
+        assert calls == []
+
+
+def test_operator_is_a_value():
+    factors = [random_invertible(2, 3, seed=k) for k in range(3)]
+    g = SloccOperator(factors)
+    assert g == SloccOperator(tuple(factors)) and hash(g) == hash(SloccOperator(factors))
+    assert g != SloccOperator(factors[::-1])
+    assert g.factors == tuple(factors)
+    assert repr(g) == f"SloccOperator(factors={tuple(factors)!r})"
+    with pytest.raises(AttributeError):
+        g.factors = factors[::-1]
 
 
 def test_flatten_is_linear():
@@ -502,14 +550,13 @@ def test_integer_core_matches_fraction_reference(fmt):
         rows, den = flattening_basis(t)
         assert (rows, den) == clear_denominators(basis)
         factors = _rational_factors(data.draw, n, d)
-        g = SloccOperator([Matrix(f) for f in factors])
         try:
             expected = reference_apply_slocc(n, d, coeffs, factors)
         except SingularOperatorError:
             with pytest.raises(SingularOperatorError):
-                apply_slocc(t, g)
+                SloccOperator([Matrix(f) for f in factors])
             return
-        moved = apply_slocc(t, g)
+        moved = apply_slocc(t, SloccOperator([Matrix(f) for f in factors]))
         (nums,), den = clear_denominators([expected])
         assert moved.coeffs == expected
         assert (list(moved.nums), moved.den) == (nums, den)
@@ -528,11 +575,9 @@ def test_apply_respects_composition_property(fmt):
     @given(data=st.data())
     def check(data):
         t = Tensor(n, d, _rational_coeffs(data.draw, n, d))
-        g, h = (
-            SloccOperator([Matrix(f) for f in _rational_factors(data.draw, n, d, False)])
-            for _ in "gh"
-        )
-        assume(all(f.rank() == d for f in g.factors + h.factors))
+        drawn = [[Matrix(f) for f in _rational_factors(data.draw, n, d, False)] for _ in "gh"]
+        assume(all(f.rank() == d for factors in drawn for f in factors))
+        g, h = (SloccOperator(factors) for factors in drawn)
         assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, g.compose(h))
 
     check()

@@ -358,6 +358,14 @@ def test_mu_wrong_format(ghz3_qutrit):
         multiplication_surjectivity(ghz3_qutrit, (0, 1), 11)
 
 
+def test_mu_axis_pair_names_two_distinct_groups(family_1235):
+    # a repeated axis would project onto one group only
+    for pair in ((0, 0), (2, 2), (0, 3), (1, 1, 2), (True, 2), ("0", 1)):
+        with pytest.raises(ValueError, match="two distinct groups"):
+            multiplication_surjectivity(family_1235, pair, 13)
+    assert multiplication_surjectivity(family_1235, (1, 0), 13).axis_pair == (0, 1)
+
+
 def test_roundtrip_generic_33():
     t = random_state(3, 3, 5, seed=42)
     for p in (7, 11, 13):
