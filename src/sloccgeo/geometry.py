@@ -78,7 +78,9 @@ class MultiForm:
 
     Terms map flat exponent tuples (all groups concatenated) to coefficients;
     every term must have the same degree within each variable group.  Over Q
-    coefficients are Fractions (p=None); over F_p they are ints in [0, p).
+    coefficients are Fractions (p=None); over F_p they are ints in [0, p),
+    and a coefficient that is not an int (bools count), such as a Fraction
+    or a float, raises TypeError instead of being truncated, as in Matrix.
     Forms are built by ``from_multilinear`` (a model's defining forms) and
     ``determinantal_projection``, then read by coefficient, compared and
     printed; the pipeline computes on integer coefficient rows, not on forms.
@@ -95,7 +97,9 @@ class MultiForm:
         cleaned = {}
         multidegree = None
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff) if p is None else int(coeff) % p
+            if p is not None and not isinstance(coeff, int):
+                raise TypeError(f"F_{p} form coefficient {coeff!r} is not an integer")
+            coeff = Fraction(coeff) if p is None else coeff % p
             if coeff == 0:
                 continue
             exps = tuple(exps)
@@ -201,12 +205,11 @@ class VarietyModel:
 
     @property
     def forms(self):
-        """The rows as MultiForms."""
+        """The rows as MultiForms: the rows over den over Q, the residues
+        themselves over F_p."""
         dims = (self.d,) * self.groups
-        return tuple(
-            MultiForm.from_multilinear(dims, [Fraction(x, self.den) for x in row], p=self.p)
-            for row in self.rows
-        )
+        rows = self.rows if self.p else [[Fraction(x, self.den) for x in r] for r in self.rows]
+        return tuple(MultiForm.from_multilinear(dims, row, p=self.p) for row in rows)
 
 
 def model_mod_p(model, p):
@@ -270,11 +273,15 @@ class SmoothnessReport:
             "point_counts": [[p, c] for p, c in self.point_counts],
             "bad_primes": list(self.bad_primes),
             "excluded_primes": list(self.excluded_primes),
-            "witnesses": [
-                {"prime": p, "point": [list(c) for c in pt.coords], "rank": r}
-                for p, pt, r in self.witnesses
-            ],
+            "witnesses": [_witness_json(w) for w in self.witnesses],
         }
+
+
+def _witness_json(witness):
+    """The JSON record of a singular witness, a (prime, ProjPoint, rank)
+    tuple."""
+    p, pt, rank = witness
+    return {"prime": p, "point": [list(c) for c in pt.coords], "rank": rank}
 
 
 def _check_formula_format(n, d):
@@ -414,18 +421,12 @@ def _normalize_projective(vec, p):
     return tuple(x * inv % p for x in vec)
 
 
-def _subspace_points(basis_rows, dim, p):
-    """Normalized projective points of the row span of an RREF basis."""
-    k = len(basis_rows)
-    if k == 0:
-        return
-    for coeff in projective_points(k, p):
-        vec = [0] * dim
-        for c, row in zip(coeff, basis_rows):
-            if c:
-                for i, x in enumerate(row):
-                    vec[i] = (vec[i] + c * x) % p
-        yield _normalize_projective(vec, p)
+def _subspace_points(basis_rows, p):
+    """Normalized projective points of the row span of an RREF basis: the
+    basis rows, flattened, contracted with each coefficient point."""
+    flat = [x for row in basis_rows for x in row]
+    for coeff in projective_points(len(basis_rows), p):
+        yield _normalize_projective([v % p for v in _contract(flat, coeff)], p)
 
 
 def _check_prefix_budget(d, groups, primes):
@@ -483,7 +484,7 @@ def _kernel_points(system, d, p):
             if any(vec):
                 return (_normalize_projective(vec, p),)
     kernel = Matrix(system, cols=d, p=p).kernel()
-    return tuple(_subspace_points(kernel.entries, d, p))
+    return tuple(_subspace_points(kernel.entries, p))
 
 
 def _det(rows):

@@ -51,6 +51,7 @@ from .geometry import (
     _check_formula_format,
     _first_witness,
     _points,
+    _witness_json,
     projection_coefficients,
 )
 
@@ -434,14 +435,7 @@ class Verdict:
             j_out = "singular"
         else:
             j_out = None
-        witness = None
-        if self.singular_witness is not None:
-            wp, wpt, wrank = self.singular_witness
-            witness = {
-                "prime": wp,
-                "point": [list(c) for c in wpt.coords],
-                "rank": wrank,
-            }
+        witness = self.singular_witness
         return {
             "status": self.status,
             "j": j_out,
@@ -451,7 +445,7 @@ class Verdict:
             ),
             "semistable_hint": self.semistable_hint,
             "primes_used": list(self.primes_used),
-            "singular_witness": witness,
+            "singular_witness": None if witness is None else _witness_json(witness),
         }
 
 
@@ -543,11 +537,14 @@ def curve_singular_mod_p(model_p):
     The reduced rows are read as integers and run through the exact
     projection and invariants; a discriminant vanishes mod p exactly when
     p divides its numerator.  Requires p > 3 so the invariant denominators
-    stay invertible.
+    stay invertible.  A model over Q raises ValueError: reduce it first
+    (``model_mod_p``).
     """
     fmt = (model_p.n, model_p.d)
     if fmt not in CURVE_AXES:
         raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
+    if model_p.p is None:
+        raise ValueError("curve_singular_mod_p needs a model over F_p; reduce it with model_mod_p")
     return any(disc.numerator % model_p.p == 0 for disc in _discriminants(fmt, model_p.rows, 1))
 
 
@@ -586,7 +583,9 @@ def classify(t, primes=None):
 
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
     discriminants; the prime sweep only supplies a singular witness.  For
-    other formats (notably (5,2)) the verdict rests on the sweep alone.
+    other formats (notably (5,2)) the verdict rests on the sweep alone.  A
+    (5,2) sweep uses only the given primes up to 13, or all of them when
+    none is that small, since each larger prime costs a far larger sweep.
 
     Neither reads a point count, so the sweep here is lazy: one loop tests
     each used prime up to its first witness, and stops testing at the first

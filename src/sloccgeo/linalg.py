@@ -6,11 +6,14 @@ Matrices carry their field with them: ``p is None`` means entries are
 row-echelon forms are canonical.  A subspace is its canonical basis, the
 nonzero RREF rows as a ``Matrix`` (``Matrix.row_space``): ``rows`` is its
 dimension and ``cols`` the ambient dimension, and two subspaces are equal
-when these matrices are.  The pipeline's exact flattening is
-``integer_rref``, fraction-free.
+when these matrices are.
 
-Every F_p rank, kernel, row space and Hilbert degree goes through one
-elimination, ``Matrix.rref``: it copies the rows once, updates each row in
+There are two elimination loops, one per ring.  Over Z it is ``_bareiss``,
+fraction-free: ``integer_rref`` (the pipeline's exact flattening, every Q
+``rref`` and the invertibility checks of ``random_invertible`` and
+``SloccOperator``) normalises its rows, and ``Matrix.det`` reads its last
+pivot.  Every F_p rank, kernel, row space and Hilbert degree goes through
+the other, ``Matrix.rref``: it copies the rows once, updates each row in
 place from the pivot column rightward, and hands its rows to the private
 ``Matrix._trusted`` constructor, which stores rows already in ``[0, p)``
 without reducing them again.  The public constructor checks and reduces
@@ -72,22 +75,23 @@ def clear_denominators(rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def integer_rref(rows, cols):
+def _bareiss(rows, cols):
     """Fraction-free Gauss-Jordan elimination of integer rows (Bareiss 1968).
 
-    Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
-    den * RREF, as integers in lowest terms with den > 0.  Each step
+    Returns (rank, rows, last pivot, sign of the row swaps).  Each step
     replaces every other row by (pivot * row - entry * pivot row) divided
     exactly by the previous pivot, so entries stay minors of the input;
-    after the last step every pivot equals the last pivot.
+    after the last step every pivot equals the last pivot, which for a
+    square matrix of full rank is its determinant times the sign.
     """
     m = [list(row) for row in rows]
-    rank, prev = 0, 1
+    rank, prev, sign = 0, 1, 1
     for col in range(cols):
         pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
+        if pivot != rank:
+            m[rank], m[pivot], sign = m[pivot], m[rank], -sign
         top = m[rank]
         piv = top[col]
         for i, row in enumerate(m):
@@ -97,6 +101,16 @@ def integer_rref(rows, cols):
         prev, rank = piv, rank + 1
         if rank == len(m):
             break
+    return rank, m, prev, sign
+
+
+def integer_rref(rows, cols):
+    """The RREF of integer rows, fraction-free (``_bareiss``).
+
+    Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
+    den * RREF, as integers in lowest terms with den > 0.
+    """
+    rank, m, prev, _ = _bareiss(rows, cols)
     basis = m[:rank]
     g = gcd(prev, *(x for row in basis for x in row))
     if prev < 0:
@@ -239,34 +253,19 @@ class Matrix:
         return self.rref()[0]
 
     def det(self):
-        """Exact determinant by one fraction-free elimination (Bareiss 1968)
-        of the integer rows: the rows cleared of their common denominator L
-        over Q (the result is divided by L^n), the residues over F_p (the
-        result is reduced modulo p).  Each step replaces every row below the
-        pivot by (pivot * row - entry * pivot row) divided exactly by the
-        previous pivot, so the last pivot is the determinant up to the sign
-        of the row swaps; O(n^3) operations on integers that stay minors of
-        the input."""
+        """Exact determinant from the integer elimination ``_bareiss`` of
+        the rows cleared of their common denominator L (the residues over
+        F_p): the sign of its row swaps times its last pivot when the rank
+        is full, else 0, divided by L^n over Q and reduced modulo p over
+        F_p; O(n^3) operations on integers that stay minors of the input."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
         m, den = clear_denominators(self.entries)
-        sign, prev = 1, 1
-        for col in range(self.rows):
-            pivot = next((i for i in range(col, self.rows) if m[i][col]), None)
-            if pivot is None:
-                prev = 0
-                break
-            if pivot != col:
-                m[col], m[pivot], sign = m[pivot], m[col], -sign
-            top = m[col]
-            piv, tail = top[col], top[col + 1 :]
-            for row in m[col + 1 :]:
-                f = row[col]
-                row[col + 1 :] = [(piv * a - f * b) // prev for a, b in zip(row[col + 1 :], tail)]
-            prev = piv
+        rank, _, last, sign = _bareiss(m, self.cols)
+        det = sign * last if rank == self.rows else 0
         if self.p is None:
-            return Fraction(sign * prev, den**self.rows)
-        return sign * prev % self.p
+            return Fraction(det, den**self.rows)
+        return det % self.p
 
     def row_space(self):
         """The row span as its canonical basis: the rank nonzero rows of the
@@ -312,12 +311,13 @@ def random_invertible(d, bound, seed):
 
     Entries are drawn uniformly from [-bound, bound]; singular draws are
     rejected and redrawn, so the result depends only on (d, bound, seed).
+    Each draw is decided on its integer rows (``integer_rref``), and only
+    the draw returned becomes a Matrix.
     """
     if d < 1 or bound < 1:
         raise ValueError("need d >= 1 and bound >= 1")
     rng = random.Random(seed)
     while True:
         entries = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-        m = Matrix(entries)
-        if m.rank() == d:
-            return m
+        if integer_rref(entries, d)[0] == d:
+            return Matrix(entries)

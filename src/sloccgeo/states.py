@@ -84,7 +84,8 @@ class Tensor:
 
     @classmethod
     def from_integers(cls, n, d, nums, den=1):
-        """The tensor with coefficients nums[i] / den (den nonzero)."""
+        """The tensor with coefficients nums[i] / den; a zero den raises
+        ValueError."""
         t = cls.__new__(cls)
         t._set(n, d, list(nums), den)
         return t
@@ -97,6 +98,8 @@ class Tensor:
         size = len(nums)
         if d > size or n > size.bit_length() or d**n != size:
             raise ValueError(f"expected d**n coefficients, got {size}")
+        if den == 0:
+            raise ValueError("the denominator must be nonzero")
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             nums, den = [a // g for a in nums], den // g

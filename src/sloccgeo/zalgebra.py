@@ -26,7 +26,6 @@ monomials at the model's F_p-points instead.
 """
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
 from .linalg import Matrix, _free_basis
@@ -103,19 +102,16 @@ def cubic_expected_dims(k_max):
 
 def _monomial_rows(points, slot_pattern, d, p):
     """Evaluation matrix: one row per point, given as a tuple of coordinate
-    vectors, and one column per slot monomial."""
-    k = len(slot_pattern)
+    vectors, and one column per slot monomial.  A row is the Kronecker
+    product of the point's coordinate vectors over the slots, first slot
+    slowest."""
     rows = []
     for pt in points:
-        coords = [pt[g] for g in slot_pattern]
-        row = []
-        for idx in product(range(d), repeat=k):
-            val = 1
-            for s in range(k):
-                val = val * coords[s][idx[s]] % p
-            row.append(val)
+        row = [1]
+        for g in slot_pattern:
+            row = [a * x % p for a in row for x in pt[g]]
         rows.append(row)
-    return Matrix(rows, cols=d**k, p=p)
+    return Matrix(rows, cols=d ** len(slot_pattern), p=p)
 
 
 def relations_from_points(model, p, slot_pattern):

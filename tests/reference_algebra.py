@@ -6,10 +6,11 @@ product, the Kronecker product and the entrywise scalar reduction that the
 tests compare the integer core against live here, as plain functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
-two-elimination kernel that ``Matrix.kernel`` is checked against, and the
-former exact
-kernels of the curve path: the determinant-sum projection, the
-term-by-term S/T evaluation and the ``Fraction`` discriminant and j.
+two-elimination kernel that ``Matrix.kernel`` is checked against, the
+former index loops behind the slot-monomial rows and the span points, and
+the former exact kernels of the curve path: the determinant-sum
+projection, the term-by-term S/T evaluation and the ``Fraction``
+discriminant and j.
 """
 
 from fractions import Fraction
@@ -18,7 +19,7 @@ from itertools import product
 from math import gcd
 
 from sloccgeo.errors import BadReductionError
-from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm
+from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm, projective_points
 from sloccgeo.invariants import PLANE_CUBIC, _S_WIRING, _T_WIRING, _contract
 from sloccgeo.linalg import Matrix
 
@@ -225,6 +226,39 @@ def kernel_two_eliminations(matrix):
             v[pc] = -red[r, f]
         basis.append(v)
     return Matrix(basis, cols=cols, p=matrix.p).row_space()
+
+
+def monomial_rows(points, slot_pattern, d, p):
+    """The slot-monomial evaluation matrix by one index loop: one row per
+    point, one column per index tuple of ``product(range(d), repeat=k)``
+    (the library's ``_monomial_rows`` before it took Kronecker products)."""
+    k = len(slot_pattern)
+    rows = []
+    for pt in points:
+        coords = [pt[g] for g in slot_pattern]
+        row = []
+        for idx in product(range(d), repeat=k):
+            val = 1
+            for s in range(k):
+                val = val * coords[s][idx[s]] % p
+            row.append(val)
+        rows.append(row)
+    return Matrix(rows, cols=d**k, p=p)
+
+
+def subspace_points(basis_rows, dim, p):
+    """Normalized projective points of the row span of an F_p basis, one
+    entry at a time (the library's ``_subspace_points`` before it
+    contracted the flattened basis)."""
+    for coeff in projective_points(len(basis_rows), p):
+        vec = [0] * dim
+        for c, row in zip(coeff, basis_rows):
+            if c:
+                for i, x in enumerate(row):
+                    vec[i] = (vec[i] + c * x) % p
+        lead = next(x for x in vec if x)
+        inv = pow(lead, -1, p)
+        yield tuple(x * inv % p for x in vec)
 
 
 # ------------------------------------------------- former curve kernels

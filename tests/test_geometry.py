@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -161,6 +162,30 @@ def test_multiform_drop_groups():
         ref.drop_groups(MultiForm((2, 2), {(1, 0, 1, 0): 1}), (0,))
 
 
+def test_f_p_multiform_refuses_non_integer_coefficients():
+    # a Fraction was truncated to 0 (its term dropped) and 2.7 read as 2
+    with pytest.raises(TypeError, match=re.escape(repr(Fraction(1, 2)))):
+        MultiForm((2,), {(1, 0): Fraction(1, 2), (0, 1): 2.7}, p=5)
+    with pytest.raises(TypeError, match="2.7"):
+        MultiForm((2,), {(1, 0): 3, (0, 1): 2.7}, p=5)
+    form = MultiForm((2,), {(1, 0): True, (0, 1): -3}, p=5)
+    assert form.terms == {(1, 0): 1, (0, 1): 2}
+    assert MultiForm((2,), {(1, 0): Fraction(1, 2)}).terms == {(1, 0): Fraction(1, 2)}
+
+
+def test_span_points_match_reference():
+    # the contraction of the flattened basis against the entry-by-entry
+    # loop, over kernels of every dimension from 0 (no point) to cols
+    rng = random.Random(17)
+    for p in (5, 7):
+        for _ in range(30):
+            rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+            entries = [[rng.choice((0, 0, rng.randrange(p))) for _ in range(cols)] for _ in range(rows)]
+            basis = Matrix(entries, cols=cols, p=p).kernel().entries
+            assert list(_subspace_points(basis, p)) == list(ref.subspace_points(basis, cols, p))
+    assert list(_subspace_points((), 5)) == []
+
+
 def test_projective_points_count():
     for d, p in ((2, 5), (3, 3)):
         pts = list(projective_points(d, p))
@@ -294,7 +319,7 @@ def reference_points(model, p):
     for prefix in product(*[list(projective_points(d, p))] * (reduced.groups - 1)):
         rows = [[ref.evaluate(f, prefix + (u,)) for u in units] for f in reduced.forms]
         kernel = Matrix(rows, cols=d, p=p).kernel()
-        for tail in _subspace_points(kernel.entries, d, p):
+        for tail in ref.subspace_points(kernel.entries, d, p):
             points.append(ProjPoint(p, prefix + (tail,)))
     return points
 

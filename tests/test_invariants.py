@@ -400,6 +400,13 @@ def test_curve_singular_mod_p_detects_bad_reduction(family_1235):
     assert curve_singular_mod_p(model_mod_p(model, 13)) is False
 
 
+def test_curve_singular_mod_p_refuses_a_model_over_q(family_1235):
+    # it raised a bare TypeError ("unsupported operand type(s) for %")
+    for t in (random_state(3, 3, 5, 1), family_1235):
+        with pytest.raises(ValueError, match="needs a model over F_p"):
+            curve_singular_mod_p(variety_from_state(t))
+
+
 def test_compare_never_distinct_under_slocc(family_1235):
     for seed in range(3):
         g = SloccOperator.random(4, 2, 3, seed=400 + seed)

@@ -135,6 +135,19 @@ def test_random_invertible_d1():
         assert m.entries[0][0] != 0
 
 
+def test_random_invertible_runs_no_matrix_elimination(monkeypatch):
+    # each draw is decided on its integer rows, and only the draw returned
+    # becomes a Matrix; at bound 1 many singular draws are rejected first
+    def refuse(m):
+        raise AssertionError("random_invertible ran Matrix.rref")
+
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    for seed in range(20):
+        m = random_invertible(3, 1, seed=seed)
+        assert all(-1 <= x <= 1 for row in m.entries for x in row)
+        assert det_oracle(m.entries) != 0
+
+
 def test_random_invertible_d3_has_nonzero_det():
     m = random_invertible(3, 2, seed=7)
     assert all(-2 <= x <= 2 for row in m.entries for x in row)
@@ -151,6 +164,30 @@ def test_det_matches_oracle(p):
             if p is not None:
                 expected %= p
             assert m.det() == expected
+    # anti-triangular rows need one row swap at n = 2, 3 and the 4-cycle
+    # three, so the sign of an odd number of swaps is checked
+    odd = [
+        [[0] * (n - 1 - i) + [rng.randint(1, 9) for _ in range(i + 1)] for i in range(n)]
+        for n in (2, 3)
+    ]
+    odd.append([[int(j == (i + 1) % 4) * rng.randint(1, 9) for j in range(4)] for i in range(4)])
+    for entries in odd:
+        m = Matrix(entries, p=p)
+        expected = det_oracle(m.entries)
+        assert expected != 0
+        assert m.det() == (expected if p is None else expected % p)
+    if p is not None:
+        # rank-deficient mod p: the last row is c times the first plus the
+        # row before it, so the integer determinant of the residues is 0
+        # (c = 0) or a nonzero multiple of p, which the elimination over Z
+        # sees at full rank
+        for n in (2, 3, 4):
+            for c in range(3):
+                rows = [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(n - 1)]
+                rows.append([(c * a + b) % p for a, b in zip(rows[0], rows[-1])])
+                m = Matrix(rows, p=p)
+                assert m.rank() < n and det_oracle(m.entries) % p == 0
+                assert m.det() == 0
 
 
 @pytest.mark.parametrize("p", [None, 11, 2**31 - 1])

@@ -398,6 +398,13 @@ def test_huge_formats_are_refused_without_printing_them():
     assert Tensor.from_integers(2, 2, [1, 2, 3, 4]).nums == (1, 2, 3, 4)
 
 
+def test_zero_denominator_is_refused():
+    # it gave den 0 and nums (-1, 0, 0, -1), and classify then divided by 0
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        Tensor.from_integers(2, 2, [1, 0, 0, 1], 0)
+    assert Tensor.from_integers(2, 2, [2, 0, 0, 2], -4).coeffs == (Fraction(-1, 2), 0, 0, Fraction(-1, 2))
+
+
 def test_exact_flattening_cost_is_bounded():
     from sloccgeo.invariants import RANK_DEFICIENT, classify
 

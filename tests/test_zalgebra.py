@@ -44,6 +44,8 @@ from sloccgeo.zalgebra import (
     roundtrip_check,
 )
 
+import reference_algebra as ref
+
 
 def test_quadratic_expected_dims_oracle():
     # resolution recurrence must reproduce the closed form (k+1)(k+2)/2
@@ -394,6 +396,30 @@ def test_roundtrip_reduces_the_state_once(monkeypatch):
     monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
     assert roundtrip_check(random_state(3, 3, 5, 10), 11) is True
     assert seen == [11]
+
+
+def test_monomial_rows_match_the_index_loop():
+    # the Kronecker rows against the former product loop, on slot patterns
+    # that reorder, repeat or add groups, and on the empty pattern; the
+    # roundtrip pins only the identity pattern
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from sloccgeo.zalgebra import _monomial_rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.sampled_from((2, 3)),
+        p=st.sampled_from((5, 7, 11)),
+        pattern=st.sampled_from(((0, 1), (1, 0), (0, 0), (0, 1, 2), ())),
+    )
+    def check(data, d, p, pattern):
+        coord = st.tuples(*[st.integers(0, p - 1)] * d)
+        points = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=6))
+        assert _monomial_rows(points, pattern, d, p) == ref.monomial_rows(points, pattern, d, p)
+
+    check()
 
 
 def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
