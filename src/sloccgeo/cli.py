@@ -89,15 +89,26 @@ def _per_prime(primes, check):
     return entries, degenerate
 
 
+def _verdict(body, *args):
+    """body(*args), a (payload, degenerate) pair; a DegenerateInputError
+    becomes the degenerate payload {"error", "detail"}, so the report still
+    carries the input's format and hash."""
+    try:
+        return body(*args)
+    except DegenerateInputError as exc:
+        return {"error": type(exc).__name__, "detail": str(exc)}, True
+
+
 def _state_command(body):
     """The handler of a command on one state file: it reads, parses and
     hashes the file, and ``body(t, args)`` returns (payload, degenerate) for
-    the parsed state t; the report puts the state's format first."""
+    the parsed state t (through ``_verdict``); the report puts the state's
+    format first."""
 
     def handler(args):
         data = _read_input(args.state)
         t = parse_state(data)
-        payload, degenerate = body(t, args)
+        payload, degenerate = _verdict(body, t, args)
         return {"format": [t.n, t.d], **payload}, _hash(data), degenerate
 
     return handler
@@ -116,15 +127,16 @@ def _cmd_jinv(t, args):
     return payload, doc["status"] != SMOOTH_GENERIC
 
 
+def _compare(a, b, primes):
+    result = slocc_compare(a, b, primes)
+    return result.to_json_dict(), result.outcome == BOTH_DEGENERATE
+
+
 def _cmd_equiv(args):
     data_a = _read_input(args.state_a)
     data_b = _read_input(args.state_b)
-    result = slocc_compare(parse_state(data_a), parse_state(data_b), args.primes)
-    return (
-        result.to_json_dict(),
-        [_hash(data_a), _hash(data_b)],
-        result.outcome == BOTH_DEGENERATE,
-    )
+    payload, degenerate = _verdict(_compare, parse_state(data_a), parse_state(data_b), args.primes)
+    return payload, [_hash(data_a), _hash(data_b)], degenerate
 
 
 @_state_command
@@ -266,12 +278,7 @@ def run(argv):
     exit code instead of raising SystemExit (except for usage errors)."""
     try:
         args = build_parser().parse_args(argv)
-        try:
-            payload, input_hash, degenerate = args.handler(args)
-        except DegenerateInputError as exc:
-            payload = {"error": type(exc).__name__, "detail": str(exc)}
-            input_hash = None
-            degenerate = True
+        payload, input_hash, degenerate = args.handler(args)
         if payload is not None:  # sample writes the state file itself
             report = {"tool": TOOL, "version": __version__, "command": args.command}
             report["input_hash"] = input_hash

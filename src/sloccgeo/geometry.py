@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFormatError,
     WorkLimitError,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, check_primes
+from .linalg import DEFAULT_PRIMES, Matrix, _check_modulus, check_primes
 from .states import flattening_basis, reduced_flattening_image
 
 _GROUP_NAMES = "xyzw"
@@ -81,9 +81,11 @@ class MultiForm:
     coefficients are Fractions (p=None); over F_p they are ints in [0, p),
     and a coefficient that is not an int (bools count), such as a Fraction
     or a float, raises TypeError instead of being truncated, as in Matrix.
-    Forms are built by ``from_multilinear`` (a model's defining forms) and
-    ``determinantal_projection``, then read by coefficient, compared and
-    printed; the pipeline computes on integer coefficient rows, not on forms.
+    The modulus is checked as in Matrix (``_check_modulus``).  Forms are
+    built from coefficients zipped with a monomial table (a model's defining
+    forms, ``determinantal_projection`` and ``TernaryCubic.to_form``), then
+    read by coefficient, compared and printed; the pipeline computes on
+    integer coefficient rows, not on forms.
     """
 
     group_dims: tuple
@@ -92,6 +94,8 @@ class MultiForm:
     p: object
 
     def __init__(self, group_dims, terms, p=None):
+        if p is not None:
+            _check_modulus(p)
         group_dims = tuple(group_dims)
         nvars = sum(group_dims)
         cleaned = {}
@@ -126,27 +130,6 @@ class MultiForm:
             degs.append(sum(exps[pos : pos + dim]))
             pos += dim
         return tuple(degs)
-
-    @classmethod
-    def from_multilinear(cls, group_dims, vector, p=None):
-        """Read a vector in the tensor product of the groups as a form of
-        multidegree (1,...,1); the vector is indexed row-major."""
-        nvars = sum(group_dims)
-        offsets = []
-        pos = 0
-        for dim in group_dims:
-            offsets.append(pos)
-            pos += dim
-        terms = {}
-        for flat, idx in enumerate(product(*(range(d) for d in group_dims))):
-            c = vector[flat]
-            if c == 0:
-                continue
-            exps = [0] * nvars
-            for g, i in enumerate(idx):
-                exps[offsets[g] + i] = 1
-            terms[tuple(exps)] = c
-        return cls(group_dims, terms, p=p)
 
     def is_zero(self):
         return not self.terms
@@ -206,10 +189,14 @@ class VarietyModel:
     @property
     def forms(self):
         """The rows as MultiForms: the rows over den over Q, the residues
-        themselves over F_p."""
+        themselves over F_p, zipped with the multilinear monomials.  Those
+        are the Kronecker products of unit exponent vectors, one per group,
+        first group slowest, as the rows are ordered."""
         dims = (self.d,) * self.groups
+        units = [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
+        monomials = [sum(m, ()) for m in product(units, repeat=self.groups)]
         rows = self.rows if self.p else [[Fraction(x, self.den) for x in r] for r in self.rows]
-        return tuple(MultiForm.from_multilinear(dims, row, p=self.p) for row in rows)
+        return tuple(MultiForm(dims, dict(zip(monomials, row)), p=self.p) for row in rows)
 
 
 def model_mod_p(model, p):
@@ -414,10 +401,9 @@ def projective_points(dim, p):
 
 
 def _normalize_projective(vec, p):
-    lead = next((i for i, x in enumerate(vec) if x != 0), None)
-    if lead is None:
-        return None
-    inv = pow(vec[lead], -1, p)
+    """A nonzero vector of residues scaled so that its first nonzero entry
+    is 1."""
+    inv = pow(next(x for x in vec if x), -1, p)
     return tuple(x * inv % p for x in vec)
 
 

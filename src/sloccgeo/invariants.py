@@ -29,8 +29,8 @@ vanishes: p divides its numerator.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import permutations
-from math import factorial, gcd
+from itertools import permutations, product
+from math import factorial, gcd, prod
 
 from .errors import (
     AllPrimesBadError,
@@ -49,6 +49,7 @@ from .geometry import (
     MultiForm,
     _PrimeSweep,
     _check_formula_format,
+    _det,
     _first_witness,
     _points,
     _witness_json,
@@ -95,34 +96,25 @@ class TernaryCubic:
         return MultiForm((3,), dict(zip(CUBIC_MONOMIALS, self.coeffs)))
 
 
-_PERMS3 = []
-for _perm in permutations((0, 1, 2)):
-    _sgn = 1
-    for _i in range(3):
-        for _j in range(_i + 1, 3):
-            if _perm[_i] > _perm[_j]:
-                _sgn = -_sgn
-    _PERMS3.append((_perm, _sgn))
+#: (permutation, sign) for the permutations of (0, 1, 2), in permutations
+#: order; the sign is the determinant of the permutation matrix.
+_PERMS3 = [
+    (perm, _det([[int(j == i) for j in range(3)] for i in perm]))
+    for perm in permutations(range(3))
+]
 
 
 def _scaled_entry(i, j, k):
     """Entry (as coefficient multiple) of six times the symmetric tensor
-    of a cubic: w_ijk = 6 * f_ijk where f is the polarized form."""
-    counts = [0, 0, 0]
-    for t in (i, j, k):
-        counts[t] += 1
-    perms = 6
-    for c in counts:
-        perms //= factorial(c)
-    return 6 // perms, _CUBIC_INDEX[tuple(counts)]
+    of a cubic: w_ijk = 6 * f_ijk where f is the polarized form.  With c
+    the exponent triple of the monomial x_i*x_j*x_k, f_ijk is its
+    coefficient over the 6 / prod(c!) orderings of (i, j, k), so the
+    multiple is prod(c!)."""
+    counts = tuple(map((i, j, k).count, range(3)))
+    return prod(map(factorial, counts)), _CUBIC_INDEX[counts]
 
 
-_W = {
-    (i, j, k): _scaled_entry(i, j, k)
-    for i in range(3)
-    for j in range(3)
-    for k in range(3)
-}
+_W = {idx: _scaled_entry(*idx) for idx in product(range(3), repeat=3)}
 
 
 def _contract(wiring):

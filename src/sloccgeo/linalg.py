@@ -65,6 +65,13 @@ def check_primes(primes):
     return primes
 
 
+def _check_modulus(p):
+    """The one modulus rule of Matrix and MultiForm: UnsupportedPrimeError
+    unless p is an int >= 2 (a bool is not)."""
+    if type(p) is not int or p < 2:
+        raise UnsupportedPrimeError(f"modulus {p!r} is not an int >= 2")
+
+
 def clear_denominators(rows):
     """(integer rows, L): the rows of Fractions or ints times L, the least
     common multiple of all their denominators."""
@@ -138,8 +145,8 @@ class Matrix:
     entries: tuple
 
     def __init__(self, entries, cols=None, p=None):
-        if p is not None and (type(p) is not int or p < 2):
-            raise UnsupportedPrimeError(f"matrix modulus {p!r} is not an int >= 2")
+        if p is not None:
+            _check_modulus(p)
         entries = [tuple(row) for row in entries]
         if entries:
             width = len(entries[0])
@@ -187,25 +194,10 @@ class Matrix:
         r, c = rc
         return self.entries[r][c]
 
-    def row(self, i):
-        return self.entries[i]
-
     def __repr__(self):
         field = "Q" if self.p is None else f"F{self.p}"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{field}]({self.rows}x{self.cols}: {body})"
-
-    def mul(self, other):
-        if self.p != other.p or self.cols != other.rows:
-            raise ValueError("incompatible matrices")
-        prod = [
-            [
-                sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols))
-                for j in range(other.cols)
-            ]
-            for i in range(self.rows)
-        ]
-        return Matrix(prod, cols=other.cols, p=self.p)
 
     def rref(self):
         """Return (rank, reduced) where reduced is the canonical RREF.  Over

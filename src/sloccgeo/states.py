@@ -211,10 +211,6 @@ class SloccOperator:
         """n independent deterministic invertible factors."""
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
-    def compose(self, other):
-        """Operator equal to applying ``other`` first, then ``self``."""
-        return SloccOperator([a.mul(b) for a, b in zip(self.factors, other.factors)])
-
 
 def parse_state(document):
     """Parse a state file into a Tensor.

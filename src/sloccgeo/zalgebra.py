@@ -49,10 +49,6 @@ class RelationSpace:
     basis: Matrix
 
     @property
-    def arity(self):
-        return len(self.slot_pattern)
-
-    @property
     def dim(self):
         return self.basis.rows
 

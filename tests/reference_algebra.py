@@ -1,9 +1,11 @@
 """Test-only reference algebra on MultiForm and Matrix values.
 
-The library keeps MultiForm as a value type and Matrix without products
-other than ``mul``; the dict-polynomial operations, the matrix-vector
-product, the Kronecker product and the entrywise scalar reduction that the
-tests compare the integer core against live here, as plain functions.  So
+The library keeps MultiForm as a value type and Matrix without products;
+the dict-polynomial operations, the matrix product (the former
+``Matrix.mul``, which also composes SLOCC operators factor by factor), the
+matrix-vector product, the Kronecker product and the entrywise scalar
+reduction that the tests compare the integer core against live here, as
+plain functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
@@ -141,6 +143,17 @@ def apply(matrix, vector):
     return tuple(
         sum(row[k] * vector[k] for k in range(matrix.cols)) for row in matrix.entries
     )
+
+
+def matmul(a, b):
+    """Matrix product, same field."""
+    if a.p != b.p or a.cols != b.rows:
+        raise ValueError("incompatible matrices")
+    prod = [
+        [sum(x * b.entries[k][j] for k, x in enumerate(row)) for j in range(b.cols)]
+        for row in a.entries
+    ]
+    return Matrix(prod, cols=b.cols, p=a.p)
 
 
 def kron(a, b):

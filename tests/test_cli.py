@@ -1,7 +1,10 @@
 import argparse
+import hashlib
 import json
 import random
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -486,3 +489,52 @@ def test_malformed_documents_exit_2(tmp_path, capsys):
         assert captured.err.startswith("sloccgeo: ") and captured.err.count("\n") == 1
 
     check()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "state.json", "--primes", "a,b"], "bad prime list"),
+        (["hilbert", "state.json"], "no Hilbert profile"),
+    ],
+    ids=["unparsable-primes", "hilbert-of-a-52-state"],
+)
+def test_refused_commands_exit_2(tmp_path, capsys, argv, message):
+    path = write_state(tmp_path, "state.json", ghz(5, 2))
+    code = run([path if arg == "state.json" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+ALL_BAD = ghz(5, 2).scale(Fraction(1, 35))  # 5 and 7 divide the denominator
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["plain", "pretty-strict"])
+@pytest.mark.parametrize(
+    "command, states, options, error",
+    [
+        ("smoothness", [basis_state(3, 3, (0, 0, 0))], [], "RankDeficientError"),
+        ("classify", [ALL_BAD], ["--primes", "5,7"], "AllPrimesBadError"),
+        ("equiv", [ALL_BAD, ALL_BAD], ["--primes", "5,7"], "AllPrimesBadError"),
+    ],
+    ids=["smoothness-separable", "classify-all-primes-bad", "equiv-all-primes-bad"],
+)
+def test_degenerate_reports_keep_format_and_input_hash(
+    tmp_path, capsys, command, states, options, error, strict
+):
+    paths = [write_state(tmp_path, f"s{i}.json", t) for i, t in enumerate(states)]
+    hashes = [hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths]
+    input_hash = hashes if command == "equiv" else hashes[0]
+    fmt = None if command == "equiv" else [states[0].n, states[0].d]
+    code = run([command, *paths, *options, *(["--pretty", "--strict"] if strict else [])])
+    out = capsys.readouterr().out
+    assert code == (1 if strict else 0)
+    if strict:
+        lines = out.splitlines()
+        assert f"input_hash: {input_hash}" in lines and f"error: {error}" in lines
+        assert fmt is None or f"format: {fmt}" in lines
+    else:
+        doc = json.loads(out)
+        assert doc["input_hash"] == input_hash and doc["error"] == error
+        assert doc.get("format") == fmt

@@ -515,3 +515,32 @@ def test_sweep_over_prefix_budget_is_refused():
         enumerate_points(model, 31)  # 993^2 prefixes in one call
     assert (5**2 + 5 + 1) ** 2 <= PREFIX_BUDGET
     assert smoothness_scan(t43, (5,)).primes == (5,)
+
+
+@pytest.mark.parametrize("p", [0, -7, 1, True])
+def test_multiform_modulus_must_be_an_int_of_at_least_two(p):
+    # Matrix's rule, from one place (linalg._check_modulus): p = 0 raised
+    # ZeroDivisionError, -7 gave "residues" -4 and -5, and 1 and True gave
+    # the zero form
+    with pytest.raises(UnsupportedPrimeError, match=re.escape(repr(p))):
+        MultiForm((2,), {(1, 0): 3, (0, 1): 2}, p=p)
+
+
+def _wrong_arity_point():
+    model = variety_from_state(random_state(3, 3, 5, 1))
+    return jacobian_rank_at(model, ProjPoint(7, ((1, 0, 0),)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: MultiForm((2,), {(1, 0, 0): 1}), "bad exponent vector"),
+        (lambda: MultiForm((2,), {(2, -1): 1}), "bad exponent vector"),
+        (lambda: MultiForm((2,), {(1, 0): 1, (2, 0): 1}), "mixed multidegrees"),
+        (_wrong_arity_point, "coordinate arity mismatch"),
+    ],
+    ids=["exponent-length", "negative-exponent", "mixed-multidegrees", "point-arity"],
+)
+def test_malformed_geometry_calls_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

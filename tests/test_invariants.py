@@ -9,6 +9,7 @@ from sloccgeo.errors import (
     AllPrimesBadError,
     BadReductionError,
     FormatMismatchError,
+    UnsupportedFormatError,
     UnsupportedPrimeError,
     WorkLimitError,
     WrongDegreeError,
@@ -623,7 +624,7 @@ def _drawn_state(draw, n, d):
     if draw(st.booleans()):
         g = SloccOperator.random(n, d, 2, seed=draw(st.integers(0, 10**6)))
         scale = Matrix([[Fraction(1, 3) if i == j else 0 for j in range(d)] for i in range(d)])
-        t = apply_slocc(t, SloccOperator([f.mul(scale) for f in g.factors]))
+        t = apply_slocc(t, SloccOperator([ref.matmul(f, scale) for f in g.factors]))
     return t
 
 
@@ -830,3 +831,31 @@ def test_classify_memo_is_bounded():
     assert classify.cache_info().hits == 1
     classify(states[0])
     assert classify.cache_info().misses == info.misses + 1
+
+
+def test_perms3_signs_match_the_inversion_count():
+    assert _PERMS3 == [(perm, _reference_perm_sign(perm)) for perm in permutations(range(3))]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: TernaryCubic([1, 2, 3]), ValueError, "10 coefficients"),
+        (
+            lambda: TernaryCubic.from_form(MultiForm((3,), {(1, 0, 0): 1})),
+            WrongDegreeError,
+            "expected a cubic form",
+        ),
+        (
+            lambda: curve_singular_mod_p(
+                model_mod_p(variety_from_state(random_state(5, 2, 5, 3)), 7)
+            ),
+            UnsupportedFormatError,
+            r"format \(5, 2\)",
+        ),
+    ],
+    ids=["cubic-of-3-coefficients", "cubic-from-linear-form", "curve-test-on-a-surface"],
+)
+def test_malformed_invariant_calls_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -78,7 +78,7 @@ def test_rref_is_canonical(p):
             assert all(red[i, c] == 0 for i in range(4) if i != r)
             pivots.append(c)
         assert pivots == sorted(pivots)
-        assert all(all(x == 0 for x in red.row(r)) for r in range(rank, 4))
+        assert all(all(x == 0 for x in red.entries[r]) for r in range(rank, 4))
 
 
 def test_kernel_zero_matrix():
@@ -197,7 +197,7 @@ def test_det_is_multiplicative_at_n_12(p):
     rng = random.Random(12 if p is None else p)
     a, b = random_matrix(rng, 12, 12, p=p), random_matrix(rng, 12, 12, p=p)
     expected = a.det() * b.det()
-    assert a.mul(b).det() == (expected if p is None else expected % p)
+    assert ref.matmul(a, b).det() == (expected if p is None else expected % p)
     assert expected != 0
     singular = Matrix(a.entries[:11] + a.entries[:1], p=p)
     assert singular.det() == 0
@@ -234,7 +234,8 @@ def test_kron_mixed_product():
     rng = random.Random(3)
     a, b = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
     c, d = random_matrix(rng, 2, 2), random_matrix(rng, 3, 3)
-    assert ref.kron(a, b).mul(ref.kron(c, d)) == ref.kron(a.mul(c), b.mul(d))
+    mixed = ref.kron(ref.matmul(a, c), ref.matmul(b, d))
+    assert ref.matmul(ref.kron(a, b), ref.kron(c, d)) == mixed
 
 
 def test_subspace_canonical_representative():
@@ -401,3 +402,18 @@ def test_tensor_and_form_are_values():
     # reordered terms and terms with zero coefficients name the same form
     same = MultiForm((2, 2), {(0, 1, 1, 0): Fraction(-1, 2), (1, 1, 0, 0): 0, (1, 0, 0, 1): 3})
     assert same == MultiForm((2, 2), terms) and hash(same) == hash(MultiForm((2, 2), terms))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
+        (lambda: Matrix([]), "explicit column count"),
+        (lambda: Matrix([[1, 2, 3], [4, 5, 6]]).det(), "square matrix"),
+        (lambda: random_invertible(0, 3, 1), "need d >= 1"),
+    ],
+    ids=["ragged", "empty-without-cols", "det-of-2x3", "random-invertible-d0"],
+)
+def test_malformed_matrix_calls_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

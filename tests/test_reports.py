@@ -89,7 +89,8 @@ def invocations():
         ["equiv", "random33", "random42"],
         ["equiv", "family1235", "w4", "--pretty"],
     ]
-    out += [["moduli-dim", "--n", str(n), "--d", str(d)] for n, d in ((3, 3), (4, 2), (5, 2), (2, 3))]
+    for n, d in ((3, 3), (4, 2), (5, 2), (2, 3)):
+        out.append(["moduli-dim", "--n", str(n), "--d", str(d)])
     out += [
         ["moduli-dim", "--n", "3", "--d", "3", "--pretty"],
         ["classify", "random33", "--primes", "a,b"],

@@ -8,6 +8,7 @@ import pytest
 from sloccgeo.errors import (
     BadReductionError,
     DuplicateIndexError,
+    IndexRangeError,
     SchemaError,
     SingularOperatorError,
     UnsupportedPrimeError,
@@ -207,7 +208,8 @@ def test_apply_respects_composition():
         t = random_state(3, 2, 4, seed=rng.randint(0, 10**6))
         g = SloccOperator.random(3, 2, 3, seed=rng.randint(0, 10**6))
         h = SloccOperator.random(3, 2, 3, seed=rng.randint(0, 10**6))
-        assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, g.compose(h))
+        gh = SloccOperator(map(ref.matmul, g.factors, h.factors))
+        assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, gh)
 
 
 def test_apply_singular_operator_rejected():
@@ -585,7 +587,8 @@ def test_apply_respects_composition_property(fmt):
         drawn = [[Matrix(f) for f in _rational_factors(data.draw, n, d, False)] for _ in "gh"]
         assume(all(f.rank() == d for factors in drawn for f in factors))
         g, h = (SloccOperator(factors) for factors in drawn)
-        assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, g.compose(h))
+        gh = SloccOperator(map(ref.matmul, g.factors, h.factors))
+        assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, gh)
 
     check()
 
@@ -619,3 +622,23 @@ def test_coefficient_digits_are_bounded():
     assert parse_state(_doc(3, 3, [f"{p}/{p}" for p in primes])) == parse_state(
         _doc(3, 3, ["1"] * 27)
     )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: apply_slocc(random_state(3, 3, 5, 1), SloccOperator.random(4, 2, 3, 1)),
+            ValueError,
+            "operator format mismatch",
+        ),
+        (lambda: tensor_product(ghz(2, 2), ghz(2, 3)), ValueError, "local dimensions differ"),
+        (lambda: Tensor(1, 2, [1, 0]), ValueError, "need n >= 2"),
+        (lambda: random_state(3, 3, 5, 1)[(0, 0)], ValueError, "index arity mismatch"),
+        (lambda: random_state(3, 3, 5, 1)[(0, 0, 3)], IndexRangeError, "out of range"),
+    ],
+    ids=["operator-format", "tensor-product-dims", "one-factor", "index-arity", "index-range"],
+)
+def test_malformed_state_calls_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

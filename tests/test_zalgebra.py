@@ -490,3 +490,26 @@ def test_single_prime_entry_points_refuse_non_primes(p):
         with pytest.raises(UnsupportedPrimeError):
             call()
             pytest.fail(f"{name} accepted p = {p}")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 7, (0, 2)),
+            ValueError,
+            "nonexistent group",
+        ),
+        (lambda: cubic_hilbert(random_state(3, 3, 5, 1), 7, 4), WrongFormatError, "(4,2)"),
+        # 52 projected points at p = 13, above the genus-one bound of 21
+        (
+            lambda: multiplication_surjectivity(ghz(4, 2), (0, 1), 13),
+            InsufficientPointsError,
+            "52 projected points",
+        ),
+    ],
+    ids=["slot-pattern-out-of-range", "cubic-profile-of-a-33-state", "surjectivity-of-ghz4"],
+)
+def test_malformed_algebra_calls_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
