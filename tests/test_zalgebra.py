@@ -500,7 +500,11 @@ def test_single_prime_entry_points_refuse_non_primes(p):
             ValueError,
             "nonexistent group",
         ),
-        (lambda: cubic_hilbert(random_state(3, 3, 5, 1), 7, 4), WrongFormatError, "(4,2)"),
+        (
+            lambda: cubic_hilbert(random_state(3, 3, 5, 1), 7, 4),
+            WrongFormatError,
+            r"format \(4,2\)",
+        ),
         # 52 projected points at p = 13, above the genus-one bound of 21
         (
             lambda: multiplication_surjectivity(ghz(4, 2), (0, 1), 13),
