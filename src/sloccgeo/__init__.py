@@ -43,7 +43,6 @@ from .states import (
     four_qubit_generic_family,
     ghz,
     parse_state,
-    permute_factors,
     random_state,
     reduced_flattening_image,
     state_hash,

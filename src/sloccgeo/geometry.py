@@ -31,7 +31,7 @@ from .errors import (
     WorkLimitError,
 )
 from .linalg import DEFAULT_PRIMES, Matrix, _check_modulus, check_primes
-from .states import flattening_basis, reduced_flattening_image
+from .states import _contract, _rotate, flattening_basis, reduced_flattening_image
 
 _GROUP_NAMES = "xyzw"
 
@@ -430,22 +430,8 @@ def _check_prefix_budget(d, groups, primes):
 def _coefficient_tensor(model):
     """The rows of a model as one flat tensor, indexed row-major by one
     variable per group (first group slowest) and then by the form
-    (fastest)."""
-    return [x for column in zip(*model.rows) for x in column]
-
-
-def _contract(tensor, x):
-    """Contract the first axis of a flat row-major tensor with x."""
-    inner = len(tensor) // len(x)
-    acc = None
-    for i, xi in enumerate(x):
-        if xi:
-            part = tensor[i * inner : (i + 1) * inner]
-            if acc is None:
-                acc = part if xi == 1 else [xi * v for v in part]
-            else:
-                acc = [a + xi * v for a, v in zip(acc, part)]
-    return acc if acc is not None else [0] * inner
+    (fastest): the form axis of the stacked rows, rotated last."""
+    return _rotate([x for row in model.rows for x in row], len(model.rows))
 
 
 def _kernel_points(system, d, p):
@@ -635,12 +621,15 @@ def jacobian_rank_at(model, pt):
     """Rank over F_p of the matrix of partial derivatives at a point.
 
     The model is smooth at the point exactly when the rank equals d.  The
-    point must satisfy every defining form, else NotOnVarietyError.
+    point must satisfy every defining form, else NotOnVarietyError, and
+    each group's coordinate vector must be nonzero mod p, else ValueError.
     """
     reduced = model_mod_p(model, pt.p)
     d = reduced.d
     if len(pt.coords) != reduced.groups or any(len(c) != d for c in pt.coords):
         raise ValueError("coordinate arity mismatch")
+    if not all(any(x % pt.p for x in c) for c in pt.coords):
+        raise ValueError(f"{pt} has a zero coordinate vector: not a projective point")
     jac = _jacobian_rows(_coefficient_tensor(reduced), pt.coords, d, pt.p)
     # Euler's identity for a multilinear form: f(x) = sum_i x_0[i] df/dx_0[i].
     for k, row in enumerate(jac):

@@ -37,6 +37,7 @@ from .errors import (
     FormatMismatchError,
     SloccGeoError,
     UnsupportedFormatError,
+    UnsupportedPrimeError,
     WrongDegreeError,
     WrongFormatError,
 )
@@ -529,14 +530,17 @@ def curve_singular_mod_p(model_p):
     The reduced rows are read as integers and run through the exact
     projection and invariants; a discriminant vanishes mod p exactly when
     p divides its numerator.  Requires p > 3 so the invariant denominators
-    stay invertible.  A model over Q raises ValueError: reduce it first
-    (``model_mod_p``).
+    stay invertible: p = 2 and 3 raise UnsupportedPrimeError, larger moduli
+    of a hand-built model are not checked.  A model over Q raises
+    ValueError: reduce it first (``model_mod_p``).
     """
     fmt = (model_p.n, model_p.d)
     if fmt not in CURVE_AXES:
         raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
     if model_p.p is None:
         raise ValueError("curve_singular_mod_p needs a model over F_p; reduce it with model_mod_p")
+    if model_p.p < 5:
+        raise UnsupportedPrimeError(f"curve_singular_mod_p needs p >= 5, not {model_p.p}")
     return any(disc.numerator % model_p.p == 0 for disc in _discriminants(fmt, model_p.rows, 1))
 
 

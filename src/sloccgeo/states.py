@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import mul
 
 import random
 
@@ -355,39 +354,41 @@ def reduced_flattening_image(t, p):
     return Matrix(slices, cols=t.d ** (t.n - 1), p=p).row_space()
 
 
+def _contract(tensor, x):
+    """Contract the first axis of a flat row-major tensor with x."""
+    inner = len(tensor) // len(x)
+    acc = None
+    for i, xi in enumerate(x):
+        if xi:
+            part = tensor[i * inner : (i + 1) * inner]
+            if acc is None:
+                acc = part if xi == 1 else [xi * v for v in part]
+            else:
+                acc = [a + xi * v for a, v in zip(acc, part)]
+    return acc if acc is not None else [0] * inner
+
+
+def _rotate(tensor, d):
+    """Move the first axis, of length d, of a flat row-major tensor last."""
+    inner = len(tensor) // d
+    return [x for r in range(inner) for x in tensor[r::inner]]
+
+
 def apply_slocc(t, g):
     """Act by a local operator: coefficients transform by one factor per axis.
 
-    The numerators are contracted over the integers, one axis at a time,
-    with each factor's integer rows (cleared and checked when the operator
-    was built), and the denominators multiply.
+    The numerators are contracted over the integers with each integer row
+    of the first axis's factor (cleared and checked when the operator was
+    built), and the new axis is rotated last, once per factor; the
+    denominators multiply.
     """
     if g.n != t.n or g.d != t.d:
         raise ValueError("operator format mismatch")
-    d, n = t.d, t.n
     nums, den = t.nums, t.den
-    for axis, (rows, f_den) in enumerate(g._cleared):
-        stride = d ** (n - 1 - axis)
-        new = []
-        for base in range(0, len(nums), d * stride):
-            parts = (nums[i : i + stride] for i in range(base, base + d * stride, stride))
-            columns = list(zip(*parts))
-            for row in rows:
-                new.extend(sum(map(mul, row, column)) for column in columns)
-        nums, den = new, den * f_den
-    return Tensor.from_integers(n, d, nums, den)
-
-
-def permute_factors(t, perm):
-    """Relabel tensor factors: new[(i_0,...)] = old[(i_perm[0],...)].
-
-    The construction distinguishes the last factor, and nothing in the
-    underlying symmetry argument picks a canonical one, so callers choose.
-    """
-    if sorted(perm) != list(range(t.n)):
-        raise ValueError("not a permutation of the factors")
-    nums = [t.nums[t.offset([idx[perm[k]] for k in range(t.n)])] for idx in t.indices()]
-    return Tensor.from_integers(t.n, t.d, nums, t.den)
+    for rows, f_den in g._cleared:
+        nums = _rotate([x for row in rows for x in _contract(nums, row)], t.d)
+        den *= f_den
+    return Tensor.from_integers(t.n, t.d, nums, den)
 
 
 def random_state(n, d, bound, seed):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
 from .linalg import Matrix, _free_basis
-from .states import permute_factors
+from .states import Tensor, _rotate
 from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
 
 
@@ -117,13 +117,17 @@ def relations_from_points(model, p, slot_pattern):
     k*d (sections of the product line bundle), leaving a kernel of
     dimension d**k - k*d.  If the evaluation rank falls short of that
     target the kernel would come out too big, so the computation aborts
-    with InsufficientPointsError instead of reporting a wrong space.
+    with InsufficientPointsError instead of reporting a wrong space.  The
+    evaluation matrix is d**k wide, so before any point is enumerated a
+    pattern of k slots is refused with WorkLimitError by the bound of the
+    Hilbert profiles (``check_hilbert_degree``): d**k <= MAX_PROFILE_WIDTH.
     """
     slot_pattern = tuple(slot_pattern)
     if any(not 0 <= g < model.groups for g in slot_pattern):
         raise ValueError("slot pattern names a nonexistent group")
     d = model.d
     k = len(slot_pattern)
+    check_hilbert_degree(d, k)
     reduced = model_mod_p(model, p)
     points = enumerate_points(reduced, p)
     target_rank = min(k * d, d**k)
@@ -141,18 +145,18 @@ def cyclic_relations(state, p):
     over F_p.
 
     R_j is the state-side reduction of the flattening image of the state
-    with its factors rotated by j (factor k moves to position k - j mod n),
-    so the rotation by j lies in both R_j (x) V and V (x) R_{j+1}: the rows
-    of the rotation's model reduced modulo p (``model_mod_p``).  Every
-    rotation's model is built first, so RankDeficientError (the flattening
-    has dimension below d over Q) wins over BadReductionError (the prime
-    divides a denominator, or the rank drops only modulo p).
+    with its factors rotated by j (factor k moves to position k - j mod n:
+    the first axis moved last j times, ``_rotate``), so the rotation by j
+    lies in both R_j (x) V and V (x) R_{j+1}: the rows of the rotation's
+    model reduced modulo p (``model_mod_p``).  Every rotation's model is
+    built first, so RankDeficientError (the flattening has dimension below
+    d over Q) wins over BadReductionError (the prime divides a
+    denominator, or the rank drops only modulo p).
     """
-    n = state.n
-    models = [
-        variety_from_state(permute_factors(state, [(k - j) % n for k in range(n)]))
-        for j in range(n)
-    ]
+    n, d, models, nums = state.n, state.d, [], state.nums
+    for _ in range(n):
+        models.append(variety_from_state(Tensor.from_integers(n, d, nums, state.den)))
+        nums = _rotate(nums, d)
     return [model_mod_p(model, p).rows for model in models]
 
 

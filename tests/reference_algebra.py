@@ -3,9 +3,10 @@
 The library keeps MultiForm as a value type and Matrix without products;
 the dict-polynomial operations, the matrix product (the former
 ``Matrix.mul``, which also composes SLOCC operators factor by factor), the
-matrix-vector product, the Kronecker product and the entrywise scalar
-reduction that the tests compare the integer core against live here, as
-plain functions.  So
+matrix-vector product, the Kronecker product, the factor permutation
+(the former ``permute_factors``) and the entrywise scalar reduction that
+the tests compare the integer core against live here, as plain
+functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
@@ -24,6 +25,7 @@ from sloccgeo.errors import BadReductionError
 from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm, projective_points
 from sloccgeo.invariants import PLANE_CUBIC, _S_WIRING, _T_WIRING, _contract
 from sloccgeo.linalg import Matrix
+from sloccgeo.states import Tensor
 
 
 def _offset(f, group):
@@ -171,6 +173,18 @@ def kron(a, b):
                 ]
             )
     return Matrix(out, cols=a.cols * b.cols, p=a.p)
+
+
+def permute_factors(t, perm):
+    """Relabel tensor factors: new[(i_0,...)] = old[(i_perm[0],...)].
+
+    The former library routine, one index tuple at a time, that the
+    tensor rotations (``states._rotate``) are checked against.
+    """
+    if sorted(perm) != list(range(t.n)):
+        raise ValueError("not a permutation of the factors")
+    nums = [t.nums[t.offset([idx[perm[k]] for k in range(t.n)])] for idx in t.indices()]
+    return Tensor.from_integers(t.n, t.d, nums, t.den)
 
 
 def reduce_scalar(x, p):

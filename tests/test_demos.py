@@ -1,4 +1,10 @@
-"""Every demo prints exactly its recorded output in demos/expected."""
+"""Every demo prints exactly its recorded output in demos/expected.
+
+Each demo runs under ``-S``, which skips site-packages, so a third-party
+import in src/ fails, and ``-W error``, which turns any warning the package
+triggers into a failure, since the demos import no third-party code that
+could warn.
+"""
 
 import os
 import subprocess
@@ -15,7 +21,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_output_is_unchanged(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-S", str(demo)],
+        [sys.executable, "-W", "error", "-S", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,

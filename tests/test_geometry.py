@@ -526,9 +526,9 @@ def test_multiform_modulus_must_be_an_int_of_at_least_two(p):
         MultiForm((2,), {(1, 0): 3, (0, 1): 2}, p=p)
 
 
-def _wrong_arity_point():
+def _rank_at(coords):
     model = variety_from_state(random_state(3, 3, 5, 1))
-    return jacobian_rank_at(model, ProjPoint(7, ((1, 0, 0),)))
+    return jacobian_rank_at(model, ProjPoint(7, coords))
 
 
 @pytest.mark.parametrize(
@@ -537,9 +537,22 @@ def _wrong_arity_point():
         (lambda: MultiForm((2,), {(1, 0, 0): 1}), "bad exponent vector"),
         (lambda: MultiForm((2,), {(2, -1): 1}), "bad exponent vector"),
         (lambda: MultiForm((2,), {(1, 0): 1, (2, 0): 1}), "mixed multidegrees"),
-        (_wrong_arity_point, "coordinate arity mismatch"),
+        (lambda: _rank_at(((1, 0, 0),)), "coordinate arity mismatch"),
+        # not projective points, and Euler's check passes on a zero group:
+        # the first two returned ranks 0 and 3
+        (lambda: _rank_at(((0, 0, 0), (0, 0, 0))), "zero coordinate vector"),
+        (lambda: _rank_at(((0, 0, 0), (1, 2, 3))), "zero coordinate vector"),
+        (lambda: _rank_at(((1, 0, 0), (7, 14, 0))), "zero coordinate vector"),
     ],
-    ids=["exponent-length", "negative-exponent", "mixed-multidegrees", "point-arity"],
+    ids=[
+        "exponent-length",
+        "negative-exponent",
+        "mixed-multidegrees",
+        "point-arity",
+        "zero-point",
+        "zero-first-group",
+        "zero-mod-p-group",
+    ],
 )
 def test_malformed_geometry_calls_are_refused(call, message):
     with pytest.raises(ValueError, match=message):

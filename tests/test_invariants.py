@@ -24,6 +24,7 @@ from sloccgeo.linalg import (
 from sloccgeo.geometry import (
     CUBIC_MONOMIALS,
     MultiForm,
+    VarietyModel,
     determinantal_projection,
     model_mod_p,
     smoothness_scan,
@@ -837,6 +838,12 @@ def test_perms3_signs_match_the_inversion_count():
     assert _PERMS3 == [(perm, _reference_perm_sign(perm)) for perm in permutations(range(3))]
 
 
+def _slice_model(t, q):
+    """A model built by hand over F_q from the state's slices."""
+    rows = tuple(tuple(x % q for x in t.nums[k :: t.d]) for k in range(t.d))
+    return VarietyModel(t.n, t.d, rows, 1, q)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
@@ -853,8 +860,26 @@ def test_perms3_signs_match_the_inversion_count():
             UnsupportedFormatError,
             r"format \(5, 2\)",
         ),
+        # 2 and 3 divide the S/T scales and 1728, so a numerator divisible
+        # by p decides nothing; hand-built models over F_2 and F_3 got an answer
+        (
+            lambda: curve_singular_mod_p(_slice_model(random_state(3, 3, 5, 1), 2)),
+            UnsupportedPrimeError,
+            "needs p >= 5, not 2",
+        ),
+        (
+            lambda: curve_singular_mod_p(_slice_model(random_state(4, 2, 5, 1), 3)),
+            UnsupportedPrimeError,
+            "needs p >= 5, not 3",
+        ),
     ],
-    ids=["cubic-of-3-coefficients", "cubic-from-linear-form", "curve-test-on-a-surface"],
+    ids=[
+        "cubic-of-3-coefficients",
+        "cubic-from-linear-form",
+        "curve-test-on-a-surface",
+        "curve-test-over-f2",
+        "curve-test-over-f3",
+    ],
 )
 def test_malformed_invariant_calls_are_refused(call, error, message):
     with pytest.raises(error, match=message):

@@ -20,13 +20,13 @@ from sloccgeo.states import (
     MAX_FLATTENING_COST,
     SloccOperator,
     Tensor,
+    _rotate,
     apply_slocc,
     basis_state,
     flatten_last,
     flattening_image,
     ghz,
     parse_state,
-    permute_factors,
     random_state,
     reduced_flattening_image,
     state_hash,
@@ -347,10 +347,22 @@ def test_random_four_qubit_states_have_nonzero_hyperdet():
 
 def test_permute_factors():
     t = random_state(4, 2, 5, seed=9)
-    assert permute_factors(permute_factors(t, [1, 0, 2, 3]), [1, 0, 2, 3]) == t
-    assert permute_factors(ghz(4, 2), [3, 2, 1, 0]) == ghz(4, 2)
+    assert ref.permute_factors(ref.permute_factors(t, [1, 0, 2, 3]), [1, 0, 2, 3]) == t
+    assert ref.permute_factors(ghz(4, 2), [3, 2, 1, 0]) == ghz(4, 2)
     with pytest.raises(ValueError):
-        permute_factors(t, [0, 0, 1, 2])
+        ref.permute_factors(t, [0, 0, 1, 2])
+
+
+@pytest.mark.parametrize("fmt", [(2, 5), (3, 3), (3, 4), (4, 2), (5, 2)])
+def test_rotate_moves_the_first_factor_last(fmt):
+    n, d = fmt
+    t = random_state(n, d, 5, seed=n * d)
+    rotated = ref.permute_factors(t, [(k - 1) % n for k in range(n)])
+    assert tuple(_rotate(t.nums, d)) == rotated.nums
+    nums = t.nums
+    for _ in range(n):
+        nums = _rotate(nums, d)
+    assert tuple(nums) == t.nums
 
 
 def test_tensor_product_singlet_bell():
@@ -492,7 +504,7 @@ def reference_apply_slocc(n, d, coeffs, factors):
     return tuple(coeffs)
 
 
-REFERENCE_FORMATS = [(2, 2), (3, 2), (3, 3), (4, 2), (2, 3)]
+REFERENCE_FORMATS = [(2, 2), (3, 2), (3, 3), (4, 2), (2, 3), (5, 2), (3, 4)]
 
 
 def _rational_coeffs(draw, n, d):

@@ -28,7 +28,6 @@ from sloccgeo.states import (
     basis_state,
     flattening_image,
     ghz,
-    permute_factors,
     random_state,
     reduced_flattening_image,
 )
@@ -106,6 +105,22 @@ def test_relations_insufficient_points(family_1235):
     model = variety_from_state(family_1235)
     with pytest.raises(InsufficientPointsError):
         relations_from_points(model, 11, (0, 1, 2))
+
+
+def test_relations_from_points_bounds_the_slot_count(monkeypatch):
+    # the evaluation matrix is d**k wide: 6 slots of a (3,3) model built a
+    # 729 x 729 kernel basis and then raised InsufficientPointsError
+    import sloccgeo.zalgebra
+
+    model = variety_from_state(random_state(3, 3, 5, 1))
+    assert relations_from_points(model, 11, (0, 1) * 2 + (0,)).slot_dim == 3  # 243 columns
+
+    def refused(*args):
+        raise AssertionError("points enumerated before the bound")
+
+    monkeypatch.setattr(sloccgeo.zalgebra, "enumerate_points", refused)
+    with pytest.raises(WorkLimitError, match=r"3\*\*k_max <= 256"):
+        relations_from_points(model, 11, (0, 1) * 3)
 
 
 def test_relation_dimension_is_slocc_invariant():
@@ -244,7 +259,7 @@ def test_state_lies_in_relation_overlap():
         return Matrix(list(rows) + [v], p=p).rank() == len(rows)
 
     for j in range(3):
-        rotated = permute_factors(t, [(k - j) % 3 for k in range(3)]).reduce_mod(p)
+        rotated = ref.permute_factors(t, [(k - j) % 3 for k in range(3)]).reduce_mod(p)
         left = [[rotated[(a * 3 + b) * 3 + c] for a in range(3) for b in range(3)]
                 for c in range(3)]
         right = [[rotated[(a * 3 + b) * 3 + c] for b in range(3) for c in range(3)]
