@@ -670,48 +670,39 @@ def _first_witness(reduced, points):
     return None
 
 
-class _PrimeSweep:
-    """The one per-prime loop of smoothness_scan and of classify's sweeps.
+def _file_primes(t, primes, discs=None):
+    """The primes of one sweep, filed once, before any point is enumerated.
 
-    Construction checks every prime (``check_primes``) and the prefix
-    budget before any work.  Iterating files each prime as bad (the state
-    has a denominator there, or the flattening rank drops), excluded (p
-    divides the numerator of one of the caller's ``discs``, when none of
-    them vanishes) or used, and yields (p, reduced model) for each used
-    prime in order; how much of that prime to sweep is the caller's choice.
-    smoothness_scan passes the state's ``slice_discriminants``: for a curve
-    format that is smooth by the exact discriminant test, such a p makes
-    the reduced curve degenerate, and it says nothing about the original
-    model.  Once the primes run out it raises AllPrimesBadError if none was
-    used or excluded.
+    Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES)
+    and the prefix budget, builds the model, and files each prime in order
+    as bad (the state has a denominator there, or the flattening rank
+    drops), excluded (p divides the numerator of one of ``discs``, when
+    none of them vanishes) or used.  Returns (used, bad, excluded), where
+    used lists a (p, reduced model) pair per used prime; how much of each
+    to sweep is the caller's choice.  smoothness_scan passes the state's
+    ``slice_discriminants``: for a curve format that is smooth by the exact
+    discriminant test, such a p makes the reduced curve degenerate, and it
+    says nothing about the original model.  Raises AllPrimesBadError when
+    no prime is used or excluded.
     """
-
-    def __init__(self, t, primes, discs=None):
-        self.primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
-        _check_prefix_budget(t.d, t.n - 1, self.primes)
-        self.model = variety_from_state(t)
-        self.discs = discs if discs and all(discs) else ()
-        self.used, self.bad, self.excluded = [], [], []
-
-    @property
-    def pending(self):
-        """How many primes are not filed yet."""
-        return len(self.primes) - len(self.used) - len(self.bad) - len(self.excluded)
-
-    def __iter__(self):
-        for p in self.primes:
-            try:
-                reduced = model_mod_p(self.model, p)
-            except BadReductionError:
-                self.bad.append(p)
-                continue
-            if any(disc.numerator % p == 0 for disc in self.discs):
-                self.excluded.append(p)
-                continue
-            self.used.append(p)
-            yield p, reduced
-        if not self.used and not self.excluded:
-            raise AllPrimesBadError(f"all primes {list(self.primes)} hit bad reduction")
+    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
+    _check_prefix_budget(t.d, t.n - 1, primes)
+    model = variety_from_state(t)
+    discs = discs if discs and all(discs) else ()
+    used, bad, excluded = [], [], []
+    for p in primes:
+        try:
+            reduced = model_mod_p(model, p)
+        except BadReductionError:
+            bad.append(p)
+            continue
+        if any(disc.numerator % p == 0 for disc in discs):
+            excluded.append(p)
+        else:
+            used.append((p, reduced))
+    if not used and not excluded:
+        raise AllPrimesBadError(f"all primes {list(primes)} hit bad reduction")
+    return used, tuple(bad), tuple(excluded)
 
 
 def smoothness_scan(t, primes=None):
@@ -721,26 +712,26 @@ def smoothness_scan(t, primes=None):
     Any rank drop is recorded as a witness (the first per prime, in point
     order) and the verdict becomes SingularFound; a clean sweep is
     probabilistic evidence only.  Every point is counted.  Primes are
-    filed as used, bad or excluded as ``_PrimeSweep`` describes, and every
+    filed as used, bad or excluded as ``_file_primes`` describes, and every
     prime must pass ``check_primes``.  Each rank test is one left-kernel
     test, not an elimination (see ``_first_witness``).
     """
     from .invariants import slice_discriminants
 
-    sweep = _PrimeSweep(t, primes, slice_discriminants(t))
+    used, bad, excluded = _file_primes(t, primes, slice_discriminants(t))
     counts = []
     witnesses = []
-    for p, reduced in sweep:
+    for p, reduced in used:
         pts = enumerate_points(reduced, p)
         counts.append((p, len(pts)))
         witness = _first_witness(reduced, pts)
         if witness is not None:
             witnesses.append(witness)
     return SmoothnessReport(
-        primes=tuple(sweep.used),
+        primes=tuple(p for p, _ in used),
         point_counts=tuple(counts),
-        bad_primes=tuple(sweep.bad),
-        excluded_primes=tuple(sweep.excluded),
+        bad_primes=bad,
+        excluded_primes=excluded,
         witnesses=tuple(witnesses),
         verdict="SingularFound" if witnesses else "NoSingularPointFound",
     )

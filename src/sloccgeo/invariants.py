@@ -48,9 +48,9 @@ from .geometry import (
     CUBIC_MONOMIALS,
     CURVE_AXES,
     MultiForm,
-    _PrimeSweep,
     _check_formula_format,
     _det,
+    _file_primes,
     _first_witness,
     _points,
     _witness_json,
@@ -583,19 +583,20 @@ def classify(t, primes=None):
     (5,2) sweep uses only the given primes up to 13, or all of them when
     none is that small, since each larger prime costs a far larger sweep.
 
-    Neither reads a point count, so the sweep here is lazy: one loop tests
-    each used prime up to its first witness, and stops testing at the first
-    witness for a curve model, or, for other formats, once the vote is
-    settled: with W witnesses, C clean primes and R primes not yet filed,
-    the model is smooth when W + R <= C and singular when W > C + R,
-    whatever those R primes show.  The primes are still all filed as used
-    or bad, so ``primes_used`` and the witness are those of the full
-    ``smoothness_scan`` (whose exclusions apply only to smooth curve
-    models, which never reach the sweep here).  When every prime is bad, a
-    singular curve model is still SingularModel, with no primes used and
-    no witness, while any other format raises AllPrimesBadError: it has no
-    verdict without a usable prime.  Given primes must pass
-    ``check_primes``, also when no sweep runs or the verdict is memoized.
+    Neither reads a point count, so the sweep here is lazy.  Every prime is
+    filed up front as used or bad (``_file_primes``), so ``primes_used``
+    and the witness are those of the full ``smoothness_scan`` (whose
+    exclusions apply only to smooth curve models, which never reach the
+    sweep here).  One loop then tests each used prime in order up to its
+    first witness, and stops at the first witness for a curve model, or,
+    for other formats, once the vote is settled: with W witnesses, C clean
+    primes and R used primes not yet swept, the model is smooth when
+    W + R <= C and singular when W > C + R, whatever those R primes show.
+    When every prime is bad, a singular curve model is still SingularModel,
+    with no primes used and no witness, while any other format raises
+    AllPrimesBadError: it has no verdict without a usable prime.  Given
+    primes must pass ``check_primes``, also when no sweep runs or the
+    verdict is memoized.
     """
     return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
 
@@ -607,54 +608,42 @@ def _classify(t, primes):
     rank = len(rows)
     hyperdet = _format_hyperdet(t)
     hint = None if hyperdet is None else hyperdet != 0
-
+    curve = fmt in CURVE_AXES and rank == t.d
+    projections = tuple(_curve_projections(fmt, rows, den)) if curve else ()
+    j, used, witness = None, (), None
     if rank < t.d:
-        return Verdict(t.n, t.d, RANK_DEFICIENT, rank, (), None, hyperdet, hint, (), None)
-
-    curve = fmt in CURVE_AXES
-    projections, scan_primes = (), primes
-    if curve:
-        projections = tuple(_curve_projections(fmt, rows, den))
-        if all(pr.invariants.discriminant != 0 for pr in projections):
-            js = {pr.invariants.j for pr in projections}
-            if len(js) != 1:
-                raise SloccGeoError(
-                    f"projection j values disagree: {sorted(map(str, js))}"
-                )
-            return Verdict(
-                t.n, t.d, SMOOTH_GENERIC, rank, projections,
-                js.pop(), hyperdet, hint, (), None,
-            )
-    elif fmt == (5, 2):
-        scan_primes = tuple(p for p in primes if p <= 13) or primes
-    sweep = _PrimeSweep(t, scan_primes)
-    witnesses, clean, settled = [], 0, False
-    try:
-        for p, reduced in sweep:
-            if not settled:
-                witness = _first_witness(reduced, _points(reduced, p))
-                if witness is None:
-                    clean += 1
-                else:
-                    witnesses.append(witness)
-                w, rest = len(witnesses), sweep.pending
-                settled = (w > 0) if curve else (w + rest <= clean or w > clean + rest)
-    except AllPrimesBadError:
-        if not curve:
-            raise
-    used = tuple(sweep.used)
-    # A curve model is singular by its exact discriminants, and the sweep
-    # only looks for a witness.  Elsewhere no exact discriminant exists, so
-    # a single-prime witness may be bad-reduction noise; only a strict
-    # majority of usable primes decides.
-    if curve or 2 * len(witnesses) > len(used):
-        return Verdict(
-            t.n, t.d, SINGULAR_MODEL, rank, projections, None, hyperdet, hint,
-            used, witnesses[0] if witnesses else None,
-        )
-    return Verdict(
-        t.n, t.d, SMOOTH_GENERIC, rank, (), None, hyperdet, hint, used, None,
-    )
+        status = RANK_DEFICIENT
+    elif curve and all(pr.invariants.discriminant != 0 for pr in projections):
+        js = {pr.invariants.j for pr in projections}
+        if len(js) != 1:
+            raise SloccGeoError(f"projection j values disagree: {sorted(map(str, js))}")
+        status, j = SMOOTH_GENERIC, js.pop()
+    else:
+        scan = (tuple(p for p in primes if p <= 13) or primes) if fmt == (5, 2) else primes
+        try:
+            filed = _file_primes(t, scan)[0]
+        except AllPrimesBadError:
+            if not curve:
+                raise
+            filed = []
+        witnesses, clean = [], 0
+        for p, reduced in filed:
+            if (found := _first_witness(reduced, _points(reduced, p))) is None:
+                clean += 1
+            else:
+                witnesses.append(found)
+            w, rest = len(witnesses), len(filed) - len(witnesses) - clean
+            if (w > 0) if curve else (w + rest <= clean or w > clean + rest):
+                break
+        used = tuple(p for p, _ in filed)
+        # A curve model is singular by its exact discriminants, and the sweep
+        # only looks for a witness.  Elsewhere no exact discriminant exists, so
+        # a single-prime witness may be bad-reduction noise; only a strict
+        # majority of usable primes decides.
+        singular = curve or 2 * len(witnesses) > len(used)
+        status = SINGULAR_MODEL if singular else SMOOTH_GENERIC
+        witness = witnesses[0] if singular and witnesses else None
+    return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
 
 
 classify.cache_info = _classify.cache_info
@@ -698,26 +687,13 @@ def slocc_compare(a, b, primes=None):
     va = classify(a, primes)
     vb = classify(b, primes)
     if va.status != vb.status:
-        return ComparisonResult(
-            DISTINCT_CERTIFIED,
-            f"statuses differ: {va.status} vs {vb.status}",
-            va,
-            vb,
-        )
-    if va.status == SMOOTH_GENERIC:
-        if va.j != vb.j:
-            return ComparisonResult(
-                DISTINCT_CERTIFIED, "exact j values differ", va, vb
-            )
-        return ComparisonResult(
-            CONSISTENT_UNKNOWN,
-            "equal j; line-bundle data not compared, equivalence not certified",
-            va,
-            vb,
-        )
-    return ComparisonResult(
-        BOTH_DEGENERATE,
-        f"both states have status {va.status}; j-based separation unavailable",
-        va,
-        vb,
-    )
+        outcome, detail = DISTINCT_CERTIFIED, f"statuses differ: {va.status} vs {vb.status}"
+    elif va.status != SMOOTH_GENERIC:
+        outcome = BOTH_DEGENERATE
+        detail = f"both states have status {va.status}; j-based separation unavailable"
+    elif va.j != vb.j:
+        outcome, detail = DISTINCT_CERTIFIED, "exact j values differ"
+    else:
+        outcome = CONSISTENT_UNKNOWN
+        detail = "equal j; line-bundle data not compared, equivalence not certified"
+    return ComparisonResult(outcome, detail, va, vb)

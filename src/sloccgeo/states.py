@@ -36,7 +36,7 @@ from .linalg import (
     random_invertible,
 )
 
-_RATIONAL_RE = re.compile(r"^(-?)(\d+)(?:/([1-9]\d*))?$")
+_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([1-9][0-9]*))?\Z")
 
 #: Most coefficients d**n a state may have.
 MAX_COEFFICIENTS = 2**16
@@ -216,10 +216,13 @@ def parse_state(document):
 
     The document is JSON: {"n": int, "d": int, "entries": [{"idx": [...],
     "c": "num" or "num/den"}]}.  Coefficients are exact decimal-free
-    rationals; duplicate indices and out-of-range indices are rejected, and
+    rationals: the whole string is an optional minus sign, ASCII digits
+    and, optionally, a slash and a denominator of ASCII digits that starts
+    with 1-9.  Duplicate indices and out-of-range indices are rejected, and
     so is a state with a numerator or denominator of more than
-    MAX_COEFFICIENT_DIGITS digits, as written or over the common
-    denominator, before any arithmetic on the state.
+    MAX_COEFFICIENT_DIGITS digits, as written (leading zeros of a numerator
+    not counted) or over the common denominator, before any arithmetic on
+    the state.
     """
     try:
         doc = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
@@ -257,7 +260,8 @@ def parse_state(document):
         if match is None:
             raise SchemaError(f"coefficient {c!r} is not a decimal-free rational string")
         sign, num, den = match.groups()
-        if len(num.lstrip("0")) > digits or (den is not None and len(den) > digits):
+        num = num.lstrip("0") or "0"
+        if len(num) > digits or (den is not None and len(den) > digits):
             raise SchemaError(f"coefficient at {idx} has more than {digits} digits")
         a = int(sign + num)
         if den is not None:

@@ -121,9 +121,11 @@ def relations_from_points(model, p, slot_pattern):
     evaluation matrix is d**k wide, so before any point is enumerated a
     pattern of k slots is refused with WorkLimitError by the bound of the
     Hilbert profiles (``check_hilbert_degree``): d**k <= MAX_PROFILE_WIDTH.
+    Every slot must be an int (not a bool) naming one of the model's
+    groups, else ValueError before any other work.
     """
     slot_pattern = tuple(slot_pattern)
-    if any(not 0 <= g < model.groups for g in slot_pattern):
+    if any(type(g) is not int or not 0 <= g < model.groups for g in slot_pattern):
         raise ValueError("slot pattern names a nonexistent group")
     d = model.d
     k = len(slot_pattern)

@@ -2,6 +2,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
 
 import pytest
 
@@ -375,6 +376,61 @@ def test_five_qubit_vote_stops_once_settled(monkeypatch):
     assert verdict.status == SINGULAR_MODEL and verdict.primes_used == (5, 7, 11, 13)
     assert verdict.singular_witness[0] == 5
     assert swept == [5, 7, 11]
+
+
+def test_five_qubit_vote_settles_over_the_used_primes(monkeypatch):
+    # 143 = 11 * 13 divides the denominator, so only 5 and 7 are used: one
+    # clean prime of two already rules out a strict majority of witnesses,
+    # and p = 7 is filed but not swept
+    import sloccgeo.invariants as inv
+
+    swept = []
+
+    def counting(reduced, points):
+        swept.append(reduced.p)
+        return first_witness(reduced, points)
+
+    first_witness = inv._first_witness
+    monkeypatch.setattr(inv, "_first_witness", counting)
+    for seed in (0, 1, 2, 4):
+        swept.clear()
+        verdict = classify(random_state(5, 2, 5, seed=seed).scale(Fraction(1, 143)))
+        assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+        assert verdict.primes_used == (5, 7)
+        assert swept == [5], seed
+
+
+def test_vote_matches_the_full_sweep_with_bad_primes():
+    # classify stops a vote once it is settled over the used primes; the
+    # strict-majority rule on the full smoothness_scan must give the same
+    # verdict wherever the bad primes fall in the list
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    states = st.one_of(
+        st.integers(0, 999).map(lambda seed: random_state(5, 2, 5, seed=seed)),
+        st.integers(0, 999).map(lambda seed: random_state(3, 2, 5, seed=seed)),
+        st.sampled_from([ghz(5, 2), w_state(5)]),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(t=states, bad=st.sets(st.sampled_from(DEFAULT_PRIMES)))
+    def check(t, bad):
+        scan = (5, 7, 11, 13) if t.n == 5 else DEFAULT_PRIMES
+        t = t.scale(Fraction(1, prod(p for p in bad if p in scan)))
+        try:
+            report = smoothness_scan(t, scan)
+        except AllPrimesBadError:
+            with pytest.raises(AllPrimesBadError):
+                classify(t, scan)
+            return
+        verdict = classify(t, scan)
+        singular = 2 * len(report.witnesses) > len(report.primes)
+        assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
+        assert verdict.primes_used == report.primes
+        assert verdict.singular_witness == (report.witnesses[0] if singular else None)
+
+    check()
 
 
 def test_verdict_json_shape(family_1235, ghz3_qutrit):

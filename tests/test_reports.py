@@ -48,7 +48,14 @@ STATES = {
     "image42": apply_slocc(random_state(4, 2, 5, 2), SloccOperator.random(4, 2, 3, 6)),
     "family1235": four_qubit_generic_family(1, 2, 3, 5),
     "allbad52": ghz(5, 2).scale(Fraction(1, 35)),  # every prime of --primes 5,7 is bad
+    "vote52": random_state(5, 2, 5, 0).scale(Fraction(1, 143)),  # 11 and 13 are bad
+    "ghz52-143": ghz(5, 2).scale(Fraction(1, 143)),
+    "random32": random_state(3, 2, 5, 1),  # classify votes over all nine default primes
 }
+
+#: States whose classify verdict is a vote of prime sweeps, run at the
+#: default primes only: the (5,2) pair has bad primes among its scan primes.
+VOTE_STATES = ("vote52", "ghz52-143", "random32")
 
 STATE_COMMANDS = ("classify", "jinv", "hyperdet", "smoothness", "hilbert", "roundtrip")
 STRICT = ("--pretty", "--strict")
@@ -60,7 +67,7 @@ def invocations():
         [command, name, "--primes", "5,7,11"]
         for command in STATE_COMMANDS
         for name in STATES
-        if name != "allbad52"
+        if name not in ("allbad52", *VOTE_STATES)
     ]
     out += [
         [command, name, *STRICT]
@@ -96,6 +103,7 @@ def invocations():
         ["classify", "random33", "--primes", "a,b"],
         ["classify", "random33", "--primes", "4,7"],
     ]
+    out += [[command, name] for name in VOTE_STATES for command in ("classify", "smoothness")]
     return out
 
 

@@ -77,6 +77,11 @@ def test_parse_duplicate_index():
         '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":1}]}',
         '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":"1.5"}]}',
         '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":"1/0"}]}',
+        # the whole string must match, in ASCII digits: no trailing newline,
+        # no Arabic-Indic or fullwidth digits
+        '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":"5\\n"}]}',
+        '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":"\\u0663"}]}',
+        '{"n":3,"d":3,"entries":[{"idx":[0,0,0],"c":"\\uff15"}]}',
         '{"n":3,"d":3,"entries":[{"idx":[0,0,0]}]}',
     ],
 )
@@ -619,6 +624,8 @@ def test_coefficient_digits_are_bounded():
     assert parse_state(_doc(3, 3, widest)).nums[0] == int(widest[0])
     # as written: one digit too many, leading zeros not counted
     assert parse_state(_doc(3, 3, ["0" * 200 + "1"] + ["1"] * 26)).nums[0] == 1
+    # leading zeros are dropped before int(), which refuses over 4,300 digits
+    assert parse_state(_doc(3, 3, ["0" * 5000 + "1"] + ["1"] * 26)).nums[0] == 1
     for c in ("1" * (limit + 1), "1/" + "1" * (limit + 1), "-" + "9" * (limit + 1)):
         with pytest.raises(SchemaError):
             parse_state(_doc(3, 3, [c] + ["1"] * 26))

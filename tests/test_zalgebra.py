@@ -515,6 +515,17 @@ def test_single_prime_entry_points_refuse_non_primes(p):
             ValueError,
             "nonexistent group",
         ),
+        # slots that are not ints are refused before any point is enumerated
+        (
+            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 11, (0.0, 1)),
+            ValueError,
+            "nonexistent group",
+        ),
+        (
+            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 11, (True, 0)),
+            ValueError,
+            "nonexistent group",
+        ),
         (
             lambda: cubic_hilbert(random_state(3, 3, 5, 1), 7, 4),
             WrongFormatError,
@@ -527,7 +538,13 @@ def test_single_prime_entry_points_refuse_non_primes(p):
             "52 projected points",
         ),
     ],
-    ids=["slot-pattern-out-of-range", "cubic-profile-of-a-33-state", "surjectivity-of-ghz4"],
+    ids=[
+        "slot-pattern-out-of-range",
+        "float-slot",
+        "bool-slot",
+        "cubic-profile-of-a-33-state",
+        "surjectivity-of-ghz4",
+    ],
 )
 def test_malformed_algebra_calls_are_refused(call, error, message):
     with pytest.raises(error, match=message):
