@@ -682,8 +682,11 @@ def _file_primes(t, primes, discs=None):
     to sweep is the caller's choice.  smoothness_scan passes the state's
     ``slice_discriminants``: for a curve format that is smooth by the exact
     discriminant test, such a p makes the reduced curve degenerate, and it
-    says nothing about the original model.  Raises AllPrimesBadError when
-    no prime is used or excluded.
+    says nothing about the original model.  The checks raise in that
+    order (UnsupportedPrimeError, WorkLimitError, then RankDeficientError
+    from the model); the filing itself never raises.  When every prime is
+    bad, bad lists them all, in order, and each caller states what that
+    means for its own result.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
@@ -700,8 +703,6 @@ def _file_primes(t, primes, discs=None):
             excluded.append(p)
         else:
             used.append((p, reduced))
-    if not used and not excluded:
-        raise AllPrimesBadError(f"all primes {list(primes)} hit bad reduction")
     return used, tuple(bad), tuple(excluded)
 
 
@@ -713,12 +714,16 @@ def smoothness_scan(t, primes=None):
     order) and the verdict becomes SingularFound; a clean sweep is
     probabilistic evidence only.  Every point is counted.  Primes are
     filed as used, bad or excluded as ``_file_primes`` describes, and every
-    prime must pass ``check_primes``.  Each rank test is one left-kernel
-    test, not an elimination (see ``_first_witness``).
+    prime must pass ``check_primes``.  When no prime is used or excluded,
+    so that every one is bad, the scan raises AllPrimesBadError naming the
+    checked primes.  Each rank test is one left-kernel test, not an
+    elimination (see ``_first_witness``).
     """
     from .invariants import slice_discriminants
 
     used, bad, excluded = _file_primes(t, primes, slice_discriminants(t))
+    if not used and not excluded:
+        raise AllPrimesBadError(f"all primes {list(bad)} hit bad reduction")
     counts = []
     witnesses = []
     for p, reduced in used:

@@ -553,11 +553,6 @@ HYPERDETERMINANTS = {
 }
 
 
-def _format_hyperdet(t):
-    entry = HYPERDETERMINANTS.get((t.n, t.d))
-    return None if entry is None else entry[1](t)
-
-
 #: How many verdicts ``classify`` keeps, least recently used first out.  A
 #: state met again within this many distinct classifications (as a
 #: ``slocc_compare`` of states just classified meets them) is not
@@ -592,11 +587,13 @@ def classify(t, primes=None):
     for other formats, once the vote is settled: with W witnesses, C clean
     primes and R used primes not yet swept, the model is smooth when
     W + R <= C and singular when W > C + R, whatever those R primes show.
-    When every prime is bad, a singular curve model is still SingularModel,
-    with no primes used and no witness, while any other format raises
-    AllPrimesBadError: it has no verdict without a usable prime.  Given
-    primes must pass ``check_primes``, also when no sweep runs or the
-    verdict is memoized.
+    ``_file_primes`` only files; the rule for a sweep whose primes are all
+    bad is stated here, in one branch before the loop.  A singular curve
+    model is still SingularModel, with no primes used and no witness,
+    while any other format raises AllPrimesBadError, naming the primes of
+    its scan: it has no verdict without a usable prime.  Given primes must
+    pass ``check_primes``, also when no sweep runs or the verdict is
+    memoized.
     """
     return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
 
@@ -606,7 +603,7 @@ def _classify(t, primes):
     fmt = (t.n, t.d)
     rows, den = flattening_basis(t)
     rank = len(rows)
-    hyperdet = _format_hyperdet(t)
+    hyperdet = HYPERDETERMINANTS[fmt][1](t) if fmt in HYPERDETERMINANTS else None
     hint = None if hyperdet is None else hyperdet != 0
     curve = fmt in CURVE_AXES and rank == t.d
     projections = tuple(_curve_projections(fmt, rows, den)) if curve else ()
@@ -620,12 +617,11 @@ def _classify(t, primes):
         status, j = SMOOTH_GENERIC, js.pop()
     else:
         scan = (tuple(p for p in primes if p <= 13) or primes) if fmt == (5, 2) else primes
-        try:
-            filed = _file_primes(t, scan)[0]
-        except AllPrimesBadError:
-            if not curve:
-                raise
-            filed = []
+        filed = _file_primes(t, scan)[0]
+        # every prime bad: a curve model is singular by its discriminants
+        # alone, any other model has no verdict
+        if not filed and not curve:
+            raise AllPrimesBadError(f"all primes {list(scan)} hit bad reduction")
         witnesses, clean = [], 0
         for p, reduced in filed:
             if (found := _first_witness(reduced, _points(reduced, p))) is None:
@@ -677,7 +673,9 @@ def slocc_compare(a, b, primes=None):
     Distinctness can be certified (different statuses, or both smooth with
     different j); agreement never can, because equal j leaves the remaining
     line-bundle data undetermined and the dictionary itself only holds on
-    the generic locus.
+    the generic locus.  Two smooth states of a format without an exact j
+    (any but (3,3) and (4,2)) are never separated; the detail then says
+    that the format has no exact j.
 
     Both verdicts come from ``classify``, so a state classified a few calls
     earlier (with the same primes) is not classified again.
@@ -695,5 +693,6 @@ def slocc_compare(a, b, primes=None):
         outcome, detail = DISTINCT_CERTIFIED, "exact j values differ"
     else:
         outcome = CONSISTENT_UNKNOWN
-        detail = "equal j; line-bundle data not compared, equivalence not certified"
+        agree = "equal j" if va.j is not None else f"format {(a.n, a.d)} has no exact j"
+        detail = f"{agree}; line-bundle data not compared, equivalence not certified"
     return ComparisonResult(outcome, detail, va, vb)

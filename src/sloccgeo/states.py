@@ -211,6 +211,14 @@ class SloccOperator:
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
 
+def _excerpt(value):
+    """repr(value) for an error message: whole up to 100 characters, else
+    its first 60 and last 37 around "...", so a message stays short
+    however large the input it echoes."""
+    text = repr(value)
+    return text if len(text) <= 100 else f"{text[:60]}...{text[-37:]}"
+
+
 def parse_state(document):
     """Parse a state file into a Tensor.
 
@@ -222,7 +230,8 @@ def parse_state(document):
     so is a state with a numerator or denominator of more than
     MAX_COEFFICIENT_DIGITS digits, as written (leading zeros of a numerator
     not counted) or over the common denominator, before any arithmetic on
-    the state.
+    the state.  An error message echoes a malformed value only as a short
+    excerpt (``_excerpt``).
     """
     try:
         doc = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
@@ -252,13 +261,13 @@ def parse_state(document):
                 raise SchemaError(f"idx must be a list of {n} integers")
             off = off * d + i
         if min(idx) < 0 or max(idx) >= d:
-            raise IndexRangeError(f"index {idx} out of range for d={d}")
+            raise IndexRangeError(f"index {_excerpt(idx)} out of range for d={d}")
         if off in seen:
             raise DuplicateIndexError(f"index {idx} appears twice")
         c = entry["c"]
         match = _RATIONAL_RE.match(c) if isinstance(c, str) else None
         if match is None:
-            raise SchemaError(f"coefficient {c!r} is not a decimal-free rational string")
+            raise SchemaError(f"coefficient {_excerpt(c)} is not a decimal-free rational string")
         sign, num, den = match.groups()
         num = num.lstrip("0") or "0"
         if len(num) > digits or (den is not None and len(den) > digits):

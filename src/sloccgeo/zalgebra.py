@@ -122,7 +122,9 @@ def relations_from_points(model, p, slot_pattern):
     pattern of k slots is refused with WorkLimitError by the bound of the
     Hilbert profiles (``check_hilbert_degree``): d**k <= MAX_PROFILE_WIDTH.
     Every slot must be an int (not a bool) naming one of the model's
-    groups, else ValueError before any other work.
+    groups, else ValueError before any other work.  The model may be over
+    Q or over F_p: ``enumerate_points`` reduces it (``model_mod_p``) and
+    then checks the prefix budget.
     """
     slot_pattern = tuple(slot_pattern)
     if any(type(g) is not int or not 0 <= g < model.groups for g in slot_pattern):
@@ -130,8 +132,7 @@ def relations_from_points(model, p, slot_pattern):
     d = model.d
     k = len(slot_pattern)
     check_hilbert_degree(d, k)
-    reduced = model_mod_p(model, p)
-    points = enumerate_points(reduced, p)
+    points = enumerate_points(model, p)
     target_rank = min(k * d, d**k)
     kernel = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p).kernel()
     rank = d**k - kernel.rows
@@ -302,11 +303,8 @@ def multiplication_surjectivity(state, axis_pair, p):
     if any(type(a) is not int for a in axis_pair) or sorted(axis_pair) not in pairs:
         raise ValueError("axis pair must name two distinct groups of 0,1,2")
     axis_pair = tuple(sorted(axis_pair))
-    model = variety_from_state(state)
-    reduced = model_mod_p(model, p)
-    projected = sorted(
-        {tuple(pt.coords[a] for a in axis_pair) for pt in enumerate_points(reduced, p)}
-    )
+    points = enumerate_points(variety_from_state(state), p)
+    projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
     lo, hi = hasse_window(p)
     if len(projected) > hi:
         raise InsufficientPointsError(

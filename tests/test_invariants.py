@@ -299,13 +299,20 @@ def test_format_formulas_are_bounded():
 def test_classify_when_every_prime_is_bad():
     # 35 = 5 * 7 divides the denominator, so both primes are bad.  A curve
     # model is singular by its exact discriminants and keeps that verdict,
-    # without a prime or a witness; a (5,2) verdict rests on the sweep alone
-    curve = classify(ghz(3, 3).scale(Fraction(1, 35)), (5, 7))
+    # without a prime or a witness; a (5,2) verdict rests on the sweep
+    # alone, and a scan has no result without a usable prime.  Each error
+    # names the checked primes: sorted, without repeats
+    all_bad = r"^all primes \[5, 7\] hit bad reduction$"
+    curve_state = ghz(3, 3).scale(Fraction(1, 35))
+    curve = classify(curve_state, (5, 7))
     assert curve.status == SINGULAR_MODEL
     assert curve.primes_used == ()
     assert curve.singular_witness is None
-    with pytest.raises(AllPrimesBadError):
-        classify(ghz(5, 2).scale(Fraction(1, 35)), (5, 7))
+    with pytest.raises(AllPrimesBadError, match=all_bad):
+        smoothness_scan(curve_state, (5, 7))
+    for call in (classify, smoothness_scan):
+        with pytest.raises(AllPrimesBadError, match=all_bad):
+            call(ghz(5, 2).scale(Fraction(1, 35)), (7, 5, 5))
 
 
 def test_classify_separable():
@@ -490,6 +497,21 @@ def test_compare_both_degenerate(ghz3_qutrit):
     scaled = ghz3_qutrit.scale(2)
     result = slocc_compare(ghz3_qutrit, scaled)
     assert result.outcome == BOTH_DEGENERATE
+
+
+@pytest.mark.parametrize("fmt", [(2, 3), (3, 2), (5, 2)])
+def test_compare_without_exact_j_says_so(fmt):
+    # these formats have no curve projections, so two smooth states both
+    # have j None: nothing separates them, and no j was found equal
+    a, b = random_state(*fmt, 5, 0), random_state(*fmt, 5, 1)
+    result = slocc_compare(a, b)
+    assert result.left.status == result.right.status == SMOOTH_GENERIC
+    assert result.left.j is None and result.right.j is None
+    assert result.outcome == CONSISTENT_UNKNOWN
+    assert result.detail == (
+        f"format {fmt} has no exact j; line-bundle data not compared, "
+        "equivalence not certified"
+    )
 
 
 def test_compare_format_mismatch(ghz3_qutrit, ghz4):

@@ -90,6 +90,28 @@ def test_parse_schema_errors(doc):
         parse_state(doc)
 
 
+def test_parse_errors_echo_a_bounded_excerpt():
+    # each of these malformed values used to be echoed whole: a message of
+    # 1,000,052, 688,940, 777,830 and 64,059 characters
+    cases = [
+        ([0, 0], "c" * 1_000_000, SchemaError, "coefficient 'ccc"),
+        ([0, 0], list(range(100_000)), SchemaError, "coefficient [0, 1, 2"),
+        ([0, 0], {f"k{i}": i for i in range(50_000)}, SchemaError, "coefficient {'k0': 0"),
+        ([int("9" * 4000)] * 16, "1", IndexRangeError, "index [999"),
+    ]
+    for idx, c, error, prefix in cases:
+        doc = {"n": len(idx), "d": 2, "entries": [{"idx": idx, "c": c}]}
+        with pytest.raises(error) as info:
+            parse_state(json.dumps(doc))
+        message = str(info.value)
+        assert message.startswith(prefix) and len(message) <= 400
+    # short values are still echoed whole
+    with pytest.raises(SchemaError, match=r"^coefficient \['1'\] is not a decimal-free"):
+        parse_state('{"n":2,"d":2,"entries":[{"idx":[0,0],"c":["1"]}]}')
+    with pytest.raises(IndexRangeError, match=r"^index \[0, 2\] out of range for d=2$"):
+        parse_state('{"n":2,"d":2,"entries":[{"idx":[0,2],"c":"1"}]}')
+
+
 def test_canonical_serialization_round_trip():
     t = Tensor.from_entries(
         3, 2, {(1, 0, 1): Fraction(-3, 7), (0, 0, 0): 2, (0, 1, 1): 0}

@@ -413,6 +413,22 @@ def test_roundtrip_reduces_the_state_once(monkeypatch):
     assert seen == [11]
 
 
+def test_roundtrip_is_refused_before_any_point(monkeypatch):
+    # its relation pattern has n - 1 slots: (10,2) is 512 wide, over the
+    # width rule; (9,2) is 256 wide and passes it, but its sweep at p = 5
+    # visits 6**7 = 279,936 prefixes, over PREFIX_BUDGET
+    import sloccgeo.geometry
+
+    def refused(*args):
+        raise AssertionError("points enumerated before the bound")
+
+    monkeypatch.setattr(sloccgeo.geometry, "_points", refused)
+    with pytest.raises(WorkLimitError, match=r"^k_max=9 is out of range: .* 2\*\*k_max <= 256$"):
+        roundtrip_check(random_state(10, 2, 5, 0), 5)
+    with pytest.raises(WorkLimitError, match=r"visits 279936 prefixes, over the budget of 200000"):
+        roundtrip_check(random_state(9, 2, 5, 0), 5)
+
+
 def test_monomial_rows_match_the_index_loop():
     # the Kronecker rows against the former product loop, on slot patterns
     # that reorder, repeat or add groups, and on the empty pattern; the
