@@ -20,6 +20,7 @@ from .errors import (
     SloccGeoError,
     UnsupportedPrimeError,
     WorkLimitError,
+    _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, check_primes
 from .states import _frac_str, parse_state, random_state, state_to_json
@@ -63,11 +64,12 @@ def _hash(data):
 
 def _parse_primes(text):
     """--primes as a checked tuple; a bad entry raises UnsupportedPrimeError,
-    which run() reports with exit 2."""
+    which run() reports with exit 2, echoing the list or the entry through
+    ``_excerpt``."""
     try:
         primes = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
-        raise UnsupportedPrimeError(f"bad prime list {text!r}")
+        raise UnsupportedPrimeError(f"bad prime list {_excerpt(text)}")
     return check_primes(primes)
 
 

@@ -3,8 +3,21 @@
 Every package error derives from ``SloccGeoError``, so callers can tell
 input degeneracy apart from bad prime choices and malformed data.
 Out-of-range state-file indices raise ``IndexRangeError``, which is also the
-builtin ``IndexError``.
+builtin ``IndexError``.  A message that echoes an input value echoes it
+through ``_excerpt``, so its length does not grow with the input's.
 """
+
+
+def _excerpt(value):
+    """repr(value) for an error message: whole up to 100 characters, else
+    its first 60 and last 37 around "...", so a message stays short
+    however large the input it echoes.  An int too long for int-to-string
+    conversion is named by its bit length instead."""
+    try:
+        text = repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+    return text if len(text) <= 100 else f"{text[:60]}...{text[-37:]}"
 
 
 class SloccGeoError(Exception):

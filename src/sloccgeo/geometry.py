@@ -482,11 +482,19 @@ def _cross(u, v):
 
 
 def _pencil_roots(a, b, d, p):
-    """The t in F_p where det(A + tB) vanishes, A and B the d x d matrices
-    with rows a and b (d = 2, 3).  The determinant is a polynomial of
-    degree at most d in t: its coefficients come from the rows once, and
-    it is evaluated at t = 0..p-1 in one pass; a polynomial that vanishes
-    identically mod p has every t as a root."""
+    """(t, simple) for the t in F_p where c(t) = det(A + tB) vanishes, A
+    and B the d x d matrices with rows a and b (d = 2, 3).  c is a
+    polynomial of degree at most d in t: its coefficients come from the
+    rows once, and it is evaluated at t = 0..p-1 in one pass.  A root is
+    simple when c'(t) = 3*c3*t^2 + 2*c2*t + c1 does not vanish there.  A
+    polynomial that vanishes identically mod p has every t as a root, none
+    of them simple.
+
+    By Jacobi's formula c'(t) = tr(adj(A + tB) * B), so at a simple root
+    adj(A + tB) is nonzero: the system has corank 1, one kernel point y and
+    a left kernel spanned by one v, and v.B.y != 0 mod p (adj is a nonzero
+    multiple of y v^T).  This holds over any field; _line_points uses it to
+    certify the points over such roots as smooth."""
     if d == 2:
         (a0, a1), (a2, a3) = a
         (b0, b1), (b2, b3) = b
@@ -503,8 +511,12 @@ def _pencil_roots(a, b, d, p):
         c3 = _dot(b[0], z) % p
     c0 %= p
     if not (c0 or c1 or c2 or c3):
-        return range(p)
-    return [t for t in range(p) if (((c3 * t + c2) * t + c1) * t + c0) % p == 0]
+        return [(t, False) for t in range(p)]
+    return [
+        (t, ((3 * c3 * t + 2 * c2) * t + c1) % p != 0)
+        for t in range(p)
+        if (((c3 * t + c2) * t + c1) * t + c0) % p == 0
+    ]
 
 
 @cache
@@ -516,8 +528,8 @@ def _line_bases(d, p):
 
 
 def _line_points(part, d, m, p):
-    """(x, part contracted with x) for the points x of the group that
-    ``part`` (a flat tensor over m forms) starts with, in
+    """(x, part contracted with x, certified) for the points x of the
+    group that ``part`` (a flat tensor over m forms) starts with, in
     projective_points order.
 
     Those points split into the lines x = u + t*e_last for the bases u of
@@ -528,33 +540,50 @@ def _line_points(part, d, m, p):
     polynomial per line tells which t can carry points: only those t are
     yielded, and e_last only when det B vanishes mod p.  Otherwise every
     point is yielded.
+
+    ``certified`` is True exactly at the simple roots of that polynomial
+    (``_pencil_roots``), and it certifies the one point over x as smooth.
+    There the system S = A + tB has corank 1, with kernel point y and left
+    kernel v, and v.B.y != 0 mod p.  The last-group block of the Jacobian
+    is S and B.y is its column for variable e_last of x's group, so any w
+    with w.J = 0 is a multiple of v with w.B.y = 0, hence zero: J has rank
+    d.  e_last, and every x of a group whose contraction is no square
+    d = 2, 3 prefix system, carry False.
     """
     size = len(part) // d
     b = part[(d - 1) * size :]
     b_rows = [b[k::m] for k in range(m)]
     pencil = m == d and d in (2, 3) and size == d * d
+    every_t = [(t, False) for t in range(p)]
     for u in _line_bases(d, p):
         a = _contract(part, u)
-        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else range(p)
-        for t in ts:
-            yield u[:-1] + (t,), [x + t * y for x, y in zip(a, b)]
+        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else every_t
+        for t, simple in ts:
+            yield u[:-1] + (t,), [x + t * y for x, y in zip(a, b)], simple
     if not (pencil and _det(b_rows) % p):
-        yield (0,) * (d - 1) + (1,), b
+        yield (0,) * (d - 1) + (1,), b, False
 
 
 def _points(reduced, p):
-    """The points of enumerate_points, lazily and in the same order."""
+    """(point, certified) for the points of enumerate_points, lazily and in
+    the same order.  A point is certified when its innermost prefix
+    coordinate lies over a simple root of its line's determinant pencil
+    (``_line_points``): by Jacobi's formula the Jacobian then has full rank
+    d there, over any field, so the point is smooth and never a singular
+    witness.  Every other point, including every point of a model with no
+    prefix group (n = 2) or a non-square system, carries False and says
+    nothing either way."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
 
-    def walk(part, prefix):
+    def walk(part, prefix, certified):
         if len(prefix) == groups - 1:  # part is the prefix system
             for tail in _kernel_points([part[k::m] for k in range(m)], d, p):
-                yield ProjPoint(p, prefix + (tail,))
+                yield ProjPoint(p, prefix + (tail,)), certified
             return
-        for x, inner in _line_points(part, d, m, p):
-            yield from walk(inner, prefix + (x,))
+        for x, inner, simple in _line_points(part, d, m, p):
+            yield from walk(inner, prefix + (x,), simple)
 
-    yield from walk(_coefficient_tensor(reduced), ())
+    yield from walk(_coefficient_tensor(reduced), (), False)
 
 
 def enumerate_points(model, p):
@@ -576,10 +605,14 @@ def enumerate_points(model, p):
     (``projective_points`` per group), then in kernel order.  Raises
     WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the budget
     counts prefixes, not lines.
+
+    The walk (``_points``) also marks the points over simple roots of a
+    line's pencil, where Jacobi's formula certifies full Jacobian rank;
+    this list drops those marks, and the Jacobian sweeps read them.
     """
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))
-    return list(_points(reduced, p))
+    return [pt for pt, _ in _points(reduced, p)]
 
 
 def _prefix_contractions(tensor, coords):
@@ -639,21 +672,29 @@ def jacobian_rank_at(model, pt):
 
 
 def _first_witness(reduced, points):
-    """(p, point, rank) for the first of ``points`` (points of the reduced
-    model) where the Jacobian rank drops below d, or None.
+    """(p, point, rank) for the first of ``points``, (point, certified)
+    pairs of the reduced model as ``_points`` yields them, where the
+    Jacobian rank drops below d, or None.
 
-    The Jacobian's last-group block S is the point's prefix system, which
-    the point's last coordinates solve, so rank S <= d - 1.  When rank S is
-    exactly d - 1 its left kernel is one line, spanned by a vector l that
-    _kernel_points finds on the transpose of S (closed form for d = 2, 3),
-    and the Jacobian has rank d unless l*J = 0 mod p.  The other blocks of
-    l*J are built from the prefix contractions, innermost group first, up
-    to the first nonzero entry.  Matrix.rank runs only when the test fails,
-    so a witness reports its exact rank, or when rank S <= d - 2.
+    A certified point is skipped untested: it lies over a simple root of
+    its line's determinant pencil, and Jacobi's formula, c'(t) =
+    tr(adj S * B) != 0, gives the Jacobian full rank there over any field
+    (``_line_points``), so it can never be the witness.  At every other
+    point the Jacobian's last-group block S is the point's prefix system,
+    which the point's last coordinates solve, so rank S <= d - 1.  When
+    rank S is exactly d - 1 its left kernel is one line, spanned by a
+    vector l that _kernel_points finds on the transpose of S (closed form
+    for d = 2, 3), and the Jacobian has rank d unless l*J = 0 mod p.  The
+    other blocks of l*J are built from the prefix contractions, innermost
+    group first, up to the first nonzero entry.  Matrix.rank runs only when
+    the test fails, so a witness reports its exact rank, or when rank S <=
+    d - 2.
     """
     d, p, m = reduced.d, reduced.p, len(reduced.rows)
     tensor = _coefficient_tensor(reduced)
-    for pt in points:
+    for pt, certified in points:
+        if certified:
+            continue
         coords = pt.coords
         parts = _prefix_contractions(tensor, coords)
         system = parts[-1]
@@ -716,8 +757,14 @@ def smoothness_scan(t, primes=None):
     filed as used, bad or excluded as ``_file_primes`` describes, and every
     prime must pass ``check_primes``.  When no prime is used or excluded,
     so that every one is bad, the scan raises AllPrimesBadError naming the
-    checked primes.  Each rank test is one left-kernel test, not an
-    elimination (see ``_first_witness``).
+    checked primes.  The points come from the walk (``_points``), which
+    also certifies the points over simple roots of a line's determinant
+    pencil: by Jacobi's formula c'(t) = tr(adj S * B) != 0 gives the
+    Jacobian full rank there over any field, so only the other points are
+    tested, and the witness, its rank and the counts are those of testing
+    every point.  Each rank test is one left-kernel test, not an
+    elimination (see ``_first_witness``).  The prefix budget is checked
+    once, for all primes, by ``_file_primes``.
     """
     from .invariants import slice_discriminants
 
@@ -727,9 +774,9 @@ def smoothness_scan(t, primes=None):
     counts = []
     witnesses = []
     for p, reduced in used:
-        pts = enumerate_points(reduced, p)
-        counts.append((p, len(pts)))
-        witness = _first_witness(reduced, pts)
+        walk = list(_points(reduced, p))
+        counts.append((p, len(walk)))
+        witness = _first_witness(reduced, walk)
         if witness is not None:
             witnesses.append(witness)
     return SmoothnessReport(

@@ -578,7 +578,9 @@ def classify(t, primes=None):
     (5,2) sweep uses only the given primes up to 13, or all of them when
     none is that small, since each larger prime costs a far larger sweep.
 
-    Neither reads a point count, so the sweep here is lazy.  Every prime is
+    Neither reads a point count, so the sweep here is lazy, and as in
+    ``smoothness_scan`` only the points that the walk does not certify
+    smooth (``_points``) get a Jacobian test.  Every prime is
     filed up front as used or bad (``_file_primes``), so ``primes_used``
     and the witness are those of the full ``smoothness_scan`` (whose
     exclusions apply only to smooth curve models, which never reach the

@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 
-from .errors import UnsupportedPrimeError
+from .errors import UnsupportedPrimeError, _excerpt
 
 #: Primes used by default for finite-field reductions.  Small enough for
 #: exhaustive point enumeration, large enough that bad reduction is rare.
@@ -48,7 +48,7 @@ def check_primes(primes):
     """The sorted distinct primes of a request, each checked to be a prime
     in [5, MAX_PRIME].  2 and 3 divide denominators of the invariant
     constants, and other integers do not give a field.  Raises
-    UnsupportedPrimeError naming the first bad entry."""
+    UnsupportedPrimeError naming the first bad entry (``_excerpt``)."""
     primes = tuple(sorted(set(primes)))
     if not primes:
         raise UnsupportedPrimeError("the prime list is empty")
@@ -59,9 +59,7 @@ def check_primes(primes):
             or not 5 <= p <= MAX_PRIME
             or any(p % q == 0 for q in range(2, isqrt(p) + 1))
         ):
-            raise UnsupportedPrimeError(
-                f"{p!r} is not a prime in [5, {MAX_PRIME}]"
-            )
+            raise UnsupportedPrimeError(f"{_excerpt(p)} is not a prime in [5, {MAX_PRIME}]")
     return primes
 
 

@@ -27,6 +27,7 @@ from .errors import (
     SchemaError,
     SingularOperatorError,
     WorkLimitError,
+    _excerpt,
 )
 from .linalg import (
     Matrix,
@@ -209,14 +210,6 @@ class SloccOperator:
     def random(cls, n, d, bound, seed):
         """n independent deterministic invertible factors."""
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
-
-
-def _excerpt(value):
-    """repr(value) for an error message: whole up to 100 characters, else
-    its first 60 and last 37 around "...", so a message stays short
-    however large the input it echoes."""
-    text = repr(value)
-    return text if len(text) <= 100 else f"{text[:60]}...{text[-37:]}"
 
 
 def parse_state(document):

@@ -329,6 +329,22 @@ def test_bad_primes_exit_2(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_bad_primes_echo_a_bounded_excerpt(tmp_path, capsys):
+    # both used to be echoed whole: messages of 100,028 and 4,045 characters
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 3))
+    cases = [("x" * 100_000, "sloccgeo: bad prime list 'xxx"), ("9" * 4000, "sloccgeo: 999")]
+    for primes, prefix in cases:
+        code = run(["classify", path, "--primes", primes])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert captured.err.startswith(prefix) and len(captured.err) <= 150, len(captured.err)
+    # short lists are still echoed whole
+    assert run(["classify", path, "--primes", "a,b"]) == 2
+    assert capsys.readouterr().err == "sloccgeo: bad prime list 'a,b'\n"
+    assert run(["classify", path, "--primes", "4,7"]) == 2
+    assert capsys.readouterr().err == "sloccgeo: 4 is not a prime in [5, 2147483647]\n"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

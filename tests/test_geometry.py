@@ -25,6 +25,7 @@ from sloccgeo.geometry import (
     _first_witness,
     _jacobian_rows,
     _pencil_roots,
+    _points,
     _subspace_points,
     determinantal_projection,
     enumerate_points,
@@ -400,7 +401,15 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
     # lines off the coordinate axes.
     at_u = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]  # the system at u = (1, 0, 0)
     at_e_last = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
-    assert list(_pencil_roots(at_u, at_e_last, 3, 5)) == [0, 1, 2, 3, 4]
+    # det vanishes identically: every t is a root, and none is simple
+    assert _pencil_roots(at_u, at_e_last, 3, 5) == [(t, False) for t in range(5)]
+    # det(A + tB) = t^2 (t - 1): a double root at 0, a simple one at 1
+    diag = lambda *v: [[x if i == j else 0 for j in range(len(v))] for i, x in enumerate(v)]
+    assert _pencil_roots(diag(0, 0, -1), diag(1, 1, 1), 3, 5) == [(0, False), (1, True)]
+    assert _pencil_roots(diag(0, 0), diag(1, 1), 2, 7) == [(0, False)]  # t^2
+    # t (t - 1) (t - 2) and t (t - 3): simple roots only
+    assert _pencil_roots(diag(0, -1, -2), diag(1, 1, 1), 3, 5) == [(0, True), (1, True), (2, True)]
+    assert _pencil_roots(diag(0, -3), diag(1, 1), 2, 7) == [(0, True), (3, True)]
     for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell]):
         model = variety_from_state(t)
         for p in DEFAULT_PRIMES:
@@ -413,7 +422,26 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
             assert enumerate_points(model, p) == expected, (t, p)
 
 
-@pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2)])
+def _reference_witness(reduced, walk):
+    """(p, point, rank) for the first point of a walk (``_points`` pairs)
+    whose full Jacobian rank drops below d, or None.  On the way, every
+    point the walk certifies must have rank d (``jacobian_rank_at``): a
+    certified point with a rank drop fails here, naming the point."""
+    d, p = reduced.d, reduced.p
+    tensor = _coefficient_tensor(reduced)
+    found = None
+    for pt, certified in walk:
+        if certified:
+            rank = jacobian_rank_at(reduced, pt)
+            assert rank == d, f"certified point {pt} has Jacobian rank {rank} < {d}"
+        elif found is None:
+            jac = _jacobian_rows(tensor, pt.coords, d, p)
+            rank = Matrix(jac, cols=len(jac[0]), p=p).rank()
+            found = (p, pt, rank) if rank < d else None
+    return found
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2), (3, 2)])
 def test_jacobian_shortcut_matches_rank(fmt):
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -426,14 +454,36 @@ def test_jacobian_shortcut_matches_rank(fmt):
             reduced = model_mod_p(model, p)
         except BadReductionError:
             assume(False)
+        walk = list(_points(reduced, p))
+        assert [pt for pt, _ in walk] == enumerate_points(reduced, p)
         tensor = _coefficient_tensor(reduced)
-        for pt in enumerate_points(reduced, p):
+        for pt, _ in walk:
             jac = _jacobian_rows(tensor, pt.coords, reduced.d, p)
             rank = Matrix(jac, cols=len(jac[0]), p=p).rank()
             expected = (p, pt, rank) if rank < reduced.d else None
-            assert _first_witness(reduced, [pt]) == expected
+            assert _first_witness(reduced, [(pt, False)]) == expected
+        assert _first_witness(reduced, walk) == _reference_witness(reduced, walk)
 
     check()
+
+
+def test_certified_points_are_smooth_on_fixed_models(singlet_times_bell):
+    # singular models (every GHZ and singlet (x) Bell), their SLOCC images
+    # and three random (5,2) states, at every default prime
+    states = _with_slocc_images([ghz(3, 3), ghz(4, 2), ghz(5, 2), singlet_times_bell])
+    states += [random_state(5, 2, 5, seed=seed) for seed in (19, 49, 143)]
+    certified = 0
+    for t in states:
+        model = variety_from_state(t)
+        for p in DEFAULT_PRIMES:
+            try:
+                reduced = model_mod_p(model, p)
+            except BadReductionError:
+                continue
+            walk = list(_points(reduced, p))
+            assert _first_witness(reduced, walk) == _reference_witness(reduced, walk), (t, p)
+            certified += sum(c for _, c in walk)
+    assert certified > 0
 
 
 def test_classify_sweep_matches_full_scan(singlet_times_bell):

@@ -8,7 +8,7 @@ import pytest
 
 from sloccgeo.errors import BadReductionError, UnsupportedPrimeError
 from sloccgeo.geometry import MultiForm
-from sloccgeo.linalg import Matrix, random_invertible
+from sloccgeo.linalg import Matrix, check_primes, random_invertible
 from sloccgeo.states import Tensor, random_state
 
 import reference_algebra as ref
@@ -417,3 +417,15 @@ def test_tensor_and_form_are_values():
 def test_malformed_matrix_calls_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_prime_check_echoes_a_bounded_excerpt():
+    # a 4,000-digit entry used to be echoed whole; one past the int-to-string
+    # limit ended in a bare ValueError from repr
+    with pytest.raises(UnsupportedPrimeError) as info:
+        check_primes([int("9" * 4000)])
+    assert str(info.value).startswith("999") and len(str(info.value)) <= 140
+    with pytest.raises(UnsupportedPrimeError, match=r"^<int of 16610 bits> is not a prime"):
+        check_primes([10**5000])
+    with pytest.raises(UnsupportedPrimeError, match=r"^4 is not a prime in \[5, 2147483647\]$"):
+        check_primes([7, 4])
