@@ -511,12 +511,18 @@ def _pencil_roots(a, b, d, p):
         c3 = _dot(b[0], z) % p
     c0 %= p
     if not (c0 or c1 or c2 or c3):
-        return [(t, False) for t in range(p)]
+        return _every_t(p)
     return [
         (t, ((3 * c3 * t + 2 * c2) * t + c1) % p != 0)
         for t in range(p)
         if (((c3 * t + c2) * t + c1) * t + c0) % p == 0
     ]
+
+
+@cache
+def _every_t(p):
+    """(t, False) for t = 0..p-1: every point of a line, none certified."""
+    return tuple((t, False) for t in range(p))
 
 
 @cache
@@ -554,10 +560,9 @@ def _line_points(part, d, m, p):
     b = part[(d - 1) * size :]
     b_rows = [b[k::m] for k in range(m)]
     pencil = m == d and d in (2, 3) and size == d * d
-    every_t = [(t, False) for t in range(p)]
     for u in _line_bases(d, p):
         a = _contract(part, u)
-        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else every_t
+        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else _every_t(p)
         for t, simple in ts:
             yield u[:-1] + (t,), [x + t * y for x, y in zip(a, b)], simple
     if not (pencil and _det(b_rows) % p):

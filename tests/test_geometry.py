@@ -402,7 +402,7 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
     at_u = [[1, 0, 0], [0, 0, 0], [0, 0, 0]]  # the system at u = (1, 0, 0)
     at_e_last = [[0, 0, 0], [0, 0, 0], [0, 0, 1]]
     # det vanishes identically: every t is a root, and none is simple
-    assert _pencil_roots(at_u, at_e_last, 3, 5) == [(t, False) for t in range(5)]
+    assert list(_pencil_roots(at_u, at_e_last, 3, 5)) == [(t, False) for t in range(5)]
     # det(A + tB) = t^2 (t - 1): a double root at 0, a simple one at 1
     diag = lambda *v: [[x if i == j else 0 for j in range(len(v))] for i, x in enumerate(v)]
     assert _pencil_roots(diag(0, 0, -1), diag(1, 1, 1), 3, 5) == [(0, False), (1, True)]
