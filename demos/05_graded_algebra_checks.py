@@ -27,7 +27,7 @@ t = random_state(3, 3, 5, seed=42)
 for p in (7, 11, 13):
     print(f"roundtrip at p={p}:", roundtrip_check(t, p))
 rel = relations_from_points(variety_from_state(t), 11, (0, 1))
-print("relation space at p=11: dim", rel.dim)
+print("relation space at p=11: dim", rel.rows)
 
 # Graded profiles: computed values vs regular-algebra targets, which a
 # generic state meets at every good prime.

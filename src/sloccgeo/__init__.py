@@ -45,7 +45,6 @@ from .states import (
     parse_state,
     random_state,
     reduced_flattening_image,
-    state_hash,
     state_to_json,
     tensor_product,
     w_state,
@@ -89,7 +88,6 @@ from .invariants import (
 from .zalgebra import (
     HilbertProfile,
     ProductMapResult,
-    RelationSpace,
     cubic_expected_dims,
     cubic_hilbert,
     multiplication_surjectivity,

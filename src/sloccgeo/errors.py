@@ -11,12 +11,16 @@ through ``_excerpt``, so its length does not grow with the input's.
 def _excerpt(value):
     """repr(value) for an error message: whole up to 100 characters, else
     its first 60 and last 37 around "...", so a message stays short
-    however large the input it echoes.  An int too long for int-to-string
-    conversion is named by its bit length instead."""
+    however large the input it echoes.  A value whose repr fails is named
+    instead: an int too long for int-to-string conversion by its bit
+    length, anything else (a Fraction or a list holding such an int) by its
+    type."""
     try:
         text = repr(value)
-    except ValueError:
-        return f"<int of {value.bit_length()} bits>"
+    except Exception:
+        if type(value) is int:
+            return f"<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} too long to print>"
     return text if len(text) <= 100 else f"{text[:60]}...{text[-37:]}"
 
 

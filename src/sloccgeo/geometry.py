@@ -12,8 +12,11 @@ it.
 
 A model over Q reduces modulo p in one way only: through its source state
 (``model_mod_p``).  Points come from one walk over the variable groups
-(``enumerate_points``), and the curve formats and their projections are
-listed once, in ``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
+(``_points``): ``enumerate_points`` lists it, and both Jacobian sweeps
+(``smoothness_scan`` and the one in ``invariants.classify``) test the
+points it does not certify smooth.  The curve formats and their
+projections are listed once, in ``CURVE_AXES`` and
+``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
@@ -29,6 +32,7 @@ from .errors import (
     RankDeficientError,
     UnsupportedFormatError,
     WorkLimitError,
+    _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, Matrix, _check_modulus, check_primes
 from .states import _contract, _rotate, flattening_basis, reduced_flattening_image
@@ -83,9 +87,9 @@ class MultiForm:
     or a float, raises TypeError instead of being truncated, as in Matrix.
     The modulus is checked as in Matrix (``_check_modulus``).  Forms are
     built from coefficients zipped with a monomial table (a model's defining
-    forms, ``determinantal_projection`` and ``TernaryCubic.to_form``), then
-    read by coefficient, compared and printed; the pipeline computes on
-    integer coefficient rows, not on forms.
+    forms and ``determinantal_projection``), then read by coefficient,
+    compared and printed; the pipeline computes on integer coefficient
+    rows, not on forms.
     """
 
     group_dims: tuple
@@ -102,7 +106,7 @@ class MultiForm:
         multidegree = None
         for exps, coeff in terms.items():
             if p is not None and not isinstance(coeff, int):
-                raise TypeError(f"F_{p} form coefficient {coeff!r} is not an integer")
+                raise TypeError(f"F_{p} form coefficient {_excerpt(coeff)} is not an integer")
             coeff = Fraction(coeff) if p is None else coeff % p
             if coeff == 0:
                 continue
@@ -490,11 +494,15 @@ def _pencil_roots(a, b, d, p):
     polynomial that vanishes identically mod p has every t as a root, none
     of them simple.
 
+    A simple root certifies the point over it as smooth, over any field.
     By Jacobi's formula c'(t) = tr(adj(A + tB) * B), so at a simple root
-    adj(A + tB) is nonzero: the system has corank 1, one kernel point y and
-    a left kernel spanned by one v, and v.B.y != 0 mod p (adj is a nonzero
-    multiple of y v^T).  This holds over any field; _line_points uses it to
-    certify the points over such roots as smooth."""
+    adj(A + tB) is nonzero: the system S = A + tB has corank 1, one kernel
+    point y and a left kernel spanned by one v, and v.B.y != 0 mod p (adj
+    is a nonzero multiple of y v^T).  The last-group block of the Jacobian
+    is S, and B.y is its column for variable e_last of the line's group, so
+    any w with w.J = 0 is a multiple of v with w.B.y = 0, hence zero: J has
+    full rank d.  _line_points marks those points, and the Jacobian sweeps
+    skip them."""
     if d == 2:
         (a0, a1), (a2, a3) = a
         (b0, b1), (b2, b3) = b
@@ -547,14 +555,10 @@ def _line_points(part, d, m, p):
     yielded, and e_last only when det B vanishes mod p.  Otherwise every
     point is yielded.
 
-    ``certified`` is True exactly at the simple roots of that polynomial
-    (``_pencil_roots``), and it certifies the one point over x as smooth.
-    There the system S = A + tB has corank 1, with kernel point y and left
-    kernel v, and v.B.y != 0 mod p.  The last-group block of the Jacobian
-    is S and B.y is its column for variable e_last of x's group, so any w
-    with w.J = 0 is a multiple of v with w.B.y = 0, hence zero: J has rank
-    d.  e_last, and every x of a group whose contraction is no square
-    d = 2, 3 prefix system, carry False.
+    ``certified`` is True exactly at the simple roots of that polynomial,
+    where the one point over x is smooth (``_pencil_roots``).  e_last, and
+    every x of a group whose contraction is no square d = 2, 3 prefix
+    system, carry False.
     """
     size = len(part) // d
     b = part[(d - 1) * size :]
@@ -572,12 +576,10 @@ def _line_points(part, d, m, p):
 def _points(reduced, p):
     """(point, certified) for the points of enumerate_points, lazily and in
     the same order.  A point is certified when its innermost prefix
-    coordinate lies over a simple root of its line's determinant pencil
-    (``_line_points``): by Jacobi's formula the Jacobian then has full rank
-    d there, over any field, so the point is smooth and never a singular
-    witness.  Every other point, including every point of a model with no
-    prefix group (n = 2) or a non-square system, carries False and says
-    nothing either way."""
+    coordinate lies over a simple root of its line's determinant pencil,
+    which makes it smooth (``_pencil_roots``).  Every other point,
+    including every point of a model with no prefix group (n = 2) or a
+    non-square system, carries False and says nothing either way."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
 
     def walk(part, prefix, certified):
@@ -611,9 +613,9 @@ def enumerate_points(model, p):
     WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the budget
     counts prefixes, not lines.
 
-    The walk (``_points``) also marks the points over simple roots of a
-    line's pencil, where Jacobi's formula certifies full Jacobian rank;
-    this list drops those marks, and the Jacobian sweeps read them.
+    The walk (``_points``) also marks the points it certifies smooth
+    (``_pencil_roots``); this list drops those marks, and the Jacobian
+    sweeps read them.
     """
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))
@@ -681,10 +683,8 @@ def _first_witness(reduced, points):
     pairs of the reduced model as ``_points`` yields them, where the
     Jacobian rank drops below d, or None.
 
-    A certified point is skipped untested: it lies over a simple root of
-    its line's determinant pencil, and Jacobi's formula, c'(t) =
-    tr(adj S * B) != 0, gives the Jacobian full rank there over any field
-    (``_line_points``), so it can never be the witness.  At every other
+    A certified point is skipped untested: it is smooth
+    (``_pencil_roots``), so it can never be the witness.  At every other
     point the Jacobian's last-group block S is the point's prefix system,
     which the point's last coordinates solve, so rank S <= d - 1.  When
     rank S is exactly d - 1 its left kernel is one line, spanned by a
@@ -762,14 +762,12 @@ def smoothness_scan(t, primes=None):
     filed as used, bad or excluded as ``_file_primes`` describes, and every
     prime must pass ``check_primes``.  When no prime is used or excluded,
     so that every one is bad, the scan raises AllPrimesBadError naming the
-    checked primes.  The points come from the walk (``_points``), which
-    also certifies the points over simple roots of a line's determinant
-    pencil: by Jacobi's formula c'(t) = tr(adj S * B) != 0 gives the
-    Jacobian full rank there over any field, so only the other points are
-    tested, and the witness, its rank and the counts are those of testing
-    every point.  Each rank test is one left-kernel test, not an
-    elimination (see ``_first_witness``).  The prefix budget is checked
-    once, for all primes, by ``_file_primes``.
+    checked primes.  The points come from the walk (``_points``), and only
+    those it does not certify smooth (``_pencil_roots``) are tested; the
+    witness, its rank and the counts are those of testing every point.
+    Each rank test is one left-kernel test, not an elimination (see
+    ``_first_witness``).  The prefix budget is checked once, for all
+    primes, by ``_file_primes``.
     """
     from .invariants import slice_discriminants
 

@@ -29,7 +29,7 @@ vanishes: p divides its numerator.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, gcd, prod
 
 from .errors import (
@@ -47,9 +47,7 @@ from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
     CURVE_AXES,
-    MultiForm,
     _check_formula_format,
-    _det,
     _file_primes,
     _first_witness,
     _points,
@@ -93,14 +91,11 @@ class TernaryCubic:
             {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -alpha, (0, 0, 3): -beta}
         )
 
-    def to_form(self):
-        return MultiForm((3,), dict(zip(CUBIC_MONOMIALS, self.coeffs)))
-
 
 #: (permutation, sign) for the permutations of (0, 1, 2), in permutations
-#: order; the sign is the determinant of the permutation matrix.
+#: order; the sign is -1 to the number of inversions.
 _PERMS3 = [
-    (perm, _det([[int(j == i) for j in range(3)] for i in perm]))
+    (perm, (-1) ** sum(a > b for a, b in combinations(perm, 2)))
     for perm in permutations(range(3))
 ]
 
@@ -579,23 +574,22 @@ def classify(t, primes=None):
     none is that small, since each larger prime costs a far larger sweep.
 
     Neither reads a point count, so the sweep here is lazy, and as in
-    ``smoothness_scan`` only the points that the walk does not certify
-    smooth (``_points``) get a Jacobian test.  Every prime is
-    filed up front as used or bad (``_file_primes``), so ``primes_used``
-    and the witness are those of the full ``smoothness_scan`` (whose
-    exclusions apply only to smooth curve models, which never reach the
-    sweep here).  One loop then tests each used prime in order up to its
-    first witness, and stops at the first witness for a curve model, or,
-    for other formats, once the vote is settled: with W witnesses, C clean
-    primes and R used primes not yet swept, the model is smooth when
-    W + R <= C and singular when W > C + R, whatever those R primes show.
-    ``_file_primes`` only files; the rule for a sweep whose primes are all
-    bad is stated here, in one branch before the loop.  A singular curve
-    model is still SingularModel, with no primes used and no witness,
-    while any other format raises AllPrimesBadError, naming the primes of
-    its scan: it has no verdict without a usable prime.  Given primes must
-    pass ``check_primes``, also when no sweep runs or the verdict is
-    memoized.
+    ``smoothness_scan`` only the points that the walk (``_points``) does not
+    certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
+    filed up front as used or bad (``_file_primes``), so ``primes_used`` and
+    the witness are those of the full ``smoothness_scan`` (whose exclusions
+    apply only to smooth curve models, which never reach the sweep here).
+    One loop then tests each used prime in order up to its first witness,
+    and stops at the first witness for a curve model, or, for other formats,
+    once the vote is settled: with W witnesses, C clean primes and R used
+    primes not yet swept, the model is smooth when W + R <= C and singular
+    when W > C + R, whatever those R primes show.  ``_file_primes`` only
+    files; the rule for a sweep whose primes are all bad is stated here, in
+    one branch before the loop.  A singular curve model is still
+    SingularModel, with no primes used and no witness, while any other
+    format raises AllPrimesBadError, naming the primes of its scan: it has
+    no verdict without a usable prime.  Given primes must pass
+    ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
     return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
 

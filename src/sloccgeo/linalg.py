@@ -67,7 +67,7 @@ def _check_modulus(p):
     """The one modulus rule of Matrix and MultiForm: UnsupportedPrimeError
     unless p is an int >= 2 (a bool is not)."""
     if type(p) is not int or p < 2:
-        raise UnsupportedPrimeError(f"modulus {p!r} is not an int >= 2")
+        raise UnsupportedPrimeError(f"modulus {_excerpt(p)} is not an int >= 2")
 
 
 def clear_denominators(rows):
@@ -151,7 +151,7 @@ class Matrix:
             if any(len(row) != width for row in entries):
                 raise ValueError("ragged rows")
             if cols not in (None, width):
-                raise ValueError(f"rows of length {width} disagree with cols={cols}")
+                raise ValueError(f"rows of length {width} disagree with cols={_excerpt(cols)}")
             cols = width
         elif cols is None:
             raise ValueError("empty matrix needs an explicit column count")
@@ -161,7 +161,7 @@ class Matrix:
             for row in entries:
                 if not all(map(isinstance, row, repeat(int))):
                     bad = next(x for x in row if not isinstance(x, int))
-                    raise TypeError(f"F_{p} matrix entry {bad!r} is not an integer")
+                    raise TypeError(f"F_{p} matrix entry {_excerpt(bad)} is not an integer")
             norm = [tuple([x % p for x in row]) for row in entries]
         self._set(tuple(norm), cols, p)
 
@@ -187,10 +187,6 @@ class Matrix:
     @classmethod
     def zero(cls, rows, cols, p=None):
         return cls([[0] * cols for _ in range(rows)], cols=cols, p=p)
-
-    def __getitem__(self, rc):
-        r, c = rc
-        return self.entries[r][c]
 
     def __repr__(self):
         field = "Q" if self.p is None else f"F{self.p}"

@@ -10,7 +10,6 @@ the rest, and ``flattening_image`` is the column span of that map, whose
 canonical basis ``flattening_basis`` computes by fraction-free elimination.
 """
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -130,7 +129,7 @@ class Tensor:
         off = 0
         for i in idx:
             if not 0 <= i < d:
-                raise IndexRangeError(f"index {list(idx)} out of range for d={d}")
+                raise IndexRangeError(f"index {_excerpt(list(idx))} out of range for d={d}")
             off = off * d + i
         return off
 
@@ -150,12 +149,6 @@ class Tensor:
         f = Fraction(factor)
         nums = [f.numerator * a for a in self.nums]
         return Tensor.from_integers(self.n, self.d, nums, f.denominator * self.den)
-
-    def add(self, other):
-        if (self.n, self.d) != (other.n, other.d):
-            raise ValueError("format mismatch")
-        nums = [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)]
-        return Tensor.from_integers(self.n, self.d, nums, self.den * other.den)
 
     def reduce_mod(self, p):
         """Entrywise residues modulo a prime p.  Every reduction of a state
@@ -246,15 +239,9 @@ def parse_state(document):
         if not isinstance(entry, dict) or len(entry) != 2 or "idx" not in entry or "c" not in entry:
             raise SchemaError('each entry must be {"idx", "c"}')
         idx = entry["idx"]
-        if type(idx) is not list or len(idx) != n:
+        if type(idx) is not list or len(idx) != n or set(map(type, idx)) != {int}:
             raise SchemaError(f"idx must be a list of {n} integers")
-        off = 0
-        for i in idx:
-            if type(i) is not int:
-                raise SchemaError(f"idx must be a list of {n} integers")
-            off = off * d + i
-        if min(idx) < 0 or max(idx) >= d:
-            raise IndexRangeError(f"index {_excerpt(idx)} out of range for d={d}")
+        off = Tensor._offset_static(n, d, idx)
         if off in seen:
             raise DuplicateIndexError(f"index {idx} appears twice")
         c = entry["c"]
@@ -298,11 +285,6 @@ def state_to_json(t):
         if a
     ]
     return json.dumps({"n": t.n, "d": t.d, "entries": entries}, separators=(",", ":"))
-
-
-def state_hash(t):
-    """Hex digest of the canonical serialization."""
-    return hashlib.sha256(state_to_json(t).encode("utf-8")).hexdigest()
 
 
 def flatten_last(t):

@@ -27,30 +27,10 @@ monomials at the model's F_p-points instead.
 
 from dataclasses import dataclass
 
-from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
+from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError, _excerpt
 from .linalg import Matrix, _free_basis
 from .states import Tensor, _rotate
 from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
-
-
-@dataclass(frozen=True)
-class RelationSpace:
-    """Kernel of the slot-monomial evaluation on the model's F_p-points.
-
-    ``slot_pattern`` lists which variable group feeds each slot, so the
-    monomials are products of one coordinate per slot in that order.
-    ``basis`` is the kernel's canonical basis, a Matrix over F_p of
-    slot_dim**arity columns (``Matrix.row_space``).
-    """
-
-    p: int
-    slot_pattern: tuple
-    slot_dim: int
-    basis: Matrix
-
-    @property
-    def dim(self):
-        return self.basis.rows
 
 
 @dataclass(frozen=True)
@@ -111,9 +91,13 @@ def _monomial_rows(points, slot_pattern, d, p):
 
 
 def relations_from_points(model, p, slot_pattern):
-    """Kernel of the slot-monomial evaluation at all F_p-points.
+    """Kernel of the slot-monomial evaluation at all F_p-points, as its
+    canonical basis (``Matrix.kernel``): a Matrix over F_p whose ``rows``
+    is the kernel's dimension and whose ``cols`` is d**k.
 
-    On a generic curve model the monomials span a space of dimension
+    ``slot_pattern`` lists which variable group feeds each slot, so the
+    monomials are products of one coordinate per slot in that order.  On a
+    generic curve model the monomials span a space of dimension
     k*d (sections of the product line bundle), leaving a kernel of
     dimension d**k - k*d.  If the evaluation rank falls short of that
     target the kernel would come out too big, so the computation aborts
@@ -140,7 +124,7 @@ def relations_from_points(model, p, slot_pattern):
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {target_rank} at p={p}"
         )
-    return RelationSpace(p, slot_pattern, d, kernel)
+    return kernel
 
 
 def cyclic_relations(state, p):
@@ -191,7 +175,7 @@ def check_hilbert_degree(d, k_max):
     wide, so d**k_max is never computed for a larger k_max."""
     if k_max < 0 or d ** min(k_max, MAX_PROFILE_WIDTH.bit_length()) > MAX_PROFILE_WIDTH:
         raise WorkLimitError(
-            f"k_max={k_max} is out of range: need k_max >= 0 and "
+            f"k_max={_excerpt(k_max)} is out of range: need k_max >= 0 and "
             f"{d}**k_max <= {MAX_PROFILE_WIDTH}"
         )
 
@@ -332,4 +316,4 @@ def roundtrip_check(state, p):
     """
     reduced = model_mod_p(variety_from_state(state), p)
     relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
-    return relations.basis.entries == reduced.rows
+    return relations.entries == reduced.rows

@@ -225,13 +225,13 @@ def kernel_mod_p(matrix):
     from rref_mod_p alone: the free-column vectors, put in RREF."""
     p, cols = matrix.p, matrix.cols
     rank, red = rref_mod_p(matrix)
-    pivots = [next(c for c in range(cols) if red[r, c] != 0) for r in range(rank)]
+    pivots = [next(c for c in range(cols) if red.entries[r][c] != 0) for r in range(rank)]
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
         v[f] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r, f] % p
+            v[pc] = -red.entries[r][f] % p
         basis.append(v)
     dim, canonical = rref_mod_p(Matrix(basis, cols=cols, p=p))
     return canonical.entries[:dim]
@@ -244,13 +244,13 @@ def kernel_two_eliminations(matrix):
     one elimination of the column-reversed matrix)."""
     cols = matrix.cols
     rank, red = matrix.rref()
-    pivots = [next(c for c in range(cols) if red[r, c] != 0) for r in range(rank)]
+    pivots = [next(c for c in range(cols) if red.entries[r][c] != 0) for r in range(rank)]
     basis = []
     for f in (c for c in range(cols) if c not in pivots):
         v = [0] * cols
         v[f] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r, f]
+            v[pc] = -red.entries[r][f]
         basis.append(v)
     return Matrix(basis, cols=cols, p=matrix.p).row_space()
 

@@ -6,10 +6,16 @@ from itertools import permutations
 
 import pytest
 
-from sloccgeo.errors import BadReductionError, UnsupportedPrimeError
+from sloccgeo.errors import (
+    BadReductionError,
+    IndexRangeError,
+    UnsupportedPrimeError,
+    WorkLimitError,
+)
 from sloccgeo.geometry import MultiForm
 from sloccgeo.linalg import Matrix, check_primes, random_invertible
-from sloccgeo.states import Tensor, random_state
+from sloccgeo.states import Tensor, basis_state, random_state
+from sloccgeo.zalgebra import quadratic_hilbert
 
 import reference_algebra as ref
 
@@ -73,9 +79,9 @@ def test_rref_is_canonical(p):
         rank, red = m.rref()
         pivots = []
         for r in range(rank):
-            c = next(j for j in range(5) if red[r, j] != 0)
-            assert red[r, c] == 1
-            assert all(red[i, c] == 0 for i in range(4) if i != r)
+            c = next(j for j in range(5) if red.entries[r][j] != 0)
+            assert red.entries[r][c] == 1
+            assert all(red.entries[i][c] == 0 for i in range(4) if i != r)
             pivots.append(c)
         assert pivots == sorted(pivots)
         assert all(all(x == 0 for x in red.entries[r]) for r in range(rank, 4))
@@ -429,3 +435,32 @@ def test_prime_check_echoes_a_bounded_excerpt():
         check_primes([10**5000])
     with pytest.raises(UnsupportedPrimeError, match=r"^4 is not a prime in \[5, 2147483647\]$"):
         check_primes([7, 4])
+
+
+_HUGE = 10**5000  # over the 4,300-digit limit of int-to-string conversion
+
+
+@pytest.mark.parametrize(
+    "call, error, start",
+    [
+        (lambda: basis_state(3, 3, (_HUGE, 0, 0)), IndexRangeError, "index <list "),
+        (lambda: quadratic_hilbert(random_state(3, 3, 5, 1), 11, _HUGE), WorkLimitError,
+         "k_max=<int of 16610 bits> "),
+        (lambda: quadratic_hilbert(random_state(3, 3, 5, 1), 11, -_HUGE), WorkLimitError,
+         "k_max=<int of 16610 bits> "),
+        (lambda: Matrix([[1]], p=-_HUGE), UnsupportedPrimeError, "modulus <int of 16610 bits> "),
+        (lambda: Matrix([[Fraction(_HUGE, 3)]], p=5), TypeError, "F_5 matrix entry <Fraction "),
+        (lambda: MultiForm((1,), {(1,): Fraction(_HUGE, 3)}, p=5), TypeError,
+         "F_5 form coefficient <Fraction "),
+        (lambda: Matrix([[1]], cols=_HUGE), ValueError,
+         "rows of length 1 disagree with cols=<int of 16610 bits>"),
+    ],
+    ids=["index", "k-max", "negative-k-max", "modulus", "matrix-entry", "form-coefficient", "cols"],
+)
+def test_messages_echo_long_values_as_excerpts(call, error, start):
+    # formatting the value itself would raise a bare ValueError from repr
+    # in place of the intended error
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value).startswith(start) and len(str(info.value)) <= 200

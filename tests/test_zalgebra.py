@@ -72,15 +72,16 @@ def test_relations_recover_flattening_image():
     t = random_state(3, 3, 5, seed=42)
     model = variety_from_state(t)
     rel = relations_from_points(model, 11, (0, 1))
-    assert rel.dim == 3
-    assert rel.basis == reduced_flattening_image(t, 11)
+    assert isinstance(rel, Matrix)
+    assert (rel.rows, rel.cols, rel.p) == (3, 9, 11)
+    assert rel == reduced_flattening_image(t, 11)
 
 
 def test_relations_four_qubit(family_1235):
     model = variety_from_state(family_1235)
     rel = relations_from_points(model, 13, (0, 1, 2))
-    assert rel.dim == 2
-    assert rel.basis == reduced_flattening_image(family_1235, 13)
+    assert rel.rows == 2
+    assert rel == reduced_flattening_image(family_1235, 13)
 
 
 def test_opposite_pattern_relations_are_transposes():
@@ -90,14 +91,14 @@ def test_opposite_pattern_relations_are_transposes():
     model = variety_from_state(t)
     rel_xy = relations_from_points(model, 11, (0, 1))
     rel_yx = relations_from_points(model, 11, (1, 0))
-    assert rel_yx.dim == 3
+    assert rel_yx.rows == 3
     transposed = Matrix(
         [[row[j * 3 + i] for i in range(3) for j in range(3)]
-         for row in rel_xy.basis.entries],
+         for row in rel_xy.entries],
         cols=9,
         p=11,
     ).row_space()
-    assert rel_yx.basis == transposed
+    assert rel_yx == transposed
 
 
 def test_relations_insufficient_points(family_1235):
@@ -113,7 +114,7 @@ def test_relations_from_points_bounds_the_slot_count(monkeypatch):
     import sloccgeo.zalgebra
 
     model = variety_from_state(random_state(3, 3, 5, 1))
-    assert relations_from_points(model, 11, (0, 1) * 2 + (0,)).slot_dim == 3  # 243 columns
+    assert relations_from_points(model, 11, (0, 1) * 2 + (0,)).cols == 3**5
 
     def refused(*args):
         raise AssertionError("points enumerated before the bound")
@@ -130,7 +131,7 @@ def test_relation_dimension_is_slocc_invariant():
     for p in (11, 13):
         a = relations_from_points(variety_from_state(t), p, (0, 1))
         b = relations_from_points(variety_from_state(moved), p, (0, 1))
-        assert a.dim == b.dim
+        assert a.rows == b.rows
 
 
 def _insertion_rank(relation_spaces, arity, k, d, p):
@@ -474,7 +475,7 @@ def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
     monkeypatch.setattr(Matrix, "rref", counting)
     rel = relations_from_points(model, 11, (0, 1))
     assert seen == [reversed_columns]
-    assert rel.basis == reduced_flattening_image(t, 11)
+    assert rel == reduced_flattening_image(t, 11)
 
 
 def test_roundtrip_separable_rank_deficient():
