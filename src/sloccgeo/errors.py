@@ -8,15 +8,15 @@ through ``_excerpt``, so its length does not grow with the input's.
 """
 
 
-def _excerpt(value):
-    """repr(value) for an error message: whole up to 100 characters, else
-    its first 60 and last 37 around "...", so a message stays short
-    however large the input it echoes.  A value whose repr fails is named
-    instead: an int too long for int-to-string conversion by its bit
-    length, anything else (a Fraction or a list holding such an int) by its
-    type."""
+def _excerpt(value, show=repr):
+    """show(value), repr by default, for an error message: whole up to 100
+    characters, else its first 60 and last 37 around "...", so a message
+    stays short however large the input it echoes.  A value that show
+    cannot print is named instead: an int too long for int-to-string
+    conversion by its bit length, anything else (a Fraction or a list
+    holding such an int) by its type."""
     try:
-        text = repr(value)
+        text = show(value)
     except Exception:
         if type(value) is int:
             return f"<int of {value.bit_length()} bits>"

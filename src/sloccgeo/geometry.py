@@ -14,9 +14,12 @@ A model over Q reduces modulo p in one way only: through its source state
 (``model_mod_p``).  Points come from one walk over the variable groups
 (``_points``): ``enumerate_points`` lists it, and both Jacobian sweeps
 (``smoothness_scan`` and the one in ``invariants.classify``) test the
-points it does not certify smooth.  The curve formats and their
-projections are listed once, in ``CURVE_AXES`` and
-``PROJECTION_MONOMIALS``.
+points it does not certify smooth.  The walk solves the innermost prefix
+group's lines through a determinant pencil and reads each prefix system's
+fibre from its rank, so Matrix.kernel runs only for the one system of an
+n = 2 model, a d = 3 system of rank 1, a non-square system and d > 3.
+The curve formats and their projections are listed once, in
+``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
@@ -440,27 +443,45 @@ def _coefficient_tensor(model):
 
 def _kernel_points(system, d, p):
     """Normalized projective points of the right kernel of one prefix
-    system (rows of d unreduced integers), in the order of _subspace_points.
+    system (rows of d unreduced integers), in the order of _subspace_points,
+    read from the system's rank mod p.
 
-    For d = 2, 3 with d rows, a nonzero determinant mod p means no point,
-    and a rank d-1 system yields its one point directly: (v, -u) for a
-    nonzero row (u, v) when d = 2, a nonzero cross product of two rows when
-    d = 3.  Every other system goes through Matrix.kernel.
+    A zero system has all of P^(d-1) as kernel (``_projective_space``).  A
+    nonzero square system with d = 2 or 3 must be singular mod p, and a
+    rank d-1 one yields its one point: (v, -u) for its first nonzero row
+    (u, v) when d = 2, the first nonzero cross product of two rows, in the
+    order r1 x r2, r0 x r2, r0 x r1, when d = 3.  Both callers meet only
+    singular square systems: the walk takes a system at a root of its
+    line's determinant pencil (``_pencil_roots``) or at e_last when det B
+    vanishes, and ``_first_witness`` the transpose of a system that the
+    point solves.  So no determinant is taken here.  Every other system (d
+    = 3 of rank 1, a non-square one, any other d) goes through
+    Matrix.kernel.
     """
-    if len(system) == d and d in (2, 3):
-        if _det(system) % p:
-            return ()
-        if d == 2:
-            candidates = [(v, -u) for u, v in system]
-        else:
-            r0, r1, r2 = system
-            candidates = (_cross(r1, r2), _cross(r0, r2), _cross(r0, r1))
-        for vec in candidates:
-            vec = [x % p for x in vec]
+    if not any(x % p for row in system for x in row):
+        return _projective_space(d, p)
+    if len(system) == d == 2:
+        for u, v in system:
+            if v % p:
+                return ((1, -u * pow(v, -1, p) % p),)
+            if u % p:
+                return ((0, 1),)
+    if len(system) == d == 3:
+        r0, r1, r2 = system
+        for a, b in ((r1, r2), (r0, r2), (r0, r1)):
+            vec = [x % p for x in _cross(a, b)]
             if any(vec):
                 return (_normalize_projective(vec, p),)
     kernel = Matrix(system, cols=d, p=p).kernel()
     return tuple(_subspace_points(kernel.entries, p))
+
+
+@cache
+def _projective_space(d, p):
+    """projective_points(d, p) as a tuple: the fibre over a prefix whose
+    system vanishes mod p.  Cached per (d, p); with a prefix group the
+    fibre has no more points than the prefixes PREFIX_BUDGET bounds."""
+    return tuple(projective_points(d, p))
 
 
 def _det(rows):
@@ -553,7 +574,9 @@ def _line_points(part, d, m, p):
     square prefix system (m = d forms, d = 2, 3), one determinant
     polynomial per line tells which t can carry points: only those t are
     yielded, and e_last only when det B vanishes mod p.  Otherwise every
-    point is yielded.
+    point is yielded.  So every square d = 2, 3 system this yields is
+    singular mod p by construction, and its fibre is read from its rank
+    (``_kernel_points``) with no second determinant.
 
     ``certified`` is True exactly at the simple roots of that polynomial,
     where the one point over x is smooth (``_pencil_roots``).  e_last, and
@@ -579,18 +602,32 @@ def _points(reduced, p):
     coordinate lies over a simple root of its line's determinant pencil,
     which makes it smooth (``_pencil_roots``).  Every other point,
     including every point of a model with no prefix group (n = 2) or a
-    non-square system, carries False and says nothing either way."""
+    non-square system, carries False and says nothing either way.
+
+    The innermost prefix group's lines hand over the prefix systems, and
+    each system's fibre is read from its rank (``_kernel_points``) and
+    yielded as finished points.  A square d = 2, 3 system there sits at a
+    root of its pencil, or at e_last when det B vanishes, so it is singular
+    by construction and no determinant is taken again.  With n = 2 the
+    model is one system, which may be regular, so it is eliminated."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
+    if groups == 1:
+        kernel = Matrix(reduced.rows, cols=d, p=p).kernel()
+        for tail in _subspace_points(kernel.entries, p):
+            yield ProjPoint(p, (tail,)), False
+        return
 
-    def walk(part, prefix, certified):
-        if len(prefix) == groups - 1:  # part is the prefix system
-            for tail in _kernel_points([part[k::m] for k in range(m)], d, p):
-                yield ProjPoint(p, prefix + (tail,)), certified
+    def walk(part, prefix):
+        if len(prefix) < groups - 2:
+            for x, inner, _ in _line_points(part, d, m, p):
+                yield from walk(inner, prefix + (x,))
             return
-        for x, inner, simple in _line_points(part, d, m, p):
-            yield from walk(inner, prefix + (x,), simple)
+        for x, system, certified in _line_points(part, d, m, p):
+            head = prefix + (x,)
+            for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
+                yield ProjPoint(p, head + (tail,)), certified
 
-    yield from walk(_coefficient_tensor(reduced), (), False)
+    yield from walk(_coefficient_tensor(reduced), ())
 
 
 def enumerate_points(model, p):
@@ -608,10 +645,14 @@ def enumerate_points(model, p):
     roots: the coefficients of det(A + tB) are computed once per line and
     evaluated at every t in one pass, and a kernel is taken only at its
     roots (at every t when it vanishes identically mod p), plus at e_last.
-    Every other system is solved at every t.  Points come in prefix order
-    (``projective_points`` per group), then in kernel order.  Raises
-    WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the budget
-    counts prefixes, not lines.
+    Every other system is solved at every t.  Each prefix system's fibre is
+    read from its rank (``_kernel_points``): all of P^(d-1) when it
+    vanishes mod p, one closed-form point at rank d-1 for d = 2, 3, and
+    Matrix.kernel otherwise.  A square system at a pencil root is singular
+    by construction, so no determinant is taken there.  Points come in
+    prefix order (``projective_points`` per group), then in kernel order.
+    Raises WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the
+    budget counts prefixes, not lines.
 
     The walk (``_points``) also marks the points it certifies smooth
     (``_pencil_roots``); this list drops those marks, and the Jacobian

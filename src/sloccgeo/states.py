@@ -155,11 +155,12 @@ class Tensor:
         starts here, so p is checked here (``check_primes``): anything but
         a prime in [5, MAX_PRIME] raises UnsupportedPrimeError.  Raises
         BadReductionError when p divides the denominator, naming the first
-        coefficient whose denominator it divides."""
+        coefficient whose denominator it divides, as str excerpts it
+        (``_excerpt``)."""
         check_primes((p,))
         if self.den % p == 0:
             bad = next(c for c in self.coeffs if c.denominator % p == 0)
-            raise BadReductionError(p, f"denominator divisible by {p} for {bad}")
+            raise BadReductionError(p, f"denominator divisible by {p} for {_excerpt(bad, str)}")
         inv = pow(self.den, -1, p)
         return [a * inv % p for a in self.nums]
 

@@ -24,6 +24,7 @@ from sloccgeo.geometry import (
     _coefficient_tensor,
     _first_witness,
     _jacobian_rows,
+    _kernel_points,
     _pencil_roots,
     _points,
     _subspace_points,
@@ -37,7 +38,15 @@ from sloccgeo.geometry import (
     smoothness_scan,
     variety_from_state,
 )
-from sloccgeo.states import SloccOperator, Tensor, apply_slocc, basis_state, ghz, random_state
+from sloccgeo.states import (
+    SloccOperator,
+    Tensor,
+    apply_slocc,
+    basis_state,
+    ghz,
+    random_state,
+    w_state,
+)
 
 import reference_algebra as ref
 
@@ -410,9 +419,15 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
     # t (t - 1) (t - 2) and t (t - 3): simple roots only
     assert _pencil_roots(diag(0, -1, -2), diag(1, 1, 1), 3, 5) == [(0, True), (1, True), (2, True)]
     assert _pencil_roots(diag(0, -3), diag(1, 1), 2, 7) == [(0, True), (3, True)]
-    for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell]):
+    # GHZ(5,2) and W(4) have prefixes with whole P^1 fibres too; they run
+    # at p <= 13 only, where the reference is still fast
+    runs = [
+        (t, DEFAULT_PRIMES) for t in _with_slocc_images([ghz(3, 3), ghz(4, 2), singlet_times_bell])
+    ]
+    runs += [(t, (5, 7, 11, 13)) for t in _with_slocc_images([ghz(5, 2), w_state(4)])]
+    for t, primes in runs:
         model = variety_from_state(t)
-        for p in DEFAULT_PRIMES:
+        for p in primes:
             try:
                 expected = reference_points(model, p)
             except BadReductionError:
@@ -420,6 +435,40 @@ def test_line_sweep_matches_reference_on_singular_models(singlet_times_bell):
                     enumerate_points(model, p)
                 continue
             assert enumerate_points(model, p) == expected, (t, p)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_kernel_points_read_the_rank(p):
+    # (rows, d, point count): every square system is singular mod p, as the
+    # walk and the left-kernel test hand them over; unreduced multiples of p
+    # count as zero
+    cases = [
+        # zero: all of P^(d-1), with m = d and m != d
+        ([[0, 0], [p, -p]], 2, p + 1),
+        ([[0, p]], 2, p + 1),
+        ([[0, 0, 0], [0, p, 0], [0, 0, 0]], 3, p * p + p + 1),
+        ([[0, 0, 0]] * 4, 3, p * p + p + 1),
+        # rank d-1 whose first candidate vanishes mod p: the row (0, p),
+        # then r1 x r2 (r1 and r2 parallel), then r1 x r2 and r0 x r2 (r2
+        # zero mod p)
+        ([[0, p], [2, 3]], 2, 1),
+        ([[p, 0], [0, 4]], 2, 1),
+        ([[0, 0], [3, 0]], 2, 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 2, 0]], 3, 1),
+        ([[1, 2, 0], [0, 1, 1], [p, 0, -p]], 3, 1),
+        ([[2, 0, 1], [0, 0, 0], [1, 3, 0]], 3, 1),
+        # d = 3 of rank 1: a line of p + 1 points
+        ([[1, 2, 3], [2, 4, 6], [0, 0, p]], 3, p + 1),
+        ([[0, 0, 1], [0, 0, 0], [0, 0, 2 + p]], 3, p + 1),
+        # non-square and nonzero
+        ([[1, 1]], 2, 1),
+        ([[1, 2, 3], [3, 2, 1]], 3, 1),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], 3, 0),
+    ]
+    for rows, d, count in cases:
+        expected = tuple(ref.subspace_points(ref.kernel_mod_p(Matrix(rows, cols=d, p=p)), d, p))
+        assert len(expected) == count, rows
+        assert _kernel_points(rows, d, p) == expected, rows
 
 
 def _reference_witness(reduced, walk):

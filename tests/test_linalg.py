@@ -454,8 +454,15 @@ _HUGE = 10**5000  # over the 4,300-digit limit of int-to-string conversion
          "F_5 form coefficient <Fraction "),
         (lambda: Matrix([[1]], cols=_HUGE), ValueError,
          "rows of length 1 disagree with cols=<int of 16610 bits>"),
+        (lambda: Tensor(2, 2, [Fraction(_HUGE + 1, 5), 1, 1, 1]).reduce_mod(5),
+         BadReductionError, "denominator divisible by 5 for <Fraction too long to print>"),
+        (lambda: Tensor(2, 2, [Fraction(10**300 + 1, 5), 1, 1, 1]).reduce_mod(5),
+         BadReductionError, "denominator divisible by 5 for 1000000000"),
     ],
-    ids=["index", "k-max", "negative-k-max", "modulus", "matrix-entry", "form-coefficient", "cols"],
+    ids=[
+        "index", "k-max", "negative-k-max", "modulus", "matrix-entry", "form-coefficient",
+        "cols", "state-coefficient", "long-state-coefficient",
+    ],
 )
 def test_messages_echo_long_values_as_excerpts(call, error, start):
     # formatting the value itself would raise a bare ValueError from repr
