@@ -18,8 +18,12 @@ points it does not certify smooth.  The walk solves the innermost prefix
 group's lines through a determinant pencil and reads each prefix system's
 fibre from its rank, so Matrix.kernel runs only for the one system of an
 n = 2 model, a d = 3 system of rank 1, a non-square system and d > 3.
-The curve formats and their projections are listed once, in
-``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
+A (3,3) or (4,2) state whose slice discriminants all are nonzero skips
+that walk in ``smoothness_scan``: at each used prime its point count is
+that of its first projected curve (``_curve_count``), and the scan finds
+no singular point there by proof, not by search.  The curve formats and
+their projections are listed once, in ``CURVE_AXES`` and
+``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
@@ -247,10 +251,14 @@ class SmoothnessReport:
     """Per-prime point counts and Jacobian-rank evidence.
 
     A recorded singular witness is strong evidence against smoothness (and
-    proof modulo that prime); an empty sweep is probabilistic evidence only.
-    ``bad_primes`` divide a denominator; ``excluded_primes`` divide an exact
-    curve discriminant, so the reduction degenerates and says nothing about
-    the original model.
+    proof modulo that prime); an empty sweep is probabilistic evidence only,
+    except for a (3,3) or (4,2) state whose slice discriminants all are
+    nonzero: its counts are those of its projected curve, and
+    NoSingularPointFound proves each used reduction smooth.
+    ``bad_primes`` divide a denominator or drop the flattening rank;
+    ``excluded_primes`` divide the numerator of a slice discriminant
+    (``invariants.slice_discriminants``), so the reduced curve is singular
+    and says nothing about the original model.
     """
 
     primes: tuple
@@ -757,6 +765,57 @@ def _first_witness(reduced, points):
     return None
 
 
+def _singular_reduction(discs, p):
+    """Whether p divides the numerator of one of ``discs`` while none of
+    them vanishes: the curve model of those slice discriminants
+    (``invariants.slice_discriminants``) is smooth over Q, and its
+    reduction modulo p is singular.  False when ``discs`` is None."""
+    return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
+
+
+def _curve_count(reduced, p):
+    """#C_p(F_p) for the first projected curve C_p (``CURVE_AXES``) of a
+    reduced (3,3) or (4,2) model, counted from its coefficients mod p.
+
+    (4,2): C_p is A(x)*y0^2 + B(x)*y0*y1 + C(x)*y1^2 = 0, and over each x
+    of P^1(F_p) the quadratic in y has 1 + chi(q(x)) projective roots,
+    where q = B^2 - 4AC (``invariants._branch``) and chi is the quadratic
+    character (chi(0) = 0), read from the set of nonzero squares mod p.
+    That holds unless A, B and C all vanish at x, so that C_p contains the
+    line {x} x P^1, which a smooth C_p does not.  So #C_p = p + 1 + the
+    sum of chi(q(x)), in O(p).  (3,3): the zeros of the plane cubic C on
+    P^2(F_p), one chart line at a time: the roots v of C(1, u, v) for
+    each u, of C(0, 1, v), and the point (0, 0, 1), in O(p^2).
+    """
+    from .invariants import _branch
+
+    fmt = (reduced.n, reduced.d)
+    coeffs = projection_coefficients(reduced.rows, *fmt, CURVE_AXES[fmt][0])
+    if fmt == (4, 2):
+        q0, q1, q2, q3, q4 = (c % p for c in _branch(coeffs))
+        squares = {t * t % p for t in range(1, p)}
+        values = [((((q4 * t + q3) * t + q2) * t + q1) * t + q0) % p for t in range(p)] + [q4]
+        return p + 1 + sum(1 if v in squares else -1 for v in values if v)
+    # the coefficients of x0^3, x0^2*x1, x0^2*x2, x0*x1^2, x0*x1*x2,
+    # x0*x2^2, x1^3, x1^2*x2, x1*x2^2, x2^3 (CUBIC_MONOMIALS)
+    c = [x % p for x in coeffs]
+    powers = [(v, v * v % p, v**3 % p) for v in range(p)]
+    lines = [  # the coefficients of 1, v, v^2, v^3 in C(1, u, v)
+        (
+            c[0] + c[1] * u + c[3] * u2 + c[6] * u3,
+            (c[2] + c[4] * u + c[7] * u2) % p,
+            (c[5] + c[8] * u) % p,
+            c[9],
+        )
+        for u, u2, u3 in powers
+    ]
+    lines.append((c[6], c[7], c[8], c[9]))  # C(0, 1, v)
+    count = c[9] == 0  # the point (0, 0, 1)
+    for a0, a1, a2, a3 in lines:
+        count += [(a1 * v + a2 * w + a3 * x) % p for v, w, x in powers].count(-a0 % p)
+    return count
+
+
 def _file_primes(t, primes, discs=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
@@ -764,21 +823,20 @@ def _file_primes(t, primes, discs=None):
     and the prefix budget, builds the model, and files each prime in order
     as bad (the state has a denominator there, or the flattening rank
     drops), excluded (p divides the numerator of one of ``discs``, when
-    none of them vanishes) or used.  Returns (used, bad, excluded), where
-    used lists a (p, reduced model) pair per used prime; how much of each
-    to sweep is the caller's choice.  smoothness_scan passes the state's
-    ``slice_discriminants``: for a curve format that is smooth by the exact
-    discriminant test, such a p makes the reduced curve degenerate, and it
-    says nothing about the original model.  The checks raise in that
-    order (UnsupportedPrimeError, WorkLimitError, then RankDeficientError
-    from the model); the filing itself never raises.  When every prime is
-    bad, bad lists them all, in order, and each caller states what that
-    means for its own result.
+    none of them vanishes: ``_singular_reduction``) or used.  Returns
+    (used, bad, excluded), where used lists a (p, reduced model) pair per
+    used prime; how much of each to sweep is the caller's choice.
+    smoothness_scan passes the state's ``slice_discriminants``: for a curve
+    format that is smooth by the exact discriminant test, such a p makes the
+    reduced curve degenerate, and it says nothing about the original model.
+    The checks raise in that order (UnsupportedPrimeError, WorkLimitError,
+    then RankDeficientError from the model); the filing itself never
+    raises.  When every prime is bad, bad lists them all, in order, and
+    each caller states what that means for its own result.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
     model = variety_from_state(t)
-    discs = discs if discs and all(discs) else ()
     used, bad, excluded = [], [], []
     for p in primes:
         try:
@@ -786,7 +844,7 @@ def _file_primes(t, primes, discs=None):
         except BadReductionError:
             bad.append(p)
             continue
-        if any(disc.numerator % p == 0 for disc in discs):
+        if _singular_reduction(discs, p):
             excluded.append(p)
         else:
             used.append((p, reduced))
@@ -809,15 +867,34 @@ def smoothness_scan(t, primes=None):
     Each rank test is one left-kernel test, not an elimination (see
     ``_first_witness``).  The prefix budget is checked once, for all
     primes, by ``_file_primes``.
+
+    A (3,3) or (4,2) state whose slice discriminants all are nonzero is
+    neither walked nor swept: each used prime's count is that of its first
+    projected curve C_p (``_curve_count``), and it has no witness.  That
+    is exact.  p >= 5 does not divide a slice-discriminant numerator, so
+    C_p is smooth over the algebraic closure of F_p.  At a point x of a
+    smooth C_p the matrix of linear forms M(x) has corank exactly 1:
+    corank 2 would make adj M(x) = 0, and with it grad det M(x), by
+    Jacobi's formula.  So over each F_p-point of C_p lies exactly one
+    point of the model, defined over F_p, and the model is smooth there
+    (the argument of ``_pencil_roots``): the sweep could find no witness,
+    and NoSingularPointFound proves each used reduction smooth.  Every
+    other state (a vanishing slice discriminant, (5,2) and the other
+    formats) is walked and swept as above.
     """
     from .invariants import slice_discriminants
 
-    used, bad, excluded = _file_primes(t, primes, slice_discriminants(t))
+    discs = slice_discriminants(t)
+    used, bad, excluded = _file_primes(t, primes, discs)
     if not used and not excluded:
         raise AllPrimesBadError(f"all primes {list(bad)} hit bad reduction")
+    smooth_curve = bool(discs) and all(discs)
     counts = []
     witnesses = []
     for p, reduced in used:
+        if smooth_curve:
+            counts.append((p, _curve_count(reduced, p)))
+            continue
         walk = list(_points(reduced, p))
         counts.append((p, len(walk)))
         witness = _first_witness(reduced, walk)

@@ -27,10 +27,23 @@ monomials at the model's F_p-points instead.
 
 from dataclasses import dataclass
 
-from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError, _excerpt
+from .errors import (
+    BadReductionError,
+    InsufficientPointsError,
+    WorkLimitError,
+    WrongFormatError,
+    _excerpt,
+)
 from .linalg import Matrix, _free_basis
 from .states import Tensor, _rotate
-from .geometry import enumerate_points, hasse_window, model_mod_p, variety_from_state
+from .geometry import (
+    _singular_reduction,
+    enumerate_points,
+    hasse_window,
+    model_mod_p,
+    variety_from_state,
+)
+from .invariants import slice_discriminants
 
 
 @dataclass(frozen=True)
@@ -277,9 +290,17 @@ def multiplication_surjectivity(state, axis_pair, p):
     bad prime.  The number of distinct projected points must be plausible
     for a curve of genus one: a count above the Hasse window certifies a
     degenerate model, and fewer than five points cannot pin the kernel
-    down; both abort with InsufficientPointsError.  The axis pair must name
-    two distinct groups among 0, 1 and 2 (ints, in either order), else
-    ValueError.
+    down.  Both refuse the prime.  When no slice discriminant vanishes and
+    p divides the numerator of one (a prime ``smoothness_scan`` excludes),
+    the reduced curve is singular, and the refusal is a BadReductionError
+    saying so; every other refusal is an InsufficientPointsError.  For such
+    a state every other prime gives a smooth reduced curve, whose projected
+    count lies in the Hasse window (``geometry.smoothness_scan``), so only
+    p = 5 and 7, where the window starts below five, can still lack
+    points.  The prime is not tested before the points are enumerated: at
+    many singular reductions the test still passes.  The axis pair must
+    name two distinct groups among 0, 1 and 2 (ints, in either order),
+    else ValueError.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
@@ -290,6 +311,11 @@ def multiplication_surjectivity(state, axis_pair, p):
     points = enumerate_points(variety_from_state(state), p)
     projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
     lo, hi = hasse_window(p)
+    refused = len(projected) > hi or len(projected) < max(5, lo)
+    if refused and _singular_reduction(slice_discriminants(state), p):
+        raise BadReductionError(
+            p, f"p={p} divides a slice discriminant: the reduced curve is singular"
+        )
     if len(projected) > hi:
         raise InsufficientPointsError(
             f"{len(projected)} projected points at p={p} exceed the genus-one "

@@ -14,9 +14,16 @@ from sloccgeo.errors import (
     UnsupportedPrimeError,
     WorkLimitError,
 )
-from sloccgeo.invariants import SINGULAR_MODEL, SMOOTH_GENERIC, classify
+from sloccgeo.invariants import (
+    SINGULAR_MODEL,
+    SMOOTH_GENERIC,
+    _branch,
+    classify,
+    slice_discriminants,
+)
 from sloccgeo.linalg import DEFAULT_PRIMES, Matrix
 from sloccgeo.geometry import (
+    CURVE_AXES,
     PREFIX_BUDGET,
     MultiForm,
     ProjPoint,
@@ -33,6 +40,7 @@ from sloccgeo.geometry import (
     hasse_window,
     jacobian_rank_at,
     model_mod_p,
+    projection_coefficients,
     projective_points,
     section_count,
     smoothness_scan,
@@ -592,6 +600,71 @@ def test_default_prime_first_witnesses(singlet_times_bell):
     for state, expected in cases:
         p, pt, rank = smoothness_scan(state).witnesses[0]
         assert (p, pt.coords, rank) == expected
+
+
+def _check_curve_count(t, primes=DEFAULT_PRIMES):
+    """smoothness_scan of a (3,3) or (4,2) state whose slice discriminants
+    all are nonzero, which counts its projected curve instead of walking,
+    against the walk: at every used prime the count is the walk's, and the
+    Jacobian sweep of the walk finds no witness.  Returns the reports'
+    used primes."""
+    discs = slice_discriminants(t)
+    assert discs and all(discs)
+    report = smoothness_scan(t, primes)
+    assert report.verdict == "NoSingularPointFound" and report.witnesses == ()
+    model = variety_from_state(t)
+    for p, count in report.point_counts:
+        reduced = model_mod_p(model, p)
+        assert count == len(enumerate_points(reduced, p)), (t, p)
+        assert _first_witness(reduced, _points(reduced, p)) is None, (t, p)
+    return report.primes
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
+def test_curve_count_matches_the_walk(fmt):
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+    @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        seed=st.integers(0, 10**6),
+        bound=st.sampled_from((1, 5)),
+        op_seed=st.none() | st.integers(0, 10**6),
+    )
+    def check(seed, bound, op_seed):
+        t = random_state(*fmt, bound, seed)
+        if op_seed is not None:
+            t = apply_slocc(t, SloccOperator.random(*fmt, 2, op_seed))
+        assume(all(slice_discriminants(t)))
+        _check_curve_count(t)
+
+    check()
+
+
+def test_curve_count_matches_the_walk_on_fixed_states():
+    states = []
+    for fmt in ((3, 3), (4, 2)):
+        for seed in range(8):
+            t = random_state(*fmt, 5, seed)
+            if all(slice_discriminants(t)):
+                states.append(t)
+    used = [_check_curve_count(t) for t in _with_slocc_images(states)]
+    assert len(states) >= 12 and sum(map(len, used)) > 150
+
+
+@pytest.mark.parametrize("fmt, seed, p", [((4, 2), 4, 11), ((3, 3), 3, 19)])
+def test_curve_count_at_the_chart_edge(fmt, seed, p):
+    # The last chart point lies on the curve: x = (0, 1) is a root of the
+    # (4,2) branch quartic (its x1^4 coefficient vanishes mod p), and
+    # (0, 0, 1) a zero of the (3,3) plane cubic (its x2^3 coefficient).
+    t = random_state(*fmt, 5, seed)
+    reduced = model_mod_p(variety_from_state(t), p)
+    coeffs = projection_coefficients(reduced.rows, *fmt, CURVE_AXES[fmt][0])
+    last = _branch(coeffs)[4] if fmt == (4, 2) else coeffs[9]
+    assert last % p == 0
+    assert _check_curve_count(t, (p,)) == (p,)
+    edge = (0,) * (fmt[1] - 1) + (1,)
+    assert sum(pt.coords[0] == edge for pt in enumerate_points(reduced, p)) == 1
 
 
 def test_sweep_without_prefix_groups_solves_one_system():

@@ -371,6 +371,23 @@ def test_mu_flags_ghz4(ghz4):
         multiplication_surjectivity(ghz4, (0, 1), 11)
 
 
+def test_mu_refusal_names_a_singular_reduction():
+    # random_state(4, 2, 5, 1) is smooth, but 23 divides one of its slice
+    # discriminants: the reduced curve is singular, and its 46 projected
+    # points lie above the window [15, 33]
+    t = random_state(4, 2, 5, seed=1)
+    assert 23 in smoothness_scan(t, (23,)).excluded_primes
+    with pytest.raises(BadReductionError, match="p=23 divides a slice discriminant") as info:
+        multiplication_surjectivity(t, (0, 1), 23)
+    assert info.value.p == 23
+    # seed 0 has 4 projected points at p = 5, a good prime whose window
+    # [2, 10] starts below the five points a kernel needs
+    t = random_state(4, 2, 5, seed=0)
+    assert smoothness_scan(t, (5,)).primes == (5,)
+    with pytest.raises(InsufficientPointsError, match="only 4 projected points at p=5"):
+        multiplication_surjectivity(t, (0, 1), 5)
+
+
 def test_mu_wrong_format(ghz3_qutrit):
     with pytest.raises(WrongFormatError):
         multiplication_surjectivity(ghz3_qutrit, (0, 1), 11)
