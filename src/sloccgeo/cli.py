@@ -11,6 +11,7 @@ trivially).  Exit codes: 0 success, 1 degenerate-input verdict under
 import argparse
 import hashlib
 import json
+import re
 import sys
 
 from . import __version__
@@ -62,12 +63,21 @@ def _hash(data):
     return hashlib.sha256(data).hexdigest()
 
 
+_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+
+
 def _parse_primes(text):
     """--primes as a checked tuple; a bad entry raises UnsupportedPrimeError,
     which run() reports with exit 2, echoing the list or the entry through
-    ``_excerpt``."""
+    ``_excerpt``.  Each comma-separated entry, less surrounding whitespace,
+    is an optional minus sign and ASCII digits, as a coefficient of
+    ``parse_state``: ``int`` alone would also take 1_1, +5 and non-ASCII
+    digits.  Empty entries are skipped."""
+    entries = [x.strip() for x in text.split(",") if x.strip()]
     try:
-        primes = [int(x) for x in text.split(",") if x.strip()]
+        if not all(_INTEGER_RE.match(x) for x in entries):
+            raise ValueError
+        primes = [int(x) for x in entries]
     except ValueError:
         raise UnsupportedPrimeError(f"bad prime list {_excerpt(text)}")
     return check_primes(primes)

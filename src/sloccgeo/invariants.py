@@ -41,7 +41,7 @@ from .errors import (
     WrongDegreeError,
     WrongFormatError,
 )
-from .linalg import DEFAULT_PRIMES, check_primes, clear_denominators
+from .linalg import DEFAULT_PRIMES, MAX_PRIME, check_primes, clear_denominators
 from .states import _frac_str, flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
@@ -345,6 +345,60 @@ def schlaefli_hyperdet(t):
     return Fraction(4 * i_val**3 - j_val**2, 27 * t.den**24)
 
 
+def _schlaefli_pencil(t, q):
+    """The pencil form P(lam, mu) = 27 * Schlaefli(lam * t_0 + mu * t_1) of a
+    (5,2) state's numerators, t_k = nums[k::2] its slices with last index k,
+    as the coefficients of f(lam) = P(lam, 1) mod q, constant term first.
+
+    P is a binary form of degree 24.  Each value f(lam), lam = 0, ..., 24,
+    is the integer core of ``schlaefli_hyperdet`` (``_pencil_cayley`` and
+    ``_ij``) on the slice entries reduced mod q; Newton interpolation at
+    those 25 points (divided differences over the unit steps, then Horner
+    expansion) gives f.  The state's denominator scales P by den^-24 and is
+    left out."""
+    t0, t1 = t.nums[0::2], t.nums[1::2]
+    f = []
+    for lam in range(25):
+        e = [(lam * x + y) % q for x, y in zip(t0, t1)]
+        i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(e[0::2], e[1::2])]))
+        f.append((4 * i_val**3 - j_val**2) % q)
+    for k in range(1, 25):
+        inv = pow(k, -1, q)
+        for i in range(24, k - 1, -1):
+            f[i] = (f[i] - f[i - 1]) * inv % q
+    poly = [f[24]]
+    for k in range(23, -1, -1):
+        poly = [c % q for c in _conv(poly, [-k, 1])]
+        poly[0] = (poly[0] + f[k]) % q
+    return poly
+
+
+def _squarefree(f, q):
+    """Whether the binary form P of degree 24 with f(lam) = P(lam, 1), given
+    by its coefficients mod the prime q (constant first), is squarefree:
+    mu^2 does not divide P (deg f >= 23), and gcd(f, f') is a nonzero
+    constant, which over the perfect field F_q holds exactly when f is
+    squarefree.  The gcd is Euclid's algorithm mod q."""
+    def trim(a):
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    a = trim(list(f))
+    if len(a) < 24:
+        return False
+    b = trim([k * c % q for k, c in enumerate(a)][1:])
+    while b:
+        inv = pow(b[-1], -1, q)
+        while len(a) >= len(b):
+            c, shift = a.pop() * inv % q, len(a) - len(b) + 1
+            for i, x in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - c * x) % q
+            trim(a)
+        a, b = b, a
+    return len(a) == 1
+
+
 def moduli_dimension(n, d):
     """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1, the state
     space less the GL_d^n orbit (n - 1 of the n*d^2 directions scale the
@@ -568,10 +622,27 @@ def classify(t, primes=None):
     callers share it.
 
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
-    discriminants; the prime sweep only supplies a singular witness.  For
-    other formats (notably (5,2)) the verdict rests on the sweep alone.  A
-    (5,2) sweep uses only the given primes up to 13, or all of them when
-    none is that small, since each larger prime costs a far larger sweep.
+    discriminants; the prime sweep only supplies a singular witness.
+
+    A (5,2) state of full flattening rank is first offered a proof of
+    smoothness.  Its model X cuts two (1,1,1,1) forms out of (P^1)^4, and X
+    is singular exactly when the 2^5 hyperdeterminant Det(t) vanishes
+    (Gelfand-Kapranov-Zelevinsky 1994, ch. 14).  By Schlaefli's method Det
+    divides the discriminant of the binary form P(lam, mu) =
+    Schlaefli(lam * t_0 + mu * t_1) of degree 24, t_k the slice with last
+    index k.  disc P is an integer polynomial in the state's numerators
+    (the denominator only scales P by den^-24), so if P is squarefree
+    modulo one prime, disc P, and with it Det, is nonzero, and X is smooth
+    over the algebraic closure of Q.  The prime is q = MAX_PRIME =
+    2^31 - 1 (``_schlaefli_pencil``, ``_squarefree``).  Such a state is
+    SmoothGeneric with no primes used and no witness: nothing is filed or
+    swept, so it needs no usable prime and never raises AllPrimesBadError.
+    A P that is not squarefree mod q proves nothing (P vanishes on GHZ(5,2)
+    and W(5), and disc P has factors other than Det), and the state goes to
+    the vote below.  An uncertified (5,2) state and every other format rest
+    on the sweep alone, so their verdicts are evidence, not proof.  A (5,2)
+    sweep uses only the given primes up to 13, or all of them when none is
+    that small, since each larger prime costs a far larger sweep.
 
     Neither reads a point count, so the sweep here is lazy, and as in
     ``smoothness_scan`` only the points that the walk (``_points``) does not
@@ -611,31 +682,40 @@ def _classify(t, primes):
         if len(js) != 1:
             raise SloccGeoError(f"projection j values disagree: {sorted(map(str, js))}")
         status, j = SMOOTH_GENERIC, js.pop()
+    elif fmt == (5, 2) and _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME):
+        status = SMOOTH_GENERIC
     else:
-        scan = (tuple(p for p in primes if p <= 13) or primes) if fmt == (5, 2) else primes
-        filed = _file_primes(t, scan)[0]
-        # every prime bad: a curve model is singular by its discriminants
-        # alone, any other model has no verdict
-        if not filed and not curve:
-            raise AllPrimesBadError(f"all primes {list(scan)} hit bad reduction")
-        witnesses, clean = [], 0
-        for p, reduced in filed:
-            if (found := _first_witness(reduced, _points(reduced, p))) is None:
-                clean += 1
-            else:
-                witnesses.append(found)
-            w, rest = len(witnesses), len(filed) - len(witnesses) - clean
-            if (w > 0) if curve else (w + rest <= clean or w > clean + rest):
-                break
-        used = tuple(p for p, _ in filed)
-        # A curve model is singular by its exact discriminants, and the sweep
-        # only looks for a witness.  Elsewhere no exact discriminant exists, so
-        # a single-prime witness may be bad-reduction noise; only a strict
-        # majority of usable primes decides.
-        singular = curve or 2 * len(witnesses) > len(used)
-        status = SINGULAR_MODEL if singular else SMOOTH_GENERIC
-        witness = witnesses[0] if singular and witnesses else None
+        used, status, witness = _vote(t, primes, curve)
     return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
+
+
+def _vote(t, primes, curve):
+    """(primes used, status, witness or None) of the sweep that decides a
+    state with no exact verdict, or finds a singular curve model's witness;
+    ``classify`` states the rules."""
+    scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
+    filed = _file_primes(t, scan)[0]
+    # every prime bad: a curve model is singular by its discriminants
+    # alone, any other model has no verdict
+    if not filed and not curve:
+        raise AllPrimesBadError(f"all primes {list(scan)} hit bad reduction")
+    witnesses, clean = [], 0
+    for p, reduced in filed:
+        if (found := _first_witness(reduced, _points(reduced, p))) is None:
+            clean += 1
+        else:
+            witnesses.append(found)
+        w, rest = len(witnesses), len(filed) - len(witnesses) - clean
+        if (w > 0) if curve else (w + rest <= clean or w > clean + rest):
+            break
+    used = tuple(p for p, _ in filed)
+    # A curve model is singular by its exact discriminants, and the sweep
+    # only looks for a witness.  Elsewhere no exact discriminant exists, so
+    # a single-prime witness may be bad-reduction noise; only a strict
+    # majority of usable primes decides.
+    singular = curve or 2 * len(witnesses) > len(used)
+    witness = witnesses[0] if singular and witnesses else None
+    return used, SINGULAR_MODEL if singular else SMOOTH_GENERIC, witness
 
 
 classify.cache_info = _classify.cache_info

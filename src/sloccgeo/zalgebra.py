@@ -114,7 +114,8 @@ def relations_from_points(model, p, slot_pattern):
     k*d (sections of the product line bundle), leaving a kernel of
     dimension d**k - k*d.  If the evaluation rank falls short of that
     target the kernel would come out too big, so the computation aborts
-    with InsufficientPointsError instead of reporting a wrong space.  The
+    with InsufficientPointsError, naming the rank and the F_p-point count,
+    instead of reporting a wrong space.  The
     evaluation matrix is d**k wide, so before any point is enumerated a
     pattern of k slots is refused with WorkLimitError by the bound of the
     Hilbert profiles (``check_hilbert_degree``): d**k <= MAX_PROFILE_WIDTH.
@@ -135,7 +136,8 @@ def relations_from_points(model, p, slot_pattern):
     rank = d**k - kernel.rows
     if rank < target_rank:
         raise InsufficientPointsError(
-            f"evaluation rank {rank} below generic target {target_rank} at p={p}"
+            f"evaluation rank {rank} below generic target {target_rank} at p={p} "
+            f"from {len(points)} F_p-points"
         )
     return kernel
 
@@ -312,10 +314,8 @@ def multiplication_surjectivity(state, axis_pair, p):
     projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
     lo, hi = hasse_window(p)
     refused = len(projected) > hi or len(projected) < max(5, lo)
-    if refused and _singular_reduction(slice_discriminants(state), p):
-        raise BadReductionError(
-            p, f"p={p} divides a slice discriminant: the reduced curve is singular"
-        )
+    if refused:
+        _refuse_singular_reduction(state, p)
     if len(projected) > hi:
         raise InsufficientPointsError(
             f"{len(projected)} projected points at p={p} exceed the genus-one "
@@ -329,6 +329,16 @@ def multiplication_surjectivity(state, axis_pair, p):
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 
+def _refuse_singular_reduction(state, p):
+    """Raise BadReductionError when p divides a slice discriminant of a
+    smooth curve state (``geometry._singular_reduction``): the reduced
+    curve is singular.  A refusing check calls this before its own error."""
+    if _singular_reduction(slice_discriminants(state), p):
+        raise BadReductionError(
+            p, f"p={p} divides a slice discriminant: the reduced curve is singular"
+        )
+
+
 def roundtrip_check(state, p):
     """Reconstruct the flattening image from the model's F_p-points.
 
@@ -337,9 +347,19 @@ def roundtrip_check(state, p):
     subspaces: the kernel's RREF rows are those of the reduced model.
     The construction guarantees the kernel contains that reduction, so a
     full evaluation rank forces equality; failures therefore surface only
-    as bad reduction (raised by the model's reduction, ``model_mod_p``) or
-    insufficient points, never as a wrong kernel.
+    as bad reduction or insufficient points, never as a wrong kernel.  Bad
+    reduction is raised by the model's reduction (``model_mod_p``), or, when
+    the evaluation rank falls short and p divides a slice discriminant of a
+    smooth curve state, as BadReductionError naming the singular reduced
+    curve, as in ``multiplication_surjectivity``.  Any other shortfall is
+    an InsufficientPointsError naming the F_p-point count: a smooth curve
+    at a good prime can have fewer points than the rank needs (3 at p = 7,
+    against a target of 6).
     """
     reduced = model_mod_p(variety_from_state(state), p)
-    relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
+    try:
+        relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
+    except InsufficientPointsError:
+        _refuse_singular_reduction(state, p)
+        raise
     return relations.entries == reduced.rows

@@ -13,7 +13,9 @@ two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the slot-monomial rows and the span points, and
 the former exact kernels of the curve path: the determinant-sum
 projection, the term-by-term S/T evaluation and the ``Fraction``
-discriminant and j.
+discriminant and j.  The exact Schlaefli pencil form of a (5,2) state,
+which ``invariants._schlaefli_pencil`` builds modulo one prime, is here
+over Q.
 """
 
 from fractions import Fraction
@@ -23,7 +25,13 @@ from math import gcd
 
 from sloccgeo.errors import BadReductionError
 from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm, projective_points
-from sloccgeo.invariants import PLANE_CUBIC, _S_WIRING, _T_WIRING, _contract
+from sloccgeo.invariants import (
+    PLANE_CUBIC,
+    _S_WIRING,
+    _T_WIRING,
+    _contract,
+    schlaefli_hyperdet,
+)
 from sloccgeo.linalg import Matrix
 from sloccgeo.states import Tensor
 
@@ -372,3 +380,24 @@ def curve(kind, pair):
     c = (64 if kind == PLANE_CUBIC else 4) * pair[0] ** 3
     disc = c - pair[1] ** 2
     return tuple(pair), disc, None if disc == 0 else 1728 * c / disc
+
+
+def schlaefli_pencil(t):
+    """The exact coefficients (constant first) of f(lam) = P(lam, 1) for the
+    pencil form P(lam, mu) = Schlaefli(lam * t_0 + mu * t_1) of a (5,2)
+    state, t_k its slice with last index k: Fraction Newton interpolation
+    of the exact ``schlaefli_hyperdet`` values at lam = -12, ..., 12."""
+    xs = range(-12, 13)
+    c = [
+        schlaefli_hyperdet(
+            Tensor.from_integers(4, 2, [x * a + b for a, b in zip(t.nums[0::2], t.nums[1::2])], t.den)
+        )
+        for x in xs
+    ]
+    for k in range(1, 25):
+        for i in range(24, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    f = [Fraction(0)] * 25
+    for k in range(24, -1, -1):
+        f = [(f[i - 1] if i else c[k]) - xs[k] * f[i] for i in range(25)]
+    return f

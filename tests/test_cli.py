@@ -345,6 +345,19 @@ def test_bad_primes_echo_a_bounded_excerpt(tmp_path, capsys):
     assert capsys.readouterr().err == "sloccgeo: 4 is not a prime in [5, 2147483647]\n"
 
 
+def test_primes_are_ascii_digits(tmp_path, capsys):
+    # int() alone ran "1_1" at p = 11 and took "+5" and an Arabic-Indic 5
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 3))
+    for primes in ("1_1", "\u0665,7", "+5", "5,--7", "7,\uff11\uff11"):
+        code = run(["classify", path, "--primes", primes])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out, primes
+        assert captured.err.startswith("sloccgeo: bad prime list"), primes
+    # whitespace around an entry and empty entries are still skipped
+    code, doc = run_json(capsys, ["classify", path, "--primes", " 7, 5,,"])
+    assert code == 0 and doc["primes_used"] == [5, 7]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

@@ -18,6 +18,7 @@ from sloccgeo.invariants import (
     SINGULAR_MODEL,
     SMOOTH_GENERIC,
     _branch,
+    _vote,
     classify,
     slice_discriminants,
 )
@@ -552,13 +553,25 @@ def test_classify_sweep_matches_full_scan(singlet_times_bell):
         assert verdict.status == SINGULAR_MODEL
         assert verdict.primes_used == report.primes
         assert verdict.singular_witness == report.witnesses[0]
-    for t in [ghz(5, 2)] + [random_state(5, 2, 5, seed=seed) for seed in range(20)]:
+    # (5,2): the vote (_vote) on every state; classify votes on the states
+    # that it does not certify, GHZ(5,2) and seeds 50 and 152 among them
+    voted = 0
+    for t in [ghz(5, 2)] + [random_state(5, 2, 5, seed=seed) for seed in (*range(20), 50, 152)]:
         report = smoothness_scan(t, (5, 7, 11, 13))
-        verdict = classify(t)
         singular = 2 * len(report.witnesses) > len(report.primes)
-        assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
-        assert verdict.primes_used == report.primes
-        assert verdict.singular_witness == (report.witnesses[0] if singular else None)
+        vote = _vote(t, DEFAULT_PRIMES, False)
+        assert vote == (
+            report.primes,
+            SINGULAR_MODEL if singular else SMOOTH_GENERIC,
+            report.witnesses[0] if singular else None,
+        )
+        verdict = classify(t)
+        if verdict.primes_used:
+            assert (verdict.primes_used, verdict.status, verdict.singular_witness) == vote
+            voted += 1
+        else:
+            assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+    assert voted == 3
 
 
 @pytest.mark.parametrize("fmt", [(3, 3), (4, 2), (5, 2), (3, 2), (3, 4)])

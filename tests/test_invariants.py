@@ -18,6 +18,7 @@ from sloccgeo.errors import (
 )
 from sloccgeo.linalg import (
     DEFAULT_PRIMES,
+    MAX_PRIME,
     Matrix,
     clear_denominators,
     random_invertible,
@@ -58,6 +59,9 @@ from sloccgeo.invariants import (
     _W,
     _contract,
     _curve_projections,
+    _schlaefli_pencil,
+    _squarefree,
+    _vote,
     quartic_discriminant,
     quartic_invariants,
     schlaefli_hyperdet,
@@ -75,6 +79,7 @@ from sloccgeo.states import (
     parse_state,
     random_state,
     state_to_json,
+    tensor_product,
     w_state,
 )
 
@@ -362,67 +367,87 @@ def test_classify_five_qubits():
     assert verdict.projections == () and verdict.j is None
 
 
-def test_five_qubit_vote_stops_once_settled(monkeypatch):
-    # With primes 5, 7, 11, 13, two clean primes already rule out a strict
-    # majority of witnesses, and three witnesses ensure one; the remaining
-    # primes are filed but not swept, so primes_used and the witness stay.
+def _counting_sweeps(monkeypatch):
+    """The list of primes at which classify's sweeps look for a witness."""
     import sloccgeo.invariants as inv
 
     swept = []
+    first_witness = inv._first_witness
 
     def counting(reduced, points):
         swept.append(reduced.p)
         return first_witness(reduced, points)
 
-    first_witness = inv._first_witness
     monkeypatch.setattr(inv, "_first_witness", counting)
+    return swept
+
+
+def _certified(verdict):
+    return (
+        verdict.status == SMOOTH_GENERIC
+        and verdict.primes_used == ()
+        and verdict.singular_witness is None
+    )
+
+
+def test_five_qubit_vote_stops_once_settled(monkeypatch):
+    # With primes 5, 7, 11, 13, two clean primes already rule out a strict
+    # majority of witnesses, and three witnesses ensure one; the remaining
+    # primes are filed but not swept, so primes_used and the witness stay.
+    # classify certifies these random states without a vote, so the vote
+    # runs on its own (_vote); GHZ(5,2) and seed 50 still vote in classify.
+    swept = _counting_sweeps(monkeypatch)
     # seed 1 has a witness at 7 only, so the vote needs p = 11 as well
     for seed, expected in ((0, [5, 7]), (1, [5, 7, 11]), (2, [5, 7]), (4, [5, 7])):
+        t = random_state(5, 2, 5, seed=seed)
         swept.clear()
-        verdict = classify(random_state(5, 2, 5, seed=seed))
-        assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
-        assert verdict.primes_used == (5, 7, 11, 13)
+        assert _vote(t, DEFAULT_PRIMES, False) == ((5, 7, 11, 13), SMOOTH_GENERIC, None)
         assert swept == expected, seed
+        swept.clear()
+        assert _certified(classify(t)) and swept == [], seed
     swept.clear()
     verdict = classify(ghz(5, 2))
     assert verdict.status == SINGULAR_MODEL and verdict.primes_used == (5, 7, 11, 13)
     assert verdict.singular_witness[0] == 5
     assert swept == [5, 7, 11]
+    # seed 50 has witnesses at 5 and 11: two of four is no strict majority
+    swept.clear()
+    verdict = classify(random_state(5, 2, 5, seed=50))
+    assert verdict.status == SMOOTH_GENERIC and verdict.primes_used == (5, 7, 11, 13)
+    assert verdict.singular_witness is None and swept == [5, 7, 11, 13]
 
 
 def test_five_qubit_vote_settles_over_the_used_primes(monkeypatch):
     # 143 = 11 * 13 divides the denominator, so only 5 and 7 are used: one
     # clean prime of two already rules out a strict majority of witnesses,
     # and p = 7 is filed but not swept
-    import sloccgeo.invariants as inv
-
-    swept = []
-
-    def counting(reduced, points):
-        swept.append(reduced.p)
-        return first_witness(reduced, points)
-
-    first_witness = inv._first_witness
-    monkeypatch.setattr(inv, "_first_witness", counting)
-    for seed in (0, 1, 2, 4):
+    swept = _counting_sweeps(monkeypatch)
+    for seed in (0, 1, 2, 4, 152):
+        t = random_state(5, 2, 5, seed=seed).scale(Fraction(1, 143))
         swept.clear()
-        verdict = classify(random_state(5, 2, 5, seed=seed).scale(Fraction(1, 143)))
-        assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
-        assert verdict.primes_used == (5, 7)
+        assert _vote(t, DEFAULT_PRIMES, False) == ((5, 7), SMOOTH_GENERIC, None)
         assert swept == [5], seed
+        swept.clear()
+        verdict = classify(t)
+        if seed == 152:
+            assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+            assert verdict.primes_used == (5, 7) and swept == [5]
+        else:
+            assert _certified(verdict) and swept == [], seed
 
 
 def test_vote_matches_the_full_sweep_with_bad_primes():
-    # classify stops a vote once it is settled over the used primes; the
+    # the vote stops once it is settled over the used primes; the
     # strict-majority rule on the full smoothness_scan must give the same
-    # verdict wherever the bad primes fall in the list
+    # verdict wherever the bad primes fall in the list, and classify gives
+    # the vote's verdict to every state that it does not certify
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
     states = st.one_of(
         st.integers(0, 999).map(lambda seed: random_state(5, 2, 5, seed=seed)),
         st.integers(0, 999).map(lambda seed: random_state(3, 2, 5, seed=seed)),
-        st.sampled_from([ghz(5, 2), w_state(5)]),
+        st.sampled_from([ghz(5, 2), w_state(5)] + [random_state(5, 2, 5, s) for s in (50, 152)]),
     )
 
     @settings(max_examples=30, deadline=None)
@@ -430,19 +455,169 @@ def test_vote_matches_the_full_sweep_with_bad_primes():
     def check(t, bad):
         scan = (5, 7, 11, 13) if t.n == 5 else DEFAULT_PRIMES
         t = t.scale(Fraction(1, prod(p for p in bad if p in scan)))
-        try:
-            report = smoothness_scan(t, scan)
-        except AllPrimesBadError:
-            with pytest.raises(AllPrimesBadError):
-                classify(t, scan)
-            return
-        verdict = classify(t, scan)
-        singular = 2 * len(report.witnesses) > len(report.primes)
-        assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
-        assert verdict.primes_used == report.primes
-        assert verdict.singular_witness == (report.witnesses[0] if singular else None)
+        def outcome(call):
+            try:
+                return call()
+            except AllPrimesBadError:
+                return None
+
+        report = outcome(lambda: smoothness_scan(t, scan))
+        vote = outcome(lambda: _vote(t, scan, False))
+        verdict = outcome(lambda: classify(t, scan))
+        if report is None:
+            assert vote is None
+        else:
+            singular = 2 * len(report.witnesses) > len(report.primes)
+            assert vote == (
+                report.primes,
+                SINGULAR_MODEL if singular else SMOOTH_GENERIC,
+                report.witnesses[0] if singular else None,
+            )
+        if verdict is not None and verdict.primes_used == ():
+            assert t.n == 5 and _certified(verdict)
+        else:
+            assert vote == (
+                None if verdict is None
+                else (verdict.primes_used, verdict.status, verdict.singular_witness)
+            )
 
     check()
+
+
+def _certifies(t):
+    return _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME)
+
+
+def _singlet_ghz3():
+    return tensor_product(Tensor.from_entries(2, 2, {(0, 1): 1, (1, 0): -1}), ghz(3, 2))
+
+
+def test_five_qubit_certificate_regressions(monkeypatch):
+    # the vote called seeds 19, 49 and 143 singular (a witness at p = 5 or
+    # 7, where P is not squarefree); P is squarefree mod 2^31 - 1, so each
+    # model is smooth, and no prime is swept
+    swept = _counting_sweeps(monkeypatch)
+    for seed in (19, 49, 143):
+        assert _certified(classify(random_state(5, 2, 5, seed=seed))), seed
+    assert swept == []
+    # seeds 50 and 152 are not certified (disc P = 0 over Q) and keep the vote
+    for seed in (50, 152):
+        verdict = classify(random_state(5, 2, 5, seed=seed))
+        assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+        assert verdict.primes_used == (5, 7, 11, 13), seed
+    for t in (ghz(5, 2), w_state(5), _singlet_ghz3()):
+        assert not _certifies(t)
+        verdict = classify(t)
+        assert verdict.status == SINGULAR_MODEL and verdict.singular_witness is not None
+
+
+def test_squarefree_binary_forms():
+    q = MAX_PRIME
+
+    def form(terms, p=q):  # {degree: coefficient} as f(lam) = P(lam, 1) mod p
+        return [terms.get(k, 0) % p for k in range(25)]
+
+    assert _squarefree(form({24: 1, 0: -1}), q)
+    assert _squarefree(form({23: 1, 0: -1}), q)  # mu divides P once
+    assert not _squarefree(form({22: 1, 0: -1}), q)  # mu^2 divides P
+    assert not _squarefree(form({24: 1, 12: -2, 0: 1}), q)  # (lam^12 - 1)^2
+    assert not _squarefree(form({}), q)
+    # mod 23, lam^23 - 1 = (lam - 1)^23, and its derivative vanishes
+    assert not _squarefree(form({23: 1, 0: -1}, 23), 23)
+    assert _squarefree(form({24: 1, 0: -1}, 23), 23)
+
+
+def test_certified_state_needs_no_usable_prime():
+    t = random_state(5, 2, 5, seed=3).scale(Fraction(1, 35))
+    with pytest.raises(AllPrimesBadError):
+        smoothness_scan(t, (5, 7))
+    assert _certified(classify(t, (5, 7)))
+    with pytest.raises(UnsupportedPrimeError):
+        classify(t, (4, 7))
+
+
+def test_schlaefli_pencil_matches_the_exact_form():
+    # the mod-q pencil is 27 * den^24 times the exact P over Q, reduced mod q
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        bound=st.integers(1, 9),
+        scale=st.fractions().filter(lambda x: x != 0),
+    )
+    def check(seed, bound, scale):
+        t = random_state(5, 2, bound, seed=seed).scale(scale)
+        exact = ref.schlaefli_pencil(t)
+        expected = [
+            27 * t.den**24 * c.numerator * pow(c.denominator, -1, MAX_PRIME) % MAX_PRIME
+            for c in exact
+        ]
+        assert _schlaefli_pencil(t, MAX_PRIME) == expected
+
+    check()
+    assert not any(ref.schlaefli_pencil(ghz(5, 2)))
+
+
+def test_certification_is_slocc_invariant():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    states = st.one_of(
+        st.integers(0, 999).map(lambda seed: random_state(5, 2, 5, seed=seed)),
+        st.sampled_from(
+            [ghz(5, 2), w_state(5), _singlet_ghz3()]
+            + [random_state(5, 2, 5, seed=seed) for seed in (50, 152)]
+        ),
+    )
+
+    @settings(max_examples=25, deadline=None)
+    @given(t=states, op_seed=st.integers(0, 10**6))
+    def check(t, op_seed):
+        image = apply_slocc(t, SloccOperator.random(5, 2, 3, op_seed))
+        assert _certifies(image) == _certifies(t)
+        if _certifies(image):
+            assert _certified(classify(image))
+
+    check()
+
+
+def test_certified_states_show_no_witness_where_p_keeps_the_form_squarefree():
+    # If P mod p is squarefree, then so is disc P mod p, and the model's
+    # reduction at p is smooth: a witness there would refute the argument
+    # behind the certificate.  This test must fail, never skip, on one.
+    from hypothesis import given, settings, strategies as st
+
+    states = st.builds(
+        lambda seed, op: (
+            random_state(5, 2, 5, seed=seed) if op is None
+            else apply_slocc(random_state(5, 2, 5, seed=seed), SloccOperator.random(5, 2, 3, op))
+        ),
+        st.integers(0, 999),
+        st.one_of(st.none(), st.integers(0, 10**6)),
+    )
+    checked = []
+
+    @settings(max_examples=20, deadline=None)
+    @given(t=states)
+    def check(t):
+        if not _certified(classify(t)):
+            return
+        try:
+            report = smoothness_scan(t, (5, 7, 11, 13))
+        except AllPrimesBadError:
+            return
+        exact = ref.schlaefli_pencil(t)
+        for p in report.primes:
+            if any(c.denominator % p == 0 for c in exact):
+                continue
+            if _squarefree([c.numerator * pow(c.denominator, -1, p) % p for c in exact], p):
+                assert all(w[0] != p for w in report.witnesses), (t, p)
+                checked.append(p)
+
+    check()
+    assert checked
 
 
 def test_verdict_json_shape(family_1235, ghz3_qutrit):

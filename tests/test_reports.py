@@ -48,7 +48,7 @@ STATES = {
     "image42": apply_slocc(random_state(4, 2, 5, 2), SloccOperator.random(4, 2, 3, 6)),
     "family1235": four_qubit_generic_family(1, 2, 3, 5),
     "allbad52": ghz(5, 2).scale(Fraction(1, 35)),  # every prime of --primes 5,7 is bad
-    "vote52": random_state(5, 2, 5, 0).scale(Fraction(1, 143)),  # 11 and 13 are bad
+    "vote52": random_state(5, 2, 5, 50).scale(Fraction(1, 143)),  # uncertified; 11, 13 bad
     "ghz52-143": ghz(5, 2).scale(Fraction(1, 143)),
     "random32": random_state(3, 2, 5, 1),  # classify votes over all nine default primes
 }

@@ -388,6 +388,22 @@ def test_mu_refusal_names_a_singular_reduction():
         multiplication_surjectivity(t, (0, 1), 5)
 
 
+def test_roundtrip_refusal_names_a_singular_reduction(family_1235):
+    # 5 and 11 divide slice discriminants of the smooth family state, so
+    # its reduced curves there are singular
+    for p in (5, 11):
+        assert p in smoothness_scan(family_1235, (p,)).excluded_primes
+        with pytest.raises(BadReductionError, match=f"p={p} divides a slice discriminant") as info:
+            roundtrip_check(family_1235, p)
+        assert info.value.p == p
+    # (3,3) seed 4 and (4,2) seed 16 have 4 F_p-points at the good prime 7,
+    # too few for the evaluation rank 6
+    for t in (random_state(3, 3, 5, seed=4), random_state(4, 2, 5, seed=16)):
+        assert smoothness_scan(t, (7,)).primes == (7,)
+        with pytest.raises(InsufficientPointsError, match="target 6 at p=7 from 4 F_p-points"):
+            roundtrip_check(t, 7)
+
+
 def test_mu_wrong_format(ghz3_qutrit):
     with pytest.raises(WrongFormatError):
         multiplication_surjectivity(ghz3_qutrit, (0, 1), 11)
