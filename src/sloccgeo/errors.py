@@ -51,9 +51,9 @@ class AllPrimesBadError(DegenerateInputError):
 
 class BadReductionError(SloccGeoError):
     """The chosen prime is bad for a reduction: it divides a denominator,
-    the reduced flattening loses rank, or (in the section-product test) the
-    reduced curve of a smooth curve model is singular.  ``message`` says
-    which."""
+    the reduced flattening loses rank, or (in the section-product test and
+    the roundtrip) the reduced curve of a smooth curve model is singular.
+    ``message`` says which."""
 
     def __init__(self, p, message):
         super().__init__(message)

@@ -484,7 +484,7 @@ def test_vote_matches_the_full_sweep_with_bad_primes():
     check()
 
 
-def _certifies(t):
+def _pencil_squarefree(t):
     return _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME)
 
 
@@ -506,7 +506,7 @@ def test_five_qubit_certificate_regressions(monkeypatch):
         assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
         assert verdict.primes_used == (5, 7, 11, 13), seed
     for t in (ghz(5, 2), w_state(5), _singlet_ghz3()):
-        assert not _certifies(t)
+        assert not _pencil_squarefree(t)
         verdict = classify(t)
         assert verdict.status == SINGULAR_MODEL and verdict.singular_witness is not None
 
@@ -576,8 +576,8 @@ def test_certification_is_slocc_invariant():
     @given(t=states, op_seed=st.integers(0, 10**6))
     def check(t, op_seed):
         image = apply_slocc(t, SloccOperator.random(5, 2, 3, op_seed))
-        assert _certifies(image) == _certifies(t)
-        if _certifies(image):
+        assert _pencil_squarefree(image) == _pencil_squarefree(t)
+        if _pencil_squarefree(image):
             assert _certified(classify(image))
 
     check()
