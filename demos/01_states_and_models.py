@@ -29,12 +29,14 @@ assert ghz3 == ghz(3, 3)
 print("canonical serialization:", state_to_json(ghz3))
 
 # Its flattening has one unit column per diagonal entry, so the image is
-# three-dimensional and the defining forms are x_k * y_k.
+# three-dimensional and the defining forms are x_k * y_k.  A model keeps
+# each form as one integer row of coefficients of x_i * y_j (i slowest),
+# over one common denominator.
 print("flattening:", flatten_last(ghz3))
 print("image dimension:", flattening_image(ghz3).rows)
 model = variety_from_state(ghz3)
-for form in model.forms:
-    print("  defining form:", form)
+for row in model.rows:
+    print("  defining form row:", row, "over", model.den)
 
 # A separable state flattens to rank one: no model of codimension d exists.
 try:
@@ -45,4 +47,5 @@ except RankDeficientError as err:
 # Random integer states are generic: full-dimensional image, smooth model.
 t = random_state(3, 3, 5, seed=42)
 print("random state image dimension:", flattening_image(t).rows)
-print("first defining form:", variety_from_state(t).forms[0])
+model = variety_from_state(t)
+print("first defining form row:", model.rows[0], "over", model.den)

@@ -41,14 +41,15 @@ model = variety_from_state(random_state(3, 3, 5, seed=42))
 pts = enumerate_points(model, 11)
 print("random (3,3) state at p=11:", len(pts), "points, window", hasse_window(11))
 
-# A five-qubit state cuts out a surface.  No exact discriminant exists
-# there, so a lone witness at one small prime may be reduction noise; the
-# raw sweep reports it, while classification requires a strict majority
-# of primes before calling the model singular.
+# A five-qubit state cuts out a K3 surface.  Its sweep finds a singular
+# point at p = 5, but the Schlaefli pencil form of the state is squarefree
+# modulo 2^31 - 1, which proves the surface smooth over Q-bar: 5 is a
+# prime of singular reduction, excluded like a curve's, and classification
+# reads the same certificate.
 from sloccgeo import classify
 
 five = random_state(5, 2, 5, seed=77)
 surface = smoothness_scan(five, (5, 7, 11, 13))
 print("five-qubit counts:", surface.point_counts, "->", surface.verdict)
-print("  witnesses only at:", sorted({w[0] for w in surface.witnesses}))
+print("  excluded (singular reduction):", surface.excluded_primes)
 print("  classification verdict:", classify(five, primes=(5, 7, 11, 13)).status)

@@ -50,7 +50,6 @@ from .states import (
     w_state,
 )
 from .geometry import (
-    MultiForm,
     ProjPoint,
     SmoothnessReport,
     VarietyModel,
@@ -64,24 +63,20 @@ from .geometry import (
     variety_from_state,
 )
 from .invariants import (
-    BinaryQuartic,
     ComparisonResult,
     CurveInvariants,
     TernaryCubic,
     Verdict,
     aronhold_invariants,
+    biquadratic_invariants,
     branch_quartic,
     cayley_hyperdet,
     classify,
     cubic_discriminant,
     curve_singular_mod_p,
     exact_projection_discriminants,
-    j_binary_quartic,
-    j_biquadratic,
-    j_plane_cubic,
     moduli_dimension,
-    quartic_discriminant,
-    quartic_invariants,
+    plane_cubic_invariants,
     schlaefli_hyperdet,
     slocc_compare,
 )

@@ -63,16 +63,31 @@ def _hash(data):
     return hashlib.sha256(data).hexdigest()
 
 
+#: The one integer rule of the command line, for the --primes entries and
+#: the integer options: an optional minus sign and ASCII digits, as a
+#: coefficient of ``parse_state``.  ``int`` alone would also take 1_1, +5,
+#: surrounding whitespace and non-ASCII digits.
 _INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+
+
+def _integer(text):
+    """An integer option (--n, --d, --seed, --bound, --k-max) by
+    ``_INTEGER_RE``; anything else, or an integer past Python's
+    int-to-string digit limit, is a usage error (exit 2) that echoes the
+    value through ``_excerpt``."""
+    try:
+        if _INTEGER_RE.match(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid integer {_excerpt(text)}")
 
 
 def _parse_primes(text):
     """--primes as a checked tuple; a bad entry raises UnsupportedPrimeError,
     which run() reports with exit 2, echoing the list or the entry through
     ``_excerpt``.  Each comma-separated entry, less surrounding whitespace,
-    is an optional minus sign and ASCII digits, as a coefficient of
-    ``parse_state``: ``int`` alone would also take 1_1, +5 and non-ASCII
-    digits.  Empty entries are skipped."""
+    must pass ``_INTEGER_RE``.  Empty entries are skipped."""
     entries = [x.strip() for x in text.split(",") if x.strip()]
     try:
         if not all(_INTEGER_RE.match(x) for x in entries):
@@ -264,23 +279,23 @@ def build_parser():
     command("hyperdet", _cmd_hyperdet, "Cayley or Schlaefli hyperdeterminant")
     command("smoothness", _cmd_smoothness, "finite-field smoothness sweep")
     p_hil = command("hilbert", _cmd_hilbert, "graded dimension profile")
-    p_hil.add_argument("--k-max", type=int, default=None, help="top degree (format default)")
+    p_hil.add_argument("--k-max", type=_integer, default=None, help="top degree (format default)")
     command("roundtrip", _cmd_roundtrip, "reconstruct the flattening image from points")
 
     p_sample = sub.add_parser("sample", help="write a deterministic random state file")
     p_sample.set_defaults(handler=_cmd_sample)
-    p_sample.add_argument("--n", type=int, required=True)
-    p_sample.add_argument("--d", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--bound", type=int, default=5)
+    p_sample.add_argument("--n", type=_integer, required=True)
+    p_sample.add_argument("--d", type=_integer, required=True)
+    p_sample.add_argument("--seed", type=_integer, default=0)
+    p_sample.add_argument("--bound", type=_integer, default=5)
     p_sample.add_argument("--out", help="write the state to this path")
 
     p_dim = command(
         "moduli-dim", _cmd_moduli_dim, "orbit-space dimension for a format",
         state=False, primes=False,
     )
-    p_dim.add_argument("--n", type=int, required=True)
-    p_dim.add_argument("--d", type=int, required=True)
+    p_dim.add_argument("--n", type=_integer, required=True)
+    p_dim.add_argument("--d", type=_integer, required=True)
 
     return parser
 

@@ -6,9 +6,7 @@ intersection (a plane-cubic-like curve for (3,3) and (4,2), a surface for
 (5,2)).  This module keeps those forms as integer coefficient rows
 (``VarietyModel``), eliminates one factor through determinants of the
 linear-form matrix, and gathers finite-field smoothness evidence by
-exhaustive point enumeration plus Jacobian ranks.  ``MultiForm`` is only
-the readable value of a form or a projection; no computation goes through
-it.
+exhaustive point enumeration plus Jacobian ranks.
 
 A model over Q reduces modulo p in one way only: through its source state
 (``model_mod_p``).  Points come from one walk over the variable groups
@@ -41,10 +39,8 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, _check_modulus, check_primes
+from .linalg import DEFAULT_PRIMES, Matrix, check_primes
 from .states import _contract, _rotate, flattening_basis, reduced_flattening_image
-
-_GROUP_NAMES = "xyzw"
 
 #: Most prefixes one point sweep may visit: summed over the requested primes
 #: in smoothness_scan, per call in enumerate_points.  A full default-prime
@@ -83,97 +79,6 @@ PROJECTION_MONOMIALS = {(3, 3): CUBIC_MONOMIALS, (4, 2): BIQUADRATIC_MONOMIALS}
 CURVE_AXES = {(3, 3): ((0,), (1,)), (4, 2): ((0, 1), (0, 2), (1, 2))}
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
-class MultiForm:
-    """A multihomogeneous polynomial in groups of variables, as a value.
-
-    Terms map flat exponent tuples (all groups concatenated) to coefficients;
-    every term must have the same degree within each variable group.  Over Q
-    coefficients are Fractions (p=None); over F_p they are ints in [0, p),
-    and a coefficient that is not an int (bools count), such as a Fraction
-    or a float, raises TypeError instead of being truncated, as in Matrix.
-    The modulus is checked as in Matrix (``_check_modulus``).  Forms are
-    built from coefficients zipped with a monomial table (a model's defining
-    forms and ``determinantal_projection``), then read by coefficient,
-    compared and printed; the pipeline computes on integer coefficient
-    rows, not on forms.
-    """
-
-    group_dims: tuple
-    multidegree: tuple
-    terms: dict
-    p: object
-
-    def __init__(self, group_dims, terms, p=None):
-        if p is not None:
-            _check_modulus(p)
-        group_dims = tuple(group_dims)
-        nvars = sum(group_dims)
-        cleaned = {}
-        multidegree = None
-        for exps, coeff in terms.items():
-            if p is not None and not isinstance(coeff, int):
-                raise TypeError(f"F_{p} form coefficient {_excerpt(coeff)} is not an integer")
-            coeff = Fraction(coeff) if p is None else coeff % p
-            if coeff == 0:
-                continue
-            exps = tuple(exps)
-            if len(exps) != nvars or any(e < 0 for e in exps):
-                raise ValueError("bad exponent vector")
-            deg = self._group_degrees(group_dims, exps)
-            if multidegree is None:
-                multidegree = deg
-            elif deg != multidegree:
-                raise ValueError(f"mixed multidegrees {multidegree} and {deg}")
-            cleaned[exps] = coeff
-        if multidegree is None:
-            multidegree = (0,) * len(group_dims)
-        object.__setattr__(self, "group_dims", group_dims)
-        object.__setattr__(self, "multidegree", multidegree)
-        object.__setattr__(self, "terms", cleaned)
-        object.__setattr__(self, "p", p)
-
-    @staticmethod
-    def _group_degrees(group_dims, exps):
-        degs = []
-        pos = 0
-        for dim in group_dims:
-            degs.append(sum(exps[pos : pos + dim]))
-            pos += dim
-        return tuple(degs)
-
-    def is_zero(self):
-        return not self.terms
-
-    def coefficient(self, exps):
-        zero = 0 if self.p is not None else Fraction(0)
-        return self.terms.get(tuple(exps), zero)
-
-    def __hash__(self):
-        # terms is a dict, which the generated hash could not hash
-        return hash((self.group_dims, self.p, tuple(sorted(self.terms.items()))))
-
-    def __repr__(self):
-        if not self.terms:
-            return "MultiForm(0)"
-        bits = []
-        for exps in sorted(self.terms, reverse=True):
-            c = self.terms[exps]
-            mono = []
-            pos = 0
-            for g, dim in enumerate(self.group_dims):
-                for i in range(dim):
-                    e = exps[pos + i]
-                    if e == 1:
-                        mono.append(f"{_GROUP_NAMES[g]}{i}")
-                    elif e > 1:
-                        mono.append(f"{_GROUP_NAMES[g]}{i}^{e}")
-                pos += dim
-            body = "*".join(mono) if mono else "1"
-            bits.append(f"{c}*{body}" if c != 1 or not mono else body)
-        return " + ".join(bits)
-
-
 @dataclass(frozen=True)
 class VarietyModel:
     """Multilinear forms on (P^(d-1))^(n-1), kept as integer coefficient
@@ -196,18 +101,6 @@ class VarietyModel:
     @property
     def groups(self):
         return self.n - 1
-
-    @property
-    def forms(self):
-        """The rows as MultiForms: the rows over den over Q, the residues
-        themselves over F_p, zipped with the multilinear monomials.  Those
-        are the Kronecker products of unit exponent vectors, one per group,
-        first group slowest, as the rows are ordered."""
-        dims = (self.d,) * self.groups
-        units = [tuple(int(i == j) for j in range(self.d)) for i in range(self.d)]
-        monomials = [sum(m, ()) for m in product(units, repeat=self.groups)]
-        rows = self.rows if self.p else [[Fraction(x, self.den) for x in r] for r in self.rows]
-        return tuple(MultiForm(dims, dict(zip(monomials, row)), p=self.p) for row in rows)
 
 
 def model_mod_p(model, p):
@@ -255,10 +148,14 @@ class SmoothnessReport:
     except for a (3,3) or (4,2) state whose slice discriminants all are
     nonzero: its counts are those of its projected curve, and
     NoSingularPointFound proves each used reduction smooth.
-    ``bad_primes`` divide a denominator or drop the flattening rank;
-    ``excluded_primes`` divide the numerator of a slice discriminant
-    (``invariants.slice_discriminants``), so the reduced curve is singular
-    and says nothing about the original model.
+    ``bad_primes`` divide a denominator or drop the flattening rank.
+    ``excluded_primes`` are primes of singular reduction of a model proved
+    smooth over the algebraic closure of Q, so the reduced model says
+    nothing about the original one: for a curve format they divide the
+    numerator of a slice discriminant (``invariants.slice_discriminants``),
+    and for a (5,2) state whose pencil form certifies it smooth
+    (``invariants._certified_smooth``) they are the primes where the sweep
+    found a witness.
     """
 
     primes: tuple
@@ -385,15 +282,16 @@ def projection_coefficients(rows, n, d, kept):
 
 def determinantal_projection(model, kept_axes):
     """Eliminate one variable group through the determinant of the matrix
-    of linear forms.
+    of linear forms, as a coefficient tuple in PROJECTION_MONOMIALS order.
 
-    For (3,3) keep one axis and get a ternary cubic; for (4,2) keep two and
-    get a form of bidegree (2,2).  The kept axes must be listed for the
-    format in CURVE_AXES, else UnsupportedFormatError.  The matrix entry
-    (k, j) is the partial derivative of form k with respect to variable j
-    of the dropped group.  The coefficients come from
-    ``projection_coefficients`` on the model's integer rows; over Q the
-    result is divided by den^d.
+    For (3,3) keep one axis and get a ternary cubic's 10 coefficients; for
+    (4,2) keep two and get the 9 of a form of bidegree (2,2).  The kept
+    axes must be listed for the format in CURVE_AXES, else
+    UnsupportedFormatError.  The matrix entry (k, j) is the partial
+    derivative of form k with respect to variable j of the dropped group.
+    The coefficients come from ``projection_coefficients`` on the model's
+    integer rows: over Q divided by den^d, as Fractions, over F_p as
+    residues.
     """
     kept = tuple(sorted(kept_axes))
     fmt = (model.n, model.d)
@@ -401,10 +299,8 @@ def determinantal_projection(model, kept_axes):
         raise UnsupportedFormatError(f"format {fmt} has no projection keeping axes {kept}")
     coeffs = projection_coefficients(model.rows, model.n, model.d, kept)
     if model.p is None:
-        coeffs = [Fraction(c, model.den**model.d) for c in coeffs]
-    return MultiForm(
-        (model.d,) * len(kept), dict(zip(PROJECTION_MONOMIALS[fmt], coeffs)), p=model.p
-    )
+        return tuple(Fraction(c, model.den**model.d) for c in coeffs)
+    return tuple(c % model.p for c in coeffs)
 
 
 def projective_points(dim, p):
@@ -723,7 +619,9 @@ def jacobian_rank_at(model, pt):
     # Euler's identity for a multilinear form: f(x) = sum_i x_0[i] df/dx_0[i].
     for k, row in enumerate(jac):
         if sum(x * v for x, v in zip(pt.coords[0], row)) % pt.p:
-            raise NotOnVarietyError(f"form {reduced.forms[k]!r} does not vanish at {pt}")
+            raise NotOnVarietyError(
+                f"form {k} (row {_excerpt(reduced.rows[k])}) does not vanish at {pt}"
+            )
     return Matrix(jac, cols=reduced.groups * d, p=pt.p).rank()
 
 
@@ -881,8 +779,16 @@ def smoothness_scan(t, primes=None):
     and NoSingularPointFound proves each used reduction smooth.  Every
     other state (a vanishing slice discriminant, (5,2) and the other
     formats) is walked and swept as above.
+
+    When the sweep of a (5,2) state finds a witness, the state is offered
+    the smoothness certificate of ``classify`` once
+    (``invariants._certified_smooth``); a clean sweep never pays for it.  A
+    certified model is smooth over the algebraic closure of Q, so each
+    witness prime is a prime of singular reduction: it moves from
+    ``primes``, ``point_counts`` and ``witnesses`` to ``excluded_primes``,
+    and the verdict is NoSingularPointFound, as ``classify`` finds.
     """
-    from .invariants import slice_discriminants
+    from .invariants import _certified_smooth, slice_discriminants
 
     discs = slice_discriminants(t)
     used, bad, excluded = _file_primes(t, primes, discs)
@@ -900,8 +806,14 @@ def smoothness_scan(t, primes=None):
         witness = _first_witness(reduced, walk)
         if witness is not None:
             witnesses.append(witness)
+    used = tuple(p for p, _ in used)
+    if witnesses and _certified_smooth(t):
+        excluded = tuple(p for p, _, _ in witnesses)  # a (5,2) scan excludes no other
+        used = tuple(p for p in used if p not in excluded)
+        counts = [(p, c) for p, c in counts if p not in excluded]
+        witnesses = []
     return SmoothnessReport(
-        primes=tuple(p for p, _ in used),
+        primes=used,
         point_counts=tuple(counts),
         bad_primes=bad,
         excluded_primes=excluded,

@@ -23,7 +23,11 @@ curves of a model are built the same way from its integer rows
 are integer numerators over integer denominators, and ``_curve`` forms the
 discriminant and j from those integers, with one Fraction normalisation per
 reported value.  Over F_p the same integers decide whether a discriminant
-vanishes: p divides its numerator.
+vanishes: p divides its numerator.  The public curve path is that same
+one: ``plane_cubic_invariants`` and ``biquadratic_invariants`` take integer
+coefficients over one denominator in CUBIC_MONOMIALS or
+BIQUADRATIC_MONOMIALS order, as ``geometry.determinantal_projection``
+returns them, and ``classify`` calls them on every projection.
 """
 
 from dataclasses import dataclass
@@ -69,12 +73,6 @@ class TernaryCubic:
         if len(coeffs) != 10:
             raise ValueError("a ternary cubic has 10 coefficients")
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_form(cls, form):
-        if form.group_dims != (3,) or (not form.is_zero() and form.multidegree != (3,)):
-            raise WrongDegreeError("expected a cubic form in one group of 3 variables")
-        return cls([form.coefficient(m) for m in CUBIC_MONOMIALS])
 
     @classmethod
     def from_terms(cls, terms):
@@ -207,41 +205,6 @@ def _cubic_st(coeffs, den):
     )
 
 
-def _ratios(pair):
-    """A pair of rationals as integer (numerator, denominator) pairs."""
-    return tuple((x.numerator, x.denominator) for x in pair)
-
-
-def aronhold_invariants(f):
-    """The degree-4 and degree-6 invariants (S, T) of a ternary cubic."""
-    (coeffs,), den = clear_denominators([f.coeffs])
-    return tuple(Fraction(*x) for x in _cubic_st(coeffs, den))
-
-
-def cubic_discriminant(f):
-    return _curve(PLANE_CUBIC, _ratios(aronhold_invariants(f))).discriminant
-
-
-def j_plane_cubic(f):
-    """j-invariant of a plane cubic; None marks the singular locus."""
-    return _curve(PLANE_CUBIC, _ratios(aronhold_invariants(f))).j
-
-
-@dataclass(frozen=True)
-class BinaryQuartic:
-    """a*s^4 + b*s^3*t + c*s^2*t^2 + d*s*t^3 + e*t^4 with exact coefficients."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-    e: Fraction
-
-    @classmethod
-    def of(cls, a, b, c, d, e):
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d), Fraction(e))
-
-
 def _ij(a, b, c, d, e):
     i_val = 12 * a * e - 3 * b * d + c * c
     j_val = (
@@ -252,20 +215,6 @@ def _ij(a, b, c, d, e):
         - 2 * c**3
     )
     return i_val, j_val
-
-
-def quartic_invariants(g):
-    """The classical degree-2 and degree-3 invariants (I, J)."""
-    return _ij(g.a, g.b, g.c, g.d, g.e)
-
-
-def quartic_discriminant(g):
-    return _curve(BIQUADRATIC, _ratios(quartic_invariants(g))).discriminant
-
-
-def j_binary_quartic(g):
-    """j-invariant of the double cover branched at the quartic's roots."""
-    return _curve(BIQUADRATIC, _ratios(quartic_invariants(g))).j
 
 
 def _conv(u, v):
@@ -284,25 +233,22 @@ def _branch(coeffs):
     return [x - 4 * y for x, y in zip(_conv(b_q, b_q), _conv(a_q, c_q))]
 
 
-def branch_quartic(m):
-    """Discriminant of a (2,2)-form read as a quadratic in the second pair:
-    the binary quartic over the first pair whose roots are the branch
-    points of the 2:1 projection."""
-    if m.group_dims != (2, 2):
-        raise WrongDegreeError("expected a form on two groups of 2 variables")
-    if not m.is_zero() and m.multidegree != (2, 2):
-        raise WrongDegreeError(f"expected bidegree (2,2), got {m.multidegree}")
-    return BinaryQuartic(*_branch([m.coefficient(e) for e in BIQUADRATIC_MONOMIALS]))
+def branch_quartic(coeffs):
+    """Discriminant of a (2,2)-form, given by its 9 coefficients in
+    BIQUADRATIC_MONOMIALS order, read as a quadratic in the second pair:
+    the 5 coefficients (of x0^4, x0^3*x1, ..., x1^4) of the binary quartic
+    over the first pair whose roots are the branch points of the 2:1
+    projection.  Any other number of coefficients raises WrongDegreeError.
+    The pipeline calls ``_branch``, not this name, so a span bound to this
+    name (as ``perfbench/tracer.py`` binds one) counts only outside calls."""
+    _check_count(coeffs, BIQUADRATIC_MONOMIALS)
+    return tuple(_branch(coeffs))
 
 
-def j_biquadratic(m):
-    """j-invariant of a (2,2)-curve via its branch quartic; None if singular.
-
-    The quartic is kept homogeneous throughout, so a vanishing leading
-    coefficient needs no special chart handling; a repeated root (equal
-    branch points) is exactly the 4*I^3 = J^2 locus.
-    """
-    return j_binary_quartic(branch_quartic(m))
+def _check_count(coeffs, monomials):
+    """WrongDegreeError unless coeffs has one coefficient per monomial."""
+    if len(coeffs) != len(monomials):
+        raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {len(coeffs)}")
 
 
 def _pencil_cayley(e):
@@ -340,9 +286,15 @@ def schlaefli_hyperdet(t):
     """
     if (t.n, t.d) != (4, 2):
         raise WrongFormatError(f"Schlaefli hyperdeterminant needs format 2x2x2x2, got {(t.n, t.d)}")
-    s0, s1 = t.nums[0::2], t.nums[1::2]
-    i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(s0, s1)]))
-    return Fraction(4 * i_val**3 - j_val**2, 27 * t.den**24)
+    return Fraction(_schlaefli(t.nums), 27 * t.den**24)
+
+
+def _schlaefli(nums):
+    """27 times the Schlaefli hyperdeterminant of the 2x2x2x2 tensor with
+    the 16 integer entries nums (last index fastest): 4*I^3 - J^2 of the
+    Cayley quartic of the pencil of its slices nums[0::2], nums[1::2]."""
+    i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(nums[0::2], nums[1::2])]))
+    return 4 * i_val**3 - j_val**2
 
 
 def _schlaefli_pencil(t, q):
@@ -351,17 +303,15 @@ def _schlaefli_pencil(t, q):
     as the coefficients of f(lam) = P(lam, 1) mod q, constant term first.
 
     P is a binary form of degree 24.  Each value f(lam), lam = 0, ..., 24,
-    is the integer core of ``schlaefli_hyperdet`` (``_pencil_cayley`` and
-    ``_ij``) on the slice entries reduced mod q; Newton interpolation at
-    those 25 points (divided differences over the unit steps, then Horner
-    expansion) gives f.  The state's denominator scales P by den^-24 and is
+    is the integer core of ``schlaefli_hyperdet`` (``_schlaefli``) on the
+    slice entries reduced mod q; Newton interpolation at those 25 points
+    (divided differences over the unit steps, then Horner expansion) gives
+    f.  The state's denominator scales P by den^-24 and is
     left out."""
     t0, t1 = t.nums[0::2], t.nums[1::2]
     f = []
     for lam in range(25):
-        e = [(lam * x + y) % q for x, y in zip(t0, t1)]
-        i_val, j_val = _ij(*_pencil_cayley([[x, y] for x, y in zip(e[0::2], e[1::2])]))
-        f.append((4 * i_val**3 - j_val**2) % q)
+        f.append(_schlaefli([(lam * x + y) % q for x, y in zip(t0, t1)]) % q)
     for k in range(1, 25):
         inv = pow(k, -1, q)
         for i in range(24, k - 1, -1):
@@ -397,6 +347,14 @@ def _squarefree(f, q):
             trim(a)
         a, b = b, a
     return len(a) == 1
+
+
+def _certified_smooth(t):
+    """Whether t is a (5,2) state whose pencil form P is squarefree mod
+    q = MAX_PRIME (``_schlaefli_pencil``, ``_squarefree``), which proves
+    its model smooth over the algebraic closure of Q when the flattening
+    rank is full (``classify`` gives the argument)."""
+    return (t.n, t.d) == (5, 2) and _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME)
 
 
 def moduli_dimension(n, d):
@@ -517,17 +475,41 @@ def _curve(kind, pair):
     )
 
 
-def _plane_cubic(coeffs, den):
-    """Invariants of the plane cubic with integer coefficients coeffs / den."""
+def plane_cubic_invariants(coeffs, den=1):
+    """CurveInvariants of the plane cubic with the 10 integer coefficients
+    coeffs / den, in CUBIC_MONOMIALS order: (S, T), the discriminant
+    64*S^3 - T^2 and j.  Any other number of coefficients raises
+    WrongDegreeError."""
+    _check_count(coeffs, CUBIC_MONOMIALS)
     return _curve(PLANE_CUBIC, _cubic_st(coeffs, den))
 
 
-def _biquadratic(coeffs, den):
-    """Invariants of the (2,2)-curve with integer coefficients coeffs / den:
-    its branch quartic is _branch(coeffs) / den^2, so I and J are integers
-    divided by den^4 and den^6."""
+def biquadratic_invariants(coeffs, den=1):
+    """CurveInvariants of the (2,2)-curve with the 9 integer coefficients
+    coeffs / den, in BIQUADRATIC_MONOMIALS order: the (I, J) of its branch
+    quartic, the discriminant 4*I^3 - J^2 and j.  The branch quartic is
+    _branch(coeffs) / den^2, so I and J are integers divided by den^4 and
+    den^6.  It is kept homogeneous, so a vanishing leading coefficient
+    needs no chart, and a repeated root (equal branch points) is exactly
+    the 4*I^3 = J^2 locus.  Any other number of coefficients raises
+    WrongDegreeError."""
+    _check_count(coeffs, BIQUADRATIC_MONOMIALS)
     i_int, j_int = _ij(*_branch(coeffs))
     return _curve(BIQUADRATIC, ((i_int, den**4), (j_int, den**6)))
+
+
+def aronhold_invariants(f):
+    """The degree-4 and degree-6 invariants (S, T) of a TernaryCubic, from
+    its coefficients with their denominators cleared once."""
+    (coeffs,), den = clear_denominators([f.coeffs])
+    return plane_cubic_invariants(coeffs, den).pair
+
+
+def cubic_discriminant(f):
+    """64*S^3 - T^2 of a TernaryCubic, as ``aronhold_invariants`` reads it;
+    it vanishes exactly on singular cubics."""
+    (coeffs,), den = clear_denominators([f.coeffs])
+    return plane_cubic_invariants(coeffs, den).discriminant
 
 
 def _curve_projections(fmt, rows, den):
@@ -535,7 +517,7 @@ def _curve_projections(fmt, rows, den):
     the coefficient rows rows / den (integer rows); each projection is
     integer and stands for its value divided by den^d."""
     n, d = fmt
-    invariants = _plane_cubic if fmt == (3, 3) else _biquadratic
+    invariants = plane_cubic_invariants if fmt == (3, 3) else biquadratic_invariants
     return [
         Projection(axes, invariants(projection_coefficients(rows, n, d, axes), den**d))
         for axes in CURVE_AXES[fmt]
@@ -634,7 +616,8 @@ def classify(t, primes=None):
     (the denominator only scales P by den^-24), so if P is squarefree
     modulo one prime, disc P, and with it Det, is nonzero, and X is smooth
     over the algebraic closure of Q.  The prime is q = MAX_PRIME =
-    2^31 - 1 (``_schlaefli_pencil``, ``_squarefree``).  Such a state is
+    2^31 - 1 (``_certified_smooth``, which ``smoothness_scan`` shares).
+    Such a state is
     SmoothGeneric with no primes used and no witness: nothing is filed or
     swept, so it needs no usable prime and never raises AllPrimesBadError.
     A P that is not squarefree mod q proves nothing (P vanishes on GHZ(5,2)
@@ -649,7 +632,8 @@ def classify(t, primes=None):
     certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
     filed up front as used or bad (``_file_primes``), so ``primes_used`` and
     the witness are those of the full ``smoothness_scan`` (whose exclusions
-    apply only to smooth curve models, which never reach the sweep here).
+    apply only to smooth curve models and certified (5,2) models, which
+    never reach the sweep here).
     One loop then tests each used prime in order up to its first witness,
     and stops at the first witness for a curve model, or, for other formats,
     once the vote is settled: with W witnesses, C clean primes and R used
@@ -682,7 +666,7 @@ def _classify(t, primes):
         if len(js) != 1:
             raise SloccGeoError(f"projection j values disagree: {sorted(map(str, js))}")
         status, j = SMOOTH_GENERIC, js.pop()
-    elif fmt == (5, 2) and _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME):
+    elif _certified_smooth(t):
         status = SMOOTH_GENERIC
     else:
         used, status, witness = _vote(t, primes, curve)

@@ -64,8 +64,8 @@ def check_primes(primes):
 
 
 def _check_modulus(p):
-    """The one modulus rule of Matrix and MultiForm: UnsupportedPrimeError
-    unless p is an int >= 2 (a bool is not)."""
+    """The modulus rule of Matrix: UnsupportedPrimeError unless p is an int
+    >= 2 (a bool is not)."""
     if type(p) is not int or p < 2:
         raise UnsupportedPrimeError(f"modulus {_excerpt(p)} is not an int >= 2")
 

@@ -1,7 +1,7 @@
-"""Test-only reference algebra on MultiForm and Matrix values.
+"""Test-only reference algebra on forms as term dicts and on Matrix values.
 
-The library keeps MultiForm as a value type and Matrix without products;
-the dict-polynomial operations, the matrix product (the former
+The library computes on coefficient rows and keeps Matrix without
+products; the dict-polynomial operations, the matrix product (the former
 ``Matrix.mul``, which also composes SLOCC operators factor by factor), the
 matrix-vector product, the Kronecker product, the factor permutation
 (the former ``permute_factors``) and the entrywise scalar reduction that
@@ -10,7 +10,8 @@ functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
-former index loops behind the slot-monomial rows and the span points, and
+former index loops behind the slot-monomial rows and the span points, the
+former full sweep of ``smoothness_scan`` (every witness reported), and
 the former exact kernels of the curve path: the determinant-sum
 projection, the term-by-term S/T evaluation and the ``Fraction``
 discriminant and j.  The exact Schlaefli pencil form of a (5,2) state,
@@ -24,7 +25,13 @@ from itertools import product
 from math import gcd
 
 from sloccgeo.errors import BadReductionError
-from sloccgeo.geometry import PROJECTION_MONOMIALS, MultiForm, projective_points
+from sloccgeo.geometry import (
+    PROJECTION_MONOMIALS,
+    _file_primes,
+    _first_witness,
+    _points,
+    projective_points,
+)
 from sloccgeo.invariants import (
     PLANE_CUBIC,
     _S_WIRING,
@@ -36,114 +43,103 @@ from sloccgeo.linalg import Matrix
 from sloccgeo.states import Tensor
 
 
-def _offset(f, group):
-    return sum(f.group_dims[:group])
+# A form is a plain term dict {flat exponent tuple: coefficient}: the
+# exponents of every variable group, concatenated, and no zero coefficient.
+# Forms are added, multiplied and differentiated over Z or Q; a form read
+# from a model over F_p has residues as coefficients, and a result is
+# reduced where it is read (``evaluate`` and its callers).
 
 
-def zero(group_dims, p=None):
-    return MultiForm(group_dims, {}, p=p)
+def model_forms(model):
+    """A model's defining forms as term dicts, read from its rows: over Q
+    the rows over den, over F_p the residues.  Row entry i belongs to the
+    multilinear monomial whose group exponents are unit vectors, first group
+    slowest, as the rows are ordered."""
+    units = [tuple(int(i == j) for j in range(model.d)) for i in range(model.d)]
+    monomials = [sum(m, ()) for m in product(units, repeat=model.groups)]
+    return [
+        _collect((m, c if model.p else Fraction(c, model.den)) for m, c in zip(monomials, row))
+        for row in model.rows
+    ]
+
+
+def _collect(terms):
+    """A form from (exponents, coefficient) pairs: equal exponents add up,
+    and zero terms are left out."""
+    out = {}
+    for exps, c in terms:
+        out[exps] = out.get(exps, 0) + c
+    return {exps: c for exps, c in out.items() if c}
 
 
 def add(f, g):
-    if f.group_dims != g.group_dims or f.p != g.p:
-        raise ValueError("incompatible forms")
-    terms = dict(f.terms)
-    for exps, c in g.terms.items():
-        terms[exps] = terms.get(exps, 0) + c
-    return MultiForm(f.group_dims, terms, p=f.p)
+    return _collect([*f.items(), *g.items()])
 
 
 def scale(f, factor):
-    return MultiForm(
-        f.group_dims,
-        {e: factor * c for e, c in f.terms.items()},
-        p=f.p,
-    )
+    return _collect((e, factor * c) for e, c in f.items())
 
 
 def mul(f, g):
-    if f.group_dims != g.group_dims or f.p != g.p:
-        raise ValueError("incompatible forms")
-    terms = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            terms[key] = terms.get(key, 0) + c1 * c2
-    return MultiForm(f.group_dims, terms, p=f.p)
+    return _collect(
+        (tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+        for e1, c1 in f.items()
+        for e2, c2 in g.items()
+    )
 
 
-def partial(f, group, index):
-    """Derivative with respect to one variable of one group."""
-    v = _offset(f, group) + index
-    terms = {}
-    for exps, c in f.terms.items():
-        if exps[v] == 0:
-            continue
-        key = exps[:v] + (exps[v] - 1,) + exps[v + 1 :]
-        terms[key] = terms.get(key, 0) + c * exps[v]
-    return MultiForm(f.group_dims, terms, p=f.p)
+def partial(f, v):
+    """Derivative with respect to the variable at flat position v."""
+    return _collect(
+        (e[:v] + (e[v] - 1,) + e[v + 1 :], c * e[v]) for e, c in f.items() if e[v]
+    )
 
 
-def evaluate(f, coords):
-    """Evaluate at one coordinate tuple per group."""
+def evaluate(f, coords, p=None):
+    """Evaluate at one coordinate tuple per group, modulo p when given."""
     flat = [x for group in coords for x in group]
-    if len(flat) != sum(f.group_dims):
-        raise ValueError("coordinate arity mismatch")
     total = 0
-    for exps, c in f.terms.items():
+    for exps, c in f.items():
+        if len(exps) != len(flat):
+            raise ValueError("coordinate arity mismatch")
         term = c
         for x, e in zip(flat, exps):
-            if e:
-                term *= x**e
+            term *= x**e
         total += term
-    if f.p is not None:
-        total %= f.p
-    return total if f.p is not None else Fraction(total)
+    return total % p if p is not None else Fraction(total)
 
 
-def substitute(f, group, matrix):
-    """Replace the group's variable vector v by matrix @ v."""
-    dim = f.group_dims[group]
-    if matrix.rows != dim or matrix.cols != dim:
+def substitute(f, offset, matrix):
+    """Replace the variable vector v at flat positions offset, offset + 1,
+    ... (as many as the square matrix has rows) by matrix @ v."""
+    dim = matrix.rows
+    if matrix.cols != dim:
         raise ValueError("substitution matrix has the wrong shape")
-    base = _offset(f, group)
-    result = {}
-    for exps, c in f.terms.items():
+    result = []
+    for exps, c in f.items():
         # expand prod_i (sum_j m[i][j] v_j)^(e_i) as a dense map on the group
-        partial_polys = {(0,) * dim: c}
+        polys = {(0,) * dim: c}
         for i in range(dim):
-            for _ in range(exps[base + i]):
-                nxt = {}
-                for mono, coeff in partial_polys.items():
-                    for j in range(dim):
-                        mij = matrix.entries[i][j]
-                        if mij == 0:
-                            continue
-                        key = mono[:j] + (mono[j] + 1,) + mono[j + 1 :]
-                        nxt[key] = nxt.get(key, 0) + coeff * mij
-                partial_polys = nxt
-        for mono, coeff in partial_polys.items():
-            key = exps[:base] + mono + exps[base + dim :]
-            result[key] = result.get(key, 0) + coeff
-    return MultiForm(f.group_dims, result, p=f.p)
+            for _ in range(exps[offset + i]):
+                polys = _collect(
+                    (mono[:j] + (mono[j] + 1,) + mono[j + 1 :], coeff * mij)
+                    for mono, coeff in polys.items()
+                    for j, mij in enumerate(matrix.entries[i])
+                )
+        result += [(exps[:offset] + mono + exps[offset + dim :], k) for mono, k in polys.items()]
+    return _collect(result)
 
 
-def drop_groups(f, kept):
-    """Restrict to a subset of groups; degree elsewhere must be zero."""
-    kept = tuple(kept)
-    for g, deg in enumerate(f.multidegree):
-        if g not in kept and deg != 0:
-            raise ValueError(f"nonzero degree in dropped group {g}")
-    spans = []
-    pos = 0
-    for dim in f.group_dims:
-        spans.append((pos, pos + dim))
-        pos += dim
-    terms = {}
-    for exps, c in f.terms.items():
-        key = tuple(x for g in kept for x in exps[spans[g][0] : spans[g][1]])
-        terms[key] = c
-    return MultiForm(tuple(f.group_dims[g] for g in kept), terms, p=f.p)
+def drop_groups(f, dim, kept):
+    """Restrict a form on groups of dim variables each to the kept groups;
+    its degree in every other group must be zero."""
+    out = {}
+    for exps, c in f.items():
+        groups = [exps[g * dim : (g + 1) * dim] for g in range(len(exps) // dim)]
+        if any(sum(x) for g, x in enumerate(groups) if g not in kept):
+            raise ValueError("nonzero degree in a dropped group")
+        out[sum((groups[g] for g in kept), ())] = c
+    return out
 
 
 def apply(matrix, vector):
@@ -296,6 +292,15 @@ def subspace_points(basis_rows, dim, p):
         yield tuple(x * inv % p for x in vec)
 
 
+def full_sweep(t, primes):
+    """(used primes, witnesses) of a sweep of every used prime up to its
+    first witness: smoothness_scan's sweep before it excluded the witness
+    primes of a (5,2) state that the pencil form certifies smooth."""
+    used = _file_primes(t, primes)[0]
+    found = [_first_witness(reduced, _points(reduced, p)) for p, reduced in used]
+    return tuple(p for p, _ in used), [w for w in found if w is not None]
+
+
 # ------------------------------------------------- former curve kernels
 
 
@@ -371,6 +376,14 @@ def cubic_st(coeffs, den):
         s_scale * evaluate_terms(s_terms, coeffs) / den**4,
         t_scale * evaluate_terms(t_terms, coeffs) / den**6,
     )
+
+
+def quartic_ij(a, b, c, d, e):
+    """The classical invariants (I, J) of the binary quartic
+    a*s^4 + b*s^3*t + c*s^2*t^2 + d*s*t^3 + e*t^4."""
+    i_val = 12 * a * e - 3 * b * d + c * c
+    j_val = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return i_val, j_val
 
 
 def curve(kind, pair):

@@ -14,13 +14,14 @@ from sloccgeo.invariants import (
     RANK_DEFICIENT,
     SINGULAR_MODEL,
     SMOOTH_GENERIC,
+    biquadratic_invariants,
     cayley_hyperdet,
     classify,
-    j_biquadratic,
     moduli_dimension,
     schlaefli_hyperdet,
 )
 from sloccgeo.geometry import determinantal_projection, variety_from_state
+from sloccgeo.linalg import clear_denominators
 from sloccgeo.states import (
     SloccOperator,
     apply_slocc,
@@ -173,10 +174,11 @@ def test_criterion_7_hyperdeterminant_fixed_points():
             consistent += 1
             continue
         model = variety_from_state(t)
-        all_singular = all(
-            j_biquadratic(determinantal_projection(model, axes)) is None
+        cleared = (
+            clear_denominators([determinantal_projection(model, axes)])
             for axes in ((0, 1), (0, 2), (1, 2))
         )
+        all_singular = all(biquadratic_invariants(rows[0], den).j is None for rows, den in cleared)
         assert (hyperdet == 0) == all_singular, f"seed {seed}"
         consistent += 1
     ok = fixed and consistent == 100

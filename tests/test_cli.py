@@ -358,6 +358,30 @@ def test_primes_are_ascii_digits(tmp_path, capsys):
     assert code == 0 and doc["primes_used"] == [5, 7]
 
 
+def test_integer_options_are_ascii_digits(tmp_path, capsys):
+    # int() alone took an Arabic-Indic 3, "1_0" and "+3" in every option
+    path = write_state(tmp_path, "ghz3.json", ghz(3, 3))
+    cases = [
+        ["sample", "--n", "\u0663", "--d", "3"],
+        ["sample", "--n", "3", "--d", "3", "--seed", "\u0661_0"],
+        ["sample", "--n", "3", "--d", "3", "--bound", "+3"],
+        ["sample", "--n", " 3", "--d", "3"],
+        ["moduli-dim", "--n", "\u0665", "--d", "2"],
+        ["moduli-dim", "--n", "5", "--d", "2_0"],
+        ["hilbert", path, "--k-max", "\u0663"],
+        ["moduli-dim", "--n", "9" * 5000, "--d", "2"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as err:
+            run(argv)
+        captured = capsys.readouterr()
+        assert err.value.code == 2 and not captured.out, argv
+        assert "invalid integer" in captured.err and len(captured.err) < 400, argv
+    code, doc = run_json(capsys, ["moduli-dim", "--n", "5", "--d", "2"])
+    assert code == 0 and doc["dimension"] == 16
+    assert run(["sample", "--n", "3", "--d", "3", "--seed", "-1", "--bound", "3"]) == 0
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["frobnicate"])

@@ -1,5 +1,4 @@
 import random
-import re
 from fractions import Fraction
 from itertools import product
 
@@ -22,11 +21,12 @@ from sloccgeo.invariants import (
     classify,
     slice_discriminants,
 )
-from sloccgeo.linalg import DEFAULT_PRIMES, Matrix
+from sloccgeo.linalg import DEFAULT_PRIMES, Matrix, clear_denominators
 from sloccgeo.geometry import (
+    BIQUADRATIC_MONOMIALS,
+    CUBIC_MONOMIALS,
     CURVE_AXES,
     PREFIX_BUDGET,
-    MultiForm,
     ProjPoint,
     VarietyModel,
     _coefficient_tensor,
@@ -68,13 +68,16 @@ def bilinear(i, j):
     return tuple(exps)
 
 
+def nonzero_terms(coeffs, monomials):
+    """A coefficient tuple as {monomial: coefficient}, zeros left out."""
+    return {m: c for m, c in zip(monomials, coeffs, strict=True) if c}
+
+
 def test_ghz3_model_forms(ghz3_qutrit):
     model = variety_from_state(ghz3_qutrit)
-    assert model.d == 3 and len(model.forms) == 3
-    assert [f.terms for f in model.forms] == [
-        {bilinear(k, k): Fraction(1)} for k in range(3)
-    ]
-    assert all(f.multidegree == (1, 1) for f in model.forms)
+    forms = ref.model_forms(model)
+    assert model.d == 3 and len(forms) == 3
+    assert forms == [{bilinear(k, k): Fraction(1)} for k in range(3)]
 
 
 def test_ghz4_model_forms(ghz4):
@@ -84,16 +87,16 @@ def test_ghz4_model_forms(ghz4):
         exps = [0] * 6
         exps[k] = exps[2 + k] = exps[4 + k] = 1
         expected.append({tuple(exps): Fraction(1)})
-    assert [f.terms for f in model.forms] == expected
+    assert ref.model_forms(model) == expected
 
 
 def test_model_rows_are_canonical_basis():
     t = random_state(3, 3, 5, seed=12)
     model = variety_from_state(t)
     rows = []
-    for f in model.forms:
+    for f in ref.model_forms(model):
         row = [Fraction(0)] * 9
-        for exps, c in f.terms.items():
+        for exps, c in f.items():
             i = next(v for v in range(3) if exps[v])
             j = next(v - 3 for v in range(3, 6) if exps[v])
             row[i * 3 + j] = c
@@ -111,27 +114,25 @@ def test_separable_state_is_rank_deficient():
 def test_triangle_projection(ghz3_qutrit):
     model = variety_from_state(ghz3_qutrit)
     cubic = determinantal_projection(model, (0,))
-    assert cubic.group_dims == (3,)
-    assert cubic.terms == {(1, 1, 1): Fraction(1)}
+    assert nonzero_terms(cubic, CUBIC_MONOMIALS) == {(1, 1, 1): Fraction(1)}
     other = determinantal_projection(model, (1,))
-    assert other.terms == {(1, 1, 1): Fraction(1)}
+    assert nonzero_terms(other, CUBIC_MONOMIALS) == {(1, 1, 1): Fraction(1)}
 
 
 def test_ghz4_projection(ghz4):
     model = variety_from_state(ghz4)
     form = determinantal_projection(model, (0, 1))
-    assert form.group_dims == (2, 2)
-    assert form.terms == {(1, 1, 1, 1): Fraction(1)}  # x0*x1*y0*y1
+    # x0*x1*y0*y1
+    assert nonzero_terms(form, BIQUADRATIC_MONOMIALS) == {(1, 1, 1, 1): Fraction(1)}
 
 
 def test_family_projection_is_nondegenerate(family_1235):
-    from sloccgeo.invariants import branch_quartic, quartic_discriminant
+    from sloccgeo.invariants import biquadratic_invariants
 
     model = variety_from_state(family_1235)
     for axes in ((0, 1), (0, 2), (1, 2)):
-        form = determinantal_projection(model, axes)
-        assert form.multidegree == (2, 2)
-        assert quartic_discriminant(branch_quartic(form)) != 0
+        (coeffs,), den = clear_denominators([determinantal_projection(model, axes)])
+        assert biquadratic_invariants(coeffs, den).discriminant != 0
 
 
 def test_projection_rejects_bad_axes(ghz3_qutrit, ghz4):
@@ -146,25 +147,21 @@ def test_projection_rejects_bad_axes(ghz3_qutrit, ghz4):
 
 
 def test_multiform_algebra():
-    dims = (2, 2)
-    f = MultiForm(dims, {(1, 0, 1, 0): 2, (0, 1, 0, 1): 3})
-    g = MultiForm(dims, {(1, 0, 0, 1): 1})
+    f = {(1, 0, 1, 0): 2, (0, 1, 0, 1): 3}
+    g = {(1, 0, 0, 1): 1}
     prod = ref.mul(f, g)
-    assert prod.multidegree == (2, 2)
-    assert prod.terms == {(2, 0, 1, 1): Fraction(2), (1, 1, 0, 2): Fraction(3)}
+    assert prod == {(2, 0, 1, 1): 2, (1, 1, 0, 2): 3}
     # Leibniz rule on one variable
-    left = ref.partial(prod, 0, 0)
-    rule = ref.add(ref.mul(ref.partial(f, 0, 0), g), ref.mul(f, ref.partial(g, 0, 0)))
+    left = ref.partial(prod, 0)
+    rule = ref.add(ref.mul(ref.partial(f, 0), g), ref.mul(f, ref.partial(g, 0)))
     assert left == rule
     assert ref.evaluate(f, ((1, 2), (3, 4))) == 2 * 1 * 3 + 3 * 2 * 4
-    assert ref.add(f, ref.scale(f, -1)) == ref.zero(dims)
-    assert ref.zero(dims).is_zero() and not f.is_zero()
+    assert ref.add(f, ref.scale(f, -1)) == {}
 
 
 def test_multiform_substitute_matches_evaluation():
     rng = random.Random(17)
-    dims = (3,)
-    cubic = MultiForm(dims, {(3, 0, 0): 1, (1, 1, 1): -2, (0, 2, 1): 5})
+    cubic = {(3, 0, 0): 1, (1, 1, 1): -2, (0, 2, 1): 5}
     a = Matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)])
     sub = ref.substitute(cubic, 0, a)
     for _ in range(6):
@@ -173,23 +170,9 @@ def test_multiform_substitute_matches_evaluation():
 
 
 def test_multiform_drop_groups():
-    f = MultiForm((2, 2), {(1, 1, 0, 0): 4})
-    dropped = ref.drop_groups(f, (0,))
-    assert dropped.group_dims == (2,)
-    assert dropped.terms == {(1, 1): Fraction(4)}
+    assert ref.drop_groups({(1, 1, 0, 0): 4}, 2, (0,)) == {(1, 1): 4}
     with pytest.raises(ValueError):
-        ref.drop_groups(MultiForm((2, 2), {(1, 0, 1, 0): 1}), (0,))
-
-
-def test_f_p_multiform_refuses_non_integer_coefficients():
-    # a Fraction was truncated to 0 (its term dropped) and 2.7 read as 2
-    with pytest.raises(TypeError, match=re.escape(repr(Fraction(1, 2)))):
-        MultiForm((2,), {(1, 0): Fraction(1, 2), (0, 1): 2.7}, p=5)
-    with pytest.raises(TypeError, match="2.7"):
-        MultiForm((2,), {(1, 0): 3, (0, 1): 2.7}, p=5)
-    form = MultiForm((2,), {(1, 0): True, (0, 1): -3}, p=5)
-    assert form.terms == {(1, 0): 1, (0, 1): 2}
-    assert MultiForm((2,), {(1, 0): Fraction(1, 2)}).terms == {(1, 0): Fraction(1, 2)}
+        ref.drop_groups({(1, 0, 1, 0): 1}, 2, (0,))
 
 
 def test_span_points_match_reference():
@@ -220,7 +203,7 @@ def test_enumerate_ghz3_points(ghz3_qutrit):
     assert ((1, 0, 0), (0, 1, 0)) in coords
     reduced = model_mod_p(model, 5)
     for pt in pts:  # membership recheck
-        assert all(ref.evaluate(f, pt.coords) == 0 for f in reduced.forms)
+        assert all(ref.evaluate(f, pt.coords, 5) == 0 for f in ref.model_forms(reduced))
 
 
 def test_enumerate_zero_forms_full_space():
@@ -309,6 +292,29 @@ def test_scan_report_is_deterministic(family_1235):
     assert a.to_json_dict()["point_counts"] == [[13, 16], [17, 24]]
 
 
+def test_scan_excludes_witness_primes_of_certified_five_qubit_states():
+    # the scan reported SingularFound for these states, which classify
+    # proves smooth; each witness prime is a prime of singular reduction
+    primes = (5, 7, 11, 13)
+    for seed, excluded in ((3, (5,)), (19, (5, 7, 11)), (49, (5, 7, 11)), (143, (5, 7, 11))):
+        t = random_state(5, 2, 5, seed=seed)
+        report = smoothness_scan(t, primes)
+        assert report.verdict == "NoSingularPointFound" and not report.witnesses, seed
+        assert report.excluded_primes == excluded and report.bad_primes == (), seed
+        assert report.primes == tuple(p for p in primes if p not in excluded), seed
+        assert [p for p, _ in report.point_counts] == list(report.primes), seed
+        assert classify(t, primes).status == SMOOTH_GENERIC
+    # seed 50 is not certified and GHZ(5,2) is singular: their reports stay
+    for t, counts, found in (
+        (random_state(5, 2, 5, seed=50), (52, 87, 159, 231), [5, 11]),
+        (ghz(5, 2), (302, 590, 1454, 2030), [5, 7, 11, 13]),
+    ):
+        report = smoothness_scan(t, primes)
+        assert report.verdict == "SingularFound" and report.excluded_primes == ()
+        assert report.point_counts == tuple(zip(primes, counts))
+        assert [w[0] for w in report.witnesses] == found
+
+
 def test_model_mod_p_handles_rational_basis():
     # a state whose canonical basis has denominators at p, but whose
     # saturated reduction is still fine
@@ -316,7 +322,7 @@ def test_model_mod_p_handles_rational_basis():
     model = variety_from_state(t)
     for p in (7, 11, 13):
         reduced = model_mod_p(model, p)
-        assert all(f.p == p for f in reduced.forms)
+        assert reduced.p == p and all(0 <= x < p for row in reduced.rows for x in row)
         assert len(enumerate_points(reduced, p)) > 0
 
 
@@ -335,8 +341,9 @@ def reference_points(model, p):
     d = reduced.d
     units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     points = []
+    forms = ref.model_forms(reduced)
     for prefix in product(*[list(projective_points(d, p))] * (reduced.groups - 1)):
-        rows = [[ref.evaluate(f, prefix + (u,)) for u in units] for f in reduced.forms]
+        rows = [[ref.evaluate(f, prefix + (u,), p) for u in units] for f in forms]
         kernel = Matrix(rows, cols=d, p=p).kernel()
         for tail in ref.subspace_points(kernel.entries, d, p):
             points.append(ProjPoint(p, prefix + (tail,)))
@@ -557,20 +564,26 @@ def test_classify_sweep_matches_full_scan(singlet_times_bell):
     # that it does not certify, GHZ(5,2) and seeds 50 and 152 among them
     voted = 0
     for t in [ghz(5, 2)] + [random_state(5, 2, 5, seed=seed) for seed in (*range(20), 50, 152)]:
-        report = smoothness_scan(t, (5, 7, 11, 13))
-        singular = 2 * len(report.witnesses) > len(report.primes)
+        primes, witnesses = ref.full_sweep(t, (5, 7, 11, 13))
+        singular = 2 * len(witnesses) > len(primes)
         vote = _vote(t, DEFAULT_PRIMES, False)
         assert vote == (
-            report.primes,
+            primes,
             SINGULAR_MODEL if singular else SMOOTH_GENERIC,
-            report.witnesses[0] if singular else None,
+            witnesses[0] if singular else None,
         )
         verdict = classify(t)
+        report = smoothness_scan(t, (5, 7, 11, 13))
         if verdict.primes_used:
             assert (verdict.primes_used, verdict.status, verdict.singular_witness) == vote
+            assert (report.primes, report.witnesses) == (primes, tuple(witnesses))
             voted += 1
         else:
+            # certified: the scan excludes its witness primes
             assert verdict.status == SMOOTH_GENERIC and verdict.singular_witness is None
+            excluded = tuple(w[0] for w in witnesses)
+            assert report.excluded_primes == excluded and not report.witnesses
+            assert report.primes == tuple(p for p in primes if p not in excluded)
     assert voted == 3
 
 
@@ -593,11 +606,11 @@ def test_jacobian_rows_match_partials(fmt):
         coords = data.draw(st.tuples(*[vec] * (n - 1)))
         expected = [
             [
-                ref.evaluate(ref.partial(f, g, i), coords)
+                ref.evaluate(ref.partial(f, g * d + i), coords, p)
                 for g in range(n - 1)
                 for i in range(d)
             ]
-            for f in reduced.forms
+            for f in ref.model_forms(reduced)
         ]
         assert _jacobian_rows(_coefficient_tensor(reduced), coords, d, p) == expected
 
@@ -702,15 +715,6 @@ def test_sweep_over_prefix_budget_is_refused():
     assert smoothness_scan(t43, (5,)).primes == (5,)
 
 
-@pytest.mark.parametrize("p", [0, -7, 1, True])
-def test_multiform_modulus_must_be_an_int_of_at_least_two(p):
-    # Matrix's rule, from one place (linalg._check_modulus): p = 0 raised
-    # ZeroDivisionError, -7 gave "residues" -4 and -5, and 1 and True gave
-    # the zero form
-    with pytest.raises(UnsupportedPrimeError, match=re.escape(repr(p))):
-        MultiForm((2,), {(1, 0): 3, (0, 1): 2}, p=p)
-
-
 def _rank_at(coords):
     model = variety_from_state(random_state(3, 3, 5, 1))
     return jacobian_rank_at(model, ProjPoint(7, coords))
@@ -719,9 +723,6 @@ def _rank_at(coords):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: MultiForm((2,), {(1, 0, 0): 1}), "bad exponent vector"),
-        (lambda: MultiForm((2,), {(2, -1): 1}), "bad exponent vector"),
-        (lambda: MultiForm((2,), {(1, 0): 1, (2, 0): 1}), "mixed multidegrees"),
         (lambda: _rank_at(((1, 0, 0),)), "coordinate arity mismatch"),
         # not projective points, and Euler's check passes on a zero group:
         # the first two returned ranks 0 and 3
@@ -730,9 +731,6 @@ def _rank_at(coords):
         (lambda: _rank_at(((1, 0, 0), (7, 14, 0))), "zero coordinate vector"),
     ],
     ids=[
-        "exponent-length",
-        "negative-exponent",
-        "mixed-multidegrees",
         "point-arity",
         "zero-point",
         "zero-first-group",

@@ -10,6 +10,7 @@ from sloccgeo.errors import (
     AllPrimesBadError,
     BadReductionError,
     FormatMismatchError,
+    RankDeficientError,
     UnsupportedFormatError,
     UnsupportedPrimeError,
     WorkLimitError,
@@ -25,7 +26,8 @@ from sloccgeo.linalg import (
 )
 from sloccgeo.geometry import (
     CUBIC_MONOMIALS,
-    MultiForm,
+    CURVE_AXES,
+    PROJECTION_MONOMIALS,
     VarietyModel,
     determinantal_projection,
     model_mod_p,
@@ -40,19 +42,17 @@ from sloccgeo.invariants import (
     RANK_DEFICIENT,
     SINGULAR_MODEL,
     SMOOTH_GENERIC,
-    BinaryQuartic,
     TernaryCubic,
     aronhold_invariants,
+    biquadratic_invariants,
     branch_quartic,
     cayley_hyperdet,
     classify,
     cubic_discriminant,
     curve_singular_mod_p,
     exact_projection_discriminants,
-    j_binary_quartic,
-    j_biquadratic,
-    j_plane_cubic,
     moduli_dimension,
+    plane_cubic_invariants,
     _PERMS3,
     _S_WIRING,
     _T_WIRING,
@@ -62,8 +62,6 @@ from sloccgeo.invariants import (
     _schlaefli_pencil,
     _squarefree,
     _vote,
-    quartic_discriminant,
-    quartic_invariants,
     schlaefli_hyperdet,
     slice_discriminants,
     slocc_compare,
@@ -100,17 +98,33 @@ def weierstrass_j(alpha, beta):
     return 1728 * 4 * alpha**3 / (4 * alpha**3 + 27 * beta**2)
 
 
+def curve_of(coeffs):
+    """CurveInvariants of a plane cubic (10 coefficients) or a (2,2)-curve
+    (9), from rational coefficients with their denominators cleared."""
+    (ints,), den = clear_denominators([coeffs])
+    return (plane_cubic_invariants if len(ints) == 10 else biquadratic_invariants)(ints, den)
+
+
+#: (2,2)-forms, as integer coefficients over 4, whose branch quartics
+#: B^2 - 4AC are x0^4 + x1^4 (A = -x1^2/4, B = x0^2, C = x1^2),
+#: x0^4 + x0*x1^3 (A = -x0*x1/4) and x0^4 - x0^2*x1^2 + 2*x1^4
+#: (A = x0^2/4 - x1^2/2).
+LEMNISCATIC = [0, 0, -1, 4, 0, 0, 0, 0, 4]
+EQUIANHARMONIC = [0, -1, 0, 4, 0, 0, 0, 0, 4]
+GENERIC_BRANCH = [1, 0, -2, 4, 0, 0, 0, 0, 4]
+
+
 def test_fermat_invariants():
     s, t = aronhold_invariants(FERMAT)
     assert s == 0 and t != 0
-    assert j_plane_cubic(FERMAT) == 0
+    assert curve_of(FERMAT.coeffs).j == 0
 
 
 def test_triangle_is_singular():
     s, t = aronhold_invariants(TRIANGLE)
     assert (s, t) == (Fraction(1, 16), Fraction(1, 8))  # regression
     assert cubic_discriminant(TRIANGLE) == 0
-    assert j_plane_cubic(TRIANGLE) is None
+    assert curve_of(TRIANGLE.coeffs).j is None
 
 
 @pytest.mark.parametrize(
@@ -118,28 +132,28 @@ def test_triangle_is_singular():
 )
 def test_weierstrass_family_calibration(alpha, beta):
     cubic = TernaryCubic.weierstrass(alpha, beta)
-    assert j_plane_cubic(cubic) == weierstrass_j(alpha, beta)
+    assert curve_of(cubic.coeffs).j == weierstrass_j(alpha, beta)
     s, t = aronhold_invariants(cubic)
     assert (s, t) == (-3 * Fraction(alpha), 108 * Fraction(beta))
 
 
 def test_harmonic_weierstrass_is_1728():
-    assert j_plane_cubic(TernaryCubic.weierstrass(-1, 0)) == 1728
+    assert curve_of(TernaryCubic.weierstrass(-1, 0).coeffs).j == 1728
 
 
 def _cubic_form(cubic):
-    """The cubic as a MultiForm in one group of three variables."""
-    return MultiForm((3,), dict(zip(CUBIC_MONOMIALS, cubic.coeffs)))
+    """The cubic as a term dict in one group of three variables."""
+    return dict(zip(CUBIC_MONOMIALS, cubic.coeffs))
 
 
 def test_aronhold_covariance_under_substitutions():
     # the calibration contract: S picks up det^4 and T det^6, exactly,
     # under 20 random invertible substitutions
     base = _cubic_form(TernaryCubic.weierstrass(2, 3))
-    s0, t0 = aronhold_invariants(TernaryCubic.from_form(base))
+    s0, t0 = aronhold_invariants(TernaryCubic.from_terms(base))
     for trial in range(20):
         g = random_invertible(3, 3, seed=5000 + trial)
-        moved = TernaryCubic.from_form(ref.substitute(base, 0, g))
+        moved = TernaryCubic.from_terms(ref.substitute(base, 0, g))
         s1, t1 = aronhold_invariants(moved)
         det = g.det()
         assert s1 == det**4 * s0
@@ -150,69 +164,87 @@ def test_j_is_projectively_invariant():
     cubic = TernaryCubic.from_terms(
         {(3, 0, 0): 2, (2, 1, 0): -1, (1, 1, 1): 3, (0, 0, 3): 5, (0, 2, 1): 7}
     )
-    j0 = j_plane_cubic(cubic)
+    j0 = curve_of(cubic.coeffs).j
     assert j0 is not None
     for trial in range(5):
         g = random_invertible(3, 4, seed=900 + trial)
-        moved = TernaryCubic.from_form(ref.substitute(_cubic_form(cubic), 0, g))
-        assert j_plane_cubic(moved) == j0
-        scaled = TernaryCubic([7 * c for c in cubic.coeffs])
-        assert j_plane_cubic(scaled) == j0
+        moved = ref.substitute(_cubic_form(cubic), 0, g)
+        assert curve_of([moved.get(m, 0) for m in CUBIC_MONOMIALS]).j == j0
+        assert curve_of([7 * c for c in cubic.coeffs]).j == j0
 
 
 def test_quartic_invariant_values():
-    assert quartic_invariants(BinaryQuartic.of(1, 0, 0, 0, 1)) == (12, 0)
-    assert quartic_invariants(BinaryQuartic.of(1, 0, 0, 1, 0)) == (0, -27)
-    assert quartic_invariants(BinaryQuartic.of(0, 0, 0, 0, 0)) == (0, 0)
+    assert biquadratic_invariants(LEMNISCATIC, 4).pair == (12, 0)
+    assert biquadratic_invariants(EQUIANHARMONIC, 4).pair == (0, -27)
+    assert biquadratic_invariants([0] * 9).pair == (0, 0)
+    assert biquadratic_invariants([0] * 9).j is None
 
 
 def test_j_of_lemniscatic_quartic():
     # 6912 * 12^3 / (4 * 12^3) = 1728
-    assert j_binary_quartic(BinaryQuartic.of(1, 0, 0, 0, 1)) == 1728
+    assert biquadratic_invariants(LEMNISCATIC, 4).j == 1728
 
 
 def test_quartic_with_int_fields_gets_exact_j():
-    # the dataclass keeps int fields as given; j was once their float quotient
-    g = BinaryQuartic(1, 0, -1, 0, 2)
-    j = j_binary_quartic(g)
+    # integer coefficients give an exact j, never a float quotient
+    j = biquadratic_invariants(GENERIC_BRANCH, 4).j
     assert type(j) is Fraction and j == Fraction(125000, 49)
-    assert j == j_binary_quartic(BinaryQuartic.of(1, 0, -1, 0, 2))
+    assert j == biquadratic_invariants([3 * c for c in GENERIC_BRANCH], 12).j
 
 
 def test_biquadratic_with_lemniscatic_branch_quartic():
-    # A = -x1^2/4, B = x0^2, C = x1^2 gives B^2 - 4AC = x0^4 + x1^4
-    m = MultiForm(
-        (2, 2),
-        {
-            (0, 2, 2, 0): Fraction(-1, 4),
-            (2, 0, 1, 1): 1,
-            (0, 2, 0, 2): 1,
-        },
-    )
-    q = branch_quartic(m)
-    assert (q.a, q.b, q.c, q.d, q.e) == (1, 0, 0, 0, 1)
-    assert j_biquadratic(m) == 1728
+    form = [Fraction(c, 4) for c in LEMNISCATIC]
+    assert branch_quartic(form) == (1, 0, 0, 0, 1)
+    assert branch_quartic(EQUIANHARMONIC) == (16, 0, 0, 16, 0)
+    assert curve_of(form).j == 1728
 
 
 def test_biquadratic_ghz4_projection_is_singular(ghz4):
     model = variety_from_state(ghz4)
-    form = determinantal_projection(model, (0, 1))
-    assert j_biquadratic(form) is None
+    assert curve_of(determinantal_projection(model, (0, 1))).j is None
 
 
 def test_biquadratic_family_value_and_agreement(family_1235):
     model = variety_from_state(family_1235)
-    values = []
-    for axes in ((0, 1), (0, 2), (1, 2)):
-        values.append(j_biquadratic(determinantal_projection(model, axes)))
+    values = [curve_of(determinantal_projection(model, axes)).j for axes in CURVE_AXES[(4, 2)]]
     assert values == [FAMILY_1235_J] * 3
 
 
 def test_biquadratic_rejects_wrong_degree():
-    with pytest.raises(WrongDegreeError):
-        j_biquadratic(MultiForm((2, 2), {(1, 0, 1, 0): 1}))
-    with pytest.raises(WrongDegreeError):
-        j_biquadratic(MultiForm((3, 3), {}))
+    with pytest.raises(WrongDegreeError, match="expected 9 coefficients, got 8"):
+        branch_quartic(LEMNISCATIC[:8])
+    with pytest.raises(WrongDegreeError, match="expected 9 coefficients, got 10"):
+        biquadratic_invariants([0] * 10)
+    with pytest.raises(WrongDegreeError, match="expected 10 coefficients, got 9"):
+        plane_cubic_invariants([0] * 9)
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
+def test_public_curve_invariants_match_classify(fmt):
+    # determinantal_projection and the public invariants on its
+    # coefficients give the projections that classify reports
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    n, d = fmt
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-3, 3), min_size=d**n, max_size=d**n),
+        den=st.integers(1, 5),
+    )
+    def check(coeffs, den):
+        t = Tensor(n, d, coeffs).scale(Fraction(1, den))
+        try:
+            model = variety_from_state(t)
+        except RankDeficientError:
+            assume(False)
+        expected = [pr.invariants for pr in classify(t, (5, 7)).projections]
+        assert [curve_of(determinantal_projection(model, axes)) for axes in CURVE_AXES[fmt]] == (
+            expected
+        )
+
+    check()
 
 
 def test_cayley_fixed_points():
@@ -438,7 +470,7 @@ def test_five_qubit_vote_settles_over_the_used_primes(monkeypatch):
 
 def test_vote_matches_the_full_sweep_with_bad_primes():
     # the vote stops once it is settled over the used primes; the
-    # strict-majority rule on the full smoothness_scan must give the same
+    # strict-majority rule on the full sweep must give the same
     # verdict wherever the bad primes fall in the list, and classify gives
     # the vote's verdict to every state that it does not certify
     pytest.importorskip("hypothesis")
@@ -462,16 +494,17 @@ def test_vote_matches_the_full_sweep_with_bad_primes():
                 return None
 
         report = outcome(lambda: smoothness_scan(t, scan))
+        primes, witnesses = ref.full_sweep(t, scan)
         vote = outcome(lambda: _vote(t, scan, False))
         verdict = outcome(lambda: classify(t, scan))
         if report is None:
-            assert vote is None
+            assert vote is None and primes == ()
         else:
-            singular = 2 * len(report.witnesses) > len(report.primes)
+            singular = 2 * len(witnesses) > len(primes)
             assert vote == (
-                report.primes,
+                primes,
                 SINGULAR_MODEL if singular else SMOOTH_GENERIC,
-                report.witnesses[0] if singular else None,
+                witnesses[0] if singular else None,
             )
         if verdict is not None and verdict.primes_used == ():
             assert t.n == 5 and _certified(verdict)
@@ -604,16 +637,18 @@ def test_certified_states_show_no_witness_where_p_keeps_the_form_squarefree():
     def check(t):
         if not _certified(classify(t)):
             return
-        try:
-            report = smoothness_scan(t, (5, 7, 11, 13))
-        except AllPrimesBadError:
+        primes, witnesses = ref.full_sweep(t, (5, 7, 11, 13))
+        if not primes:
             return
+        # smoothness_scan excludes exactly the witness primes
+        report = smoothness_scan(t, (5, 7, 11, 13))
+        assert report.excluded_primes == tuple(w[0] for w in witnesses) and not report.witnesses
         exact = ref.schlaefli_pencil(t)
-        for p in report.primes:
+        for p in primes:
             if any(c.denominator % p == 0 for c in exact):
                 continue
             if _squarefree([c.numerator * pow(c.denominator, -1, p) % p for c in exact], p):
-                assert all(w[0] != p for w in report.witnesses), (t, p)
+                assert all(w[0] != p for w in witnesses), (t, p)
                 checked.append(p)
 
     check()
@@ -716,15 +751,21 @@ def _reference_perm_sign(perm):
 
 
 def reference_projection(model, kept):
+    """det(df_k/dz_l), z the dropped group, by the permutation loop over
+    the model's forms as term dicts, as coefficients in
+    PROJECTION_MONOMIALS order; over F_p as residues."""
+    d = model.d
     dropped = next(g for g in range(model.groups) if g not in kept)
-    entries = [[ref.partial(f, dropped, j) for j in range(model.d)] for f in model.forms]
-    det = ref.zero(model.forms[0].group_dims, p=model.forms[0].p)
-    for perm in permutations(range(model.d)):
+    entries = [[ref.partial(f, dropped * d + j) for j in range(d)] for f in ref.model_forms(model)]
+    det = {}
+    for perm in permutations(range(d)):
         prod_form = entries[0][perm[0]]
-        for k in range(1, model.d):
+        for k in range(1, d):
             prod_form = ref.mul(prod_form, entries[k][perm[k]])
         det = ref.add(det, ref.scale(prod_form, _reference_perm_sign(perm)))
-    return ref.drop_groups(det, kept)
+    terms = ref.drop_groups(det, d, kept)
+    coeffs = tuple(terms.get(m, 0) for m in PROJECTION_MONOMIALS[(model.n, d)])
+    return coeffs if model.p is None else tuple(c % model.p for c in coeffs)
 
 
 def _accumulate(poly, key, coeff):
@@ -816,24 +857,21 @@ def reference_st_polys():
     )
 
 
-def reference_invariants(form):
-    """(pair, discriminant, j) of a projected curve, from its MultiForm."""
-    if form.group_dims == (3,):
+def reference_invariants(coeffs):
+    """(pair, discriminant, j) of a projected curve, from its coefficients
+    in PROJECTION_MONOMIALS order."""
+    if len(coeffs) == 10:
         s_poly, t_poly = reference_st_polys()
-        coeffs = [form.coefficient(m) for m in CUBIC_MONOMIALS]
         s, t = reference_evaluate(s_poly, coeffs), reference_evaluate(t_poly, coeffs)
         disc = 64 * s**3 - t**2
         return (s, t), disc, None if disc == 0 else 110592 * s**3 / disc
-    quad = {(2, 0): [0] * 3, (1, 1): [0] * 3, (0, 2): [0] * 3}
-    for exps, c in form.terms.items():
-        quad[exps[2:]][exps[1]] = c
-    a_q, b_q, c_q = quad[(2, 0)], quad[(1, 1)], quad[(0, 2)]
+    a_q, b_q, c_q = coeffs[0:3], coeffs[3:6], coeffs[6:9]
 
     def conv(u, v):
         return [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
 
     quartic = [x - 4 * y for x, y in zip(conv(b_q, b_q), conv(a_q, c_q))]
-    i_val, j_val = quartic_invariants(BinaryQuartic.of(*quartic))
+    i_val, j_val = ref.quartic_ij(*quartic)
     disc = 4 * i_val**3 - j_val**2
     return (i_val, j_val), disc, None if disc == 0 else 6912 * i_val**3 / disc
 
@@ -868,8 +906,8 @@ def reference_schlaefli(t):
     f3 = pencil(1, 2) - a - 16 * e
     c = (f1 + f2) / 2
     d_coef = ((f3 - 4 * c) / 2 - (f1 - c)) / 3
-    quartic = BinaryQuartic.of(a, f1 - c - d_coef, c, d_coef, e)
-    return quartic_discriminant(quartic) / 27
+    i_val, j_val = ref.quartic_ij(a, f1 - c - d_coef, c, d_coef, e)
+    return Fraction(4 * i_val**3 - j_val**2) / 27
 
 
 def _drawn_state(draw, n, d):
@@ -1107,9 +1145,9 @@ def _slice_model(t, q):
     [
         (lambda: TernaryCubic([1, 2, 3]), ValueError, "10 coefficients"),
         (
-            lambda: TernaryCubic.from_form(MultiForm((3,), {(1, 0, 0): 1})),
+            lambda: plane_cubic_invariants([1, 0, 0]),
             WrongDegreeError,
-            "expected a cubic form",
+            "expected 10 coefficients, got 3",
         ),
         (
             lambda: curve_singular_mod_p(

@@ -26,13 +26,13 @@ from sloccgeo.invariants import (
     BIQUADRATIC,
     PLANE_CUBIC,
     TernaryCubic,
-    _biquadratic,
     _branch,
     _cubic_st,
     _ij,
-    _plane_cubic,
     aronhold_invariants,
+    biquadratic_invariants,
     curve_singular_mod_p,
+    plane_cubic_invariants,
 )
 from sloccgeo.linalg import clear_denominators
 
@@ -52,7 +52,7 @@ def _reference_invariants(kind, coeffs, den):
 
 
 def _invariants(kind, coeffs, den):
-    inv = (_plane_cubic if kind == PLANE_CUBIC else _biquadratic)(coeffs, den)
+    inv = (plane_cubic_invariants if kind == PLANE_CUBIC else biquadratic_invariants)(coeffs, den)
     return inv.pair, inv.discriminant, inv.j
 
 

@@ -9,10 +9,12 @@ import pytest
 from sloccgeo.errors import (
     BadReductionError,
     IndexRangeError,
+    NotOnVarietyError,
     UnsupportedPrimeError,
     WorkLimitError,
 )
-from sloccgeo.geometry import MultiForm
+from sloccgeo.geometry import ProjPoint, VarietyModel, jacobian_rank_at
+from sloccgeo.invariants import TernaryCubic
 from sloccgeo.linalg import Matrix, check_primes, random_invertible
 from sloccgeo.states import Tensor, basis_state, random_state
 from sloccgeo.zalgebra import quadratic_hilbert
@@ -400,14 +402,15 @@ def test_tensor_and_form_are_values():
         lambda: Tensor.from_integers(3, 2, t.nums, t.den),
         {"n": 2, "d": 3, "nums": t.nums[::-1], "den": 2 * t.den},
     )
-    terms = {(1, 0, 0, 1): 3, (0, 1, 1, 0): Fraction(-1, 2)}
-    check_value_fields(
-        lambda: MultiForm((2, 2), terms),
-        {"group_dims": (2, 1, 1), "multidegree": (2, 0), "terms": {(1, 0, 0, 1): 3}, "p": 5},
+    # a form is kept as its coefficients, as a ternary cubic is
+    terms = {(3, 0, 0): 3, (1, 1, 1): Fraction(-1, 2)}
+    check_value_fields(lambda: TernaryCubic.from_terms(terms), {"coeffs": (0,) * 10})
+    # reordered terms, zero terms and int coefficients name the same form
+    same = TernaryCubic.from_terms(
+        {(1, 1, 1): Fraction(-1, 2), (0, 3, 0): 0, (3, 0, 0): Fraction(6, 2)}
     )
-    # reordered terms and terms with zero coefficients name the same form
-    same = MultiForm((2, 2), {(0, 1, 1, 0): Fraction(-1, 2), (1, 1, 0, 0): 0, (1, 0, 0, 1): 3})
-    assert same == MultiForm((2, 2), terms) and hash(same) == hash(MultiForm((2, 2), terms))
+    assert same == TernaryCubic.from_terms(terms)
+    assert hash(same) == hash(TernaryCubic.from_terms(terms))
 
 
 @pytest.mark.parametrize(
@@ -440,6 +443,13 @@ def test_prime_check_echoes_a_bounded_excerpt():
 _HUGE = 10**5000  # over the 4,300-digit limit of int-to-string conversion
 
 
+def _off_variety_rank(coefficient):
+    """jacobian_rank_at at a point where form 0 of a hand-built model over
+    F_7, with an unreduced coefficient, does not vanish."""
+    rows = ((7 * coefficient + 1,) + (0,) * 8, (0,) * 9, (0,) * 9)
+    return jacobian_rank_at(VarietyModel(3, 3, rows, 1, 7), ProjPoint(7, ((1, 0, 0), (1, 0, 0))))
+
+
 @pytest.mark.parametrize(
     "call, error, start",
     [
@@ -450,8 +460,8 @@ _HUGE = 10**5000  # over the 4,300-digit limit of int-to-string conversion
          "k_max=<int of 16610 bits> "),
         (lambda: Matrix([[1]], p=-_HUGE), UnsupportedPrimeError, "modulus <int of 16610 bits> "),
         (lambda: Matrix([[Fraction(_HUGE, 3)]], p=5), TypeError, "F_5 matrix entry <Fraction "),
-        (lambda: MultiForm((1,), {(1,): Fraction(_HUGE, 3)}, p=5), TypeError,
-         "F_5 form coefficient <Fraction "),
+        (lambda: _off_variety_rank(_HUGE), NotOnVarietyError,
+         "form 0 (row <tuple too long to print>) does not vanish"),
         (lambda: Matrix([[1]], cols=_HUGE), ValueError,
          "rows of length 1 disagree with cols=<int of 16610 bits>"),
         (lambda: Tensor(2, 2, [Fraction(_HUGE + 1, 5), 1, 1, 1]).reduce_mod(5),

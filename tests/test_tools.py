@@ -1,12 +1,14 @@
 """The code-size count that tools/code_lines.py prints for src/sloccgeo,
 and the names the benchmark's tracer binds."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "code_lines.py"
 TRACER = ROOT / "perfbench" / "tracer.py"
+BENCHMARK_READERS = [ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "worker.py"]
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -67,3 +69,40 @@ def test_tracer_names_exist():
             f"sloccgeo.{module}.{attr}"
         )
     assert callable(Matrix.rref) and callable(Matrix.det)
+
+
+def _sg_chains(tree):
+    """The dotted chains sg.<name>[.<attr>...] read in a parsed module,
+    also inside string constants that parse as code (a snippet run in a
+    fresh interpreter)."""
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                chains |= _sg_chains(ast.parse(node.value))
+            except SyntaxError:
+                pass
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "sg":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_benchmark_reads_resolve():
+    # the benchmark calls these sloccgeo names directly, so deleting one
+    # breaks it; this fails in the tier-1 run instead
+    import sloccgeo
+
+    chains = set()
+    for path in BENCHMARK_READERS:
+        chains |= _sg_chains(ast.parse(path.read_text(encoding="utf-8")))
+    assert ("TernaryCubic", "from_terms") in chains and ("cubic_discriminant",) in chains
+    assert ("TernaryCubic", "weierstrass") in chains and ("aronhold_invariants",) in chains
+    for chain in sorted(chains):
+        value = sloccgeo
+        for name in chain:
+            assert hasattr(value, name), "sg." + ".".join(chain)
+            value = getattr(value, name)
