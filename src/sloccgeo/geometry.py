@@ -9,7 +9,10 @@ linear-form matrix, and gathers finite-field smoothness evidence by
 exhaustive point enumeration plus Jacobian ranks.
 
 A model over Q reduces modulo p in one way only: through its source state
-(``model_mod_p``).  Points come from one walk over the variable groups
+(``model_mod_p``).  The graded checks skip the model over Q
+(``reduced_models``): a reduced flattening of full rank proves the exact
+one has full rank, and only a failed reduction builds it, for its error.
+Points come from one walk over the variable groups
 (``_points``): ``enumerate_points`` lists it, and both Jacobian sweeps
 (``smoothness_scan`` and the one in ``invariants.classify``) test the
 points it does not certify smooth.  The walk solves the innermost prefix
@@ -35,12 +38,19 @@ from .errors import (
     BadReductionError,
     NotOnVarietyError,
     RankDeficientError,
+    SloccGeoError,
     UnsupportedFormatError,
     WorkLimitError,
     _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, Matrix, check_primes
-from .states import _contract, _rotate, flattening_basis, reduced_flattening_image
+from .states import (
+    _contract,
+    _rotate,
+    check_flattening_cost,
+    flattening_basis,
+    reduced_flattening_image,
+)
 
 #: Most prefixes one point sweep may visit: summed over the requested primes
 #: in smoothness_scan, per call in enumerate_points.  A full default-prime
@@ -213,6 +223,37 @@ def variety_from_state(t):
     if len(rows) != t.d:
         raise RankDeficientError(len(rows), t.d)
     return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, t)
+
+
+def reduced_models(states, p):
+    """The models over F_p of states of one format, each built from its
+    reduced flattening (``reduced_flattening_image``) without the exact
+    one, as ``model_mod_p(variety_from_state(t), p)`` would give them.
+
+    Rank can only drop modulo p, so a reduced flattening of full rank d
+    proves the flattening over Q has rank d too, and the exact model is
+    needed for nothing else: its reduction through the source state is the
+    reduced flattening.  The format's cost is checked first
+    (``check_flattening_cost``).  When a reduction fails (p is no supported
+    prime or divides the denominator) or drops the rank, every state takes
+    the exact route instead, all models over Q before any reduction, so the
+    same error comes out, in the same order: WorkLimitError, then
+    RankDeficientError of any state, then the reduction's own error.
+    """
+    models = []
+    for t in states:
+        check_flattening_cost(t)
+        try:
+            basis = reduced_flattening_image(t, p)
+        except SloccGeoError:
+            break
+        if basis.rows < t.d:
+            break
+        models.append(VarietyModel(t.n, t.d, basis.entries, 1, p, t))
+    else:
+        return models
+    exact = [variety_from_state(t) for t in states]
+    return [model_mod_p(model, p) for model in exact]
 
 
 @cache
@@ -608,11 +649,20 @@ def jacobian_rank_at(model, pt):
     The model is smooth at the point exactly when the rank equals d.  The
     point must satisfy every defining form, else NotOnVarietyError, and
     each group's coordinate vector must be nonzero mod p, else ValueError.
+    The point needs one coordinate vector of length d per group, and a
+    hand-built model d rows of d**(n-1) coefficients, else ValueError; the
+    point is checked first, so d**(n-1) is formed only for a format that
+    the point's coordinates already spell out.
     """
     reduced = model_mod_p(model, pt.p)
-    d = reduced.d
-    if len(pt.coords) != reduced.groups or any(len(c) != d for c in pt.coords):
+    d, groups = reduced.d, reduced.groups
+    if len(pt.coords) != groups or any(len(c) != d for c in pt.coords):
         raise ValueError("coordinate arity mismatch")
+    size = d**groups
+    if len(reduced.rows) != d or any(len(row) != size for row in reduced.rows):
+        raise ValueError(
+            f"a model of format (n={reduced.n}, d={d}) needs {d} rows of {size} coefficients"
+        )
     if not all(any(x % pt.p for x in c) for c in pt.coords):
         raise ValueError(f"{pt} has a zero coordinate vector: not a projective point")
     jac = _jacobian_rows(_coefficient_tensor(reduced), pt.coords, d, pt.p)

@@ -44,6 +44,7 @@ from .errors import (
     UnsupportedPrimeError,
     WrongDegreeError,
     WrongFormatError,
+    _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, MAX_PRIME, check_primes, clear_denominators
 from .states import _frac_str, flattening_basis
@@ -76,10 +77,17 @@ class TernaryCubic:
 
     @classmethod
     def from_terms(cls, terms):
-        """Build from {exponent triple: coefficient}."""
+        """Build from {exponent triple: coefficient}.  A key that is not
+        the exponent triple of a cubic monomial raises WrongDegreeError,
+        naming it by excerpt (``_excerpt``)."""
         coeffs = [Fraction(0)] * 10
         for mono, c in terms.items():
-            coeffs[_CUBIC_INDEX[tuple(mono)]] = Fraction(c)
+            index = _CUBIC_INDEX.get(mono)
+            if index is None:
+                raise WrongDegreeError(
+                    f"{_excerpt(mono)} is not the exponent triple of a cubic monomial"
+                )
+            coeffs[index] = Fraction(c)
         return cls(coeffs)
 
     @classmethod

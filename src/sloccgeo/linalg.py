@@ -19,8 +19,9 @@ place from the pivot column rightward, and hands its rows to the private
 without reducing them again.  The public constructor checks and reduces
 its input; over F_p it takes integer entries only.  Kernels and Hilbert
 quotients read the pivots and free columns of reduced rows through one
-routine, ``_free_basis``; a kernel is one elimination, of the
-column-reversed matrix (``Matrix.kernel``).
+routine, ``_pivots_and_free``: a kernel takes its free-column basis
+(``_free_basis``) from one elimination, of the column-reversed matrix
+(``Matrix.kernel``), and a Hilbert degree its multiplication map.
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
 through ``Tensor.reduce_mod`` (``states.reduced_flattening_image`` calls
@@ -274,21 +275,28 @@ class Matrix:
         return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
 
 
-def _free_basis(rows, cols):
-    """The free-column basis of the right null space of the nonzero rows
-    of an RREF with cols columns: for each column that is no row's pivot,
-    in order, the vector with 1 there, minus that column of the rows at
-    their pivot columns and 0 elsewhere.  Entries are left unreduced."""
+def _pivots_and_free(rows, cols):
+    """(pivots, free) for the nonzero rows of an RREF with cols columns:
+    each row's pivot column, and the columns that are no row's pivot, in
+    order."""
     pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
     pivot_set = set(pivots)
+    return pivots, [f for f in range(cols) if f not in pivot_set]
+
+
+def _free_basis(rows, cols):
+    """The free-column basis of the right null space of the nonzero rows
+    of an RREF with cols columns: for each free column, in order, the
+    vector with 1 there, minus that column of the rows at their pivot
+    columns and 0 elsewhere.  Entries are left unreduced."""
+    pivots, free = _pivots_and_free(rows, cols)
     basis = []
-    for f in range(cols):
-        if f not in pivot_set:
-            v = [0] * cols
-            v[f] = 1
-            for row, pc in zip(rows, pivots):
-                v[pc] = -row[f]
-            basis.append(v)
+    for f in free:
+        v = [0] * cols
+        v[f] = 1
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[f]
+        basis.append(v)
     return basis
 
 

@@ -299,6 +299,18 @@ def flatten_last(t):
     return Matrix([coeffs[r : r + t.d] for r in range(0, len(coeffs), t.d)], cols=t.d)
 
 
+def check_flattening_cost(t):
+    """Raise WorkLimitError when d**(n+1) exceeds MAX_FLATTENING_COST: the
+    cost of an exact flattening grows with it, and every route from a state
+    to its model, exact or over F_p, checks it before any elimination."""
+    cost = t.d ** (t.n + 1)
+    if cost > MAX_FLATTENING_COST:
+        raise WorkLimitError(
+            f"an exact flattening of format (n={t.n}, d={t.d}) costs {cost} "
+            f"cell updates, over the limit of {MAX_FLATTENING_COST}"
+        )
+
+
 def flattening_basis(t):
     """(rows, den): the canonical basis of the flattening image as integer
     rows over one denominator, rows / den being the RREF basis, in lowest
@@ -307,14 +319,9 @@ def flattening_basis(t):
     there are as many as the image has dimensions.
 
     Raises WorkLimitError, before any elimination, when d**(n+1) exceeds
-    MAX_FLATTENING_COST: the exact elimination's cost grows with it.
+    MAX_FLATTENING_COST (``check_flattening_cost``).
     """
-    cost = t.d ** (t.n + 1)
-    if cost > MAX_FLATTENING_COST:
-        raise WorkLimitError(
-            f"an exact flattening of format (n={t.n}, d={t.d}) costs {cost} "
-            f"cell updates, over the limit of {MAX_FLATTENING_COST}"
-        )
+    check_flattening_cost(t)
     return integer_rref([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))[1:]
 
 

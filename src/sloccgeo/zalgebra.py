@@ -16,10 +16,19 @@ The profile is built in the quotient one degree at a time.  The span in
 degree k is the span in degree k-1 tensored with V plus
 V^(x)(k-a) (x) R_{(k-a) mod n}, so A_k = (A_{k-1} (x) V) / W_k, where W_k
 is the image of A_{k-a} (x) R_{(k-a) mod n} under the multiplication maps
-that the earlier degrees built.  Each degree ranks an h_{k-a}*d by
-h_{k-1}*d matrix, not the d^k-wide span of every shift.  The ranks are
-taken over F_p after reducing the state, so a profile is evidence at one
-prime and agreement across good primes is the intended standard.
+that the earlier degrees built, each kept as the nonzero entries of its
+columns.  Each degree ranks an h_{k-a}*d by h_{k-1}*d matrix, not the
+d^k-wide span of every shift.  The ranks are taken over F_p after
+reducing the state, so a profile is evidence at one prime and agreement
+across good primes is the intended standard.
+
+Every check here reaches F_p from the state's reduced flattenings alone
+(``geometry.reduced_models``): rank can only drop modulo p, so a reduced
+flattening of rank d proves the exact one has rank d, and the exact
+flattening over Q is built only when a reduction fails or drops the rank,
+to raise the error the exact route raises, in its order (WorkLimitError,
+then RankDeficientError, then the reduction's UnsupportedPrimeError or
+BadReductionError).
 
 The reconstruction roundtrip and the section-product test evaluate slot
 monomials at the model's F_p-points instead.
@@ -34,14 +43,13 @@ from .errors import (
     WrongFormatError,
     _excerpt,
 )
-from .linalg import Matrix, _free_basis
+from .linalg import Matrix, _pivots_and_free
 from .states import Tensor, _rotate
 from .geometry import (
     _singular_reduction,
     enumerate_points,
     hasse_window,
-    model_mod_p,
-    variety_from_state,
+    reduced_models,
 )
 from .invariants import slice_discriminants
 
@@ -150,30 +158,36 @@ def cyclic_relations(state, p):
     with its factors rotated by j (factor k moves to position k - j mod n:
     the first axis moved last j times, ``_rotate``), so the rotation by j
     lies in both R_j (x) V and V (x) R_{j+1}: the rows of the rotation's
-    model reduced modulo p (``model_mod_p``).  Every rotation's model is
-    built first, so RankDeficientError (the flattening has dimension below
-    d over Q) wins over BadReductionError (the prime divides a
-    denominator, or the rank drops only modulo p).
+    model over F_p (``geometry.reduced_models``).  No exact flattening is
+    built when every reduced one has rank d: rank can only drop modulo p,
+    so rank d there proves rank d over Q.  When one reduction fails or
+    drops the rank, every rotation's model over Q is built before any is
+    reduced, so the errors keep their order: WorkLimitError (the format's
+    flattening cost), then RankDeficientError (some rotation's flattening
+    has dimension below d over Q), then UnsupportedPrimeError or
+    BadReductionError (the prime divides a denominator, or the rank drops
+    only modulo p).
     """
-    n, d, models, nums = state.n, state.d, [], state.nums
+    n, d, rotations, nums = state.n, state.d, [], state.nums
     for _ in range(n):
-        models.append(variety_from_state(Tensor.from_integers(n, d, nums, state.den)))
+        rotations.append(Tensor.from_integers(n, d, nums, state.den))
         nums = _rotate(nums, d)
-    return [model_mod_p(model, p).rows for model in models]
+    return [model.rows for model in reduced_models(rotations, p)]
 
 
 def _push(terms, mu, size, rest, p):
     """Apply mu (x) id to the (index, coefficient) terms of a vector of
     A_j (x) V (x) V^(x)rest, indexed (column of A_j (x) V) * d**rest + word;
     the image lies in A_{j+1} (x) V^(x)rest, where A_{j+1} has dimension
-    size.  Returns the image's entries as a tuple of ints in [0, p)."""
+    size, and mu[col] lists the (i, x) pairs of the nonzero entries of
+    column col's image.  Returns the image's entries as a tuple of ints in
+    [0, p)."""
     out = [0] * (size * rest)
     for idx, c in terms:
         if c:
             col, word = divmod(idx, rest)
-            for i, x in enumerate(mu[col]):
-                if x:
-                    out[i * rest + word] += c * x
+            for i, x in mu[col]:
+                out[i * rest + word] += c * x
     return tuple([x % p for x in out])
 
 
@@ -206,8 +220,9 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
     those rows leaves the free columns as A_m's basis, and mu_m is the
     transpose of the free-column basis of their null space: it keeps a
     free column and sends a pivot column to minus its row on the free
-    columns (unreduced; ``_push`` reduces).  When A_m is 0, mu_m sends
-    every column to the empty vector.
+    columns (unreduced; ``_push`` reduces).  mu_m is stored sparsely, as
+    the (i, x) pairs of each column's nonzero entries: a free column has
+    the one pair (i, 1), and when A_m is 0 every column has none.
     """
     check_hilbert_degree(state.d, k_max)
     relations = cyclic_relations(state, p)
@@ -228,9 +243,14 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
                         terms = enumerate(vec)
                     rows.append(vec)
             rows = Matrix._trusted(rows, width, p).row_space().entries
-        basis = _free_basis(rows, width)
-        mus.append(list(zip(*basis)) if basis else [()] * width)
-        dims.append(len(basis))
+        pivots, free = _pivots_and_free(rows, width)
+        mu = [()] * width
+        for i, f in enumerate(free):
+            mu[f] = ((i, 1),)
+        for row, pc in zip(rows, pivots):
+            mu[pc] = tuple([(i, -row[f]) for i, f in enumerate(free) if row[f]])
+        mus.append(mu)
+        dims.append(len(free))
     return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
 
 
@@ -310,7 +330,8 @@ def multiplication_surjectivity(state, axis_pair, p):
     if any(type(a) is not int for a in axis_pair) or sorted(axis_pair) not in pairs:
         raise ValueError("axis pair must name two distinct groups of 0,1,2")
     axis_pair = tuple(sorted(axis_pair))
-    points = enumerate_points(variety_from_state(state), p)
+    (model,) = reduced_models([state], p)
+    points = enumerate_points(model, p)
     projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
     lo, hi = hasse_window(p)
     refused = len(projected) > hi or len(projected) < max(5, lo)
@@ -348,7 +369,8 @@ def roundtrip_check(state, p):
     The construction guarantees the kernel contains that reduction, so a
     full evaluation rank forces equality; failures therefore surface only
     as bad reduction or insufficient points, never as a wrong kernel.  Bad
-    reduction is raised by the model's reduction (``model_mod_p``), or, when
+    reduction is raised by the model's reduction (``reduced_models``, which
+    builds the exact model only to raise its error), or, when
     the evaluation rank falls short and p divides a slice discriminant of a
     smooth curve state, as BadReductionError naming the singular reduced
     curve, as in ``multiplication_surjectivity``.  Any other shortfall is
@@ -356,7 +378,7 @@ def roundtrip_check(state, p):
     at a good prime can have fewer points than the rank needs (3 at p = 7,
     against a target of 6).
     """
-    reduced = model_mod_p(variety_from_state(state), p)
+    (reduced,) = reduced_models([state], p)
     try:
         relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
     except InsufficientPointsError:

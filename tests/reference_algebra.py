@@ -11,8 +11,9 @@ does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the slot-monomial rows and the span points, the
-former full sweep of ``smoothness_scan`` (every witness reported), and
-the former exact kernels of the curve path: the determinant-sum
+former full sweep of ``smoothness_scan`` (every witness reported), the
+former exact route of ``cyclic_relations`` (a model over Q per rotation),
+and the former exact kernels of the curve path: the determinant-sum
 projection, the term-by-term S/T evaluation and the ``Fraction``
 discriminant and j.  The exact Schlaefli pencil form of a (5,2) state,
 which ``invariants._schlaefli_pencil`` builds modulo one prime, is here
@@ -30,7 +31,9 @@ from sloccgeo.geometry import (
     _file_primes,
     _first_witness,
     _points,
+    model_mod_p,
     projective_points,
+    variety_from_state,
 )
 from sloccgeo.invariants import (
     PLANE_CUBIC,
@@ -40,7 +43,7 @@ from sloccgeo.invariants import (
     schlaefli_hyperdet,
 )
 from sloccgeo.linalg import Matrix
-from sloccgeo.states import Tensor
+from sloccgeo.states import Tensor, _rotate
 
 
 # A form is a plain term dict {flat exponent tuple: coefficient}: the
@@ -290,6 +293,19 @@ def subspace_points(basis_rows, dim, p):
         lead = next(x for x in vec if x)
         inv = pow(lead, -1, p)
         yield tuple(x * inv % p for x in vec)
+
+
+def cyclic_relations(state, p):
+    """The relation rows R_0, ..., R_{n-1} over F_p the former way: every
+    rotation's exact model over Q first (``variety_from_state``), then each
+    reduced through its state (``model_mod_p``).  ``zalgebra`` builds them
+    from the reduced flattenings and takes this route only to raise its
+    error."""
+    n, d, models, nums = state.n, state.d, [], state.nums
+    for _ in range(n):
+        models.append(variety_from_state(Tensor.from_integers(n, d, nums, state.den)))
+        nums = _rotate(nums, d)
+    return [model_mod_p(model, p).rows for model in models]
 
 
 def full_sweep(t, primes):

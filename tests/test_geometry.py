@@ -729,12 +729,30 @@ def _rank_at(coords):
         (lambda: _rank_at(((0, 0, 0), (0, 0, 0))), "zero coordinate vector"),
         (lambda: _rank_at(((0, 0, 0), (1, 2, 3))), "zero coordinate vector"),
         (lambda: _rank_at(((1, 0, 0), (7, 14, 0))), "zero coordinate vector"),
+        # hand-built models over F_7 of the wrong shape: rows of 2 entries
+        # where 9 are needed returned rank 0, read as a singular point
+        (
+            lambda: jacobian_rank_at(
+                VarietyModel(3, 3, ((1, 2), (0, 1), (1, 1)), 1, 7),
+                ProjPoint(7, ((1, 0, 0), (1, 0, 0))),
+            ),
+            r"needs 3 rows of 9 coefficients",
+        ),
+        (
+            lambda: jacobian_rank_at(
+                VarietyModel(3, 3, ((0,) * 9,) * 2, 1, 7),
+                ProjPoint(7, ((1, 0, 0), (1, 0, 0))),
+            ),
+            r"needs 3 rows of 9 coefficients",
+        ),
     ],
     ids=[
         "point-arity",
         "zero-point",
         "zero-first-group",
         "zero-mod-p-group",
+        "model-row-length",
+        "model-row-count",
     ],
 )
 def test_malformed_geometry_calls_are_refused(call, message):

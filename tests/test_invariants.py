@@ -1144,6 +1144,22 @@ def _slice_model(t, q):
     "call, error, message",
     [
         (lambda: TernaryCubic([1, 2, 3]), ValueError, "10 coefficients"),
+        # keys that name no cubic monomial ended in a bare KeyError
+        (
+            lambda: TernaryCubic.from_terms({(3, 0, 0): 1, (4, 0, 0): 1}),
+            WrongDegreeError,
+            r"^\(4, 0, 0\) is not the exponent triple of a cubic monomial$",
+        ),
+        (
+            lambda: TernaryCubic.from_terms({(1, 1): 1}),
+            WrongDegreeError,
+            r"^\(1, 1\) is not the exponent triple",
+        ),
+        (
+            lambda: TernaryCubic.from_terms({(10**200, 0, 0): 1}),
+            WrongDegreeError,
+            r"^\(1000000000000.*\.\.\..*0, 0, 0\) is not the exponent triple",
+        ),
         (
             lambda: plane_cubic_invariants([1, 0, 0]),
             WrongDegreeError,
@@ -1171,6 +1187,9 @@ def _slice_model(t, q):
     ],
     ids=[
         "cubic-of-3-coefficients",
+        "cubic-of-a-quartic-monomial",
+        "cubic-of-a-pair",
+        "cubic-of-a-long-key",
         "cubic-from-linear-form",
         "curve-test-on-a-surface",
         "curve-test-over-f2",

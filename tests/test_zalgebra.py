@@ -4,6 +4,7 @@ import pytest
 
 from sloccgeo.errors import (
     BadReductionError,
+    SloccGeoError,
     InsufficientPointsError,
     RankDeficientError,
     UnsupportedPrimeError,
@@ -17,6 +18,7 @@ from sloccgeo.geometry import (
     hasse_window,
     jacobian_rank_at,
     model_mod_p,
+    reduced_models,
     smoothness_scan,
     variety_from_state,
 )
@@ -24,6 +26,7 @@ from sloccgeo.invariants import classify, slocc_compare
 from sloccgeo.states import (
     SloccOperator,
     Tensor,
+    _rotate,
     apply_slocc,
     basis_state,
     flattening_image,
@@ -282,13 +285,18 @@ def test_profile_rank_deficient_in_rotated_flattening():
 
 def test_profile_rank_deficiency_wins_over_bad_prime():
     # the denominator 7 makes p = 7 a bad prime, but the rank deficiency of
-    # a rotation over Q is the verdict at every prime
+    # a rotation over Q is the verdict at every prime, even where rotation
+    # 0, of full rank over Q, fails first: at a bad prime, a non-prime, or
+    # a rank drop mod 11 (diag(1, 1, 11))
     t = Tensor.from_entries(3, 3, {(0, k, k): Fraction(1, 7) for k in range(3)})
-    for p in (7, 11):
+    drop = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (0, 1, 1): 1, (0, 2, 2): 11})
+    for state, p in ((t, 7), (t, 11), (t, 4), (drop, 11)):
         with pytest.raises(RankDeficientError):
-            quadratic_hilbert(t, p, 4)
+            quadratic_hilbert(state, p, 4)
         with pytest.raises(RankDeficientError):
-            cyclic_relations(t, p)
+            cyclic_relations(state, p)
+    with pytest.raises(BadReductionError, match="^flattening rank drops modulo 11$"):
+        reduced_models([drop], 11)
 
 
 def test_profile_rank_drop_mod_p_is_bad_reduction():
@@ -307,6 +315,112 @@ def test_profile_rank_drop_mod_p_is_bad_reduction():
     with pytest.raises(BadReductionError) as info:
         quadratic_hilbert(t.scale(Fraction(1, 5)), 5, 4)
     assert str(info.value) == "denominator divisible by 5 for 1/5"
+
+
+def _outcome(call):
+    """("ok", value) or (error type, message, prime) of a call."""
+    try:
+        return "ok", call()
+    except SloccGeoError as exc:
+        return type(exc), str(exc), getattr(exc, "p", None)
+
+
+def test_reduced_models_match_the_exact_route():
+    # the models from the reduced flattenings against the exact models
+    # reduced through their states: equal models, or the same error type,
+    # message and prime; and cyclic_relations against the former loop, over
+    # random states with denominators divisible by p, rank drops mod p
+    # (the last slice congruent to the first) and a rank-deficient rotation
+    # (e_0 (x) s, rotated)
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(((3, 3), (4, 2))),
+        p=st.sampled_from((5, 7, 11, 13)),
+        kind=st.sampled_from(("random", "rank drop", "rotated deficiency")),
+    )
+    def check(data, fmt, p, kind):
+        n, d = fmt
+        size, inner = d**n, d ** (n - 1)
+        nums = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+        if kind == "rank drop":
+            shifts = data.draw(st.lists(st.integers(-2, 2), min_size=inner, max_size=inner))
+            for r, s in enumerate(shifts):
+                nums[r * d + d - 1] = nums[r * d] + p * s
+        elif kind == "rotated deficiency":
+            nums = nums[:inner] + [0] * (size - inner)
+            for _ in range(data.draw(st.integers(0, n - 1))):
+                nums = _rotate(nums, d)
+        den = data.draw(st.sampled_from((1, 2, p, 3 * p)))
+        t = Tensor.from_integers(n, d, nums, den)
+        fast = _outcome(lambda: reduced_models([t], p)[0])
+        assert fast == _outcome(lambda: model_mod_p(variety_from_state(t), p))
+        relations = _outcome(lambda: cyclic_relations(t, p))
+        assert relations == _outcome(lambda: ref.cyclic_relations(t, p))
+        seen.update((fast[0], relations[0]))
+
+    check()
+    assert {"ok", RankDeficientError, BadReductionError} <= seen
+
+
+def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
+    # at a good prime every reduced flattening has rank d, which proves the
+    # exact rank, so no exact flattening is built
+    import sloccgeo.geometry
+    import sloccgeo.invariants
+    import sloccgeo.states
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return sloccgeo.states.flattening_basis(t)
+
+    for module in (sloccgeo.geometry, sloccgeo.invariants):
+        monkeypatch.setattr(module, "flattening_basis", counting)
+    t33 = random_state(3, 3, 5, 42)
+    assert quadratic_hilbert(t33, 11, 4).matches()
+    assert cubic_hilbert(family_1235, 13, 5).matches()
+    assert roundtrip_check(t33, 11) is True
+    assert roundtrip_check(family_1235, 13) is True
+    assert multiplication_surjectivity(family_1235, (0, 1), 13).surjective
+    assert calls == []
+    # a bad prime takes the exact route, for its error
+    with pytest.raises(BadReductionError):
+        roundtrip_check(t33.scale(Fraction(1, 11)), 11)
+    assert calls == [t33.scale(Fraction(1, 11))]
+
+
+def test_flattening_cost_is_checked_before_any_elimination(monkeypatch, family_1235):
+    import sloccgeo.linalg
+    import sloccgeo.states
+
+    def refused(*args):
+        raise AssertionError("eliminated before the cost check")
+
+    monkeypatch.setattr(sloccgeo.linalg, "_bareiss", refused)
+    monkeypatch.setattr(Matrix, "rref", refused)
+    # (2,64) costs 64**3 = 262,144 cell updates, over the limit
+    wide = random_state(2, 64, 5, 0)
+    for call in (lambda: cyclic_relations(wide, 11), lambda: roundtrip_check(wide, 11)):
+        with pytest.raises(WorkLimitError, match=r"costs 262144 cell updates"):
+            call()
+    # with the limit at 16, (3,3) (81) and (4,2) (32) are over it too
+    monkeypatch.setattr(sloccgeo.states, "MAX_FLATTENING_COST", 16)
+    t33 = random_state(3, 3, 5, 42)
+    for call, cost in (
+        (lambda: cyclic_relations(t33, 11), 81),
+        (lambda: quadratic_hilbert(t33, 11, 4), 81),
+        (lambda: roundtrip_check(t33, 11), 81),
+        (lambda: multiplication_surjectivity(family_1235, (0, 1), 13), 32),
+    ):
+        with pytest.raises(WorkLimitError, match=rf"costs {cost} cell updates, over the limit of 16$"):
+            call()
 
 
 def test_quadratic_profile_flags_ghz3(ghz3_qutrit):
