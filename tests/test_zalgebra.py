@@ -4,9 +4,9 @@ import pytest
 
 from sloccgeo.errors import (
     BadReductionError,
-    SloccGeoError,
     InsufficientPointsError,
     RankDeficientError,
+    SloccGeoError,
     UnsupportedPrimeError,
     WorkLimitError,
     WrongFormatError,
