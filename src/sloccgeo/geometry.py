@@ -20,11 +20,19 @@ group's lines through a determinant pencil and reads each prefix system's
 fibre from its rank, so Matrix.kernel runs only for the one system of an
 n = 2 model, a d = 3 system of rank 1, a non-square system and d > 3.
 A (3,3) or (4,2) state whose slice discriminants all are nonzero skips
-that walk in ``smoothness_scan``: at each used prime its point count is
-that of its first projected curve (``_curve_count``), and the scan finds
-no singular point there by proof, not by search.  The curve formats and
-their projections are listed once, in ``CURVE_AXES`` and
-``PROJECTION_MONOMIALS``.
+that walk in ``smoothness_scan``, and its model is not reduced at all.
+Such a model is a smooth genus-one curve, and so is its reduction at each
+used prime.  A smooth genus-one curve over F_p has an F_p-point (Lang), so
+it is isomorphic to its Jacobian y^2 = x^3 + a*x + b, whose (a, b) are the
+curve's exact invariants: (-S/3, T/108) for a plane cubic (Artin,
+Rodriguez-Villegas and Tate) and (-27I, -27J) for the branch quartic of a
+(2,2)-form (An, Kim, Marshall, Marshall, McCallum and Perlis).  So the
+point count is a sum of quadratic characters over F_p
+(``invariants._jacobian_count``), and the scan finds no singular point
+there by proof, not by search.  Its primes are filed from the slice
+discriminants alone, reducing only where the reduction can fail
+(``_file_primes``).  The curve formats and their projections are listed
+once, in ``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
@@ -156,8 +164,8 @@ class SmoothnessReport:
     A recorded singular witness is strong evidence against smoothness (and
     proof modulo that prime); an empty sweep is probabilistic evidence only,
     except for a (3,3) or (4,2) state whose slice discriminants all are
-    nonzero: its counts are those of its projected curve, and
-    NoSingularPointFound proves each used reduction smooth.
+    nonzero: its counts are those of the Jacobian of its projected curve,
+    and NoSingularPointFound proves each used reduction smooth.
     ``bad_primes`` divide a denominator or drop the flattening rank.
     ``excluded_primes`` are primes of singular reduction of a model proved
     smooth over the algebraic closure of Q, so the reduced model says
@@ -194,12 +202,13 @@ def _witness_json(witness):
 
 
 def _check_formula_format(n, d):
-    """ValueError unless n, d >= 2; WorkLimitError when d**n would have
-    more than MAX_FORMULA_BITS bits.  Since d >= 2, an n above the limit is
-    refused before n*log2(d) is formed, so no huge n meets a float, and the
-    message prints neither, so no huge one meets int-to-string conversion."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
+    """ValueError unless n and d are ints (not bools) >= 2; WorkLimitError
+    when d**n would have more than MAX_FORMULA_BITS bits.  Since d >= 2, an
+    n above the limit is refused before n*log2(d) is formed, so no huge n
+    meets a float, and the message prints neither, so no huge one meets
+    int-to-string conversion."""
+    if type(n) is not int or type(d) is not int or n < 2 or d < 2:
+        raise ValueError("need ints n >= 2 and d >= 2")
     if n > MAX_FORMULA_BITS or n * log2(d) > MAX_FORMULA_BITS:
         raise WorkLimitError(f"d**n is over the limit of 2**{MAX_FORMULA_BITS}")
 
@@ -721,81 +730,55 @@ def _singular_reduction(discs, p):
     return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
 
 
-def _curve_count(reduced, p):
-    """#C_p(F_p) for the first projected curve C_p (``CURVE_AXES``) of a
-    reduced (3,3) or (4,2) model, counted from its coefficients mod p.
-
-    (4,2): C_p is A(x)*y0^2 + B(x)*y0*y1 + C(x)*y1^2 = 0, and over each x
-    of P^1(F_p) the quadratic in y has 1 + chi(q(x)) projective roots,
-    where q = B^2 - 4AC (``invariants._branch``) and chi is the quadratic
-    character (chi(0) = 0), read from the set of nonzero squares mod p.
-    That holds unless A, B and C all vanish at x, so that C_p contains the
-    line {x} x P^1, which a smooth C_p does not.  So #C_p = p + 1 + the
-    sum of chi(q(x)), in O(p).  (3,3): the zeros of the plane cubic C on
-    P^2(F_p), one chart line at a time: the roots v of C(1, u, v) for
-    each u, of C(0, 1, v), and the point (0, 0, 1), in O(p^2).
-    """
-    from .invariants import _branch
-
-    fmt = (reduced.n, reduced.d)
-    coeffs = projection_coefficients(reduced.rows, *fmt, CURVE_AXES[fmt][0])
-    if fmt == (4, 2):
-        q0, q1, q2, q3, q4 = (c % p for c in _branch(coeffs))
-        squares = {t * t % p for t in range(1, p)}
-        values = [((((q4 * t + q3) * t + q2) * t + q1) * t + q0) % p for t in range(p)] + [q4]
-        return p + 1 + sum(1 if v in squares else -1 for v in values if v)
-    # the coefficients of x0^3, x0^2*x1, x0^2*x2, x0*x1^2, x0*x1*x2,
-    # x0*x2^2, x1^3, x1^2*x2, x1*x2^2, x2^3 (CUBIC_MONOMIALS)
-    c = [x % p for x in coeffs]
-    powers = [(v, v * v % p, v**3 % p) for v in range(p)]
-    lines = [  # the coefficients of 1, v, v^2, v^3 in C(1, u, v)
-        (
-            c[0] + c[1] * u + c[3] * u2 + c[6] * u3,
-            (c[2] + c[4] * u + c[7] * u2) % p,
-            (c[5] + c[8] * u) % p,
-            c[9],
-        )
-        for u, u2, u3 in powers
-    ]
-    lines.append((c[6], c[7], c[8], c[9]))  # C(0, 1, v)
-    count = c[9] == 0  # the point (0, 0, 1)
-    for a0, a1, a2, a3 in lines:
-        count += [(a1 * v + a2 * w + a3 * x) % p for v, w, x in powers].count(-a0 % p)
-    return count
-
-
 def _file_primes(t, primes, discs=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
     Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES)
-    and the prefix budget, builds the model, and files each prime in order
-    as bad (the state has a denominator there, or the flattening rank
-    drops), excluded (p divides the numerator of one of ``discs``, when
-    none of them vanishes: ``_singular_reduction``) or used.  Returns
-    (used, bad, excluded), where used lists a (p, reduced model) pair per
-    used prime; how much of each to sweep is the caller's choice.
-    smoothness_scan passes the state's ``slice_discriminants``: for a curve
-    format that is smooth by the exact discriminant test, such a p makes the
-    reduced curve degenerate, and it says nothing about the original model.
-    The checks raise in that order (UnsupportedPrimeError, WorkLimitError,
-    then RankDeficientError from the model); the filing itself never
-    raises.  When every prime is bad, bad lists them all, in order, and
-    each caller states what that means for its own result.
+    and the prefix budget, and files each prime in order as bad (the state
+    has a denominator there, or the flattening rank drops), excluded or
+    used.  Returns (used, bad, excluded), where used lists a (p, reduced
+    model) pair per used prime; how much of each to sweep is the caller's
+    choice.  The checks raise in that order (UnsupportedPrimeError,
+    WorkLimitError, then RankDeficientError from the model); the filing
+    itself never raises.  When every prime is bad, bad lists them all, in
+    order, and each caller states what that means for its own result.
+
+    Without ``discs``, or with one of them zero, the model over Q is built
+    and reduced at every prime (``model_mod_p``), and no prime is excluded.
+    smoothness_scan passes the state's ``slice_discriminants``; when none
+    of them vanishes, the curve model is smooth over Q, its flattening has
+    full rank, and no model is built: a reduction is made only where it can
+    fail.  A prime dividing the state's denominator is bad, as its
+    reduction refuses it (``Tensor.reduce_mod``).  A prime p dividing no
+    discriminant numerator is used, with no reduced model (None): had the
+    rank dropped mod p, the slices would be dependent mod p, every
+    projected curve would vanish identically and p would divide every
+    numerator (the invariants' own denominators, 16 and 8, have no prime
+    factor p >= 5).  A prime dividing a numerator is bad if the reduced
+    flattening (``reduced_flattening_image``) drops rank, and excluded
+    otherwise (``_singular_reduction``): the reduced curve is degenerate
+    and says nothing about the original model.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
-    model = variety_from_state(t)
     used, bad, excluded = [], [], []
+    if discs and all(discs):
+        for p in primes:
+            if t.den % p == 0:
+                bad.append(p)
+            elif not _singular_reduction(discs, p):
+                used.append((p, None))
+            elif reduced_flattening_image(t, p).rows == t.d:
+                excluded.append(p)
+            else:
+                bad.append(p)
+        return used, tuple(bad), tuple(excluded)
+    model = variety_from_state(t)
     for p in primes:
         try:
-            reduced = model_mod_p(model, p)
+            used.append((p, model_mod_p(model, p)))
         except BadReductionError:
             bad.append(p)
-            continue
-        if _singular_reduction(discs, p):
-            excluded.append(p)
-        else:
-            used.append((p, reduced))
     return used, tuple(bad), tuple(excluded)
 
 
@@ -814,20 +797,24 @@ def smoothness_scan(t, primes=None):
     witness, its rank and the counts are those of testing every point.
     Each rank test is one left-kernel test, not an elimination (see
     ``_first_witness``).  The prefix budget is checked once, for all
-    primes, by ``_file_primes``.
+    primes, by ``_file_primes``, also for the scans below that walk no
+    point.
 
     A (3,3) or (4,2) state whose slice discriminants all are nonzero is
-    neither walked nor swept: each used prime's count is that of its first
-    projected curve C_p (``_curve_count``), and it has no witness.  That
-    is exact.  p >= 5 does not divide a slice-discriminant numerator, so
-    C_p is smooth over the algebraic closure of F_p.  At a point x of a
-    smooth C_p the matrix of linear forms M(x) has corank exactly 1:
-    corank 2 would make adj M(x) = 0, and with it grad det M(x), by
-    Jacobi's formula.  So over each F_p-point of C_p lies exactly one
-    point of the model, defined over F_p, and the model is smooth there
-    (the argument of ``_pencil_roots``): the sweep could find no witness,
-    and NoSingularPointFound proves each used reduction smooth.  Every
-    other state (a vanishing slice discriminant, (5,2) and the other
+    neither reduced nor walked nor swept: each used prime's count is that
+    of the Jacobian of its first projected curve (``_jacobian_count``, on
+    the invariants of the slice projections, ``_slice_curves``), in O(p),
+    and it has no witness.  That is exact.  A used p >= 5 divides no slice
+    discriminant numerator, so the reduced projected curve C_p is smooth
+    over the algebraic closure of F_p, and a smooth genus-one curve over
+    F_p has as many points as its Jacobian.  At a point x of a smooth C_p
+    the matrix of linear forms M(x) has corank exactly 1: corank 2 would
+    make adj M(x) = 0, and with it grad det M(x), by Jacobi's formula.  So
+    over each F_p-point of C_p lies exactly one point of the model, defined
+    over F_p, and the model is smooth there (the argument of
+    ``_pencil_roots``): the count is the model's, the sweep could find no
+    witness, and NoSingularPointFound proves each used reduction smooth.
+    Every other state (a vanishing slice discriminant, (5,2) and the other
     formats) is walked and swept as above.
 
     When the sweep of a (5,2) state finds a witness, the state is offered
@@ -838,9 +825,10 @@ def smoothness_scan(t, primes=None):
     ``primes``, ``point_counts`` and ``witnesses`` to ``excluded_primes``,
     and the verdict is NoSingularPointFound, as ``classify`` finds.
     """
-    from .invariants import _certified_smooth, slice_discriminants
+    from .invariants import _certified_smooth, _jacobian_count, _slice_curves
 
-    discs = slice_discriminants(t)
+    curves = _slice_curves(t)
+    discs = curves and tuple(curve.discriminant for curve in curves)
     used, bad, excluded = _file_primes(t, primes, discs)
     if not used and not excluded:
         raise AllPrimesBadError(f"all primes {list(bad)} hit bad reduction")
@@ -849,7 +837,7 @@ def smoothness_scan(t, primes=None):
     witnesses = []
     for p, reduced in used:
         if smooth_curve:
-            counts.append((p, _curve_count(reduced, p)))
+            counts.append((p, _jacobian_count(curves[0], p)))
             continue
         walk = list(_points(reduced, p))
         counts.append((p, len(walk)))

@@ -30,6 +30,7 @@ BIQUADRATIC_MONOMIALS order, as ``geometry.determinantal_projection``
 returns them, and ``classify`` calls them on every projection.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
@@ -483,6 +484,32 @@ def _curve(kind, pair):
     )
 
 
+def _jacobian_count(curve, p):
+    """#C(F_p) for a genus-one curve C with the invariants ``curve`` that
+    is smooth over F_p, p >= 5 prime to the pair's denominators: the count
+    of its Jacobian E: y^2 = x^3 + a*x + b, the point at infinity plus the
+    (x, y) in F_p^2 on E, p + 1 + the sum of chi(x^3 + a*x + b) over x in
+    F_p for the quadratic character chi.
+
+    A smooth genus-one curve over a finite field has an F_p-point (Lang),
+    so it is isomorphic to its Jacobian over F_p, and the two have equal
+    counts.  E comes from the invariants.  For a plane cubic, (a, b) =
+    (-S/3, T/108) (Artin, Rodriguez-Villegas and Tate, "On the Jacobians of
+    plane cubics", 2005): the calibration S = -3a, T = 108b makes each
+    Weierstrass cubic its own Jacobian.  For a (2,2)-form, C is the double
+    cover w^2 = q(x) of P^1 branched at its branch quartic q, and (a, b) =
+    (-27I, -27J) from q's (I, J) (An, Kim, Marshall, Marshall, McCallum
+    and Perlis, "Jacobians of genus one curves", 2001).  Both give the j
+    of ``_curve``, 1728*4a^3/(4a^3 + 27b^2), and the right twist: a curve
+    scaled by u has (u^4 a, u^6 b), an isomorphic E.
+    """
+    s, t = curve.pair
+    a, b = (-s / 3, t / 108) if curve.kind == PLANE_CUBIC else (-27 * s, -27 * t)
+    a, b = (x.numerator * pow(x.denominator, -1, p) % p for x in (a, b))
+    roots = Counter(y * y % p for y in range(p))
+    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
+
+
 def plane_cubic_invariants(coeffs, den=1):
     """CurveInvariants of the plane cubic with the 10 integer coefficients
     coeffs / den, in CUBIC_MONOMIALS order: (S, T), the discriminant
@@ -547,19 +574,28 @@ def exact_projection_discriminants(t):
     return _discriminants((t.n, t.d), rows, den)
 
 
+def _slice_curves(t):
+    """The CurveInvariants of the projections of the model whose rows are
+    the state's own slices along the last axis, or None outside the curve
+    formats; the rows are the numerators t.nums[k::d], over the state's
+    denominator."""
+    if (t.n, t.d) not in CURVE_AXES:
+        return None
+    rows = [t.nums[k :: t.d] for k in range(t.d)]
+    return tuple(pr.invariants for pr in _curve_projections((t.n, t.d), rows, t.den))
+
+
 def slice_discriminants(t):
     """Discriminants of the projections of the model whose rows are the
-    state's own slices along the last axis, or None outside the curve
-    formats; they are the numerators t.nums[k::d], over the state's
-    denominator.  With full flattening rank these rows differ from the
+    state's own slices (``_slice_curves``), or None outside the curve
+    formats.  With full flattening rank these rows differ from the
     canonical basis by an invertible d x d change, which scales every
     discriminant by a nonzero power of its determinant; over F_p the same
     holds for the reduced basis whenever the reduction is good.  So for
     such p >= 5 a reduced curve is singular exactly when p divides the
     numerator of one of these values."""
-    if (t.n, t.d) not in CURVE_AXES:
-        return None
-    return _discriminants((t.n, t.d), [t.nums[k :: t.d] for k in range(t.d)], t.den)
+    curves = _slice_curves(t)
+    return curves and tuple(curve.discriminant for curve in curves)
 
 
 def curve_singular_mod_p(model_p):

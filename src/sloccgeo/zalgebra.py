@@ -199,9 +199,12 @@ MAX_PROFILE_WIDTH = 256
 
 
 def check_hilbert_degree(d, k_max):
-    """Raise WorkLimitError unless 0 <= k_max and d**k_max <= MAX_PROFILE_WIDTH.
+    """Raise ValueError unless k_max is an int (not a bool), then
+    WorkLimitError unless 0 <= k_max and d**k_max <= MAX_PROFILE_WIDTH.
     With d >= 2, any k_max of at least MAX_PROFILE_WIDTH.bit_length() is too
     wide, so d**k_max is never computed for a larger k_max."""
+    if type(k_max) is not int:
+        raise ValueError(f"k_max={_excerpt(k_max)} is not an int")
     if k_max < 0 or d ** min(k_max, MAX_PROFILE_WIDTH.bit_length()) > MAX_PROFILE_WIDTH:
         raise WorkLimitError(
             f"k_max={_excerpt(k_max)} is out of range: need k_max >= 0 and "

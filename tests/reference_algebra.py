@@ -11,13 +11,13 @@ does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the slot-monomial rows and the span points, the
-former full sweep of ``smoothness_scan`` (every witness reported), the
-former exact route of ``cyclic_relations`` (a model over Q per rotation),
-and the former exact kernels of the curve path: the determinant-sum
-projection, the term-by-term S/T evaluation and the ``Fraction``
-discriminant and j.  The exact Schlaefli pencil form of a (5,2) state,
-which ``invariants._schlaefli_pencil`` builds modulo one prime, is here
-over Q.
+former full sweep of ``smoothness_scan`` (every witness reported), its
+former filing (a reduction at every prime), the former exact route of
+``cyclic_relations`` (a model over Q per rotation), and the former exact
+kernels of the curve path: the determinant-sum projection, the
+term-by-term S/T evaluation and the ``Fraction`` discriminant and j.  The
+exact Schlaefli pencil form of a (5,2) state, which
+``invariants._schlaefli_pencil`` builds modulo one prime, is here over Q.
 """
 
 from fractions import Fraction
@@ -41,6 +41,7 @@ from sloccgeo.invariants import (
     _T_WIRING,
     _contract,
     schlaefli_hyperdet,
+    slice_discriminants,
 )
 from sloccgeo.linalg import Matrix
 from sloccgeo.states import Tensor, _rotate
@@ -315,6 +316,25 @@ def full_sweep(t, primes):
     used = _file_primes(t, primes)[0]
     found = [_first_witness(reduced, _points(reduced, p)) for p, reduced in used]
     return tuple(p for p, _ in used), [w for w in found if w is not None]
+
+
+def reduced_filing(t, primes):
+    """(used, bad, excluded) primes of smoothness_scan's former filing,
+    which built the model over Q and reduced it at every prime: a prime is
+    bad when the reduction fails, excluded when the slice discriminants
+    all are nonzero and p divides one of their numerators, else used."""
+    discs = slice_discriminants(t)
+    model = variety_from_state(t)
+    used, bad, excluded = [], [], []
+    for p in primes:
+        try:
+            model_mod_p(model, p)
+        except BadReductionError:
+            bad.append(p)
+            continue
+        singular = bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
+        (excluded if singular else used).append(p)
+    return tuple(used), tuple(bad), tuple(excluded)
 
 
 # ------------------------------------------------- former curve kernels

@@ -25,12 +25,14 @@ from sloccgeo.linalg import (
     random_invertible,
 )
 from sloccgeo.geometry import (
+    BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
     CURVE_AXES,
     PROJECTION_MONOMIALS,
     VarietyModel,
     determinantal_projection,
     model_mod_p,
+    projective_points,
     smoothness_scan,
     variety_from_state,
 )
@@ -59,6 +61,7 @@ from sloccgeo.invariants import (
     _W,
     _contract,
     _curve_projections,
+    _jacobian_count,
     _schlaefli_pencil,
     _squarefree,
     _vote,
@@ -76,6 +79,7 @@ from sloccgeo.states import (
     ghz,
     parse_state,
     random_state,
+    reduced_flattening_image,
     state_to_json,
     tensor_product,
     w_state,
@@ -336,6 +340,17 @@ def test_format_formulas_are_bounded():
                 formula(n, d)
     with pytest.raises(ValueError):
         moduli_dimension(10**7, 1)
+
+
+@pytest.mark.parametrize("n, d", [(3.5, 3), (3.0, 3), (3, 3.0), (Fraction(3), 3), (True, 3),
+                                  (3, True), ("3", 3)])
+def test_format_formulas_refuse_non_ints(n, d):
+    # 3.5 gave 17.765..., 3.0 gave the floats 2.0 and 6.0
+    from sloccgeo.geometry import section_count
+
+    for formula in (moduli_dimension, section_count):
+        with pytest.raises(ValueError, match=r"^need ints n >= 2 and d >= 2$"):
+            formula(n, d)
 
 
 def test_classify_when_every_prime_is_bad():
@@ -996,6 +1011,161 @@ def test_scan_excludes_primes_by_slice_discriminants(smooth_corpus_42):
             if p not in report.bad_primes and any(disc.numerator % p == 0 for disc in discs)
         )
         assert report.excluded_primes == expected
+
+
+def _brute_count(coeffs, p):
+    """F_p-points of a plane cubic (10 coefficients) on P^2, or of a
+    (2,2)-form (9) on P^1 x P^1, by evaluating it at every point."""
+    if len(coeffs) == 10:
+        monomials, points = CUBIC_MONOMIALS, list(projective_points(3, p))
+    else:
+        line = list(projective_points(2, p))
+        monomials, points = BIQUADRATIC_MONOMIALS, [x + y for x in line for y in line]
+    return sum(
+        sum(c * prod(v**e for v, e in zip(pt, mono)) for c, mono in zip(coeffs, monomials)) % p == 0
+        for pt in points
+    )
+
+
+def test_jacobian_count_matches_brute_force():
+    # The count of the Jacobian y^2 = x^3 + a*x + b against the curve's own
+    # points, on random plane cubics, Weierstrass cubics and (2,2)-forms at
+    # every default prime where the curve is smooth.  Counts other than
+    # p + 1 are most of them, so the quadratic twist (2p + 2 - N) of the
+    # right Jacobian would fail here.
+    rng = random.Random(3030)
+    cubics = [[rng.randint(-5, 5) for _ in range(10)] for _ in range(8)]
+    cubics += [
+        [int(c) for c in TernaryCubic.weierstrass(a, b).coeffs]
+        for a, b in ((1, 1), (-1, 0), (0, 1), (2, -3), (-7, 6))
+    ]
+    forms = [[rng.randint(-5, 5) for _ in range(9)] for _ in range(10)]
+    checked = twisted = 0
+    for coeffs in cubics + forms:
+        curve = (plane_cubic_invariants if len(coeffs) == 10 else biquadratic_invariants)(coeffs)
+        for p in DEFAULT_PRIMES:
+            if curve.discriminant.numerator % p == 0:
+                continue  # singular modulo p
+            count = _brute_count(coeffs, p)
+            assert _jacobian_count(curve, p) == count, (coeffs, p)
+            checked += 1
+            twisted += count != p + 1
+    assert checked > 150 and twisted > 0.8 * checked
+
+
+def _rank_drop(state, q, shifts):
+    """The state with its last slice moved onto its first modulo q, the
+    first plus q times ``shifts``: the slices become dependent mod q, while
+    over Q they stay independent for most shifts."""
+    nums, d = list(state.nums), state.d
+    for r, shift in enumerate(shifts):
+        nums[r * d + d - 1] = nums[r * d] + q * shift
+    return Tensor.from_integers(state.n, d, nums, state.den)
+
+
+def _shifts(fmt, seed):
+    rng = random.Random(seed)
+    return [rng.randint(-2, 2) for _ in range(fmt[1] ** (fmt[0] - 1))]
+
+
+def test_scan_filing_matches_a_reduction_at_every_prime():
+    # The scan of a smooth curve state files its primes from the slice
+    # discriminants, and reduces only at the primes that divide one of
+    # their numerators.  Its primes, bad primes and excluded primes are
+    # those of the former filing, which reduced at every prime, over
+    # random states, rank drops mod q, rational SLOCC images and scaled
+    # states, with denominators divisible by q.
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(((3, 3), (4, 2))),
+        q=st.sampled_from((5, 7, 11, 13)),
+        kind=st.sampled_from(("random", "rank drop", "slocc", "scaled")),
+    )
+    def check(data, fmt, q, kind):
+        n, d = fmt
+        nums = data.draw(st.lists(st.integers(-4, 4), min_size=d**n, max_size=d**n))
+        t = Tensor.from_integers(n, d, nums, data.draw(st.sampled_from((1, 2, q))))
+        if kind == "rank drop":
+            shifts = st.lists(st.integers(-2, 2), min_size=d ** (n - 1), max_size=d ** (n - 1))
+            t = _rank_drop(t, q, data.draw(shifts))
+        elif kind == "slocc":
+            seed, den = data.draw(st.integers(0, 10**6)), data.draw(st.sampled_from((1, 3, q)))
+            factors = [
+                Matrix([[Fraction(x, den) for x in row] for row in random_invertible(d, 2, seed + k).entries])
+                for k in range(n)
+            ]
+            t = apply_slocc(t, SloccOperator(factors))
+        elif kind == "scaled":
+            t = t.scale(Fraction(data.draw(st.sampled_from((1, 3, q))),
+                                 data.draw(st.sampled_from((1, q, 6 * q)))))
+        try:
+            expected = ref.reduced_filing(t, DEFAULT_PRIMES)
+        except RankDeficientError:
+            with pytest.raises(RankDeficientError):
+                smoothness_scan(t)
+            return
+        if not expected[0] and not expected[2]:
+            with pytest.raises(AllPrimesBadError):
+                smoothness_scan(t)
+            return
+        report = smoothness_scan(t)
+        assert (report.primes, report.bad_primes, report.excluded_primes) == expected
+        if all(slice_discriminants(t)):
+            seen.update("den" if t.den % p == 0 else "rank drop" for p in report.bad_primes)
+            seen.update(("used",) * bool(report.primes) + ("excluded",) * bool(report.excluded_primes))
+
+    check()
+    assert {"used", "excluded", "den", "rank drop"} <= seen
+
+
+def test_scan_files_rank_drops_and_denominators_as_bad():
+    for fmt, seed in (((3, 3), 1), ((4, 2), 2)):
+        t = _rank_drop(random_state(*fmt, 5, seed), 7, _shifts(fmt, seed))
+        assert all(slice_discriminants(t))
+        report = smoothness_scan(t)
+        # 7 divides every discriminant numerator, and the reduced
+        # flattening shows the rank drop: bad, not excluded
+        assert 7 in report.bad_primes and 7 not in report.excluded_primes
+        assert all(disc.numerator % 7 == 0 for disc in slice_discriminants(t))
+        assert (report.primes, report.bad_primes, report.excluded_primes) == ref.reduced_filing(
+            t, DEFAULT_PRIMES
+        )
+        smooth = random_state(*fmt, 5, seed)
+        scaled = smoothness_scan(smooth.scale(Fraction(2, 5)))
+        assert scaled.bad_primes == (5,)
+        assert scaled.primes == tuple(p for p in smoothness_scan(smooth).primes if p != 5)
+
+
+def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, family_1235):
+    # no exact flattening and no model: a reduced flattening only at the
+    # primes that divide a slice discriminant numerator
+    import sloccgeo.geometry
+
+    calls = []
+
+    def refused(t):
+        raise AssertionError("exact flattening built")
+
+    def counting(t, p):
+        calls.append(p)
+        return reduced_flattening_image(t, p)
+
+    monkeypatch.setattr(sloccgeo.geometry, "variety_from_state", refused)
+    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    for t in (random_state(3, 3, 5, 42), family_1235, _rank_drop(random_state(4, 2, 5, 2), 7, _shifts((4, 2), 2))):
+        calls.clear()
+        discs = slice_discriminants(t)
+        report = smoothness_scan(t)
+        assert calls == [p for p in DEFAULT_PRIMES if any(disc.numerator % p == 0 for disc in discs)]
+        assert set(calls) == set(report.bad_primes + report.excluded_primes)
+    assert calls  # the rank drop at 7
 
 
 def test_classify_status_and_j_are_slocc_invariant():

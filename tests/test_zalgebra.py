@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -642,6 +643,25 @@ def test_hilbert_degree_bounds():
         quadratic_hilbert(t, 11, -1)  # was an empty profile that "matches"
     with pytest.raises(WorkLimitError):
         cubic_hilbert(random_state(4, 2, 5, seed=7), 11, 9)
+
+
+@pytest.mark.parametrize("k_max", [True, False, 4.0, 2.5, Fraction(4), "4", None])
+def test_hilbert_degree_refuses_non_ints(monkeypatch, k_max):
+    # True gave the dims (1, 3); 4.0 ended in a bare TypeError.  The type is
+    # refused before any reduction
+    import sloccgeo.zalgebra
+
+    def refused(*args):
+        raise AssertionError("reduced before the degree was checked")
+
+    monkeypatch.setattr(sloccgeo.zalgebra, "cyclic_relations", refused)
+    message = rf"^k_max={re.escape(repr(k_max))} is not an int$"
+    with pytest.raises(ValueError, match=message):
+        check_hilbert_degree(3, k_max)
+    with pytest.raises(ValueError, match=message):
+        quadratic_hilbert(random_state(3, 3, 5, 1), 7, k_max)
+    with pytest.raises(ValueError, match=message):
+        cubic_hilbert(random_state(4, 2, 5, 1), 7, k_max)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 9, -5])
