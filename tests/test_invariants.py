@@ -1097,11 +1097,9 @@ def test_scan_filing_matches_a_reduction_at_every_prime():
             t = _rank_drop(t, q, data.draw(shifts))
         elif kind == "slocc":
             seed, den = data.draw(st.integers(0, 10**6)), data.draw(st.sampled_from((1, 3, q)))
-            factors = [
-                Matrix([[Fraction(x, den) for x in row] for row in random_invertible(d, 2, seed + k).entries])
-                for k in range(n)
-            ]
-            t = apply_slocc(t, SloccOperator(factors))
+            factors = [random_invertible(d, 2, seed + k).entries for k in range(n)]
+            rational = [Matrix([[Fraction(x, den) for x in row] for row in f]) for f in factors]
+            t = apply_slocc(t, SloccOperator(rational))
         elif kind == "scaled":
             t = t.scale(Fraction(data.draw(st.sampled_from((1, 3, q))),
                                  data.draw(st.sampled_from((1, q, 6 * q)))))
@@ -1119,7 +1117,8 @@ def test_scan_filing_matches_a_reduction_at_every_prime():
         assert (report.primes, report.bad_primes, report.excluded_primes) == expected
         if all(slice_discriminants(t)):
             seen.update("den" if t.den % p == 0 else "rank drop" for p in report.bad_primes)
-            seen.update(("used",) * bool(report.primes) + ("excluded",) * bool(report.excluded_primes))
+            seen.update(label for label, primes in (("used", report.primes),
+                                                    ("excluded", report.excluded_primes)) if primes)
 
     check()
     assert {"used", "excluded", "den", "rank drop"} <= seen
@@ -1159,11 +1158,12 @@ def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, 
 
     monkeypatch.setattr(sloccgeo.geometry, "variety_from_state", refused)
     monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
-    for t in (random_state(3, 3, 5, 42), family_1235, _rank_drop(random_state(4, 2, 5, 2), 7, _shifts((4, 2), 2))):
+    drop = _rank_drop(random_state(4, 2, 5, 2), 7, _shifts((4, 2), 2))
+    for t in (random_state(3, 3, 5, 42), family_1235, drop):
         calls.clear()
         discs = slice_discriminants(t)
         report = smoothness_scan(t)
-        assert calls == [p for p in DEFAULT_PRIMES if any(disc.numerator % p == 0 for disc in discs)]
+        assert calls == [p for p in DEFAULT_PRIMES if any(d.numerator % p == 0 for d in discs)]
         assert set(calls) == set(report.bad_primes + report.excluded_primes)
     assert calls  # the rank drop at 7
 
