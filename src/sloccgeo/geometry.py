@@ -8,11 +8,12 @@ intersection (a plane-cubic-like curve for (3,3) and (4,2), a surface for
 linear-form matrix, and gathers finite-field smoothness evidence by
 exhaustive point enumeration plus Jacobian ranks.
 
-A model over Q reduces modulo p in one way only: through its source state
-(``model_mod_p``).  The graded checks skip the model over Q
-(``reduced_models``): a reduced flattening of full rank proves the exact
-one has full rank, and only a failed reduction builds it, for its error.
-Points come from one walk over the variable groups
+Every model over F_p comes from one leaf, ``_reduced_model``: the state's
+flattening reduced modulo p, refused as bad reduction when its rank drops.
+Rank can only drop modulo p, so a usable prime proves the exact rank, and
+the exact flattening over Q is built only to name a failure.
+``model_mod_p``, ``reduced_models`` and ``_file_primes`` all reduce
+through it.  Points come from one walk over the variable groups
 (``_points``): ``enumerate_points`` lists it, and both Jacobian sweeps
 (``smoothness_scan`` and the one in ``invariants.classify``) test the
 points it does not certify smooth.  The walk solves the innermost prefix
@@ -30,7 +31,7 @@ Rodriguez-Villegas and Tate) and (-27I, -27J) for the branch quartic of a
 point count is a sum of quadratic characters over F_p
 (``invariants._jacobian_count``), and the scan finds no singular point
 there by proof, not by search.  Its primes are filed from the slice
-discriminants alone, reducing only where the reduction can fail
+discriminants, reducing only where the reduction can fail
 (``_file_primes``).  The curve formats and their projections are listed
 once, in ``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
 """
@@ -121,25 +122,39 @@ class VarietyModel:
         return self.n - 1
 
 
-def model_mod_p(model, p):
-    """The model over F_p, reduced on the state side.
+def _reduced_model(t, p):
+    """The model of a state over F_p: the rows of its flattening image
+    reduced modulo p on the state side (``reduced_flattening_image``), so
+    denominators of the rational canonical basis cannot poison the prime.
 
-    The rows are those of the source state's flattening image reduced
-    modulo p (``reduced_flattening_image``), so denominators of the
-    rational canonical basis cannot poison the prime, and p must pass
-    ``check_primes``.  A state denominator divisible by p, or a rank drop
-    of the reduced flattening (genuine geometric degeneration), raises
-    BadReductionError.  A model already over F_p is returned as it is; any
-    other model without a source raises ValueError.
+    This is the one route from a state to its F_p model.  The format's
+    cost is checked first (``check_flattening_cost``), then p, by the
+    state's reduction: a p that is no supported prime raises
+    UnsupportedPrimeError, one that divides the denominator
+    BadReductionError, and so does a rank drop of the reduced flattening.
+    Rank can only drop modulo p, so a reduced flattening of rank d proves
+    the exact one has rank d: the exact flattening over Q is needed only to
+    tell a rank deficiency over Q (RankDeficientError, from
+    ``variety_from_state``) from a bad prime, and each caller builds it
+    only after a failure.
+    """
+    check_flattening_cost(t)
+    basis = reduced_flattening_image(t, p)
+    if basis.rows < t.d:
+        raise BadReductionError(p, f"flattening rank drops modulo {p}")
+    return VarietyModel(t.n, t.d, basis.entries, 1, p, t)
+
+
+def model_mod_p(model, p):
+    """The model over F_p of the model's source state (``_reduced_model``).
+    A model already over F_p is returned as it is; any other model without
+    a source raises ValueError.
     """
     if model.p == p:
         return model
     if model.source is None:
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
-    basis = reduced_flattening_image(model.source, p)
-    if basis.rows < model.d:
-        raise BadReductionError(p, f"flattening rank drops modulo {p}")
-    return VarietyModel(model.n, model.d, basis.entries, 1, p, model.source)
+    return _reduced_model(model.source, p)
 
 
 @dataclass(frozen=True)
@@ -235,34 +250,18 @@ def variety_from_state(t):
 
 
 def reduced_models(states, p):
-    """The models over F_p of states of one format, each built from its
-    reduced flattening (``reduced_flattening_image``) without the exact
-    one, as ``model_mod_p(variety_from_state(t), p)`` would give them.
-
-    Rank can only drop modulo p, so a reduced flattening of full rank d
-    proves the flattening over Q has rank d too, and the exact model is
-    needed for nothing else: its reduction through the source state is the
-    reduced flattening.  The format's cost is checked first
-    (``check_flattening_cost``).  When a reduction fails (p is no supported
-    prime or divides the denominator) or drops the rank, every state takes
-    the exact route instead, all models over Q before any reduction, so the
-    same error comes out, in the same order: WorkLimitError, then
-    RankDeficientError of any state, then the reduction's own error.
+    """The models over F_p of states of one format (``_reduced_model``),
+    with no model over Q.  When a reduction fails, every state's model over
+    Q is built before the error is raised, so the errors keep the exact
+    route's order: WorkLimitError, then RankDeficientError of any state,
+    then the first failing reduction's own error.
     """
-    models = []
-    for t in states:
-        check_flattening_cost(t)
-        try:
-            basis = reduced_flattening_image(t, p)
-        except SloccGeoError:
-            break
-        if basis.rows < t.d:
-            break
-        models.append(VarietyModel(t.n, t.d, basis.entries, 1, p, t))
-    else:
-        return models
-    exact = [variety_from_state(t) for t in states]
-    return [model_mod_p(model, p) for model in exact]
+    try:
+        return [_reduced_model(t, p) for t in states]
+    except SloccGeoError:
+        for t in states:
+            variety_from_state(t)
+        raise
 
 
 @cache
@@ -383,7 +382,7 @@ def _check_prefix_budget(d, groups, primes):
     if total > PREFIX_BUDGET:
         raise WorkLimitError(
             f"a point sweep of (P^{d - 1})^{groups} at primes "
-            f"{list(primes)} visits {total} prefixes, over the budget of "
+            f"{_excerpt(list(primes))} visits {total} prefixes, over the budget of "
             f"{PREFIX_BUDGET}"
         )
 
@@ -734,51 +733,45 @@ def _file_primes(t, primes, discs=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
     Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES)
-    and the prefix budget, and files each prime in order as bad (the state
-    has a denominator there, or the flattening rank drops), excluded or
-    used.  Returns (used, bad, excluded), where used lists a (p, reduced
-    model) pair per used prime; how much of each to sweep is the caller's
-    choice.  The checks raise in that order (UnsupportedPrimeError,
-    WorkLimitError, then RankDeficientError from the model); the filing
-    itself never raises.  When every prime is bad, bad lists them all, in
-    order, and each caller states what that means for its own result.
+    and the prefix budget, and files each prime in order as bad (the
+    reduction fails, ``_reduced_model``), excluded or used.  Returns (used,
+    bad, excluded), where used lists a (p, reduced model) pair per used
+    prime; how much of each to sweep is the caller's choice.  The checks
+    raise in that order (UnsupportedPrimeError, WorkLimitError, then
+    RankDeficientError when no prime is used or excluded and the
+    flattening over Q has dimension below d); the filing itself never
+    raises.  When every prime is bad, bad lists them all, in order, and
+    each caller states what that means for its own result.
 
-    Without ``discs``, or with one of them zero, the model over Q is built
-    and reduced at every prime (``model_mod_p``), and no prime is excluded.
-    smoothness_scan passes the state's ``slice_discriminants``; when none
-    of them vanishes, the curve model is smooth over Q, its flattening has
-    full rank, and no model is built: a reduction is made only where it can
-    fail.  A prime dividing the state's denominator is bad, as its
-    reduction refuses it (``Tensor.reduce_mod``).  A prime p dividing no
-    discriminant numerator is used, with no reduced model (None): had the
-    rank dropped mod p, the slices would be dependent mod p, every
-    projected curve would vanish identically and p would divide every
-    numerator (the invariants' own denominators, 16 and 8, have no prime
-    factor p >= 5).  A prime dividing a numerator is bad if the reduced
-    flattening (``reduced_flattening_image``) drops rank, and excluded
-    otherwise (``_singular_reduction``): the reduced curve is degenerate
-    and says nothing about the original model.
+    smoothness_scan passes the state's ``slice_discriminants``.  When none
+    of them vanishes, the curve model is smooth over Q, and a prime p that
+    divides neither the state's denominator nor any discriminant numerator
+    is used with no reduced model (None): had the rank dropped mod p, the
+    slices would be dependent mod p, every projected curve would vanish
+    identically and p would divide every numerator (the invariants' own
+    denominators, 16 and 8, have no prime factor p >= 5).  Every other
+    prime is reduced; a prime dividing a numerator whose reduction has full
+    rank is excluded (``_singular_reduction``): the reduced curve is
+    degenerate and says nothing about the original model.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
     used, bad, excluded = [], [], []
-    if discs and all(discs):
-        for p in primes:
-            if t.den % p == 0:
-                bad.append(p)
-            elif not _singular_reduction(discs, p):
-                used.append((p, None))
-            elif reduced_flattening_image(t, p).rows == t.d:
-                excluded.append(p)
-            else:
-                bad.append(p)
-        return used, tuple(bad), tuple(excluded)
-    model = variety_from_state(t)
     for p in primes:
+        if discs and all(discs) and t.den % p and not _singular_reduction(discs, p):
+            used.append((p, None))
+            continue
         try:
-            used.append((p, model_mod_p(model, p)))
+            reduced = _reduced_model(t, p)
         except BadReductionError:
             bad.append(p)
+            continue
+        if _singular_reduction(discs, p):
+            excluded.append(p)
+        else:
+            used.append((p, reduced))
+    if not used and not excluded:
+        variety_from_state(t)
     return used, tuple(bad), tuple(excluded)
 
 
@@ -831,12 +824,11 @@ def smoothness_scan(t, primes=None):
     discs = curves and tuple(curve.discriminant for curve in curves)
     used, bad, excluded = _file_primes(t, primes, discs)
     if not used and not excluded:
-        raise AllPrimesBadError(f"all primes {list(bad)} hit bad reduction")
-    smooth_curve = bool(discs) and all(discs)
+        raise AllPrimesBadError(f"all primes {_excerpt(list(bad))} hit bad reduction")
     counts = []
     witnesses = []
     for p, reduced in used:
-        if smooth_curve:
+        if reduced is None:
             counts.append((p, _jacobian_count(curves[0], p)))
             continue
         walk = list(_points(reduced, p))

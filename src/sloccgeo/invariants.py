@@ -674,10 +674,12 @@ def classify(t, primes=None):
     Neither reads a point count, so the sweep here is lazy, and as in
     ``smoothness_scan`` only the points that the walk (``_points``) does not
     certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
-    filed up front as used or bad (``_file_primes``), so ``primes_used`` and
-    the witness are those of the full ``smoothness_scan`` (whose exclusions
-    apply only to smooth curve models and certified (5,2) models, which
-    never reach the sweep here).
+    filed up front as used or bad (``_file_primes``) through the one
+    reduction route (``geometry._reduced_model``), so no exact flattening is
+    built there while a prime is usable, and ``primes_used`` and the witness
+    are those of the full ``smoothness_scan`` (whose exclusions apply only
+    to smooth curve models and certified (5,2) models, which never reach
+    the sweep here).
     One loop then tests each used prime in order up to its first witness,
     and stops at the first witness for a curve model, or, for other formats,
     once the vote is settled: with W witnesses, C clean primes and R used
@@ -726,7 +728,7 @@ def _vote(t, primes, curve):
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict
     if not filed and not curve:
-        raise AllPrimesBadError(f"all primes {list(scan)} hit bad reduction")
+        raise AllPrimesBadError(f"all primes {_excerpt(list(scan))} hit bad reduction")
     witnesses, clean = [], 0
     for p, reduced in filed:
         if (found := _first_witness(reduced, _points(reduced, p))) is None:

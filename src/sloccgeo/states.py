@@ -55,15 +55,23 @@ MAX_COEFFICIENT_DIGITS = 100
 
 
 def _check_state_size(n, d):
-    """Raise SchemaError when a state of n factors of dimension d would
-    exceed MAX_COEFFICIENTS entries.  With d >= 2, any n of at least
-    MAX_COEFFICIENTS.bit_length() is too large, and so is any d above
-    MAX_COEFFICIENTS once n >= 1, so d**n is never computed for a larger n
-    or d.  The message prints neither, so no huge one meets int-to-string
-    conversion."""
+    """Raise ValueError unless n and d are ints (not bools), and SchemaError
+    when a state of n factors of dimension d would exceed MAX_COEFFICIENTS
+    entries.  With d >= 2, any n of at least MAX_COEFFICIENTS.bit_length()
+    is too large, and so is any d above MAX_COEFFICIENTS once n >= 1, so
+    d**n is never computed for a larger n or d.  The message prints
+    neither, so no huge one meets int-to-string conversion."""
+    _check_ints(n, d)
     d, n = min(d, MAX_COEFFICIENTS + 1), min(n, MAX_COEFFICIENTS.bit_length())
     if d >= 2 and d**n > MAX_COEFFICIENTS:
         raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
+
+
+def _check_ints(n, d):
+    """ValueError unless n and d are ints (not bools): a float such as 3.0
+    would pass every size check and fail later as a bare TypeError."""
+    if type(n) is not int or type(d) is not int:
+        raise ValueError("n and d must be ints")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -90,6 +98,7 @@ class Tensor:
         return t
 
     def _set(self, n, d, nums, den):
+        _check_ints(n, d)
         if n < 2 or d < 2:
             raise ValueError("need n >= 2 and d >= 2")
         # d**n exceeds size whenever d or n does, so it is formed only for
@@ -416,11 +425,13 @@ def basis_state(n, d, idx):
 
 def ghz(n, d):
     """Sum of the n-fold repeated basis states |k...k> for k < d."""
+    _check_ints(n, d)
     return Tensor.from_entries(n, d, {(k,) * n: 1 for k in range(d)})
 
 
 def w_state(n):
     """Sum over basis states with a single 1 among zeros (qubits)."""
+    _check_ints(n, 2)
     entries = {}
     for k in range(n):
         idx = [0] * n

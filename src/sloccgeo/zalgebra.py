@@ -23,12 +23,8 @@ reducing the state, so a profile is evidence at one prime and agreement
 across good primes is the intended standard.
 
 Every check here reaches F_p from the state's reduced flattenings alone
-(``geometry.reduced_models``): rank can only drop modulo p, so a reduced
-flattening of rank d proves the exact one has rank d, and the exact
-flattening over Q is built only when a reduction fails or drops the rank,
-to raise the error the exact route raises, in its order (WorkLimitError,
-then RankDeficientError, then the reduction's UnsupportedPrimeError or
-BadReductionError).
+(``geometry.reduced_models``), by the rule of ``geometry._reduced_model``:
+the exact flattening over Q is built only to name a failed reduction.
 
 The reconstruction roundtrip and the section-product test evaluate slot
 monomials at the model's F_p-points instead.
@@ -158,15 +154,9 @@ def cyclic_relations(state, p):
     with its factors rotated by j (factor k moves to position k - j mod n:
     the first axis moved last j times, ``_rotate``), so the rotation by j
     lies in both R_j (x) V and V (x) R_{j+1}: the rows of the rotation's
-    model over F_p (``geometry.reduced_models``).  No exact flattening is
-    built when every reduced one has rank d: rank can only drop modulo p,
-    so rank d there proves rank d over Q.  When one reduction fails or
-    drops the rank, every rotation's model over Q is built before any is
-    reduced, so the errors keep their order: WorkLimitError (the format's
-    flattening cost), then RankDeficientError (some rotation's flattening
-    has dimension below d over Q), then UnsupportedPrimeError or
-    BadReductionError (the prime divides a denominator, or the rank drops
-    only modulo p).
+    model over F_p (``geometry.reduced_models``, whose errors keep the exact
+    route's order: WorkLimitError, then RankDeficientError of some
+    rotation, then the first failing reduction's error).
     """
     n, d, rotations, nums = state.n, state.d, [], state.nums
     for _ in range(n):
@@ -372,11 +362,11 @@ def roundtrip_check(state, p):
     The construction guarantees the kernel contains that reduction, so a
     full evaluation rank forces equality; failures therefore surface only
     as bad reduction or insufficient points, never as a wrong kernel.  Bad
-    reduction is raised by the model's reduction (``reduced_models``, which
-    builds the exact model only to raise its error), or, when
-    the evaluation rank falls short and p divides a slice discriminant of a
-    smooth curve state, as BadReductionError naming the singular reduced
-    curve, as in ``multiplication_surjectivity``.  Any other shortfall is
+    reduction is raised by the model's reduction (``reduced_models``), or,
+    when the evaluation rank falls short and p divides a slice discriminant
+    of a smooth curve state, as BadReductionError naming the singular
+    reduced curve, as in ``multiplication_surjectivity``.  Any other
+    shortfall is
     an InsufficientPointsError naming the F_p-point count: a smooth curve
     at a good prime can have fewer points than the rank needs (3 at p = 7,
     against a target of 6).

@@ -300,8 +300,8 @@ def cyclic_relations(state, p):
     """The relation rows R_0, ..., R_{n-1} over F_p the former way: every
     rotation's exact model over Q first (``variety_from_state``), then each
     reduced through its state (``model_mod_p``).  ``zalgebra`` builds them
-    from the reduced flattenings and takes this route only to raise its
-    error."""
+    from the reduced flattenings, and the models over Q only to name a
+    failed reduction."""
     n, d, models, nums = state.n, state.d, [], state.nums
     for _ in range(n):
         models.append(variety_from_state(Tensor.from_integers(n, d, nums, state.den)))

@@ -4,6 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from sloccgeo.states import (
     basis_state,
     four_qubit_generic_family,
     ghz,
+    random_state,
     state_to_json,
 )
 
@@ -343,6 +345,24 @@ def test_bad_primes_echo_a_bounded_excerpt(tmp_path, capsys):
     assert capsys.readouterr().err == "sloccgeo: bad prime list 'a,b'\n"
     assert run(["classify", path, "--primes", "4,7"]) == 2
     assert capsys.readouterr().err == "sloccgeo: 4 is not a prime in [5, 2147483647]\n"
+
+
+def test_errors_echo_prime_lists_as_bounded_excerpts(tmp_path, capsys):
+    # the 428 primes in [5, 3000) used to be echoed whole, in 2,466 characters
+    primes = [p for p in range(5, 3000) if all(p % q for q in range(2, p))]
+    s33 = write_state(tmp_path, "s33.json", random_state(3, 3, 5, 1))
+    code = run(["smoothness", s33, "--primes", ",".join(map(str, primes))])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.startswith("sloccgeo: a point sweep of (P^2)^2 at primes [5, 7, 11, ")
+    assert len(captured.err) <= 240, len(captured.err)
+    bad = write_state(tmp_path, "bad.json", ghz(3, 2).scale(Fraction(1, prod(primes[:40]))))
+    listed = ",".join(map(str, primes[:40]))
+    for command in ("classify", "smoothness"):
+        code, report = run_json(capsys, [command, bad, "--primes", listed])
+        assert code == 0 and report["error"] == "AllPrimesBadError"
+        assert report["detail"].startswith("all primes [5, 7, 11, ")
+        assert len(report["detail"]) <= 130, len(report["detail"])
 
 
 def test_primes_are_ascii_digits(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 
@@ -713,6 +714,31 @@ def test_sweep_over_prefix_budget_is_refused():
         enumerate_points(model, 31)  # 993^2 prefixes in one call
     assert (5**2 + 5 + 1) ** 2 <= PREFIX_BUDGET
     assert smoothness_scan(t43, (5,)).primes == (5,)
+
+
+def test_prime_lists_in_errors_are_bounded_excerpts():
+    # each list used to be echoed whole: the 428 primes in [5, 3000) gave a
+    # WorkLimitError of 2,466 characters, and the message grew with the list
+    primes = [p for p in range(5, 3000) if all(p % q for q in range(2, p))]
+    assert len(primes) == 428
+    with pytest.raises(WorkLimitError) as info:
+        smoothness_scan(random_state(3, 3, 5, 1), primes)
+    assert str(info.value).startswith("a point sweep of (P^2)^2 at primes [5, 7, 11, ")
+    assert len(str(info.value)) <= 220, len(str(info.value))
+    many = primes[:40]
+    state = ghz(3, 2).scale(Fraction(1, prod(many)))
+    for call in (lambda: smoothness_scan(state, many), lambda: classify(state, many)):
+        with pytest.raises(AllPrimesBadError) as info:
+            call()
+        message = str(info.value)
+        assert message.startswith("all primes [5, 7, 11, ") and message.endswith(
+            "] hit bad reduction"
+        )
+        assert len(message) <= 130, len(message)
+    # a short list keeps its bytes
+    for call in (smoothness_scan, classify):
+        with pytest.raises(AllPrimesBadError, match=r"^all primes \[5, 7\] hit bad reduction$"):
+            call(ghz(3, 2).scale(Fraction(1, 35)), (7, 5))
 
 
 def _rank_at(coords):

@@ -1124,6 +1124,102 @@ def test_scan_filing_matches_a_reduction_at_every_prime():
     assert {"used", "excluded", "den", "rank drop"} <= seen
 
 
+def test_scan_filing_matches_the_reference_on_every_format():
+    # Every prime of a scan goes through one reduction route.  On every
+    # format the scan takes, its primes, bad primes and excluded primes are
+    # those of the former filing, which built the model over Q and reduced
+    # it at every prime, and where that filing raises, the scan raises the
+    # same error.  Drawn: denominators divisible by a listed prime, rank
+    # drops mod q, states whose flattening is rank-deficient over Q, and
+    # prime lists whose primes all divide the denominator.
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    from sloccgeo.errors import SloccGeoError
+
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(((2, 3), (3, 2), (3, 3), (4, 2), (5, 2))),
+        kind=st.sampled_from(("random", "rank drop", "deficient", "all bad")),
+    )
+    def check(data, fmt, kind):
+        n, d = fmt
+        pool = (5, 7, 11) if fmt == (5, 2) else (5, 7, 11, 13)
+        primes = tuple(sorted(data.draw(st.sets(st.sampled_from(pool), min_size=1))))
+        q = data.draw(st.sampled_from(primes))
+        # small drawn entries make many singular curves; seeded ones are generic
+        generic = st.integers(0, 10**6).map(lambda seed: random_state(n, d, 4, seed).nums)
+        nums = data.draw(st.lists(st.integers(-4, 4), min_size=d**n, max_size=d**n) | generic)
+        t = Tensor.from_integers(n, d, nums, data.draw(st.sampled_from((1, 2, q))))
+        if kind in ("rank drop", "deficient"):
+            size = d ** (n - 1)
+            shifts = [0] * size if kind == "deficient" else data.draw(
+                st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+            t = _rank_drop(t, q, shifts)
+        elif kind == "all bad":
+            t = t.scale(Fraction(1, prod(primes)))
+        try:
+            expected = ref.reduced_filing(t, primes)
+        except SloccGeoError as exc:
+            with pytest.raises(type(exc)) as info:
+                smoothness_scan(t, primes)
+            assert str(info.value) == str(exc)
+            seen.add(type(exc).__name__)
+            return
+        seen.update("den" if t.den % p == 0 else "rank drop" for p in expected[1])
+        if not expected[0] and not expected[2]:
+            with pytest.raises(AllPrimesBadError) as info:
+                smoothness_scan(t, primes)
+            assert str(info.value) == f"all primes {list(expected[1])} hit bad reduction"
+            seen.add("all bad")
+            return
+        report = smoothness_scan(t, primes)
+        filed = (report.primes, report.bad_primes, report.excluded_primes)
+        if fmt == (5, 2):
+            # a certified (5,2) state's witness primes move to the excluded
+            # primes after the sweep; its filing excludes none
+            filed = (tuple(sorted(report.primes + report.excluded_primes)), filed[1], ())
+        assert filed == expected
+        seen.update(label for label, filed in (("used", expected[0]), ("bad", expected[1]),
+                                               ("excluded", expected[2])) if filed)
+
+    check()
+    assert {"used", "bad", "excluded", "den", "rank drop", "all bad",
+            "RankDeficientError"} <= seen, seen
+
+
+def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
+    # classify builds the exact flattening once, for its rank and curves;
+    # filing the vote's primes builds no second one, and a scan of a state
+    # with no curve model builds none
+    import sloccgeo.geometry
+    import sloccgeo.invariants
+    import sloccgeo.states
+
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return sloccgeo.states.flattening_basis(t)
+
+    for module in (sloccgeo.geometry, sloccgeo.invariants):
+        monkeypatch.setattr(module, "flattening_basis", counting)
+    uncertified = random_state(5, 2, 5, 50)
+    for t, used in ((ghz(3, 3), DEFAULT_PRIMES), (uncertified, (5, 7, 11, 13))):
+        classify.cache_clear()
+        calls.clear()
+        verdict = classify(t)
+        assert verdict.primes_used == used and calls == [t]
+    classify.cache_clear()
+    calls.clear()
+    report = smoothness_scan(random_state(5, 2, 5, 0), (5, 7))
+    assert report.primes == (5, 7) and calls == []
+
+
 def test_scan_files_rank_drops_and_denominators_as_bad():
     for fmt, seed in (((3, 3), 1), ((4, 2), 2)):
         t = _rank_drop(random_state(*fmt, 5, seed), 7, _shifts(fmt, seed))

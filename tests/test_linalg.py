@@ -440,6 +440,23 @@ def test_prime_check_echoes_a_bounded_excerpt():
         check_primes([7, 4])
 
 
+def test_prime_check_matches_trial_division():
+    # Miller-Rabin with bases 2, 3, 5, 7 replaced trial division up to
+    # sqrt(p), which took ~6 ms per prime near 2^31
+    from math import isqrt
+
+    from sloccgeo.linalg import MAX_PRIME, _is_prime
+
+    for n in range(5, 10**5):
+        assert _is_prime(n) == all(n % q for q in range(2, isqrt(n) + 1)), n
+    assert check_primes([MAX_PRIME, 7, 5]) == (5, 7, MAX_PRIME)
+    # strong pseudoprimes to the first bases, and Carmichael numbers
+    for n in (2047, 1373653, 25326001, 561, 41041):
+        message = rf"^{n} is not a prime in \[5, {MAX_PRIME}\]$"
+        with pytest.raises(UnsupportedPrimeError, match=message):
+            check_primes([5, n])
+
+
 _HUGE = 10**5000  # over the 4,300-digit limit of int-to-string conversion
 
 

@@ -664,6 +664,28 @@ def test_coefficient_digits_are_bounded():
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Tensor(3.0, 3, [1] * 27),
+        lambda: Tensor(3, 3.0, [1] * 27),
+        lambda: Tensor.from_integers(3, 3.0, [1] * 27),
+        lambda: Tensor.from_entries(3.0, 3, {(0, 0, 0): 1}),
+        lambda: random_state(3.0, 3, 5, 0),
+        lambda: ghz(3.0, 3),
+        lambda: basis_state(3, 3.0, (0, 0, 0)),
+        lambda: w_state(3.0),
+    ],
+    ids=["tensor-n", "tensor-d", "from-integers", "from-entries", "random-state", "ghz",
+         "basis-state", "w-state"],
+)
+def test_non_int_formats_are_refused(call):
+    # 27.0 == 27 passed the size check, and the float failed later, in
+    # classify or state_to_json, as a bare TypeError
+    with pytest.raises(ValueError, match=r"^n and d must be ints$"):
+        call()
+
+
+@pytest.mark.parametrize(
     "call, error, message",
     [
         (

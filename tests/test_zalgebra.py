@@ -397,6 +397,20 @@ def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
     assert calls == [t33.scale(Fraction(1, 11))]
 
 
+def test_graded_checks_refuse_a_missing_prime(family_1235):
+    # the one reduction route checks p: these ended in a bare TypeError, and
+    # cyclic_relations returned the relation rows over Q
+    t33 = random_state(3, 3, 5, 1)
+    for call in (
+        lambda: cyclic_relations(t33, None),
+        lambda: quadratic_hilbert(t33, None, 3),
+        lambda: roundtrip_check(t33, None),
+        lambda: multiplication_surjectivity(family_1235, (0, 1), None),
+    ):
+        with pytest.raises(UnsupportedPrimeError, match=r"^None is not a prime in "):
+            call()
+
+
 def test_flattening_cost_is_checked_before_any_elimination(monkeypatch, family_1235):
     import sloccgeo.linalg
     import sloccgeo.states
