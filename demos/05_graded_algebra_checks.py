@@ -1,6 +1,6 @@
 """Relation spaces, reconstruction, and graded dimension profiles.
 
-Evaluating slot monomials at a model's F_p-points recovers the defining
+Evaluating monomials at a model's F_p-points recovers the defining
 relation space exactly (the reconstruction roundtrip) and measures whether
 two section spaces multiply surjectively (the embedding test).  Graded
 dimension profiles take their relations from the flattening images of the
@@ -26,7 +26,7 @@ from sloccgeo.states import Tensor, tensor_product
 t = random_state(3, 3, 5, seed=42)
 for p in (7, 11, 13):
     print(f"roundtrip at p={p}:", roundtrip_check(t, p))
-rel = relations_from_points(variety_from_state(t), 11, (0, 1))
+rel = relations_from_points(variety_from_state(t), 11)
 print("relation space at p=11: dim", rel.rows)
 
 # Graded profiles: computed values vs regular-algebra targets, which a

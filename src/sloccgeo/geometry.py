@@ -148,9 +148,10 @@ def _reduced_model(t, p):
 def model_mod_p(model, p):
     """The model over F_p of the model's source state (``_reduced_model``).
     A model already over F_p is returned as it is; any other model without
-    a source raises ValueError.
+    a source raises ValueError.  p = None names no field, so a model over Q
+    goes to the reduction, which refuses it (UnsupportedPrimeError).
     """
-    if model.p == p:
+    if p is not None and model.p == p:
         return model
     if model.source is None:
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")

@@ -51,8 +51,12 @@ def check_primes(primes):
     """The sorted distinct primes of a request, each checked to be a prime
     in [5, MAX_PRIME].  2 and 3 divide denominators of the invariant
     constants, and other integers do not give a field.  Raises
-    UnsupportedPrimeError naming the first bad entry (``_excerpt``)."""
-    primes = tuple(sorted(set(primes)))
+    UnsupportedPrimeError naming the first bad entry (``_excerpt``), or
+    naming the request when it is not a collection of comparable entries."""
+    try:
+        primes = tuple(sorted(set(primes)))
+    except TypeError:
+        raise UnsupportedPrimeError(f"{_excerpt(primes)} is not a collection of primes") from None
     if not primes:
         raise UnsupportedPrimeError("the prime list is empty")
     for p in primes:

@@ -425,13 +425,13 @@ def basis_state(n, d, idx):
 
 def ghz(n, d):
     """Sum of the n-fold repeated basis states |k...k> for k < d."""
-    _check_ints(n, d)
+    _check_state_size(n, d)
     return Tensor.from_entries(n, d, {(k,) * n: 1 for k in range(d)})
 
 
 def w_state(n):
     """Sum over basis states with a single 1 among zeros (qubits)."""
-    _check_ints(n, 2)
+    _check_state_size(n, 2)
     entries = {}
     for k in range(n):
         idx = [0] * n

@@ -26,8 +26,10 @@ Every check here reaches F_p from the state's reduced flattenings alone
 (``geometry.reduced_models``), by the rule of ``geometry._reduced_model``:
 the exact flattening over Q is built only to name a failed reduction.
 
-The reconstruction roundtrip and the section-product test evaluate slot
-monomials at the model's F_p-points instead.
+The reconstruction roundtrip and the section-product test evaluate
+monomials at the model's F_p-points instead, by one rule
+(``_monomial_rows``): a point's row is the Kronecker product of its
+coordinate vectors in the order given.
 """
 
 from dataclasses import dataclass
@@ -93,27 +95,27 @@ def cubic_expected_dims(k_max):
     return _resolution_dims(k_max, ((2, 1), (-2, 3), (1, 4)))
 
 
-def _monomial_rows(points, slot_pattern, d, p):
-    """Evaluation matrix: one row per point, given as a tuple of coordinate
-    vectors, and one column per slot monomial.  A row is the Kronecker
-    product of the point's coordinate vectors over the slots, first slot
-    slowest."""
+def _monomial_rows(points, width, p):
+    """Evaluation matrix of the given width: one row per point, given as a
+    tuple of coordinate vectors, and one column per monomial.  A row is the
+    Kronecker product of the point's coordinate vectors in the order given,
+    first slowest."""
     rows = []
     for pt in points:
         row = [1]
-        for g in slot_pattern:
-            row = [a * x % p for a in row for x in pt[g]]
+        for v in pt:
+            row = [a * x % p for a in row for x in v]
         rows.append(row)
-    return Matrix(rows, cols=d ** len(slot_pattern), p=p)
+    return Matrix(rows, cols=width, p=p)
 
 
-def relations_from_points(model, p, slot_pattern):
-    """Kernel of the slot-monomial evaluation at all F_p-points, as its
+def relations_from_points(model, p):
+    """Kernel of the monomial evaluation at all F_p-points, as its
     canonical basis (``Matrix.kernel``): a Matrix over F_p whose ``rows``
     is the kernel's dimension and whose ``cols`` is d**k.
 
-    ``slot_pattern`` lists which variable group feeds each slot, so the
-    monomials are products of one coordinate per slot in that order.  On a
+    A point's row is the Kronecker product of the coordinate vectors of
+    the model's k = n - 1 groups, in order (``_monomial_rows``).  On a
     generic curve model the monomials span a space of dimension
     k*d (sections of the product line bundle), leaving a kernel of
     dimension d**k - k*d.  If the evaluation rank falls short of that
@@ -121,26 +123,20 @@ def relations_from_points(model, p, slot_pattern):
     with InsufficientPointsError, naming the rank and the F_p-point count,
     instead of reporting a wrong space.  The
     evaluation matrix is d**k wide, so before any point is enumerated a
-    pattern of k slots is refused with WorkLimitError by the bound of the
-    Hilbert profiles (``check_hilbert_degree``): d**k <= MAX_PROFILE_WIDTH.
-    Every slot must be an int (not a bool) naming one of the model's
-    groups, else ValueError before any other work.  The model may be over
+    model whose d**k is too wide is refused with WorkLimitError by the
+    bound of the Hilbert profiles (``check_hilbert_degree``):
+    d**k <= MAX_PROFILE_WIDTH.  The model may be over
     Q or over F_p: ``enumerate_points`` reduces it (``model_mod_p``) and
     then checks the prefix budget.
     """
-    slot_pattern = tuple(slot_pattern)
-    if any(type(g) is not int or not 0 <= g < model.groups for g in slot_pattern):
-        raise ValueError("slot pattern names a nonexistent group")
-    d = model.d
-    k = len(slot_pattern)
+    d, k = model.d, model.groups
     check_hilbert_degree(d, k)
     points = enumerate_points(model, p)
-    target_rank = min(k * d, d**k)
-    kernel = _monomial_rows([pt.coords for pt in points], slot_pattern, d, p).kernel()
+    kernel = _monomial_rows([pt.coords for pt in points], d**k, p).kernel()
     rank = d**k - kernel.rows
-    if rank < target_rank:
+    if rank < k * d:
         raise InsufficientPointsError(
-            f"evaluation rank {rank} below generic target {target_rank} at p={p} "
+            f"evaluation rank {rank} below generic target {k * d} at p={p} "
             f"from {len(points)} F_p-points"
         )
     return kernel
@@ -297,7 +293,7 @@ class ProductMapResult:
 
 def multiplication_surjectivity(state, axis_pair, p):
     """Test whether products of sections from two axes span the full
-    4-dimensional target, by evaluating the 4 slot monomials at the
+    4-dimensional target, by evaluating the 4 monomials at the
     projections of the model's F_p-points.
 
     Full rank certifies surjectivity (the two degree-2 bundles are not
@@ -314,32 +310,31 @@ def multiplication_surjectivity(state, axis_pair, p):
     p = 5 and 7, where the window starts below five, can still lack
     points.  The prime is not tested before the points are enumerated: at
     many singular reductions the test still passes.  The axis pair must
-    name two distinct groups among 0, 1 and 2 (ints, in either order),
-    else ValueError.
+    name two distinct groups among 0, 1 and 2 (a collection of two ints,
+    in either order), else ValueError.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
     pairs = ([0, 1], [0, 2], [1, 2])
-    if any(type(a) is not int for a in axis_pair) or sorted(axis_pair) not in pairs:
+    ints = hasattr(axis_pair, "__iter__") and all(type(a) is int for a in axis_pair)
+    if not ints or sorted(axis_pair) not in pairs:
         raise ValueError("axis pair must name two distinct groups of 0,1,2")
     axis_pair = tuple(sorted(axis_pair))
     (model,) = reduced_models([state], p)
     points = enumerate_points(model, p)
     projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
     lo, hi = hasse_window(p)
-    refused = len(projected) > hi or len(projected) < max(5, lo)
-    if refused:
+    if not max(5, lo) <= len(projected) <= hi:
         _refuse_singular_reduction(state, p)
-    if len(projected) > hi:
-        raise InsufficientPointsError(
-            f"{len(projected)} projected points at p={p} exceed the genus-one "
-            f"bound {hi}: degenerate model"
-        )
-    if len(projected) < max(5, lo):
+        if len(projected) > hi:
+            raise InsufficientPointsError(
+                f"{len(projected)} projected points at p={p} exceed the genus-one "
+                f"bound {hi}: degenerate model"
+            )
         raise InsufficientPointsError(
             f"only {len(projected)} projected points at p={p}; kernel not determined"
         )
-    rank = _monomial_rows(projected, (0, 1), 2, p).rank()
+    rank = _monomial_rows(projected, 4, p).rank()
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 
@@ -356,8 +351,9 @@ def _refuse_singular_reduction(state, p):
 def roundtrip_check(state, p):
     """Reconstruct the flattening image from the model's F_p-points.
 
-    True when the kernel of the natural slot-monomial evaluation equals
-    the state-side reduction of the flattening image, as canonical
+    True when the kernel of the monomial evaluation
+    (``relations_from_points``) equals the state-side reduction of the
+    flattening image, as canonical
     subspaces: the kernel's RREF rows are those of the reduced model.
     The construction guarantees the kernel contains that reduction, so a
     full evaluation rank forces equality; failures therefore surface only
@@ -373,7 +369,7 @@ def roundtrip_check(state, p):
     """
     (reduced,) = reduced_models([state], p)
     try:
-        relations = relations_from_points(reduced, p, tuple(range(state.n - 1)))
+        relations = relations_from_points(reduced, p)
     except InsufficientPointsError:
         _refuse_singular_reduction(state, p)
         raise

@@ -10,7 +10,7 @@ functions.  So
 does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
-former index loops behind the slot-monomial rows and the span points, the
+former index loops behind the monomial rows and the span points, the
 former full sweep of ``smoothness_scan`` (every witness reported), its
 former filing (a reduction at every prime), the former exact route of
 ``cyclic_relations`` (a model over Q per rotation), and the former exact
@@ -263,19 +263,18 @@ def kernel_two_eliminations(matrix):
     return Matrix(basis, cols=cols, p=matrix.p).row_space()
 
 
-def monomial_rows(points, slot_pattern, d, p):
-    """The slot-monomial evaluation matrix by one index loop: one row per
-    point, one column per index tuple of ``product(range(d), repeat=k)``
-    (the library's ``_monomial_rows`` before it took Kronecker products)."""
-    k = len(slot_pattern)
+def monomial_rows(points, d, k, p):
+    """The monomial evaluation matrix by one index loop: one row per point,
+    a tuple of k coordinate vectors of length d, and one column per index
+    tuple of ``product(range(d), repeat=k)`` (the library's
+    ``_monomial_rows`` before it took Kronecker products)."""
     rows = []
     for pt in points:
-        coords = [pt[g] for g in slot_pattern]
         row = []
         for idx in product(range(d), repeat=k):
             val = 1
             for s in range(k):
-                val = val * coords[s][idx[s]] % p
+                val = val * pt[s][idx[s]] % p
             row.append(val)
         rows.append(row)
     return Matrix(rows, cols=d**k, p=p)

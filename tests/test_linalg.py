@@ -440,6 +440,34 @@ def test_prime_check_echoes_a_bounded_excerpt():
         check_primes([7, 4])
 
 
+@pytest.mark.parametrize(
+    "primes, message",
+    [
+        (7, "7 is not a collection of primes"),
+        ([5, "7"], "[5, '7'] is not a collection of primes"),
+        ([5, None], "[5, None] is not a collection of primes"),
+        ([5, 7.0], "7.0 is not a prime in [5, 2147483647]"),
+    ],
+    ids=["int", "str-entry", "none-entry", "float-entry"],
+)
+def test_prime_lists_that_do_not_sort_are_refused(primes, message):
+    # the first three ended in a bare TypeError from set() or sorted(), in
+    # every entry point that takes a prime list; a float still sorts among
+    # ints and keeps its message
+    from sloccgeo import classify, ghz, random_state, slocc_compare, smoothness_scan
+
+    t = random_state(3, 3, 5, 1)
+    for call in (
+        lambda: check_primes(primes),
+        lambda: classify(t, primes),
+        lambda: smoothness_scan(t, primes),
+        lambda: slocc_compare(t, ghz(3, 3), primes),
+    ):
+        with pytest.raises(UnsupportedPrimeError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_prime_check_matches_trial_division():
     # Miller-Rabin with bases 2, 3, 5, 7 replaced trial division up to
     # sqrt(p), which took ~6 ms per prime near 2^31

@@ -418,6 +418,26 @@ def test_oversized_format_is_refused_before_allocation():
         parse_state('{"n": 3, "d": 41, "entries": []}')  # 68921 > 2^16
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: w_state(1000), lambda: ghz(2, 10**5), lambda: ghz(10**6, 2)],
+    ids=["w-state", "ghz-wide", "ghz-long"],
+)
+def test_named_states_check_their_size_before_building(call):
+    # w_state built its n index lists and ghz its d index tuples before
+    # from_entries checked the size: w_state(1000) peaked at ~8 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=r"^d\*\*n exceeds the limit of 65536 coefficients$"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_huge_formats_are_refused_without_printing_them():
     # a message naming a d or n of over 4,300 digits raised ValueError from
     # int-to-string conversion; neither message prints them now

@@ -1,9 +1,13 @@
 """The code-size count that tools/code_lines.py prints for src/sloccgeo,
-and the names the benchmark's tracer binds."""
+the names the benchmark's tracer binds, and the names and calls the
+benchmark reads."""
 
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "code_lines.py"
@@ -71,34 +75,43 @@ def test_tracer_names_exist():
     assert callable(Matrix.rref) and callable(Matrix.det)
 
 
-def _sg_chains(tree):
-    """The dotted chains sg.<name>[.<attr>...] read in a parsed module,
-    also inside string constants that parse as code (a snippet run in a
-    fresh interpreter)."""
-    chains = set()
+def _walk(tree):
+    """Every node of a parsed module, also of the string constants that
+    parse as code (a snippet run in a fresh interpreter)."""
     for node in ast.walk(tree):
+        yield node
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             try:
-                chains |= _sg_chains(ast.parse(node.value))
+                yield from _walk(ast.parse(node.value))
             except SyntaxError:
                 pass
-        names = []
-        while isinstance(node, ast.Attribute):
-            names.append(node.attr)
-            node = node.value
-        if names and isinstance(node, ast.Name) and node.id == "sg":
-            chains.add(tuple(reversed(names)))
-    return chains
+
+
+def _sg_chain(node):
+    """The dotted chain (<name>, <attr>, ...) of an expression
+    sg.<name>[.<attr>...], else None."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    if names and isinstance(node, ast.Name) and node.id == "sg":
+        return tuple(reversed(names))
+    return None
 
 
 def test_benchmark_reads_resolve():
-    # the benchmark calls these sloccgeo names directly, so deleting one
-    # breaks it; this fails in the tier-1 run instead
+    """The benchmark reads these sloccgeo names and makes these calls
+    directly, so deleting a name or changing a signature so that a call no
+    longer binds breaks it; this fails in the tier-1 run instead.  Each
+    call is bound by its count of positional arguments and its keyword
+    names.  Calls through a name looked up at run time, such as
+    getattr(sg, runner)(...), are out of its reach."""
     import sloccgeo
 
-    chains = set()
+    nodes = []
     for path in BENCHMARK_READERS:
-        chains |= _sg_chains(ast.parse(path.read_text(encoding="utf-8")))
+        nodes += _walk(ast.parse(path.read_text(encoding="utf-8")))
+    chains = {chain for node in nodes if (chain := _sg_chain(node))}
     assert ("TernaryCubic", "from_terms") in chains and ("cubic_discriminant",) in chains
     assert ("TernaryCubic", "weierstrass") in chains and ("aronhold_invariants",) in chains
     for chain in sorted(chains):
@@ -106,3 +119,21 @@ def test_benchmark_reads_resolve():
         for name in chain:
             assert hasattr(value, name), "sg." + ".".join(chain)
             value = getattr(value, name)
+
+    calls = set()
+    for node in nodes:
+        if isinstance(node, ast.Call) and (chain := _sg_chain(node.func)):
+            keywords = tuple(k.arg for k in node.keywords)
+            # a *args or **kwargs argument has no count to bind
+            if not any(isinstance(a, ast.Starred) for a in node.args) and all(keywords):
+                calls.add((chain, len(node.args), keywords))
+    assert (("multiplication_surjectivity",), 3, ()) in calls
+    assert (("aronhold_invariants",), 1, ()) in calls  # inside a snippet
+    for chain, positional, keywords in sorted(calls):
+        value = sloccgeo
+        for name in chain:
+            value = getattr(value, name)
+        try:
+            inspect.signature(value).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as error:
+            pytest.fail(f"sg.{'.'.join(chain)}: {positional} positional, {keywords}: {error}")

@@ -75,7 +75,7 @@ def test_cubic_expected_dims_oracle():
 def test_relations_recover_flattening_image():
     t = random_state(3, 3, 5, seed=42)
     model = variety_from_state(t)
-    rel = relations_from_points(model, 11, (0, 1))
+    rel = relations_from_points(model, 11)
     assert isinstance(rel, Matrix)
     assert (rel.rows, rel.cols, rel.p) == (3, 9, 11)
     assert rel == reduced_flattening_image(t, 11)
@@ -83,49 +83,31 @@ def test_relations_recover_flattening_image():
 
 def test_relations_four_qubit(family_1235):
     model = variety_from_state(family_1235)
-    rel = relations_from_points(model, 13, (0, 1, 2))
+    rel = relations_from_points(model, 13)
     assert rel.rows == 2
     assert rel == reduced_flattening_image(family_1235, 13)
-
-
-def test_opposite_pattern_relations_are_transposes():
-    # slot monomials commute as functions, so the (y,x) kernel is exactly
-    # the transposed (x,y) kernel; both are computed from points
-    t = random_state(3, 3, 5, seed=42)
-    model = variety_from_state(t)
-    rel_xy = relations_from_points(model, 11, (0, 1))
-    rel_yx = relations_from_points(model, 11, (1, 0))
-    assert rel_yx.rows == 3
-    transposed = Matrix(
-        [[row[j * 3 + i] for i in range(3) for j in range(3)]
-         for row in rel_xy.entries],
-        cols=9,
-        p=11,
-    ).row_space()
-    assert rel_yx == transposed
 
 
 def test_relations_insufficient_points(family_1235):
     # 11 divides the family discriminant: only two points survive
     model = variety_from_state(family_1235)
     with pytest.raises(InsufficientPointsError):
-        relations_from_points(model, 11, (0, 1, 2))
+        relations_from_points(model, 11)
 
 
 def test_relations_from_points_bounds_the_slot_count(monkeypatch):
-    # the evaluation matrix is d**k wide: 6 slots of a (3,3) model built a
-    # 729 x 729 kernel basis and then raised InsufficientPointsError
+    # the evaluation matrix is d**k wide, k = n - 1 the model's group count:
+    # a (10,2) model is 512 wide, over the width rule of the Hilbert profiles
     import sloccgeo.zalgebra
 
-    model = variety_from_state(random_state(3, 3, 5, 1))
-    assert relations_from_points(model, 11, (0, 1) * 2 + (0,)).cols == 3**5
+    model = variety_from_state(random_state(10, 2, 5, 1))
 
     def refused(*args):
         raise AssertionError("points enumerated before the bound")
 
     monkeypatch.setattr(sloccgeo.zalgebra, "enumerate_points", refused)
-    with pytest.raises(WorkLimitError, match=r"3\*\*k_max <= 256"):
-        relations_from_points(model, 11, (0, 1) * 3)
+    with pytest.raises(WorkLimitError, match=r"^k_max=9 is out of range: .* 2\*\*k_max <= 256$"):
+        relations_from_points(model, 11)
 
 
 def test_relation_dimension_is_slocc_invariant():
@@ -133,8 +115,8 @@ def test_relation_dimension_is_slocc_invariant():
     g = SloccOperator.random(3, 3, 2, seed=7)
     moved = apply_slocc(t, g)
     for p in (11, 13):
-        a = relations_from_points(variety_from_state(t), p, (0, 1))
-        b = relations_from_points(variety_from_state(moved), p, (0, 1))
+        a = relations_from_points(variety_from_state(t), p)
+        b = relations_from_points(variety_from_state(moved), p)
         assert a.rows == b.rows
 
 
@@ -593,9 +575,10 @@ def test_roundtrip_is_refused_before_any_point(monkeypatch):
 
 
 def test_monomial_rows_match_the_index_loop():
-    # the Kronecker rows against the former product loop, on slot patterns
-    # that reorder, repeat or add groups, and on the empty pattern; the
-    # roundtrip pins only the identity pattern
+    # the Kronecker rows against the former product loop, on points of any
+    # number of coordinate vectors, none included; the roundtrip pins only
+    # n - 1 of them.  No point gives a 0 x d**k matrix, whose kernel is
+    # everything: relations_from_points then names the 0 F_p-points
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -605,15 +588,18 @@ def test_monomial_rows_match_the_index_loop():
     @given(
         data=st.data(),
         d=st.sampled_from((2, 3)),
+        k=st.integers(0, 4),
         p=st.sampled_from((5, 7, 11)),
-        pattern=st.sampled_from(((0, 1), (1, 0), (0, 0), (0, 1, 2), ())),
     )
-    def check(data, d, p, pattern):
+    def check(data, d, k, p):
         coord = st.tuples(*[st.integers(0, p - 1)] * d)
-        points = data.draw(st.lists(st.tuples(coord, coord, coord), max_size=6))
-        assert _monomial_rows(points, pattern, d, p) == ref.monomial_rows(points, pattern, d, p)
+        points = data.draw(st.lists(st.tuples(*[coord] * k), max_size=6))
+        assert _monomial_rows(points, d**k, p) == ref.monomial_rows(points, d, k, p)
 
     check()
+    empty = _monomial_rows([], 9, 11)
+    assert (empty.rows, empty.cols, empty.p) == (0, 9, 11) and empty.kernel().rows == 9
+    assert empty == ref.monomial_rows([], 3, 2, 11)
 
 
 def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
@@ -625,7 +611,7 @@ def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
     t = random_state(3, 3, 5, seed=42)
     model = model_mod_p(variety_from_state(t), 11)
     points = [pt.coords for pt in enumerate_points(model, 11)]
-    evaluation = _monomial_rows(points, (0, 1), 3, 11)
+    evaluation = _monomial_rows(points, 9, 11)
     reversed_columns = Matrix([row[::-1] for row in evaluation.entries], cols=9, p=11)
     seen = []
     rref = Matrix.rref
@@ -635,7 +621,7 @@ def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
         return rref(m)
 
     monkeypatch.setattr(Matrix, "rref", counting)
-    rel = relations_from_points(model, 11, (0, 1))
+    rel = relations_from_points(model, 11)
     assert seen == [reversed_columns]
     assert rel == reduced_flattening_image(t, 11)
 
@@ -678,7 +664,7 @@ def test_hilbert_degree_refuses_non_ints(monkeypatch, k_max):
         cubic_hilbert(random_state(4, 2, 5, 1), 7, k_max)
 
 
-@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 9, -5])
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 4, 9, -5, None])
 def test_single_prime_entry_points_refuse_non_primes(p):
     t, t42 = random_state(3, 3, 5, 1), random_state(4, 2, 5, 1)
     model = variety_from_state(t)
@@ -687,7 +673,7 @@ def test_single_prime_entry_points_refuse_non_primes(p):
         "model_mod_p": lambda: model_mod_p(model, p),
         "enumerate_points": lambda: enumerate_points(model, p),
         "jacobian_rank_at": lambda: jacobian_rank_at(model, ProjPoint(p, ((1, 0, 0),) * 2)),
-        "relations_from_points": lambda: relations_from_points(model, p, (0, 1)),
+        "relations_from_points": lambda: relations_from_points(model, p),
         "cyclic_relations": lambda: cyclic_relations(t, p),
         "quadratic_hilbert": lambda: quadratic_hilbert(t, p, 3),
         "cubic_hilbert": lambda: cubic_hilbert(t42, p, 3),
@@ -709,25 +695,15 @@ def test_single_prime_entry_points_refuse_non_primes(p):
     "call, error, message",
     [
         (
-            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 7, (0, 2)),
-            ValueError,
-            "nonexistent group",
-        ),
-        # slots that are not ints are refused before any point is enumerated
-        (
-            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 11, (0.0, 1)),
-            ValueError,
-            "nonexistent group",
-        ),
-        (
-            lambda: relations_from_points(variety_from_state(random_state(3, 3, 5, 1)), 11, (True, 0)),
-            ValueError,
-            "nonexistent group",
-        ),
-        (
             lambda: cubic_hilbert(random_state(3, 3, 5, 1), 7, 4),
             WrongFormatError,
             r"format \(4,2\)",
+        ),
+        # an int where the pair belongs ended in a bare TypeError
+        (
+            lambda: multiplication_surjectivity(ghz(4, 2), 5, 13),
+            ValueError,
+            r"^axis pair must name two distinct groups of 0,1,2$",
         ),
         # 52 projected points at p = 13, above the genus-one bound of 21
         (
@@ -737,10 +713,8 @@ def test_single_prime_entry_points_refuse_non_primes(p):
         ),
     ],
     ids=[
-        "slot-pattern-out-of-range",
-        "float-slot",
-        "bool-slot",
         "cubic-profile-of-a-33-state",
+        "axis-pair-not-a-collection",
         "surjectivity-of-ghz4",
     ],
 )
