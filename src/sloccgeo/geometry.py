@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import log2
+from math import log2, prod
 
 from .errors import (
     AllPrimesBadError,
@@ -730,37 +730,62 @@ def _singular_reduction(discs, p):
     return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
 
 
-def _file_primes(t, primes, discs=None):
+def _pivot_minor(t, basis):
+    """The d x d determinant of the state's slice numerators at the pivot
+    columns of ``basis``, the rows of an echelon basis of rank d of its
+    flattening image, exact or reduced modulo a prime.
+
+    It is a nonzero integer.  The basis spans the slices, so their columns
+    at its pivots are independent: over Q for the exact basis, and modulo
+    p, hence over Q, for one reduced at a prime p that divides neither the
+    denominator nor, then, this determinant."""
+    columns = [next(c for c, x in enumerate(row) if x) for row in basis]
+    return int(Matrix([t.nums[k :: t.d][c] for c in columns] for k in range(t.d)).det())
+
+
+def _file_primes(t, primes, discs=None, basis=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
     Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES)
     and the prefix budget, and files each prime in order as bad (the
     reduction fails, ``_reduced_model``), excluded or used.  Returns (used,
-    bad, excluded), where used lists a (p, reduced model) pair per used
-    prime; how much of each to sweep is the caller's choice.  The checks
-    raise in that order (UnsupportedPrimeError, WorkLimitError, then
+    bad, excluded), three tuples of primes; each caller reduces a used
+    prime (``_reduced_model``) only when it sweeps it.  The checks raise in
+    that order (UnsupportedPrimeError, WorkLimitError, then
     RankDeficientError when no prime is used or excluded and the
     flattening over Q has dimension below d); the filing itself never
     raises.  When every prime is bad, bad lists them all, in order, and
     each caller states what that means for its own result.
 
+    A prime is reduced only where a nonzero integer N, a certificate of the
+    rank, leaves it open: a prime that divides neither the state's
+    denominator nor N is used as it is.  Mostly N is the pivot minor M
+    (``_pivot_minor``) of ``basis``, the exact flattening that ``classify``
+    builds, or, with no basis, of the first reduction that is used: when p
+    divides neither the denominator nor M, the reduced slices keep a
+    nonzero d x d minor at the pivot columns (M times den^-d mod p), so the
+    flattening keeps rank d modulo p.
+
     smoothness_scan passes the state's ``slice_discriminants``.  When none
-    of them vanishes, the curve model is smooth over Q, and a prime p that
-    divides neither the state's denominator nor any discriminant numerator
-    is used with no reduced model (None): had the rank dropped mod p, the
-    slices would be dependent mod p, every projected curve would vanish
+    of them vanishes, the curve model is smooth over Q and N is the product
+    of their numerators instead: had the rank dropped mod p, the slices
+    would be dependent mod p, every projected curve would vanish
     identically and p would divide every numerator (the invariants' own
-    denominators, 16 and 8, have no prime factor p >= 5).  Every other
-    prime is reduced; a prime dividing a numerator whose reduction has full
-    rank is excluded (``_singular_reduction``): the reduced curve is
-    degenerate and says nothing about the original model.
+    denominators, 16 and 8, have no prime factor p >= 5).  A prime that
+    divides a numerator and whose reduction has full rank is excluded
+    (``_singular_reduction``): the reduced curve is degenerate and says
+    nothing about the original model.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
+    if discs and all(discs):
+        certificate = prod(disc.numerator for disc in discs)
+    else:
+        certificate = _pivot_minor(t, basis) if basis else 0
     used, bad, excluded = [], [], []
     for p in primes:
-        if discs and all(discs) and t.den % p and not _singular_reduction(discs, p):
-            used.append((p, None))
+        if t.den % p and certificate % p:
+            used.append(p)
             continue
         try:
             reduced = _reduced_model(t, p)
@@ -770,10 +795,11 @@ def _file_primes(t, primes, discs=None):
         if _singular_reduction(discs, p):
             excluded.append(p)
         else:
-            used.append((p, reduced))
+            used.append(p)
+            certificate = certificate or _pivot_minor(t, reduced.rows)
     if not used and not excluded:
         variety_from_state(t)
-    return used, tuple(bad), tuple(excluded)
+    return tuple(used), tuple(bad), tuple(excluded)
 
 
 def smoothness_scan(t, primes=None):
@@ -828,16 +854,16 @@ def smoothness_scan(t, primes=None):
         raise AllPrimesBadError(f"all primes {_excerpt(list(bad))} hit bad reduction")
     counts = []
     witnesses = []
-    for p, reduced in used:
-        if reduced is None:
+    for p in used:
+        if discs and all(discs):
             counts.append((p, _jacobian_count(curves[0], p)))
             continue
+        reduced = _reduced_model(t, p)
         walk = list(_points(reduced, p))
         counts.append((p, len(walk)))
         witness = _first_witness(reduced, walk)
         if witness is not None:
             witnesses.append(witness)
-    used = tuple(p for p, _ in used)
     if witnesses and _certified_smooth(t):
         excluded = tuple(p for p, _, _ in witnesses)  # a (5,2) scan excludes no other
         used = tuple(p for p in used if p not in excluded)

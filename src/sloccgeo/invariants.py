@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd, prod
 
 from .errors import (
@@ -57,6 +57,7 @@ from .geometry import (
     _file_primes,
     _first_witness,
     _points,
+    _reduced_model,
     _witness_json,
     projection_coefficients,
 )
@@ -125,30 +126,49 @@ def _contract(wiring):
     per entry of ``wiring``: copy wiring[e][s] feeds slot s of epsilon e.
 
     The epsilons are summed one at a time.  A state holds the indices each
-    unfinished copy has received, sorted because the tensor is symmetric;
-    a copy that receives its third index multiplies its entry of _W into
-    the term and leaves the state (its slot reads () again: the wiring
-    fixes which copies are done), so equal states merge.  Returns
-    {sorted monomial indices: integer coefficient}.
+    unfinished copy has received, as a position in ``held``, the sorted
+    index tuples of length 0-2 (sorted because the tensor is symmetric).  A
+    copy grows through the table ``grow``: index i takes it to its next
+    position, or, as its third index, back to () (the wiring fixes which
+    copies are done), multiplying its entry of _W into the term, so equal
+    states merge.  A term's monomial is one int with four bits of exponent
+    per coefficient index (no exponent exceeds 6 at degree 6), so adding a
+    monomial is one addition.  Returns {sorted monomial indices: integer
+    coefficient}.
     """
-    states = {((),) * (1 + max(map(max, wiring))): {(): 1}}
+    held = [c for r in range(3) for c in combinations_with_replacement(range(3), r)]
+    grow = []
+    for c in held:
+        row = []
+        for i in range(3):
+            got = tuple(sorted(c + (i,)))
+            if len(got) == 3:
+                fac, m = _W[got]
+                row.append((0, fac, 1 << 4 * m))
+            else:
+                row.append((held.index(got), 1, 0))
+        grow.append(row)
+    states = {(0,) * (1 + max(map(max, wiring))): {0: 1}}
     for slots in wiring:
         merged = {}
         for state, poly in states.items():
             for perm, sign in _PERMS3:
-                got, coeff, monos = list(state), sign, ()
+                got, coeff, mono = list(state), sign, 0
                 for c, i in zip(slots, perm):
-                    got[c] = tuple(sorted(got[c] + (i,)))
-                    if len(got[c]) == 3:
-                        fac, m = _W[got[c]]
-                        coeff, monos, got[c] = coeff * fac, monos + (m,), ()
+                    got[c], fac, bits = grow[got[c]][i]
+                    coeff *= fac
+                    mono += bits
                 target = merged.setdefault(tuple(got), {})
                 for key, k in poly.items():
-                    key = tuple(sorted(key + monos))
+                    key += mono
                     target[key] = target.get(key, 0) + coeff * k
         states = merged
     (poly,) = states.values()
-    return {key: k for key, k in poly.items() if k}
+    return {
+        tuple(m for m in range(10) for _ in range(key >> 4 * m & 15)): k
+        for key, k in poly.items()
+        if k
+    }
 
 
 #: Tensor copies feeding slots 0, 1, 2 of each epsilon.  S: each copy skips
@@ -674,12 +694,17 @@ def classify(t, primes=None):
     Neither reads a point count, so the sweep here is lazy, and as in
     ``smoothness_scan`` only the points that the walk (``_points``) does not
     certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
-    filed up front as used or bad (``_file_primes``) through the one
-    reduction route (``geometry._reduced_model``), so no exact flattening is
-    built there while a prime is usable, and ``primes_used`` and the witness
-    are those of the full ``smoothness_scan`` (whose exclusions apply only
-    to smooth curve models and certified (5,2) models, which never reach
-    the sweep here).
+    filed up front as used or bad (``_file_primes``) by the pivot minor M
+    of the exact flattening built above: the d x d determinant of the
+    state's slice numerators at the basis's pivot columns, which is
+    nonzero.  A prime that divides neither the state's denominator nor M
+    keeps that minor nonzero mod p, so the flattening keeps rank d and the
+    prime is used with no reduction; only the other primes are reduced
+    (``geometry._reduced_model``) to be filed.  A used prime is reduced
+    when the sweep reaches it, so a sweep that stops at its first prime
+    reduces once.  ``primes_used`` and the witness are those of the full
+    ``smoothness_scan`` (whose exclusions apply only to smooth curve models
+    and certified (5,2) models, which never reach the sweep here).
     One loop then tests each used prime in order up to its first witness,
     and stops at the first witness for a curve model, or, for other formats,
     once the vote is settled: with W witnesses, C clean primes and R used
@@ -715,30 +740,31 @@ def _classify(t, primes):
     elif _certified_smooth(t):
         status = SMOOTH_GENERIC
     else:
-        used, status, witness = _vote(t, primes, curve)
+        used, status, witness = _vote(t, primes, curve, rows)
     return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
 
 
-def _vote(t, primes, curve):
+def _vote(t, primes, curve, basis=None):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
-    ``classify`` states the rules."""
+    ``classify`` states the rules.  ``basis`` is the state's exact
+    flattening, whose pivot minor files the primes (``_file_primes``)."""
     scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
-    filed = _file_primes(t, scan)[0]
+    used = _file_primes(t, scan, basis=basis)[0]
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict
-    if not filed and not curve:
+    if not used and not curve:
         raise AllPrimesBadError(f"all primes {_excerpt(list(scan))} hit bad reduction")
     witnesses, clean = [], 0
-    for p, reduced in filed:
+    for p in used:
+        reduced = _reduced_model(t, p)
         if (found := _first_witness(reduced, _points(reduced, p))) is None:
             clean += 1
         else:
             witnesses.append(found)
-        w, rest = len(witnesses), len(filed) - len(witnesses) - clean
+        w, rest = len(witnesses), len(used) - len(witnesses) - clean
         if (w > 0) if curve else (w + rest <= clean or w > clean + rest):
             break
-    used = tuple(p for p, _ in filed)
     # A curve model is singular by its exact discriminants, and the sweep
     # only looks for a witness.  Elsewhere no exact discriminant exists, so
     # a single-prime witness may be bad-reduction noise; only a strict

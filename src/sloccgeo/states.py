@@ -55,15 +55,18 @@ MAX_COEFFICIENT_DIGITS = 100
 
 
 def _check_state_size(n, d):
-    """Raise ValueError unless n and d are ints (not bools), and SchemaError
-    when a state of n factors of dimension d would exceed MAX_COEFFICIENTS
-    entries.  With d >= 2, any n of at least MAX_COEFFICIENTS.bit_length()
-    is too large, and so is any d above MAX_COEFFICIENTS once n >= 1, so
-    d**n is never computed for a larger n or d.  The message prints
-    neither, so no huge one meets int-to-string conversion."""
+    """Raise ValueError unless n and d are ints (not bools) with n >= 2 and
+    d >= 2, and SchemaError when a state of n factors of dimension d would
+    exceed MAX_COEFFICIENTS entries.  Any n of at least
+    MAX_COEFFICIENTS.bit_length() is too large, and so is any d above
+    MAX_COEFFICIENTS, so d**n is never computed for a larger n or d.  The
+    messages print neither, so no huge one meets int-to-string
+    conversion."""
     _check_ints(n, d)
+    if n < 2 or d < 2:
+        raise ValueError("need n >= 2 and d >= 2")
     d, n = min(d, MAX_COEFFICIENTS + 1), min(n, MAX_COEFFICIENTS.bit_length())
-    if d >= 2 and d**n > MAX_COEFFICIENTS:
+    if d**n > MAX_COEFFICIENTS:
         raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
 
 

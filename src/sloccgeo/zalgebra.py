@@ -123,14 +123,19 @@ def relations_from_points(model, p):
     with InsufficientPointsError, naming the rank and the F_p-point count,
     instead of reporting a wrong space.  The
     evaluation matrix is d**k wide, so before any point is enumerated a
-    model whose d**k is too wide is refused with WorkLimitError by the
-    bound of the Hilbert profiles (``check_hilbert_degree``):
-    d**k <= MAX_PROFILE_WIDTH.  The model may be over
-    Q or over F_p: ``enumerate_points`` reduces it (``model_mod_p``) and
-    then checks the prefix budget.
+    model whose d**k is too wide is refused with WorkLimitError, naming
+    that width, by the width bound of the Hilbert profiles:
+    d**k <= MAX_PROFILE_WIDTH.  As there, d**k is formed only for k up to
+    MAX_PROFILE_WIDTH.bit_length().  The model may be over Q or over F_p:
+    ``enumerate_points`` reduces it (``model_mod_p``) and then checks the
+    prefix budget.
     """
-    d, k = model.d, model.groups
-    check_hilbert_degree(d, k)
+    d, k, bits = model.d, model.groups, MAX_PROFILE_WIDTH.bit_length()
+    if d ** min(k, bits) > MAX_PROFILE_WIDTH:
+        raise WorkLimitError(
+            f"the evaluation rows of a model of format (n={model.n}, d={d}) are "
+            f"{d**k if k <= bits else f'{d}**{k}'} wide, over the limit of {MAX_PROFILE_WIDTH}"
+        )
     points = enumerate_points(model, p)
     kernel = _monomial_rows([pt.coords for pt in points], d**k, p).kernel()
     rank = d**k - kernel.rows

@@ -11,11 +11,12 @@ does the full-row F_p Gauss-Jordan loop that ``Matrix.rref``'s in-place,
 column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the monomial rows and the span points, the
-former full sweep of ``smoothness_scan`` (every witness reported), its
-former filing (a reduction at every prime), the former exact route of
-``cyclic_relations`` (a model over Q per rotation), and the former exact
+former full sweep of ``smoothness_scan`` (every witness reported) and
+its former filing, each with a reduction at every prime, the former exact
+route of ``cyclic_relations`` (a model over Q per rotation), and the former exact
 kernels of the curve path: the determinant-sum projection, the
-term-by-term S/T evaluation and the ``Fraction`` discriminant and j.  The
+term-by-term S/T evaluation, the sorted-tuple S/T contraction and the
+``Fraction`` discriminant and j.  The
 exact Schlaefli pencil form of a (5,2) state, which
 ``invariants._schlaefli_pencil`` builds modulo one prime, is here over Q.
 """
@@ -28,18 +29,19 @@ from math import gcd
 from sloccgeo.errors import BadReductionError
 from sloccgeo.geometry import (
     PROJECTION_MONOMIALS,
-    _file_primes,
     _first_witness,
     _points,
+    _reduced_model,
     model_mod_p,
     projective_points,
     variety_from_state,
 )
 from sloccgeo.invariants import (
     PLANE_CUBIC,
+    _PERMS3,
     _S_WIRING,
     _T_WIRING,
-    _contract,
+    _W,
     schlaefli_hyperdet,
     slice_discriminants,
 )
@@ -311,10 +313,21 @@ def cyclic_relations(state, p):
 def full_sweep(t, primes):
     """(used primes, witnesses) of a sweep of every used prime up to its
     first witness: smoothness_scan's sweep before it excluded the witness
-    primes of a (5,2) state that the pencil form certifies smooth."""
-    used = _file_primes(t, primes)[0]
-    found = [_first_witness(reduced, _points(reduced, p)) for p, reduced in used]
-    return tuple(p for p, _ in used), [w for w in found if w is not None]
+    primes of a (5,2) state that the pencil form certifies smooth.  Every
+    prime is reduced (``_reduced_model``), and used unless that fails, as
+    the former filing did; when none is used, the model over Q is built,
+    so a state that is rank-deficient over Q raises RankDeficientError."""
+    used, found = [], []
+    for p in primes:
+        try:
+            reduced = _reduced_model(t, p)
+        except BadReductionError:
+            continue
+        used.append(p)
+        found.append(_first_witness(reduced, _points(reduced, p)))
+    if not used:
+        variety_from_state(t)
+    return tuple(used), [w for w in found if w is not None]
 
 
 def reduced_filing(t, primes):
@@ -384,6 +397,34 @@ def evaluate_terms(terms, coeffs):
     return total
 
 
+def contract(wiring):
+    """The epsilon-at-a-time contraction of ``invariants._contract`` with
+    sorted index tuples: each copy's received indices as a sorted tuple,
+    and each monomial as the sorted tuple of its coefficient indices,
+    sorted again after every merge (the library's form before it grew the
+    copies through a table and kept a monomial as one int).  Returns
+    {sorted monomial indices: integer coefficient}, in the library's
+    insertion order."""
+    states = {((),) * (1 + max(map(max, wiring))): {(): 1}}
+    for slots in wiring:
+        merged = {}
+        for state, poly in states.items():
+            for perm, sign in _PERMS3:
+                got, coeff, monos = list(state), sign, ()
+                for c, i in zip(slots, perm):
+                    got[c] = tuple(sorted(got[c] + (i,)))
+                    if len(got[c]) == 3:
+                        fac, m = _W[got[c]]
+                        coeff, monos, got[c] = coeff * fac, monos + (m,), ()
+                target = merged.setdefault(tuple(got), {})
+                for key, k in poly.items():
+                    key = tuple(sorted(key + monos))
+                    target[key] = target.get(key, 0) + coeff * k
+        states = merged
+    (poly,) = states.values()
+    return {key: k for key, k in poly.items() if k}
+
+
 @cache
 def st_terms():
     """((S terms, S scale), (T terms, T scale)) in the former layout: the
@@ -397,7 +438,7 @@ def st_terms():
         (_S_WIRING, TernaryCubic.weierstrass(1, 0), -3),
         (_T_WIRING, TernaryCubic.weierstrass(0, 1), 108),
     ):
-        poly = _contract(wiring)
+        poly = contract(wiring)
         content = reduce(gcd, poly.values())
         terms = [(k // content, idx) for idx, k in poly.items()]
         out.append((terms, Fraction(target, evaluate_terms(terms, [int(c) for c in unit.coeffs]))))

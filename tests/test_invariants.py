@@ -59,9 +59,11 @@ from sloccgeo.invariants import (
     _S_WIRING,
     _T_WIRING,
     _W,
+    _calibrated_invariants,
     _contract,
     _curve_projections,
     _jacobian_count,
+    _pair_terms,
     _schlaefli_pencil,
     _squarefree,
     _vote,
@@ -73,6 +75,7 @@ from sloccgeo.states import (
     SloccOperator,
     Tensor,
     apply_slocc,
+    flattening_basis,
     flattening_image,
     basis_state,
     four_qubit_generic_family,
@@ -850,6 +853,17 @@ def test_contraction_matches_full_sum():
         assert len(exps) == len(contracted) and exps == full
 
 
+def test_contraction_matches_the_sorted_tuple_contraction():
+    # the table-grown contraction with int monomials against the former
+    # sorted-tuple one: equal terms in equal order, so the calibrated S/T
+    # term tuples are those the former contraction gave
+    for wiring in (_S_WIRING, _T_WIRING):
+        assert list(_contract(wiring).items()) == list(ref.contract(wiring).items())
+    s_terms, t_terms = _calibrated_invariants()[:2]
+    assert s_terms == _pair_terms(ref.contract(_S_WIRING))
+    assert t_terms == _pair_terms(ref.contract(_T_WIRING))
+
+
 def reference_evaluate(poly, coeffs):
     total = Fraction(0)
     for exps, k in poly.items():
@@ -1218,6 +1232,82 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
     calls.clear()
     report = smoothness_scan(random_state(5, 2, 5, 0), (5, 7))
     assert report.primes == (5, 7) and calls == []
+
+
+def test_vote_filing_matches_a_reduction_at_every_prime(singlet_times_bell):
+    # classify files a vote's primes by the pivot minor M of its exact
+    # flattening and reduces only the primes it sweeps.  Its used primes
+    # are those of the former filing, which reduced at every prime, and its
+    # verdict and witness those of the full sweep: on singular curve states
+    # and (5,2) states that vote, their SLOCC images, images whose last
+    # factor is singular mod a listed prime q (a rank drop at q, so q
+    # divides M), and images with denominators divisible by q.
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    from sloccgeo.geometry import _pivot_minor
+
+    seen = set()
+    voting = [ghz(3, 3), ghz(4, 2), singlet_times_bell, ghz(5, 2), w_state(5),
+              random_state(5, 2, 5, 50)]
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        base=st.sampled_from(voting),
+        kind=st.sampled_from(("plain", "slocc", "drop", "den")),
+        seed=st.integers(0, 10**6),
+        pick=st.integers(0, 3),
+    )
+    def check(base, kind, seed, pick):
+        n, d = base.n, base.d
+        scan = (5, 7, 11, 13) if n == 5 else DEFAULT_PRIMES
+        q = scan[pick]
+        factors = [random_invertible(d, 2, seed + k) for k in range(n)]
+        if kind == "drop":
+            planted = Matrix.identity(d).entries[:-1] + ((0,) * (d - 1) + (q,),)
+            factors[-1] = ref.matmul(factors[-1], Matrix(planted))
+        elif kind == "den":
+            factors[0] = Matrix([[Fraction(x, q) for x in row] for row in factors[0].entries])
+        t = base if kind == "plain" else apply_slocc(base, SloccOperator(factors))
+        classify.cache_clear()
+        verdict = classify(t)
+        if n == 5 and _certified(verdict):
+            return
+        used, bad, excluded = ref.reduced_filing(t, scan)
+        primes, witnesses = ref.full_sweep(t, scan)
+        assert primes == used and not excluded
+        singular = n != 5 or 2 * len(witnesses) > len(used)
+        assert verdict.primes_used == used
+        assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
+        assert verdict.singular_witness == (witnesses[0] if singular and witnesses else None)
+        minor = _pivot_minor(t, flattening_basis(t)[0])
+        if kind == "drop":
+            assert q in bad and minor % q == 0
+        if kind == "den":
+            assert q in bad and t.den % q == 0
+        seen.add((n == 5, kind))
+
+    check()
+    assert {(five, kind) for five in (False, True)
+            for kind in ("plain", "slocc", "drop", "den")} <= seen, seen
+
+
+def test_classify_of_a_singular_curve_reduces_only_the_swept_prime(monkeypatch):
+    # every prime of GHZ(3,3) is used by its pivot minor alone, and the
+    # sweep stops at its first witness, at 5: one reduction
+    import sloccgeo.geometry
+
+    calls = []
+
+    def counting(t, p):
+        calls.append(p)
+        return reduced_flattening_image(t, p)
+
+    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    verdict = classify(ghz(3, 3))
+    assert verdict.primes_used == DEFAULT_PRIMES and verdict.singular_witness[0] == 5
+    assert calls == [5]
 
 
 def test_scan_files_rank_drops_and_denominators_as_bad():

@@ -706,6 +706,35 @@ def test_non_int_formats_are_refused(call):
 
 
 @pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ghz(-1, 2),
+        lambda: w_state(-1),
+        lambda: Tensor.from_entries(-1, 2, {}),
+        lambda: basis_state(-1, 2, ()),
+        lambda: random_state(-1, 2, 5, 0),
+        lambda: ghz(1, 10**6),
+        lambda: ghz(3, 1),
+    ],
+    ids=["ghz", "w-state", "from-entries", "basis-state", "random-state", "one-huge-factor",
+         "unit-dimension"],
+)
+def test_formats_below_two_are_refused(call):
+    # a negative n made d**n a float below the size limit, and the
+    # constructors ended in a bare TypeError
+    with pytest.raises(ValueError, match=r"^need n >= 2 and d >= 2$"):
+        call()
+
+
+def test_sample_refuses_a_negative_n(capsys):
+    from sloccgeo.cli import run
+
+    assert run(["sample", "--n", "-1", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "need n >= 2 and d >= 2" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize(
     "call, error, message",
     [
         (

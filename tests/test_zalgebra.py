@@ -106,7 +106,8 @@ def test_relations_from_points_bounds_the_slot_count(monkeypatch):
         raise AssertionError("points enumerated before the bound")
 
     monkeypatch.setattr(sloccgeo.zalgebra, "enumerate_points", refused)
-    with pytest.raises(WorkLimitError, match=r"^k_max=9 is out of range: .* 2\*\*k_max <= 256$"):
+    with pytest.raises(WorkLimitError, match=r"^the evaluation rows of a model of format "
+                       r"\(n=10, d=2\) are 512 wide, over the limit of 256$"):
         relations_from_points(model, 11)
 
 
@@ -568,7 +569,8 @@ def test_roundtrip_is_refused_before_any_point(monkeypatch):
         raise AssertionError("points enumerated before the bound")
 
     monkeypatch.setattr(sloccgeo.geometry, "_points", refused)
-    with pytest.raises(WorkLimitError, match=r"^k_max=9 is out of range: .* 2\*\*k_max <= 256$"):
+    with pytest.raises(WorkLimitError, match=r"^the evaluation rows of a model of format "
+                       r"\(n=10, d=2\) are 512 wide, over the limit of 256$"):
         roundtrip_check(random_state(10, 2, 5, 0), 5)
     with pytest.raises(WorkLimitError, match=r"visits 279936 prefixes, over the budget of 200000"):
         roundtrip_check(random_state(9, 2, 5, 0), 5)
