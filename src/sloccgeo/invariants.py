@@ -30,7 +30,6 @@ BIQUADRATIC_MONOMIALS order, as ``geometry.determinantal_projection``
 returns them, and ``classify`` calls them on every projection.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
@@ -333,21 +332,35 @@ def _schlaefli_pencil(t, q):
 
     P is a binary form of degree 24.  Each value f(lam), lam = 0, ..., 24,
     is the integer core of ``schlaefli_hyperdet`` (``_schlaefli``) on the
-    slice entries reduced mod q; Newton interpolation at those 25 points
-    (divided differences over the unit steps, then Horner expansion) gives
-    f.  The state's denominator scales P by den^-24 and is
-    left out."""
+    slice entries reduced mod q: 4*I^3 - J^2 of the Cayley quartic of the
+    slices of lam * t_0 + t_1.  That quartic's coefficients are forms of
+    degree 4 in the entries, so of degree 4 in lam: ``_pencil_cayley`` runs
+    at lam = 0, ..., 4 only, and their forward differences carry the
+    quartic on to lam = 24, by additions.  Newton interpolation at those 25
+    points (divided differences over the unit steps, then Horner expansion)
+    gives f.  The state's denominator scales P by den^-24 and is left
+    out."""
     t0, t1 = t.nums[0::2], t.nums[1::2]
+    diffs = []
+    for lam in range(5):
+        s = [(lam * x + y) % q for x, y in zip(t0, t1)]
+        diffs.append(_pencil_cayley([[x, y] for x, y in zip(s[0::2], s[1::2])]))
+    for k in range(1, 5):
+        for i in range(4, k - 1, -1):
+            diffs[i] = [(a - b) % q for a, b in zip(diffs[i], diffs[i - 1])]
     f = []
     for lam in range(25):
-        f.append(_schlaefli([(lam * x + y) % q for x, y in zip(t0, t1)]) % q)
+        i_val, j_val = (x % q for x in _ij(*diffs[0]))
+        f.append((4 * i_val**3 - j_val**2) % q)
+        for k in range(4):
+            diffs[k] = [(a + b) % q for a, b in zip(diffs[k], diffs[k + 1])]
     for k in range(1, 25):
         inv = pow(k, -1, q)
         for i in range(24, k - 1, -1):
             f[i] = (f[i] - f[i - 1]) * inv % q
     poly = [f[24]]
     for k in range(23, -1, -1):
-        poly = [c % q for c in _conv(poly, [-k, 1])]
+        poly = [(a - k * b) % q for a, b in zip([0, *poly], [*poly, 0])]
         poly[0] = (poly[0] + f[k]) % q
     return poly
 
@@ -521,13 +534,29 @@ def _jacobian_count(curve, p):
     (-27I, -27J) from q's (I, J) (An, Kim, Marshall, Marshall, McCallum
     and Perlis, "Jacobians of genus one curves", 2001).  Both give the j
     of ``_curve``, 1728*4a^3/(4a^3 + 27b^2), and the right twist: a curve
-    scaled by u has (u^4 a, u^6 b), an isomorphic E.
+    scaled by u has (u^4 a, u^6 b), an isomorphic E.  a and b are formed
+    mod p from the integer numerators and denominators of the pair, and
+    chi(v) + 1 is read from ``_square_counts``.
     """
     s, t = curve.pair
-    a, b = (-s / 3, t / 108) if curve.kind == PLANE_CUBIC else (-27 * s, -27 * t)
-    a, b = (x.numerator * pow(x.denominator, -1, p) % p for x in (a, b))
-    roots = Counter(y * y % p for y in range(p))
-    return 1 + sum(roots[(x * x * x + a * x + b) % p] for x in range(p))
+    if curve.kind == PLANE_CUBIC:
+        a, b = (-s.numerator, 3 * s.denominator), (t.numerator, 108 * t.denominator)
+    else:
+        a, b = (-27 * s.numerator, s.denominator), (-27 * t.numerator, t.denominator)
+    a, b = (num * pow(den, -1, p) % p for num, den in (a, b))
+    roots = _square_counts(p)
+    return 1 + sum([roots[(x * x * x + a * x + b) % p] for x in range(p)])
+
+
+@cache
+def _square_counts(p):
+    """How many y in F_p have y^2 = v, for v = 0, ..., p - 1: chi(v) + 1.
+    Cached per p; the prefix budget of the scans that count keeps each p
+    below 450."""
+    roots = [0] * p
+    for y in range(p):
+        roots[y * y % p] += 1
+    return roots
 
 
 def plane_cubic_invariants(coeffs, den=1):
