@@ -10,37 +10,39 @@ exhaustive point enumeration plus Jacobian ranks.
 
 Every model over F_p comes from one leaf, ``_reduced_model``: the state's
 flattening reduced modulo p, refused as bad reduction when its rank drops.
-Rank can only drop modulo p, so a usable prime proves the exact rank, and
-the exact flattening over Q is built only to name a failure.
 ``model_mod_p``, ``reduced_models`` and ``_file_primes`` all reduce
-through it.  Points come from one walk over the variable groups
-(``_points``): ``enumerate_points`` lists it, and both Jacobian sweeps
-(``smoothness_scan`` and the one in ``invariants.classify``) test the
-points it does not certify smooth.  The walk solves the innermost prefix
-group's lines through a determinant pencil and reads each prefix system's
-fibre from its rank, so Matrix.kernel runs only for the one system of an
-n = 2 model, a d = 3 system of rank 1, a non-square system and d > 3.
-A (3,3) or (4,2) state whose slice discriminants all are nonzero skips
-that walk in ``smoothness_scan``, and its model is not reduced at all.
-Such a model is a smooth genus-one curve, and so is its reduction at each
-used prime.  A smooth genus-one curve over F_p has an F_p-point (Lang), so
-it is isomorphic to its Jacobian y^2 = x^3 + a*x + b, whose (a, b) are the
+through it.  A sweep files its primes by one rank certificate, the last
+fraction-free pivot of the state's slices (``_file_primes``): a prime that
+divides neither it nor the denominator keeps rank d with no reduction, and
+only the others are reduced to be filed.  Points come from one walk over
+the variable groups (``_points``): ``enumerate_points`` lists it, and both
+Jacobian sweeps (``smoothness_scan`` and the one in
+``invariants.classify``) test the points it does not certify smooth.  The
+walk solves the innermost prefix group's lines through a determinant
+pencil and reads each prefix system's fibre from its rank, so
+Matrix.kernel runs only for the one system of an n = 2 model, a d = 3
+system of rank 1, a non-square system and d > 3.  A (3,3) or (4,2) state
+whose slice discriminants all are nonzero skips that walk in
+``smoothness_scan``, and its model is reduced only to file a prime.  Such
+a model is a smooth genus-one curve, and so is its reduction at each used
+prime.  A smooth genus-one curve over F_p has an F_p-point (Lang), so it
+is isomorphic to its Jacobian y^2 = x^3 + a*x + b, whose (a, b) are the
 curve's exact invariants: (-S/3, T/108) for a plane cubic (Artin,
 Rodriguez-Villegas and Tate) and (-27I, -27J) for the branch quartic of a
 (2,2)-form (An, Kim, Marshall, Marshall, McCallum and Perlis).  So the
 point count is a sum of quadratic characters over F_p
 (``invariants._jacobian_count``), and the scan finds no singular point
-there by proof, not by search.  Its primes are filed from the slice
-discriminants, reducing only where the reduction can fail
-(``_file_primes``).  The curve formats and their projections are listed
-once, in ``CURVE_AXES`` and ``PROJECTION_MONOMIALS``.
+there by proof, not by search.  A prime that divides a slice
+discriminant numerator is excluded instead.  The curve formats and their
+projections are listed once, in ``CURVE_AXES`` and
+``PROJECTION_MONOMIALS``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import log2, prod
+from math import log2
 
 from .errors import (
     AllPrimesBadError,
@@ -52,7 +54,7 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, check_primes
+from .linalg import DEFAULT_PRIMES, Matrix, _bareiss, check_primes
 from .states import (
     _contract,
     _rotate,
@@ -133,10 +135,10 @@ def _reduced_model(t, p):
     UnsupportedPrimeError, one that divides the denominator
     BadReductionError, and so does a rank drop of the reduced flattening.
     Rank can only drop modulo p, so a reduced flattening of rank d proves
-    the exact one has rank d: the exact flattening over Q is needed only to
-    tell a rank deficiency over Q (RankDeficientError, from
-    ``variety_from_state``) from a bad prime, and each caller builds it
-    only after a failure.
+    the exact one has rank d.  A rank deficiency over Q is told from a bad
+    prime by the caller: ``reduced_models`` builds the exact flattening
+    after a failure, and ``_file_primes`` reads its rank before any
+    reduction.
     """
     check_flattening_cost(t)
     basis = reduced_flattening_image(t, p)
@@ -730,75 +732,50 @@ def _singular_reduction(discs, p):
     return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
 
 
-def _pivot_minor(t, basis):
-    """The d x d determinant of the state's slice numerators at the pivot
-    columns of ``basis``, the rows of an echelon basis of rank d of its
-    flattening image, exact or reduced modulo a prime.
-
-    It is a nonzero integer.  The basis spans the slices, so their columns
-    at its pivots are independent: over Q for the exact basis, and modulo
-    p, hence over Q, for one reduced at a prime p that divides neither the
-    denominator nor, then, this determinant."""
-    columns = [next(c for c, x in enumerate(row) if x) for row in basis]
-    return int(Matrix([t.nums[k :: t.d][c] for c in columns] for k in range(t.d)).det())
-
-
-def _file_primes(t, primes, discs=None, basis=None):
+def _file_primes(t, primes, discs=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
-    Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES)
-    and the prefix budget, and files each prime in order as bad (the
-    reduction fails, ``_reduced_model``), excluded or used.  Returns (used,
-    bad, excluded), three tuples of primes; each caller reduces a used
-    prime (``_reduced_model``) only when it sweeps it.  The checks raise in
-    that order (UnsupportedPrimeError, WorkLimitError, then
-    RankDeficientError when no prime is used or excluded and the
-    flattening over Q has dimension below d); the filing itself never
+    Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES),
+    the prefix budget and the flattening's cost, and files each prime in
+    order as bad, excluded or used.  Returns (used, bad, excluded), three
+    tuples of primes; each caller reduces a used prime (``_reduced_model``)
+    only when it sweeps it.  The checks raise in that order
+    (UnsupportedPrimeError, WorkLimitError), then RankDeficientError when
+    the flattening over Q has dimension below d; the filing itself never
     raises.  When every prime is bad, bad lists them all, in order, and
     each caller states what that means for its own result.
 
-    A prime is reduced only where a nonzero integer N, a certificate of the
-    rank, leaves it open: a prime that divides neither the state's
-    denominator nor N is used as it is.  Mostly N is the pivot minor M
-    (``_pivot_minor``) of ``basis``, the exact flattening that ``classify``
-    builds, or, with no basis, of the first reduction that is used: when p
-    divides neither the denominator nor M, the reduced slices keep a
-    nonzero d x d minor at the pivot columns (M times den^-d mod p), so the
-    flattening keeps rank d modulo p.
+    One rank certificate files every prime: the last pivot M of the
+    fraction-free elimination (``linalg._bareiss``) of the state's slice
+    numerators.  Their rank there is the flattening's rank over Q, and at
+    full rank M is, up to sign, the d x d minor of the slices at the pivot
+    columns, so it is nonzero.  A prime that divides neither the state's
+    denominator nor M keeps that minor nonzero mod p (the reduced slices'
+    minor is +-M times den^-d), so the flattening keeps rank d modulo p and
+    the prime is not bad, with no reduction.  Every other prime is reduced
+    and filed bad when the reduction fails.
 
-    smoothness_scan passes the state's ``slice_discriminants``.  When none
-    of them vanishes, the curve model is smooth over Q and N is the product
-    of their numerators instead: had the rank dropped mod p, the slices
-    would be dependent mod p, every projected curve would vanish
-    identically and p would divide every numerator (the invariants' own
-    denominators, 16 and 8, have no prime factor p >= 5).  A prime that
-    divides a numerator and whose reduction has full rank is excluded
-    (``_singular_reduction``): the reduced curve is degenerate and says
-    nothing about the original model.
+    smoothness_scan passes the state's ``slice_discriminants``.  A prime
+    that is not bad is excluded when it divides a numerator of them while
+    none vanishes (``_singular_reduction``): the reduced curve is
+    degenerate and says nothing about the original model.  Every other
+    prime that is not bad is used.
     """
     primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
-    if discs and all(discs):
-        certificate = prod(disc.numerator for disc in discs)
-    else:
-        certificate = _pivot_minor(t, basis) if basis else 0
+    check_flattening_cost(t)
+    rank, _, certificate, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+    if rank < t.d:
+        raise RankDeficientError(rank, t.d)
     used, bad, excluded = [], [], []
     for p in primes:
-        if t.den % p and certificate % p:
-            used.append(p)
-            continue
-        try:
-            reduced = _reduced_model(t, p)
-        except BadReductionError:
-            bad.append(p)
-            continue
-        if _singular_reduction(discs, p):
-            excluded.append(p)
-        else:
-            used.append(p)
-            certificate = certificate or _pivot_minor(t, reduced.rows)
-    if not used and not excluded:
-        variety_from_state(t)
+        if t.den * certificate % p == 0:
+            try:
+                _reduced_model(t, p)
+            except BadReductionError:
+                bad.append(p)
+                continue
+        (excluded if _singular_reduction(discs, p) else used).append(p)
     return tuple(used), tuple(bad), tuple(excluded)
 
 
@@ -821,21 +798,21 @@ def smoothness_scan(t, primes=None):
     point.
 
     A (3,3) or (4,2) state whose slice discriminants all are nonzero is
-    neither reduced nor walked nor swept: each used prime's count is that
-    of the Jacobian of its first projected curve (``_jacobian_count``, on
-    the invariants of the slice projections, ``_slice_curves``), in O(p),
-    and it has no witness.  That is exact.  A used p >= 5 divides no slice
-    discriminant numerator, so the reduced projected curve C_p is smooth
-    over the algebraic closure of F_p, and a smooth genus-one curve over
-    F_p has as many points as its Jacobian.  At a point x of a smooth C_p
-    the matrix of linear forms M(x) has corank exactly 1: corank 2 would
-    make adj M(x) = 0, and with it grad det M(x), by Jacobi's formula.  So
-    over each F_p-point of C_p lies exactly one point of the model, defined
-    over F_p, and the model is smooth there (the argument of
-    ``_pencil_roots``): the count is the model's, the sweep could find no
-    witness, and NoSingularPointFound proves each used reduction smooth.
-    Every other state (a vanishing slice discriminant, (5,2) and the other
-    formats) is walked and swept as above.
+    neither walked nor swept, and reduced only to file a prime: each used
+    prime's count is that of the Jacobian of its first projected curve
+    (``_jacobian_count``, on the invariants of the slice projections,
+    ``_slice_curves``), in O(p), and it has no witness.  That is exact.  A
+    used p >= 5 divides no slice discriminant numerator, so the reduced
+    projected curve C_p is smooth over the algebraic closure of F_p, and a
+    smooth genus-one curve over F_p has as many points as its Jacobian.  At a
+    point x of a smooth C_p the matrix of linear forms M(x) has corank
+    exactly 1: corank 2 would make adj M(x) = 0, and with it grad det M(x),
+    by Jacobi's formula.  So over each F_p-point of C_p lies exactly one
+    point of the model, defined over F_p, and the model is smooth there (the
+    argument of ``_pencil_roots``): the count is the model's, the sweep
+    could find no witness, and NoSingularPointFound proves each used
+    reduction smooth.  Every other state (a vanishing slice discriminant,
+    (5,2) and the other formats) is walked and swept as above.
 
     When the sweep of a (5,2) state finds a witness, the state is offered
     the smoothness certificate of ``classify`` once

@@ -279,6 +279,17 @@ def _check_count(coeffs, monomials):
         raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {len(coeffs)}")
 
 
+def _check_integers(coeffs, den):
+    """ValueError unless the coefficients and den are ints (not bools) and
+    den is nonzero: a float or a Fraction would end in a bare TypeError, a
+    zero den in a bare ZeroDivisionError."""
+    for x in (*coeffs, den):
+        if type(x) is not int:
+            raise ValueError(f"{_excerpt(x)} is not an int coefficient or denominator")
+    if den == 0:
+        raise ValueError("the denominator must be nonzero")
+
+
 def _pencil_cayley(e):
     """b^2 - 4ac of a 2x2x2 tensor whose entries e[4i+2j+k] are binary
     forms (coefficient lists of one length): a and c are the determinants
@@ -563,8 +574,10 @@ def plane_cubic_invariants(coeffs, den=1):
     """CurveInvariants of the plane cubic with the 10 integer coefficients
     coeffs / den, in CUBIC_MONOMIALS order: (S, T), the discriminant
     64*S^3 - T^2 and j.  Any other number of coefficients raises
-    WrongDegreeError."""
+    WrongDegreeError; a zero den, or a coefficient or den that is not an
+    int, raises ValueError."""
     _check_count(coeffs, CUBIC_MONOMIALS)
+    _check_integers(coeffs, den)
     return _curve(PLANE_CUBIC, _cubic_st(coeffs, den))
 
 
@@ -576,8 +589,10 @@ def biquadratic_invariants(coeffs, den=1):
     den^6.  It is kept homogeneous, so a vanishing leading coefficient
     needs no chart, and a repeated root (equal branch points) is exactly
     the 4*I^3 = J^2 locus.  Any other number of coefficients raises
-    WrongDegreeError."""
+    WrongDegreeError; a zero den, or a coefficient or den that is not an
+    int, raises ValueError."""
     _check_count(coeffs, BIQUADRATIC_MONOMIALS)
+    _check_integers(coeffs, den)
     i_int, j_int = _ij(*_branch(coeffs))
     return _curve(BIQUADRATIC, ((i_int, den**4), (j_int, den**6)))
 
@@ -723,12 +738,10 @@ def classify(t, primes=None):
     Neither reads a point count, so the sweep here is lazy, and as in
     ``smoothness_scan`` only the points that the walk (``_points``) does not
     certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
-    filed up front as used or bad (``_file_primes``) by the pivot minor M
-    of the exact flattening built above: the d x d determinant of the
-    state's slice numerators at the basis's pivot columns, which is
-    nonzero.  A prime that divides neither the state's denominator nor M
-    keeps that minor nonzero mod p, so the flattening keeps rank d and the
-    prime is used with no reduction; only the other primes are reduced
+    filed up front as used or bad by the one rule of ``_file_primes``: a
+    prime that divides neither the state's denominator nor the last
+    fraction-free pivot M of its slices keeps the flattening's rank d and
+    is used with no reduction; only the other primes are reduced
     (``geometry._reduced_model``) to be filed.  A used prime is reduced
     when the sweep reaches it, so a sweep that stops at its first prime
     reduces once.  ``primes_used`` and the witness are those of the full
@@ -769,17 +782,16 @@ def _classify(t, primes):
     elif _certified_smooth(t):
         status = SMOOTH_GENERIC
     else:
-        used, status, witness = _vote(t, primes, curve, rows)
+        used, status, witness = _vote(t, primes, curve)
     return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
 
 
-def _vote(t, primes, curve, basis=None):
+def _vote(t, primes, curve):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
-    ``classify`` states the rules.  ``basis`` is the state's exact
-    flattening, whose pivot minor files the primes (``_file_primes``)."""
+    ``classify`` states the rules."""
     scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
-    used = _file_primes(t, scan, basis=basis)[0]
+    used = _file_primes(t, scan)[0]
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict
     if not used and not curve:

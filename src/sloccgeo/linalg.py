@@ -11,10 +11,11 @@ when these matrices are.
 There are two elimination loops, one per ring.  Over Z it is ``_bareiss``,
 fraction-free: ``integer_rref`` (the pipeline's exact flattening, every Q
 ``rref`` and the invertibility checks of ``random_invertible`` and
-``SloccOperator``) normalises its rows, and ``Matrix.det`` reads its last
-pivot.  Every F_p rank, kernel, row space and Hilbert degree goes through
-the other, ``Matrix.rref``: it copies the rows once, updates each row in
-place from the pivot column rightward, and hands its rows to the private
+``SloccOperator``) normalises its rows, and ``Matrix.det`` and the prime
+filing (``geometry._file_primes``) read its last pivot.  Every F_p rank,
+kernel, row space and Hilbert degree goes through the other,
+``Matrix.rref``: it copies the rows once, updates each row in place from
+the pivot column rightward, and hands its rows to the private
 ``Matrix._trusted`` constructor, which stores rows already in ``[0, p)``
 without reducing them again.  The public constructor checks and reduces
 its input; over F_p it takes integer entries only.  Kernels and Hilbert
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from .errors import UnsupportedPrimeError, _excerpt
+from .errors import SchemaError, UnsupportedPrimeError, _excerpt
 
 #: Primes used by default for finite-field reductions.  Small enough for
 #: exhaustive point enumeration, large enough that bad reduction is rare.
@@ -111,8 +112,10 @@ def _bareiss(rows, cols):
     Returns (rank, rows, last pivot, sign of the row swaps).  Each step
     replaces every other row by (pivot * row - entry * pivot row) divided
     exactly by the previous pivot, so entries stay minors of the input;
-    after the last step every pivot equals the last pivot, which for a
-    square matrix of full rank is its determinant times the sign.
+    after the last step every pivot equals the last pivot.  For rows of
+    full row rank d the last pivot is the sign times the d x d minor of the
+    rows at the pivot columns, the first nonzero column of each returned
+    row: for a square matrix of full rank, its determinant times the sign.
     """
     m = [list(row) for row in rows]
     rank, prev, sign = 0, 1, 1
@@ -324,16 +327,29 @@ def _free_basis(rows, cols):
     return basis
 
 
+def _check_local_dimension(d):
+    """SchemaError when d exceeds 256, the largest local dimension of a
+    state with n >= 2 under states.MAX_COEFFICIENTS = 2**16: an operator's
+    invertibility check is cubic in d."""
+    if d > 256:
+        raise SchemaError(f"local dimension {_excerpt(d)} exceeds the limit of 256")
+
+
 def random_invertible(d, bound, seed):
     """Deterministic d x d integer matrix with nonzero determinant.
 
     Entries are drawn uniformly from [-bound, bound]; singular draws are
     rejected and redrawn, so the result depends only on (d, bound, seed).
     Each draw is decided on its integer rows (``integer_rref``), and only
-    the draw returned becomes a Matrix.
+    the draw returned becomes a Matrix.  A d or bound that is not an int
+    (or is a bool) or is below 1 raises ValueError, and a d above 256
+    SchemaError (``_check_local_dimension``), before anything is drawn.
     """
+    if type(d) is not int or type(bound) is not int:
+        raise ValueError("d and bound must be ints")
     if d < 1 or bound < 1:
         raise ValueError("need d >= 1 and bound >= 1")
+    _check_local_dimension(d)
     rng = random.Random(seed)
     while True:
         entries = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]

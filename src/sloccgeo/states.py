@@ -30,6 +30,7 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _check_local_dimension,
     check_primes,
     clear_denominators,
     integer_rref,
@@ -182,10 +183,12 @@ class SloccOperator:
     """A tuple of n invertible d x d rational matrices acting locally.
 
     The factors are checked once, here: they must be square rational
-    matrices of one size (else ValueError) and each invertible (else
-    SingularOperatorError), which one integer elimination per factor
-    decides.  Each factor is kept cleared to integer rows over its
-    denominator, the form ``apply_slocc`` contracts."""
+    matrices of one size (else ValueError), of size at most 256 (else
+    SchemaError, ``linalg._check_local_dimension``, before any
+    elimination), and each invertible (else SingularOperatorError), which
+    one integer elimination per factor decides.  Each factor is kept
+    cleared to integer rows over its denominator, the form ``apply_slocc``
+    contracts."""
 
     factors: tuple
     _cleared: tuple = field(init=False, repr=False, compare=False)
@@ -198,6 +201,7 @@ class SloccOperator:
         for f in factors:
             if f.p is not None or f.rows != d or f.cols != d:
                 raise ValueError("factors must be square rational matrices of equal size")
+        _check_local_dimension(d)
         cleared = tuple(clear_denominators(f.entries) for f in factors)
         if any(integer_rref(rows, d)[0] != d for rows, _ in cleared):
             raise SingularOperatorError("operator factor is singular")
@@ -214,7 +218,10 @@ class SloccOperator:
 
     @classmethod
     def random(cls, n, d, bound, seed):
-        """n independent deterministic invertible factors."""
+        """n independent deterministic invertible factors; n and d must be
+        ints (``_check_ints``), and d and bound as ``random_invertible``
+        asks."""
+        _check_ints(n, d)
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
 
@@ -402,7 +409,10 @@ def apply_slocc(t, g):
 def random_state(n, d, bound, seed):
     """i.i.d. integer coefficients in [-bound, bound], fixed by the seed.
     The bound must be at least 1 and, so that parse_state reads the state
-    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError."""
+    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError, as
+    for a bound that is not an int (or is a bool)."""
+    if type(bound) is not int:
+        raise ValueError("bound must be an int")
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound >= 10**MAX_COEFFICIENT_DIGITS:

@@ -226,6 +226,26 @@ def test_biquadratic_rejects_wrong_degree():
         plane_cubic_invariants([0] * 9)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: plane_cubic_invariants([1] * 10, 0), r"^the denominator must be nonzero$"),
+        (lambda: biquadratic_invariants([1] * 9, 0), r"^the denominator must be nonzero$"),
+        (lambda: plane_cubic_invariants([1.0] + [1] * 9), r"^1\.0 is not an int coefficient"),
+        (lambda: plane_cubic_invariants([1] * 10, 2.0), r"^2\.0 is not an int coefficient"),
+        (lambda: biquadratic_invariants([Fraction(1, 2)] * 9), r"^Fraction\(1, 2\) is not an int"),
+        (lambda: biquadratic_invariants([1] * 9, True), r"^True is not an int coefficient"),
+    ],
+    ids=["cubic-zero-den", "biquadratic-zero-den", "cubic-float-coefficient", "cubic-float-den",
+         "biquadratic-fraction", "biquadratic-bool-den"],
+)
+def test_curve_invariants_refuse_a_zero_or_non_int_input(call, message):
+    # a zero den ended in a bare ZeroDivisionError, a float or Fraction in a
+    # bare TypeError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
 def test_public_curve_invariants_match_classify(fmt):
     # determinantal_projection and the public invariants on its
@@ -1207,12 +1227,15 @@ def test_scan_filing_matches_the_reference_on_every_format():
 
 
 def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
-    # classify builds the exact flattening once, for its rank and curves;
-    # filing the vote's primes builds no second one, and a scan of a state
-    # with no curve model builds none
+    # classify builds the exact flattening once, for its rank and curves.
+    # Filing the vote's primes builds no second one, and a scan of a state
+    # with no curve model builds none: a filing reads one fraction-free
+    # elimination of the slices, whatever its primes
     import sloccgeo.geometry
     import sloccgeo.invariants
+    import sloccgeo.linalg
     import sloccgeo.states
+    from sloccgeo.geometry import _file_primes
 
     calls = []
 
@@ -1232,20 +1255,34 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
     calls.clear()
     report = smoothness_scan(random_state(5, 2, 5, 0), (5, 7))
     assert report.primes == (5, 7) and calls == []
+    eliminations = []
+
+    def counted(rows, cols):
+        eliminations.append(cols)
+        return sloccgeo.linalg._bareiss(rows, cols)
+
+    monkeypatch.setattr(sloccgeo.geometry, "_bareiss", counted)
+    for t in (ghz(3, 3), random_state(3, 3, 5, 42), random_state(5, 2, 5, 0),
+              ghz(4, 2).scale(Fraction(1, 35))):
+        for primes in ((5,), (7, 31), DEFAULT_PRIMES):
+            eliminations.clear()
+            _file_primes(t, primes, slice_discriminants(t))
+            assert eliminations == [t.d ** (t.n - 1)]
+    assert calls == []
 
 
 def test_vote_filing_matches_a_reduction_at_every_prime(singlet_times_bell):
-    # classify files a vote's primes by the pivot minor M of its exact
-    # flattening and reduces only the primes it sweeps.  Its used primes
-    # are those of the former filing, which reduced at every prime, and its
-    # verdict and witness those of the full sweep: on singular curve states
-    # and (5,2) states that vote, their SLOCC images, images whose last
-    # factor is singular mod a listed prime q (a rank drop at q, so q
-    # divides M), and images with denominators divisible by q.
+    # classify files a vote's primes by the last fraction-free pivot M of
+    # the state's slices and reduces only the primes it sweeps.  Its used
+    # primes are those of the former filing, which reduced at every prime,
+    # and its verdict and witness those of the full sweep: on singular
+    # curve states and (5,2) states that vote, their SLOCC images, images
+    # whose last factor is singular mod a listed prime q (a rank drop at q,
+    # so q divides M), and images with denominators divisible by q.
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, given, settings, strategies as st
 
-    from sloccgeo.geometry import _pivot_minor
+    from sloccgeo.linalg import _bareiss
 
     seen = set()
     voting = [ghz(3, 3), ghz(4, 2), singlet_times_bell, ghz(5, 2), w_state(5),
@@ -1281,7 +1318,7 @@ def test_vote_filing_matches_a_reduction_at_every_prime(singlet_times_bell):
         assert verdict.primes_used == used
         assert verdict.status == (SINGULAR_MODEL if singular else SMOOTH_GENERIC)
         assert verdict.singular_witness == (witnesses[0] if singular and witnesses else None)
-        minor = _pivot_minor(t, flattening_basis(t)[0])
+        minor = _bareiss([t.nums[k::d] for k in range(d)], d ** (n - 1))[2]
         if kind == "drop":
             assert q in bad and minor % q == 0
         if kind == "den":
@@ -1294,8 +1331,9 @@ def test_vote_filing_matches_a_reduction_at_every_prime(singlet_times_bell):
 
 
 def test_classify_of_a_singular_curve_reduces_only_the_swept_prime(monkeypatch):
-    # every prime of GHZ(3,3) is used by its pivot minor alone, and the
-    # sweep stops at its first witness, at 5: one reduction
+    # every prime of GHZ(3,3) is used by the last fraction-free pivot of
+    # its slices alone, and the sweep stops at its first witness, at 5: one
+    # reduction
     import sloccgeo.geometry
 
     calls = []
@@ -1308,6 +1346,27 @@ def test_classify_of_a_singular_curve_reduces_only_the_swept_prime(monkeypatch):
     verdict = classify(ghz(3, 3))
     assert verdict.primes_used == DEFAULT_PRIMES and verdict.singular_witness[0] == 5
     assert calls == [5]
+
+
+def test_scan_reduces_each_swept_prime_once(monkeypatch):
+    # the slices' last fraction-free pivot of these states has no prime
+    # factor >= 5, so the filing reduces no prime and the sweep reduces
+    # each prime once
+    import sloccgeo.geometry
+
+    calls = []
+
+    def counting(t, p):
+        calls.append(p)
+        return reduced_flattening_image(t, p)
+
+    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    for t, primes in ((ghz(3, 3), DEFAULT_PRIMES), (ghz(4, 2), DEFAULT_PRIMES),
+                      (random_state(5, 2, 5, 0), (5, 7, 11, 13)), (w_state(5), (5, 7, 11, 13))):
+        calls.clear()
+        report = smoothness_scan(t, primes)
+        assert report.primes + report.excluded_primes == primes
+        assert calls == list(primes)
 
 
 def test_scan_files_rank_drops_and_denominators_as_bad():
@@ -1330,8 +1389,12 @@ def test_scan_files_rank_drops_and_denominators_as_bad():
 
 def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, family_1235):
     # no exact flattening and no model: a reduced flattening only at the
-    # primes that divide a slice discriminant numerator
+    # primes that divide den * M, M the last fraction-free pivot of the
+    # slices.  The bad primes are among them, and the excluded primes are
+    # the primes that are not bad and divide a slice discriminant numerator
+    # (31 divides M of random_state(3, 3, 5, 42) and no numerator)
     import sloccgeo.geometry
+    from sloccgeo.linalg import _bareiss
 
     calls = []
 
@@ -1348,9 +1411,14 @@ def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, 
     for t in (random_state(3, 3, 5, 42), family_1235, drop):
         calls.clear()
         discs = slice_discriminants(t)
+        minor = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))[2]
         report = smoothness_scan(t)
-        assert calls == [p for p in DEFAULT_PRIMES if any(d.numerator % p == 0 for d in discs)]
-        assert set(calls) == set(report.bad_primes + report.excluded_primes)
+        assert calls == [p for p in DEFAULT_PRIMES if t.den * minor % p == 0]
+        assert set(report.bad_primes) <= set(calls)
+        assert report.excluded_primes == tuple(
+            p for p in DEFAULT_PRIMES
+            if p not in report.bad_primes and any(d.numerator % p == 0 for d in discs)
+        )
     assert calls  # the rank drop at 7
 
 

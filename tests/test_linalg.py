@@ -358,6 +358,32 @@ def test_kernel_matches_two_elimination_reference():
     check()
 
 
+def test_last_fraction_free_pivot_is_the_minor_at_the_pivot_columns():
+    # Bareiss 1968: for integer rows of full row rank d, the last pivot of
+    # the fraction-free elimination is the sign of its row swaps times the
+    # d x d minor of the rows at the pivot columns, so it is nonzero
+    pytest.importorskip("hypothesis")
+    from hypothesis import assume, given, settings, strategies as st
+
+    from sloccgeo.linalg import _bareiss
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), d=st.integers(1, 4), extra=st.integers(0, 4))
+    def check(data, d, extra):
+        cols = d + extra
+        entry = st.integers(-3, 3)
+        rows = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                  min_size=d, max_size=d))
+        rank, reduced, last, sign = _bareiss(rows, cols)
+        assume(rank == d)
+        pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
+        minor = Matrix([[row[c] for c in pivots] for row in rows]).det()
+        assert last == sign * minor != 0
+        assert minor == det_oracle([[row[c] for c in pivots] for row in rows])
+
+    check()
+
+
 def test_matrix_immutable():
     m = Matrix.identity(2)
     with pytest.raises(AttributeError):

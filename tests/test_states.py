@@ -706,6 +706,52 @@ def test_non_int_formats_are_refused(call):
 
 
 @pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: random_invertible(2.0, 1, 0), r"^d and bound must be ints$"),
+        (lambda: random_invertible(2, True, 0), r"^d and bound must be ints$"),
+        (lambda: SloccOperator.random(3, 3.0, 1, 0), r"^n and d must be ints$"),
+        (lambda: SloccOperator.random(3, 3, 1.5, 0), r"^d and bound must be ints$"),
+        (lambda: random_state(3, 3, "5", 0), r"^bound must be an int$"),
+        (lambda: random_state(3, 3, 5.0, 0), r"^bound must be an int$"),
+    ],
+    ids=["invertible-d", "invertible-bool-bound", "operator-d", "operator-bound",
+         "state-str-bound", "state-float-bound"],
+)
+def test_non_int_dimensions_and_bounds_are_refused(call, message):
+    # each ended in a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_operators_refuse_a_local_dimension_above_256_before_any_work(monkeypatch):
+    # 256 is the largest d of a state with n >= 2 under MAX_COEFFICIENTS;
+    # an operator's invertibility check is cubic in d
+    import sloccgeo.linalg
+    import sloccgeo.states
+    from sloccgeo.linalg import _check_local_dimension
+    from sloccgeo.states import MAX_COEFFICIENTS
+
+    assert 256**2 == MAX_COEFFICIENTS
+    ghz(2, 256)
+    with pytest.raises(SchemaError):
+        ghz(2, 257)
+    _check_local_dimension(256)
+
+    def refused(*args):
+        raise AssertionError("drew or eliminated")
+
+    monkeypatch.setattr(sloccgeo.linalg.random, "Random", refused)
+    monkeypatch.setattr(sloccgeo.linalg, "integer_rref", refused)
+    monkeypatch.setattr(sloccgeo.states, "integer_rref", refused)
+    for call in (lambda: random_invertible(257, 5, 0), lambda: random_invertible(10**6, 1, 0),
+                 lambda: SloccOperator.random(2, 10**6, 1, 0),
+                 lambda: SloccOperator([Matrix.identity(257)] * 2)):
+        with pytest.raises(SchemaError, match=r"^local dimension \d+ exceeds the limit of 256$"):
+            call()
+
+
+@pytest.mark.parametrize(
     "call",
     [
         lambda: ghz(-1, 2),
