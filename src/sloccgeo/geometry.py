@@ -56,6 +56,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_PRIMES, Matrix, _bareiss, check_primes
 from .states import (
+    _check_tensor,
     _contract,
     _rotate,
     check_flattening_cost,
@@ -822,6 +823,7 @@ def smoothness_scan(t, primes=None):
     ``primes``, ``point_counts`` and ``witnesses`` to ``excluded_primes``,
     and the verdict is NoSingularPointFound, as ``classify`` finds.
     """
+    _check_tensor(t)
     from .invariants import _certified_smooth, _jacobian_count, _slice_curves
 
     curves = _slice_curves(t)

@@ -47,7 +47,7 @@ from .errors import (
     _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, MAX_PRIME, check_primes, clear_denominators
-from .states import _frac_str, flattening_basis
+from .states import _check_tensor, _frac_str, flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
@@ -266,17 +266,24 @@ def branch_quartic(coeffs):
     BIQUADRATIC_MONOMIALS order, read as a quadratic in the second pair:
     the 5 coefficients (of x0^4, x0^3*x1, ..., x1^4) of the binary quartic
     over the first pair whose roots are the branch points of the 2:1
-    projection.  Any other number of coefficients raises WrongDegreeError.
+    projection.  Any other number of coefficients raises WrongDegreeError,
+    and a coefficient that is not an int ValueError (``_check_integers``).
     The pipeline calls ``_branch``, not this name, so a span bound to this
     name (as ``perfbench/tracer.py`` binds one) counts only outside calls."""
     _check_count(coeffs, BIQUADRATIC_MONOMIALS)
+    _check_integers(coeffs, 1)
     return tuple(_branch(coeffs))
 
 
 def _check_count(coeffs, monomials):
-    """WrongDegreeError unless coeffs has one coefficient per monomial."""
-    if len(coeffs) != len(monomials):
-        raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {len(coeffs)}")
+    """ValueError unless coeffs has a length, then WrongDegreeError unless
+    it has one coefficient per monomial."""
+    try:
+        count = len(coeffs)
+    except TypeError:
+        raise ValueError(f"{_excerpt(coeffs)} is not a collection of coefficients") from None
+    if count != len(monomials):
+        raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {count}")
 
 
 def _check_integers(coeffs, den):
@@ -759,6 +766,7 @@ def classify(t, primes=None):
     no verdict without a usable prime.  Given primes must pass
     ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
+    _check_tensor(t)
     return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
 
 
@@ -853,6 +861,8 @@ def slocc_compare(a, b, primes=None):
     Both verdicts come from ``classify``, so a state classified a few calls
     earlier (with the same primes) is not classified again.
     """
+    _check_tensor(a)
+    _check_tensor(b)
     if (a.n, a.d) != (b.n, b.d):
         raise FormatMismatchError(f"formats {(a.n, a.d)} and {(b.n, b.d)} differ")
     va = classify(a, primes)

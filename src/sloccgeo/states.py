@@ -78,6 +78,13 @@ def _check_ints(n, d):
         raise ValueError("n and d must be ints")
 
 
+def _check_tensor(t):
+    """ValueError unless t is a Tensor: an entry point given anything else
+    would end in a bare AttributeError or TypeError."""
+    if not isinstance(t, Tensor):
+        raise ValueError(f"{_excerpt(t)} is not a Tensor")
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Tensor:
     """Immutable dense tensor with equal local dimensions: integer
@@ -95,8 +102,8 @@ class Tensor:
 
     @classmethod
     def from_integers(cls, n, d, nums, den=1):
-        """The tensor with coefficients nums[i] / den; a zero den raises
-        ValueError."""
+        """The tensor with coefficients nums[i] / den; a zero den, or a
+        numerator or den that is not an int, raises ValueError."""
         t = cls.__new__(cls)
         t._set(n, d, list(nums), den)
         return t
@@ -112,7 +119,11 @@ class Tensor:
             raise ValueError(f"expected d**n coefficients, got {size}")
         if den == 0:
             raise ValueError("the denominator must be nonzero")
-        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        try:
+            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        except TypeError:  # only a value that is not an int gets here
+            bad = next(x for x in (*nums, den) if not isinstance(x, int))
+            raise ValueError(f"{_excerpt(bad)} is not an int numerator or denominator") from None
         if g != 1:
             nums, den = [a // g for a in nums], den // g
         object.__setattr__(self, "n", n)

@@ -8,9 +8,11 @@ V^(x)j (x) R_{j mod n} (x) V^(x)(k-a-j), where a = n - 1 is the relation
 degree.  By construction w lies in R_0 (x) V and in V (x) R_1, the
 overlap condition of a regular algebra (Artin-Tate-Van den Bergh); generic
 states give the Hilbert functions of 3-dimensional quadratic and cubic
-regular algebras.  The expected Hilbert values are not hardcoded: they
-come from the Euler characteristics of the two minimal resolution shapes
-(quadratic and cubic), evaluated by a plain linear recurrence.
+regular algebras (Artin-Schelter 1987), whose Hilbert series are
+1/(1-t)^3 and 1/((1-t)^2 (1-t^2)): each the inverse of the Euler
+polynomial of its minimal resolution, so the expected values are these
+series' coefficients in closed form (``quadratic_expected_dims``,
+``cubic_expected_dims``), not values copied from a table.
 
 The profile is built in the quotient one degree at a time.  The span in
 degree k is the span in degree k-1 tensored with V plus
@@ -42,7 +44,7 @@ from .errors import (
     _excerpt,
 )
 from .linalg import Matrix, _pivots_and_free
-from .states import Tensor, _rotate
+from .states import Tensor, _check_tensor, _rotate
 from .geometry import (
     _singular_reduction,
     enumerate_points,
@@ -74,25 +76,19 @@ class HilbertProfile:
         }
 
 
-def _resolution_dims(k_max, steps):
-    """h(0), ..., h(k_max) of the recurrence h(k) = [k = 0] + the sum of
-    c*h(k-s) over the (c, s) steps read off a minimal resolution."""
-    dims = []
-    for k in range(k_max + 1):
-        dims.append(int(k == 0) + sum(c * dims[k - s] for c, s in steps if s <= k))
-    return tuple(dims)
-
-
 def quadratic_expected_dims(k_max):
-    """Euler characteristic of 0 -> P_{i+3} -> P_{i+2}^3 -> P_{i+1}^3 ->
-    P_i -> S_i -> 0: h(k) = 3h(k-1) - 3h(k-2) + h(k-3), h(0) = 1."""
-    return _resolution_dims(k_max, ((3, 1), (-3, 2), (1, 3)))
+    """h(0), ..., h(k_max) of 1/(1-t)^3, the inverse of the Euler polynomial
+    (1-t)^3 of the resolution 0 -> P_{i+3} -> P_{i+2}^3 -> P_{i+1}^3 -> P_i
+    -> S_i -> 0: h(k) = (k+1)(k+2)/2."""
+    return tuple((k + 1) * (k + 2) // 2 for k in range(k_max + 1))
 
 
 def cubic_expected_dims(k_max):
-    """Euler characteristic of 0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 ->
-    P_i -> S_i -> 0: h(k) = 2h(k-1) - 2h(k-3) + h(k-4), h(0) = 1."""
-    return _resolution_dims(k_max, ((2, 1), (-2, 3), (1, 4)))
+    """h(0), ..., h(k_max) of 1/((1-t)^2 (1-t^2)), the inverse of the Euler
+    polynomial 1 - 2t + 2t^3 - t^4 = (1-t)^2 (1-t^2) of the resolution
+    0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 -> P_i -> S_i -> 0:
+    h(k) = floor((k+2)^2/4)."""
+    return tuple((k + 2) ** 2 // 4 for k in range(k_max + 1))
 
 
 def _monomial_rows(points, width, p):
@@ -252,9 +248,10 @@ def quadratic_hilbert(state, p, k_max=4):
     """Graded dimensions of the quadratic algebra of a (3,3) state.
 
     The degree-2 relations cycle through the flattening images of the
-    three rotations of the state; the generic answer is the plane count
-    (k+1)(k+2)/2.
+    three rotations of the state; the generic answer is
+    ``quadratic_expected_dims``.
     """
+    _check_tensor(state)
     if (state.n, state.d) != (3, 3):
         raise WrongFormatError("quadratic profiles need format (3,3)")
     return _hilbert_profile(state, p, k_max, "quadratic", quadratic_expected_dims)
@@ -264,8 +261,10 @@ def cubic_hilbert(state, p, k_max=5):
     """Graded dimensions of the cubic algebra of a (4,2) state.
 
     The degree-3 relations cycle through the flattening images of the
-    four rotations of the state; the generic answer is 1, 2, 4, 6, 9, 12.
+    four rotations of the state; the generic answer is
+    ``cubic_expected_dims``.
     """
+    _check_tensor(state)
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("cubic profiles need format (4,2)")
     return _hilbert_profile(state, p, k_max, "cubic", cubic_expected_dims)
@@ -318,6 +317,7 @@ def multiplication_surjectivity(state, axis_pair, p):
     name two distinct groups among 0, 1 and 2 (a collection of two ints,
     in either order), else ValueError.
     """
+    _check_tensor(state)
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
     pairs = ([0, 1], [0, 2], [1, 2])
@@ -372,6 +372,7 @@ def roundtrip_check(state, p):
     at a good prime can have fewer points than the rank needs (3 at p = 7,
     against a target of 6).
     """
+    _check_tensor(state)
     (reduced,) = reduced_models([state], p)
     try:
         relations = relations_from_points(reduced, p)

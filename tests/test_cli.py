@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from sloccgeo import __version__
-from sloccgeo.cli import build_parser, run
+from sloccgeo.cli import build_parser, main, run
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     SloccOperator,
@@ -64,6 +64,15 @@ def test_moduli_dim(capsys):
     assert doc["sections"] == 14
     code, doc = run_json(capsys, ["moduli-dim", "--n", "3", "--d", "3"])
     assert doc["dimension"] == 2
+
+
+def test_installed_command_entry_point_exits_0(monkeypatch, capsys):
+    # main is what the installed sloccgeo script calls
+    monkeypatch.setattr("sys.argv", ["sloccgeo", "moduli-dim", "--n", "3", "--d", "3"])
+    with pytest.raises(SystemExit) as exit_info:
+        main()
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["dimension"] == 2
 
 
 def test_moduli_dim_dense_orbit_formats(capsys):

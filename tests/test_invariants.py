@@ -201,7 +201,9 @@ def test_quartic_with_int_fields_gets_exact_j():
 
 def test_biquadratic_with_lemniscatic_branch_quartic():
     form = [Fraction(c, 4) for c in LEMNISCATIC]
-    assert branch_quartic(form) == (1, 0, 0, 0, 1)
+    # the quartic is quadratic in the 9 int coefficients: the form's own,
+    # (1, 0, 0, 0, 1), times 4**2
+    assert branch_quartic(LEMNISCATIC) == (16, 0, 0, 0, 16)
     assert branch_quartic(EQUIANHARMONIC) == (16, 0, 0, 16, 0)
     assert curve_of(form).j == 1728
 
@@ -235,13 +237,20 @@ def test_biquadratic_rejects_wrong_degree():
         (lambda: plane_cubic_invariants([1] * 10, 2.0), r"^2\.0 is not an int coefficient"),
         (lambda: biquadratic_invariants([Fraction(1, 2)] * 9), r"^Fraction\(1, 2\) is not an int"),
         (lambda: biquadratic_invariants([1] * 9, True), r"^True is not an int coefficient"),
+        (lambda: plane_cubic_invariants(5), r"^5 is not a collection of coefficients$"),
+        (lambda: biquadratic_invariants(5), r"^5 is not a collection of coefficients$"),
+        (lambda: branch_quartic(5), r"^5 is not a collection of coefficients$"),
+        (lambda: branch_quartic([1.0] * 9), r"^1\.0 is not an int coefficient"),
+        (lambda: branch_quartic([Fraction(1, 2)] * 9), r"^Fraction\(1, 2\) is not an int"),
     ],
     ids=["cubic-zero-den", "biquadratic-zero-den", "cubic-float-coefficient", "cubic-float-den",
-         "biquadratic-fraction", "biquadratic-bool-den"],
+         "biquadratic-fraction", "biquadratic-bool-den", "cubic-int", "biquadratic-int",
+         "branch-int", "branch-float", "branch-fraction"],
 )
 def test_curve_invariants_refuse_a_zero_or_non_int_input(call, message):
     # a zero den ended in a bare ZeroDivisionError, a float or Fraction in a
-    # bare TypeError
+    # bare TypeError, and an int in place of the coefficients in a bare
+    # TypeError from len; branch_quartic returned floats or Fractions
     with pytest.raises(ValueError, match=message):
         call()
 

@@ -464,6 +464,21 @@ def test_zero_denominator_is_refused():
     assert Tensor.from_integers(2, 2, [2, 0, 0, 2], -4).coeffs == (Fraction(-1, 2), 0, 0, Fraction(-1, 2))
 
 
+@pytest.mark.parametrize(
+    "n, nums, den, shown",
+    [
+        (3, [1] * 27, 2.0, r"2\.0"),
+        (2, [1.0] * 4, 1, r"1\.0"),
+        (2, [1] * 4, Fraction(1, 2), r"Fraction\(1, 2\)"),
+    ],
+    ids=["float-den", "float-numerator", "fraction-den"],
+)
+def test_non_int_numerators_or_den_are_refused(n, nums, den, shown):
+    # each ended in a bare TypeError from math.gcd
+    with pytest.raises(ValueError, match=rf"^{shown} is not an int numerator or denominator$"):
+        Tensor.from_integers(n, n, nums, den)
+
+
 def test_exact_flattening_cost_is_bounded():
     from sloccgeo.invariants import RANK_DEFICIENT, classify
 

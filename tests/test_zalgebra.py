@@ -51,17 +51,27 @@ import reference_algebra as ref
 
 
 def test_quadratic_expected_dims_oracle():
-    # resolution recurrence must reproduce the closed form (k+1)(k+2)/2
-    dims = quadratic_expected_dims(6)
-    assert dims == tuple((k + 1) * (k + 2) // 2 for k in range(7))
+    # the closed form must reproduce the resolution recurrence
+    # h_k = 3h_{k-1} - 3h_{k-2} + h_{k-3}, h_0 = 1
+    dims = quadratic_expected_dims(40)
+    manual = [1]
+    for k in range(1, 41):
+        val = 3 * manual[k - 1]
+        if k >= 2:
+            val -= 3 * manual[k - 2]
+        if k >= 3:
+            val += manual[k - 3]
+        manual.append(val)
+    assert dims == tuple(manual)
     assert dims[:5] == (1, 3, 6, 10, 15)
 
 
 def test_cubic_expected_dims_oracle():
-    # recurrence h_k = 2h_{k-1} - 2h_{k-3} + h_{k-4}, h_0 = 1
-    dims = cubic_expected_dims(6)
+    # the closed form must reproduce the resolution recurrence
+    # h_k = 2h_{k-1} - 2h_{k-3} + h_{k-4}, h_0 = 1
+    dims = cubic_expected_dims(40)
     manual = [1]
-    for k in range(1, 7):
+    for k in range(1, 41):
         val = 2 * manual[k - 1]
         if k >= 3:
             val -= 2 * manual[k - 3]
@@ -70,6 +80,28 @@ def test_cubic_expected_dims_oracle():
         manual.append(val)
     assert dims == tuple(manual)
     assert dims[:6] == (1, 2, 4, 6, 9, 12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: classify(5),
+        lambda: classify([1, 2]),
+        lambda: smoothness_scan("x"),
+        lambda: slocc_compare(ghz(3, 3), 5),
+        lambda: quadratic_hilbert(5, 7),
+        lambda: cubic_hilbert(5, 7),
+        lambda: roundtrip_check(5, 7),
+        lambda: multiplication_surjectivity(5, (0, 1), 7),
+    ],
+    ids=["classify", "classify-list", "smoothness-scan", "slocc-compare", "quadratic-hilbert",
+         "cubic-hilbert", "roundtrip", "surjectivity"],
+)
+def test_entry_points_refuse_a_state_that_is_not_a_tensor(call):
+    # each ended in a bare AttributeError, and classify of a list in
+    # TypeError: unhashable type from its memo
+    with pytest.raises(ValueError, match=r"^(5|\[1, 2\]|'x') is not a Tensor$"):
+        call()
 
 
 def test_relations_recover_flattening_image():
