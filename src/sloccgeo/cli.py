@@ -24,7 +24,7 @@ from .errors import (
     _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, check_primes
-from .states import _frac_str, parse_state, random_state, state_to_json
+from .states import _INTEGER, _frac_str, parse_state, random_state, state_to_json
 from .geometry import smoothness_scan, section_count
 from .invariants import (
     HYPERDETERMINANTS,
@@ -64,10 +64,10 @@ def _hash(data):
 
 
 #: The one integer rule of the command line, for the --primes entries and
-#: the integer options: an optional minus sign and ASCII digits, as a
-#: coefficient of ``parse_state``.  ``int`` alone would also take 1_1, +5,
-#: surrounding whitespace and non-ASCII digits.
-_INTEGER_RE = re.compile(r"-?[0-9]+\Z")
+#: the integer options: ``states._INTEGER``, the rule of a coefficient's
+#: numerator.  ``int`` alone would also take 1_1, +5, surrounding
+#: whitespace and non-ASCII digits.
+_INTEGER_RE = re.compile(rf"{_INTEGER}\Z")
 
 
 def _integer(text):

@@ -776,7 +776,11 @@ def _classify(t, primes):
     rows, den = flattening_basis(t)
     rank = len(rows)
     hyperdet = HYPERDETERMINANTS[fmt][1](t) if fmt in HYPERDETERMINANTS else None
-    hint = None if hyperdet is None else hyperdet != 0
+    # Cayley's hyperdeterminant generates the (3,2) invariant ring, so its
+    # zeros are the null cone; Schlaefli's also vanishes on semistable
+    # states (GHZ(4,2), where the degree-2 invariant is 2), so only its
+    # nonzero values prove anything
+    hint = hyperdet != 0 if fmt == (3, 2) else (True if hyperdet else None)
     curve = fmt in CURVE_AXES and rank == t.d
     projections = tuple(_curve_projections(fmt, rows, den)) if curve else ()
     j, used, witness = None, (), None

@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
 
@@ -37,7 +38,27 @@ from .linalg import (
     random_invertible,
 )
 
-_RATIONAL_RE = re.compile(r"(-?)([0-9]+)(?:/([1-9][0-9]*))?\Z")
+#: The one integer-literal rule: an optional minus sign and ASCII digits.
+#: A coefficient's numerator (``_RATIONAL_RE``), a coefficient of the
+#: canonical document (``_CANONICAL_RE``) and the command line's integer
+#: options (``cli._INTEGER_RE``) are all built from it.
+_INTEGER = r"-?[0-9]+"
+
+_RATIONAL_RE = re.compile(rf"({_INTEGER})(?:/([1-9][0-9]*))?\Z")
+
+# The canonical document: the compact form state_to_json writes of an
+# integer state, with JSON whitespace (RFC 8259) around it.  An index is
+# matched as any digits and commas, and ``_canonical_offset`` admits only
+# the indices state_to_json writes, so every document ``_read_canonical``
+# accepts is JSON with exactly the keys n, d, entries, and idx, c in each
+# entry.  An n or d of more digits than a readable format has is left to
+# the checked path, which refuses it.
+_WHITESPACE = r"[ \t\n\r]*"
+_ENTRY = rf'\{{"idx":\[[0-9,]+\],"c":"{_INTEGER}"\}}'
+_CANONICAL_RE = re.compile(
+    rf'{_WHITESPACE}\{{"n":([1-9][0-9]?),"d":([1-9][0-9]{{0,2}}),'
+    rf'"entries":\[((?:{_ENTRY}(?:,{_ENTRY})*)?)\]\}}{_WHITESPACE}\Z'
+)
 
 #: Most coefficients d**n a state may have.
 MAX_COEFFICIENTS = 2**16
@@ -237,7 +258,7 @@ class SloccOperator:
 
 
 def parse_state(document):
-    """Parse a state file into a Tensor.
+    """Parse a state file (str, or bytes in UTF-8) into a Tensor.
 
     The document is JSON: {"n": int, "d": int, "entries": [{"idx": [...],
     "c": "num" or "num/den"}]}.  Coefficients are exact decimal-free
@@ -249,7 +270,71 @@ def parse_state(document):
     not counted) or over the common denominator, before any arithmetic on
     the state.  An error message echoes a malformed value only as a short
     excerpt (``_excerpt``).
+
+    Two routes give the same Tensor.  The canonical document, the compact
+    form ``state_to_json`` writes of an integer state, with JSON whitespace
+    around it, is read in one pattern pass (``_read_canonical``).  Every
+    other document, and a canonical one that breaks a rule above, goes
+    through the checked path (``_parse_checked``), which alone raises the
+    errors.
     """
+    t = _read_canonical(document)
+    return _parse_checked(document) if t is None else t
+
+
+@lru_cache(maxsize=8)
+def _index_offsets(n, d):
+    """For format (n, d), as the canonical document writes indices: the
+    dict ``_read_canonical`` fills with {"i,j,...": row-major offset} for
+    each index it has read (at most d**n entries), and {"i": i} for the
+    numbers an index may hold.  Kept for the last 8 formats read."""
+    return {}, {str(i): i for i in range(d)}
+
+
+def _canonical_offset(idx, n, d, values):
+    """The row-major offset of an index string, or None unless it is
+    written as state_to_json writes it: n numbers from ``values``."""
+    parts = idx.split(",")
+    if len(parts) != n or None in (indices := list(map(values.get, parts))):
+        return None
+    off = 0
+    for i in indices:
+        off = off * d + i
+    return off
+
+
+def _read_canonical(document):
+    """The Tensor of a canonical document (``_CANONICAL_RE``) that keeps
+    every rule of ``parse_state``, or None for any other document.  Never
+    raises: the checked path reads what this leaves and names its errors."""
+    if isinstance(document, bytes):
+        if not document.isascii():  # a canonical document is ASCII
+            return None
+        document = document.decode("ascii")
+    if not isinstance(document, str) or (match := _CANONICAL_RE.match(document)) is None:
+        return None
+    n, d = int(match[1]), int(match[2])
+    if n < 2 or d < 2 or d**n > MAX_COEFFICIENTS:
+        return None
+    (offsets, values), digits, entries = _index_offsets(n, d), MAX_COEFFICIENT_DIGITS, match[3]
+    nums, seen = [0] * d**n, set()
+    # the pattern matched, so the entries split at their fixed punctuation
+    pairs = (e.split('],"c":"') for e in entries[8:-2].split('"},{"idx":[')) if entries else ()
+    for idx, c in pairs:
+        if (off := offsets.get(idx)) is None:
+            if (off := _canonical_offset(idx, n, d, values)) is None:
+                return None
+            offsets[idx] = off
+        if off in seen or len(c) > digits:
+            return None
+        seen.add(off)
+        nums[off] = int(c)
+    return Tensor.from_integers(n, d, nums)
+
+
+def _parse_checked(document):
+    """``parse_state`` for any document, checked entry by entry; the only
+    source of its errors."""
     try:
         doc = json.loads(document.decode("utf-8") if isinstance(document, bytes) else document)
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and too deep nesting
@@ -279,8 +364,8 @@ def parse_state(document):
         match = _RATIONAL_RE.match(c) if isinstance(c, str) else None
         if match is None:
             raise SchemaError(f"coefficient {_excerpt(c)} is not a decimal-free rational string")
-        sign, num, den = match.groups()
-        num = num.lstrip("0") or "0"
+        num, den = match.groups()
+        sign, num = "-" if num[0] == "-" else "", num.lstrip("-0") or "0"
         if len(num) > digits or (den is not None and len(den) > digits):
             raise SchemaError(f"coefficient at {idx} has more than {digits} digits")
         a = int(sign + num)

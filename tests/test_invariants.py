@@ -430,6 +430,31 @@ def test_classify_family(family_1235):
     assert verdict.semistable_hint is True
 
 
+@pytest.mark.parametrize(
+    "state, hint",
+    [
+        # Schlaefli's hyperdeterminant vanishes on all three, but the
+        # degree-2 invariant is 2 on GHZ(4,2), so a zero proves nothing
+        (ghz(4, 2), None),
+        (w_state(4), None),
+        (basis_state(4, 2, (0, 0, 0, 0)), None),
+        (random_state(4, 2, 5, 2), True),
+        # Cayley's hyperdeterminant generates the (3,2) invariant ring
+        (ghz(3, 2), True),
+        (w_state(3), False),
+        (basis_state(3, 2, (0, 0, 0)), False),
+        (ghz(3, 3), None),
+    ],
+    ids=["ghz42", "w4", "basis42", "random42", "ghz32", "w3", "basis32", "ghz33"],
+)
+def test_semistable_hint_claims_only_what_the_hyperdeterminant_proves(state, hint):
+    verdict = classify(state)
+    assert verdict.semistable_hint is hint
+    assert verdict.to_json_dict()["semistable_hint"] is hint
+    if hint is None and state.d == 2:
+        assert verdict.hyperdeterminant == 0
+
+
 def test_classify_33_projection_agreement():
     for seed in (42, 77, 1001):
         t = random_state(3, 3, 5, seed=seed)

@@ -352,6 +352,156 @@ def test_sampled_states_always_parse():
     check()
 
 
+def _parse_outcome(parse, document):
+    """What parse makes of the document: ("ok", Tensor), or the type and
+    message of what it raised."""
+    try:
+        return "ok", parse(document)
+    except Exception as exc:  # every outcome is compared, bare errors too
+        return type(exc), str(exc)
+
+
+#: Documents at the edges of the canonical form, each compared below as
+#: str and as bytes: formats below 2 or over MAX_COEFFICIENTS, whitespace
+#: that JSON does not allow, "-0", leading zeros, widths around
+#: MAX_COEFFICIENT_DIGITS and indices that state_to_json never writes.
+EDGE_DOCUMENTS = [
+    '{"n":1,"d":2,"entries":[]}',
+    '{"n":2,"d":1,"entries":[]}',
+    '{"n":17,"d":2,"entries":[]}',
+    '{"n":2,"d":300,"entries":[]}',
+    '{"n":99,"d":999,"entries":[]}',
+    '{"n":2,"d":2,"entries":[]}\f',
+    '\v{"n":2,"d":2,"entries":[]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,0],"c":"-0"},{"idx":[1,1],"c":"007"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,0],"c":"' + "9" * 100 + '"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,0],"c":"-' + "9" * 100 + '"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,0],"c":"0' + "9" * 100 + '"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,0],"c":"' + "9" * 101 + '"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,1],"c":"1"},{"idx":[0,1],"c":"1"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,01],"c":"1"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,,1],"c":"1"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,2],"c":"1"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,1,0],"c":"1"}]}',
+    '{"n":2,"d":2,"entries":[{"idx":[0,1],"c":"1"},]}',
+]
+
+
+def test_canonical_reader_agrees_with_the_checked_path():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    import sloccgeo.states as states
+
+    def same_outcome(document):
+        assert _parse_outcome(parse_state, document) == _parse_outcome(
+            states._parse_checked, document
+        )
+
+    for text in EDGE_DOCUMENTS:
+        same_outcome(text)
+        same_outcome(text.encode())
+
+    digits = MAX_COEFFICIENT_DIGITS
+    small = st.integers(-(10**6), 10**6).map(str)
+    # "-0", leading zeros, numerators of 100 and 101 digits, and num/den
+    special = st.builds(
+        lambda sign, zeros, num, den: f"{sign}{zeros}{num}{den}",
+        st.sampled_from(["", "-"]),
+        st.sampled_from(["", "0", "00", "0" * (digits + 1)]),
+        st.sampled_from([0, 7, 10 ** (digits - 1), 10**digits - 1, 10**digits]),
+        st.sampled_from(["", "", "/1", "/7", "/12", "/0", "/07", "/" + "9" * digits,
+                         "/" + "1" * (digits + 1)]),
+    )
+    padding = st.text(" \t\n\r\f\v\u00a0", max_size=3)
+
+    def malformed(doc):
+        """The JSON-level mutations of test_malformed_documents_exit_2."""
+        entry = doc["entries"][0] if doc["entries"] else {"idx": [], "c": "1"}
+        return st.one_of(
+            st.sampled_from(["n", "d", "entries"]).map(lambda k: ("drop", doc, k)),
+            st.just(("set", doc, "extra", 1)),
+            st.tuples(st.just("set"), st.just(doc), st.sampled_from(["n", "d"]),
+                      st.sampled_from([True, 1.0, "3", None, [3], 0, 1, -3, 17, 300])),
+            st.tuples(st.just("set"), st.just(doc), st.just("entries"),
+                      st.sampled_from([{}, "x", 3])),
+            st.sampled_from(["idx", "c"]).map(lambda k: ("drop", entry, k)),
+            st.just(("set", entry, "extra", 0)),
+            st.tuples(st.just("set"), st.just(entry), st.just("idx"),
+                      st.sampled_from(["000", 0, {"0": 0}, [0, 0], [0] * 6, [0, True],
+                                       [0, 0.0], [0, 9], [-1, 0], [1] * 5])),
+            st.tuples(st.just("set"), st.just(entry), st.just("c"),
+                      st.sampled_from([True, 1, 1.0, None, ["1"], "1.5", " 1", "+1", "1_0",
+                                       "\u0663", "5\n", "", "-"])),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from([(2, 2), (3, 2), (3, 3), (4, 2), (5, 2), (2, 5)]),
+        form=st.sampled_from(["canonical", "canonical", "canonical", "spaced", "indented",
+                              "reordered", "newline", "padded", "duplicate", "malformed",
+                              "leading-zero index", "empty index slot", "huge n"]),
+        encoding=st.sampled_from(["str", "str", "str", "bytes", "bytes", "bytearray",
+                                  "bom-str", "bom-bytes", "bad-utf8"]),
+    )
+    def check(data, fmt, form, encoding):
+        n, d = fmt
+        indices = sorted(data.draw(
+            st.lists(st.sampled_from(list(product(range(d), repeat=n))), unique=True)
+        ))
+        entries = [{"idx": list(idx), "c": data.draw(small)} for idx in indices]
+        if entries and data.draw(st.booleans()):
+            data.draw(st.sampled_from(entries))["c"] = data.draw(special)
+        doc = {"n": n, "d": d, "entries": entries}
+        if form == "reordered":
+            doc["entries"] = data.draw(st.permutations(entries))
+        elif form == "duplicate" and entries:
+            entries.append(dict(data.draw(st.sampled_from(entries))))
+        elif form == "malformed":
+            op, target, key, *value = data.draw(malformed(doc))
+            if op == "drop":
+                del target[key]
+            else:
+                target[key] = value[0]
+        compact = json.dumps(doc, separators=(",", ":"))
+        text = {
+            "spaced": lambda: json.dumps(doc),
+            "indented": lambda: json.dumps(doc, indent=1),
+            "newline": lambda: compact + "\n",
+            "padded": lambda: data.draw(padding) + compact + data.draw(padding),
+            "leading-zero index": lambda: compact.replace('"idx":[', '"idx":[0', 1),
+            "empty index slot": lambda: compact.replace('"idx":[', '"idx":[,', 1),
+            "huge n": lambda: compact.replace(f'"n":{n}', '"n":' + "1" * 5000, 1),
+        }.get(form, lambda: compact)()
+        same_outcome({
+            "str": lambda: text,
+            "bytes": lambda: text.encode(),
+            "bytearray": lambda: bytearray(text.encode()),
+            "bom-str": lambda: "\ufeff" + text,
+            "bom-bytes": lambda: b"\xef\xbb\xbf" + text.encode(),
+            "bad-utf8": lambda: text.encode()[:-1] + b"\xff" + text.encode()[-1:],
+        }[encoding]())
+
+    check()
+
+
+def test_canonical_documents_are_read_in_one_pass(monkeypatch):
+    import sloccgeo.states as states
+
+    def refuse(document):
+        raise AssertionError("a canonical document reached the checked path")
+
+    monkeypatch.setattr(states, "_parse_checked", refuse)
+    for fmt in [(2, 2), (3, 3), (4, 2), (5, 2), (2, 5)]:
+        t = random_state(*fmt, 5, 1)
+        text = state_to_json(t)
+        assert parse_state(text) == t
+        assert parse_state(" " + text + "\r\n") == t
+        assert parse_state(text.encode()) == t
+    assert parse_state('{"n":2,"d":2,"entries":[]}') == Tensor.from_integers(2, 2, [0] * 4)
+
+
 def test_random_states_are_generic():
     # empirical genericity: the flattening image has full dimension for
     # at least 95% of seeds
