@@ -2,6 +2,13 @@
 
 Every package error derives from ``SloccGeoError``, so callers can tell
 input degeneracy apart from bad prime choices and malformed data.
+
+The contract of every public call: a malformed argument raises a
+``SloccGeoError`` or a ``ValueError`` within bounded work, and the command
+line maps both to exit 2.  The kind of each argument is decided in one
+place, by parameter name (``_guard``); a value of the wrong kind raises
+ValueError naming the parameter.  The one other type is the TypeError of
+an F_p ``Matrix`` entry that is not an int.
 Out-of-range state-file indices raise ``IndexRangeError``, which is also the
 builtin ``IndexError``.  A message that echoes an input value echoes it
 through ``_excerpt``, so its length does not grow with the input's.

@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import log2
 
+from ._guard import MODULUS, UNCHECKED, guard, power_exceeds
 from .errors import (
     AllPrimesBadError,
     BadReductionError,
@@ -56,7 +56,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_PRIMES, Matrix, _bareiss, check_primes
 from .states import (
-    _check_tensor,
     _contract,
     _rotate,
     check_flattening_cost,
@@ -70,7 +69,7 @@ from .states import (
 PREFIX_BUDGET = 200_000
 
 #: Most bits d**n may have in ``section_count`` and ``moduli_dimension``,
-#: checked as n*log2(d) before any power is computed.  The formulas hold for
+#: checked before d**n is formed (``power_exceeds``).  The formulas hold for
 #: every format, but their values must stay cheap to compute and to print:
 #: 2^4096 has 1,234 digits, under Python's 4,300-digit limit on
 #: int-to-string conversion.
@@ -110,15 +109,28 @@ class VarietyModel:
     of its flattening image; over F_p the rows are residues and den is 1.
 
     A model over Q reduces modulo a prime only through its ``source``
-    state (``model_mod_p``); a model built by hand over F_p needs none.
+    state (``model_mod_p``); a model built by hand over F_p needs none, and
+    its p is a modulus.  Every model has n, d >= 2 and at least one row,
+    each of d**(n-1) coefficients, else ValueError; the length is decided
+    before d**(n-1) is formed (``power_exceeds``).  The entry points that
+    read the d x d matrix of linear forms also need d rows
+    (``_check_square``); ``enumerate_points`` takes any number.
     """
 
     n: int
     d: int
     rows: tuple
     den: int
-    p: object
+    p: MODULUS = None
     source: object = None    # source Tensor, when built from one
+
+    def __post_init__(self):
+        n, d, rows = self.n, self.d, self.rows
+        width = len(rows[0]) if rows else 0
+        shaped = n >= 2 and d >= 2 and not power_exceeds(d, n - 1, width) and d ** (n - 1) == width
+        if not shaped or any(len(row) != width for row in rows):
+            fmt = f"(n={_excerpt(n)}, d={_excerpt(d)})"
+            raise ValueError(f"a model of format {fmt} needs rows of d**(n-1) coefficients")
 
     @property
     def groups(self):
@@ -221,14 +233,13 @@ def _witness_json(witness):
 
 
 def _check_formula_format(n, d):
-    """ValueError unless n and d are ints (not bools) >= 2; WorkLimitError
-    when d**n would have more than MAX_FORMULA_BITS bits.  Since d >= 2, an
-    n above the limit is refused before n*log2(d) is formed, so no huge n
-    meets a float, and the message prints neither, so no huge one meets
-    int-to-string conversion."""
-    if type(n) is not int or type(d) is not int or n < 2 or d < 2:
+    """ValueError unless the ints n and d are >= 2; WorkLimitError when d**n
+    would have more than MAX_FORMULA_BITS bits, decided before d**n is
+    formed (``power_exceeds``).  The message prints neither, so no huge one
+    meets int-to-string conversion."""
+    if n < 2 or d < 2:
         raise ValueError("need ints n >= 2 and d >= 2")
-    if n > MAX_FORMULA_BITS or n * log2(d) > MAX_FORMULA_BITS:
+    if power_exceeds(d, n, 2**MAX_FORMULA_BITS):
         raise WorkLimitError(f"d**n is over the limit of 2**{MAX_FORMULA_BITS}")
 
 
@@ -315,13 +326,19 @@ def projection_coefficients(rows, n, d, kept):
     """Coefficients of the determinantal projection of d coefficient rows.
 
     Row k holds form k's coefficients, row-major over the n-1 variable
-    groups.  The matrix of linear forms M[k][l] = df_k/dz_l (z the dropped
-    group) has entries linear in each kept group, and det M is expanded
+    groups.  The kept axes must be listed for the format in CURVE_AXES,
+    else UnsupportedFormatError, and there must be d rows of d**(n-1)
+    coefficients (``_check_square``).  The matrix of linear forms
+    M[k][l] = df_k/dz_l (z the dropped group) has entries linear in each
+    kept group, and det M is expanded
     row by row with equal partial terms merged (``_projection_layout``):
     a (3,3) projection takes 117 products, a (4,2) one 40.  Integer rows
     give integer coefficients, in PROJECTION_MONOMIALS order: 10 for a
     (3,3) cubic, 9 for a (4,2) form of bidegree (2,2).
     """
+    if kept not in CURVE_AXES.get((n, d), ()):
+        raise UnsupportedFormatError(f"format {(n, d)} has no projection keeping axes {kept}")
+    _check_square(rows, n, d)
     acc = (1,)
     for row, (size, plus, minus) in zip(rows, _projection_layout(n, d, kept)):
         nxt = [0] * size
@@ -333,6 +350,15 @@ def projection_coefficients(rows, n, d, kept):
     return acc
 
 
+def _check_square(rows, n, d):
+    """ValueError unless there are d rows of d**(n-1) coefficients: the d x d
+    matrix of linear forms of a projection or a Jacobian reads them all.
+    d**(n-1) is a row length of a built model, or of a curve format."""
+    if len(rows) != d or any(len(row) != d ** (n - 1) for row in rows):
+        size = d ** (n - 1)
+        raise ValueError(f"a model of format (n={n}, d={d}) needs {d} rows of {size} coefficients")
+
+
 def determinantal_projection(model, kept_axes):
     """Eliminate one variable group through the determinant of the matrix
     of linear forms, as a coefficient tuple in PROJECTION_MONOMIALS order.
@@ -340,24 +366,23 @@ def determinantal_projection(model, kept_axes):
     For (3,3) keep one axis and get a ternary cubic's 10 coefficients; for
     (4,2) keep two and get the 9 of a form of bidegree (2,2).  The kept
     axes must be listed for the format in CURVE_AXES, else
-    UnsupportedFormatError.  The matrix entry (k, j) is the partial
-    derivative of form k with respect to variable j of the dropped group.
+    UnsupportedFormatError, and the model needs d rows, else ValueError
+    (both checked by ``projection_coefficients``).  The matrix entry
+    (k, j) is the partial derivative of form k with respect to variable j
+    of the dropped group.
     The coefficients come from ``projection_coefficients`` on the model's
     integer rows: over Q divided by den^d, as Fractions, over F_p as
     residues.
     """
-    kept = tuple(sorted(kept_axes))
-    fmt = (model.n, model.d)
-    if kept not in CURVE_AXES.get(fmt, ()):
-        raise UnsupportedFormatError(f"format {fmt} has no projection keeping axes {kept}")
-    coeffs = projection_coefficients(model.rows, model.n, model.d, kept)
+    coeffs = projection_coefficients(model.rows, model.n, model.d, tuple(sorted(kept_axes)))
     if model.p is None:
         return tuple(Fraction(c, model.den**model.d) for c in coeffs)
     return tuple(c % model.p for c in coeffs)
 
 
-def projective_points(dim, p):
-    """All normalized representatives of P^(dim-1) over F_p, in a fixed order."""
+def projective_points(dim: UNCHECKED, p: UNCHECKED):
+    """All normalized representatives of P^(dim-1) over F_p, in a fixed
+    order.  A generator of the point walk's inner loops, left unchecked."""
     for lead in range(dim):
         prefix = (0,) * lead + (1,)
         for tail in product(range(p), repeat=dim - 1 - lead):
@@ -662,19 +687,13 @@ def jacobian_rank_at(model, pt):
     point must satisfy every defining form, else NotOnVarietyError, and
     each group's coordinate vector must be nonzero mod p, else ValueError.
     The point needs one coordinate vector of length d per group, and a
-    hand-built model d rows of d**(n-1) coefficients, else ValueError; the
-    point is checked first, so d**(n-1) is formed only for a format that
-    the point's coordinates already spell out.
+    hand-built model d rows (``_check_square``), else ValueError.
     """
     reduced = model_mod_p(model, pt.p)
     d, groups = reduced.d, reduced.groups
     if len(pt.coords) != groups or any(len(c) != d for c in pt.coords):
         raise ValueError("coordinate arity mismatch")
-    size = d**groups
-    if len(reduced.rows) != d or any(len(row) != size for row in reduced.rows):
-        raise ValueError(
-            f"a model of format (n={reduced.n}, d={d}) needs {d} rows of {size} coefficients"
-        )
+    _check_square(reduced.rows, reduced.n, d)
     if not all(any(x % pt.p for x in c) for c in pt.coords):
         raise ValueError(f"{pt} has a zero coordinate vector: not a projective point")
     jac = _jacobian_rows(_coefficient_tensor(reduced), pt.coords, d, pt.p)
@@ -736,13 +755,13 @@ def _singular_reduction(discs, p):
 def _file_primes(t, primes, discs=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
-    Checks every prime (``check_primes``; None stands for DEFAULT_PRIMES),
-    the prefix budget and the flattening's cost, and files each prime in
-    order as bad, excluded or used.  Returns (used, bad, excluded), three
-    tuples of primes; each caller reduces a used prime (``_reduced_model``)
-    only when it sweeps it.  The checks raise in that order
-    (UnsupportedPrimeError, WorkLimitError), then RankDeficientError when
-    the flattening over Q has dimension below d; the filing itself never
+    The primes come checked by the caller's guard (``check_primes``); None
+    stands for DEFAULT_PRIMES.  Checks the prefix budget and the
+    flattening's cost, and files each distinct prime in ascending order as
+    bad, excluded or used.  Returns (used, bad, excluded), three tuples of
+    primes; each caller reduces a used prime (``_reduced_model``) only when
+    it sweeps it.  The checks raise WorkLimitError, then RankDeficientError
+    when the flattening over Q has dimension below d; the filing itself never
     raises.  When every prime is bad, bad lists them all, in order, and
     each caller states what that means for its own result.
 
@@ -762,7 +781,7 @@ def _file_primes(t, primes, discs=None):
     degenerate and says nothing about the original model.  Every other
     prime that is not bad is used.
     """
-    primes = check_primes(DEFAULT_PRIMES if primes is None else primes)
+    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
     _check_prefix_budget(t.d, t.n - 1, primes)
     check_flattening_cost(t)
     rank, _, certificate, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
@@ -823,7 +842,6 @@ def smoothness_scan(t, primes=None):
     ``primes``, ``point_counts`` and ``witnesses`` to ``excluded_primes``,
     and the verdict is NoSingularPointFound, as ``classify`` finds.
     """
-    _check_tensor(t)
     from .invariants import _certified_smooth, _jacobian_count, _slice_curves
 
     curves = _slice_curves(t)
@@ -868,3 +886,6 @@ def hasse_window(p):
     check_primes((p,))
     b = isqrt(4 * p)
     return p + 1 - b, p + 1 + b
+
+
+guard(globals(), VarietyModel)

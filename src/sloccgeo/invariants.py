@@ -36,6 +36,7 @@ from functools import cache, lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd, prod
 
+from ._guard import guard
 from .errors import (
     AllPrimesBadError,
     FormatMismatchError,
@@ -46,8 +47,8 @@ from .errors import (
     WrongFormatError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, MAX_PRIME, check_primes, clear_denominators
-from .states import _check_tensor, _frac_str, flattening_basis
+from .linalg import DEFAULT_PRIMES, MAX_PRIME, clear_denominators
+from .states import _frac_str, flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
@@ -266,35 +267,17 @@ def branch_quartic(coeffs):
     BIQUADRATIC_MONOMIALS order, read as a quadratic in the second pair:
     the 5 coefficients (of x0^4, x0^3*x1, ..., x1^4) of the binary quartic
     over the first pair whose roots are the branch points of the 2:1
-    projection.  Any other number of coefficients raises WrongDegreeError,
-    and a coefficient that is not an int ValueError (``_check_integers``).
+    projection.  Any other number of coefficients raises WrongDegreeError.
     The pipeline calls ``_branch``, not this name, so a span bound to this
     name (as ``perfbench/tracer.py`` binds one) counts only outside calls."""
     _check_count(coeffs, BIQUADRATIC_MONOMIALS)
-    _check_integers(coeffs, 1)
     return tuple(_branch(coeffs))
 
 
 def _check_count(coeffs, monomials):
-    """ValueError unless coeffs has a length, then WrongDegreeError unless
-    it has one coefficient per monomial."""
-    try:
-        count = len(coeffs)
-    except TypeError:
-        raise ValueError(f"{_excerpt(coeffs)} is not a collection of coefficients") from None
-    if count != len(monomials):
-        raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {count}")
-
-
-def _check_integers(coeffs, den):
-    """ValueError unless the coefficients and den are ints (not bools) and
-    den is nonzero: a float or a Fraction would end in a bare TypeError, a
-    zero den in a bare ZeroDivisionError."""
-    for x in (*coeffs, den):
-        if type(x) is not int:
-            raise ValueError(f"{_excerpt(x)} is not an int coefficient or denominator")
-    if den == 0:
-        raise ValueError("the denominator must be nonzero")
+    """WrongDegreeError unless there is one coefficient per monomial."""
+    if len(coeffs) != len(monomials):
+        raise WrongDegreeError(f"expected {len(monomials)} coefficients, got {len(coeffs)}")
 
 
 def _pencil_cayley(e):
@@ -578,28 +561,25 @@ def _square_counts(p):
 
 
 def plane_cubic_invariants(coeffs, den=1):
-    """CurveInvariants of the plane cubic with the 10 integer coefficients
-    coeffs / den, in CUBIC_MONOMIALS order: (S, T), the discriminant
-    64*S^3 - T^2 and j.  Any other number of coefficients raises
-    WrongDegreeError; a zero den, or a coefficient or den that is not an
-    int, raises ValueError."""
+    """CurveInvariants of the plane cubic with the 10 coefficients coeffs /
+    den (ints or Fractions over a nonzero int), in CUBIC_MONOMIALS order:
+    (S, T), the discriminant 64*S^3 - T^2 and j.  Any other number of
+    coefficients raises WrongDegreeError."""
     _check_count(coeffs, CUBIC_MONOMIALS)
-    _check_integers(coeffs, den)
     return _curve(PLANE_CUBIC, _cubic_st(coeffs, den))
 
 
 def biquadratic_invariants(coeffs, den=1):
-    """CurveInvariants of the (2,2)-curve with the 9 integer coefficients
-    coeffs / den, in BIQUADRATIC_MONOMIALS order: the (I, J) of its branch
-    quartic, the discriminant 4*I^3 - J^2 and j.  The branch quartic is
+    """CurveInvariants of the (2,2)-curve with the 9 coefficients coeffs /
+    den (ints or Fractions over a nonzero int), in BIQUADRATIC_MONOMIALS
+    order: the (I, J) of its branch quartic, the discriminant
+    4*I^3 - J^2 and j.  The branch quartic is
     _branch(coeffs) / den^2, so I and J are integers divided by den^4 and
     den^6.  It is kept homogeneous, so a vanishing leading coefficient
     needs no chart, and a repeated root (equal branch points) is exactly
     the 4*I^3 = J^2 locus.  Any other number of coefficients raises
-    WrongDegreeError; a zero den, or a coefficient or den that is not an
-    int, raises ValueError."""
+    WrongDegreeError."""
     _check_count(coeffs, BIQUADRATIC_MONOMIALS)
-    _check_integers(coeffs, den)
     i_int, j_int = _ij(*_branch(coeffs))
     return _curve(BIQUADRATIC, ((i_int, den**4), (j_int, den**6)))
 
@@ -669,7 +649,7 @@ def slice_discriminants(t):
     return curves and tuple(curve.discriminant for curve in curves)
 
 
-def curve_singular_mod_p(model_p):
+def curve_singular_mod_p(model):
     """Whether a curve model over F_p has a vanishing projection
     discriminant; used to recognize primes of bad geometric reduction.
 
@@ -678,16 +658,17 @@ def curve_singular_mod_p(model_p):
     p divides its numerator.  Requires p > 3 so the invariant denominators
     stay invertible: p = 2 and 3 raise UnsupportedPrimeError, larger moduli
     of a hand-built model are not checked.  A model over Q raises
-    ValueError: reduce it first (``model_mod_p``).
+    ValueError: reduce it first (``model_mod_p``).  The model needs d rows
+    (``geometry._check_square``).
     """
-    fmt = (model_p.n, model_p.d)
+    fmt, p = (model.n, model.d), model.p
     if fmt not in CURVE_AXES:
         raise UnsupportedFormatError(f"no curve discriminants for format {fmt}")
-    if model_p.p is None:
+    if p is None:
         raise ValueError("curve_singular_mod_p needs a model over F_p; reduce it with model_mod_p")
-    if model_p.p < 5:
-        raise UnsupportedPrimeError(f"curve_singular_mod_p needs p >= 5, not {model_p.p}")
-    return any(disc.numerator % model_p.p == 0 for disc in _discriminants(fmt, model_p.rows, 1))
+    if p < 5:
+        raise UnsupportedPrimeError(f"curve_singular_mod_p needs p >= 5, not {p}")
+    return any(disc.numerator % p == 0 for disc in _discriminants(fmt, model.rows, 1))
 
 
 #: The hyperdeterminant of each format that has one, as (name, function).
@@ -766,8 +747,7 @@ def classify(t, primes=None):
     no verdict without a usable prime.  Given primes must pass
     ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
-    _check_tensor(t)
-    return _classify(t, DEFAULT_PRIMES if primes is None else check_primes(primes))
+    return _classify(t, DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes))))
 
 
 @lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
@@ -865,8 +845,6 @@ def slocc_compare(a, b, primes=None):
     Both verdicts come from ``classify``, so a state classified a few calls
     earlier (with the same primes) is not classified again.
     """
-    _check_tensor(a)
-    _check_tensor(b)
     if (a.n, a.d) != (b.n, b.d):
         raise FormatMismatchError(f"formats {(a.n, a.d)} and {(b.n, b.d)} differ")
     va = classify(a, primes)
@@ -883,3 +861,6 @@ def slocc_compare(a, b, primes=None):
         agree = "equal j" if va.j is not None else f"format {(a.n, a.d)} has no exact j"
         detail = f"{agree}; line-bundle data not compared, equivalence not certified"
     return ComparisonResult(outcome, detail, va, vb)
+
+
+guard(globals(), TernaryCubic)

@@ -35,6 +35,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
+from ._guard import INT, MATRIX_ROWS, MODULUS, RATIONAL_ROWS, UNCHECKED, guard
 from .errors import SchemaError, UnsupportedPrimeError, _excerpt
 
 #: Primes used by default for finite-field reductions.  Small enough for
@@ -48,9 +49,10 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 MAX_PRIME = 2**31 - 1
 
 
-def check_primes(primes):
+def check_primes(primes: UNCHECKED):
     """The sorted distinct primes of a request, each checked to be a prime
-    in [5, MAX_PRIME].  2 and 3 divide denominators of the invariant
+    in [5, MAX_PRIME]: the check of the guard's prime kinds, so not guarded
+    itself.  2 and 3 divide denominators of the invariant
     constants, and other integers do not give a field.  Raises
     UnsupportedPrimeError naming the first bad entry (``_excerpt``), or
     naming the request when it is not a collection of comparable entries."""
@@ -89,14 +91,7 @@ def _is_prime(n):
     return True
 
 
-def _check_modulus(p):
-    """The modulus rule of Matrix: UnsupportedPrimeError unless p is an int
-    >= 2 (a bool is not)."""
-    if type(p) is not int or p < 2:
-        raise UnsupportedPrimeError(f"modulus {_excerpt(p)} is not an int >= 2")
-
-
-def clear_denominators(rows):
+def clear_denominators(rows: RATIONAL_ROWS):
     """(integer rows, L): the rows of Fractions or ints times L, the least
     common multiple of all their denominators."""
     den = 1
@@ -141,8 +136,11 @@ def integer_rref(rows, cols):
     """The RREF of integer rows, fraction-free (``_bareiss``).
 
     Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
-    den * RREF, as integers in lowest terms with den > 0.
+    den * RREF, as integers in lowest terms with den > 0.  Rows of another
+    length than cols raise ValueError.
     """
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"integer_rref needs rows of cols={cols} entries")
     rank, m, prev, _ = _bareiss(rows, cols)
     basis = m[:rank]
     g = gcd(prev, *(x for row in basis for x in row))
@@ -157,7 +155,8 @@ class Matrix:
 
     The constructor checks its input and reduces it to the field's normal
     form: Fractions over Q, ints in [0, p) over F_p.  The modulus p must be
-    an int >= 2 (not a bool), else UnsupportedPrimeError; a composite p is
+    an int >= 2 (not a bool), else UnsupportedPrimeError (its kind,
+    ``_guard.MODULUS``, since p names a prime elsewhere); a composite p is
     refused by ``rref`` at the first pivot it cannot invert.  An F_p entry
     must be an int (bools count); anything else, such as a Fraction or a
     float, raises TypeError instead of being truncated, since a rational
@@ -170,9 +169,7 @@ class Matrix:
     p: object
     entries: tuple
 
-    def __init__(self, entries, cols=None, p=None):
-        if p is not None:
-            _check_modulus(p)
+    def __init__(self, entries: MATRIX_ROWS, cols=None, p: MODULUS = None):
         entries = [tuple(row) for row in entries]
         if entries:
             width = len(entries[0])
@@ -209,11 +206,11 @@ class Matrix:
         object.__setattr__(self, "p", p)
 
     @classmethod
-    def identity(cls, n, p=None):
+    def identity(cls, n, p: MODULUS = None):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p=p)
 
     @classmethod
-    def zero(cls, rows, cols, p=None):
+    def zero(cls, rows: INT, cols, p: MODULUS = None):
         return cls([[0] * cols for _ in range(rows)], cols=cols, p=p)
 
     def __repr__(self):
@@ -341,12 +338,10 @@ def random_invertible(d, bound, seed):
     Entries are drawn uniformly from [-bound, bound]; singular draws are
     rejected and redrawn, so the result depends only on (d, bound, seed).
     Each draw is decided on its integer rows (``integer_rref``), and only
-    the draw returned becomes a Matrix.  A d or bound that is not an int
-    (or is a bool) or is below 1 raises ValueError, and a d above 256
-    SchemaError (``_check_local_dimension``), before anything is drawn.
+    the draw returned becomes a Matrix.  A d or bound below 1 raises
+    ValueError, and a d above 256 SchemaError (``_check_local_dimension``),
+    before anything is drawn.
     """
-    if type(d) is not int or type(bound) is not int:
-        raise ValueError("d and bound must be ints")
     if d < 1 or bound < 1:
         raise ValueError("need d >= 1 and bound >= 1")
     _check_local_dimension(d)
@@ -355,3 +350,6 @@ def random_invertible(d, bound, seed):
         entries = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
         if integer_rref(entries, d)[0] == d:
             return Matrix(entries)
+
+
+guard(globals(), Matrix)

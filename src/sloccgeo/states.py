@@ -20,6 +20,7 @@ from math import gcd, lcm
 
 import random
 
+from ._guard import COEFFICIENT, guard, power_exceeds
 from .errors import (
     BadReductionError,
     DuplicateIndexError,
@@ -77,33 +78,15 @@ MAX_COEFFICIENT_DIGITS = 100
 
 
 def _check_state_size(n, d):
-    """Raise ValueError unless n and d are ints (not bools) with n >= 2 and
-    d >= 2, and SchemaError when a state of n factors of dimension d would
-    exceed MAX_COEFFICIENTS entries.  Any n of at least
-    MAX_COEFFICIENTS.bit_length() is too large, and so is any d above
-    MAX_COEFFICIENTS, so d**n is never computed for a larger n or d.  The
-    messages print neither, so no huge one meets int-to-string
-    conversion."""
-    _check_ints(n, d)
+    """Raise ValueError unless the ints n and d are at least 2, and
+    SchemaError when a state of n factors of dimension d would exceed
+    MAX_COEFFICIENTS entries, decided before d**n is formed
+    (``power_exceeds``).  The messages print neither, so no huge one meets
+    int-to-string conversion."""
     if n < 2 or d < 2:
         raise ValueError("need n >= 2 and d >= 2")
-    d, n = min(d, MAX_COEFFICIENTS + 1), min(n, MAX_COEFFICIENTS.bit_length())
-    if d**n > MAX_COEFFICIENTS:
+    if power_exceeds(d, n, MAX_COEFFICIENTS):
         raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
-
-
-def _check_ints(n, d):
-    """ValueError unless n and d are ints (not bools): a float such as 3.0
-    would pass every size check and fail later as a bare TypeError."""
-    if type(n) is not int or type(d) is not int:
-        raise ValueError("n and d must be ints")
-
-
-def _check_tensor(t):
-    """ValueError unless t is a Tensor: an entry point given anything else
-    would end in a bare AttributeError or TypeError."""
-    if not isinstance(t, Tensor):
-        raise ValueError(f"{_excerpt(t)} is not a Tensor")
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -118,33 +101,24 @@ class Tensor:
     den: int
 
     def __init__(self, n, d, coeffs):
-        (nums,), den = clear_denominators([[Fraction(c) for c in coeffs]])
+        (nums,), den = clear_denominators([coeffs])
         self._set(n, d, nums, den)
 
     @classmethod
     def from_integers(cls, n, d, nums, den=1):
-        """The tensor with coefficients nums[i] / den; a zero den, or a
-        numerator or den that is not an int, raises ValueError."""
+        """The tensor with coefficients nums[i] / den (ints, den nonzero)."""
         t = cls.__new__(cls)
         t._set(n, d, list(nums), den)
         return t
 
     def _set(self, n, d, nums, den):
-        _check_ints(n, d)
         if n < 2 or d < 2:
             raise ValueError("need n >= 2 and d >= 2")
-        # d**n exceeds size whenever d or n does, so it is formed only for
-        # small d and n, and it is never printed
+        # d**n is formed only when it is at most size, and never printed
         size = len(nums)
-        if d > size or n > size.bit_length() or d**n != size:
+        if power_exceeds(d, n, size) or d**n != size:
             raise ValueError(f"expected d**n coefficients, got {size}")
-        if den == 0:
-            raise ValueError("the denominator must be nonzero")
-        try:
-            g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-        except TypeError:  # only a value that is not an int gets here
-            bad = next(x for x in (*nums, den) if not isinstance(x, int))
-            raise ValueError(f"{_excerpt(bad)} is not an int numerator or denominator") from None
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
         if g != 1:
             nums, den = [a // g for a in nums], den // g
         object.__setattr__(self, "n", n)
@@ -167,12 +141,16 @@ class Tensor:
 
     @staticmethod
     def _offset_static(n, d, idx):
-        """Row-major offset of an index tuple; IndexRangeError (an
-        IndexError) when an index lies outside [0, d)."""
-        if len(idx) != n:
+        """Row-major offset of an index tuple or list of n ints (not bools),
+        else ValueError; IndexRangeError (an IndexError) when an index lies
+        outside [0, d).  ``offset``, ``__getitem__``, ``from_entries`` and
+        the state document's indices all go through here."""
+        if type(idx) not in (tuple, list) or len(idx) != n:
             raise ValueError("index arity mismatch")
         off = 0
         for i in idx:
+            if type(i) is not int:
+                raise ValueError(f"index {_excerpt(list(idx))} holds an entry that is not an int")
             if not 0 <= i < d:
                 raise IndexRangeError(f"index {_excerpt(list(idx))} out of range for d={d}")
             off = off * d + i
@@ -250,10 +228,8 @@ class SloccOperator:
 
     @classmethod
     def random(cls, n, d, bound, seed):
-        """n independent deterministic invertible factors; n and d must be
-        ints (``_check_ints``), and d and bound as ``random_invertible``
-        asks."""
-        _check_ints(n, d)
+        """n independent deterministic invertible factors; d and bound as
+        ``random_invertible`` asks."""
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
 
@@ -314,7 +290,7 @@ def _read_canonical(document):
     if not isinstance(document, str) or (match := _CANONICAL_RE.match(document)) is None:
         return None
     n, d = int(match[1]), int(match[2])
-    if n < 2 or d < 2 or d**n > MAX_COEFFICIENTS:
+    if n < 2 or d < 2 or power_exceeds(d, n, MAX_COEFFICIENTS):
         return None
     (offsets, values), digits, entries = _index_offsets(n, d), MAX_COEFFICIENT_DIGITS, match[3]
     nums, seen = [0] * d**n, set()
@@ -505,10 +481,7 @@ def apply_slocc(t, g):
 def random_state(n, d, bound, seed):
     """i.i.d. integer coefficients in [-bound, bound], fixed by the seed.
     The bound must be at least 1 and, so that parse_state reads the state
-    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError, as
-    for a bound that is not an int (or is a bool)."""
-    if type(bound) is not int:
-        raise ValueError("bound must be an int")
+    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     if bound >= 10**MAX_COEFFICIENT_DIGITS:
@@ -549,7 +522,7 @@ def w_state(n):
     return Tensor.from_entries(n, 2, entries)
 
 
-def four_qubit_generic_family(a, b, c, e):
+def four_qubit_generic_family(a: COEFFICIENT, b: COEFFICIENT, c, e):
     """The diagonal 4-qubit family spanning the generic orbits.
 
     a(|0000>+|1111>) + b(|0011>+|1100>) + c(|0101>+|1010>) + e(|0110>+|1001>).
@@ -561,3 +534,6 @@ def four_qubit_generic_family(a, b, c, e):
         (0, 1, 1, 0): e, (1, 0, 0, 1): e,
     }
     return Tensor.from_entries(4, 2, pairs)
+
+
+guard(globals(), Tensor, SloccOperator)

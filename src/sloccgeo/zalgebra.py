@@ -36,6 +36,7 @@ coordinate vectors in the order given.
 
 from dataclasses import dataclass
 
+from ._guard import guard, power_exceeds
 from .errors import (
     BadReductionError,
     InsufficientPointsError,
@@ -44,7 +45,7 @@ from .errors import (
     _excerpt,
 )
 from .linalg import Matrix, _pivots_and_free
-from .states import Tensor, _check_tensor, _rotate
+from .states import Tensor, _rotate
 from .geometry import (
     _singular_reduction,
     enumerate_points,
@@ -79,7 +80,9 @@ class HilbertProfile:
 def quadratic_expected_dims(k_max):
     """h(0), ..., h(k_max) of 1/(1-t)^3, the inverse of the Euler polynomial
     (1-t)^3 of the resolution 0 -> P_{i+3} -> P_{i+2}^3 -> P_{i+1}^3 -> P_i
-    -> S_i -> 0: h(k) = (k+1)(k+2)/2."""
+    -> S_i -> 0: h(k) = (k+1)(k+2)/2.  k_max is at most MAX_PROFILE_WIDTH
+    (``_check_series_degree``)."""
+    _check_series_degree(k_max)
     return tuple((k + 1) * (k + 2) // 2 for k in range(k_max + 1))
 
 
@@ -87,8 +90,20 @@ def cubic_expected_dims(k_max):
     """h(0), ..., h(k_max) of 1/((1-t)^2 (1-t^2)), the inverse of the Euler
     polynomial 1 - 2t + 2t^3 - t^4 = (1-t)^2 (1-t^2) of the resolution
     0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 -> P_i -> S_i -> 0:
-    h(k) = floor((k+2)^2/4)."""
+    h(k) = floor((k+2)^2/4).  k_max is at most MAX_PROFILE_WIDTH
+    (``_check_series_degree``)."""
+    _check_series_degree(k_max)
     return tuple((k + 2) ** 2 // 4 for k in range(k_max + 1))
+
+
+def _check_series_degree(k_max):
+    """WorkLimitError unless 0 <= k_max <= MAX_PROFILE_WIDTH: no profile
+    reaches a degree above its width, and the series is a tuple of k_max + 1
+    ints."""
+    if not 0 <= k_max <= MAX_PROFILE_WIDTH:
+        raise WorkLimitError(
+            f"k_max={_excerpt(k_max)} is out of range: need 0 <= k_max <= {MAX_PROFILE_WIDTH}"
+        )
 
 
 def _monomial_rows(points, width, p):
@@ -118,23 +133,22 @@ def relations_from_points(model, p):
     target the kernel would come out too big, so the computation aborts
     with InsufficientPointsError, naming the rank and the F_p-point count,
     instead of reporting a wrong space.  The
-    evaluation matrix is d**k wide, so before any point is enumerated a
-    model whose d**k is too wide is refused with WorkLimitError, naming
-    that width, by the width bound of the Hilbert profiles:
-    d**k <= MAX_PROFILE_WIDTH.  As there, d**k is formed only for k up to
-    MAX_PROFILE_WIDTH.bit_length().  The model may be over Q or over F_p:
-    ``enumerate_points`` reduces it (``model_mod_p``) and then checks the
-    prefix budget.
+    evaluation matrix is d**k wide, the width of the model's rows, so
+    before any point is enumerated a model whose rows are too wide is
+    refused with WorkLimitError, naming that width, by the width bound of
+    the Hilbert profiles: d**k <= MAX_PROFILE_WIDTH.  The model may be over
+    Q or over F_p: ``enumerate_points`` reduces it (``model_mod_p``) and
+    then checks the prefix budget.
     """
-    d, k, bits = model.d, model.groups, MAX_PROFILE_WIDTH.bit_length()
-    if d ** min(k, bits) > MAX_PROFILE_WIDTH:
+    d, k, width = model.d, model.groups, len(model.rows[0])
+    if width > MAX_PROFILE_WIDTH:
         raise WorkLimitError(
             f"the evaluation rows of a model of format (n={model.n}, d={d}) are "
-            f"{d**k if k <= bits else f'{d}**{k}'} wide, over the limit of {MAX_PROFILE_WIDTH}"
+            f"{width} wide, over the limit of {MAX_PROFILE_WIDTH}"
         )
     points = enumerate_points(model, p)
-    kernel = _monomial_rows([pt.coords for pt in points], d**k, p).kernel()
-    rank = d**k - kernel.rows
+    kernel = _monomial_rows([pt.coords for pt in points], width, p).kernel()
+    rank = width - kernel.rows
     if rank < k * d:
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {k * d} at p={p} "
@@ -186,13 +200,10 @@ MAX_PROFILE_WIDTH = 256
 
 
 def check_hilbert_degree(d, k_max):
-    """Raise ValueError unless k_max is an int (not a bool), then
-    WorkLimitError unless 0 <= k_max and d**k_max <= MAX_PROFILE_WIDTH.
-    With d >= 2, any k_max of at least MAX_PROFILE_WIDTH.bit_length() is too
-    wide, so d**k_max is never computed for a larger k_max."""
-    if type(k_max) is not int:
-        raise ValueError(f"k_max={_excerpt(k_max)} is not an int")
-    if k_max < 0 or d ** min(k_max, MAX_PROFILE_WIDTH.bit_length()) > MAX_PROFILE_WIDTH:
+    """Raise WorkLimitError unless 0 <= k_max and d**k_max <=
+    MAX_PROFILE_WIDTH, decided before d**k_max is formed
+    (``power_exceeds``)."""
+    if k_max < 0 or power_exceeds(d, k_max, MAX_PROFILE_WIDTH):
         raise WorkLimitError(
             f"k_max={_excerpt(k_max)} is out of range: need k_max >= 0 and "
             f"{d}**k_max <= {MAX_PROFILE_WIDTH}"
@@ -251,7 +262,6 @@ def quadratic_hilbert(state, p, k_max=4):
     three rotations of the state; the generic answer is
     ``quadratic_expected_dims``.
     """
-    _check_tensor(state)
     if (state.n, state.d) != (3, 3):
         raise WrongFormatError("quadratic profiles need format (3,3)")
     return _hilbert_profile(state, p, k_max, "quadratic", quadratic_expected_dims)
@@ -264,7 +274,6 @@ def cubic_hilbert(state, p, k_max=5):
     four rotations of the state; the generic answer is
     ``cubic_expected_dims``.
     """
-    _check_tensor(state)
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("cubic profiles need format (4,2)")
     return _hilbert_profile(state, p, k_max, "cubic", cubic_expected_dims)
@@ -317,7 +326,6 @@ def multiplication_surjectivity(state, axis_pair, p):
     name two distinct groups among 0, 1 and 2 (a collection of two ints,
     in either order), else ValueError.
     """
-    _check_tensor(state)
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
     pairs = ([0, 1], [0, 2], [1, 2])
@@ -372,7 +380,6 @@ def roundtrip_check(state, p):
     at a good prime can have fewer points than the rank needs (3 at p = 7,
     against a target of 6).
     """
-    _check_tensor(state)
     (reduced,) = reduced_models([state], p)
     try:
         relations = relations_from_points(reduced, p)
@@ -380,3 +387,6 @@ def roundtrip_check(state, p):
         _refuse_singular_reduction(state, p)
         raise
     return relations.entries == reduced.rows
+
+
+guard(globals())

@@ -15,6 +15,7 @@ from sloccgeo.errors import (
     WorkLimitError,
 )
 from sloccgeo.invariants import (
+    curve_singular_mod_p,
     SINGULAR_MODEL,
     SMOOTH_GENERIC,
     _branch,
@@ -762,7 +763,7 @@ def _rank_at(coords):
                 VarietyModel(3, 3, ((1, 2), (0, 1), (1, 1)), 1, 7),
                 ProjPoint(7, ((1, 0, 0), (1, 0, 0))),
             ),
-            r"needs 3 rows of 9 coefficients",
+            r"needs rows of d\*\*\(n-1\) coefficients",
         ),
         (
             lambda: jacobian_rank_at(
@@ -771,6 +772,21 @@ def _rank_at(coords):
             ),
             r"needs 3 rows of 9 coefficients",
         ),
+        # short rows ended in a bare IndexError in the point walk, the
+        # relations and both determinant-based entry points; they are now
+        # refused where the model is built
+        (lambda: VarietyModel(3, 3, ((1, 2), (0, 1), (1, 1)), 1, 7), r"needs rows of d\*\*\(n-1\)"),
+        (lambda: VarietyModel(3, 3, ((1,) * 9, (1,) * 8), 1, 7), r"needs rows of d\*\*\(n-1\)"),
+        (lambda: VarietyModel(3, 3, (), 1, 7), r"needs rows of d\*\*\(n-1\)"),
+        (lambda: VarietyModel(10**5000, 2, ((1,),), 1, 7), r"needs rows of d\*\*\(n-1\)"),
+        # two full rows gave 18 coefficients where a cubic has 10, and a
+        # fourth row was ignored
+        (lambda: determinantal_projection(VarietyModel(3, 3, ((1,) * 9,) * 2, 1, 7), (0,)),
+         r"needs 3 rows of 9 coefficients"),
+        (lambda: determinantal_projection(VarietyModel(3, 3, ((1,) * 9,) * 4, 1, 7), (0,)),
+         r"needs 3 rows of 9 coefficients"),
+        (lambda: curve_singular_mod_p(VarietyModel(4, 2, ((1,) * 8,) * 3, 1, 7)),
+         r"needs 2 rows of 8 coefficients"),
     ],
     ids=[
         "point-arity",
@@ -779,6 +795,13 @@ def _rank_at(coords):
         "zero-mod-p-group",
         "model-row-length",
         "model-row-count",
+        "built-short-rows",
+        "built-ragged-rows",
+        "built-no-rows",
+        "built-huge-n",
+        "projection-two-rows",
+        "projection-four-rows",
+        "discriminants-three-rows",
     ],
 )
 def test_malformed_geometry_calls_are_refused(call, message):

@@ -228,20 +228,23 @@ def test_biquadratic_rejects_wrong_degree():
         plane_cubic_invariants([0] * 9)
 
 
+_NOT_COEFFICIENTS = "is not a list or tuple of ints and Fractions"
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: plane_cubic_invariants([1] * 10, 0), r"^the denominator must be nonzero$"),
-        (lambda: biquadratic_invariants([1] * 9, 0), r"^the denominator must be nonzero$"),
-        (lambda: plane_cubic_invariants([1.0] + [1] * 9), r"^1\.0 is not an int coefficient"),
-        (lambda: plane_cubic_invariants([1] * 10, 2.0), r"^2\.0 is not an int coefficient"),
-        (lambda: biquadratic_invariants([Fraction(1, 2)] * 9), r"^Fraction\(1, 2\) is not an int"),
-        (lambda: biquadratic_invariants([1] * 9, True), r"^True is not an int coefficient"),
-        (lambda: plane_cubic_invariants(5), r"^5 is not a collection of coefficients$"),
-        (lambda: biquadratic_invariants(5), r"^5 is not a collection of coefficients$"),
-        (lambda: branch_quartic(5), r"^5 is not a collection of coefficients$"),
-        (lambda: branch_quartic([1.0] * 9), r"^1\.0 is not an int coefficient"),
-        (lambda: branch_quartic([Fraction(1, 2)] * 9), r"^Fraction\(1, 2\) is not an int"),
+        (lambda: plane_cubic_invariants([1] * 10, 0), r"^den=0 is not a nonzero int$"),
+        (lambda: biquadratic_invariants([1] * 9, 0), r"^den=0 is not a nonzero int$"),
+        (lambda: plane_cubic_invariants([1.0] + [1] * 9), r"^coeffs=\[1\.0(, 1){9}\] " + _NOT_COEFFICIENTS + "$"),
+        (lambda: plane_cubic_invariants([1] * 10, 2.0), r"^den=2\.0 is not a nonzero int$"),
+        (lambda: biquadratic_invariants([1] * 9, Fraction(1, 2)), r"^den=Fraction\(1, 2\) is not a nonzero int$"),
+        (lambda: biquadratic_invariants([1] * 9, True), r"^den=True is not a nonzero int$"),
+        (lambda: plane_cubic_invariants(5), rf"^coeffs=5 {_NOT_COEFFICIENTS}$"),
+        (lambda: biquadratic_invariants(5), rf"^coeffs=5 {_NOT_COEFFICIENTS}$"),
+        (lambda: branch_quartic(5), rf"^coeffs=5 {_NOT_COEFFICIENTS}$"),
+        (lambda: branch_quartic([1.0] * 9), r"^coeffs=\[1\.0(, 1\.0){8}\] " + _NOT_COEFFICIENTS + "$"),
+        (lambda: branch_quartic(Fraction(1, 2)), rf"^coeffs=Fraction\(1, 2\) {_NOT_COEFFICIENTS}$"),
     ],
     ids=["cubic-zero-den", "biquadratic-zero-den", "cubic-float-coefficient", "cubic-float-den",
          "biquadratic-fraction", "biquadratic-bool-den", "cubic-int", "biquadratic-int",
@@ -250,9 +253,20 @@ def test_biquadratic_rejects_wrong_degree():
 def test_curve_invariants_refuse_a_zero_or_non_int_input(call, message):
     # a zero den ended in a bare ZeroDivisionError, a float or Fraction in a
     # bare TypeError, and an int in place of the coefficients in a bare
-    # TypeError from len; branch_quartic returned floats or Fractions
+    # TypeError from len; branch_quartic returned floats
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_curve_invariants_of_fraction_coefficients_are_exact():
+    # ints and Fractions are one coefficient kind: coefficients c / 6 give
+    # the invariants of the integers c over den 6
+    for invariants, size in ((plane_cubic_invariants, 10), (biquadratic_invariants, 9)):
+        ints = [random.Random(size).randint(-5, 5) for _ in range(size)]
+        assert invariants([Fraction(c, 6) for c in ints]) == invariants(ints, 6)
+    assert branch_quartic([Fraction(c, 2) for c in range(9)]) == tuple(
+        Fraction(x, 4) for x in branch_quartic(list(range(9)))
+    )
 
 
 @pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
@@ -381,7 +395,7 @@ def test_format_formulas_refuse_non_ints(n, d):
     from sloccgeo.geometry import section_count
 
     for formula in (moduli_dimension, section_count):
-        with pytest.raises(ValueError, match=r"^need ints n >= 2 and d >= 2$"):
+        with pytest.raises(ValueError, match=r"^[nd]=.+ is not an int$"):
             formula(n, d)
 
 

@@ -233,7 +233,7 @@ def test_apply_respects_composition():
         t = random_state(3, 2, 4, seed=rng.randint(0, 10**6))
         g = SloccOperator.random(3, 2, 3, seed=rng.randint(0, 10**6))
         h = SloccOperator.random(3, 2, 3, seed=rng.randint(0, 10**6))
-        gh = SloccOperator(map(ref.matmul, g.factors, h.factors))
+        gh = SloccOperator(tuple(map(ref.matmul, g.factors, h.factors)))
         assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, gh)
 
 
@@ -609,23 +609,23 @@ def test_huge_formats_are_refused_without_printing_them():
 
 def test_zero_denominator_is_refused():
     # it gave den 0 and nums (-1, 0, 0, -1), and classify then divided by 0
-    with pytest.raises(ValueError, match="denominator must be nonzero"):
+    with pytest.raises(ValueError, match=r"^den=0 is not a nonzero int$"):
         Tensor.from_integers(2, 2, [1, 0, 0, 1], 0)
     assert Tensor.from_integers(2, 2, [2, 0, 0, 2], -4).coeffs == (Fraction(-1, 2), 0, 0, Fraction(-1, 2))
 
 
 @pytest.mark.parametrize(
-    "n, nums, den, shown",
+    "n, nums, den, message",
     [
-        (3, [1] * 27, 2.0, r"2\.0"),
-        (2, [1.0] * 4, 1, r"1\.0"),
-        (2, [1] * 4, Fraction(1, 2), r"Fraction\(1, 2\)"),
+        (3, [1] * 27, 2.0, r"den=2\.0 is not a nonzero int"),
+        (2, [1.0] * 4, 1, r"nums=\[1\.0, 1\.0, 1\.0, 1\.0\] is not a list or tuple of ints"),
+        (2, [1] * 4, Fraction(1, 2), r"den=Fraction\(1, 2\) is not a nonzero int"),
     ],
     ids=["float-den", "float-numerator", "fraction-den"],
 )
-def test_non_int_numerators_or_den_are_refused(n, nums, den, shown):
+def test_non_int_numerators_or_den_are_refused(n, nums, den, message):
     # each ended in a bare TypeError from math.gcd
-    with pytest.raises(ValueError, match=rf"^{shown} is not an int numerator or denominator$"):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         Tensor.from_integers(n, n, nums, den)
 
 
@@ -809,7 +809,7 @@ def test_apply_respects_composition_property(fmt):
         drawn = [[Matrix(f) for f in _rational_factors(data.draw, n, d, False)] for _ in "gh"]
         assume(all(f.rank() == d for factors in drawn for f in factors))
         g, h = (SloccOperator(factors) for factors in drawn)
-        gh = SloccOperator(map(ref.matmul, g.factors, h.factors))
+        gh = SloccOperator(tuple(map(ref.matmul, g.factors, h.factors)))
         assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, gh)
 
     check()
@@ -866,19 +866,19 @@ def test_coefficient_digits_are_bounded():
 def test_non_int_formats_are_refused(call):
     # 27.0 == 27 passed the size check, and the float failed later, in
     # classify or state_to_json, as a bare TypeError
-    with pytest.raises(ValueError, match=r"^n and d must be ints$"):
+    with pytest.raises(ValueError, match=r"^[nd]=3\.0 is not an int$"):
         call()
 
 
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: random_invertible(2.0, 1, 0), r"^d and bound must be ints$"),
-        (lambda: random_invertible(2, True, 0), r"^d and bound must be ints$"),
-        (lambda: SloccOperator.random(3, 3.0, 1, 0), r"^n and d must be ints$"),
-        (lambda: SloccOperator.random(3, 3, 1.5, 0), r"^d and bound must be ints$"),
-        (lambda: random_state(3, 3, "5", 0), r"^bound must be an int$"),
-        (lambda: random_state(3, 3, 5.0, 0), r"^bound must be an int$"),
+        (lambda: random_invertible(2.0, 1, 0), r"^d=2\.0 is not an int$"),
+        (lambda: random_invertible(2, True, 0), r"^bound=True is not an int$"),
+        (lambda: SloccOperator.random(3, 3.0, 1, 0), r"^d=3\.0 is not an int$"),
+        (lambda: SloccOperator.random(3, 3, 1.5, 0), r"^bound=1\.5 is not an int$"),
+        (lambda: random_state(3, 3, "5", 0), r"^bound='5' is not an int$"),
+        (lambda: random_state(3, 3, 5.0, 0), r"^bound=5\.0 is not an int$"),
     ],
     ids=["invertible-d", "invertible-bool-bound", "operator-d", "operator-bound",
          "state-str-bound", "state-float-bound"],
@@ -957,8 +957,15 @@ def test_sample_refuses_a_negative_n(capsys):
         (lambda: Tensor(1, 2, [1, 0]), ValueError, "need n >= 2"),
         (lambda: random_state(3, 3, 5, 1)[(0, 0)], ValueError, "index arity mismatch"),
         (lambda: random_state(3, 3, 5, 1)[(0, 0, 3)], IndexRangeError, "out of range"),
+        # a float index entry ended in a bare TypeError, and True was read as 1
+        (lambda: random_state(3, 3, 5, 1)[(0, 0, 0.5)], ValueError, "not an int"),
+        (lambda: random_state(3, 3, 5, 1)[(0, 0, True)], ValueError, "not an int"),
+        (lambda: Tensor.from_entries(2, 2, {(0, 1.0): 1}), ValueError, "not an int"),
+        (lambda: basis_state(3, 3, (0, 0, 0.5)), ValueError, "not a list or tuple of ints"),
+        (lambda: basis_state(3, 3, (0, 0, True)), ValueError, "not a list or tuple of ints"),
     ],
-    ids=["operator-format", "tensor-product-dims", "one-factor", "index-arity", "index-range"],
+    ids=["operator-format", "tensor-product-dims", "one-factor", "index-arity", "index-range",
+         "float-index", "bool-index", "float-entry-key", "float-basis-index", "bool-basis-index"],
 )
 def test_malformed_state_calls_are_refused(call, error, message):
     with pytest.raises(error, match=message):

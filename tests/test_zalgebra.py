@@ -36,6 +36,7 @@ from sloccgeo.states import (
     reduced_flattening_image,
 )
 from sloccgeo.zalgebra import (
+    MAX_PROFILE_WIDTH,
     check_hilbert_degree,
     cubic_expected_dims,
     cubic_hilbert,
@@ -82,6 +83,16 @@ def test_cubic_expected_dims_oracle():
     assert dims[:6] == (1, 2, 4, 6, 9, 12)
 
 
+@pytest.mark.parametrize("series", [quadratic_expected_dims, cubic_expected_dims])
+def test_expected_dims_are_bounded(series):
+    # 10**9 would have built a tuple of 10**9 + 1 ints; a series stops at
+    # the widest profile's degree, MAX_PROFILE_WIDTH
+    assert len(series(MAX_PROFILE_WIDTH)) == MAX_PROFILE_WIDTH + 1
+    for k_max in (MAX_PROFILE_WIDTH + 1, 10**9, 10**5000, -1):
+        with pytest.raises(WorkLimitError, match=r"^k_max=.* is out of range: need 0 <= k_max <= 256$"):
+            series(k_max)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -100,7 +111,7 @@ def test_cubic_expected_dims_oracle():
 def test_entry_points_refuse_a_state_that_is_not_a_tensor(call):
     # each ended in a bare AttributeError, and classify of a list in
     # TypeError: unhashable type from its memo
-    with pytest.raises(ValueError, match=r"^(5|\[1, 2\]|'x') is not a Tensor$"):
+    with pytest.raises(ValueError, match=r"^(t|b|state)=(5|\[1, 2\]|'x') is not a Tensor$"):
         call()
 
 
