@@ -5,10 +5,13 @@ input degeneracy apart from bad prime choices and malformed data.
 
 The contract of every public call: a malformed argument raises a
 ``SloccGeoError`` or a ``ValueError`` within bounded work, and the command
-line maps both to exit 2.  The kind of each argument is decided in one
-place, by parameter name (``_guard``); a value of the wrong kind raises
-ValueError naming the parameter.  The one other type is the TypeError of
-an F_p ``Matrix`` entry that is not an int.
+line maps both to exit 2.  The kind of each argument is stated once, as
+its annotation in the signature, and checked in one place (``_guard``): a
+value of the wrong kind raises ValueError naming the parameter, and a
+bound on one argument alone, such as a Hilbert degree's range, belongs to
+its kind.  The result records (``HilbertProfile``, ``Verdict``,
+``SmoothnessReport``, ...) are outputs, not arguments: the package builds
+them, and their constructors check nothing.
 Out-of-range state-file indices raise ``IndexRangeError``, which is also the
 builtin ``IndexError``.  A message that echoes an input value echoes it
 through ``_excerpt``, so its length does not grow with the input's.
@@ -86,8 +89,9 @@ class IndexRangeError(SchemaError, IndexError):
 
 class WorkLimitError(SloccGeoError):
     """A request lies outside the bounded-work envelope: an exact flattening
-    over its cost bound, a point sweep over the prefix budget, or a Hilbert
-    degree out of range."""
+    over its cost bound, a point sweep over the prefix budget, a Hilbert
+    degree out of range, a matrix over its entry cap or a random draw over
+    its cost bound."""
 
 
 class UnsupportedPrimeError(SloccGeoError):

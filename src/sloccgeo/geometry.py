@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from ._guard import MODULUS, UNCHECKED, guard, power_exceeds
+from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, each, guard, power_exceeds
 from .errors import (
     AllPrimesBadError,
     BadReductionError,
@@ -54,8 +54,10 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, Matrix, _bareiss, check_primes
+from .linalg import DEFAULT_PRIMES, MODULUS, PRIME, PRIMES, Matrix, _bareiss, check_primes
 from .states import (
+    FORMAT,
+    Tensor,
     _contract,
     _rotate,
     check_flattening_cost,
@@ -110,24 +112,24 @@ class VarietyModel:
 
     A model over Q reduces modulo a prime only through its ``source``
     state (``model_mod_p``); a model built by hand over F_p needs none, and
-    its p is a modulus.  Every model has n, d >= 2 and at least one row,
-    each of d**(n-1) coefficients, else ValueError; the length is decided
-    before d**(n-1) is formed (``power_exceeds``).  The entry points that
-    read the d x d matrix of linear forms also need d rows
-    (``_check_square``); ``enumerate_points`` takes any number.
+    its p is a modulus.  Every model has n, d >= 2 (``states.FORMAT``)
+    and at least one row, each of d**(n-1) coefficients, else ValueError;
+    the length is decided before d**(n-1) is formed (``power_exceeds``).
+    The entry points that read the d x d matrix of linear forms also need
+    d rows (``_check_square``); ``enumerate_points`` takes any number.
     """
 
-    n: int
-    d: int
-    rows: tuple
-    den: int
+    n: FORMAT
+    d: FORMAT
+    rows: ROWS
+    den: NONZERO
     p: MODULUS = None
-    source: object = None    # source Tensor, when built from one
+    source: Tensor = None    # when built from one
 
     def __post_init__(self):
         n, d, rows = self.n, self.d, self.rows
         width = len(rows[0]) if rows else 0
-        shaped = n >= 2 and d >= 2 and not power_exceeds(d, n - 1, width) and d ** (n - 1) == width
+        shaped = not power_exceeds(d, n - 1, width) and d ** (n - 1) == width
         if not shaped or any(len(row) != width for row in rows):
             fmt = f"(n={_excerpt(n)}, d={_excerpt(d)})"
             raise ValueError(f"a model of format {fmt} needs rows of d**(n-1) coefficients")
@@ -160,13 +162,13 @@ def _reduced_model(t, p):
     return VarietyModel(t.n, t.d, basis.entries, 1, p, t)
 
 
-def model_mod_p(model, p):
+def model_mod_p(model: VarietyModel, p: PRIME):
     """The model over F_p of the model's source state (``_reduced_model``).
     A model already over F_p is returned as it is; any other model without
-    a source raises ValueError.  p = None names no field, so a model over Q
-    goes to the reduction, which refuses it (UnsupportedPrimeError).
+    a source raises ValueError.  p is a prime (``linalg.PRIME``): None,
+    which names no field, raises UnsupportedPrimeError.
     """
-    if p is not None and model.p == p:
+    if model.p == p:
         return model
     if model.source is None:
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
@@ -186,6 +188,13 @@ class ProjPoint:
 
     def __str__(self):
         return " x ".join("[" + ":".join(str(x) for x in c) + "]" for c in self.coords)
+
+
+#: A ProjPoint whose p is an int and whose coordinates are rows of ints.
+POINT = Kind(
+    lambda v: isinstance(v, ProjPoint) and PRIME.test(v.p) and ROWS.test(v.coords),
+    "a ProjPoint of ints",
+)
 
 
 @dataclass(frozen=True)
@@ -233,17 +242,15 @@ def _witness_json(witness):
 
 
 def _check_formula_format(n, d):
-    """ValueError unless the ints n and d are >= 2; WorkLimitError when d**n
-    would have more than MAX_FORMULA_BITS bits, decided before d**n is
-    formed (``power_exceeds``).  The message prints neither, so no huge one
-    meets int-to-string conversion."""
-    if n < 2 or d < 2:
-        raise ValueError("need ints n >= 2 and d >= 2")
+    """WorkLimitError when d**n, for ints n, d >= 2, would have more than
+    MAX_FORMULA_BITS bits, decided before d**n is formed
+    (``power_exceeds``).  The message prints neither, so no huge one meets
+    int-to-string conversion."""
     if power_exceeds(d, n, 2**MAX_FORMULA_BITS):
         raise WorkLimitError(f"d**n is over the limit of 2**{MAX_FORMULA_BITS}")
 
 
-def section_count(n, d):
+def section_count(n: FORMAT, d: FORMAT):
     """Expected dimension of the degree-(1,...,1) section space on the model:
     all multilinear monomials modulo the d defining forms.  Formats whose
     d**n exceeds 2**MAX_FORMULA_BITS raise WorkLimitError."""
@@ -251,7 +258,7 @@ def section_count(n, d):
     return d ** (n - 1) - d
 
 
-def variety_from_state(t):
+def variety_from_state(t: Tensor):
     """Build the model cut out by the flattening image.
 
     Raises RankDeficientError when the image has dimension below d: such a
@@ -264,7 +271,10 @@ def variety_from_state(t):
     return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, t)
 
 
-def reduced_models(states, p):
+TENSORS = each(lambda v: isinstance(v, Tensor), "Tensors")
+
+
+def reduced_models(states: TENSORS, p: PRIME):
     """The models over F_p of states of one format (``_reduced_model``),
     with no model over Q.  When a reduction fails, every state's model over
     Q is built before the error is raised, so the errors keep the exact
@@ -322,7 +332,7 @@ def _projection_layout(n, d, kept):
     return tuple(steps)
 
 
-def projection_coefficients(rows, n, d, kept):
+def projection_coefficients(rows: ROWS, n: int, d: int, kept: INTS):
     """Coefficients of the determinantal projection of d coefficient rows.
 
     Row k holds form k's coefficients, row-major over the n-1 variable
@@ -359,7 +369,7 @@ def _check_square(rows, n, d):
         raise ValueError(f"a model of format (n={n}, d={d}) needs {d} rows of {size} coefficients")
 
 
-def determinantal_projection(model, kept_axes):
+def determinantal_projection(model: VarietyModel, kept_axes: INTS):
     """Eliminate one variable group through the determinant of the matrix
     of linear forms, as a coefficient tuple in PROJECTION_MONOMIALS order.
 
@@ -612,7 +622,7 @@ def _points(reduced, p):
     yield from walk(_coefficient_tensor(reduced), ())
 
 
-def enumerate_points(model, p):
+def enumerate_points(model: VarietyModel, p: PRIME):
     """Exhaustive, duplicate-free list of F_p-points of the model.
 
     The forms are multilinear, so once every group but the last is fixed
@@ -680,7 +690,7 @@ def _jacobian_rows(tensor, coords, d, p):
     return [list(row) for row in zip(*columns)]
 
 
-def jacobian_rank_at(model, pt):
+def jacobian_rank_at(model: VarietyModel, pt: POINT):
     """Rank over F_p of the matrix of partial derivatives at a point.
 
     The model is smooth at the point exactly when the rank equals d.  The
@@ -799,7 +809,7 @@ def _file_primes(t, primes, discs=None):
     return tuple(used), tuple(bad), tuple(excluded)
 
 
-def smoothness_scan(t, primes=None):
+def smoothness_scan(t: Tensor, primes: PRIMES = None):
     """Sweep primes: enumerate all points and test the Jacobian rank at
     each until the first singular one.
 
@@ -876,7 +886,7 @@ def smoothness_scan(t, primes=None):
     )
 
 
-def hasse_window(p):
+def hasse_window(p: PRIME):
     """Exact integer point-count window for a genus-one curve over F_p:
     [p + 1 - floor(2*sqrt(p)), p + 1 + floor(2*sqrt(p))].  Used as a
     sanity oracle for the elliptic-curve cases; violations flag bugs.  p

@@ -36,7 +36,7 @@ from functools import cache, lru_cache, reduce
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd, prod
 
-from ._guard import guard
+from ._guard import COEFFICIENT, COEFFICIENTS, MAPPING, NONZERO, Kind, guard
 from .errors import (
     AllPrimesBadError,
     FormatMismatchError,
@@ -47,12 +47,13 @@ from .errors import (
     WrongFormatError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, MAX_PRIME, clear_denominators
-from .states import _frac_str, flattening_basis
+from .linalg import DEFAULT_PRIMES, MAX_PRIME, PRIMES, clear_denominators
+from .states import FORMAT, Tensor, _frac_str, flattening_basis
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
     CURVE_AXES,
+    VarietyModel,
     _check_formula_format,
     _file_primes,
     _first_witness,
@@ -69,16 +70,13 @@ _CUBIC_INDEX = {m: i for i, m in enumerate(CUBIC_MONOMIALS)}
 class TernaryCubic:
     """A cubic form in three variables, stored as 10 exact coefficients."""
 
-    coeffs: tuple
+    coeffs: Kind(lambda v: len(v) == 10, "10 coefficients", base=COEFFICIENTS)
 
     def __post_init__(self):
-        coeffs = tuple(Fraction(c) for c in self.coeffs)
-        if len(coeffs) != 10:
-            raise ValueError("a ternary cubic has 10 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
 
     @classmethod
-    def from_terms(cls, terms):
+    def from_terms(cls, terms: MAPPING):
         """Build from {exponent triple: coefficient}.  A key that is not
         the exponent triple of a cubic monomial raises WrongDegreeError,
         naming it by excerpt (``_excerpt``)."""
@@ -93,7 +91,7 @@ class TernaryCubic:
         return cls(coeffs)
 
     @classmethod
-    def weierstrass(cls, alpha, beta):
+    def weierstrass(cls, alpha: COEFFICIENT, beta: COEFFICIENT):
         """x1^2*x2 - x0^3 - alpha*x0*x2^2 - beta*x2^3."""
         return cls.from_terms(
             {(0, 2, 1): 1, (3, 0, 0): -1, (1, 0, 2): -alpha, (0, 0, 3): -beta}
@@ -262,7 +260,7 @@ def _branch(coeffs):
     return [x - 4 * y for x, y in zip(_conv(b_q, b_q), _conv(a_q, c_q))]
 
 
-def branch_quartic(coeffs):
+def branch_quartic(coeffs: COEFFICIENTS):
     """Discriminant of a (2,2)-form, given by its 9 coefficients in
     BIQUADRATIC_MONOMIALS order, read as a quadratic in the second pair:
     the 5 coefficients (of x0^4, x0^3*x1, ..., x1^4) of the binary quartic
@@ -293,7 +291,7 @@ def _pencil_cayley(e):
     return [u - 4 * v for u, v in zip(_conv(b, b), _conv(a, c))]
 
 
-def cayley_hyperdet(t):
+def cayley_hyperdet(t: Tensor):
     """Degree-4 hyperdeterminant of a 2x2x2 tensor.
 
     Computed as the discriminant of the determinant of the matrix pencil
@@ -305,7 +303,7 @@ def cayley_hyperdet(t):
     return Fraction(_pencil_cayley([[a] for a in t.nums])[0], t.den**4)
 
 
-def schlaefli_hyperdet(t):
+def schlaefli_hyperdet(t: Tensor):
     """Degree-24 hyperdeterminant of a 2x2x2x2 tensor.
 
     The Cayley hyperdeterminant of the slice pencil s*T0 + u*T1 is a binary
@@ -400,7 +398,7 @@ def _certified_smooth(t):
     return (t.n, t.d) == (5, 2) and _squarefree(_schlaefli_pencil(t, MAX_PRIME), MAX_PRIME)
 
 
-def moduli_dimension(n, d):
+def moduli_dimension(n: FORMAT, d: FORMAT):
     """Dimension of the generic orbit-space: d^n - n*d^2 + n - 1, the state
     space less the GL_d^n orbit (n - 1 of the n*d^2 directions scale the
     state trivially), where the generic stabilizer is finite: for every
@@ -560,7 +558,7 @@ def _square_counts(p):
     return roots
 
 
-def plane_cubic_invariants(coeffs, den=1):
+def plane_cubic_invariants(coeffs: COEFFICIENTS, den: NONZERO = 1):
     """CurveInvariants of the plane cubic with the 10 coefficients coeffs /
     den (ints or Fractions over a nonzero int), in CUBIC_MONOMIALS order:
     (S, T), the discriminant 64*S^3 - T^2 and j.  Any other number of
@@ -569,7 +567,7 @@ def plane_cubic_invariants(coeffs, den=1):
     return _curve(PLANE_CUBIC, _cubic_st(coeffs, den))
 
 
-def biquadratic_invariants(coeffs, den=1):
+def biquadratic_invariants(coeffs: COEFFICIENTS, den: NONZERO = 1):
     """CurveInvariants of the (2,2)-curve with the 9 coefficients coeffs /
     den (ints or Fractions over a nonzero int), in BIQUADRATIC_MONOMIALS
     order: the (I, J) of its branch quartic, the discriminant
@@ -584,14 +582,14 @@ def biquadratic_invariants(coeffs, den=1):
     return _curve(BIQUADRATIC, ((i_int, den**4), (j_int, den**6)))
 
 
-def aronhold_invariants(f):
+def aronhold_invariants(f: TernaryCubic):
     """The degree-4 and degree-6 invariants (S, T) of a TernaryCubic, from
     its coefficients with their denominators cleared once."""
     (coeffs,), den = clear_denominators([f.coeffs])
     return plane_cubic_invariants(coeffs, den).pair
 
 
-def cubic_discriminant(f):
+def cubic_discriminant(f: TernaryCubic):
     """64*S^3 - T^2 of a TernaryCubic, as ``aronhold_invariants`` reads it;
     it vanishes exactly on singular cubics."""
     (coeffs,), den = clear_denominators([f.coeffs])
@@ -614,7 +612,7 @@ def _discriminants(fmt, rows, den):
     return tuple(pr.invariants.discriminant for pr in _curve_projections(fmt, rows, den))
 
 
-def exact_projection_discriminants(t):
+def exact_projection_discriminants(t: Tensor):
     """Exact discriminants of every projected curve, or None when the
     format has no determinantal projections or the rank is deficient."""
     if (t.n, t.d) not in CURVE_AXES:
@@ -636,7 +634,7 @@ def _slice_curves(t):
     return tuple(pr.invariants for pr in _curve_projections((t.n, t.d), rows, t.den))
 
 
-def slice_discriminants(t):
+def slice_discriminants(t: Tensor):
     """Discriminants of the projections of the model whose rows are the
     state's own slices (``_slice_curves``), or None outside the curve
     formats.  With full flattening rank these rows differ from the
@@ -649,7 +647,7 @@ def slice_discriminants(t):
     return curves and tuple(curve.discriminant for curve in curves)
 
 
-def curve_singular_mod_p(model):
+def curve_singular_mod_p(model: VarietyModel):
     """Whether a curve model over F_p has a vanishing projection
     discriminant; used to recognize primes of bad geometric reduction.
 
@@ -687,7 +685,7 @@ HYPERDETERMINANTS = {
 CLASSIFY_MEMO_SIZE = 32
 
 
-def classify(t, primes=None):
+def classify(t: Tensor, primes: PRIMES = None):
     """Full verdict for a state: rank, exact curve invariants where the
     format supports them, finite-field smoothness evidence elsewhere.
 
@@ -832,7 +830,7 @@ class ComparisonResult:
         }
 
 
-def slocc_compare(a, b, primes=None):
+def slocc_compare(a: Tensor, b: Tensor, primes: PRIMES = None):
     """Compare two states of the same format.
 
     Distinctness can be certified (different statuses, or both smooth with

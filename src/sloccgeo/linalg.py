@@ -35,8 +35,8 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
 
-from ._guard import INT, MATRIX_ROWS, MODULUS, RATIONAL_ROWS, UNCHECKED, guard
-from .errors import SchemaError, UnsupportedPrimeError, _excerpt
+from ._guard import RATIONAL_ROWS, ROWS, UNCHECKED, Kind, each, guard, ints
+from .errors import SchemaError, UnsupportedPrimeError, WorkLimitError, _excerpt
 
 #: Primes used by default for finite-field reductions.  Small enough for
 #: exhaustive point enumeration, large enough that bad reduction is rare.
@@ -47,6 +47,26 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 #: below 3,215,031,751 (Pomerance, Selfridge and Wagstaff 1980): the bound
 #: keeps every accepted entry under that.
 MAX_PRIME = 2**31 - 1
+
+#: Most entries ``Matrix.zero`` and ``Matrix.identity`` may allocate: the
+#: 257 x 257 identity (66,049 entries) passes, as does every matrix the
+#: pipeline builds from a state of at most 2**16 coefficients.
+MAX_MATRIX_ENTRIES = 2**17
+
+#: Most decimal digits parse_state accepts in a numerator or denominator of
+#: a coefficient, as written and once the state is over its common
+#: denominator in lowest terms, and most digits a random draw's bound may
+#: have (``DRAW_BOUND``).  The largest number a (3,3) report prints has
+#: about 36 digits per digit of the state, so 100 digits keep every report
+#: under Python's 4,300-digit limit on int-to-string conversion.
+MAX_COEFFICIENT_DIGITS = 100
+
+#: Most d**4 * bits(bound) a random invertible d x d draw may cost: its
+#: fraction-free elimination makes ~d**3 updates of entries that grow to
+#: ~d times the bound's size.  Draws at the limit take up to ~1.2 s on a
+#: 2-vCPU VM (128 x 128 of 1-bit entries 0.8 s, 29 x 29 of 100-digit
+#: entries 1.1 s); 32 x 32 of 100-digit entries (1.5 s) is refused.
+MAX_DRAW_COST = 2**28
 
 
 def check_primes(primes: UNCHECKED):
@@ -63,14 +83,23 @@ def check_primes(primes: UNCHECKED):
     if not primes:
         raise UnsupportedPrimeError("the prime list is empty")
     for p in primes:
-        if (
-            not isinstance(p, int)
-            or isinstance(p, bool)
-            or not 5 <= p <= MAX_PRIME
-            or not _is_prime(p)
-        ):
+        if type(p) is not int or not 5 <= p <= MAX_PRIME or not _is_prime(p):
             raise UnsupportedPrimeError(f"{_excerpt(p)} is not a prime in [5, {MAX_PRIME}]")
     return primes
+
+
+#: A prime, checked in full where its state is reduced: every int passes,
+#: and check_primes refuses anything else with its message.
+PRIME = Kind(lambda v: type(v) is int or check_primes((v,)), "a prime")
+#: A prime list, checked in full.
+PRIMES = Kind(check_primes, "a prime list")
+#: A matrix dimension (``integer_rref``, ``Matrix``).
+SIZE = ints(0)
+#: The bound of a random draw's entries, short enough that every state
+#: ``states.random_state`` draws parses back.
+DRAW_BOUND = ints(
+    1, 10**MAX_COEFFICIENT_DIGITS - 1, what=f"an int > 0 of at most {MAX_COEFFICIENT_DIGITS} digits"
+)
 
 
 def _is_prime(n):
@@ -132,7 +161,7 @@ def _bareiss(rows, cols):
     return rank, m, prev, sign
 
 
-def integer_rref(rows, cols):
+def integer_rref(rows: ROWS, cols: SIZE):
     """The RREF of integer rows, fraction-free (``_bareiss``).
 
     Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
@@ -149,19 +178,29 @@ def integer_rref(rows, cols):
     return rank, [[x // g for x in row] for row in basis], prev // g
 
 
+#: The modulus of a Matrix, an int >= 2; p names a prime elsewhere.
+MODULUS = Kind(lambda v: type(v) is int and v >= 2, "an int >= 2", UnsupportedPrimeError)
+#: The rows of a Matrix: ints (bools count) and Fractions.
+MATRIX_ROWS = each(
+    each(lambda x: isinstance(x, (int, Fraction)), "").test, "rows of ints and Fractions"
+)
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Matrix:
     """Immutable dense matrix over Q (p=None) or F_p.
 
     The constructor checks its input and reduces it to the field's normal
-    form: Fractions over Q, ints in [0, p) over F_p.  The modulus p must be
-    an int >= 2 (not a bool), else UnsupportedPrimeError (its kind,
-    ``_guard.MODULUS``, since p names a prime elsewhere); a composite p is
-    refused by ``rref`` at the first pivot it cannot invert.  An F_p entry
-    must be an int (bools count); anything else, such as a Fraction or a
-    float, raises TypeError instead of being truncated, since a rational
-    reaches F_p only through its state, which checks the denominator.
-    ``_trusted`` skips the checks for rows already in normal form.
+    form: Fractions over Q, ints in [0, p) over F_p.  The entries are ints
+    (bools count) and Fractions, else ValueError (``MATRIX_ROWS``).  The
+    modulus p must be an int >= 2 (not a bool), else UnsupportedPrimeError
+    (``MODULUS``); a composite p is refused by ``rref`` at the first pivot
+    it cannot invert.  An F_p entry must be an int; a Fraction raises
+    ValueError instead of being truncated, since a rational reaches F_p
+    only through its state, which checks the denominator.  ``_trusted``
+    skips the checks for rows already in normal form.  ``zero`` and
+    ``identity`` allocate at most MAX_MATRIX_ENTRIES entries, else
+    WorkLimitError before any allocation.
     """
 
     rows: int
@@ -169,7 +208,7 @@ class Matrix:
     p: object
     entries: tuple
 
-    def __init__(self, entries: MATRIX_ROWS, cols=None, p: MODULUS = None):
+    def __init__(self, entries: MATRIX_ROWS, cols: SIZE = None, p: MODULUS = None):
         entries = [tuple(row) for row in entries]
         if entries:
             width = len(entries[0])
@@ -186,7 +225,7 @@ class Matrix:
             for row in entries:
                 if not all(map(isinstance, row, repeat(int))):
                     bad = next(x for x in row if not isinstance(x, int))
-                    raise TypeError(f"F_{p} matrix entry {_excerpt(bad)} is not an integer")
+                    raise ValueError(f"F_{p} matrix entry {_excerpt(bad)} is not an integer")
             norm = [tuple([x % p for x in row]) for row in entries]
         self._set(tuple(norm), cols, p)
 
@@ -206,11 +245,13 @@ class Matrix:
         object.__setattr__(self, "p", p)
 
     @classmethod
-    def identity(cls, n, p: MODULUS = None):
+    def identity(cls, n: ints(1), p: MODULUS = None):
+        _check_entries(n, n)
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p=p)
 
     @classmethod
-    def zero(cls, rows: INT, cols, p: MODULUS = None):
+    def zero(cls, rows: SIZE, cols: SIZE, p: MODULUS = None):
+        _check_entries(rows, cols)
         return cls([[0] * cols for _ in range(rows)], cols=cols, p=p)
 
     def __repr__(self):
@@ -299,6 +340,14 @@ class Matrix:
         return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
 
 
+def _check_entries(rows, cols):
+    """WorkLimitError when a rows x cols matrix has more than
+    MAX_MATRIX_ENTRIES entries."""
+    if rows * cols > MAX_MATRIX_ENTRIES:
+        size = f"{_excerpt(rows)} x {_excerpt(cols)}"
+        raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
+
+
 def _pivots_and_free(rows, cols):
     """(pivots, free) for the nonzero rows of an RREF with cols columns:
     each row's pivot column, and the columns that are no row's pivot, in
@@ -332,19 +381,19 @@ def _check_local_dimension(d):
         raise SchemaError(f"local dimension {_excerpt(d)} exceeds the limit of 256")
 
 
-def random_invertible(d, bound, seed):
+def random_invertible(d: ints(1), bound: DRAW_BOUND, seed: int):
     """Deterministic d x d integer matrix with nonzero determinant.
 
     Entries are drawn uniformly from [-bound, bound]; singular draws are
     rejected and redrawn, so the result depends only on (d, bound, seed).
     Each draw is decided on its integer rows (``integer_rref``), and only
-    the draw returned becomes a Matrix.  A d or bound below 1 raises
-    ValueError, and a d above 256 SchemaError (``_check_local_dimension``),
-    before anything is drawn.
+    the draw returned becomes a Matrix.  Before anything is drawn, a d
+    above 256 raises SchemaError (``_check_local_dimension``), and a draw
+    whose d**4 * bits(bound) exceeds MAX_DRAW_COST WorkLimitError.
     """
-    if d < 1 or bound < 1:
-        raise ValueError("need d >= 1 and bound >= 1")
     _check_local_dimension(d)
+    if (cost := d**4 * bound.bit_length()) > MAX_DRAW_COST:
+        raise WorkLimitError(f"a {d} x {d} draw costs {cost}, over the limit of {MAX_DRAW_COST}")
     rng = random.Random(seed)
     while True:
         entries = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]

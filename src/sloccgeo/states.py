@@ -20,7 +20,19 @@ from math import gcd, lcm
 
 import random
 
-from ._guard import COEFFICIENT, guard, power_exceeds
+from ._guard import (
+    COEFFICIENT,
+    COEFFICIENTS,
+    INTS,
+    MAPPING,
+    NONZERO,
+    UNCHECKED,
+    Kind,
+    each,
+    guard,
+    ints,
+    power_exceeds,
+)
 from .errors import (
     BadReductionError,
     DuplicateIndexError,
@@ -31,6 +43,9 @@ from .errors import (
     _excerpt,
 )
 from .linalg import (
+    DRAW_BOUND,
+    MAX_COEFFICIENT_DIGITS,
+    PRIME,
     Matrix,
     _check_local_dimension,
     check_primes,
@@ -69,22 +84,16 @@ MAX_COEFFICIENTS = 2**16
 #: (2,32) costs 32,768 and passes; (2,64) costs 262,144 and is refused.
 MAX_FLATTENING_COST = 2**16
 
-#: Most decimal digits parse_state accepts in a numerator or denominator of
-#: a coefficient, as written and once the state is over its common
-#: denominator in lowest terms.  The largest number a (3,3) report prints
-#: has about 36 digits per digit of the state, so 100 digits keep every
-#: report under Python's 4,300-digit limit on int-to-string conversion.
-MAX_COEFFICIENT_DIGITS = 100
+#: The n or the d of a format: a state has n >= 2 factors of dimension
+#: d >= 2.
+FORMAT = ints(2)
 
 
 def _check_state_size(n, d):
-    """Raise ValueError unless the ints n and d are at least 2, and
-    SchemaError when a state of n factors of dimension d would exceed
-    MAX_COEFFICIENTS entries, decided before d**n is formed
-    (``power_exceeds``).  The messages print neither, so no huge one meets
+    """Raise SchemaError when a state of n >= 2 factors of dimension d >= 2
+    would exceed MAX_COEFFICIENTS entries, decided before d**n is formed
+    (``power_exceeds``).  The message prints neither, so no huge one meets
     int-to-string conversion."""
-    if n < 2 or d < 2:
-        raise ValueError("need n >= 2 and d >= 2")
     if power_exceeds(d, n, MAX_COEFFICIENTS):
         raise SchemaError(f"d**n exceeds the limit of {MAX_COEFFICIENTS} coefficients")
 
@@ -100,20 +109,18 @@ class Tensor:
     nums: tuple
     den: int
 
-    def __init__(self, n, d, coeffs):
+    def __init__(self, n: FORMAT, d: FORMAT, coeffs: COEFFICIENTS):
         (nums,), den = clear_denominators([coeffs])
         self._set(n, d, nums, den)
 
     @classmethod
-    def from_integers(cls, n, d, nums, den=1):
+    def from_integers(cls, n: FORMAT, d: FORMAT, nums: INTS, den: NONZERO = 1):
         """The tensor with coefficients nums[i] / den (ints, den nonzero)."""
         t = cls.__new__(cls)
         t._set(n, d, list(nums), den)
         return t
 
     def _set(self, n, d, nums, den):
-        if n < 2 or d < 2:
-            raise ValueError("need n >= 2 and d >= 2")
         # d**n is formed only when it is at most size, and never printed
         size = len(nums)
         if power_exceeds(d, n, size) or d**n != size:
@@ -131,7 +138,7 @@ class Tensor:
         return tuple(Fraction(a, self.den) for a in self.nums)
 
     @classmethod
-    def from_entries(cls, n, d, entries):
+    def from_entries(cls, n: FORMAT, d: FORMAT, entries: MAPPING):
         """Build from {index tuple: coefficient}; unspecified entries are 0."""
         _check_state_size(n, d)
         coeffs = [0] * d**n
@@ -156,7 +163,7 @@ class Tensor:
             off = off * d + i
         return off
 
-    def offset(self, idx):
+    def offset(self, idx: UNCHECKED):
         return self._offset_static(self.n, self.d, idx)
 
     def __getitem__(self, idx):
@@ -168,12 +175,11 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(n={self.n}, d={self.d}, nonzero={sum(1 for a in self.nums if a)})"
 
-    def scale(self, factor):
-        f = Fraction(factor)
-        nums = [f.numerator * a for a in self.nums]
-        return Tensor.from_integers(self.n, self.d, nums, f.denominator * self.den)
+    def scale(self, factor: COEFFICIENT):
+        nums = [factor.numerator * a for a in self.nums]
+        return Tensor.from_integers(self.n, self.d, nums, factor.denominator * self.den)
 
-    def reduce_mod(self, p):
+    def reduce_mod(self, p: PRIME):
         """Entrywise residues modulo a prime p.  Every reduction of a state
         starts here, so p is checked here (``check_primes``): anything but
         a prime in [5, MAX_PRIME] raises UnsupportedPrimeError.  Raises
@@ -188,6 +194,10 @@ class Tensor:
         return [a * inv % p for a in self.nums]
 
 
+#: The factors of a SloccOperator.
+MATRICES = each(lambda v: isinstance(v, Matrix), "Matrices")
+
+
 @dataclass(frozen=True)
 class SloccOperator:
     """A tuple of n invertible d x d rational matrices acting locally.
@@ -200,7 +210,7 @@ class SloccOperator:
     cleared to integer rows over its denominator, the form ``apply_slocc``
     contracts."""
 
-    factors: tuple
+    factors: MATRICES
     _cleared: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -227,13 +237,19 @@ class SloccOperator:
         return self.factors[0].rows
 
     @classmethod
-    def random(cls, n, d, bound, seed):
+    def random(cls, n: FORMAT, d: FORMAT, bound: DRAW_BOUND, seed: int):
         """n independent deterministic invertible factors; d and bound as
-        ``random_invertible`` asks."""
+        ``random_invertible`` asks.  An (n, d) with no state (a d**n over
+        MAX_COEFFICIENTS) raises SchemaError before the first draw
+        (``_check_state_size``)."""
+        _check_state_size(n, d)
         return cls([random_invertible(d, bound, seed * n + k) for k in range(n)])
 
 
-def parse_state(document):
+DOCUMENT = Kind(lambda v: isinstance(v, (str, bytes, bytearray)), "a str or bytes")
+
+
+def parse_state(document: DOCUMENT):
     """Parse a state file (str, or bytes in UTF-8) into a Tensor.
 
     The document is JSON: {"n": int, "d": int, "entries": [{"idx": [...],
@@ -369,7 +385,7 @@ def _frac_str(x):
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def state_to_json(t):
+def state_to_json(t: Tensor):
     """Canonical serialization: entries sorted by index, zeros omitted."""
     entries = [
         {"idx": list(idx), "c": _frac_str(Fraction(a, t.den))}
@@ -379,7 +395,7 @@ def state_to_json(t):
     return json.dumps({"n": t.n, "d": t.d, "entries": entries}, separators=(",", ":"))
 
 
-def flatten_last(t):
+def flatten_last(t: Tensor):
     """Read the state as a d**(n-1) x d matrix.
 
     Column k is the slice with last index k, vectorized row-major; this is
@@ -390,7 +406,7 @@ def flatten_last(t):
     return Matrix([coeffs[r : r + t.d] for r in range(0, len(coeffs), t.d)], cols=t.d)
 
 
-def check_flattening_cost(t):
+def check_flattening_cost(t: Tensor):
     """Raise WorkLimitError when d**(n+1) exceeds MAX_FLATTENING_COST: the
     cost of an exact flattening grows with it, and every route from a state
     to its model, exact or over F_p, checks it before any elimination."""
@@ -402,7 +418,7 @@ def check_flattening_cost(t):
         )
 
 
-def flattening_basis(t):
+def flattening_basis(t: Tensor):
     """(rows, den): the canonical basis of the flattening image as integer
     rows over one denominator, rows / den being the RREF basis, in lowest
     terms with den > 0.  The rows come from one fraction-free Gauss-Jordan
@@ -416,7 +432,7 @@ def flattening_basis(t):
     return integer_rref([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))[1:]
 
 
-def flattening_image(t):
+def flattening_image(t: Tensor):
     """Column span of flatten_last(t) inside Q^(d**(n-1)), as its canonical
     basis: a Matrix of at most d rows, flattening_basis(t) as Fractions."""
     rows, den = flattening_basis(t)
@@ -424,7 +440,7 @@ def flattening_image(t):
     return Matrix(basis, cols=t.d ** (t.n - 1))
 
 
-def reduced_flattening_image(t, p):
+def reduced_flattening_image(t: Tensor, p: PRIME):
     """The flattening image over F_p, reduced on the state side, as its
     canonical basis (``Matrix.row_space``).
 
@@ -461,7 +477,7 @@ def _rotate(tensor, d):
     return [x for r in range(inner) for x in tensor[r::inner]]
 
 
-def apply_slocc(t, g):
+def apply_slocc(t: Tensor, g: SloccOperator):
     """Act by a local operator: coefficients transform by one factor per axis.
 
     The numerators are contracted over the integers with each integer row
@@ -478,20 +494,17 @@ def apply_slocc(t, g):
     return Tensor.from_integers(t.n, t.d, nums, den)
 
 
-def random_state(n, d, bound, seed):
+def random_state(n: FORMAT, d: FORMAT, bound: DRAW_BOUND, seed: int):
     """i.i.d. integer coefficients in [-bound, bound], fixed by the seed.
     The bound must be at least 1 and, so that parse_state reads the state
-    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    if bound >= 10**MAX_COEFFICIENT_DIGITS:
-        raise ValueError(f"bound must have at most {MAX_COEFFICIENT_DIGITS} digits")
+    back, have at most MAX_COEFFICIENT_DIGITS digits; else ValueError
+    (``linalg.DRAW_BOUND``)."""
     _check_state_size(n, d)
     rng = random.Random(seed)
     return Tensor.from_integers(n, d, [rng.randint(-bound, bound) for _ in range(d**n)])
 
 
-def tensor_product(s, t):
+def tensor_product(s: Tensor, t: Tensor):
     """Tensor product of two states with the same local dimension."""
     if s.d != t.d:
         raise ValueError("local dimensions differ")
@@ -500,18 +513,18 @@ def tensor_product(s, t):
     return Tensor.from_integers(s.n + t.n, s.d, nums, s.den * t.den)
 
 
-def basis_state(n, d, idx):
+def basis_state(n: FORMAT, d: FORMAT, idx: INTS):
     """The separable basis state with a single unit coefficient."""
     return Tensor.from_entries(n, d, {tuple(idx): 1})
 
 
-def ghz(n, d):
+def ghz(n: FORMAT, d: FORMAT):
     """Sum of the n-fold repeated basis states |k...k> for k < d."""
     _check_state_size(n, d)
     return Tensor.from_entries(n, d, {(k,) * n: 1 for k in range(d)})
 
 
-def w_state(n):
+def w_state(n: FORMAT):
     """Sum over basis states with a single 1 among zeros (qubits)."""
     _check_state_size(n, 2)
     entries = {}
@@ -522,7 +535,7 @@ def w_state(n):
     return Tensor.from_entries(n, 2, entries)
 
 
-def four_qubit_generic_family(a: COEFFICIENT, b: COEFFICIENT, c, e):
+def four_qubit_generic_family(a: COEFFICIENT, b: COEFFICIENT, c: COEFFICIENT, e: COEFFICIENT):
     """The diagonal 4-qubit family spanning the generic orbits.
 
     a(|0000>+|1111>) + b(|0011>+|1100>) + c(|0101>+|1010>) + e(|0110>+|1001>).

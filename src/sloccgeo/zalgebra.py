@@ -36,23 +36,33 @@ coordinate vectors in the order given.
 
 from dataclasses import dataclass
 
-from ._guard import guard, power_exceeds
+from ._guard import Kind, guard, ints, power_exceeds
 from .errors import (
     BadReductionError,
     InsufficientPointsError,
     WorkLimitError,
     WrongFormatError,
-    _excerpt,
 )
-from .linalg import Matrix, _pivots_and_free
-from .states import Tensor, _rotate
+from .linalg import PRIME, Matrix, _pivots_and_free
+from .states import FORMAT, Tensor, _rotate
 from .geometry import (
+    VarietyModel,
     _singular_reduction,
     enumerate_points,
     hasse_window,
     reduced_models,
 )
 from .invariants import slice_discriminants
+
+#: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
+#: for (3,3) and k_max <= 8 for (4,2).  The quotient recursion is cheap on
+#: generic states, but degenerate relations let h_k grow like 3*2**(k-1)
+#: (the x^2, y^2, z^2 of GHZ), so the worst case is still d**k wide.
+MAX_PROFILE_WIDTH = 256
+
+#: A Hilbert degree k_max: no profile reaches a degree above its width, and
+#: an expected series is a tuple of k_max + 1 ints.
+DEGREE = ints(0, MAX_PROFILE_WIDTH, WorkLimitError)
 
 
 @dataclass(frozen=True)
@@ -77,33 +87,21 @@ class HilbertProfile:
         }
 
 
-def quadratic_expected_dims(k_max):
+def quadratic_expected_dims(k_max: DEGREE):
     """h(0), ..., h(k_max) of 1/(1-t)^3, the inverse of the Euler polynomial
     (1-t)^3 of the resolution 0 -> P_{i+3} -> P_{i+2}^3 -> P_{i+1}^3 -> P_i
     -> S_i -> 0: h(k) = (k+1)(k+2)/2.  k_max is at most MAX_PROFILE_WIDTH
-    (``_check_series_degree``)."""
-    _check_series_degree(k_max)
+    (``DEGREE``)."""
     return tuple((k + 1) * (k + 2) // 2 for k in range(k_max + 1))
 
 
-def cubic_expected_dims(k_max):
+def cubic_expected_dims(k_max: DEGREE):
     """h(0), ..., h(k_max) of 1/((1-t)^2 (1-t^2)), the inverse of the Euler
     polynomial 1 - 2t + 2t^3 - t^4 = (1-t)^2 (1-t^2) of the resolution
     0 -> P_{i+4} -> P_{i+3}^2 -> P_{i+1}^2 -> P_i -> S_i -> 0:
     h(k) = floor((k+2)^2/4).  k_max is at most MAX_PROFILE_WIDTH
-    (``_check_series_degree``)."""
-    _check_series_degree(k_max)
+    (``DEGREE``)."""
     return tuple((k + 2) ** 2 // 4 for k in range(k_max + 1))
-
-
-def _check_series_degree(k_max):
-    """WorkLimitError unless 0 <= k_max <= MAX_PROFILE_WIDTH: no profile
-    reaches a degree above its width, and the series is a tuple of k_max + 1
-    ints."""
-    if not 0 <= k_max <= MAX_PROFILE_WIDTH:
-        raise WorkLimitError(
-            f"k_max={_excerpt(k_max)} is out of range: need 0 <= k_max <= {MAX_PROFILE_WIDTH}"
-        )
 
 
 def _monomial_rows(points, width, p):
@@ -120,7 +118,7 @@ def _monomial_rows(points, width, p):
     return Matrix(rows, cols=width, p=p)
 
 
-def relations_from_points(model, p):
+def relations_from_points(model: VarietyModel, p: PRIME):
     """Kernel of the monomial evaluation at all F_p-points, as its
     canonical basis (``Matrix.kernel``): a Matrix over F_p whose ``rows``
     is the kernel's dimension and whose ``cols`` is d**k.
@@ -157,7 +155,7 @@ def relations_from_points(model, p):
     return kernel
 
 
-def cyclic_relations(state, p):
+def cyclic_relations(state: Tensor, p: PRIME):
     """The basis rows of the relation spaces R_0, ..., R_{n-1} of a state
     over F_p.
 
@@ -192,21 +190,13 @@ def _push(terms, mu, size, rest, p):
     return tuple([x % p for x in out])
 
 
-#: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
-#: for (3,3) and k_max <= 8 for (4,2).  The quotient recursion is cheap on
-#: generic states, but degenerate relations let h_k grow like 3*2**(k-1)
-#: (the x^2, y^2, z^2 of GHZ), so the worst case is still d**k wide.
-MAX_PROFILE_WIDTH = 256
-
-
-def check_hilbert_degree(d, k_max):
-    """Raise WorkLimitError unless 0 <= k_max and d**k_max <=
-    MAX_PROFILE_WIDTH, decided before d**k_max is formed
-    (``power_exceeds``)."""
-    if k_max < 0 or power_exceeds(d, k_max, MAX_PROFILE_WIDTH):
+def check_hilbert_degree(d: FORMAT, k_max: DEGREE):
+    """Raise WorkLimitError unless d**k_max <= MAX_PROFILE_WIDTH, decided
+    before d**k_max is formed (``power_exceeds``); k_max is at least 0 by
+    its kind (``DEGREE``)."""
+    if power_exceeds(d, k_max, MAX_PROFILE_WIDTH):
         raise WorkLimitError(
-            f"k_max={_excerpt(k_max)} is out of range: need k_max >= 0 and "
-            f"{d}**k_max <= {MAX_PROFILE_WIDTH}"
+            f"k_max={k_max} is out of range: need {d}**k_max <= {MAX_PROFILE_WIDTH}"
         )
 
 
@@ -255,7 +245,7 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
     return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
 
 
-def quadratic_hilbert(state, p, k_max=4):
+def quadratic_hilbert(state: Tensor, p: PRIME, k_max: DEGREE = 4):
     """Graded dimensions of the quadratic algebra of a (3,3) state.
 
     The degree-2 relations cycle through the flattening images of the
@@ -267,7 +257,7 @@ def quadratic_hilbert(state, p, k_max=4):
     return _hilbert_profile(state, p, k_max, "quadratic", quadratic_expected_dims)
 
 
-def cubic_hilbert(state, p, k_max=5):
+def cubic_hilbert(state: Tensor, p: PRIME, k_max: DEGREE = 5):
     """Graded dimensions of the cubic algebra of a (4,2) state.
 
     The degree-3 relations cycle through the flattening images of the
@@ -304,7 +294,16 @@ class ProductMapResult:
         }
 
 
-def multiplication_surjectivity(state, axis_pair, p):
+#: Two distinct groups among 0, 1 and 2 of a (4,2) model, as a collection
+#: of two ints in either order.
+AXIS_PAIR = Kind(
+    lambda v: hasattr(v, "__iter__") and all(type(a) is int for a in v)
+    and sorted(v) in ([0, 1], [0, 2], [1, 2]),
+    "a pair naming two distinct groups among 0, 1 and 2",
+)
+
+
+def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     """Test whether products of sections from two axes span the full
     4-dimensional target, by evaluating the 4 monomials at the
     projections of the model's F_p-points.
@@ -323,15 +322,11 @@ def multiplication_surjectivity(state, axis_pair, p):
     p = 5 and 7, where the window starts below five, can still lack
     points.  The prime is not tested before the points are enumerated: at
     many singular reductions the test still passes.  The axis pair must
-    name two distinct groups among 0, 1 and 2 (a collection of two ints,
-    in either order), else ValueError.
+    name two distinct groups among 0, 1 and 2 (``AXIS_PAIR``), else
+    ValueError.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
-    pairs = ([0, 1], [0, 2], [1, 2])
-    ints = hasattr(axis_pair, "__iter__") and all(type(a) is int for a in axis_pair)
-    if not ints or sorted(axis_pair) not in pairs:
-        raise ValueError("axis pair must name two distinct groups of 0,1,2")
     axis_pair = tuple(sorted(axis_pair))
     (model,) = reduced_models([state], p)
     points = enumerate_points(model, p)
@@ -361,7 +356,7 @@ def _refuse_singular_reduction(state, p):
         )
 
 
-def roundtrip_check(state, p):
+def roundtrip_check(state: Tensor, p: PRIME):
     """Reconstruct the flattening image from the model's F_p-points.
 
     True when the kernel of the monomial evaluation

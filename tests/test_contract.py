@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import sloccgeo
-from sloccgeo import cli, geometry, invariants, linalg, states, zalgebra
+from sloccgeo import _guard, cli, geometry, invariants, linalg, states, zalgebra
 from sloccgeo.errors import SloccGeoError
 
 MODULES = (linalg, states, geometry, invariants, zalgebra, cli)
@@ -24,11 +24,17 @@ SKIPPED = {
 JUNK = (5, None, "x", [1, 2], 2.5)
 
 
+#: A valid instance of each exported class with a public method that takes
+#: parameters, which the enumeration binds those methods to.
+INSTANCES = {states.Tensor: states.random_state(3, 3, 5, 1)}
+
+
 def public_callables():
     """{dotted name: callable} for the callables of ``dir(sloccgeo)`` but
-    the exception types, each module's public functions and the exported
-    classes' public classmethods; a callable bound under two names is kept
-    once."""
+    the exception types, each module's public functions, and the exported
+    classes' public classmethods and their public methods that take
+    parameters, bound to an instance of ``INSTANCES``; a callable bound
+    under two names is kept once."""
     found, seen = {}, set()
 
     def add(name, obj):
@@ -47,8 +53,12 @@ def public_callables():
     for cls in exported:
         if isinstance(cls, type) and not issubclass(cls, BaseException):
             for name, obj in vars(cls).items():
+                dotted = f"{cls.__module__}.{cls.__qualname__}.{name}"
                 if isinstance(obj, classmethod) and not name.startswith("_"):
-                    add(f"{cls.__module__}.{cls.__qualname__}.{name}", getattr(cls, name))
+                    add(dotted, getattr(cls, name))
+                elif inspect.isfunction(obj) and not name.startswith("_"):
+                    if len(inspect.signature(obj).parameters) > 1:  # more than self
+                        add(dotted, getattr(INSTANCES[cls], name))
     return found
 
 
@@ -68,7 +78,7 @@ def valid_arguments(name):
         "f": invariants.TernaryCubic.weierstrass(1, 1),
         "factors": [linalg.Matrix.identity(3)] * 3,
         "p": 7, "primes": (5, 7), "n": 3, "d": 3, "bound": 2, "seed": 0, "k_max": 2,
-        "cols": 3, "den": 1, "document": states.state_to_json(t),
+        "cols": 3, "den": 1, "document": states.state_to_json(t), "factor": 2,
         "idx": (0, 0, 0), "kept": (0,), "kept_axes": (0,), "axis_pair": (0, 1),
         "coeffs": [1] * 27, "nums": [1] * 27, "c": 1, "e": 2, "alpha": 1, "beta": 1,
         "rows": model.rows, "entries": {(0, 0, 0): 1}, "terms": {(3, 0, 0): 1},
@@ -118,7 +128,8 @@ def test_the_enumeration_covers_the_package():
             assert id(obj) in found or issubclass(obj, BaseException), name
     for name in ("geometry.reduced_models", "invariants.slice_discriminants",
                  "zalgebra.cyclic_relations", "states.flattening_basis",
-                 "linalg.integer_rref", "states.Tensor.from_integers"):
+                 "linalg.integer_rref", "states.Tensor.from_integers",
+                 "states.Tensor.scale", "states.Tensor.reduce_mod", "states.Tensor.offset"):
         assert f"sloccgeo.{name}" in CALLABLES, name
     assert set(SKIPPED) <= set(CALLABLES)
 
@@ -141,3 +152,46 @@ def test_wrong_kinds_drawn_by_hypothesis_are_refused():
         assert refusals(name, CALLABLES[name], (value,)) == []
 
     check()
+
+
+def test_guard_refuses_a_public_function_with_an_unannotated_parameter():
+    # a parameter's kind is its annotation, so a public function whose
+    # parameter has none stops the import of its module
+    def scale(t: states.Tensor, factor):
+        return t.scale(factor)
+
+    def _private(t, factor):
+        return t
+
+    namespace = {"__name__": __name__, "scale": scale, "_private": _private}
+    with pytest.raises(TypeError, match=r"^parameter factor of .*scale has no kind$"):
+        _guard.guard(namespace)
+
+    class Record:
+        def method(self, value):
+            return value
+
+    with pytest.raises(TypeError, match=r"^parameter value of .*Record\.method has no kind$"):
+        _guard.guard({"__name__": __name__}, Record)
+
+
+def test_annotations_are_the_kinds():
+    # a class means its instances (int an int that is not a bool), and a
+    # Kind is itself
+    def draw(t: states.Tensor, n: int, k_max: zalgebra.DEGREE, p: linalg.PRIME = None):
+        return t, n, k_max, p
+
+    namespace = {"__name__": __name__, "draw": draw}
+    _guard.guard(namespace)
+    t = INSTANCES[states.Tensor]
+    assert namespace["draw"](t, 3, 2) == (t, 3, 2, None)
+    for args, error, message in (
+        ((5, 3, 2), ValueError, "t=5 is not a Tensor"),
+        ((t, True, 2), ValueError, "n=True is not an int"),
+        ((t, 3, 2.0), ValueError, "k_max=2.0 is not an int"),
+        ((t, 3, 257), sloccgeo.WorkLimitError, "k_max=257 is not an int in [0, 256]"),
+        ((t, 3, 2, 7.0), sloccgeo.UnsupportedPrimeError, "7.0 is not a prime"),
+    ):
+        with pytest.raises(error) as info:
+            namespace["draw"](*args)
+        assert str(info.value).startswith(message)

@@ -262,7 +262,7 @@ def test_subspace_canonical_representative():
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3), 2.7, "1", None])
 def test_fp_matrix_rejects_non_integer_entries(entry):
     # 1/2 is 4 mod 7: truncating it to 0 would give a wrong matrix
-    with pytest.raises(TypeError, match=re.escape(repr(entry))):
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
         Matrix([[1, entry]], p=7)
 
 
@@ -445,13 +445,51 @@ def test_tensor_and_form_are_values():
         (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
         (lambda: Matrix([]), "explicit column count"),
         (lambda: Matrix([[1, 2, 3], [4, 5, 6]]).det(), "square matrix"),
-        (lambda: random_invertible(0, 3, 1), "need d >= 1"),
+        (lambda: random_invertible(0, 3, 1), "^d=0 is not an int >= 1$"),
     ],
     ids=["ragged", "empty-without-cols", "det-of-2x3", "random-invertible-d0"],
 )
 def test_malformed_matrix_calls_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_matrix_sizes_are_bounded_before_allocation(monkeypatch):
+    # zero(2, 10**12) ended in a MemoryError, Matrix([], cols=-1) built a
+    # 0 x -1 matrix, and identity(0) asked for an explicit column count
+    assert Matrix.identity(257).rows == 257  # 66,049 entries
+    assert Matrix.zero(2, 2**16).cols == 2**16
+    assert Matrix.zero(0, 5).rows == 0 and Matrix([], cols=0).cols == 0
+    for call, size in (
+        (lambda: Matrix.zero(2, 2**16 + 1), "2 x 65537"),
+        (lambda: Matrix.identity(363), "363 x 363"),
+        (lambda: Matrix.zero(2, 10**12), "2 x 1000000000000"),
+        (lambda: Matrix.zero(10**5000, 1), "<int of 16610 bits> x 1"),
+    ):
+        with pytest.raises(WorkLimitError) as info:
+            call()
+        assert str(info.value) == f"a {size} matrix has more than 131072 entries"
+    for call, message in (
+        (lambda: Matrix([], cols=-1), "cols=-1 is not an int >= 0"),
+        (lambda: Matrix.zero(-1, 2), "rows=-1 is not an int >= 0"),
+        (lambda: Matrix.zero(2, -1, p=5), "cols=-1 is not an int >= 0"),
+        (lambda: Matrix.identity(0), "n=0 is not an int >= 1"),
+        (lambda: Matrix.identity(2.0), "n=2.0 is not an int"),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    from sloccgeo.linalg import MAX_MATRIX_ENTRIES
+
+    assert MAX_MATRIX_ENTRIES == 2**17
+
+
+@pytest.mark.parametrize("entry", [None, 1.5, "1", Fraction(1, 2) + 0.5, [1]])
+def test_rational_matrix_entries_are_ints_and_fractions(entry):
+    # None ended in a bare TypeError and 1.5 was read as 3/2
+    with pytest.raises(ValueError, match=r"^entries=.* is not a list or tuple of rows of ints and"):
+        Matrix([[1, entry]])
+    assert Matrix([[True, Fraction(1, 2)]]).entries == ((1, Fraction(1, 2)),)
 
 
 def test_prime_check_echoes_a_bounded_excerpt():
@@ -529,8 +567,8 @@ def _off_variety_rank(coefficient):
          "k_max=<int of 16610 bits> "),
         (lambda: quadratic_hilbert(random_state(3, 3, 5, 1), 11, -_HUGE), WorkLimitError,
          "k_max=<int of 16610 bits> "),
-        (lambda: Matrix([[1]], p=-_HUGE), UnsupportedPrimeError, "modulus <int of 16610 bits> "),
-        (lambda: Matrix([[Fraction(_HUGE, 3)]], p=5), TypeError, "F_5 matrix entry <Fraction "),
+        (lambda: Matrix([[1]], p=-_HUGE), UnsupportedPrimeError, "p=<int of 16610 bits> "),
+        (lambda: Matrix([[Fraction(_HUGE, 3)]], p=5), ValueError, "F_5 matrix entry <Fraction "),
         (lambda: _off_variety_rank(_HUGE), NotOnVarietyError,
          "form 0 (row <tuple too long to print>) does not vanish"),
         (lambda: Matrix([[1]], cols=_HUGE), ValueError,

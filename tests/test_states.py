@@ -910,10 +910,51 @@ def test_operators_refuse_a_local_dimension_above_256_before_any_work(monkeypatc
     monkeypatch.setattr(sloccgeo.linalg, "integer_rref", refused)
     monkeypatch.setattr(sloccgeo.states, "integer_rref", refused)
     for call in (lambda: random_invertible(257, 5, 0), lambda: random_invertible(10**6, 1, 0),
-                 lambda: SloccOperator.random(2, 10**6, 1, 0),
                  lambda: SloccOperator([Matrix.identity(257)] * 2)):
         with pytest.raises(SchemaError, match=r"^local dimension \d+ exceeds the limit of 256$"):
             call()
+    # an operator's format is a state's: (2, 10**6) has no state
+    with pytest.raises(SchemaError, match=r"^d\*\*n exceeds the limit of 65536 coefficients$"):
+        SloccOperator.random(2, 10**6, 1, 0)
+
+
+def test_random_operators_bound_their_work_before_the_first_draw(monkeypatch):
+    # random_invertible(32, 10**99, 0) took 1.8 s and (256, 1, 0) 7.8 s, and
+    # SloccOperator.random drew any number of factors
+    import sloccgeo.linalg
+
+    def refused(*args):
+        raise AssertionError("drew")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sloccgeo.linalg.random, "Random", refused)
+        # the cost is d**4 times the bound's bits
+        for call, message in (
+            (lambda: random_invertible(32, 10**99, 0), "a 32 x 32 draw costs 344981504"),
+            (lambda: random_invertible(256, 1, 0), "a 256 x 256 draw costs 4294967296"),
+            (lambda: random_invertible(30, 10**100 - 1, 0), "a 30 x 30 draw costs 269730000"),
+            (lambda: random_invertible(129, 1, 0), "a 129 x 129 draw costs 276922881"),
+            (lambda: SloccOperator.random(2, 64, 10**99, 0), "a 64 x 64 draw costs 5519704064"),
+        ):
+            with pytest.raises(WorkLimitError, match=rf"^{message}, over the limit of 268435456$"):
+                call()
+        # an operator's format is a state's
+        for call in (lambda: SloccOperator.random(17, 2, 1, 0),
+                     lambda: SloccOperator.random(10**6, 2, 1, 0)):
+            with pytest.raises(SchemaError, match=r"^d\*\*n exceeds the limit of 65536"):
+                call()
+        with pytest.raises(ValueError, match=r"^n=1 is not an int >= 2$"):
+            SloccOperator.random(1, 3, 1, 0)
+        for call in (lambda: random_invertible(3, 10**100, 0),
+                     lambda: SloccOperator.random(3, 3, 0, 0)):
+            with pytest.raises(ValueError, match=r"^bound=[\d.]+ is not an int > 0 of at most 100"):
+                call()
+    # the draws at the limit are accepted (each draw taken as invertible)
+    monkeypatch.setattr(sloccgeo.linalg, "integer_rref", lambda rows, d: (d,))
+    assert 128**4 == sloccgeo.linalg.MAX_DRAW_COST
+    assert random_invertible(128, 1, 0).rows == 128
+    assert random_invertible(29, 10**100 - 1, 0).rows == 29
+    assert SloccOperator.random(16, 2, 10**99, 0).n == 16
 
 
 @pytest.mark.parametrize(
@@ -933,7 +974,7 @@ def test_operators_refuse_a_local_dimension_above_256_before_any_work(monkeypatc
 def test_formats_below_two_are_refused(call):
     # a negative n made d**n a float below the size limit, and the
     # constructors ended in a bare TypeError
-    with pytest.raises(ValueError, match=r"^need n >= 2 and d >= 2$"):
+    with pytest.raises(ValueError, match=r"^[nd]=-?\d+ is not an int >= 2$"):
         call()
 
 
@@ -942,7 +983,7 @@ def test_sample_refuses_a_negative_n(capsys):
 
     assert run(["sample", "--n", "-1", "--d", "2"]) == 2
     captured = capsys.readouterr()
-    assert "need n >= 2 and d >= 2" in captured.err and not captured.out
+    assert "n=-1 is not an int >= 2" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize(
@@ -954,7 +995,7 @@ def test_sample_refuses_a_negative_n(capsys):
             "operator format mismatch",
         ),
         (lambda: tensor_product(ghz(2, 2), ghz(2, 3)), ValueError, "local dimensions differ"),
-        (lambda: Tensor(1, 2, [1, 0]), ValueError, "need n >= 2"),
+        (lambda: Tensor(1, 2, [1, 0]), ValueError, "n=1 is not an int >= 2"),
         (lambda: random_state(3, 3, 5, 1)[(0, 0)], ValueError, "index arity mismatch"),
         (lambda: random_state(3, 3, 5, 1)[(0, 0, 3)], IndexRangeError, "out of range"),
         # a float index entry ended in a bare TypeError, and True was read as 1
