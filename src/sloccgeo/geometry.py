@@ -762,13 +762,27 @@ def _singular_reduction(discs, p):
     return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
 
 
-def _file_primes(t, primes, discs=None):
+def _slice_pivot(t):
+    """(rank, M) of the fraction-free elimination (``linalg._bareiss``) of
+    the state's slice numerators t.nums[k::d], the rows of its flattening
+    over Q up to the denominator: their rank, which is the flattening's,
+    and the last pivot M, which at full rank d is +- the d x d minor of the
+    slices at the pivot columns.  The flattening's cost is checked first
+    (``check_flattening_cost``)."""
+    check_flattening_cost(t)
+    rank, _, pivot, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+    return rank, pivot
+
+
+def _file_primes(t, primes, discs=None, pivot=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
     The primes come checked by the caller's guard (``check_primes``); None
     stands for DEFAULT_PRIMES.  Checks the prefix budget and the
     flattening's cost, and files each distinct prime in ascending order as
-    bad, excluded or used.  Returns (used, bad, excluded), three tuples of
+    bad, excluded or used.  A caller that has eliminated the slices at full
+    rank already (``classify``) passes their last pivot, and no second
+    elimination is made.  Returns (used, bad, excluded), three tuples of
     primes; each caller reduces a used prime (``_reduced_model``) only when
     it sweeps it.  The checks raise WorkLimitError, then RankDeficientError
     when the flattening over Q has dimension below d; the filing itself never
@@ -793,13 +807,13 @@ def _file_primes(t, primes, discs=None):
     """
     primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
     _check_prefix_budget(t.d, t.n - 1, primes)
-    check_flattening_cost(t)
-    rank, _, certificate, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
-    if rank < t.d:
-        raise RankDeficientError(rank, t.d)
+    if pivot is None:
+        rank, pivot = _slice_pivot(t)
+        if rank < t.d:
+            raise RankDeficientError(rank, t.d)
     used, bad, excluded = [], [], []
     for p in primes:
-        if t.den * certificate % p == 0:
+        if t.den * pivot % p == 0:
             try:
                 _reduced_model(t, p)
             except BadReductionError:

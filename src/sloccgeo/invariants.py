@@ -15,16 +15,19 @@ singular curves.
 Each invariant is kept as one tuple of integer terms and one Fraction
 scale (1/16 for S, -1/8 for T).  S and T have even degree, so a term is
 k times two (S) or three (T) of the cubic's 55 pairwise coefficient
-products, which are formed once per cubic.  A curve with rational
-coefficients is evaluated on its coefficients times L, the lcm of their
-denominators, and divided once: by L^4 for S and L^6 for T.  The projected
-curves of a model are built the same way from its integer rows
-(``projection_coefficients``), so S/T and the quartic I/J of a projection
-are integer numerators over integer denominators, and ``_curve`` forms the
-discriminant and j from those integers, with one Fraction normalisation per
-reported value.  Over F_p the same integers decide whether a discriminant
-vanishes: p divides its numerator.  The public curve path is that same
-one: ``plane_cubic_invariants`` and ``biquadratic_invariants`` take integer
+products, which are formed once per cubic.  The terms are grouped by their
+first product, which multiplies its group's sum once.  A curve with
+rational coefficients is evaluated on its coefficients times L, the lcm of
+their denominators, and divided once: by L^4 for S and L^6 for T.  The
+projected curves of a model are built the same way from its integer rows
+(``projection_coefficients``), and ``classify`` builds them from the
+state's own slices over their last fraction-free pivot, so S/T and the
+quartic I/J of a projection are integer numerators over integer
+denominators, and ``_curve`` forms the discriminant and j from those
+integers, with one Fraction normalisation per reported value.  Over F_p
+the same integers decide whether a discriminant vanishes: p divides its
+numerator.  The public curve path is that same one:
+``plane_cubic_invariants`` and ``biquadratic_invariants`` take integer
 coefficients over one denominator in CUBIC_MONOMIALS or
 BIQUADRATIC_MONOMIALS order, as ``geometry.determinantal_projection``
 returns them, and ``classify`` calls them on every projection.
@@ -48,7 +51,7 @@ from .errors import (
     _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, MAX_PRIME, PRIMES, clear_denominators
-from .states import FORMAT, Tensor, _frac_str, flattening_basis
+from .states import FORMAT, Tensor, _frac_str
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
     CUBIC_MONOMIALS,
@@ -59,6 +62,7 @@ from .geometry import (
     _first_witness,
     _points,
     _reduced_model,
+    _slice_pivot,
     _witness_json,
     projection_coefficients,
 )
@@ -183,26 +187,30 @@ _PAIRS = tuple((i, j) for i in range(10) for j in range(i, 10))
 
 
 def _pair_terms(poly):
-    """An integer contraction divided by its content, as (k, a, b, ...)
-    terms: the term's sorted monomial indices taken two at a time, each
-    pair given by its position in _PAIRS."""
+    """An integer contraction divided by its content, as terms grouped by
+    their first pair product: (a, ((k, b, ...), ...)) for each a that
+    starts a term.  A term is k times its sorted monomial indices taken two
+    at a time, each pair given by its position in _PAIRS; a is the first of
+    those positions, and b, ... the rest."""
     content = reduce(gcd, poly.values())
     pair = {ij: a for a, ij in enumerate(_PAIRS)}.__getitem__
-    return tuple(
-        (k // content, *map(pair, zip(idx[::2], idx[1::2]))) for idx, k in poly.items()
-    )
+    groups = {}
+    for idx, k in poly.items():
+        a, *rest = map(pair, zip(idx[::2], idx[1::2]))
+        groups.setdefault(a, []).append((k // content, *rest))
+    return tuple((a, tuple(terms)) for a, terms in groups.items())
 
 
 def _st_sums(coeffs, s_terms, t_terms):
     """The integer sums of the S and T terms on one cubic's coefficients:
-    its 55 pairwise products once, then two products per S term and three
-    per T term."""
+    its 55 pairwise products once, then per group of terms one sum of k
+    times the later pair products, times the group's first pair product."""
     pairs = [coeffs[i] * coeffs[j] for i, j in _PAIRS]
     s = t = 0
-    for k, a, b in s_terms:
-        s += k * pairs[a] * pairs[b]
-    for k, a, b, c in t_terms:
-        t += k * pairs[a] * pairs[b] * pairs[c]
+    for a, terms in s_terms:
+        s += pairs[a] * sum([k * pairs[b] for k, b in terms])
+    for a, terms in t_terms:
+        t += pairs[a] * sum([k * pairs[b] * pairs[c] for k, b, c in terms])
     return s, t
 
 
@@ -596,31 +604,41 @@ def cubic_discriminant(f: TernaryCubic):
     return plane_cubic_invariants(coeffs, den).discriminant
 
 
-def _curve_projections(fmt, rows, den):
+def _curve_projections(fmt, rows, divisor):
     """Exact invariants of every projection of the model whose forms have
-    the coefficient rows rows / den (integer rows); each projection is
-    integer and stands for its value divided by den^d."""
+    the integer coefficient rows ``rows``: each projection's integer
+    coefficients (``projection_coefficients``) stand for their values
+    divided by the nonzero int ``divisor``."""
     n, d = fmt
     invariants = plane_cubic_invariants if fmt == (3, 3) else biquadratic_invariants
     return [
-        Projection(axes, invariants(projection_coefficients(rows, n, d, axes), den**d))
+        Projection(axes, invariants(projection_coefficients(rows, n, d, axes), divisor))
         for axes in CURVE_AXES[fmt]
     ]
 
 
-def _discriminants(fmt, rows, den):
-    return tuple(pr.invariants.discriminant for pr in _curve_projections(fmt, rows, den))
+def _slice_projections(t, divisor):
+    """The projections (``_curve_projections``) of the state's own slices
+    along the last axis, the numerator rows t.nums[k::d], over divisor: the
+    state's projections over den^d, and the canonical basis's over the
+    slices' last fraction-free pivot (``classify`` argues the rescaling)."""
+    return _curve_projections((t.n, t.d), [t.nums[k :: t.d] for k in range(t.d)], divisor)
 
 
 def exact_projection_discriminants(t: Tensor):
     """Exact discriminants of every projected curve, or None when the
-    format has no determinantal projections or the rank is deficient."""
+    format has no determinantal projections or the rank is deficient.
+    They are those of the canonical basis, read off the state's own slices
+    over their last fraction-free pivot M (``_slice_projections``): a
+    discriminant has degree 12 in the coefficients, so it scales by
+    M^-12, as ``classify`` argues.  Raises WorkLimitError, before any
+    elimination, when d**(n+1) exceeds MAX_FLATTENING_COST."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
-    rows, den = flattening_basis(t)
-    if len(rows) != t.d:
+    rank, pivot = _slice_pivot(t)
+    if rank != t.d:
         return None
-    return _discriminants((t.n, t.d), rows, den)
+    return tuple(pr.invariants.discriminant for pr in _slice_projections(t, pivot))
 
 
 def _slice_curves(t):
@@ -630,8 +648,7 @@ def _slice_curves(t):
     denominator."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
-    rows = [t.nums[k :: t.d] for k in range(t.d)]
-    return tuple(pr.invariants for pr in _curve_projections((t.n, t.d), rows, t.den))
+    return tuple(pr.invariants for pr in _slice_projections(t, t.den**t.d))
 
 
 def slice_discriminants(t: Tensor):
@@ -666,7 +683,8 @@ def curve_singular_mod_p(model: VarietyModel):
         raise ValueError("curve_singular_mod_p needs a model over F_p; reduce it with model_mod_p")
     if p < 5:
         raise UnsupportedPrimeError(f"curve_singular_mod_p needs p >= 5, not {p}")
-    return any(disc.numerator % p == 0 for disc in _discriminants(fmt, model.rows, 1))
+    projections = _curve_projections(fmt, model.rows, 1)
+    return any(pr.invariants.discriminant.numerator % p == 0 for pr in projections)
 
 
 #: The hyperdeterminant of each format that has one, as (name, function).
@@ -699,6 +717,34 @@ def classify(t: Tensor, primes: PRIMES = None):
 
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
     discriminants; the prime sweep only supplies a singular witness.
+
+    The curve invariants are read off the state's own slices: the rows
+    F = [t.nums[k::d] ...], its numerators along the last axis.  The
+    flattening's cost is checked first, then one fraction-free elimination
+    of F (``geometry._slice_pivot``, Bareiss 1968) gives the rank and, at
+    full rank d, the last pivot M = +-det F_P, F_P the d x d minor of F at
+    the pivot columns.  The canonical basis of the flattening image is
+    F_P^-1 * F (the state's denominator cancels).  A projection is the
+    determinant of the matrix of linear forms whose row k is linear in
+    form k, so it is alternating-multilinear in the d forms, and the
+    canonical basis's projection is F's divided by det F_P = +-M.  Each
+    projection is therefore built from F over the divisor M.  S and T (I
+    and J of the branch quartic) have degrees 4 and 6 in the coefficients,
+    so the sign of M drops out, and every reported value is the canonical
+    basis's, to the byte.  The same rescaling gives
+    ``exact_projection_discriminants``: a discriminant scales by M^-12.
+
+    At full rank a (4,2) state's hyperdeterminant comes from its first
+    projection.  Dropping the group z leaves det(y0 * A0(x) + y1 * A1(x)),
+    A_b(x) the 2 x 2 matrix of the slices contracted with x and b, a
+    determinant pencil whose discriminant in y is Cayley's hyperdeterminant
+    of the 2x2x2 tensor t(x, ., ., .).  So the branch quartic is the Cayley
+    quartic along the first kept axis, and by Schlaefli's method
+    (Gelfand-Kapranov-Zelevinsky 1994, ch. 14) its 4*I^3 - J^2 is the
+    Schlaefli hyperdeterminant, whichever axis it runs along: on F it is
+    ``_schlaefli(t.nums)``, which is 27 * den^24 times the hyperdeterminant.
+    That integer is the projection's discriminant times M^12.  Below full
+    rank there is no projection, and ``schlaefli_hyperdet`` computes it.
 
     A (5,2) state of full flattening rank is first offered a proof of
     smoothness.  Its model X cuts two (1,1,1,1) forms out of (P^1)^4, and X
@@ -751,37 +797,44 @@ def classify(t: Tensor, primes: PRIMES = None):
 @lru_cache(maxsize=CLASSIFY_MEMO_SIZE)
 def _classify(t, primes):
     fmt = (t.n, t.d)
-    rows, den = flattening_basis(t)
-    rank = len(rows)
-    hyperdet = HYPERDETERMINANTS[fmt][1](t) if fmt in HYPERDETERMINANTS else None
+    rank, pivot = _slice_pivot(t)
+    curve = fmt in CURVE_AXES and rank == t.d
+    projections = tuple(_slice_projections(t, pivot)) if curve else ()
+    if fmt == (4, 2) and curve:
+        # 27 * den^24 * Schlaefli is 4*I^3 - J^2 of the slices' branch
+        # quartic, which is the projection's discriminant times pivot^12
+        scale = Fraction(pivot**12, 27 * t.den**24)
+        hyperdet = projections[0].invariants.discriminant * scale
+    else:
+        hyperdet = HYPERDETERMINANTS[fmt][1](t) if fmt in HYPERDETERMINANTS else None
     # Cayley's hyperdeterminant generates the (3,2) invariant ring, so its
     # zeros are the null cone; Schlaefli's also vanishes on semistable
     # states (GHZ(4,2), where the degree-2 invariant is 2), so only its
     # nonzero values prove anything
     hint = hyperdet != 0 if fmt == (3, 2) else (True if hyperdet else None)
-    curve = fmt in CURVE_AXES and rank == t.d
-    projections = tuple(_curve_projections(fmt, rows, den)) if curve else ()
     j, used, witness = None, (), None
     if rank < t.d:
         status = RANK_DEFICIENT
     elif curve and all(pr.invariants.discriminant != 0 for pr in projections):
-        js = {pr.invariants.j for pr in projections}
-        if len(js) != 1:
-            raise SloccGeoError(f"projection j values disagree: {sorted(map(str, js))}")
-        status, j = SMOOTH_GENERIC, js.pop()
+        j = projections[0].invariants.j
+        if any(pr.invariants.j != j for pr in projections[1:]):
+            js = sorted({str(pr.invariants.j) for pr in projections})
+            raise SloccGeoError(f"projection j values disagree: {js}")
+        status = SMOOTH_GENERIC
     elif _certified_smooth(t):
         status = SMOOTH_GENERIC
     else:
-        used, status, witness = _vote(t, primes, curve)
+        used, status, witness = _vote(t, primes, curve, pivot)
     return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
 
 
-def _vote(t, primes, curve):
+def _vote(t, primes, curve, pivot=None):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
-    ``classify`` states the rules."""
+    ``classify`` states the rules and passes the last pivot of the slices'
+    elimination (``_file_primes``)."""
     scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
-    used = _file_primes(t, scan)[0]
+    used = _file_primes(t, scan, pivot=pivot)[0]
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict
     if not used and not curve:

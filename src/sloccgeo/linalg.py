@@ -11,8 +11,9 @@ when these matrices are.
 There are two elimination loops, one per ring.  Over Z it is ``_bareiss``,
 fraction-free: ``integer_rref`` (the pipeline's exact flattening, every Q
 ``rref`` and the invertibility checks of ``random_invertible`` and
-``SloccOperator``) normalises its rows, and ``Matrix.det`` and the prime
-filing (``geometry._file_primes``) read its last pivot.  Every F_p rank,
+``SloccOperator``) normalises its rows, and ``Matrix.det``, the prime
+filing and ``classify``'s curve invariants (``geometry._slice_pivot``) read
+its last pivot.  Every F_p rank,
 kernel, row space and Hilbert degree goes through the other,
 ``Matrix.rref``: it copies the rows once, updates each row in place from
 the pivot column rightward, and hands its rows to the private
@@ -333,7 +334,12 @@ class Matrix:
         columns, and it is nonzero elsewhere only at pivot columns left of f.
         So each vector, reversed, leads with a 1 where every other one is 0:
         the reversed vectors, in reverse order, are in reduced row-echelon
-        form, and by its uniqueness they are the canonical basis."""
+        form, and by its uniqueness they are the canonical basis.  The basis
+        has up to cols x cols entries, so a cols**2 above MAX_MATRIX_ENTRIES
+        raises WorkLimitError before any elimination or allocation, as
+        ``zero`` and ``identity`` do; every relation kernel of the package
+        (at most 256 columns, ``zalgebra.relations_from_points``) passes."""
+        _check_entries(self.cols, self.cols)
         rev = Matrix._trusted([row[::-1] for row in self.entries], self.cols, self.p)
         rank, reduced = rev.rref()
         basis = _free_basis(reduced.entries[:rank], self.cols)

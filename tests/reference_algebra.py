@@ -16,7 +16,8 @@ its former filing, each with a reduction at every prime, the former exact
 route of ``cyclic_relations`` (a model over Q per rotation), and the former exact
 kernels of the curve path: the determinant-sum projection, the
 term-by-term S/T evaluation, the sorted-tuple S/T contraction and the
-``Fraction`` discriminant and j.  The
+``Fraction`` discriminant and j, and the former canonical-basis route of
+``classify``'s curve verdict (``canonical_verdict``).  The
 exact Schlaefli pencil form of a (5,2) state, which
 ``invariants._schlaefli_pencil`` builds modulo one prime, is here over Q.
 """
@@ -28,6 +29,7 @@ from math import gcd
 
 from sloccgeo.errors import BadReductionError
 from sloccgeo.geometry import (
+    CURVE_AXES,
     PROJECTION_MONOMIALS,
     _first_witness,
     _points,
@@ -37,6 +39,7 @@ from sloccgeo.geometry import (
     variety_from_state,
 )
 from sloccgeo.invariants import (
+    BIQUADRATIC,
     PLANE_CUBIC,
     _PERMS3,
     _S_WIRING,
@@ -46,7 +49,7 @@ from sloccgeo.invariants import (
     slice_discriminants,
 )
 from sloccgeo.linalg import Matrix
-from sloccgeo.states import Tensor, _rotate
+from sloccgeo.states import Tensor, _rotate, flattening_basis
 
 
 # A form is a plain term dict {flat exponent tuple: coefficient}: the
@@ -490,3 +493,48 @@ def schlaefli_pencil(t):
     for k in range(24, -1, -1):
         f = [(f[i - 1] if i else c[k]) - xs[k] * f[i] for i in range(25)]
     return f
+
+
+def branch_quartic(coeffs):
+    """B^2 - 4AC of a (2,2)-form in BIQUADRATIC_MONOMIALS order, A, B, C
+    its y0^2, y0*y1, y1^2 parts: the 5 coefficients of its branch
+    quartic."""
+    a_q, b_q, c_q = coeffs[0:3], coeffs[3:6], coeffs[6:9]
+
+    def conv(u, v):
+        return [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
+
+    return [x - 4 * y for x, y in zip(conv(b_q, b_q), conv(a_q, c_q))]
+
+
+def canonical_verdict(t):
+    """The exact part of a (3,3) or (4,2) verdict by the former
+    canonical-basis route: (rank, projections, j, hyperdeterminant, hint).
+    The flattening's RREF basis comes as integer rows over den
+    (``flattening_basis``); each projection is their determinant-sum
+    projection over den^d (``projection_coefficients``), a list of
+    (axes, pair, discriminant, j) from ``cubic_st`` or the branch quartic's
+    ``quartic_ij``; j is the projections' common j when no discriminant
+    vanishes, else None; the (4,2) hyperdeterminant comes from its own
+    Cayley pencil (``schlaefli_hyperdet``), and its hint is True where it
+    is nonzero, else None."""
+    fmt = (t.n, t.d)
+    rows, den = flattening_basis(t)
+    hyperdet = schlaefli_hyperdet(t) if fmt == (4, 2) else None
+    hint = True if hyperdet else None
+    if len(rows) < t.d:
+        return len(rows), [], None, hyperdet, hint
+    projections = []
+    for axes in CURVE_AXES[fmt]:
+        coeffs = projection_coefficients(rows, t.n, t.d, axes)
+        if fmt == (3, 3):
+            pair = cubic_st(coeffs, den**3)
+            kind = PLANE_CUBIC
+        else:
+            i_val, j_val = quartic_ij(*branch_quartic(coeffs))
+            pair = (Fraction(i_val, den**8), Fraction(j_val, den**12))
+            kind = BIQUADRATIC
+        projections.append((axes, *curve(kind, pair)))
+    js = {j for *_, j in projections}
+    j = js.pop() if None not in js and len(js) == 1 else None
+    return t.d, projections, j, hyperdet, hint

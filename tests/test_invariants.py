@@ -55,6 +55,7 @@ from sloccgeo.invariants import (
     exact_projection_discriminants,
     moduli_dimension,
     plane_cubic_invariants,
+    _PAIRS,
     _PERMS3,
     _S_WIRING,
     _T_WIRING,
@@ -923,13 +924,25 @@ def test_contraction_matches_full_sum():
 
 def test_contraction_matches_the_sorted_tuple_contraction():
     # the table-grown contraction with int monomials against the former
-    # sorted-tuple one: equal terms in equal order, so the calibrated S/T
-    # term tuples are those the former contraction gave
+    # sorted-tuple one: equal terms in equal order.  The calibrated S/T
+    # terms are grouped by their first pair product, one group per product,
+    # and flattened they are the former contraction's terms over its
+    # content, each pair of monomial indices read as its position in _PAIRS;
+    # the scales are the former ones
     for wiring in (_S_WIRING, _T_WIRING):
         assert list(_contract(wiring).items()) == list(ref.contract(wiring).items())
-    s_terms, t_terms = _calibrated_invariants()[:2]
-    assert s_terms == _pair_terms(ref.contract(_S_WIRING))
-    assert t_terms == _pair_terms(ref.contract(_T_WIRING))
+    pair = {ij: a for a, ij in enumerate(_PAIRS)}
+    calibrated = _calibrated_invariants()
+    for grouped, scale, (terms, former_scale), wiring in zip(
+        calibrated[:2], calibrated[2:], ref.st_terms(), (_S_WIRING, _T_WIRING)
+    ):
+        assert grouped == _pair_terms(ref.contract(wiring))
+        assert len({a for a, _ in grouped}) == len(grouped)
+        flat = sorted((k, a, *rest) for a, group in grouped for k, *rest in group)
+        assert flat == sorted(
+            (k, *(pair[ij] for ij in zip(idx[::2], idx[1::2]))) for k, idx in terms
+        )
+        assert scale == former_scale
 
 
 def reference_evaluate(poly, coeffs):
@@ -962,13 +975,7 @@ def reference_invariants(coeffs):
         s, t = reference_evaluate(s_poly, coeffs), reference_evaluate(t_poly, coeffs)
         disc = 64 * s**3 - t**2
         return (s, t), disc, None if disc == 0 else 110592 * s**3 / disc
-    a_q, b_q, c_q = coeffs[0:3], coeffs[3:6], coeffs[6:9]
-
-    def conv(u, v):
-        return [sum(u[i] * v[k - i] for i in range(3) if 0 <= k - i < 3) for k in range(5)]
-
-    quartic = [x - 4 * y for x, y in zip(conv(b_q, b_q), conv(a_q, c_q))]
-    i_val, j_val = ref.quartic_ij(*quartic)
+    i_val, j_val = ref.quartic_ij(*ref.branch_quartic(coeffs))
     disc = 4 * i_val**3 - j_val**2
     return (i_val, j_val), disc, None if disc == 0 else 6912 * i_val**3 / disc
 
@@ -1007,12 +1014,13 @@ def reference_schlaefli(t):
     return Fraction(4 * i_val**3 - j_val**2) / 27
 
 
-def _drawn_state(draw, n, d):
-    """Coefficients in [-2, 2], optionally times a rational and moved by a
-    rational SLOCC operator."""
+def _drawn_state(draw, n, d, t=None):
+    """Coefficients in [-2, 2], or the state t when given, optionally times
+    a rational and moved by a rational SLOCC operator."""
     from hypothesis import strategies as st
 
-    t = Tensor(n, d, draw(st.lists(st.integers(-2, 2), min_size=d**n, max_size=d**n)))
+    if t is None:
+        t = Tensor(n, d, draw(st.lists(st.integers(-2, 2), min_size=d**n, max_size=d**n)))
     num = draw(st.integers(-6, 6).filter(bool))
     t = t.scale(Fraction(num, draw(st.integers(1, 9))))
     if draw(st.booleans()):
@@ -1040,7 +1048,8 @@ def test_integer_core_matches_reference(fmt):
         if sub.rows < d:
             return
         model = variety_from_state(t)
-        projections = _curve_projections(fmt, *clear_denominators(sub.entries))
+        rows, den = clear_denominators(sub.entries)
+        projections = _curve_projections(fmt, rows, den**d)
         assert [pr.axes for pr in projections] == list(axes)
         assert exact_projection_discriminants(t) == tuple(
             pr.invariants.discriminant for pr in projections
@@ -1060,6 +1069,82 @@ def test_integer_core_matches_reference(fmt):
                     reduced, kept
                 )
             assert curve_singular_mod_p(reduced) == reference_curve_singular_mod_p(reduced)
+
+    check()
+
+
+def _verdict_state(draw, n, d):
+    """A drawn state (``_drawn_state``), or GHZ, W (qubits) or a state of
+    flattening rank below d, each moved as a drawn state is.  The deficient
+    state's slices along the last axis are multiples of one or two drawn
+    slices."""
+    from hypothesis import strategies as st
+
+    kind = draw(st.sampled_from(("drawn", "ghz", "w", "deficient")))
+    if kind == "drawn":
+        return _drawn_state(draw, n, d)
+    if kind == "deficient":
+        size, rank = d ** (n - 1), draw(st.integers(1, d - 1))
+        entries = st.integers(-2, 2)
+        slices = [draw(st.lists(entries, min_size=size, max_size=size)) for _ in range(rank)]
+        weights = [draw(st.lists(entries, min_size=rank, max_size=rank)) for _ in range(d)]
+        base = Tensor(n, d, [
+            sum(w * u[i] for w, u in zip(weights[k], slices)) for i in range(size) for k in range(d)
+        ])
+    else:
+        base = w_state(n) if kind == "w" and d == 2 else ghz(n, d)
+    return _drawn_state(draw, n, d, base)
+
+
+@pytest.mark.parametrize("fmt", [(3, 3), (4, 2)])
+def test_slice_verdict_matches_canonical_basis_route(fmt):
+    # classify reads the curves off the state's slices over their last
+    # fraction-free pivot, and the (4,2) hyperdeterminant off the first
+    # projection; the former route built the canonical basis, projected it
+    # over den^d and took the hyperdeterminant from its own Cayley pencil
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def check(data):
+        t = _verdict_state(data.draw, *fmt)
+        verdict = classify(t)
+        rank, projections, j, hyperdet, hint = ref.canonical_verdict(t)
+        assert verdict.rank == rank
+        assert [
+            (pr.axes, pr.invariants.pair, pr.invariants.discriminant, pr.invariants.j)
+            for pr in verdict.projections
+        ] == projections
+        assert (verdict.j, verdict.hyperdeterminant, verdict.semistable_hint) == (j, hyperdet, hint)
+        seen.add(verdict.status)
+
+    check()
+    assert {RANK_DEFICIENT, SMOOTH_GENERIC, SINGULAR_MODEL} <= seen, seen
+
+
+def test_slice_branch_discriminants_are_the_schlaefli_hyperdeterminant():
+    # each branch quartic of a (4,2) state's slice projection is the Cayley
+    # quartic along a kept axis, so its 4*I^3 - J^2 is 27 * den^24 times
+    # the Schlaefli hyperdeterminant, on every axis pair
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    from sloccgeo.geometry import projection_coefficients
+    from sloccgeo.invariants import _branch, _ij, _schlaefli
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        t = _verdict_state(data.draw, 4, 2)
+        slices = [t.nums[0::2], t.nums[1::2]]
+        expected = _schlaefli(t.nums)
+        assert Fraction(expected, 27 * t.den**24) == schlaefli_hyperdet(t)
+        for axes in CURVE_AXES[(4, 2)]:
+            i_val, j_val = _ij(*_branch(projection_coefficients(slices, 4, 2, axes)))
+            assert 4 * i_val**3 - j_val**2 == expected
 
     check()
 
@@ -1275,12 +1360,11 @@ def test_scan_filing_matches_the_reference_on_every_format():
 
 
 def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
-    # classify builds the exact flattening once, for its rank and curves.
-    # Filing the vote's primes builds no second one, and a scan of a state
-    # with no curve model builds none: a filing reads one fraction-free
-    # elimination of the slices, whatever its primes
+    # classify builds no canonical basis: one fraction-free elimination of
+    # the slices gives its rank and curves, and filing the vote's primes
+    # reuses its last pivot.  A scan makes one elimination too, in its
+    # filing, and a filing reads one, whatever its primes
     import sloccgeo.geometry
-    import sloccgeo.invariants
     import sloccgeo.linalg
     import sloccgeo.states
     from sloccgeo.geometry import _file_primes
@@ -1291,18 +1375,7 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
         calls.append(t)
         return sloccgeo.states.flattening_basis(t)
 
-    for module in (sloccgeo.geometry, sloccgeo.invariants):
-        monkeypatch.setattr(module, "flattening_basis", counting)
-    uncertified = random_state(5, 2, 5, 50)
-    for t, used in ((ghz(3, 3), DEFAULT_PRIMES), (uncertified, (5, 7, 11, 13))):
-        classify.cache_clear()
-        calls.clear()
-        verdict = classify(t)
-        assert verdict.primes_used == used and calls == [t]
-    classify.cache_clear()
-    calls.clear()
-    report = smoothness_scan(random_state(5, 2, 5, 0), (5, 7))
-    assert report.primes == (5, 7) and calls == []
+    monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", counting)
     eliminations = []
 
     def counted(rows, cols):
@@ -1310,6 +1383,18 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
         return sloccgeo.linalg._bareiss(rows, cols)
 
     monkeypatch.setattr(sloccgeo.geometry, "_bareiss", counted)
+    uncertified = random_state(5, 2, 5, 50)
+    for t, used in ((ghz(3, 3), DEFAULT_PRIMES), (uncertified, (5, 7, 11, 13)),
+                    (random_state(3, 3, 5, 42), ()), (random_state(4, 2, 5, 3), ()),
+                    (basis_state(4, 2, (0, 0, 0, 0)), ())):
+        classify.cache_clear()
+        eliminations.clear()
+        verdict = classify(t)
+        assert verdict.primes_used == used and eliminations == [t.d ** (t.n - 1)]
+    classify.cache_clear()
+    eliminations.clear()
+    report = smoothness_scan(random_state(5, 2, 5, 0), (5, 7))
+    assert report.primes == (5, 7) and eliminations == [16]
     for t in (ghz(3, 3), random_state(3, 3, 5, 42), random_state(5, 2, 5, 0),
               ghz(4, 2).scale(Fraction(1, 35))):
         for primes in ((5,), (7, 31), DEFAULT_PRIMES):
@@ -1550,16 +1635,16 @@ def test_memoized_state_still_checks_its_primes():
 
 
 def test_compare_after_classify_recomputes_nothing(monkeypatch):
-    import sloccgeo.invariants as inv
+    import sloccgeo.geometry as geo
 
     calls = []
-    flattening_basis = inv.flattening_basis
+    bareiss = geo._bareiss
 
-    def counting(t):
-        calls.append(t)
-        return flattening_basis(t)
+    def counting(rows, cols):
+        calls.append(cols)
+        return bareiss(rows, cols)
 
-    monkeypatch.setattr(inv, "flattening_basis", counting)
+    monkeypatch.setattr(geo, "_bareiss", counting)
     for fmt in ((3, 3), (4, 2)):
         s = random_state(*fmt, 5, seed=11)
         moved = apply_slocc(s, SloccOperator.random(*fmt, 3, seed=12))
@@ -1571,19 +1656,19 @@ def test_compare_after_classify_recomputes_nothing(monkeypatch):
 
 
 def test_raising_classify_is_not_memoized(monkeypatch):
-    import sloccgeo.invariants as inv
+    import sloccgeo.geometry as geo
 
     t = random_state(3, 3, 5, seed=7)
-    flattening_basis = inv.flattening_basis
+    check_flattening_cost = geo.check_flattening_cost
 
     def refusing(s):
         raise WorkLimitError("refused")
 
-    monkeypatch.setattr(inv, "flattening_basis", refusing)
+    monkeypatch.setattr(geo, "check_flattening_cost", refusing)
     with pytest.raises(WorkLimitError):
         classify(t)
     assert classify.cache_info().currsize == 0
-    monkeypatch.setattr(inv, "flattening_basis", flattening_basis)
+    monkeypatch.setattr(geo, "check_flattening_cost", check_flattening_cost)
     assert classify(t).status == SMOOTH_GENERIC
     info = classify.cache_info()
     assert (info.misses, info.currsize) == (2, 1)

@@ -484,6 +484,22 @@ def test_matrix_sizes_are_bounded_before_allocation(monkeypatch):
     assert MAX_MATRIX_ENTRIES == 2**17
 
 
+def test_kernel_width_is_bounded_before_any_allocation(monkeypatch):
+    # a kernel basis can be cols x cols: Matrix([], cols=2000).kernel() took
+    # 6.1 s and 375 MB before its width was bounded
+    assert Matrix([], cols=256, p=5).kernel().rows == 256
+    assert Matrix([[1] * 362], p=7).kernel().rows == 361
+
+    def refused(self):
+        raise AssertionError("eliminated before the width check")
+
+    monkeypatch.setattr(Matrix, "rref", refused)
+    for cols, p in ((363, 5), (2000, None), (10**6, 7)):
+        with pytest.raises(WorkLimitError) as info:
+            Matrix([], cols=cols, p=p).kernel()
+        assert str(info.value) == f"a {cols} x {cols} matrix has more than 131072 entries"
+
+
 @pytest.mark.parametrize("entry", [None, 1.5, "1", Fraction(1, 2) + 0.5, [1]])
 def test_rational_matrix_entries_are_ints_and_fractions(entry):
     # None ended in a bare TypeError and 1.5 was read as 3/2

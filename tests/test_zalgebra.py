@@ -399,7 +399,6 @@ def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
     # at a good prime every reduced flattening has rank d, which proves the
     # exact rank, so no exact flattening is built
     import sloccgeo.geometry
-    import sloccgeo.invariants
     import sloccgeo.states
 
     calls = []
@@ -408,8 +407,7 @@ def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
         calls.append(t)
         return sloccgeo.states.flattening_basis(t)
 
-    for module in (sloccgeo.geometry, sloccgeo.invariants):
-        monkeypatch.setattr(module, "flattening_basis", counting)
+    monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", counting)
     t33 = random_state(3, 3, 5, 42)
     assert quadratic_hilbert(t33, 11, 4).matches()
     assert cubic_hilbert(family_1235, 13, 5).matches()
