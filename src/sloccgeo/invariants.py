@@ -208,9 +208,15 @@ def _st_sums(coeffs, s_terms, t_terms):
     pairs = [coeffs[i] * coeffs[j] for i, j in _PAIRS]
     s = t = 0
     for a, terms in s_terms:
-        s += pairs[a] * sum([k * pairs[b] for k, b in terms])
+        inner = 0
+        for k, b in terms:
+            inner += k * pairs[b]
+        s += pairs[a] * inner
     for a, terms in t_terms:
-        t += pairs[a] * sum([k * pairs[b] * pairs[c] for k, b, c in terms])
+        inner = 0
+        for k, b, c in terms:
+            inner += k * pairs[b] * pairs[c]
+        t += pairs[a] * inner
     return s, t
 
 
