@@ -650,9 +650,17 @@ def enumerate_points(model: VarietyModel, p: PRIME):
     (``_pencil_roots``); this list drops those marks, and the Jacobian
     sweeps read them.
     """
+    return [pt for pt, _ in _walk(model, p)[1]]
+
+
+def _walk(model, p):
+    """(reduced model, its walk): the model over F_p (``model_mod_p``) and
+    the lazy (point, certified) pairs of ``_points`` over it, the prefix
+    budget at p checked in between.  ``enumerate_points`` lists the walk;
+    ``zalgebra.relations_from_points`` stops it once its rank is full."""
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))
-    return [pt for pt, _ in _points(reduced, p)]
+    return reduced, _points(reduced, p)
 
 
 def _prefix_contractions(tensor, coords):

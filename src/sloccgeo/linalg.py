@@ -13,17 +13,19 @@ fraction-free: ``integer_rref`` (the pipeline's exact flattening, every Q
 ``rref`` and the invertibility checks of ``random_invertible`` and
 ``SloccOperator``) normalises its rows, and ``Matrix.det``, the prime
 filing and ``classify``'s curve invariants (``geometry._slice_pivot``) read
-its last pivot.  Every F_p rank,
-kernel, row space and Hilbert degree goes through the other,
-``Matrix.rref``: it copies the rows once, updates each row in place from
-the pivot column rightward, and hands its rows to the private
-``Matrix._trusted`` constructor, which stores rows already in ``[0, p)``
-without reducing them again.  The public constructor checks and reduces
-its input; over F_p it takes integer entries only.  Kernels and Hilbert
-quotients read the pivots and free columns of reduced rows through one
-routine, ``_pivots_and_free``: a kernel takes its free-column basis
+its last pivot.  Every F_p rank, kernel, row space and Hilbert degree goes
+through the other, ``_eliminate``: it works in place on rows already in
+``[0, p)``, updates each row from the pivot column rightward, and returns
+the rank and the pivot columns, so no caller scans its rows for them
+again.  Its rank-only mode stops at forward elimination; ``Matrix.rank``,
+the top degree of a Hilbert profile and the rank walk of
+``zalgebra.relations_from_points`` use it.  ``Matrix.rref``, ``row_space``
+and ``kernel`` hand its rows to the private ``Matrix._trusted``
+constructor, which stores rows already in ``[0, p)`` without reducing them
+again.  The public constructor checks and reduces its input; over F_p it
+takes integer entries only.  A kernel takes its free-column basis
 (``_free_basis``) from one elimination, of the column-reversed matrix
-(``Matrix.kernel``), and a Hilbert degree its multiplication map.
+(``Matrix.kernel``).
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
 through ``Tensor.reduce_mod`` (``states.reduced_flattening_image`` calls
@@ -262,48 +264,35 @@ class Matrix:
 
     def rref(self):
         """Return (rank, reduced) where reduced is the canonical RREF.  Over
-        Q it is integer_rref of the matrix cleared of its denominators.
-
-        Over F_p it is one Gauss-Jordan pass on a single copy of the rows.
-        At each pivot the pivot row is zero left of the pivot column, so
-        normalising it and clearing the column from the other rows touch
-        only the columns from the pivot column rightward; each row is
-        updated in place.  The result is built by ``_trusted``: its rows
-        are already in [0, p).  A pivot that is not invertible modulo a
-        composite p raises UnsupportedPrimeError.
+        Q it is integer_rref of the matrix cleared of its denominators; over
+        F_p one Gauss-Jordan pass (``_eliminate``) on a single copy of the
+        rows, built by ``_trusted``: its rows are already in [0, p).  A pivot
+        that is not invertible modulo a composite p raises
+        UnsupportedPrimeError.
         """
-        p, m = self.p, [list(row) for row in self.entries]
+        rank, rows, _ = self._reduced_rows()
+        return rank, Matrix._trusted(rows, self.cols, self.p)
+
+    def _reduced_rows(self):
+        """(rank, rows, pivots): the RREF's rows as tuples, the zero rows
+        last, and the pivot column of each of the rank nonzero rows."""
+        p, cols = self.p, self.cols
         if p is None:
-            rank, rows, den = integer_rref(clear_denominators(m)[0], self.cols)
-            m = [[Fraction(x, den) for x in row] for row in rows]
-            return rank, Matrix(m + [[0] * self.cols] * (self.rows - rank), cols=self.cols)
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((i for i in range(rank, self.rows) if m[i][col]), None)
-            if pivot is None:
-                continue
-            top = m[pivot]
-            m[pivot], m[rank] = m[rank], top
-            try:
-                inv = pow(top[col], -1, p)
-            except ValueError:
-                raise UnsupportedPrimeError(
-                    f"pivot {top[col]} is not invertible modulo {p}"
-                ) from None
-            if inv != 1:
-                top[col:] = [x * inv % p for x in top[col:]]
-            tail = top[col:]
-            for row in m:
-                f = row[col]
-                if f and row is not top:
-                    row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
-            rank += 1
-            if rank == self.rows:
-                break
-        return rank, Matrix._trusted([tuple(row) for row in m], self.cols, p)
+            m = clear_denominators(self.entries)[0]
+            rank, rows, den = integer_rref(m, cols)
+            pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
+            m = [tuple([Fraction(x, den) for x in row]) for row in rows]
+            return rank, m + [(Fraction(0),) * cols] * (self.rows - rank), pivots
+        m = [list(row) for row in self.entries]
+        rank, pivots = _eliminate(m, cols, p)
+        return rank, [tuple(row) for row in m], pivots
 
     def rank(self):
-        return self.rref()[0]
+        """The rank: over F_p from forward elimination alone (``_eliminate``
+        without back-substitution), over Q from ``_bareiss``."""
+        if self.p is None:
+            return _bareiss(clear_denominators(self.entries)[0], self.cols)[0]
+        return _eliminate([list(row) for row in self.entries], self.cols, self.p, reduce=False)[0]
 
     def det(self):
         """Exact determinant from the integer elimination ``_bareiss`` of
@@ -323,8 +312,8 @@ class Matrix:
     def row_space(self):
         """The row span as its canonical basis: the rank nonzero rows of the
         RREF, a rank x cols Matrix over the same field."""
-        rank, reduced = self.rref()
-        return Matrix._trusted(reduced.entries[:rank], self.cols, self.p)
+        rank, rows, _ = self._reduced_rows()
+        return Matrix._trusted(rows[:rank], self.cols, self.p)
 
     def kernel(self):
         """Right null space as its canonical basis (see ``row_space``), from
@@ -341,8 +330,8 @@ class Matrix:
         (at most 256 columns, ``zalgebra.relations_from_points``) passes."""
         _check_entries(self.cols, self.cols)
         rev = Matrix._trusted([row[::-1] for row in self.entries], self.cols, self.p)
-        rank, reduced = rev.rref()
-        basis = _free_basis(reduced.entries[:rank], self.cols)
+        rank, rows, pivots = rev._reduced_rows()
+        basis = _free_basis(rows[:rank], pivots, self.cols)
         return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
 
 
@@ -354,23 +343,57 @@ def _check_entries(rows, cols):
         raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
 
 
-def _pivots_and_free(rows, cols):
-    """(pivots, free) for the nonzero rows of an RREF with cols columns:
-    each row's pivot column, and the columns that are no row's pivot, in
-    order."""
-    pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-    pivot_set = set(pivots)
-    return pivots, [f for f in range(cols) if f not in pivot_set]
+def _eliminate(m, cols, p, reduce=True):
+    """Gauss-Jordan elimination over F_p of the rows m, lists of ints in
+    [0, p), in place: the package's one F_p elimination loop.  Returns
+    (rank, pivots), the pivot column of each of the first rank rows.
+
+    At each pivot the pivot row is zero left of the pivot column, so
+    normalising it and clearing the column touch only the columns from the
+    pivot column rightward, and each row is updated in place.  With reduce
+    (the default) the column is cleared from every other row, which leaves
+    the canonical RREF, zero rows last.  Without it only the rows below the
+    pivot are cleared (forward elimination, no back-substitution): the rank
+    and the pivots are the same, and the first rank rows are a row-echelon
+    basis of the span, each led by a 1.  A pivot that is not invertible
+    modulo a composite p raises UnsupportedPrimeError.
+    """
+    rank, pivots, height = 0, [], len(m)
+    for col in range(cols):
+        pivot = next((i for i in range(rank, height) if m[i][col]), None)
+        if pivot is None:
+            continue
+        top = m[pivot]
+        m[pivot], m[rank] = m[rank], top
+        try:
+            inv = pow(top[col], -1, p)
+        except ValueError:
+            raise UnsupportedPrimeError(f"pivot {top[col]} is not invertible modulo {p}") from None
+        if inv != 1:
+            top[col:] = [x * inv % p for x in top[col:]]
+        tail = top[col:]
+        for row in m if reduce else m[rank + 1 :]:
+            f = row[col]
+            if f and row is not top:
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+        pivots.append(col)
+        rank += 1
+        if rank == height:
+            break
+    return rank, pivots
 
 
-def _free_basis(rows, cols):
+def _free_basis(rows, pivots, cols):
     """The free-column basis of the right null space of the nonzero rows
-    of an RREF with cols columns: for each free column, in order, the
-    vector with 1 there, minus that column of the rows at their pivot
-    columns and 0 elsewhere.  Entries are left unreduced."""
-    pivots, free = _pivots_and_free(rows, cols)
+    of an RREF with cols columns, whose pivot columns are pivots: for each
+    free column, in order, the vector with 1 there, minus that column of
+    the rows at their pivot columns and 0 elsewhere.  Entries are left
+    unreduced."""
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(cols):
+        if f in pivot_set:
+            continue
         v = [0] * cols
         v[f] = 1
         for row, pc in zip(rows, pivots):

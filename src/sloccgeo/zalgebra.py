@@ -30,7 +30,7 @@ the exact flattening over Q is built only to name a failed reduction.
 
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
-(``_monomial_rows``): a point's row is the Kronecker product of its
+(``_monomial_row``): a point's row is the Kronecker product of its
 coordinate vectors in the order given.
 """
 
@@ -43,11 +43,12 @@ from .errors import (
     WorkLimitError,
     WrongFormatError,
 )
-from .linalg import PRIME, Matrix, _pivots_and_free
+from .linalg import PRIME, Matrix, _eliminate
 from .states import FORMAT, Tensor, _rotate
 from .geometry import (
     VarietyModel,
     _singular_reduction,
+    _walk,
     enumerate_points,
     hasse_window,
     reduced_models,
@@ -104,18 +105,20 @@ def cubic_expected_dims(k_max: DEGREE):
     return tuple((k + 2) ** 2 // 4 for k in range(k_max + 1))
 
 
+def _monomial_row(point, p):
+    """The evaluation row of one point, given as a tuple of coordinate
+    vectors: the Kronecker product of those vectors in the order given,
+    first slowest, as a list of ints in [0, p)."""
+    row = [1]
+    for v in point:
+        row = [a * x % p for a in row for x in v]
+    return row
+
+
 def _monomial_rows(points, width, p):
-    """Evaluation matrix of the given width: one row per point, given as a
-    tuple of coordinate vectors, and one column per monomial.  A row is the
-    Kronecker product of the point's coordinate vectors in the order given,
-    first slowest."""
-    rows = []
-    for pt in points:
-        row = [1]
-        for v in pt:
-            row = [a * x % p for a in row for x in v]
-        rows.append(row)
-    return Matrix(rows, cols=width, p=p)
+    """Evaluation matrix of the given width: one row per point
+    (``_monomial_row``) and one column per monomial."""
+    return Matrix([_monomial_row(pt, p) for pt in points], cols=width, p=p)
 
 
 def relations_from_points(model: VarietyModel, p: PRIME):
@@ -124,19 +127,33 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     is the kernel's dimension and whose ``cols`` is d**k.
 
     A point's row is the Kronecker product of the coordinate vectors of
-    the model's k = n - 1 groups, in order (``_monomial_rows``).  On a
+    the model's k = n - 1 groups, in order (``_monomial_row``).  On a
     generic curve model the monomials span a space of dimension
     k*d (sections of the product line bundle), leaving a kernel of
     dimension d**k - k*d.  If the evaluation rank falls short of that
     target the kernel would come out too big, so the computation aborts
     with InsufficientPointsError, naming the rank and the F_p-point count,
-    instead of reporting a wrong space.  The
-    evaluation matrix is d**k wide, the width of the model's rows, so
+    instead of reporting a wrong space.
+
+    The points are walked lazily (``geometry._walk``), and each row joins
+    a row-echelon basis of the rows so far (``_eliminate`` without
+    back-substitution), so no matrix of all the points is formed.  Every
+    form of the model vanishes at every point, so every row lies in the
+    orthogonal complement of the model's row space, and the rank can never
+    exceed width - rank(model rows) over F_p.  Once it reaches that
+    ceiling, and the ceiling is at least the target, the rows span the
+    whole complement, so the kernel is exactly the model's row space and
+    no further point can change it: the walk stops there.  A walk that
+    stays short runs to the end, so the error names the full rank and
+    point count.  The kernel is taken from the basis rows, whose span is
+    that of all the rows, so it is the same canonical basis.
+
+    The evaluation matrix is d**k wide, the width of the model's rows, so
     before any point is enumerated a model whose rows are too wide is
     refused with WorkLimitError, naming that width, by the width bound of
     the Hilbert profiles: d**k <= MAX_PROFILE_WIDTH.  The model may be over
-    Q or over F_p: ``enumerate_points`` reduces it (``model_mod_p``) and
-    then checks the prefix budget.
+    Q or over F_p: the walk reduces it (``model_mod_p``) and then checks
+    the prefix budget.
     """
     d, k, width = model.d, model.groups, len(model.rows[0])
     if width > MAX_PROFILE_WIDTH:
@@ -144,15 +161,24 @@ def relations_from_points(model: VarietyModel, p: PRIME):
             f"the evaluation rows of a model of format (n={model.n}, d={d}) are "
             f"{width} wide, over the limit of {MAX_PROFILE_WIDTH}"
         )
-    points = enumerate_points(model, p)
-    kernel = _monomial_rows([pt.coords for pt in points], width, p).kernel()
-    rank = width - kernel.rows
+    reduced, walk = _walk(model, p)
+    forms = [[x % p for x in row] for row in reduced.rows]
+    ceiling = width - _eliminate(forms, width, p, reduce=False)[0]
+    basis, rank, count = [], 0, 0
+    for pt, _ in walk:
+        count += 1
+        if rank < ceiling:
+            basis.append(_monomial_row(pt.coords, p))
+            rank = _eliminate(basis, width, p, reduce=False)[0]
+            del basis[rank:]
+            if rank == ceiling >= k * d:
+                break
     if rank < k * d:
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {k * d} at p={p} "
-            f"from {len(points)} F_p-points"
+            f"from {count} F_p-points"
         )
-    return kernel
+    return Matrix._trusted(map(tuple, basis), width, p).kernel()
 
 
 def cyclic_relations(state: Tensor, p: PRIME):
@@ -179,7 +205,7 @@ def _push(terms, mu, size, rest, p):
     A_j (x) V (x) V^(x)rest, indexed (column of A_j (x) V) * d**rest + word;
     the image lies in A_{j+1} (x) V^(x)rest, where A_{j+1} has dimension
     size, and mu[col] lists the (i, x) pairs of the nonzero entries of
-    column col's image.  Returns the image's entries as a tuple of ints in
+    column col's image.  Returns the image's entries as a list of ints in
     [0, p)."""
     out = [0] * (size * rest)
     for idx, c in terms:
@@ -187,7 +213,7 @@ def _push(terms, mu, size, rest, p):
             col, word = divmod(idx, rest)
             for i, x in mu[col]:
                 out[i * rest + word] += c * x
-    return tuple([x % p for x in out])
+    return [x % p for x in out]
 
 
 def check_hilbert_degree(d: FORMAT, k_max: DEGREE):
@@ -207,41 +233,55 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
     (A_{m-1} (x) V) / W_m, where W_m is the image of A_{m-a} (x) R.  Each
     basis vector of A_{m-a} tensored with each basis row of R is carried
     into A_{m-1} (x) V through the multiplication maps
-    mu_j: A_{j-1} (x) V -> A_j of the earlier degrees.  The row space of
-    those rows leaves the free columns as A_m's basis, and mu_m is the
-    transpose of the free-column basis of their null space: it keeps a
-    free column and sends a pivot column to minus its row on the free
-    columns (unreduced; ``_push`` reduces).  mu_m is stored sparsely, as
-    the (i, x) pairs of each column's nonzero entries: a free column has
-    the one pair (i, 1), and when A_m is 0 every column has none.
+    mu_j: A_{j-1} (x) V -> A_j of the earlier degrees.  Below the relation
+    degree a nothing is divided out, so A_j = V^(x)j and mu_j is the
+    identity: those pushes are skipped, and no mu_j is built for j < a.
+    The elimination of those rows (``_eliminate``) leaves the free columns
+    as A_m's basis, and mu_m is the transpose of the free-column basis of
+    their null space: it keeps a free column and sends a pivot column to
+    minus its row on the free columns (unreduced; ``_push`` reduces).  mu_m
+    is stored sparsely, as the (i, x) pairs of each column's nonzero
+    entries: a free column has the one pair (i, 1), and when A_m is 0 every
+    column has none.  No later degree reads mu_{k_max}, so the top degree
+    is ranked only: forward elimination, no back-substitution and no mu.
     """
     check_hilbert_degree(state.d, k_max)
     relations = cyclic_relations(state, p)
     n, d = state.n, state.d
     arity = n - 1
+    block = d**arity
     dims = [1]
-    mus = [None]  # mus[m][c]: image in A_m of column c of A_{m-1} (x) V
+    mus = [None]  # mus[m][c]: image in A_m of column c of A_{m-1} (x) V, for m >= arity
     for m in range(1, k_max + 1):
         width = dims[m - 1] * d
-        rows = []
-        if m >= arity:
-            block = d**arity
+        if m < arity:
+            dims.append(width)
+            mus.append(None)
+            continue
+        if m == arity:
+            rows = [list(rel) for rel in relations[0]]
+        else:
+            rows = []
             for b in range(dims[m - arity]):
                 for rel in relations[(m - arity) % n]:
                     terms = [(b * block + w, c) for w, c in enumerate(rel)]
-                    for j in range(m - arity + 1, m):
+                    for j in range(max(m - arity + 1, arity), m):
                         vec = _push(terms, mus[j], dims[j], d ** (m - j), p)
                         terms = enumerate(vec)
                     rows.append(vec)
-            rows = Matrix._trusted(rows, width, p).row_space().entries
-        pivots, free = _pivots_and_free(rows, width)
+        top = m == k_max
+        rank, pivots = _eliminate(rows, width, p, reduce=not top)
+        dims.append(width - rank)
+        if top:
+            break
+        pivot_set = set(pivots)
+        free = [f for f in range(width) if f not in pivot_set]
         mu = [()] * width
         for i, f in enumerate(free):
             mu[f] = ((i, 1),)
         for row, pc in zip(rows, pivots):
             mu[pc] = tuple([(i, -row[f]) for i, f in enumerate(free) if row[f]])
         mus.append(mu)
-        dims.append(len(free))
     return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
 
 

@@ -15,6 +15,7 @@ from sloccgeo.errors import (
 from sloccgeo.linalg import Matrix
 from sloccgeo.geometry import (
     ProjPoint,
+    VarietyModel,
     enumerate_points,
     hasse_window,
     jacobian_rank_at,
@@ -148,7 +149,7 @@ def test_relations_from_points_bounds_the_slot_count(monkeypatch):
     def refused(*args):
         raise AssertionError("points enumerated before the bound")
 
-    monkeypatch.setattr(sloccgeo.zalgebra, "enumerate_points", refused)
+    monkeypatch.setattr(sloccgeo.zalgebra, "_walk", refused)
     with pytest.raises(WorkLimitError, match=r"^the evaluation rows of a model of format "
                        r"\(n=10, d=2\) are 512 wide, over the limit of 256$"):
         relations_from_points(model, 11)
@@ -226,6 +227,24 @@ def test_quotient_recursion_matches_dense_rank(ghz3_qutrit):
     for state, p, k_max in off_target:
         assert not hilbert[state.n, state.d](state, p, k_max).matches()
     assert quadratic_hilbert(*ghz_case).dims == (1, 3, 6, 12, 24, 48)
+
+
+def test_quotient_recursion_matches_dense_rank_at_every_degree(ghz3_qutrit):
+    # the top degree is ranked only and the pushes through mu_j below the
+    # relation degree are skipped, so each k_max ends the recursion at a
+    # different degree: every k_max from 0 to the width bound must give
+    # the dense dimensions up to it, GHZ, the drop case and the three
+    # off-target (state, prime) pairs included
+    hilbert = {(3, 3): (quadratic_hilbert, 5), (4, 2): (cubic_hilbert, 8)}
+    cases = [(random_state(3, 3, 5, seed=3), 11), (random_state(4, 2, 5, seed=3), 11),
+             (random_state(3, 3, 5, seed=30), 7), (random_state(3, 3, 5, seed=13), 11),
+             (random_state(4, 2, 5, seed=33), 5), (ghz3_qutrit, 13),
+             (Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11}), 13)]
+    for state, p in cases:
+        profile, top = hilbert[state.n, state.d]
+        dense = dense_profile_dims(state, p, top)
+        for k_max in range(top + 1):
+            assert profile(state, p, k_max).dims == dense[: k_max + 1], (state.n, p, k_max)
 
 
 def test_profile_is_slocc_invariant():
@@ -645,28 +664,111 @@ def test_monomial_rows_match_the_index_loop():
     assert empty == ref.monomial_rows([], 3, 2, 11)
 
 
-def test_relations_eliminate_the_evaluation_matrix_once(monkeypatch):
-    # the rank check and the kernel come from one RREF, of the evaluation
-    # matrix with its columns reversed (Matrix.kernel); no other matrix is
-    # eliminated, neither the evaluation matrix itself nor the kernel basis
-    from sloccgeo.zalgebra import _monomial_rows
+def test_relations_never_eliminate_the_full_evaluation_matrix(monkeypatch):
+    # each point's row joins a row-echelon basis of the rows so far, and the
+    # walk stops once the rank reaches width - rank(model rows) = 9 - 3: no
+    # elimination sees more than that basis and one new row, and the walk
+    # of a smooth state ends before its last point.  The kernel is taken of
+    # the basis, so it is still the reduced flattening image
+    import sloccgeo.linalg
+    import sloccgeo.zalgebra
 
     t = random_state(3, 3, 5, seed=42)
     model = model_mod_p(variety_from_state(t), 11)
-    points = [pt.coords for pt in enumerate_points(model, 11)]
-    evaluation = _monomial_rows(points, 9, 11)
-    reversed_columns = Matrix([row[::-1] for row in evaluation.entries], cols=9, p=11)
-    seen = []
-    rref = Matrix.rref
+    total = len(enumerate_points(model, 11))
+    heights, pulled = [], []
+    eliminate, walk = sloccgeo.linalg._eliminate, sloccgeo.zalgebra._walk
 
-    def counting(m):
-        seen.append(m)
-        return rref(m)
+    def counting(m, *args, **kwargs):
+        heights.append(len(m))
+        return eliminate(m, *args, **kwargs)
 
-    monkeypatch.setattr(Matrix, "rref", counting)
+    def counted_walk(*args):
+        reduced, pairs = walk(*args)
+        return reduced, (pulled.append(pair) or pair for pair in pairs)
+
+    monkeypatch.setattr(sloccgeo.linalg, "_eliminate", counting)
+    monkeypatch.setattr(sloccgeo.zalgebra, "_eliminate", counting)
+    monkeypatch.setattr(sloccgeo.zalgebra, "_walk", counted_walk)
     rel = relations_from_points(model, 11)
-    assert seen == [reversed_columns]
     assert rel == reduced_flattening_image(t, 11)
+    assert total == 15 and 6 <= len(pulled) < total
+    assert max(heights) <= 7 and total not in heights
+
+
+def check_relations_against_reference(model, p):
+    """relations_from_points against the reference kernel of the evaluation
+    at every enumerated point: the same canonical basis, or, where the
+    reference rank falls short of k*d, the same InsufficientPointsError
+    message with the full point count.  True when a kernel was compared."""
+    points = [pt.coords for pt in enumerate_points(model, p)]
+    evaluation = ref.monomial_rows(points, model.d, model.groups, p)
+    kernel = ref.kernel_mod_p(evaluation)
+    rank, target = evaluation.cols - len(kernel), model.groups * model.d
+    if rank < target:
+        message = (f"evaluation rank {rank} below generic target {target} at p={p} "
+                   f"from {len(points)} F_p-points")
+        with pytest.raises(InsufficientPointsError, match=f"^{re.escape(message)}$"):
+            relations_from_points(model, p)
+        return False
+    assert relations_from_points(model, p).entries == kernel, (model.rows, p)
+    return True
+
+
+def test_relations_stop_early_with_the_reference_kernel():
+    # the walk stops once the evaluation rank reaches width - rank(model
+    # rows); on drawn states and on hand-built F_p models whose rows repeat,
+    # depend on each other or are one form (a ceiling above k*d, and with
+    # four independent (3,3) rows one below it, which must still count
+    # every point), the result is the kernel of all the points' rows
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, given, settings, strategies as st
+
+    primes = st.sampled_from((5, 7, 11, 13, 17, 19, 23))
+    compared = []
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), fmt=st.sampled_from(((3, 3), (4, 2), (5, 2))), p=primes)
+    def drawn_states(data, fmt, p):
+        n, d = fmt
+        if n == 5:
+            p = min(p, 11)  # (p + 1)**3 prefixes per (5,2) walk
+        coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=d**n, max_size=d**n))
+        try:
+            model = model_mod_p(variety_from_state(Tensor(n, d, coeffs)), p)
+        except (RankDeficientError, BadReductionError):
+            assume(False)
+        compared.append(check_relations_against_reference(model, p))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), fmt=st.sampled_from(((3, 3), (4, 2))), p=primes)
+    def hand_built(data, fmt, p):
+        n, d = fmt
+        width = d ** (n - 1)
+        row = st.lists(st.integers(0, p - 1), min_size=width, max_size=width)
+        base = data.draw(st.lists(row, min_size=1, max_size=4))
+        shape = data.draw(st.sampled_from(("single", "repeated", "dependent", "as drawn")))
+        if shape == "single":
+            rows = base[:1]
+        elif shape == "repeated":
+            rows = base + base[:1]
+        elif shape == "dependent":
+            a, b = data.draw(st.integers(0, p - 1)), data.draw(st.integers(0, p - 1))
+            rows = base + [[(a * x + b * y) % p for x, y in zip(base[0], base[-1])]]
+        else:
+            rows = base
+        check_relations_against_reference(VarietyModel(n, d, rows, 1, p), p)
+
+    drawn_states()
+    hand_built()
+    assert any(compared)
+    # the forms x0*y0, x0*y1, x0*y2 and x1*y0: the points [0:0:1] x P^2 and
+    # [0:*:*] x [0:*:*] soon reach the ceiling 9 - 4 = 5, below the target
+    # 6, and the walk must run on to count every point for the message
+    rows = [[1 if i == j else 0 for i in range(9)] for j in range(4)]
+    model = VarietyModel(3, 3, rows, 1, 7)
+    assert len(enumerate_points(model, 7)) == 113
+    assert not check_relations_against_reference(model, 7)
 
 
 def test_roundtrip_separable_rank_deficient():
