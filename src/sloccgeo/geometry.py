@@ -151,9 +151,9 @@ def _reduced_model(t, p):
     BadReductionError, and so does a rank drop of the reduced flattening.
     Rank can only drop modulo p, so a reduced flattening of rank d proves
     the exact one has rank d.  A rank deficiency over Q is told from a bad
-    prime by the caller: ``reduced_models`` builds the exact flattening
-    after a failure, and ``_file_primes`` reads its rank before any
-    reduction.
+    prime by the caller, from the rank of the state's slices
+    (``_slice_pivot``), with no basis over Q: ``reduced_models`` reads it
+    after a failure, and ``_file_primes`` before any reduction.
     """
     check_flattening_cost(t)
     basis = reduced_flattening_image(t, p)
@@ -276,16 +276,17 @@ TENSORS = each(lambda v: isinstance(v, Tensor), "Tensors")
 
 def reduced_models(states: TENSORS, p: PRIME):
     """The models over F_p of states of one format (``_reduced_model``),
-    with no model over Q.  When a reduction fails, every state's model over
-    Q is built before the error is raised, so the errors keep the exact
-    route's order: WorkLimitError, then RankDeficientError of any state,
-    then the first failing reduction's own error.
+    with no model over Q.  When a reduction fails, every state's slices
+    are ranked (``_slice_pivot``) before the error is raised, so the errors
+    come in one order: WorkLimitError, then RankDeficientError of any
+    state, then the first failing reduction's own error.
     """
     try:
         return [_reduced_model(t, p) for t in states]
     except SloccGeoError:
         for t in states:
-            variety_from_state(t)
+            if (rank := _slice_pivot(t)[0]) < t.d:
+                raise RankDeficientError(rank, t.d)
         raise
 
 

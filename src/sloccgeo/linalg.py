@@ -1,19 +1,21 @@
-"""Exact dense linear algebra over the rationals and prime fields.
+"""Exact dense linear algebra over prime fields.
 
-Matrices carry their field with them: ``p is None`` means entries are
-``fractions.Fraction``; ``p`` an int >= 2 means entries are ints in
-``[0, p)``.  Every operation is pure and rounding-free, so reduced
-row-echelon forms are canonical.  A subspace is its canonical basis, the
-nonzero RREF rows as a ``Matrix`` (``Matrix.row_space``): ``rows`` is its
-dimension and ``cols`` the ambient dimension, and two subspaces are equal
-when these matrices are.
+Matrices carry their field with them: ``p`` an int >= 2 means entries are
+ints in ``[0, p)``, and every elimination is over F_p.  ``p is None``
+means entries are ``fractions.Fraction``: such a Matrix is a value only
+(an operator's factor, a flattening image), and its ``rref``, ``rank``,
+``row_space``, ``kernel`` and ``det`` raise ValueError.  Every operation is
+pure and rounding-free, so reduced row-echelon forms are canonical.  A
+subspace is its canonical basis, the nonzero RREF rows as a ``Matrix``
+(``Matrix.row_space``): ``rows`` is its dimension and ``cols`` the ambient
+dimension, and two subspaces are equal when these matrices are.
 
 There are two elimination loops, one per ring.  Over Z it is ``_bareiss``,
-fraction-free: ``integer_rref`` (the pipeline's exact flattening, every Q
-``rref`` and the invertibility checks of ``random_invertible`` and
-``SloccOperator``) normalises its rows, and ``Matrix.det``, the prime
-filing and ``classify``'s curve invariants (``geometry._slice_pivot``) read
-its last pivot.  Every F_p rank, kernel, row space and Hilbert degree goes
+fraction-free: ``states.flattening_basis`` normalises its rows into the
+one RREF over Q, and the invertibility checks of ``random_invertible`` and
+``SloccOperator`` read its rank; ``Matrix.det``, the prime filing and
+``classify``'s curve invariants (``geometry._slice_pivot``) read its last
+pivot.  Every F_p rank, kernel, row space and Hilbert degree goes
 through the other, ``_eliminate``: it works in place on rows already in
 ``[0, p)``, updates each row from the pivot column rightward, and returns
 the rank and the pivot columns, so no caller scans its rows for them
@@ -33,12 +35,13 @@ it), which checks the prime.
 """
 
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import lcm
 
-from ._guard import RATIONAL_ROWS, ROWS, UNCHECKED, Kind, each, guard, ints
+from ._guard import RATIONAL_ROWS, UNCHECKED, Kind, each, guard, ints
 from .errors import SchemaError, UnsupportedPrimeError, WorkLimitError, _excerpt
 
 #: Primes used by default for finite-field reductions.  Small enough for
@@ -51,9 +54,9 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 #: keeps every accepted entry under that.
 MAX_PRIME = 2**31 - 1
 
-#: Most entries ``Matrix.zero`` and ``Matrix.identity`` may allocate: the
-#: 257 x 257 identity (66,049 entries) passes, as does every matrix the
-#: pipeline builds from a state of at most 2**16 coefficients.
+#: Most entries the basis of a ``Matrix.kernel`` may have, counted as
+#: cols**2 before any elimination: widths up to 362 pass, among them every
+#: relation kernel of the package (at most 256 columns).
 MAX_MATRIX_ENTRIES = 2**17
 
 #: Most decimal digits parse_state accepts in a numerator or denominator of
@@ -78,8 +81,12 @@ def check_primes(primes: UNCHECKED):
     itself.  2 and 3 divide denominators of the invariant
     constants, and other integers do not give a field.  Raises
     UnsupportedPrimeError naming the first bad entry (``_excerpt``), or
-    naming the request when it is not a collection of comparable entries."""
+    naming the request when it is not a collection of comparable entries.
+    An iterator is no collection: checking it would use it up, and the
+    caller would then read no prime."""
     try:
+        if not isinstance(primes, Collection):
+            raise TypeError
         primes = tuple(sorted(set(primes)))
     except TypeError:
         raise UnsupportedPrimeError(f"{_excerpt(primes)} is not a collection of primes") from None
@@ -96,7 +103,7 @@ def check_primes(primes: UNCHECKED):
 PRIME = Kind(lambda v: type(v) is int or check_primes((v,)), "a prime")
 #: A prime list, checked in full.
 PRIMES = Kind(check_primes, "a prime list")
-#: A matrix dimension (``integer_rref``, ``Matrix``).
+#: A matrix dimension (``Matrix``).
 SIZE = ints(0)
 #: The bound of a random draw's entries, short enough that every state
 #: ``states.random_state`` draws parses back.
@@ -164,23 +171,6 @@ def _bareiss(rows, cols):
     return rank, m, prev, sign
 
 
-def integer_rref(rows: ROWS, cols: SIZE):
-    """The RREF of integer rows, fraction-free (``_bareiss``).
-
-    Returns (rank, basis, den): ``basis`` holds the rank nonzero rows of
-    den * RREF, as integers in lowest terms with den > 0.  Rows of another
-    length than cols raise ValueError.
-    """
-    if any(len(row) != cols for row in rows):
-        raise ValueError(f"integer_rref needs rows of cols={cols} entries")
-    rank, m, prev, _ = _bareiss(rows, cols)
-    basis = m[:rank]
-    g = gcd(prev, *(x for row in basis for x in row))
-    if prev < 0:
-        g = -g
-    return rank, [[x // g for x in row] for row in basis], prev // g
-
-
 #: The modulus of a Matrix, an int >= 2; p names a prime elsewhere.
 MODULUS = Kind(lambda v: type(v) is int and v >= 2, "an int >= 2", UnsupportedPrimeError)
 #: The rows of a Matrix: ints (bools count) and Fractions.
@@ -191,7 +181,7 @@ MATRIX_ROWS = each(
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Matrix:
-    """Immutable dense matrix over Q (p=None) or F_p.
+    """Immutable dense matrix over F_p, or a value over Q (p=None).
 
     The constructor checks its input and reduces it to the field's normal
     form: Fractions over Q, ints in [0, p) over F_p.  The entries are ints
@@ -201,9 +191,9 @@ class Matrix:
     it cannot invert.  An F_p entry must be an int; a Fraction raises
     ValueError instead of being truncated, since a rational reaches F_p
     only through its state, which checks the denominator.  ``_trusted``
-    skips the checks for rows already in normal form.  ``zero`` and
-    ``identity`` allocate at most MAX_MATRIX_ENTRIES entries, else
-    WorkLimitError before any allocation.
+    skips the checks for rows already in normal form.  Only an F_p matrix
+    is eliminated: over Q, ``rref``, ``rank``, ``row_space``, ``kernel`` and
+    ``det`` raise ValueError (``_residue_rows``).
     """
 
     rows: int
@@ -235,8 +225,7 @@ class Matrix:
     @classmethod
     def _trusted(cls, entries, cols, p):
         """A Matrix of rows already in normal form, stored without a check:
-        equal-length tuples of ints in [0, p) over F_p (of Fractions over
-        Q)."""
+        equal-length tuples of ints in [0, p)."""
         m = object.__new__(cls)
         m._set(tuple(entries), cols, p)
         return m
@@ -247,26 +236,15 @@ class Matrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "p", p)
 
-    @classmethod
-    def identity(cls, n: ints(1), p: MODULUS = None):
-        _check_entries(n, n)
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p=p)
-
-    @classmethod
-    def zero(cls, rows: SIZE, cols: SIZE, p: MODULUS = None):
-        _check_entries(rows, cols)
-        return cls([[0] * cols for _ in range(rows)], cols=cols, p=p)
-
     def __repr__(self):
         field = "Q" if self.p is None else f"F{self.p}"
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Matrix[{field}]({self.rows}x{self.cols}: {body})"
 
     def rref(self):
-        """Return (rank, reduced) where reduced is the canonical RREF.  Over
-        Q it is integer_rref of the matrix cleared of its denominators; over
-        F_p one Gauss-Jordan pass (``_eliminate``) on a single copy of the
-        rows, built by ``_trusted``: its rows are already in [0, p).  A pivot
+        """Return (rank, reduced) where reduced is the canonical RREF: one
+        Gauss-Jordan pass (``_eliminate``) on a single copy of the rows,
+        built by ``_trusted``: its rows are already in [0, p).  A pivot
         that is not invertible modulo a composite p raises
         UnsupportedPrimeError.
         """
@@ -276,38 +254,32 @@ class Matrix:
     def _reduced_rows(self):
         """(rank, rows, pivots): the RREF's rows as tuples, the zero rows
         last, and the pivot column of each of the rank nonzero rows."""
-        p, cols = self.p, self.cols
-        if p is None:
-            m = clear_denominators(self.entries)[0]
-            rank, rows, den = integer_rref(m, cols)
-            pivots = [next(c for c, x in enumerate(row) if x) for row in rows]
-            m = [tuple([Fraction(x, den) for x in row]) for row in rows]
-            return rank, m + [(Fraction(0),) * cols] * (self.rows - rank), pivots
-        m = [list(row) for row in self.entries]
-        rank, pivots = _eliminate(m, cols, p)
+        m = self._residue_rows()
+        rank, pivots = _eliminate(m, self.cols, self.p)
         return rank, [tuple(row) for row in m], pivots
 
-    def rank(self):
-        """The rank: over F_p from forward elimination alone (``_eliminate``
-        without back-substitution), over Q from ``_bareiss``."""
+    def _residue_rows(self):
+        """A copy of the rows as lists, to be eliminated over F_p.  A matrix
+        over Q is a value only, so ValueError: a rational reaches F_p
+        through its state (``Tensor.reduce_mod``)."""
         if self.p is None:
-            return _bareiss(clear_denominators(self.entries)[0], self.cols)[0]
-        return _eliminate([list(row) for row in self.entries], self.cols, self.p, reduce=False)[0]
+            raise ValueError("a Matrix over Q is not eliminated; reduce it modulo a prime")
+        return [list(row) for row in self.entries]
+
+    def rank(self):
+        """The rank, from forward elimination alone (``_eliminate`` without
+        back-substitution)."""
+        return _eliminate(self._residue_rows(), self.cols, self.p, reduce=False)[0]
 
     def det(self):
-        """Exact determinant from the integer elimination ``_bareiss`` of
-        the rows cleared of their common denominator L (the residues over
-        F_p): the sign of its row swaps times its last pivot when the rank
-        is full, else 0, divided by L^n over Q and reduced modulo p over
-        F_p; O(n^3) operations on integers that stay minors of the input."""
+        """The determinant modulo p from the integer elimination
+        ``_bareiss`` of the residues: the sign of its row swaps times its
+        last pivot when the rank is full, else 0; O(n^3) operations on
+        integers that stay minors of the input."""
         if self.rows != self.cols:
             raise ValueError("determinant needs a square matrix")
-        m, den = clear_denominators(self.entries)
-        rank, _, last, sign = _bareiss(m, self.cols)
-        det = sign * last if rank == self.rows else 0
-        if self.p is None:
-            return Fraction(det, den**self.rows)
-        return det % self.p
+        rank, _, last, sign = _bareiss(self._residue_rows(), self.cols)
+        return sign * last % self.p if rank == self.rows else 0
 
     def row_space(self):
         """The row span as its canonical basis: the rank nonzero rows of the
@@ -325,22 +297,16 @@ class Matrix:
         the reversed vectors, in reverse order, are in reduced row-echelon
         form, and by its uniqueness they are the canonical basis.  The basis
         has up to cols x cols entries, so a cols**2 above MAX_MATRIX_ENTRIES
-        raises WorkLimitError before any elimination or allocation, as
-        ``zero`` and ``identity`` do; every relation kernel of the package
-        (at most 256 columns, ``zalgebra.relations_from_points``) passes."""
-        _check_entries(self.cols, self.cols)
+        raises WorkLimitError before any elimination or allocation; every
+        relation kernel of the package (at most 256 columns,
+        ``zalgebra.relations_from_points``) passes."""
+        if self.cols**2 > MAX_MATRIX_ENTRIES:
+            size = f"{_excerpt(self.cols)} x {_excerpt(self.cols)}"
+            raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
         rev = Matrix._trusted([row[::-1] for row in self.entries], self.cols, self.p)
         rank, rows, pivots = rev._reduced_rows()
         basis = _free_basis(rows[:rank], pivots, self.cols)
         return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
-
-
-def _check_entries(rows, cols):
-    """WorkLimitError when a rows x cols matrix has more than
-    MAX_MATRIX_ENTRIES entries."""
-    if rows * cols > MAX_MATRIX_ENTRIES:
-        size = f"{_excerpt(rows)} x {_excerpt(cols)}"
-        raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
 
 
 def _eliminate(m, cols, p, reduce=True):
@@ -415,7 +381,7 @@ def random_invertible(d: ints(1), bound: DRAW_BOUND, seed: int):
 
     Entries are drawn uniformly from [-bound, bound]; singular draws are
     rejected and redrawn, so the result depends only on (d, bound, seed).
-    Each draw is decided on its integer rows (``integer_rref``), and only
+    Each draw is decided on its integer rows (``_bareiss``), and only
     the draw returned becomes a Matrix.  Before anything is drawn, a d
     above 256 raises SchemaError (``_check_local_dimension``), and a draw
     whose d**4 * bits(bound) exceeds MAX_DRAW_COST WorkLimitError.
@@ -426,7 +392,7 @@ def random_invertible(d: ints(1), bound: DRAW_BOUND, seed: int):
     rng = random.Random(seed)
     while True:
         entries = [[rng.randint(-bound, bound) for _ in range(d)] for _ in range(d)]
-        if integer_rref(entries, d)[0] == d:
+        if _bareiss(entries, d)[0] == d:
             return Matrix(entries)
 
 

@@ -47,10 +47,10 @@ from .linalg import (
     MAX_COEFFICIENT_DIGITS,
     PRIME,
     Matrix,
+    _bareiss,
     _check_local_dimension,
     check_primes,
     clear_denominators,
-    integer_rref,
     random_invertible,
 )
 
@@ -223,7 +223,7 @@ class SloccOperator:
                 raise ValueError("factors must be square rational matrices of equal size")
         _check_local_dimension(d)
         cleared = tuple(clear_denominators(f.entries) for f in factors)
-        if any(integer_rref(rows, d)[0] != d for rows, _ in cleared):
+        if any(_bareiss(rows, d)[0] != d for rows, _ in cleared):
             raise SingularOperatorError("operator factor is singular")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "_cleared", cleared)
@@ -421,15 +421,21 @@ def check_flattening_cost(t: Tensor):
 def flattening_basis(t: Tensor):
     """(rows, den): the canonical basis of the flattening image as integer
     rows over one denominator, rows / den being the RREF basis, in lowest
-    terms with den > 0.  The rows come from one fraction-free Gauss-Jordan
-    pass over the state's slices along the last axis (``integer_rref``);
-    there are as many as the image has dimensions.
+    terms with den > 0: the package's one RREF over Q.  The rows come from
+    one fraction-free Gauss-Jordan pass over the state's slices along the
+    last axis (``linalg._bareiss``), whose rows are the RREF times its last
+    pivot, divided by the gcd of that pivot and all their entries; there
+    are as many as the image has dimensions.
 
     Raises WorkLimitError, before any elimination, when d**(n+1) exceeds
     MAX_FLATTENING_COST (``check_flattening_cost``).
     """
     check_flattening_cost(t)
-    return integer_rref([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))[1:]
+    rank, m, pivot, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+    g = gcd(pivot, *(x for row in m[:rank] for x in row))
+    if pivot < 0:
+        g = -g
+    return [[x // g for x in row] for row in m[:rank]], pivot // g
 
 
 def flattening_image(t: Tensor):

@@ -25,8 +25,9 @@ reducing the state, so a profile is evidence at one prime and agreement
 across good primes is the intended standard.
 
 Every check here reaches F_p from the state's reduced flattenings alone
-(``geometry.reduced_models``), by the rule of ``geometry._reduced_model``:
-the exact flattening over Q is built only to name a failed reduction.
+(``geometry.reduced_models``), by the rule of ``geometry._reduced_model``,
+and builds no basis over Q: a failed reduction is named from the rank of
+the state's slices (``geometry._slice_pivot``).
 
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
@@ -189,9 +190,9 @@ def cyclic_relations(state: Tensor, p: PRIME):
     with its factors rotated by j (factor k moves to position k - j mod n:
     the first axis moved last j times, ``_rotate``), so the rotation by j
     lies in both R_j (x) V and V (x) R_{j+1}: the rows of the rotation's
-    model over F_p (``geometry.reduced_models``, whose errors keep the exact
-    route's order: WorkLimitError, then RankDeficientError of some
-    rotation, then the first failing reduction's error).
+    model over F_p (``geometry.reduced_models``, whose errors come in one
+    order: WorkLimitError, then RankDeficientError of some rotation, then
+    the first failing reduction's error).
     """
     n, d, rotations, nums = state.n, state.d, [], state.nums
     for _ in range(n):

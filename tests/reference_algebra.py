@@ -200,6 +200,32 @@ def permute_factors(t, perm):
     return Tensor.from_integers(t.n, t.d, nums, t.den)
 
 
+def identity(n, p=None):
+    """The n x n identity Matrix (the former ``Matrix.identity``)."""
+    return Matrix([[int(i == j) for j in range(n)] for i in range(n)], p=p)
+
+
+def rref_rows(rows, cols):
+    """The nonzero rows of the RREF of rows of ints and Fractions, by
+    Fraction elimination: the RREF over Q that ``Matrix`` no longer
+    computes."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(cols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][col]
+        m[rank] = [x * inv for x in m[rank]]
+        for i in range(len(m)):
+            if i != rank and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return m[:rank]
+
+
 def reduce_scalar(x, p):
     """Reduce a Fraction (or int) modulo p.
 
@@ -251,8 +277,8 @@ def kernel_mod_p(matrix):
 
 
 def kernel_two_eliminations(matrix):
-    """The canonical basis of the right null space of a Matrix over Q or
-    F_p, by two eliminations: the free-column vectors of the matrix's RREF,
+    """The canonical basis of the right null space of an F_p Matrix, by two
+    eliminations: the free-column vectors of the matrix's RREF,
     then the RREF of those vectors (the library's kernel before it became
     one elimination of the column-reversed matrix)."""
     cols = matrix.cols
@@ -355,7 +381,7 @@ def reduced_filing(t, primes):
 # ------------------------------------------------- former curve kernels
 
 
-def _det(rows):
+def det(rows):
     """Determinant of a 2 x 2 or 3 x 3 matrix given as plain lists."""
     if len(rows) == 2:
         (a, b), (c, e) = rows
@@ -386,7 +412,7 @@ def projection_coefficients(rows, n, d, kept):
         for s in choice:
             for g, v in enumerate(monomials[s]):
                 exps[g * d + v] += 1
-        out[index[tuple(exps)]] += _det([vectors[k][s] for k, s in enumerate(choice)])
+        out[index[tuple(exps)]] += det([vectors[k][s] for k, s in enumerate(choice)])
     return out
 
 

@@ -76,7 +76,7 @@ def valid_arguments(name):
         "model": model, "pt": geometry.ProjPoint(7, ((1, 0, 0), (1, 0, 0))),
         "g": states.SloccOperator.random(3, 3, 2, 0),
         "f": invariants.TernaryCubic.weierstrass(1, 1),
-        "factors": [linalg.Matrix.identity(3)] * 3,
+        "factors": [linalg.random_invertible(3, 2, 0)] * 3,
         "p": 7, "primes": (5, 7), "n": 3, "d": 3, "bound": 2, "seed": 0, "k_max": 2,
         "cols": 3, "den": 1, "document": states.state_to_json(t), "factor": 2,
         "idx": (0, 0, 0), "kept": (0,), "kept_axes": (0,), "axis_pair": (0, 1),
@@ -85,10 +85,8 @@ def valid_arguments(name):
     }
     overrides = {
         "sloccgeo.linalg.Matrix": {"entries": [[1, 0], [0, 1]], "cols": 2},
-        "sloccgeo.linalg.Matrix.zero": {"rows": 2},
         "sloccgeo.states.four_qubit_generic_family": {"a": 1, "b": 2},
         "sloccgeo.linalg.clear_denominators": {"rows": [[Fraction(1, 2), 1]]},
-        "sloccgeo.linalg.integer_rref": {"rows": [[1, 2, 3]]},
     }
     return {**values, **overrides.get(name, {})}
 
@@ -128,7 +126,7 @@ def test_the_enumeration_covers_the_package():
             assert id(obj) in found or issubclass(obj, BaseException), name
     for name in ("geometry.reduced_models", "invariants.slice_discriminants",
                  "zalgebra.cyclic_relations", "states.flattening_basis",
-                 "linalg.integer_rref", "states.Tensor.from_integers",
+                 "states.Tensor.from_integers",
                  "states.Tensor.scale", "states.Tensor.reduce_mod", "states.Tensor.offset"):
         assert f"sloccgeo.{name}" in CALLABLES, name
     assert set(SKIPPED) <= set(CALLABLES)

@@ -103,8 +103,7 @@ def test_model_rows_are_canonical_basis():
             j = next(v - 3 for v in range(3, 6) if exps[v])
             row[i * 3 + j] = c
         rows.append(row)
-    m = Matrix(rows, cols=9)
-    assert m.rref()[1] == m  # coefficient matrix already in RREF
+    assert ref.rref_rows(rows, 9) == rows  # coefficient matrix already in RREF
 
 
 def test_separable_state_is_rank_deficient():

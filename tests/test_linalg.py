@@ -45,16 +45,16 @@ def random_matrix(rng, rows, cols, p=None, bound=9):
 
 
 def test_rref_identity():
-    m = Matrix.identity(3)
+    m = ref.identity(3, p=7)
     rank, red = m.rref()
     assert rank == 3
     assert red == m
 
 
 def test_rref_proportional_rows():
-    rank, red = Matrix([[1, 2], [2, 4]]).rref()
+    rank, red = Matrix([[1, 2], [2, 4]], p=7).rref()
     assert rank == 1
-    assert red == Matrix([[1, 2], [0, 0]])
+    assert red == Matrix([[1, 2], [0, 0]], p=7)
 
 
 def test_rref_mod_2():
@@ -64,16 +64,16 @@ def test_rref_mod_2():
     assert red == Matrix([[1, 1], [0, 0]], p=2)
 
 
-@pytest.mark.parametrize("p", [None, 5, 13])
+@pytest.mark.parametrize("p", [5, 13])
 def test_rref_idempotent(p):
-    rng = random.Random(1234 if p is None else p)
+    rng = random.Random(p)
     for _ in range(25):
         m = random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5), p=p)
         _, red = m.rref()
         assert red.rref()[1] == red
 
 
-@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("p", [7])
 def test_rref_is_canonical(p):
     rng = random.Random(99)
     for _ in range(20):
@@ -90,21 +90,21 @@ def test_rref_is_canonical(p):
 
 
 def test_kernel_zero_matrix():
-    assert Matrix.zero(2, 2).kernel().rows == 2
+    assert Matrix([[0, 0], [0, 0]], p=5).kernel().rows == 2
 
 
 def test_kernel_invertible():
-    assert Matrix([[2, 1], [1, 1]]).kernel().rows == 0
+    assert Matrix([[2, 1], [1, 1]], p=5).kernel().rows == 0
 
 
 def test_kernel_row_of_ones():
-    ker = Matrix([[1, 1, 1, 1]]).kernel()
+    ker = Matrix([[1, 1, 1, 1]], p=5).kernel()
     assert ker.rows == 3  # rank-nullity: 4 - 1
 
 
-@pytest.mark.parametrize("p", [None, 5, 31])
+@pytest.mark.parametrize("p", [5, 31])
 def test_rank_nullity_and_membership(p):
-    rng = random.Random(7 if p is None else 70 + p)
+    rng = random.Random(70 + p)
     for _ in range(25):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, p=p)
@@ -113,13 +113,13 @@ def test_rank_nullity_and_membership(p):
         assert rank + ker.rows == cols
         for v in ker.entries:
             prod = ref.apply(m, v)
-            assert all(x == 0 or (p is not None and x % p == 0) for x in prod)
+            assert all(x % p == 0 for x in prod)
 
 
 def test_kernel_basis_is_canonical():
     rng = random.Random(5)
     for _ in range(20):
-        m = random_matrix(rng, 3, 6)
+        m = random_matrix(rng, 3, 6, p=11)
         basis = m.kernel()
         assert basis.row_space() == basis
 
@@ -162,16 +162,13 @@ def test_random_invertible_d3_has_nonzero_det():
     assert det_oracle(m.entries) != 0
 
 
-@pytest.mark.parametrize("p", [None, 11])
+@pytest.mark.parametrize("p", [11])
 def test_det_matches_oracle(p):
     rng = random.Random(21)
     for n in (1, 2, 3, 4):
         for _ in range(8):
             m = random_matrix(rng, n, n, p=p)
-            expected = det_oracle(m.entries)
-            if p is not None:
-                expected %= p
-            assert m.det() == expected
+            assert m.det() == det_oracle(m.entries) % p
     # anti-triangular rows need one row swap at n = 2, 3 and the 4-cycle
     # three, so the sign of an odd number of swaps is checked
     odd = [
@@ -182,40 +179,44 @@ def test_det_matches_oracle(p):
     for entries in odd:
         m = Matrix(entries, p=p)
         expected = det_oracle(m.entries)
-        assert expected != 0
-        assert m.det() == (expected if p is None else expected % p)
-    if p is not None:
-        # rank-deficient mod p: the last row is c times the first plus the
-        # row before it, so the integer determinant of the residues is 0
-        # (c = 0) or a nonzero multiple of p, which the elimination over Z
-        # sees at full rank
-        for n in (2, 3, 4):
-            for c in range(3):
-                rows = [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(n - 1)]
-                rows.append([(c * a + b) % p for a, b in zip(rows[0], rows[-1])])
-                m = Matrix(rows, p=p)
-                assert m.rank() < n and det_oracle(m.entries) % p == 0
-                assert m.det() == 0
+        assert expected % p != 0
+        assert m.det() == expected % p
+    # rank-deficient mod p: the last row is c times the first plus the
+    # row before it, so the integer determinant of the residues is 0
+    # (c = 0) or a nonzero multiple of p, which the elimination over Z
+    # sees at full rank
+    for n in (2, 3, 4):
+        for c in range(3):
+            rows = [[rng.randint(0, p - 1) for _ in range(n)] for _ in range(n - 1)]
+            rows.append([(c * a + b) % p for a, b in zip(rows[0], rows[-1])])
+            m = Matrix(rows, p=p)
+            assert m.rank() < n and det_oracle(m.entries) % p == 0
+            assert m.det() == 0
 
 
-@pytest.mark.parametrize("p", [None, 11, 2**31 - 1])
+@pytest.mark.parametrize("p", [11, 2**31 - 1])
 def test_det_is_multiplicative_at_n_12(p):
     # 12! permutations rule the oracle out; det(AB) = det(A) det(B) and a
     # repeated row checks the elimination at this size instead
-    rng = random.Random(12 if p is None else p)
+    rng = random.Random(p)
     a, b = random_matrix(rng, 12, 12, p=p), random_matrix(rng, 12, 12, p=p)
-    expected = a.det() * b.det()
-    assert ref.matmul(a, b).det() == (expected if p is None else expected % p)
+    expected = a.det() * b.det() % p
+    assert ref.matmul(a, b).det() == expected
     assert expected != 0
     singular = Matrix(a.entries[:11] + a.entries[:1], p=p)
     assert singular.det() == 0
 
 
 def test_det_of_rational_and_permuted_matrices():
-    m = Matrix([[0, Fraction(1, 2)], [Fraction(2, 3), 5]])
-    assert m.det() == Fraction(-1, 3) == det_oracle(m.entries)
+    # the determinant of a rational matrix, -1/3, reduces to that of its
+    # entrywise residues at a prime that divides no denominator
+    rational = [[0, Fraction(1, 2)], [Fraction(2, 3), 5]]
+    assert det_oracle(rational) == Fraction(-1, 3)
+    for p in (5, 7, 11):
+        residues = [[ref.reduce_scalar(x, p) for x in row] for row in rational]
+        assert Matrix(residues, p=p).det() == ref.reduce_scalar(Fraction(-1, 3), p)
     assert Matrix([[0, 1], [1, 0]], p=7).det() == 6
-    assert Matrix.zero(0, 0).det() == 1
+    assert Matrix([], cols=0, p=7).det() == 1
 
 
 @pytest.mark.parametrize("p", [0, 1, -7, True, 7.0, "7", Fraction(7)])
@@ -247,13 +248,13 @@ def test_kron_mixed_product():
 
 
 def test_subspace_canonical_representative():
-    s1 = Matrix([[1, 2, 3], [0, 1, 1]]).row_space()
-    s2 = Matrix([[1, 3, 4], [2, 5, 7], [3, 8, 11]]).row_space()
+    s1 = Matrix([[1, 2, 3], [0, 1, 1]], p=7).row_space()
+    s2 = Matrix([[1, 3, 4], [2, 5, 7], [3, 8, 11]], p=7).row_space()
     assert s1 == s2
     assert (s1.rows, s1.cols) == (2, 3)
 
     def contains(space, v):
-        return Matrix(space.entries + (v,)).rank() == space.rows
+        return Matrix(space.entries + (v,), p=7).rank() == space.rows
 
     assert contains(s1, (1, 3, 4))
     assert not contains(s1, (0, 0, 1))
@@ -320,25 +321,6 @@ def test_fp_elimination_matches_reference():
     check()
 
 
-def _q_matrix(draw):
-    """A Q matrix of 0-6 rows and 0-6 columns whose rows are random
-    combinations of at most min(rows, cols) base rows with small rational
-    entries, with repeats, so rank-deficient matrices are common."""
-    from hypothesis import strategies as st
-
-    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    entry = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    base = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
-                         max_size=min(rows, cols)))
-    coeff = st.integers(-3, 3)
-    entries = []
-    for _ in range(rows):
-        coeffs = [draw(coeff) for _ in base]
-        entries.append([sum((c * b[j] for c, b in zip(coeffs, base)), Fraction(0))
-                        for j in range(cols)])
-    return Matrix(entries, cols=cols)
-
-
 def test_kernel_matches_two_elimination_reference():
     # Matrix.kernel eliminates once, the column-reversed matrix; the
     # reference eliminates the matrix and then its free-column basis
@@ -346,14 +328,14 @@ def test_kernel_matches_two_elimination_reference():
     from hypothesis import given, settings, strategies as st
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), over_q=st.booleans())
-    def check(data, over_q):
-        m = _q_matrix(data.draw) if over_q else _fp_matrix(data.draw)
+    @given(data=st.data())
+    def check(data):
+        m = _fp_matrix(data.draw)
         kernel = m.kernel()
         assert kernel == ref.kernel_two_eliminations(m)
         assert kernel.rows == m.cols - m.rank()
         for v in kernel.entries:
-            assert all(x == 0 or (m.p is not None and x % m.p == 0) for x in ref.apply(m, v))
+            assert all(x % m.p == 0 for x in ref.apply(m, v))
 
     check()
 
@@ -377,15 +359,14 @@ def test_last_fraction_free_pivot_is_the_minor_at_the_pivot_columns():
         rank, reduced, last, sign = _bareiss(rows, cols)
         assume(rank == d)
         pivots = [next(c for c, x in enumerate(row) if x) for row in reduced]
-        minor = Matrix([[row[c] for c in pivots] for row in rows]).det()
+        minor = det_oracle([[row[c] for c in pivots] for row in rows])
         assert last == sign * minor != 0
-        assert minor == det_oracle([[row[c] for c in pivots] for row in rows])
 
     check()
 
 
 def test_matrix_immutable():
-    m = Matrix.identity(2)
+    m = Matrix([[1, 0], [0, 1]])
     with pytest.raises(AttributeError):
         m.rows = 5
 
@@ -413,13 +394,11 @@ def test_matrix_is_a_value():
         {"rows": 1, "cols": 2, "p": 11, "entries": ((2, 4, 1), (1, 3, 1))},
     )
     # the same values reached through rref, row_space and kernel, whose
-    # F_p results skip the public constructor (Matrix._trusted)
-    for p in (None, 7):
-        m = Matrix(entries, p=p)
-        reduced = m.rref()[1]
-        for trusted in (reduced, m.row_space(), m.kernel()):
-            public = Matrix(trusted.entries, cols=m.cols, p=p)
-            assert trusted == public and hash(trusted) == hash(public)
+    # results skip the public constructor (Matrix._trusted)
+    m = Matrix(entries, p=7)
+    for trusted in (m.rref()[1], m.row_space(), m.kernel()):
+        public = Matrix(trusted.entries, cols=m.cols, p=7)
+        assert trusted == public and hash(trusted) == hash(public)
 
 
 def test_tensor_and_form_are_values():
@@ -444,7 +423,7 @@ def test_tensor_and_form_are_values():
     [
         (lambda: Matrix([[1, 2], [3]]), "ragged rows"),
         (lambda: Matrix([]), "explicit column count"),
-        (lambda: Matrix([[1, 2, 3], [4, 5, 6]]).det(), "square matrix"),
+        (lambda: Matrix([[1, 2, 3], [4, 5, 6]], p=7).det(), "square matrix"),
         (lambda: random_invertible(0, 3, 1), "^d=0 is not an int >= 1$"),
     ],
     ids=["ragged", "empty-without-cols", "det-of-2x3", "random-invertible-d0"],
@@ -454,31 +433,18 @@ def test_malformed_matrix_calls_are_refused(call, message):
         call()
 
 
-def test_matrix_sizes_are_bounded_before_allocation(monkeypatch):
-    # zero(2, 10**12) ended in a MemoryError, Matrix([], cols=-1) built a
-    # 0 x -1 matrix, and identity(0) asked for an explicit column count
-    assert Matrix.identity(257).rows == 257  # 66,049 entries
-    assert Matrix.zero(2, 2**16).cols == 2**16
-    assert Matrix.zero(0, 5).rows == 0 and Matrix([], cols=0).cols == 0
-    for call, size in (
-        (lambda: Matrix.zero(2, 2**16 + 1), "2 x 65537"),
-        (lambda: Matrix.identity(363), "363 x 363"),
-        (lambda: Matrix.zero(2, 10**12), "2 x 1000000000000"),
-        (lambda: Matrix.zero(10**5000, 1), "<int of 16610 bits> x 1"),
-    ):
-        with pytest.raises(WorkLimitError) as info:
-            call()
-        assert str(info.value) == f"a {size} matrix has more than 131072 entries"
-    for call, message in (
-        (lambda: Matrix([], cols=-1), "cols=-1 is not an int >= 0"),
-        (lambda: Matrix.zero(-1, 2), "rows=-1 is not an int >= 0"),
-        (lambda: Matrix.zero(2, -1, p=5), "cols=-1 is not an int >= 0"),
-        (lambda: Matrix.identity(0), "n=0 is not an int >= 1"),
-        (lambda: Matrix.identity(2.0), "n=2.0 is not an int"),
-    ):
+def test_matrix_sizes_are_bounded_before_allocation():
+    # Matrix([], cols=-1) built a 0 x -1 matrix; a kernel, whose basis can be
+    # cols x cols, is the one Matrix operation that allocates beyond its input
+    assert Matrix([], cols=0).cols == 0 and Matrix([], cols=0, p=5).kernel().rows == 0
+    for cols, message in ((-1, "cols=-1 is not an int >= 0"), (2.0, "cols=2.0 is not an int")):
         with pytest.raises(ValueError) as info:
-            call()
+            Matrix([], cols=cols)
         assert str(info.value) == message
+    with pytest.raises(WorkLimitError) as info:
+        Matrix([], cols=10**5000, p=5).kernel()
+    size = "<int of 16610 bits> x <int of 16610 bits>"
+    assert str(info.value) == f"a {size} matrix has more than 131072 entries"
     from sloccgeo.linalg import MAX_MATRIX_ENTRIES
 
     assert MAX_MATRIX_ENTRIES == 2**17
@@ -490,10 +456,10 @@ def test_kernel_width_is_bounded_before_any_allocation(monkeypatch):
     assert Matrix([], cols=256, p=5).kernel().rows == 256
     assert Matrix([[1] * 362], p=7).kernel().rows == 361
 
-    def refused(self):
+    def refused(*args, **kwargs):
         raise AssertionError("eliminated before the width check")
 
-    monkeypatch.setattr(Matrix, "rref", refused)
+    monkeypatch.setattr("sloccgeo.linalg._eliminate", refused)
     for cols, p in ((363, 5), (2000, None), (10**6, 7)):
         with pytest.raises(WorkLimitError) as info:
             Matrix([], cols=cols, p=p).kernel()
@@ -546,6 +512,38 @@ def test_prime_lists_that_do_not_sort_are_refused(primes, message):
         with pytest.raises(UnsupportedPrimeError) as info:
             call()
         assert str(info.value) == message
+
+
+def test_prime_iterators_are_refused():
+    # checking an iterator used it up: classify(ghz(3, 3), iter([5, 7]))
+    # returned no witness and no used prime, and smoothness_scan raised
+    # AllPrimesBadError naming no prime
+    from sloccgeo import classify, ghz, random_state, slocc_compare, smoothness_scan
+
+    t = random_state(3, 3, 5, 1)
+    for call in (
+        lambda primes: classify(ghz(3, 3), primes),
+        lambda primes: slocc_compare(t, ghz(3, 3), primes),
+        lambda primes: smoothness_scan(t, primes),
+    ):
+        for primes in (iter([5, 7]), (p for p in (5, 7)), map(int, "57")):
+            with pytest.raises(UnsupportedPrimeError, match="is not a collection of primes$"):
+                call(primes)
+    classify.cache_clear()
+    assert classify(ghz(3, 3), [5, 7]).primes_used == (5, 7)
+    assert classify(ghz(3, 3), range(5, 8, 2)).primes_used == (5, 7)
+
+
+def test_rational_matrices_are_values_only():
+    # a Matrix over Q is an operator's factor or a flattening image: it is
+    # built, compared and hashed, and its eliminations raise ValueError
+    m = Matrix([[1, Fraction(1, 2)], [2, 1]])
+    assert m == Matrix([[1, Fraction(1, 2)], [2, 1]]) and m.p is None
+    for call in (m.rref, m.rank, m.row_space, m.kernel, m.det):
+        with pytest.raises(ValueError, match="^a Matrix over Q is not eliminated"):
+            call()
+    residues = Matrix([[1, 4], [2, 1]], p=7)  # 1/2 is 4 mod 7
+    assert residues.rank() == 1 and residues.det() == 0
 
 
 def test_prime_check_matches_trial_division():

@@ -157,7 +157,7 @@ def test_flatten_separable_single_entry():
 
 def test_flatten_zero():
     z = Tensor(3, 2, [0] * 8)
-    assert flatten_last(z) == Matrix.zero(4, 2)
+    assert flatten_last(z) == Matrix([[0, 0]] * 4)
 
 
 def test_flattening_image_dims():
@@ -172,7 +172,7 @@ def test_flattening_image_ghz3_basis():
     rows = [[0] * 9 for _ in range(3)]
     for k in range(3):
         rows[k][k * 3 + k] = 1
-    assert sub == Matrix(rows, cols=9).row_space()
+    assert sub == Matrix(ref.rref_rows(rows, 9), cols=9)
 
 
 def test_reduced_flattening_image_matches_entrywise_on_clean_primes():
@@ -207,13 +207,13 @@ def test_reduced_flattening_image_bad_state_denominator():
 
 def test_apply_identity():
     t = random_state(3, 3, 5, seed=1)
-    g = SloccOperator([Matrix.identity(3)] * 3)
+    g = SloccOperator([ref.identity(3)] * 3)
     assert apply_slocc(t, g) == t
 
 
 def test_apply_scaling_single_factor():
     t = random_state(3, 2, 5, seed=2)
-    factors = [Matrix.identity(2)] * 3
+    factors = [ref.identity(2)] * 3
     factors[1] = Matrix([[3, 0], [0, 3]])
     g = SloccOperator(factors)
     assert apply_slocc(t, g) == t.scale(3)
@@ -239,15 +239,15 @@ def test_apply_respects_composition():
 
 def test_apply_singular_operator_rejected():
     # a singular or malformed factor is refused when the operator is built
-    factors = [Matrix.identity(2)] * 2 + [Matrix([[1, 1], [1, 1]])]
+    factors = [ref.identity(2)] * 2 + [Matrix([[1, 1], [1, 1]])]
     with pytest.raises(SingularOperatorError):
         SloccOperator(factors)
     with pytest.raises(ValueError, match="an operator needs at least one factor"):
         SloccOperator([])
     for bad in (
-        [Matrix.identity(2), Matrix.identity(3)],
+        [ref.identity(2), ref.identity(3)],
         [Matrix([[1, 0, 0], [0, 1, 0]])],
-        [Matrix.identity(2, p=5)],
+        [ref.identity(2, p=5)],
     ):
         with pytest.raises(ValueError, match="square rational matrices"):
             SloccOperator(bad)
@@ -259,13 +259,13 @@ def test_operator_eliminates_each_factor_once(monkeypatch):
     import sloccgeo.states as states
 
     calls = []
-    integer_rref = states.integer_rref
+    bareiss = states._bareiss
 
     def counting(rows, cols):
         calls.append(cols)
-        return integer_rref(rows, cols)
+        return bareiss(rows, cols)
 
-    monkeypatch.setattr(states, "integer_rref", counting)
+    monkeypatch.setattr(states, "_bareiss", counting)
     for n, d in ((3, 3), (4, 2), (5, 2)):
         factors = [random_invertible(d, 3, seed=10 * n + k) for k in range(n)]
         g = SloccOperator(factors)
@@ -305,10 +305,8 @@ def test_image_transforms_by_first_factors():
         t = random_state(3, 3, 5, seed=seed)
         g = SloccOperator.random(3, 3, 3, seed=seed + 100)
         k = ref.kron(g.factors[0], g.factors[1])
-        moved = Matrix(
-            [ref.apply(k, v) for v in flattening_image(t).entries], cols=9
-        ).row_space()
-        assert flattening_image(apply_slocc(t, g)) == moved
+        moved = ref.rref_rows([ref.apply(k, v) for v in flattening_image(t).entries], 9)
+        assert flattening_image(apply_slocc(t, g)) == Matrix(moved, cols=9)
 
 
 def test_image_dim_is_slocc_invariant():
@@ -673,33 +671,14 @@ def reference_state_to_json(n, d, coeffs):
     return json.dumps({"n": n, "d": d, "entries": entries}, separators=(",", ":"))
 
 
-def reference_rref(rows, cols):
-    """The nonzero rows of the RREF, by Fraction elimination."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return m[:rank]
-
-
 def reference_flattening_basis(n, d, coeffs):
-    return reference_rref([coeffs[k::d] for k in range(d)], d ** (n - 1))
+    return ref.rref_rows([coeffs[k::d] for k in range(d)], d ** (n - 1))
 
 
 def reference_apply_slocc(n, d, coeffs, factors):
     """factors: one list of d Fraction rows per axis."""
     for f in factors:
-        if len(reference_rref(f, d)) != d:
+        if len(ref.rref_rows(f, d)) != d:
             raise SingularOperatorError("operator factor is singular")
     coeffs = list(coeffs)
     for axis in range(n):
@@ -807,7 +786,7 @@ def test_apply_respects_composition_property(fmt):
     def check(data):
         t = Tensor(n, d, _rational_coeffs(data.draw, n, d))
         drawn = [[Matrix(f) for f in _rational_factors(data.draw, n, d, False)] for _ in "gh"]
-        assume(all(f.rank() == d for factors in drawn for f in factors))
+        assume(all(len(ref.rref_rows(f.entries, d)) == d for factors in drawn for f in factors))
         g, h = (SloccOperator(factors) for factors in drawn)
         gh = SloccOperator(tuple(map(ref.matmul, g.factors, h.factors)))
         assert apply_slocc(apply_slocc(t, h), g) == apply_slocc(t, gh)
@@ -907,10 +886,10 @@ def test_operators_refuse_a_local_dimension_above_256_before_any_work(monkeypatc
         raise AssertionError("drew or eliminated")
 
     monkeypatch.setattr(sloccgeo.linalg.random, "Random", refused)
-    monkeypatch.setattr(sloccgeo.linalg, "integer_rref", refused)
-    monkeypatch.setattr(sloccgeo.states, "integer_rref", refused)
+    monkeypatch.setattr(sloccgeo.linalg, "_bareiss", refused)
+    monkeypatch.setattr(sloccgeo.states, "_bareiss", refused)
     for call in (lambda: random_invertible(257, 5, 0), lambda: random_invertible(10**6, 1, 0),
-                 lambda: SloccOperator([Matrix.identity(257)] * 2)):
+                 lambda: SloccOperator([ref.identity(257)] * 2)):
         with pytest.raises(SchemaError, match=r"^local dimension \d+ exceeds the limit of 256$"):
             call()
     # an operator's format is a state's: (2, 10**6) has no state
@@ -950,7 +929,7 @@ def test_random_operators_bound_their_work_before_the_first_draw(monkeypatch):
             with pytest.raises(ValueError, match=r"^bound=[\d.]+ is not an int > 0 of at most 100"):
                 call()
     # the draws at the limit are accepted (each draw taken as invertible)
-    monkeypatch.setattr(sloccgeo.linalg, "integer_rref", lambda rows, d: (d,))
+    monkeypatch.setattr(sloccgeo.linalg, "_bareiss", lambda rows, d: (d,))
     assert 128**4 == sloccgeo.linalg.MAX_DRAW_COST
     assert random_invertible(128, 1, 0).rows == 128
     assert random_invertible(29, 10**100 - 1, 0).rows == 29

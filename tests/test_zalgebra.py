@@ -262,13 +262,12 @@ def test_profile_is_slocc_invariant():
         coeffs = data.draw(st.lists(st.integers(-5, 5), min_size=d**n, max_size=d**n))
         entry = st.integers(-3, 3)
         factors = [
-            Matrix(data.draw(st.lists(st.lists(entry, min_size=d, max_size=d),
-                                      min_size=d, max_size=d)))
+            data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
             for _ in range(n)
         ]
-        assume(all(f.det() % p for f in factors))
+        assume(all(Matrix(f, p=p).det() for f in factors))
         state = Tensor(n, d, coeffs)
-        moved = apply_slocc(state, SloccOperator(factors))
+        moved = apply_slocc(state, SloccOperator([Matrix(f) for f in factors]))
         try:
             dims = hilbert(state, p, k_max).dims
         except (RankDeficientError, BadReductionError) as exc:
@@ -345,6 +344,46 @@ def test_profile_rank_deficiency_wins_over_bad_prime():
         reduced_models([drop], 11)
 
 
+def test_reduced_models_keep_their_error_order_without_a_model_over_q(monkeypatch):
+    # the rotations of t: rotation 0 has full rank over Q and fails first at
+    # p = 7, which divides the denominator; rotation 1 is rank-deficient
+    # over Q.  The errors come in one order, and no basis over Q is built:
+    # WorkLimitError, then RankDeficientError of any rotation, then the
+    # first failing reduction's own error
+    import sloccgeo.geometry
+    import sloccgeo.states
+
+    def refused(t):
+        raise AssertionError("built the flattening's basis over Q")
+
+    monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", refused)
+    monkeypatch.setattr(sloccgeo.states, "flattening_basis", refused)
+    t = Tensor.from_entries(3, 3, {(0, k, k): Fraction(1, 7) for k in range(3)})
+    rotations = [t, Tensor.from_integers(3, 3, _rotate(t.nums, 3), t.den)]
+    assert reduced_flattening_image(t, 11).rows == 3
+    with pytest.raises(RankDeficientError) as info:
+        reduced_models(rotations, 7)
+    assert (info.value.dim, info.value.expected) == (1, 3)
+    for p in (11, 4):  # rotation 1 fails its reduction at any p
+        with pytest.raises(RankDeficientError):
+            reduced_models(rotations, p)
+    # of full-rank states, the first failing reduction names the error
+    drop = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 7})
+    for states, message in (
+        ([drop, t], "flattening rank drops modulo 7"),
+        ([t, drop], "denominator divisible by 7 for 1/7"),
+    ):
+        with pytest.raises(BadReductionError) as info:
+            reduced_models(states, 7)
+        assert str(info.value) == message
+    with pytest.raises(UnsupportedPrimeError):
+        reduced_models([drop, t], 4)
+    # the cost check comes before either
+    monkeypatch.setattr(sloccgeo.states, "MAX_FLATTENING_COST", 16)
+    with pytest.raises(WorkLimitError):
+        reduced_models(rotations, 7)
+
+
 def test_profile_rank_drop_mod_p_is_bad_reduction():
     # the state has no denominator, so the error names the rank drop alone
     t = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11})
@@ -416,17 +455,21 @@ def test_reduced_models_match_the_exact_route():
 
 def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
     # at a good prime every reduced flattening has rank d, which proves the
-    # exact rank, so no exact flattening is built
+    # exact rank, and a failed reduction is named from the rank of the
+    # state's slices, so no check builds the canonical basis over Q, at
+    # good primes or bad, and neither do classify and smoothness_scan
     import sloccgeo.geometry
     import sloccgeo.states
 
     calls = []
+    basis = sloccgeo.states.flattening_basis
 
     def counting(t):
         calls.append(t)
-        return sloccgeo.states.flattening_basis(t)
+        return basis(t)
 
     monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", counting)
+    monkeypatch.setattr(sloccgeo.states, "flattening_basis", counting)
     t33 = random_state(3, 3, 5, 42)
     assert quadratic_hilbert(t33, 11, 4).matches()
     assert cubic_hilbert(family_1235, 13, 5).matches()
@@ -434,10 +477,28 @@ def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
     assert roundtrip_check(family_1235, 13) is True
     assert multiplication_surjectivity(family_1235, (0, 1), 13).surjective
     assert calls == []
-    # a bad prime takes the exact route, for its error
-    with pytest.raises(BadReductionError):
-        roundtrip_check(t33.scale(Fraction(1, 11)), 11)
-    assert calls == [t33.scale(Fraction(1, 11))]
+    # bad primes, a rank drop mod p and a state that is rank-deficient over Q
+    bad33, bad42 = t33.scale(Fraction(1, 11)), family_1235.scale(Fraction(1, 13))
+    drop = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11})
+    flat = basis_state(3, 3, (0, 0, 0))
+    for call, error in (
+        (lambda: roundtrip_check(bad33, 11), BadReductionError),
+        (lambda: quadratic_hilbert(bad33, 11, 4), BadReductionError),
+        (lambda: quadratic_hilbert(drop, 11, 4), BadReductionError),
+        (lambda: cubic_hilbert(bad42, 13, 5), BadReductionError),
+        (lambda: roundtrip_check(bad42, 13), BadReductionError),
+        (lambda: multiplication_surjectivity(bad42, (0, 1), 13), BadReductionError),
+        (lambda: roundtrip_check(flat, 11), RankDeficientError),
+        (lambda: quadratic_hilbert(flat, 11, 4), RankDeficientError),
+        (lambda: smoothness_scan(flat, (5, 7)), RankDeficientError),
+    ):
+        with pytest.raises(error):
+            call()
+    classify.cache_clear()
+    for t in (t33, bad33, drop, flat, family_1235, bad42, ghz(3, 3).scale(Fraction(1, 35))):
+        classify(t, (5, 7, 11, 13))
+    assert smoothness_scan(bad33, (7, 11, 13)).primes == (7, 13)
+    assert calls == []
 
 
 def test_graded_checks_refuse_a_missing_prime(family_1235):
@@ -455,14 +516,19 @@ def test_graded_checks_refuse_a_missing_prime(family_1235):
 
 
 def test_flattening_cost_is_checked_before_any_elimination(monkeypatch, family_1235):
+    import sloccgeo.geometry
     import sloccgeo.linalg
     import sloccgeo.states
+    import sloccgeo.zalgebra
 
     def refused(*args):
         raise AssertionError("eliminated before the cost check")
 
-    monkeypatch.setattr(sloccgeo.linalg, "_bareiss", refused)
-    monkeypatch.setattr(Matrix, "rref", refused)
+    # each module calls the two elimination loops by the names it imported
+    for module in (sloccgeo.linalg, sloccgeo.states, sloccgeo.geometry):
+        monkeypatch.setattr(module, "_bareiss", refused)
+    for module in (sloccgeo.linalg, sloccgeo.zalgebra):
+        monkeypatch.setattr(module, "_eliminate", refused)
     # (2,64) costs 64**3 = 262,144 cell updates, over the limit
     wide = random_state(2, 64, 5, 0)
     for call in (lambda: cyclic_relations(wide, 11), lambda: roundtrip_check(wide, 11)):
