@@ -8,18 +8,22 @@ intersection (a plane-cubic-like curve for (3,3) and (4,2), a surface for
 linear-form matrix, and gathers finite-field smoothness evidence by
 exhaustive point enumeration plus Jacobian ranks.
 
-Every model over F_p comes from one leaf, ``_reduced_model``: the state's
-flattening reduced modulo p, refused as bad reduction when its rank drops.
-``model_mod_p``, ``reduced_models`` and ``_file_primes`` all reduce
-through it.  A sweep files its primes by one rank certificate, the last
-fraction-free pivot of the state's slices (``_file_primes``): a prime that
-divides neither it nor the denominator keeps rank d with no reduction, and
-only the others are reduced to be filed.  Points come from one walk over
-the variable groups (``_points``): ``enumerate_points`` lists it, and both
-Jacobian sweeps (``smoothness_scan`` and the one in
-``invariants.classify``) test the points it does not certify smooth.  The
-walk solves the innermost prefix group's lines through a determinant
-pencil and reads each prefix system's fibre from its rank, so
+Every model over F_p comes from one leaf, ``_reduced_model``: the state
+reduced modulo p once, and the slices of its residues eliminated, refused
+as bad reduction when their rank drops.  ``model_mod_p``,
+``reduced_models``, ``_file_primes`` and the relation spaces of
+``zalgebra.cyclic_relations`` all reduce through it; the relation spaces
+of a state's n rotations come from its one reduction, rotated.  A sweep
+files its primes by one rank certificate, the last fraction-free pivot of
+the state's slices (``_file_primes``): a prime that divides neither it
+nor the denominator keeps rank d with no reduction, and only the others
+are reduced to be filed.  Points come from one walk over the variable
+groups (``_points``), as plain tuples of coordinate tuples:
+``enumerate_points`` lists it as ProjPoints, both Jacobian sweeps
+(``smoothness_scan`` and the one in ``invariants.classify``) test the
+points it does not certify smooth, and only a witness becomes a
+ProjPoint.  The walk solves the innermost prefix group's lines through a
+determinant pencil and reads each prefix system's fibre from its rank, so
 Matrix.kernel runs only for the one system of an n = 2 model, a d = 3
 system of rank 1, a non-square system and d > 3.  A (3,3) or (4,2) state
 whose slice discriminants all are nonzero skips that walk in
@@ -59,10 +63,10 @@ from .states import (
     FORMAT,
     Tensor,
     _contract,
+    _flattening_rows,
     _rotate,
     check_flattening_cost,
     flattening_basis,
-    reduced_flattening_image,
 )
 
 #: Most prefixes one point sweep may visit: summed over the requested primes
@@ -139,27 +143,39 @@ class VarietyModel:
         return self.n - 1
 
 
-def _reduced_model(t, p):
-    """The model of a state over F_p: the rows of its flattening image
-    reduced modulo p on the state side (``reduced_flattening_image``), so
-    denominators of the rational canonical basis cannot poison the prime.
+def _reduced_model(t, p, turns=1):
+    """The models over F_p of a state and of its first turns - 1 rotations
+    (rotation j moves the first axis last j times, ``_rotate``), from one
+    reduction of the state: a list of turns models, whose rows are the
+    canonical basis of each rotation's flattening reduced on the state side
+    (``states._flattening_rows``, the rule of ``reduced_flattening_image``),
+    so denominators of the rational canonical basis cannot poison the prime.
 
-    This is the one route from a state to its F_p model.  The format's
-    cost is checked first (``check_flattening_cost``), then p, by the
-    state's reduction: a p that is no supported prime raises
-    UnsupportedPrimeError, one that divides the denominator
-    BadReductionError, and so does a rank drop of the reduced flattening.
-    Rank can only drop modulo p, so a reduced flattening of rank d proves
-    the exact one has rank d.  A rank deficiency over Q is told from a bad
-    prime by the caller, from the rank of the state's slices
-    (``_slice_pivot``), with no basis over Q: ``reduced_models`` reads it
-    after a failure, and ``_file_primes`` before any reduction.
+    This is the one route from a state to its F_p models and relation
+    spaces.  The format's cost is checked first (``check_flattening_cost``),
+    then p, by the state's one reduction (``Tensor.reduce_mod``): a p that
+    is no supported prime raises UnsupportedPrimeError, one that divides the
+    denominator BadReductionError.  Each rotation permutes the residues
+    (``_rotate``) and eliminates its slices, and the first rotation whose
+    reduced flattening drops rank raises BadReductionError too.  Rank can
+    only drop modulo p, so a reduced flattening of rank d proves the exact
+    one has rank d.  A rank deficiency over Q is told from a bad prime by
+    the caller, from the rank of the state's slices (``_slice_pivot``), with
+    no basis over Q: ``reduced_models`` and ``zalgebra.cyclic_relations``
+    read it after a failure, and ``_file_primes`` before any reduction.
+    The state is the source of the first model only; a rotation's model
+    has none.
     """
     check_flattening_cost(t)
-    basis = reduced_flattening_image(t, p)
-    if basis.rows < t.d:
-        raise BadReductionError(p, f"flattening rank drops modulo {p}")
-    return VarietyModel(t.n, t.d, basis.entries, 1, p, t)
+    residues, models = t.reduce_mod(p), []
+    for j in range(turns):
+        if j:
+            residues = _rotate(residues, t.d)
+        rows = _flattening_rows(residues, t.d, p)
+        if len(rows) < t.d:
+            raise BadReductionError(p, f"flattening rank drops modulo {p}")
+        models.append(VarietyModel(t.n, t.d, rows, 1, p, None if j else t))
+    return models
 
 
 def model_mod_p(model: VarietyModel, p: PRIME):
@@ -172,7 +188,7 @@ def model_mod_p(model: VarietyModel, p: PRIME):
         return model
     if model.source is None:
         raise ValueError(f"a model without a source state cannot be reduced modulo {p}")
-    return _reduced_model(model.source, p)
+    return _reduced_model(model.source, p)[0]
 
 
 @dataclass(frozen=True)
@@ -279,14 +295,27 @@ def reduced_models(states: TENSORS, p: PRIME):
     with no model over Q.  When a reduction fails, every state's slices
     are ranked (``_slice_pivot``) before the error is raised, so the errors
     come in one order: WorkLimitError, then RankDeficientError of any
-    state, then the first failing reduction's own error.
+    state, then the first failing reduction's own error
+    (``_rotation_models`` with one turn).
     """
+    return _rotation_models(states, p, 1)
+
+
+def _rotation_models(states, p, turns):
+    """The models over F_p of each state's first ``turns`` rotations, state
+    by state, each state reduced once (``_reduced_model``).  When a
+    reduction fails, the slices of every rotation of every state are ranked
+    (``_slice_pivot``; only this error path builds a rotation's Tensor), so
+    the errors come in one order: WorkLimitError, then RankDeficientError
+    of any rotation, then the first failing reduction's own error."""
     try:
-        return [_reduced_model(t, p) for t in states]
+        return [model for t in states for model in _reduced_model(t, p, turns)]
     except SloccGeoError:
         for t in states:
-            if (rank := _slice_pivot(t)[0]) < t.d:
-                raise RankDeficientError(rank, t.d)
+            for _ in range(turns):
+                if (rank := _slice_pivot(t)[0]) < t.d:
+                    raise RankDeficientError(rank, t.d)
+                t = Tensor.from_integers(t.n, t.d, _rotate(t.nums, t.d), t.den)
         raise
 
 
@@ -590,8 +619,10 @@ def _line_points(part, d, m, p):
 
 
 def _points(reduced, p):
-    """(point, certified) for the points of enumerate_points, lazily and in
-    the same order.  A point is certified when its innermost prefix
+    """(coords, certified) for the points of enumerate_points, lazily and
+    in the same order: coords is the point's tuple of coordinate tuples,
+    one per variable group, each normalized as a ProjPoint's, and no
+    ProjPoint is built.  A point is certified when its innermost prefix
     coordinate lies over a simple root of its line's determinant pencil,
     which makes it smooth (``_pencil_roots``).  Every other point,
     including every point of a model with no prefix group (n = 2) or a
@@ -607,7 +638,7 @@ def _points(reduced, p):
     if groups == 1:
         kernel = Matrix(reduced.rows, cols=d, p=p).kernel()
         for tail in _subspace_points(kernel.entries, p):
-            yield ProjPoint(p, (tail,)), False
+            yield (tail,), False
         return
 
     def walk(part, prefix):
@@ -618,7 +649,7 @@ def _points(reduced, p):
         for x, system, certified in _line_points(part, d, m, p):
             head = prefix + (x,)
             for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
-                yield ProjPoint(p, head + (tail,)), certified
+                yield head + (tail,), certified
 
     yield from walk(_coefficient_tensor(reduced), ())
 
@@ -647,17 +678,20 @@ def enumerate_points(model: VarietyModel, p: PRIME):
     Raises WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the
     budget counts prefixes, not lines.
 
-    The walk (``_points``) also marks the points it certifies smooth
-    (``_pencil_roots``); this list drops those marks, and the Jacobian
-    sweeps read them.
+    The walk (``_points``) yields plain coordinate tuples and marks the
+    points it certifies smooth (``_pencil_roots``); this list makes each
+    point a ProjPoint and drops those marks, which the Jacobian sweeps read.
+    The sweeps and the graded checks read the walk itself (``_walk``), so
+    this list serves only its callers outside the package.
     """
-    return [pt for pt, _ in _walk(model, p)[1]]
+    return [ProjPoint(p, coords) for coords, _ in _walk(model, p)[1]]
 
 
 def _walk(model, p):
     """(reduced model, its walk): the model over F_p (``model_mod_p``) and
-    the lazy (point, certified) pairs of ``_points`` over it, the prefix
-    budget at p checked in between.  ``enumerate_points`` lists the walk;
+    the lazy (coords, certified) pairs of ``_points`` over it, the prefix
+    budget at p checked in between.  ``enumerate_points`` lists the walk,
+    ``zalgebra.multiplication_surjectivity`` projects its coordinates, and
     ``zalgebra.relations_from_points`` stops it once its rank is full."""
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))
@@ -726,9 +760,10 @@ def jacobian_rank_at(model: VarietyModel, pt: POINT):
 
 
 def _first_witness(reduced, points):
-    """(p, point, rank) for the first of ``points``, (point, certified)
+    """(p, point, rank) for the first of ``points``, (coords, certified)
     pairs of the reduced model as ``_points`` yields them, where the
-    Jacobian rank drops below d, or None.
+    Jacobian rank drops below d, or None.  The witness is the one point of
+    a sweep that becomes a ProjPoint.
 
     A certified point is skipped untested: it is smooth
     (``_pencil_roots``), so it can never be the witness.  At every other
@@ -744,10 +779,9 @@ def _first_witness(reduced, points):
     """
     d, p, m = reduced.d, reduced.p, len(reduced.rows)
     tensor = _coefficient_tensor(reduced)
-    for pt, certified in points:
+    for coords, certified in points:
         if certified:
             continue
-        coords = pt.coords
         parts = _prefix_contractions(tensor, coords)
         system = parts[-1]
         left = _kernel_points([system[l * m : (l + 1) * m] for l in range(d)], m, p)
@@ -759,7 +793,7 @@ def _first_witness(reduced, points):
             continue
         rank = Matrix(_jacobian_rows(tensor, coords, d, p), cols=len(coords) * d, p=p).rank()
         if rank < d:
-            return p, pt, rank
+            return p, ProjPoint(p, coords), rank
     return None
 
 
@@ -888,7 +922,7 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
         if discs and all(discs):
             counts.append((p, _jacobian_count(curves[0], p)))
             continue
-        reduced = _reduced_model(t, p)
+        (reduced,) = _reduced_model(t, p)
         walk = list(_points(reduced, p))
         counts.append((p, len(walk)))
         witness = _first_witness(reduced, walk)

@@ -847,7 +847,7 @@ def _vote(t, primes, curve, pivot=None):
         raise AllPrimesBadError(f"all primes {_excerpt(list(scan))} hit bad reduction")
     witnesses, clean = [], 0
     for p in used:
-        reduced = _reduced_model(t, p)
+        (reduced,) = _reduced_model(t, p)
         if (found := _first_witness(reduced, _points(reduced, p))) is None:
             clean += 1
         else:

@@ -30,8 +30,10 @@ takes integer entries only.  A kernel takes its free-column basis
 (``Matrix.kernel``).
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
-through ``Tensor.reduce_mod`` (``states.reduced_flattening_image`` calls
-it), which checks the prime.
+through ``Tensor.reduce_mod`` (``geometry._reduced_model`` and
+``states.reduced_flattening_image`` call it), which checks the prime; both
+eliminate its residues with ``_eliminate`` directly
+(``states._flattening_rows``), with no Matrix in between.
 """
 
 import random

@@ -49,6 +49,7 @@ from .linalg import (
     Matrix,
     _bareiss,
     _check_local_dimension,
+    _eliminate,
     check_primes,
     clear_denominators,
     random_invertible,
@@ -448,19 +449,29 @@ def flattening_image(t: Tensor):
 
 def reduced_flattening_image(t: Tensor, p: PRIME):
     """The flattening image over F_p, reduced on the state side, as its
-    canonical basis (``Matrix.row_space``).
+    canonical basis: a Matrix of the nonzero RREF rows
+    (``_flattening_rows``), as ``Matrix.row_space`` would give them.
 
     Reducing the tensor first and spanning over F_p is the saturated
     reduction of the subspace: denominators introduced by the canonical
     rational basis cannot produce spurious bad primes.  Genuine state
-    denominators still raise BadReductionError.  Every reduction of a model
-    over Q passes through here, and every reduction of a state through
-    ``Tensor.reduce_mod``, which checks p: anything but a prime >= 5 raises
-    UnsupportedPrimeError.
+    denominators still raise BadReductionError.  Every reduction of a state
+    passes through ``Tensor.reduce_mod``, which checks p: anything but a
+    prime >= 5 raises UnsupportedPrimeError.  ``geometry._reduced_model``
+    eliminates its residues by the same rule.
     """
-    residues = t.reduce_mod(p)
-    slices = [residues[k :: t.d] for k in range(t.d)]
-    return Matrix(slices, cols=t.d ** (t.n - 1), p=p).row_space()
+    rows = _flattening_rows(t.reduce_mod(p), t.d, p)
+    return Matrix._trusted(rows, t.d ** (t.n - 1), p)
+
+
+def _flattening_rows(residues, d, p):
+    """The canonical basis of the span of a state's slices over F_p: the
+    nonzero rows of the RREF (``_eliminate``) of the slices residues[k::d]
+    of its residues (``Tensor.reduce_mod``), as tuples of ints in [0, p).
+    There are as many as the reduced flattening's rank."""
+    slices = [residues[k::d] for k in range(d)]
+    rank = _eliminate(slices, len(residues) // d, p)[0]
+    return tuple(map(tuple, slices[:rank]))
 
 
 def _contract(tensor, x):

@@ -24,15 +24,19 @@ d^k-wide span of every shift.  The ranks are taken over F_p after
 reducing the state, so a profile is evidence at one prime and agreement
 across good primes is the intended standard.
 
-Every check here reaches F_p from the state's reduced flattenings alone
-(``geometry.reduced_models``), by the rule of ``geometry._reduced_model``,
-and builds no basis over Q: a failed reduction is named from the rank of
-the state's slices (``geometry._slice_pivot``).
+Every check here reaches F_p from the state's reduced flattenings alone,
+through the one leaf ``geometry._reduced_model``, which reduces the state
+once per call: a profile's relation spaces are the flattenings of the n
+rotations of that one reduction (``cyclic_relations``).  No check builds
+a basis over Q: a failed reduction is named from the rank of the state's
+slices (``geometry._slice_pivot``).
 
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
 (``_monomial_row``): a point's row is the Kronecker product of its
-coordinate vectors in the order given.
+coordinate vectors in the order given.  Both read the point walk
+(``geometry._walk``) as plain coordinate tuples and eliminate plain
+residue rows (``_eliminate``); no ProjPoint is built.
 """
 
 from dataclasses import dataclass
@@ -45,12 +49,12 @@ from .errors import (
     WrongFormatError,
 )
 from .linalg import PRIME, Matrix, _eliminate
-from .states import FORMAT, Tensor, _rotate
+from .states import FORMAT, Tensor
 from .geometry import (
     VarietyModel,
+    _rotation_models,
     _singular_reduction,
     _walk,
-    enumerate_points,
     hasse_window,
     reduced_models,
 )
@@ -116,12 +120,6 @@ def _monomial_row(point, p):
     return row
 
 
-def _monomial_rows(points, width, p):
-    """Evaluation matrix of the given width: one row per point
-    (``_monomial_row``) and one column per monomial."""
-    return Matrix([_monomial_row(pt, p) for pt in points], cols=width, p=p)
-
-
 def relations_from_points(model: VarietyModel, p: PRIME):
     """Kernel of the monomial evaluation at all F_p-points, as its
     canonical basis (``Matrix.kernel``): a Matrix over F_p whose ``rows``
@@ -166,10 +164,10 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     forms = [[x % p for x in row] for row in reduced.rows]
     ceiling = width - _eliminate(forms, width, p, reduce=False)[0]
     basis, rank, count = [], 0, 0
-    for pt, _ in walk:
+    for coords, _ in walk:
         count += 1
         if rank < ceiling:
-            basis.append(_monomial_row(pt.coords, p))
+            basis.append(_monomial_row(coords, p))
             rank = _eliminate(basis, width, p, reduce=False)[0]
             del basis[rank:]
             if rank == ceiling >= k * d:
@@ -188,17 +186,16 @@ def cyclic_relations(state: Tensor, p: PRIME):
 
     R_j is the state-side reduction of the flattening image of the state
     with its factors rotated by j (factor k moves to position k - j mod n:
-    the first axis moved last j times, ``_rotate``), so the rotation by j
-    lies in both R_j (x) V and V (x) R_{j+1}: the rows of the rotation's
-    model over F_p (``geometry.reduced_models``, whose errors come in one
-    order: WorkLimitError, then RankDeficientError of some rotation, then
-    the first failing reduction's error).
+    the first axis moved last j times, ``states._rotate``), so the rotation
+    by j lies in both R_j (x) V and V (x) R_{j+1}: the rows of the
+    rotation's model over F_p.  All n come from one reduction of the state,
+    whose residues the leaf rotates (``geometry._reduced_model``), with no
+    Tensor per rotation; the errors come in one order
+    (``geometry._rotation_models``): WorkLimitError, then
+    RankDeficientError of some rotation, then the first failing
+    reduction's error.
     """
-    n, d, rotations, nums = state.n, state.d, [], state.nums
-    for _ in range(n):
-        rotations.append(Tensor.from_integers(n, d, nums, state.den))
-        nums = _rotate(nums, d)
-    return [model.rows for model in reduced_models(rotations, p)]
+    return [model.rows for model in _rotation_models([state], p, state.n)]
 
 
 def _push(terms, mu, size, rest, p):
@@ -365,13 +362,17 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     many singular reductions the test still passes.  The axis pair must
     name two distinct groups among 0, 1 and 2 (``AXIS_PAIR``), else
     ValueError.
+
+    The walk's coordinate tuples are projected as they come
+    (``geometry._walk``), with no list of ProjPoints, and the rank is that
+    of the distinct projections' evaluation rows (``_monomial_row``) under
+    forward elimination (``_eliminate`` without back-substitution).
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
-    axis_pair = tuple(sorted(axis_pair))
+    a, b = axis_pair = tuple(sorted(axis_pair))
     (model,) = reduced_models([state], p)
-    points = enumerate_points(model, p)
-    projected = sorted({tuple(pt.coords[a] for a in axis_pair) for pt in points})
+    projected = sorted({(coords[a], coords[b]) for coords, _ in _walk(model, p)[1]})
     lo, hi = hasse_window(p)
     if not max(5, lo) <= len(projected) <= hi:
         _refuse_singular_reduction(state, p)
@@ -383,7 +384,7 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
         raise InsufficientPointsError(
             f"only {len(projected)} projected points at p={p}; kernel not determined"
         )
-    rank = _monomial_rows(projected, 4, p).rank()
+    rank = _eliminate([_monomial_row(pt, p) for pt in projected], 4, p, reduce=False)[0]
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 

@@ -20,6 +20,20 @@ def empty_classify_memo():
     classify.cache_clear()
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """The primes of the test's reductions of a state, in order: every one
+    starts in ``Tensor.reduce_mod``, which appends its prime here."""
+    calls, reduce_mod = [], Tensor.reduce_mod
+
+    def counting(t, p):
+        calls.append(p)
+        return reduce_mod(t, p)
+
+    monkeypatch.setattr(Tensor, "reduce_mod", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def ghz3_qutrit():
     return ghz(3, 3)

@@ -12,7 +12,8 @@ column-restricted elimination is checked against, the former
 two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the monomial rows and the span points, the
 former full sweep of ``smoothness_scan`` (every witness reported) and
-its former filing, each with a reduction at every prime, the former exact
+its former filing, each with a reduction at every prime, the former
+listed-points route of ``multiplication_surjectivity``, the former exact
 route of ``cyclic_relations`` (a model over Q per rotation), and the former exact
 kernels of the curve path: the determinant-sum projection, the
 term-by-term S/T evaluation, the sorted-tuple S/T contraction and the
@@ -34,6 +35,7 @@ from sloccgeo.geometry import (
     _first_witness,
     _points,
     _reduced_model,
+    enumerate_points,
     model_mod_p,
     projective_points,
     variety_from_state,
@@ -297,8 +299,8 @@ def kernel_two_eliminations(matrix):
 def monomial_rows(points, d, k, p):
     """The monomial evaluation matrix by one index loop: one row per point,
     a tuple of k coordinate vectors of length d, and one column per index
-    tuple of ``product(range(d), repeat=k)`` (the library's
-    ``_monomial_rows`` before it took Kronecker products)."""
+    tuple of ``product(range(d), repeat=k)`` (the library's evaluation
+    rows before ``zalgebra._monomial_row`` took Kronecker products)."""
     rows = []
     for pt in points:
         row = []
@@ -339,6 +341,20 @@ def cyclic_relations(state, p):
     return [model_mod_p(model, p).rows for model in models]
 
 
+def section_product(state, axis_pair, p):
+    """(rank, projected point count) of the section-product map the former
+    way: the exact model (``variety_from_state``) reduced through its state
+    (``model_mod_p``), every F_p-point listed as a ProjPoint
+    (``enumerate_points``) and projected onto the axis pair, and the
+    index-loop evaluation rows of the distinct projections ranked as a
+    Matrix.  ``zalgebra.multiplication_surjectivity`` projects the walk's
+    coordinate tuples and ranks by forward elimination."""
+    model = model_mod_p(variety_from_state(state), p)
+    pair = sorted(axis_pair)
+    projected = sorted({tuple(pt.coords[a] for a in pair) for pt in enumerate_points(model, p)})
+    return monomial_rows(projected, 2, 2, p).rank(), len(projected)
+
+
 def full_sweep(t, primes):
     """(used primes, witnesses) of a sweep of every used prime up to its
     first witness: smoothness_scan's sweep before it excluded the witness
@@ -349,7 +365,7 @@ def full_sweep(t, primes):
     used, found = [], []
     for p in primes:
         try:
-            reduced = _reduced_model(t, p)
+            (reduced,) = _reduced_model(t, p)
         except BadReductionError:
             continue
         used.append(p)

@@ -489,19 +489,21 @@ def test_kernel_points_read_the_rank(p):
 
 
 def _reference_witness(reduced, walk):
-    """(p, point, rank) for the first point of a walk (``_points`` pairs)
-    whose full Jacobian rank drops below d, or None.  On the way, every
-    point the walk certifies must have rank d (``jacobian_rank_at``): a
-    certified point with a rank drop fails here, naming the point."""
+    """(p, point, rank) for the first point of a walk (``_points`` pairs of
+    coordinate tuples and marks) whose full Jacobian rank drops below d, or
+    None.  On the way, every point the walk certifies must have rank d
+    (``jacobian_rank_at``): a certified point with a rank drop fails here,
+    naming the point."""
     d, p = reduced.d, reduced.p
     tensor = _coefficient_tensor(reduced)
     found = None
-    for pt, certified in walk:
+    for coords, certified in walk:
+        pt = ProjPoint(p, coords)
         if certified:
             rank = jacobian_rank_at(reduced, pt)
             assert rank == d, f"certified point {pt} has Jacobian rank {rank} < {d}"
         elif found is None:
-            jac = _jacobian_rows(tensor, pt.coords, d, p)
+            jac = _jacobian_rows(tensor, coords, d, p)
             rank = Matrix(jac, cols=len(jac[0]), p=p).rank()
             found = (p, pt, rank) if rank < d else None
     return found
@@ -521,13 +523,13 @@ def test_jacobian_shortcut_matches_rank(fmt):
         except BadReductionError:
             assume(False)
         walk = list(_points(reduced, p))
-        assert [pt for pt, _ in walk] == enumerate_points(reduced, p)
+        assert [ProjPoint(p, coords) for coords, _ in walk] == enumerate_points(reduced, p)
         tensor = _coefficient_tensor(reduced)
-        for pt, _ in walk:
-            jac = _jacobian_rows(tensor, pt.coords, reduced.d, p)
+        for coords, _ in walk:
+            jac = _jacobian_rows(tensor, coords, reduced.d, p)
             rank = Matrix(jac, cols=len(jac[0]), p=p).rank()
-            expected = (p, pt, rank) if rank < reduced.d else None
-            assert _first_witness(reduced, [(pt, False)]) == expected
+            expected = (p, ProjPoint(p, coords), rank) if rank < reduced.d else None
+            assert _first_witness(reduced, [(coords, False)]) == expected
         assert _first_witness(reduced, walk) == _reference_witness(reduced, walk)
 
     check()

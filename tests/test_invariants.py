@@ -83,7 +83,6 @@ from sloccgeo.states import (
     ghz,
     parse_state,
     random_state,
-    reduced_flattening_image,
     state_to_json,
     tensor_product,
     w_state,
@@ -1462,37 +1461,21 @@ def test_vote_filing_matches_a_reduction_at_every_prime(singlet_times_bell):
             for kind in ("plain", "slocc", "drop", "den")} <= seen, seen
 
 
-def test_classify_of_a_singular_curve_reduces_only_the_swept_prime(monkeypatch):
+def test_classify_of_a_singular_curve_reduces_only_the_swept_prime(reductions):
     # every prime of GHZ(3,3) is used by the last fraction-free pivot of
     # its slices alone, and the sweep stops at its first witness, at 5: one
     # reduction
-    import sloccgeo.geometry
-
-    calls = []
-
-    def counting(t, p):
-        calls.append(p)
-        return reduced_flattening_image(t, p)
-
-    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    calls = reductions
     verdict = classify(ghz(3, 3))
     assert verdict.primes_used == DEFAULT_PRIMES and verdict.singular_witness[0] == 5
     assert calls == [5]
 
 
-def test_scan_reduces_each_swept_prime_once(monkeypatch):
+def test_scan_reduces_each_swept_prime_once(reductions):
     # the slices' last fraction-free pivot of these states has no prime
     # factor >= 5, so the filing reduces no prime and the sweep reduces
     # each prime once
-    import sloccgeo.geometry
-
-    calls = []
-
-    def counting(t, p):
-        calls.append(p)
-        return reduced_flattening_image(t, p)
-
-    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    calls = reductions
     for t, primes in ((ghz(3, 3), DEFAULT_PRIMES), (ghz(4, 2), DEFAULT_PRIMES),
                       (random_state(5, 2, 5, 0), (5, 7, 11, 13)), (w_state(5), (5, 7, 11, 13))):
         calls.clear()
@@ -1519,7 +1502,9 @@ def test_scan_files_rank_drops_and_denominators_as_bad():
         assert scaled.primes == tuple(p for p in smoothness_scan(smooth).primes if p != 5)
 
 
-def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, family_1235):
+def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(
+    monkeypatch, reductions, family_1235
+):
     # no exact flattening and no model: a reduced flattening only at the
     # primes that divide den * M, M the last fraction-free pivot of the
     # slices.  The bad primes are among them, and the excluded primes are
@@ -1528,17 +1513,11 @@ def test_smooth_curve_scan_reduces_only_where_a_reduction_can_fail(monkeypatch, 
     import sloccgeo.geometry
     from sloccgeo.linalg import _bareiss
 
-    calls = []
-
     def refused(t):
         raise AssertionError("exact flattening built")
 
-    def counting(t, p):
-        calls.append(p)
-        return reduced_flattening_image(t, p)
-
     monkeypatch.setattr(sloccgeo.geometry, "variety_from_state", refused)
-    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    calls = reductions
     drop = _rank_drop(random_state(4, 2, 5, 2), 7, _shifts((4, 2), 2))
     for t in (random_state(3, 3, 5, 42), family_1235, drop):
         calls.clear()

@@ -145,13 +145,20 @@ def test_random_invertible_d1():
 
 def test_random_invertible_runs_no_matrix_elimination(monkeypatch):
     # each draw is decided on its integer rows, and only the draw returned
-    # becomes a Matrix; at bound 1 many singular draws are rejected first
-    def refuse(m):
-        raise AssertionError("random_invertible ran Matrix.rref")
+    # becomes a Matrix; at bound 1 many singular draws are rejected first.
+    # Every Matrix, checked or trusted, is stored by Matrix._set, so the
+    # count covers both constructors
+    built, store = [], Matrix._set
 
-    monkeypatch.setattr(Matrix, "rref", refuse)
+    def counting(m, *args):
+        built.append(args)
+        return store(m, *args)
+
+    monkeypatch.setattr(Matrix, "_set", counting)
     for seed in range(20):
+        built.clear()
         m = random_invertible(3, 1, seed=seed)
+        assert len(built) == 1
         assert all(-1 <= x <= 1 for row in m.entries for x in row)
         assert det_oracle(m.entries) != 0
 

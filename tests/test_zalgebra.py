@@ -38,6 +38,7 @@ from sloccgeo.states import (
 )
 from sloccgeo.zalgebra import (
     MAX_PROFILE_WIDTH,
+    ProductMapResult,
     check_hilbert_degree,
     cubic_expected_dims,
     cubic_hilbert,
@@ -453,6 +454,110 @@ def test_reduced_models_match_the_exact_route():
     assert {"ok", RankDeficientError, BadReductionError} <= seen
 
 
+def test_cyclic_relations_match_each_rotation_reduced_on_its_own():
+    # cyclic_relations reduces the state once and rotates its residues; the
+    # reference builds each rotation by permuting the factors
+    # (ref.permute_factors) and reduces it on its own: the same relation
+    # spaces, or the error of reduced_models on those rotations, with the
+    # same type and message.  The draws cover GHZ, scaled and rational
+    # states, denominators divisible by p, rank drops mod p (the last slice
+    # congruent to the first) and a rank-deficient rotation (e_0 (x) s,
+    # rotated)
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        fmt=st.sampled_from(((3, 3), (4, 2), (5, 2))),
+        p=st.sampled_from((5, 7, 11, 13, 17, 19, 23)),
+        kind=st.sampled_from(("random", "ghz", "scaled", "rank drop", "rotated deficiency")),
+    )
+    def check(data, fmt, p, kind):
+        n, d = fmt
+        size, inner = d**n, d ** (n - 1)
+        nums = data.draw(st.lists(st.integers(-4, 4), min_size=size, max_size=size))
+        if kind == "ghz":
+            nums = list(ghz(n, d).nums)
+        elif kind == "rank drop":
+            shifts = data.draw(st.lists(st.integers(-2, 2), min_size=inner, max_size=inner))
+            for r, s in enumerate(shifts):
+                nums[r * d + d - 1] = nums[r * d] + p * s
+        elif kind == "rotated deficiency":
+            nums = nums[:inner] + [0] * (size - inner)
+            for _ in range(data.draw(st.integers(0, n - 1))):
+                nums = _rotate(nums, d)
+        den = data.draw(st.sampled_from((1, 2, p, 3 * p)))
+        t = Tensor.from_integers(n, d, nums, den)
+        if kind == "scaled":
+            a, b = (data.draw(st.sampled_from(choices)) for choices in ((1, -3, p), (1, 4, p)))
+            t = t.scale(Fraction(a, b))
+        rotations = [ref.permute_factors(t, [(k - j) % n for k in range(n)]) for j in range(n)]
+        expected = _outcome(lambda: reduced_models(rotations, p))
+        if expected[0] == "ok":
+            expected = "ok", [reduced_flattening_image(r, p).entries for r in rotations]
+            # and the former route: the residue slices as a checked Matrix
+            assert expected[1] == [
+                Matrix([r.reduce_mod(p)[k::d] for k in range(d)], cols=inner, p=p).row_space().entries
+                for r in rotations
+            ]
+        assert _outcome(lambda: cyclic_relations(t, p)) == expected
+        seen.add((n, expected[0]) if expected[0] != BadReductionError else expected[1].split()[0])
+
+    check()
+    assert {(n, out) for n in (3, 4, 5) for out in ("ok", RankDeficientError)} <= seen, seen
+    assert {"denominator", "flattening"} <= seen, seen
+
+
+def test_section_products_match_the_listed_points(singlet_times_bell):
+    # multiplication_surjectivity projects the walk's coordinate tuples and
+    # ranks by forward elimination; the reference lists enumerate_points
+    # and ranks a Matrix of the index-loop rows (ref.section_product): the
+    # same result, or, when the projected count lies outside the plausible
+    # window, a refusal naming that count; on drawn (4,2) states and on
+    # SLOCC images of singlet (x) Bell
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(("random", "singlet (x) Bell")),
+        pair=st.sampled_from(((0, 1), (0, 2), (1, 2), (1, 0))),
+        p=st.sampled_from((5, 7, 11, 13, 17, 19, 23)),
+    )
+    def check(data, kind, pair, p):
+        if kind == "random":
+            nums = data.draw(st.lists(st.integers(-4, 4), min_size=16, max_size=16))
+            t = Tensor.from_integers(4, 2, nums, data.draw(st.sampled_from((1, 2, p))))
+        else:
+            g = SloccOperator.random(4, 2, 2, data.draw(st.integers(0, 10**6)))
+            t = apply_slocc(singlet_times_bell, g)
+        got = _outcome(lambda: multiplication_surjectivity(t, pair, p))
+        try:
+            rank, count = ref.section_product(t, pair, p)
+        except SloccGeoError as exc:
+            assert got == (type(exc), str(exc), getattr(exc, "p", None))
+            seen.add(type(exc))
+            return
+        lo, hi = hasse_window(p)
+        if max(5, lo) <= count <= hi:
+            assert got == ("ok", ProductMapResult(p, tuple(sorted(pair)), rank, 4 - rank, count))
+            seen.add((kind, rank == 4))
+        else:
+            assert got[0] in (InsufficientPointsError, BadReductionError), got
+            assert got[0] is BadReductionError or f"{count} projected points at p={p}" in got[1]
+            seen.add(got[0])
+
+    check()
+    assert {("random", True), ("singlet (x) Bell", False)} <= seen, seen
+    assert {InsufficientPointsError, BadReductionError} <= seen, seen
+
+
 def test_graded_checks_build_no_exact_flattening(monkeypatch, family_1235):
     # at a good prime every reduced flattening has rank d, which proves the
     # exact rank, and a failed reduction is named from the rank of the
@@ -516,7 +621,9 @@ def test_graded_checks_refuse_a_missing_prime(family_1235):
 
 
 def test_flattening_cost_is_checked_before_any_elimination(monkeypatch, family_1235):
+    import sloccgeo.cli
     import sloccgeo.geometry
+    import sloccgeo.invariants
     import sloccgeo.linalg
     import sloccgeo.states
     import sloccgeo.zalgebra
@@ -524,11 +631,16 @@ def test_flattening_cost_is_checked_before_any_elimination(monkeypatch, family_1
     def refused(*args):
         raise AssertionError("eliminated before the cost check")
 
-    # each module calls the two elimination loops by the names it imported
-    for module in (sloccgeo.linalg, sloccgeo.states, sloccgeo.geometry):
-        monkeypatch.setattr(module, "_bareiss", refused)
-    for module in (sloccgeo.linalg, sloccgeo.zalgebra):
-        monkeypatch.setattr(module, "_eliminate", refused)
+    # each module calls the two elimination loops by the names it imported,
+    # so both are refused in every module that binds them; the leaf
+    # (geometry._reduced_model) eliminates through states._flattening_rows
+    modules = (sloccgeo.linalg, sloccgeo.states, sloccgeo.geometry, sloccgeo.invariants,
+               sloccgeo.zalgebra, sloccgeo.cli)
+    for name in ("_bareiss", "_eliminate"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+    assert sloccgeo.states._eliminate is refused
     # (2,64) costs 64**3 = 262,144 cell updates, over the limit
     wide = random_state(2, 64, 5, 0)
     for call in (lambda: cyclic_relations(wide, 11), lambda: roundtrip_check(wide, 11)):
@@ -666,23 +778,27 @@ def test_roundtrip_generic_42(family_1235):
     assert roundtrip_check(family_1235, 13) is True
 
 
-def test_roundtrip_reduces_the_state_once(monkeypatch):
+def test_roundtrip_reduces_the_state_once(reductions):
     # the reduced model's rows are the reduced flattening image, so the
     # comparison needs no second reduction; zalgebra reduces only through
-    # geometry.model_mod_p
-    import sloccgeo.geometry
+    # the leaf, geometry._reduced_model
     import sloccgeo.zalgebra
 
     assert not hasattr(sloccgeo.zalgebra, "reduced_flattening_image")
-    seen = []
-
-    def counting(t, p):
-        seen.append(p)
-        return reduced_flattening_image(t, p)
-
-    monkeypatch.setattr(sloccgeo.geometry, "reduced_flattening_image", counting)
+    seen = reductions
     assert roundtrip_check(random_state(3, 3, 5, 10), 11) is True
     assert seen == [11]
+
+
+def test_hilbert_profiles_reduce_the_state_once_per_prime(reductions, family_1235):
+    # the leaf serves the relation spaces of all n rotations from one
+    # reduction of the state
+    t33 = random_state(3, 3, 5, 42)
+    for call, p in ((lambda p: quadratic_hilbert(t33, p, 4), 11),
+                    (lambda p: cubic_hilbert(family_1235, p, 5), 13)):
+        reductions.clear()
+        assert call(p).matches()
+        assert reductions == [p]
 
 
 def test_roundtrip_is_refused_before_any_point(monkeypatch):
@@ -710,7 +826,10 @@ def test_monomial_rows_match_the_index_loop():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    from sloccgeo.zalgebra import _monomial_rows
+    from sloccgeo.zalgebra import _monomial_row
+
+    def rows(points, width, p):
+        return Matrix([_monomial_row(pt, p) for pt in points], cols=width, p=p)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -722,10 +841,10 @@ def test_monomial_rows_match_the_index_loop():
     def check(data, d, k, p):
         coord = st.tuples(*[st.integers(0, p - 1)] * d)
         points = data.draw(st.lists(st.tuples(*[coord] * k), max_size=6))
-        assert _monomial_rows(points, d**k, p) == ref.monomial_rows(points, d, k, p)
+        assert rows(points, d**k, p) == ref.monomial_rows(points, d, k, p)
 
     check()
-    empty = _monomial_rows([], 9, 11)
+    empty = rows([], 9, 11)
     assert (empty.rows, empty.cols, empty.p) == (0, 9, 11) and empty.kernel().rows == 9
     assert empty == ref.monomial_rows([], 3, 2, 11)
 
