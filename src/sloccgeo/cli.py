@@ -101,19 +101,22 @@ def _parse_primes(text):
 def _per_prime(primes, check):
     """(entries, degenerate) over the primes, where check(p) returns one
     prime's (entry, degenerate).  A SloccGeoError at one prime becomes that
-    prime's {"prime", "error"} entry and counts as degenerate; a
-    WorkLimitError ends the command."""
-    entries, degenerate = [], False
+    prime's {"prime", "error"} entry.  A DegenerateInputError counts as
+    degenerate, as ``_verdict`` counts it; any other error refuses that
+    prime only (a bad reduction), and counts as degenerate only when every
+    prime is refused.  A WorkLimitError ends the command."""
+    entries, degenerate, refused = [], False, 0
     for p in primes:
         try:
             entry, bad = check(p)
         except WorkLimitError:
             raise
         except SloccGeoError as exc:
-            entry, bad = {"prime": p, "error": str(exc)}, True
+            entry, bad = {"prime": p, "error": str(exc)}, isinstance(exc, DegenerateInputError)
+            refused += not bad
         entries.append(entry)
         degenerate = degenerate or bad
-    return entries, degenerate
+    return entries, degenerate or refused == len(primes)
 
 
 def _verdict(body, *args):

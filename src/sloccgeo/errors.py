@@ -52,7 +52,10 @@ class RankDeficientError(DegenerateInputError):
 
 
 class InsufficientPointsError(DegenerateInputError):
-    """Too few (or too degenerate) finite-field points to trust a kernel."""
+    """Too few, or too degenerate, finite-field points to determine what a
+    check needs: an evaluation rank below width - rank(forms), the rank at
+    which the points give back exactly the model's forms, or too few
+    projected points for a section product."""
 
 
 class AllPrimesBadError(DegenerateInputError):
@@ -61,9 +64,9 @@ class AllPrimesBadError(DegenerateInputError):
 
 class BadReductionError(SloccGeoError):
     """The chosen prime is bad for a reduction: it divides a denominator,
-    the reduced flattening loses rank, or (in the section-product test and
-    the roundtrip) the reduced curve of a smooth curve model is singular.
-    ``message`` says which."""
+    the reduced flattening loses rank, or (in the section-product test, the
+    roundtrip and an off-target Hilbert profile) the reduced curve of a
+    smooth curve model is singular.  ``message`` says which."""
 
     def __init__(self, p, message):
         super().__init__(message)

@@ -21,7 +21,8 @@ through the other, ``_eliminate``: it works in place on rows already in
 the rank and the pivot columns, so no caller scans its rows for them
 again.  Its rank-only mode stops at forward elimination; ``Matrix.rank``,
 the top degree of a Hilbert profile and the rank walk of
-``zalgebra.relations_from_points`` use it.  ``Matrix.rref``, ``row_space``
+``zalgebra.relations_from_points`` use it, and that walk's forms take
+the full mode once.  ``Matrix.rref``, ``row_space``
 and ``kernel`` hand its rows to the private ``Matrix._trusted``
 constructor, which stores rows already in ``[0, p)`` without reducing them
 again.  The public constructor checks and reduces its input; over F_p it
@@ -58,7 +59,8 @@ MAX_PRIME = 2**31 - 1
 
 #: Most entries the basis of a ``Matrix.kernel`` may have, counted as
 #: cols**2 before any elimination: widths up to 362 pass, among them every
-#: relation kernel of the package (at most 256 columns).
+#: kernel of the package, the fibres of the point walk (d columns, d at
+#: most 256).
 MAX_MATRIX_ENTRIES = 2**17
 
 #: Most decimal digits parse_state accepts in a numerator or denominator of
@@ -300,8 +302,8 @@ class Matrix:
         form, and by its uniqueness they are the canonical basis.  The basis
         has up to cols x cols entries, so a cols**2 above MAX_MATRIX_ENTRIES
         raises WorkLimitError before any elimination or allocation; every
-        relation kernel of the package (at most 256 columns,
-        ``zalgebra.relations_from_points``) passes."""
+        kernel of the package, a fibre of the point walk (d columns, d at
+        most 256, ``geometry._kernel_points``), passes."""
         if self.cols**2 > MAX_MATRIX_ENTRIES:
             size = f"{_excerpt(self.cols)} x {_excerpt(self.cols)}"
             raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")

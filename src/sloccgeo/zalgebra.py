@@ -31,12 +31,22 @@ rotations of that one reduction (``cyclic_relations``).  No check builds
 a basis over Q: a failed reduction is named from the rank of the state's
 slices (``geometry._slice_pivot``).
 
+A profile off its expected series at a prime that divides a slice
+discriminant of a smooth curve state is refused with BadReductionError
+(``_refuse_singular_reduction``): the reduced curve is singular.  The
+roundtrip and the section-product test name such a prime by the same
+rule when they refuse it.
+
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
 (``_monomial_row``): a point's row is the Kronecker product of its
 coordinate vectors in the order given.  Both read the point walk
 (``geometry._walk``) as plain coordinate tuples and eliminate plain
-residue rows (``_eliminate``); no ProjPoint is built.
+residue rows (``_eliminate``); no ProjPoint is built.  The roundtrip is
+one evaluation rank: the points give back the model's forms exactly when
+that rank reaches width - rank(forms), which no rank can pass, so
+``relations_from_points`` stops or refuses at that ceiling and takes no
+kernel, and ``roundtrip_check`` returns True or refuses.
 """
 
 from dataclasses import dataclass
@@ -121,63 +131,62 @@ def _monomial_row(point, p):
 
 
 def relations_from_points(model: VarietyModel, p: PRIME):
-    """Kernel of the monomial evaluation at all F_p-points, as its
-    canonical basis (``Matrix.kernel``): a Matrix over F_p whose ``rows``
-    is the kernel's dimension and whose ``cols`` is d**k.
+    """The forms that the model's F_p-points give back: the span of the
+    model's rows over F_p, as its canonical basis, a Matrix over F_p whose
+    ``rows`` is the span's dimension and whose ``cols`` is d**k, returned
+    only once the points determine it.
 
     A point's row is the Kronecker product of the coordinate vectors of
-    the model's k = n - 1 groups, in order (``_monomial_row``).  On a
-    generic curve model the monomials span a space of dimension
-    k*d (sections of the product line bundle), leaving a kernel of
-    dimension d**k - k*d.  If the evaluation rank falls short of that
-    target the kernel would come out too big, so the computation aborts
-    with InsufficientPointsError, naming the rank and the F_p-point count,
-    instead of reporting a wrong space.
+    the model's k = n - 1 groups, in order (``_monomial_row``).  Every form
+    of the model vanishes at every point, so every row lies in the
+    orthogonal complement of the forms' span, and the evaluation rank can
+    never exceed the ceiling width - rank(forms) over F_p.  It reaches the
+    ceiling exactly when the rows span that whole complement, that is, when
+    the kernel of the evaluation is exactly the forms' span: the points
+    then give back the forms and nothing else.  So the ceiling is the one
+    target.  The forms are eliminated once, to their canonical basis
+    (``_eliminate``), which gives both the ceiling and the result.  Below
+    the ceiling the kernel would come out too big, so the computation
+    aborts with InsufficientPointsError, naming the rank, the ceiling and
+    the F_p-point count, instead of reporting a wrong space.
 
     The points are walked lazily (``geometry._walk``), and each row joins
     a row-echelon basis of the rows so far (``_eliminate`` without
-    back-substitution), so no matrix of all the points is formed.  Every
-    form of the model vanishes at every point, so every row lies in the
-    orthogonal complement of the model's row space, and the rank can never
-    exceed width - rank(model rows) over F_p.  Once it reaches that
-    ceiling, and the ceiling is at least the target, the rows span the
-    whole complement, so the kernel is exactly the model's row space and
-    no further point can change it: the walk stops there.  A walk that
-    stays short runs to the end, so the error names the full rank and
-    point count.  The kernel is taken from the basis rows, whose span is
-    that of all the rows, so it is the same canonical basis.
+    back-substitution), so no matrix of all the points is formed; the walk
+    stops once the rank reaches the ceiling, when no further point can
+    change the answer.  A walk that stays short runs to the end, so the
+    error names the full rank and point count.
 
-    The evaluation matrix is d**k wide, the width of the model's rows, so
+    The evaluation rows are d**k wide, the width of the model's rows, so
     before any point is enumerated a model whose rows are too wide is
     refused with WorkLimitError, naming that width, by the width bound of
     the Hilbert profiles: d**k <= MAX_PROFILE_WIDTH.  The model may be over
     Q or over F_p: the walk reduces it (``model_mod_p``) and then checks
     the prefix budget.
     """
-    d, k, width = model.d, model.groups, len(model.rows[0])
+    width = len(model.rows[0])
     if width > MAX_PROFILE_WIDTH:
         raise WorkLimitError(
-            f"the evaluation rows of a model of format (n={model.n}, d={d}) are "
+            f"the evaluation rows of a model of format (n={model.n}, d={model.d}) are "
             f"{width} wide, over the limit of {MAX_PROFILE_WIDTH}"
         )
     reduced, walk = _walk(model, p)
     forms = [[x % p for x in row] for row in reduced.rows]
-    ceiling = width - _eliminate(forms, width, p, reduce=False)[0]
-    basis, rank, count = [], 0, 0
+    span = _eliminate(forms, width, p)[0]
+    ceiling, basis, rank, count = width - span, [], 0, 0
     for coords, _ in walk:
         count += 1
-        if rank < ceiling:
-            basis.append(_monomial_row(coords, p))
-            rank = _eliminate(basis, width, p, reduce=False)[0]
-            del basis[rank:]
-            if rank == ceiling >= k * d:
-                break
-    if rank < k * d:
+        basis.append(_monomial_row(coords, p))
+        rank = _eliminate(basis, width, p, reduce=False)[0]
+        del basis[rank:]
+        if rank == ceiling:
+            break
+    if rank < ceiling:
         raise InsufficientPointsError(
-            f"evaluation rank {rank} below generic target {k * d} at p={p} "
+            f"evaluation rank {rank} below generic target {ceiling} at p={p} "
             f"from {count} F_p-points"
         )
-    return Matrix._trusted(map(tuple, basis), width, p).kernel()
+    return Matrix._trusted(map(tuple, forms[:span]), width, p)
 
 
 def cyclic_relations(state: Tensor, p: PRIME):
@@ -225,6 +234,20 @@ def check_hilbert_degree(d: FORMAT, k_max: DEGREE):
 
 
 def _hilbert_profile(state, p, k_max, kind, expected_fn):
+    """The profile of dims A_m for m <= k_max (``_quotient_dims``) against
+    its expected series.  A profile off that series is refused with
+    BadReductionError when p divides a slice discriminant of a smooth curve
+    state (``_refuse_singular_reduction``), the rule of the roundtrip and
+    the section products: the reduced curve is singular, and its profile
+    says nothing about the state's.  Every other profile is reported, on
+    target or not."""
+    profile = HilbertProfile(kind, p, _quotient_dims(state, p, k_max), expected_fn(k_max))
+    if not profile.matches():
+        _refuse_singular_reduction(state, p)
+    return profile
+
+
+def _quotient_dims(state, p, k_max):
     """dim A_m for m <= k_max, built one degree at a time in the quotient.
 
     I_m = I_{m-1} (x) V + V^(x)(m-a) (x) R_{(m-a) mod n}, so A_m is
@@ -280,7 +303,7 @@ def _hilbert_profile(state, p, k_max, kind, expected_fn):
         for row, pc in zip(rows, pivots):
             mu[pc] = tuple([(i, -row[f]) for i, f in enumerate(free) if row[f]])
         mus.append(mu)
-    return HilbertProfile(kind, p, tuple(dims), expected_fn(k_max))
+    return tuple(dims)
 
 
 def quadratic_hilbert(state: Tensor, p: PRIME, k_max: DEGREE = 4):
@@ -288,7 +311,9 @@ def quadratic_hilbert(state: Tensor, p: PRIME, k_max: DEGREE = 4):
 
     The degree-2 relations cycle through the flattening images of the
     three rotations of the state; the generic answer is
-    ``quadratic_expected_dims``.
+    ``quadratic_expected_dims``.  A profile off it at a prime that divides
+    a slice discriminant of a smooth state raises BadReductionError
+    (``_hilbert_profile``).
     """
     if (state.n, state.d) != (3, 3):
         raise WrongFormatError("quadratic profiles need format (3,3)")
@@ -300,7 +325,9 @@ def cubic_hilbert(state: Tensor, p: PRIME, k_max: DEGREE = 5):
 
     The degree-3 relations cycle through the flattening images of the
     four rotations of the state; the generic answer is
-    ``cubic_expected_dims``.
+    ``cubic_expected_dims``.  A profile off it at a prime that divides a
+    slice discriminant of a smooth state raises BadReductionError
+    (``_hilbert_profile``).
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("cubic profiles need format (4,2)")
@@ -399,31 +426,30 @@ def _refuse_singular_reduction(state, p):
 
 
 def roundtrip_check(state: Tensor, p: PRIME):
-    """Reconstruct the flattening image from the model's F_p-points.
+    """Reconstruct the flattening image from the model's F_p-points: True,
+    or a refusal.
 
-    True when the kernel of the monomial evaluation
-    (``relations_from_points``) equals the state-side reduction of the
-    flattening image, as canonical
-    subspaces: the kernel's RREF rows are those of the reduced model.
-    The construction guarantees the kernel contains that reduction, so a
-    full evaluation rank forces equality; failures therefore surface only
-    as bad reduction or insufficient points, never as a wrong kernel.  Bad
-    reduction is raised by the model's reduction (``reduced_models``), or,
-    when the evaluation rank falls short and p divides a slice discriminant
-    of a smooth curve state, as BadReductionError naming the singular
-    reduced curve, as in ``multiplication_surjectivity``.  Any other
-    shortfall is
-    an InsufficientPointsError naming the F_p-point count: a smooth curve
-    at a good prime can have fewer points than the rank needs (3 at p = 7,
-    against a target of 6).
+    The model's forms are the state-side reduction of the flattening
+    image (``reduced_models``), and the points give them back exactly when
+    the evaluation rank reaches width - rank(forms)
+    (``relations_from_points``), so a roundtrip that returns returns True;
+    it never reports a wrong space.  Bad reduction is raised by the
+    model's reduction, or, when the evaluation rank falls short and p
+    divides a slice discriminant of a smooth curve state, as
+    BadReductionError naming the singular reduced curve, as in
+    ``multiplication_surjectivity``.  Any other shortfall is an
+    InsufficientPointsError naming the F_p-point count: a smooth curve at
+    a good prime can have fewer points than the rank needs (3 at p = 7,
+    against a target of 6), and W(5) at p = 5, 7, 11 and 13 has rank 11
+    against 14.
     """
     (reduced,) = reduced_models([state], p)
     try:
-        relations = relations_from_points(reduced, p)
+        relations_from_points(reduced, p)
     except InsufficientPointsError:
         _refuse_singular_reduction(state, p)
         raise
-    return relations.entries == reduced.rows
+    return True
 
 
 guard(globals())

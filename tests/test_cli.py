@@ -189,6 +189,22 @@ def test_hilbert_strict_on_generic_state(tmp_path, capsys):
     assert all(profile["matches"] for profile in doc["profiles"])
 
 
+def test_hilbert_strict_ignores_a_refused_prime(tmp_path, capsys):
+    # seed 30's curve is singular modulo 7, so that prime is refused as a
+    # bad reduction and the eight others are on target: --strict passes.
+    # A command whose every prime is refused has no verdict, and fails
+    path = str(tmp_path / "s30.json")
+    assert run(["sample", "--n", "3", "--d", "3", "--seed", "30", "--out", path]) == 0
+    code, doc = run_json(capsys, ["hilbert", path, "--strict"])
+    assert code == 0
+    refused = [entry for entry in doc["profiles"] if "error" in entry]
+    assert refused == [{"prime": 7, "error": "p=7 divides a slice discriminant: "
+                                             "the reduced curve is singular"}]
+    assert all(entry["matches"] for entry in doc["profiles"] if entry["prime"] != 7)
+    code, doc = run_json(capsys, ["hilbert", path, "--primes", "7", "--strict"])
+    assert code == 1 and "error" in doc["profiles"][0]
+
+
 def test_roundtrip_command(tmp_path, capsys):
     path = write_state(tmp_path, "fam.json", four_qubit_generic_family(1, 2, 3, 5))
     code, doc = run_json(capsys, ["roundtrip", path, "--primes", "7,13"])

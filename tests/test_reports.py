@@ -36,7 +36,7 @@ TABLE = Path(__file__).with_name("reports.json")
 
 STATES = {
     "random33": random_state(3, 3, 5, 1),
-    "random33-30": random_state(3, 3, 5, 30),  # its Hilbert profile is off target at p = 7
+    "random33-30": random_state(3, 3, 5, 30),  # its curve is singular modulo 7: hilbert refuses 7
     "random42": random_state(4, 2, 5, 2),
     "random52": random_state(5, 2, 5, 3),
     "ghz33": ghz(3, 3),

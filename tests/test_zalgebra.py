@@ -35,10 +35,12 @@ from sloccgeo.states import (
     ghz,
     random_state,
     reduced_flattening_image,
+    w_state,
 )
 from sloccgeo.zalgebra import (
     MAX_PROFILE_WIDTH,
     ProductMapResult,
+    _quotient_dims,
     check_hilbert_degree,
     cubic_expected_dims,
     cubic_hilbert,
@@ -200,7 +202,8 @@ def dense_profile_dims(state, p, k_max):
 
 
 def test_quotient_recursion_matches_dense_rank(ghz3_qutrit):
-    hilbert = {(3, 3): quadratic_hilbert, (4, 2): cubic_hilbert}
+    hilbert = {(3, 3): (quadratic_hilbert, quadratic_expected_dims),
+               (4, 2): (cubic_hilbert, cubic_expected_dims)}
     cases = [
         (random_state(*fmt, 5, seed=seed), p, k_max)
         for fmt, k_max in (((3, 3), 4), ((4, 2), 6))
@@ -219,14 +222,21 @@ def test_quotient_recursion_matches_dense_rank(ghz3_qutrit):
             expected = dense_profile_dims(state, p, k_max)
         except BadReductionError:
             with pytest.raises(BadReductionError):
-                hilbert[state.n, state.d](state, p, k_max)
+                hilbert[state.n, state.d][0](state, p, k_max)
             continue
-        profile = hilbert[state.n, state.d](state, p, k_max)
-        assert profile.dims == expected, (state.n, state.d, p, k_max)
+        assert _quotient_dims(state, p, k_max) == expected, (state.n, state.d, p, k_max)
         compared += 1
     assert compared > len(cases) // 2
+    # the public profile refuses those primes: each divides a slice
+    # discriminant of the smooth state, so the reduced curve is singular
     for state, p, k_max in off_target:
-        assert not hilbert[state.n, state.d](state, p, k_max).matches()
+        profile, series = hilbert[state.n, state.d]
+        assert _quotient_dims(state, p, k_max) != series(k_max)
+        message = f"^p={p} divides a slice discriminant: the reduced curve is singular$"
+        with pytest.raises(BadReductionError, match=message) as info:
+            profile(state, p, k_max)
+        assert info.value.p == p
+    # GHZ's discriminants vanish, so its off-target profile is reported
     assert quadratic_hilbert(*ghz_case).dims == (1, 3, 6, 12, 24, 48)
 
 
@@ -236,16 +246,63 @@ def test_quotient_recursion_matches_dense_rank_at_every_degree(ghz3_qutrit):
     # different degree: every k_max from 0 to the width bound must give
     # the dense dimensions up to it, GHZ, the drop case and the three
     # off-target (state, prime) pairs included
-    hilbert = {(3, 3): (quadratic_hilbert, 5), (4, 2): (cubic_hilbert, 8)}
+    tops = {(3, 3): 5, (4, 2): 8}
     cases = [(random_state(3, 3, 5, seed=3), 11), (random_state(4, 2, 5, seed=3), 11),
              (random_state(3, 3, 5, seed=30), 7), (random_state(3, 3, 5, seed=13), 11),
              (random_state(4, 2, 5, seed=33), 5), (ghz3_qutrit, 13),
              (Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 11}), 13)]
     for state, p in cases:
-        profile, top = hilbert[state.n, state.d]
+        top = tops[state.n, state.d]
         dense = dense_profile_dims(state, p, top)
         for k_max in range(top + 1):
-            assert profile(state, p, k_max).dims == dense[: k_max + 1], (state.n, p, k_max)
+            assert _quotient_dims(state, p, k_max) == dense[: k_max + 1], (state.n, p, k_max)
+
+
+def test_off_target_profiles_come_only_from_singular_reductions():
+    # a prime is good for a state when it divides no numerator or
+    # denominator of its slice discriminants and not its denominator; at a
+    # good prime the profile must be on target, and an off-target profile
+    # is refused as a singular reduction (measured on seeds 0-59 of each
+    # format at p = 5..23 to k_max 5 and 8: all 725 profiles at good primes
+    # on target, 29 of the 115 at bad primes off target)
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+
+    from sloccgeo.geometry import _singular_reduction
+    from sloccgeo.invariants import slice_discriminants
+
+    hilbert = {(3, 3): (quadratic_hilbert, quadratic_expected_dims, 5),
+               (4, 2): (cubic_hilbert, cubic_expected_dims, 8)}
+    seen = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fmt=st.sampled_from(((3, 3), (4, 2))), seed=st.integers(0, 59),
+           p=st.sampled_from((5, 7, 11, 13, 17, 19, 23)))
+    @example(fmt=(3, 3), seed=30, p=7)
+    @example(fmt=(3, 3), seed=13, p=11)
+    @example(fmt=(4, 2), seed=33, p=5)
+    def check(fmt, seed, p):
+        profile, series, k_max = hilbert[fmt]
+        t = random_state(*fmt, 5, seed)
+        discs = slice_discriminants(t)
+        assert all(discs)
+        try:
+            dims = _quotient_dims(t, p, k_max)
+        except BadReductionError:
+            assume(False)
+        good = t.den % p and all(x.numerator % p and x.denominator % p for x in discs)
+        if dims == series(k_max):
+            assert profile(t, p, k_max).dims == dims
+        else:
+            assert not good, f"off-target profile {dims} of seed {seed} at the good prime {p}"
+            assert _singular_reduction(discs, p)
+            with pytest.raises(BadReductionError, match="the reduced curve is singular"):
+                profile(t, p, k_max)
+        seen.add((bool(good), dims == series(k_max)))
+
+    check()
+    assert {(True, True), (False, False)} <= seen
 
 
 def test_profile_is_slocc_invariant():
@@ -882,30 +939,34 @@ def test_relations_never_eliminate_the_full_evaluation_matrix(monkeypatch):
 
 
 def check_relations_against_reference(model, p):
-    """relations_from_points against the reference kernel of the evaluation
-    at every enumerated point: the same canonical basis, or, where the
-    reference rank falls short of k*d, the same InsufficientPointsError
-    message with the full point count.  True when a kernel was compared."""
+    """relations_from_points against the reference evaluation at every
+    enumerated point and the reference span of the model's rows: below the
+    ceiling width - rank(rows) it refuses with the same
+    InsufficientPointsError message, rank, ceiling and full point count;
+    at the ceiling the reference kernel is the rows' canonical span, and
+    relations_from_points returns that span.  True when a span was
+    compared."""
     points = [pt.coords for pt in enumerate_points(model, p)]
     evaluation = ref.monomial_rows(points, model.d, model.groups, p)
     kernel = ref.kernel_mod_p(evaluation)
-    rank, target = evaluation.cols - len(kernel), model.groups * model.d
-    if rank < target:
-        message = (f"evaluation rank {rank} below generic target {target} at p={p} "
+    span, forms = ref.rref_mod_p(Matrix(model.rows, p=p))
+    rank, ceiling = evaluation.cols - len(kernel), evaluation.cols - span
+    if rank < ceiling:
+        message = (f"evaluation rank {rank} below generic target {ceiling} at p={p} "
                    f"from {len(points)} F_p-points")
         with pytest.raises(InsufficientPointsError, match=f"^{re.escape(message)}$"):
             relations_from_points(model, p)
         return False
+    assert kernel == forms.entries[:span], (model.rows, p)
     assert relations_from_points(model, p).entries == kernel, (model.rows, p)
     return True
 
 
 def test_relations_stop_early_with_the_reference_kernel():
-    # the walk stops once the evaluation rank reaches width - rank(model
-    # rows); on drawn states and on hand-built F_p models whose rows repeat,
-    # depend on each other or are one form (a ceiling above k*d, and with
-    # four independent (3,3) rows one below it, which must still count
-    # every point), the result is the kernel of all the points' rows
+    # the walk stops once the evaluation rank reaches the ceiling
+    # width - rank(model rows), and refuses below it; on drawn states and
+    # on hand-built F_p models whose rows repeat, depend on each other or
+    # are one form, the refusal and the result agree with the reference
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
@@ -948,12 +1009,65 @@ def test_relations_stop_early_with_the_reference_kernel():
     hand_built()
     assert any(compared)
     # the forms x0*y0, x0*y1, x0*y2 and x1*y0: the points [0:0:1] x P^2 and
-    # [0:*:*] x [0:*:*] soon reach the ceiling 9 - 4 = 5, below the target
-    # 6, and the walk must run on to count every point for the message
+    # [0:*:*] x [0:*:*] reach the ceiling 9 - 4 = 5, so the points give back
+    # the four forms, although 5 is below the former target k*d = 6
     rows = [[1 if i == j else 0 for i in range(9)] for j in range(4)]
     model = VarietyModel(3, 3, rows, 1, 7)
     assert len(enumerate_points(model, 7)) == 113
-    assert not check_relations_against_reference(model, 7)
+    assert check_relations_against_reference(model, 7)
+    assert relations_from_points(model, 7).entries == tuple(map(tuple, rows))
+    # W(5) stays at rank 11 below the ceiling 16 - 2 = 14, and (3,2) seed 1
+    # has no F_p-point at p = 7: both refuse, after the whole walk
+    for t, p in ((w_state(5), 5), (random_state(3, 2, 5, 1), 7)):
+        assert not check_relations_against_reference(model_mod_p(variety_from_state(t), p), p)
+
+
+def test_roundtrip_is_true_exactly_at_the_ceiling():
+    # W(5)'s points reach rank 11 at each prime, against the ceiling 14;
+    # the former target k*d = 8 took the 5-dimensional kernel of that rank
+    # for a reconstruction of the 2 forms and returned False
+    for p in (5, 7, 11, 13):
+        with pytest.raises(InsufficientPointsError,
+                           match=rf"^evaluation rank 11 below generic target 14 at p={p} from "):
+            roundtrip_check(w_state(5), p)
+    # a (3,2) model's ceiling is 4 - 2 = 2, below the former target 4,
+    # which refused every (3,2) state: two rational points of seed 1 give
+    # back both forms at p = 5 and 11, and at 7 and 13 it has none
+    t = random_state(3, 2, 5, seed=1)
+    for p in (5, 11):
+        assert roundtrip_check(t, p) is True
+    for p in (7, 13):
+        with pytest.raises(InsufficientPointsError,
+                           match=rf"^evaluation rank 0 below generic target 2 at p={p} "
+                                 r"from 0 F_p-points$"):
+            roundtrip_check(t, p)
+
+
+def test_roundtrip_returns_true_or_refuses():
+    # a roundtrip that returns has reached the ceiling, where the points
+    # give back exactly the forms, so it is True or a typed refusal
+    pytest.importorskip("hypothesis")
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    refusals = (InsufficientPointsError, BadReductionError, RankDeficientError)
+    seen = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), fmt=st.sampled_from(((3, 3), (4, 2), (5, 2), (3, 4))),
+           p=st.sampled_from((5, 7, 11, 13)))
+    def check(data, fmt, p):
+        n, d = fmt
+        coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=d**n, max_size=d**n))
+        try:
+            outcome = roundtrip_check(Tensor(n, d, coeffs), p)
+        except refusals as exc:
+            outcome = type(exc).__name__
+        assert outcome in (True, *(e.__name__ for e in refusals)), outcome
+        seen.add((fmt, outcome))
+
+    check()
+    assert {fmt for fmt, outcome in seen if outcome is True} == {(3, 3), (4, 2), (5, 2), (3, 4)}
 
 
 def test_roundtrip_separable_rank_deficient():
