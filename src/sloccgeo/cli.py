@@ -100,23 +100,22 @@ def _parse_primes(text):
 
 def _per_prime(primes, check):
     """(entries, degenerate) over the primes, where check(p) returns one
-    prime's (entry, degenerate).  A SloccGeoError at one prime becomes that
-    prime's {"prime", "error"} entry.  A DegenerateInputError counts as
-    degenerate, as ``_verdict`` counts it; any other error refuses that
-    prime only (a bad reduction), and counts as degenerate only when every
-    prime is refused.  A WorkLimitError ends the command."""
-    entries, degenerate, refused = [], False, 0
+    prime's (entry, off target).  A SloccGeoError at one prime becomes that
+    prime's {"prime", "error"} entry, which refuses that prime only, whatever
+    its type: a check answers for one prime.  The command is degenerate when
+    an entry is off target or every prime is refused, as at every prime of
+    a rank-deficient state.  A WorkLimitError ends the command."""
+    entries, degenerate = [], False
     for p in primes:
         try:
-            entry, bad = check(p)
+            entry, off = check(p)
         except WorkLimitError:
             raise
         except SloccGeoError as exc:
-            entry, bad = {"prime": p, "error": str(exc)}, isinstance(exc, DegenerateInputError)
-            refused += not bad
+            entry, off = {"prime": p, "error": str(exc)}, False
         entries.append(entry)
-        degenerate = degenerate or bad
-    return entries, degenerate or refused == len(primes)
+        degenerate = degenerate or off
+    return entries, degenerate or all("error" in entry for entry in entries)
 
 
 def _verdict(body, *args):
@@ -205,8 +204,7 @@ def _cmd_hilbert(t, args):
 @_state_command
 def _cmd_roundtrip(t, args):
     def check(p):
-        ok = roundtrip_check(t, p)
-        return {"prime": p, "ok": ok}, not ok
+        return {"prime": p, "ok": roundtrip_check(t, p)}, False
 
     results, degenerate = _per_prime(args.primes, check)
     return {"results": results}, degenerate

@@ -52,10 +52,14 @@ class RankDeficientError(DegenerateInputError):
 
 
 class InsufficientPointsError(DegenerateInputError):
-    """Too few, or too degenerate, finite-field points to determine what a
-    check needs: an evaluation rank below width - rank(forms), the rank at
-    which the points give back exactly the model's forms, or too few
-    projected points for a section product."""
+    """Too few, or too degenerate, finite-field points at one prime to
+    determine what a check needs: an evaluation rank below width -
+    rank(forms), the rank at which the points give back exactly the
+    model's forms, or too few projected points for a section product.  It
+    speaks for that prime only: a smooth curve can have too few points at a
+    small good prime (4 at p = 7, against a rank of 6), so the per-prime
+    reports of the command line refuse that prime alone, as they refuse a
+    bad reduction."""
 
 
 class AllPrimesBadError(DegenerateInputError):

@@ -10,10 +10,11 @@ exhaustive point enumeration plus Jacobian ranks.
 
 Every model over F_p comes from one leaf, ``_reduced_model``: the state
 reduced modulo p once, and the slices of its residues eliminated, refused
-as bad reduction when their rank drops.  ``model_mod_p``,
-``reduced_models``, ``_file_primes`` and the relation spaces of
-``zalgebra.cyclic_relations`` all reduce through it; the relation spaces
-of a state's n rotations come from its one reduction, rotated.  A sweep
+as bad reduction when their rank drops.  ``model_mod_p``, the sweeps and
+``_file_primes`` reduce through it directly; the graded checks of
+``zalgebra`` reduce through ``_rotation_models``, which names a failed
+reduction of one state in one error order, and the relation spaces of a
+state's n rotations come from its one reduction, rotated.  A sweep
 files its primes by one rank certificate, the last fraction-free pivot of
 the state's slices (``_file_primes``): a prime that divides neither it
 nor the denominator keeps rank d with no reduction, and only the others
@@ -47,7 +48,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
-from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, each, guard, power_exceeds
+from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, guard, power_exceeds
 from .errors import (
     AllPrimesBadError,
     BadReductionError,
@@ -58,13 +59,14 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, MODULUS, PRIME, PRIMES, Matrix, _bareiss, check_primes
+from .linalg import DEFAULT_PRIMES, MODULUS, PRIME, PRIMES, Matrix, check_primes
 from .states import (
     FORMAT,
     Tensor,
     _contract,
     _flattening_rows,
     _rotate,
+    _slice_elimination,
     check_flattening_cost,
     flattening_basis,
 )
@@ -161,10 +163,10 @@ def _reduced_model(t, p, turns=1):
     only drop modulo p, so a reduced flattening of rank d proves the exact
     one has rank d.  A rank deficiency over Q is told from a bad prime by
     the caller, from the rank of the state's slices (``_slice_pivot``), with
-    no basis over Q: ``reduced_models`` and ``zalgebra.cyclic_relations``
-    read it after a failure, and ``_file_primes`` before any reduction.
-    The state is the source of the first model only; a rotation's model
-    has none.
+    no basis over Q: ``_rotation_models`` reads it after a failure, and
+    ``_file_primes`` before any reduction.  The leaf itself ranks no slices
+    over Z, so each bad prime of a filing costs one elimination.  The state
+    is the source of the first model only; a rotation's model has none.
     """
     check_flattening_cost(t)
     residues, models = t.reduce_mod(p), []
@@ -287,35 +289,22 @@ def variety_from_state(t: Tensor):
     return VarietyModel(t.n, t.d, tuple(map(tuple, rows)), den, None, t)
 
 
-TENSORS = each(lambda v: isinstance(v, Tensor), "Tensors")
-
-
-def reduced_models(states: TENSORS, p: PRIME):
-    """The models over F_p of states of one format (``_reduced_model``),
-    with no model over Q.  When a reduction fails, every state's slices
-    are ranked (``_slice_pivot``) before the error is raised, so the errors
-    come in one order: WorkLimitError, then RankDeficientError of any
-    state, then the first failing reduction's own error
-    (``_rotation_models`` with one turn).
-    """
-    return _rotation_models(states, p, 1)
-
-
-def _rotation_models(states, p, turns):
-    """The models over F_p of each state's first ``turns`` rotations, state
-    by state, each state reduced once (``_reduced_model``).  When a
-    reduction fails, the slices of every rotation of every state are ranked
-    (``_slice_pivot``; only this error path builds a rotation's Tensor), so
-    the errors come in one order: WorkLimitError, then RankDeficientError
-    of any rotation, then the first failing reduction's own error."""
+def _rotation_models(t, p, turns):
+    """The models over F_p of the state's first ``turns`` rotations, from
+    its one reduction (``_reduced_model``): the one entry of the graded
+    checks (``zalgebra.cyclic_relations``, ``roundtrip_check`` and
+    ``multiplication_surjectivity``) to their models.  When the reduction
+    fails, the slices of every rotation are ranked (``_slice_pivot``; only
+    this error path builds a rotation's Tensor), so the errors come in one
+    order: WorkLimitError, then RankDeficientError of any rotation, then
+    the reduction's own error."""
     try:
-        return [model for t in states for model in _reduced_model(t, p, turns)]
+        return _reduced_model(t, p, turns)
     except SloccGeoError:
-        for t in states:
-            for _ in range(turns):
-                if (rank := _slice_pivot(t)[0]) < t.d:
-                    raise RankDeficientError(rank, t.d)
-                t = Tensor.from_integers(t.n, t.d, _rotate(t.nums, t.d), t.den)
+        for _ in range(turns):
+            if (rank := _slice_pivot(t)[0]) < t.d:
+                raise RankDeficientError(rank, t.d)
+            t = Tensor.from_integers(t.n, t.d, _rotate(t.nums, t.d), t.den)
         raise
 
 
@@ -806,14 +795,12 @@ def _singular_reduction(discs, p):
 
 
 def _slice_pivot(t):
-    """(rank, M) of the fraction-free elimination (``linalg._bareiss``) of
-    the state's slice numerators t.nums[k::d], the rows of its flattening
-    over Q up to the denominator: their rank, which is the flattening's,
-    and the last pivot M, which at full rank d is +- the d x d minor of the
-    slices at the pivot columns.  The flattening's cost is checked first
-    (``check_flattening_cost``)."""
-    check_flattening_cost(t)
-    rank, _, pivot, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+    """(rank, M) of the fraction-free elimination of the state's slice
+    numerators (``states._slice_elimination``, which checks the
+    flattening's cost first): their rank, which is the flattening's, and
+    the last pivot M, which at full rank d is +- the d x d minor of the
+    slices at the pivot columns."""
+    rank, _, pivot, _ = _slice_elimination(t)
     return rank, pivot
 
 

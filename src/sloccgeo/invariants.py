@@ -834,7 +834,7 @@ def _classify(t, primes):
     return Verdict(t.n, t.d, status, rank, projections, j, hyperdet, hint, used, witness)
 
 
-def _vote(t, primes, curve, pivot=None):
+def _vote(t, primes, curve, pivot):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
     ``classify`` states the rules and passes the last pivot of the slices'

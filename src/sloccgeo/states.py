@@ -419,6 +419,16 @@ def check_flattening_cost(t: Tensor):
         )
 
 
+def _slice_elimination(t):
+    """``linalg._bareiss`` of the state's slice numerators t.nums[k::d], the
+    rows of its flattening over Q up to the denominator: (rank, rows, last
+    pivot, sign).  The one elimination of a state over Z, which
+    ``flattening_basis`` and ``geometry._slice_pivot`` read; the
+    flattening's cost is checked first (``check_flattening_cost``)."""
+    check_flattening_cost(t)
+    return _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+
+
 def flattening_basis(t: Tensor):
     """(rows, den): the canonical basis of the flattening image as integer
     rows over one denominator, rows / den being the RREF basis, in lowest
@@ -429,10 +439,9 @@ def flattening_basis(t: Tensor):
     are as many as the image has dimensions.
 
     Raises WorkLimitError, before any elimination, when d**(n+1) exceeds
-    MAX_FLATTENING_COST (``check_flattening_cost``).
+    MAX_FLATTENING_COST (``_slice_elimination``).
     """
-    check_flattening_cost(t)
-    rank, m, pivot, _ = _bareiss([t.nums[k :: t.d] for k in range(t.d)], t.d ** (t.n - 1))
+    rank, m, pivot, _ = _slice_elimination(t)
     g = gcd(pivot, *(x for row in m[:rank] for x in row))
     if pivot < 0:
         g = -g

@@ -25,11 +25,14 @@ reducing the state, so a profile is evidence at one prime and agreement
 across good primes is the intended standard.
 
 Every check here reaches F_p from the state's reduced flattenings alone,
-through the one leaf ``geometry._reduced_model``, which reduces the state
-once per call: a profile's relation spaces are the flattenings of the n
-rotations of that one reduction (``cyclic_relations``).  No check builds
-a basis over Q: a failed reduction is named from the rank of the state's
-slices (``geometry._slice_pivot``).
+through one entry, ``geometry._rotation_models``, which reduces the one
+state once per call (``geometry._reduced_model``): a profile's relation
+spaces are the flattenings of the n rotations of that one reduction
+(``cyclic_relations``), and the roundtrip and the section products read
+the first.  No check builds a basis over Q: a failed reduction is named
+from the rank of the state's slices (``geometry._slice_pivot``), in one
+error order.  Each check answers for one prime; a refusal says nothing
+about the state at any other prime.
 
 A profile off its expected series at a prime that divides a slice
 discriminant of a smooth curve state is refused with BadReductionError
@@ -66,7 +69,6 @@ from .geometry import (
     _singular_reduction,
     _walk,
     hasse_window,
-    reduced_models,
 )
 from .invariants import slice_discriminants
 
@@ -201,10 +203,9 @@ def cyclic_relations(state: Tensor, p: PRIME):
     whose residues the leaf rotates (``geometry._reduced_model``), with no
     Tensor per rotation; the errors come in one order
     (``geometry._rotation_models``): WorkLimitError, then
-    RankDeficientError of some rotation, then the first failing
-    reduction's error.
+    RankDeficientError of some rotation, then the reduction's own error.
     """
-    return [model.rows for model in _rotation_models([state], p, state.n)]
+    return [model.rows for model in _rotation_models(state, p, state.n)]
 
 
 def _push(terms, mu, size, rest, p):
@@ -398,7 +399,7 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
     a, b = axis_pair = tuple(sorted(axis_pair))
-    (model,) = reduced_models([state], p)
+    (model,) = _rotation_models(state, p, 1)
     projected = sorted({(coords[a], coords[b]) for coords, _ in _walk(model, p)[1]})
     lo, hi = hasse_window(p)
     if not max(5, lo) <= len(projected) <= hi:
@@ -430,7 +431,7 @@ def roundtrip_check(state: Tensor, p: PRIME):
     or a refusal.
 
     The model's forms are the state-side reduction of the flattening
-    image (``reduced_models``), and the points give them back exactly when
+    image (``geometry._rotation_models``), and the points give them back exactly when
     the evaluation rank reaches width - rank(forms)
     (``relations_from_points``), so a roundtrip that returns returns True;
     it never reports a wrong space.  Bad reduction is raised by the
@@ -443,7 +444,7 @@ def roundtrip_check(state: Tensor, p: PRIME):
     against a target of 6), and W(5) at p = 5, 7, 11 and 13 has rank 11
     against 14.
     """
-    (reduced,) = reduced_models([state], p)
+    (reduced,) = _rotation_models(state, p, 1)
     try:
         relations_from_points(reduced, p)
     except InsufficientPointsError:

@@ -11,6 +11,7 @@ import pytest
 
 from sloccgeo import __version__
 from sloccgeo.cli import build_parser, main, run
+from sloccgeo.linalg import DEFAULT_PRIMES
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     SloccOperator,
@@ -21,6 +22,7 @@ from sloccgeo.states import (
     ghz,
     random_state,
     state_to_json,
+    w_state,
 )
 
 
@@ -217,9 +219,56 @@ def test_roundtrip_degenerate_is_reported(tmp_path, capsys):
     code, doc = run_json(capsys, ["roundtrip", path, "--primes", "7"])
     assert code == 0
     assert "error" in doc["results"][0]
-    # a per-prime error entry counts as degenerate under --strict
+    # every requested prime is refused, so --strict finds no verdict
     code, strict_doc = run_json(capsys, ["roundtrip", path, "--primes", "7", "--strict"])
     assert code == 1 and strict_doc == doc
+
+
+def test_strict_fails_exactly_on_an_off_target_entry_or_no_verdict(tmp_path, capsys):
+    # the one --strict rule of hilbert and roundtrip: exit 1 exactly when
+    # an entry is off target or every requested prime has an "error" entry;
+    # an error entry refuses its own prime only, whatever its type.  The
+    # draws: random, GHZ, W(4) and basis states, each over a denominator
+    # whose primes are bad
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    named = [ghz(3, 3), ghz(4, 2), w_state(4), basis_state(3, 3, (0, 0, 0)),
+             basis_state(4, 2, (0, 0, 0, 0))]
+    seen = set()
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        fmt=st.sampled_from(((3, 3), (4, 2))),
+        named_state=st.booleans(),
+        seed=st.integers(0, 99),
+        pick=st.integers(0, len(named) - 1),
+        den=st.sampled_from((1, 1, 7, 35, 143, 5 * 7 * 11 * 13)),
+        command=st.sampled_from(("hilbert", "roundtrip")),
+        primes=st.lists(st.sampled_from(DEFAULT_PRIMES), min_size=1, max_size=9, unique=True),
+    )
+    # seed 4's curve has too few points at p = 7 alone
+    @example(fmt=(3, 3), named_state=False, seed=4, pick=0, den=1, command="roundtrip",
+             primes=[7, 11])
+    def check(fmt, named_state, seed, pick, den, command, primes):
+        t = (named[pick] if named_state else random_state(*fmt, 5, seed)).scale(Fraction(1, den))
+        path = write_state(tmp_path, "s.json", t)
+        argv = [command, path, "--primes", ",".join(map(str, sorted(primes))), "--strict"]
+        code, doc = run_json(capsys, argv)
+        entries = doc["profiles" if command == "hilbert" else "results"]
+        off = any(entry.get("matches") is False for entry in entries)
+        refused = all("error" in entry for entry in entries)
+        assert code == (1 if off or refused else 0), doc
+        errors = [entry["error"] for entry in entries if "error" in entry]
+        out = "off" if off else "refused" if refused else "error" if errors else "clean"
+        if out == "error" and any(e.startswith("evaluation rank") for e in errors):
+            out = "too few points"  # an InsufficientPointsError beside verdicts
+        seen.add((command, out))
+
+    check()
+    outs = ("refused", "error", "clean")
+    expected = {(command, out) for command in ("hilbert", "roundtrip") for out in outs}
+    assert expected | {("hilbert", "off"), ("roundtrip", "too few points")} <= seen, seen
 
 
 def test_rank_drop_mod_p_error_entry(tmp_path, capsys):

@@ -72,7 +72,7 @@ def valid_arguments(name):
     t = states.random_state(3, 3, 5, 1)
     model = geometry.variety_from_state(t)
     values = {
-        "t": t, "s": t, "a": t, "b": t, "state": t, "source": t, "states": [t],
+        "t": t, "s": t, "a": t, "b": t, "state": t, "source": t,
         "model": model, "pt": geometry.ProjPoint(7, ((1, 0, 0), (1, 0, 0))),
         "g": states.SloccOperator.random(3, 3, 2, 0),
         "f": invariants.TernaryCubic.weierstrass(1, 1),
@@ -124,7 +124,7 @@ def test_the_enumeration_covers_the_package():
         obj = getattr(sloccgeo, name)
         if not name.startswith("_") and callable(obj):
             assert id(obj) in found or issubclass(obj, BaseException), name
-    for name in ("geometry.reduced_models", "invariants.slice_discriminants",
+    for name in ("invariants.slice_discriminants",
                  "zalgebra.cyclic_relations", "states.flattening_basis",
                  "states.Tensor.from_integers",
                  "states.Tensor.scale", "states.Tensor.reduce_mod", "states.Tensor.offset"):

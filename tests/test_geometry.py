@@ -37,6 +37,7 @@ from sloccgeo.geometry import (
     _kernel_points,
     _pencil_roots,
     _points,
+    _slice_pivot,
     _subspace_points,
     determinantal_projection,
     enumerate_points,
@@ -569,7 +570,7 @@ def test_classify_sweep_matches_full_scan(singlet_times_bell):
     for t in [ghz(5, 2)] + [random_state(5, 2, 5, seed=seed) for seed in (*range(20), 50, 152)]:
         primes, witnesses = ref.full_sweep(t, (5, 7, 11, 13))
         singular = 2 * len(witnesses) > len(primes)
-        vote = _vote(t, DEFAULT_PRIMES, False)
+        vote = _vote(t, DEFAULT_PRIMES, False, _slice_pivot(t)[1])
         assert vote == (
             primes,
             SINGULAR_MODEL if singular else SMOOTH_GENERIC,

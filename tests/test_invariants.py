@@ -30,6 +30,7 @@ from sloccgeo.geometry import (
     CURVE_AXES,
     PROJECTION_MONOMIALS,
     VarietyModel,
+    _slice_pivot,
     determinantal_projection,
     model_mod_p,
     projective_points,
@@ -519,7 +520,8 @@ def test_five_qubit_vote_stops_once_settled(monkeypatch):
     for seed, expected in ((0, [5, 7]), (1, [5, 7, 11]), (2, [5, 7]), (4, [5, 7])):
         t = random_state(5, 2, 5, seed=seed)
         swept.clear()
-        assert _vote(t, DEFAULT_PRIMES, False) == ((5, 7, 11, 13), SMOOTH_GENERIC, None)
+        vote = _vote(t, DEFAULT_PRIMES, False, _slice_pivot(t)[1])
+        assert vote == ((5, 7, 11, 13), SMOOTH_GENERIC, None)
         assert swept == expected, seed
         swept.clear()
         assert _certified(classify(t)) and swept == [], seed
@@ -543,7 +545,8 @@ def test_five_qubit_vote_settles_over_the_used_primes(monkeypatch):
     for seed in (0, 1, 2, 4, 152):
         t = random_state(5, 2, 5, seed=seed).scale(Fraction(1, 143))
         swept.clear()
-        assert _vote(t, DEFAULT_PRIMES, False) == ((5, 7), SMOOTH_GENERIC, None)
+        vote = _vote(t, DEFAULT_PRIMES, False, _slice_pivot(t)[1])
+        assert vote == ((5, 7), SMOOTH_GENERIC, None)
         assert swept == [5], seed
         swept.clear()
         verdict = classify(t)
@@ -581,7 +584,7 @@ def test_vote_matches_the_full_sweep_with_bad_primes():
 
         report = outcome(lambda: smoothness_scan(t, scan))
         primes, witnesses = ref.full_sweep(t, scan)
-        vote = outcome(lambda: _vote(t, scan, False))
+        vote = outcome(lambda: _vote(t, scan, False, _slice_pivot(t)[1]))
         verdict = outcome(lambda: classify(t, scan))
         if report is None:
             assert vote is None and primes == ()
@@ -1363,7 +1366,6 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
     # reuses its last pivot.  A scan makes one elimination too, in its
     # filing, and a filing reads one, whatever its primes
     import sloccgeo.geometry
-    import sloccgeo.linalg
     import sloccgeo.states
     from sloccgeo.geometry import _file_primes
 
@@ -1376,11 +1378,11 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
     monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", counting)
     eliminations = []
 
-    def counted(rows, cols):
-        eliminations.append(cols)
-        return sloccgeo.linalg._bareiss(rows, cols)
+    def counted(t):
+        eliminations.append(t.d ** (t.n - 1))
+        return sloccgeo.states._slice_elimination(t)
 
-    monkeypatch.setattr(sloccgeo.geometry, "_bareiss", counted)
+    monkeypatch.setattr(sloccgeo.geometry, "_slice_elimination", counted)
     uncertified = random_state(5, 2, 5, 50)
     for t, used in ((ghz(3, 3), DEFAULT_PRIMES), (uncertified, (5, 7, 11, 13)),
                     (random_state(3, 3, 5, 42), ()), (random_state(4, 2, 5, 3), ()),
@@ -1616,13 +1618,13 @@ def test_compare_after_classify_recomputes_nothing(monkeypatch):
     import sloccgeo.geometry as geo
 
     calls = []
-    bareiss = geo._bareiss
+    eliminate = geo._slice_elimination
 
-    def counting(rows, cols):
-        calls.append(cols)
-        return bareiss(rows, cols)
+    def counting(t):
+        calls.append(t)
+        return eliminate(t)
 
-    monkeypatch.setattr(geo, "_bareiss", counting)
+    monkeypatch.setattr(geo, "_slice_elimination", counting)
     for fmt in ((3, 3), (4, 2)):
         s = random_state(*fmt, 5, seed=11)
         moved = apply_slocc(s, SloccOperator.random(*fmt, 3, seed=12))
@@ -1634,19 +1636,19 @@ def test_compare_after_classify_recomputes_nothing(monkeypatch):
 
 
 def test_raising_classify_is_not_memoized(monkeypatch):
-    import sloccgeo.geometry as geo
+    import sloccgeo.states
 
     t = random_state(3, 3, 5, seed=7)
-    check_flattening_cost = geo.check_flattening_cost
+    check_flattening_cost = sloccgeo.states.check_flattening_cost
 
     def refusing(s):
         raise WorkLimitError("refused")
 
-    monkeypatch.setattr(geo, "check_flattening_cost", refusing)
+    monkeypatch.setattr(sloccgeo.states, "check_flattening_cost", refusing)
     with pytest.raises(WorkLimitError):
         classify(t)
     assert classify.cache_info().currsize == 0
-    monkeypatch.setattr(geo, "check_flattening_cost", check_flattening_cost)
+    monkeypatch.setattr(sloccgeo.states, "check_flattening_cost", check_flattening_cost)
     assert classify(t).status == SMOOTH_GENERIC
     info = classify.cache_info()
     assert (info.misses, info.currsize) == (2, 1)

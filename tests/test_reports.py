@@ -37,6 +37,7 @@ TABLE = Path(__file__).with_name("reports.json")
 STATES = {
     "random33": random_state(3, 3, 5, 1),
     "random33-30": random_state(3, 3, 5, 30),  # its curve is singular modulo 7: hilbert refuses 7
+    "random33-4": random_state(3, 3, 5, 4),  # too few points at 7: roundtrip refuses 7 only
     "random42": random_state(4, 2, 5, 2),
     "random52": random_state(5, 2, 5, 3),
     "ghz33": ghz(3, 3),
@@ -81,6 +82,7 @@ def invocations():
         ["roundtrip", "random33-30"],
         ["hilbert", "random33-30", "--primes", "7"],
         ["hilbert", "random33-30", "--primes", "7", "--strict"],
+        ["roundtrip", "random33-4", "--strict"],
     ]
     for degenerate in (
         ["smoothness", "separable33"],

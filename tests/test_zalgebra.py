@@ -19,8 +19,8 @@ from sloccgeo.geometry import (
     enumerate_points,
     hasse_window,
     jacobian_rank_at,
+    _rotation_models,
     model_mod_p,
-    reduced_models,
     smoothness_scan,
     variety_from_state,
 )
@@ -399,15 +399,17 @@ def test_profile_rank_deficiency_wins_over_bad_prime():
         with pytest.raises(RankDeficientError):
             cyclic_relations(state, p)
     with pytest.raises(BadReductionError, match="^flattening rank drops modulo 11$"):
-        reduced_models([drop], 11)
+        roundtrip_check(drop, 11)
 
 
 def test_reduced_models_keep_their_error_order_without_a_model_over_q(monkeypatch):
-    # the rotations of t: rotation 0 has full rank over Q and fails first at
-    # p = 7, which divides the denominator; rotation 1 is rank-deficient
-    # over Q.  The errors come in one order, and no basis over Q is built:
+    # one state at a time (geometry._rotation_models, the one entry of
+    # cyclic_relations, roundtrip_check and multiplication_surjectivity):
+    # rotation 0 of t has full rank over Q and fails first at p = 7, which
+    # divides the denominator; rotation 1 is rank-deficient over Q.  The
+    # errors come in one order, and no basis over Q is built:
     # WorkLimitError, then RankDeficientError of any rotation, then the
-    # first failing reduction's own error
+    # reduction's own error
     import sloccgeo.geometry
     import sloccgeo.states
 
@@ -417,29 +419,34 @@ def test_reduced_models_keep_their_error_order_without_a_model_over_q(monkeypatc
     monkeypatch.setattr(sloccgeo.geometry, "flattening_basis", refused)
     monkeypatch.setattr(sloccgeo.states, "flattening_basis", refused)
     t = Tensor.from_entries(3, 3, {(0, k, k): Fraction(1, 7) for k in range(3)})
-    rotations = [t, Tensor.from_integers(3, 3, _rotate(t.nums, 3), t.den)]
     assert reduced_flattening_image(t, 11).rows == 3
-    with pytest.raises(RankDeficientError) as info:
-        reduced_models(rotations, 7)
-    assert (info.value.dim, info.value.expected) == (1, 3)
-    for p in (11, 4):  # rotation 1 fails its reduction at any p
-        with pytest.raises(RankDeficientError):
-            reduced_models(rotations, p)
-    # of full-rank states, the first failing reduction names the error
+    for p in (7, 11, 4):  # rotation 1 fails its reduction at any p
+        for call in (lambda: _rotation_models(t, p, 3), lambda: cyclic_relations(t, p)):
+            with pytest.raises(RankDeficientError) as info:
+                call()
+            assert (info.value.dim, info.value.expected) == (1, 3)
+    # one turn ranks rotation 0 alone, of full rank: the reduction's error
+    for call in (lambda: _rotation_models(t, 7, 1), lambda: roundtrip_check(t, 7)):
+        with pytest.raises(BadReductionError, match="^denominator divisible by 7 for 1/7$"):
+            call()
+    # every rotation of drop has full rank over Q: the reduction names the
+    # error, after one turn or all three
     drop = Tensor.from_entries(3, 3, {(0, 0, 0): 1, (1, 1, 1): 1, (2, 2, 2): 7})
-    for states, message in (
-        ([drop, t], "flattening rank drops modulo 7"),
-        ([t, drop], "denominator divisible by 7 for 1/7"),
+    for state, message in (
+        (drop, "flattening rank drops modulo 7"),
+        (drop.scale(Fraction(1, 7)), "denominator divisible by 7 for 1/7"),
     ):
-        with pytest.raises(BadReductionError) as info:
-            reduced_models(states, 7)
-        assert str(info.value) == message
+        for turns in (1, 3):
+            with pytest.raises(BadReductionError) as info:
+                _rotation_models(state, 7, turns)
+            assert (str(info.value), info.value.p) == (message, 7)
     with pytest.raises(UnsupportedPrimeError):
-        reduced_models([drop, t], 4)
+        _rotation_models(drop, 4, 3)
     # the cost check comes before either
     monkeypatch.setattr(sloccgeo.states, "MAX_FLATTENING_COST", 16)
-    with pytest.raises(WorkLimitError):
-        reduced_models(rotations, 7)
+    for state, p in ((t, 7), (t, 11), (drop, 7)):
+        with pytest.raises(WorkLimitError):
+            _rotation_models(state, p, 3)
 
 
 def test_profile_rank_drop_mod_p_is_bad_reduction():
@@ -501,7 +508,7 @@ def test_reduced_models_match_the_exact_route():
                 nums = _rotate(nums, d)
         den = data.draw(st.sampled_from((1, 2, p, 3 * p)))
         t = Tensor.from_integers(n, d, nums, den)
-        fast = _outcome(lambda: reduced_models([t], p)[0])
+        fast = _outcome(lambda: _rotation_models(t, p, 1)[0])
         assert fast == _outcome(lambda: model_mod_p(variety_from_state(t), p))
         relations = _outcome(lambda: cyclic_relations(t, p))
         assert relations == _outcome(lambda: ref.cyclic_relations(t, p))
@@ -511,15 +518,39 @@ def test_reduced_models_match_the_exact_route():
     assert {"ok", RankDeficientError, BadReductionError} <= seen
 
 
+def _rotations_reduced_on_their_own(t, p):
+    """The relation spaces of cyclic_relations, or its error as _outcome
+    gives it, from each rotation built by permuting the factors
+    (ref.permute_factors): a rotation whose flattening has rank below d over
+    Q (ref.rref_rows) names the error first, and then, rotation by rotation,
+    a reduction (reduced_flattening_image) that fails or drops rank."""
+    n, d = t.n, t.d
+    rotations = [ref.permute_factors(t, [(k - j) % n for k in range(n)]) for j in range(n)]
+    for r in rotations:
+        rank = len(ref.rref_rows([r.coeffs[k::d] for k in range(d)], d ** (n - 1)))
+        if rank < d:
+            return RankDeficientError, f"flattening image has dimension {rank}, expected {d}", None
+    spaces = []
+    for r in rotations:
+        try:
+            space = reduced_flattening_image(r, p)
+        except BadReductionError as exc:
+            return BadReductionError, str(exc), exc.p
+        if space.rows < d:
+            return BadReductionError, f"flattening rank drops modulo {p}", p
+        spaces.append(space.entries)
+    return "ok", spaces
+
+
 def test_cyclic_relations_match_each_rotation_reduced_on_its_own():
     # cyclic_relations reduces the state once and rotates its residues; the
     # reference builds each rotation by permuting the factors
-    # (ref.permute_factors) and reduces it on its own: the same relation
-    # spaces, or the error of reduced_models on those rotations, with the
-    # same type and message.  The draws cover GHZ, scaled and rational
-    # states, denominators divisible by p, rank drops mod p (the last slice
-    # congruent to the first) and a rank-deficient rotation (e_0 (x) s,
-    # rotated)
+    # (ref.permute_factors), ranks it over Q and reduces it on its own
+    # (_rotations_reduced_on_their_own): the same relation spaces, or the
+    # same error type, message and prime.  The draws cover GHZ, scaled and
+    # rational states, denominators divisible by p, rank drops mod p (the
+    # last slice congruent to the first) and a rank-deficient rotation
+    # (e_0 (x) s, rotated)
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
@@ -551,10 +582,9 @@ def test_cyclic_relations_match_each_rotation_reduced_on_its_own():
         if kind == "scaled":
             a, b = (data.draw(st.sampled_from(choices)) for choices in ((1, -3, p), (1, 4, p)))
             t = t.scale(Fraction(a, b))
-        rotations = [ref.permute_factors(t, [(k - j) % n for k in range(n)]) for j in range(n)]
-        expected = _outcome(lambda: reduced_models(rotations, p))
+        expected = _rotations_reduced_on_their_own(t, p)
         if expected[0] == "ok":
-            expected = "ok", [reduced_flattening_image(r, p).entries for r in rotations]
+            rotations = [ref.permute_factors(t, [(k - j) % n for k in range(n)]) for j in range(n)]
             # and the former route: the residue slices as a checked Matrix
             assert expected[1] == [
                 Matrix([r.reduce_mod(p)[k::d] for k in range(d)], cols=inner, p=p).row_space().entries
