@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import DEFAULT_PRIMES, check_primes
 from .states import _INTEGER, _frac_str, parse_state, random_state, state_to_json
-from .geometry import smoothness_scan, section_count
+from .geometry import _check_prefix_budget, smoothness_scan, section_count
 from .invariants import (
     HYPERDETERMINANTS,
     SMOOTH_GENERIC,
@@ -104,7 +104,11 @@ def _per_prime(primes, check):
     prime's {"prime", "error"} entry, which refuses that prime only, whatever
     its type: a check answers for one prime.  The command is degenerate when
     an entry is off target or every prime is refused, as at every prime of
-    a rank-deficient state.  A WorkLimitError ends the command."""
+    a rank-deficient state.  A WorkLimitError ends the command: it bounds
+    the request, not the prime.  A bound that grows with the prime (the
+    prefix budget of the roundtrip's point walk) is checked at every
+    requested prime before the first one runs (``_cmd_roundtrip``), so no
+    computed entry is discarded."""
     entries, degenerate = [], False
     for p in primes:
         try:
@@ -203,6 +207,12 @@ def _cmd_hilbert(t, args):
 
 @_state_command
 def _cmd_roundtrip(t, args):
+    # each walk checks its prime's prefix budget (geometry._walk); checked
+    # here first, in the primes' ascending order, a prime over it ends the
+    # command before any roundtrip runs
+    for p in args.primes:
+        _check_prefix_budget(t.d, t.n - 1, (p,))
+
     def check(p):
         return {"prime": p, "ok": roundtrip_check(t, p)}, False
 

@@ -26,19 +26,22 @@ points it does not certify smooth, and only a witness becomes a
 ProjPoint.  The walk solves the innermost prefix group's lines through a
 determinant pencil and reads each prefix system's fibre from its rank, so
 Matrix.kernel runs only for the one system of an n = 2 model, a d = 3
-system of rank 1, a non-square system and d > 3.  A (3,3) or (4,2) state
-whose slice discriminants all are nonzero skips that walk in
-``smoothness_scan``, and its model is reduced only to file a prime.  Such
-a model is a smooth genus-one curve, and so is its reduction at each used
-prime.  A smooth genus-one curve over F_p has an F_p-point (Lang), so it
-is isomorphic to its Jacobian y^2 = x^3 + a*x + b, whose (a, b) are the
-curve's exact invariants: (-S/3, T/108) for a plane cubic (Artin,
+system of rank 1, a non-square system and d > 3.  The projected curves of
+a (3,3) or (4,2) state share their invariants, as polynomial identities in
+the state (``invariants._curve_projections``), so a state has one slice
+discriminant, computed from one projection.  A state whose slice
+discriminant is nonzero skips that walk in ``smoothness_scan``, and its
+model is reduced only to file a prime.  Such a model is a smooth genus-one
+curve, and so is its reduction at each used prime.  A smooth genus-one
+curve over F_p has an F_p-point (Lang), so it is isomorphic to its
+Jacobian y^2 = x^3 + a*x + b, whose (a, b) are the curve's exact
+invariants: (-S/3, T/108) for a plane cubic (Artin,
 Rodriguez-Villegas and Tate) and (-27I, -27J) for the branch quartic of a
 (2,2)-form (An, Kim, Marshall, Marshall, McCallum and Perlis).  So the
 point count is a sum of quadratic characters over F_p
 (``invariants._jacobian_count``), and the scan finds no singular point
-there by proof, not by search.  A prime that divides a slice
-discriminant numerator is excluded instead.  The curve formats and their
+there by proof, not by search.  A prime that divides the slice
+discriminant's numerator is excluded instead.  The curve formats and their
 projections are listed once, in ``CURVE_AXES`` and
 ``PROJECTION_MONOMIALS``.
 """
@@ -221,14 +224,14 @@ class SmoothnessReport:
 
     A recorded singular witness is strong evidence against smoothness (and
     proof modulo that prime); an empty sweep is probabilistic evidence only,
-    except for a (3,3) or (4,2) state whose slice discriminants all are
-    nonzero: its counts are those of the Jacobian of its projected curve,
+    except for a (3,3) or (4,2) state whose slice discriminant is nonzero:
+    its counts are those of the Jacobian of its projected curve,
     and NoSingularPointFound proves each used reduction smooth.
     ``bad_primes`` divide a denominator or drop the flattening rank.
     ``excluded_primes`` are primes of singular reduction of a model proved
     smooth over the algebraic closure of Q, so the reduced model says
     nothing about the original one: for a curve format they divide the
-    numerator of a slice discriminant (``invariants.slice_discriminants``),
+    numerator of the slice discriminant (``invariants.slice_discriminants``),
     and for a (5,2) state whose pencil form certifies it smooth
     (``invariants._certified_smooth``) they are the primes where the sweep
     found a witness.
@@ -786,12 +789,13 @@ def _first_witness(reduced, points):
     return None
 
 
-def _singular_reduction(discs, p):
-    """Whether p divides the numerator of one of ``discs`` while none of
-    them vanishes: the curve model of those slice discriminants
-    (``invariants.slice_discriminants``) is smooth over Q, and its
-    reduction modulo p is singular.  False when ``discs`` is None."""
-    return bool(discs) and all(discs) and any(disc.numerator % p == 0 for disc in discs)
+def _singular_reduction(disc, p):
+    """Whether p divides the numerator of the nonzero slice discriminant
+    ``disc``: the curve model is smooth over Q, and its reduction modulo p
+    is singular.  The projected curves of a state share one discriminant
+    (``invariants._slice_curve``), so one value decides.  False when
+    ``disc`` is None or zero."""
+    return bool(disc) and disc.numerator % p == 0
 
 
 def _slice_pivot(t):
@@ -804,7 +808,7 @@ def _slice_pivot(t):
     return rank, pivot
 
 
-def _file_primes(t, primes, discs=None, pivot=None):
+def _file_primes(t, primes, disc=None, pivot=None):
     """The primes of one sweep, filed once, before any point is enumerated.
 
     The primes come checked by the caller's guard (``check_primes``); None
@@ -829,9 +833,10 @@ def _file_primes(t, primes, discs=None, pivot=None):
     the prime is not bad, with no reduction.  Every other prime is reduced
     and filed bad when the reduction fails.
 
-    smoothness_scan passes the state's ``slice_discriminants``.  A prime
-    that is not bad is excluded when it divides a numerator of them while
-    none vanishes (``_singular_reduction``): the reduced curve is
+    smoothness_scan passes the state's one slice discriminant
+    (``invariants._slice_curve``; its projected curves share it).  A prime
+    that is not bad is excluded when it divides the numerator of that
+    nonzero value (``_singular_reduction``): the reduced curve is
     degenerate and says nothing about the original model.  Every other
     prime that is not bad is used.
     """
@@ -849,7 +854,7 @@ def _file_primes(t, primes, discs=None, pivot=None):
             except BadReductionError:
                 bad.append(p)
                 continue
-        (excluded if _singular_reduction(discs, p) else used).append(p)
+        (excluded if _singular_reduction(disc, p) else used).append(p)
     return tuple(used), tuple(bad), tuple(excluded)
 
 
@@ -871,17 +876,19 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     primes, by ``_file_primes``, also for the scans below that walk no
     point.
 
-    A (3,3) or (4,2) state whose slice discriminants all are nonzero is
-    neither walked nor swept, and reduced only to file a prime: each used
-    prime's count is that of the Jacobian of its first projected curve
-    (``_jacobian_count``, on the invariants of the slice projections,
-    ``_slice_curves``), in O(p), and it has no witness.  That is exact.  A
-    used p >= 5 divides no slice discriminant numerator, so the reduced
-    projected curve C_p is smooth over the algebraic closure of F_p, and a
-    smooth genus-one curve over F_p has as many points as its Jacobian.  At a
-    point x of a smooth C_p the matrix of linear forms M(x) has corank
-    exactly 1: corank 2 would make adj M(x) = 0, and with it grad det M(x),
-    by Jacobi's formula.  So over each F_p-point of C_p lies exactly one
+    A (3,3) or (4,2) state has one slice discriminant, since its
+    projected curves share their invariants (``invariants._slice_curve``
+    builds one projection).  A state whose slice discriminant is nonzero
+    is neither walked nor swept, and reduced only to file a prime: each
+    used prime's count is that of the Jacobian of its projected curve
+    (``_jacobian_count``, on the invariants of that one curve), in O(p),
+    and it has no witness.  That is exact.  A used p >= 5 does not divide
+    the slice discriminant's numerator, so the reduced projected curve C_p
+    is smooth over the algebraic closure of F_p, and a smooth genus-one
+    curve over F_p has as many points as its Jacobian.  At a point x of a
+    smooth C_p the matrix of linear forms M(x) has corank exactly 1:
+    corank 2 would make adj M(x) = 0, and with it grad det M(x), by
+    Jacobi's formula.  So over each F_p-point of C_p lies exactly one
     point of the model, defined over F_p, and the model is smooth there (the
     argument of ``_pencil_roots``): the count is the model's, the sweep
     could find no witness, and NoSingularPointFound proves each used
@@ -896,18 +903,18 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     ``primes``, ``point_counts`` and ``witnesses`` to ``excluded_primes``,
     and the verdict is NoSingularPointFound, as ``classify`` finds.
     """
-    from .invariants import _certified_smooth, _jacobian_count, _slice_curves
+    from .invariants import _certified_smooth, _jacobian_count, _slice_curve
 
-    curves = _slice_curves(t)
-    discs = curves and tuple(curve.discriminant for curve in curves)
-    used, bad, excluded = _file_primes(t, primes, discs)
+    curve = _slice_curve(t)
+    disc = curve and curve.discriminant
+    used, bad, excluded = _file_primes(t, primes, disc)
     if not used and not excluded:
         raise AllPrimesBadError(f"all primes {_excerpt(list(bad))} hit bad reduction")
     counts = []
     witnesses = []
     for p in used:
-        if discs and all(discs):
-            counts.append((p, _jacobian_count(curves[0], p)))
+        if disc:
+            counts.append((p, _jacobian_count(curve, p)))
             continue
         (reduced,) = _reduced_model(t, p)
         walk = list(_points(reduced, p))

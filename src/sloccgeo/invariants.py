@@ -30,7 +30,14 @@ numerator.  The public curve path is that same one:
 ``plane_cubic_invariants`` and ``biquadratic_invariants`` take integer
 coefficients over one denominator in CUBIC_MONOMIALS or
 BIQUADRATIC_MONOMIALS order, as ``geometry.determinantal_projection``
-returns them, and ``classify`` calls them on every projection.
+returns them, and ``classify`` calls them on one projection.  The
+projected curves of a model share their invariants, as polynomial
+identities in its rows: the two (3,3) plane cubics have one (S, T), the
+three (4,2) branch quartics one (I, J).  So every reader of a model's
+projections (``classify``, ``slice_discriminants``,
+``exact_projection_discriminants``, ``curve_singular_mod_p`` and the
+scans) builds the projection of the first kept axes in CURVE_AXES only
+(``_curve_projections``).
 """
 
 from dataclasses import dataclass
@@ -611,16 +618,24 @@ def cubic_discriminant(f: TernaryCubic):
 
 
 def _curve_projections(fmt, rows, divisor):
-    """Exact invariants of every projection of the model whose forms have
-    the integer coefficient rows ``rows``: each projection's integer
-    coefficients (``projection_coefficients``) stand for their values
-    divided by the nonzero int ``divisor``."""
+    """One Projection per kept axes of CURVE_AXES[fmt] for the model whose
+    forms have the integer coefficient rows ``rows``, all sharing the
+    invariants of the first: its integer coefficients
+    (``projection_coefficients``) stand for their values divided by the
+    nonzero int ``divisor``.
+
+    Every kept axis maps the model's one genus-one curve onto a projected
+    curve, and those curves have equal invariants, as polynomial identities
+    in the rows: the two (3,3) plane cubics have one (S, T), and the three
+    (4,2) branch quartics one (I, J) (those of (0, 1) and (0, 2) are one
+    quartic).  So one projection is built, and its discriminant and j are
+    every projection's.  A test certifies the identity on every listed
+    axis (``test_projected_curves_share_their_invariants``)."""
     n, d = fmt
     invariants = plane_cubic_invariants if fmt == (3, 3) else biquadratic_invariants
-    return [
-        Projection(axes, invariants(projection_coefficients(rows, n, d, axes), divisor))
-        for axes in CURVE_AXES[fmt]
-    ]
+    axes = CURVE_AXES[fmt]
+    curve = invariants(projection_coefficients(rows, n, d, axes[0]), divisor)
+    return [Projection(kept, curve) for kept in axes]
 
 
 def _slice_projections(t, divisor):
@@ -632,13 +647,16 @@ def _slice_projections(t, divisor):
 
 
 def exact_projection_discriminants(t: Tensor):
-    """Exact discriminants of every projected curve, or None when the
-    format has no determinantal projections or the rank is deficient.
-    They are those of the canonical basis, read off the state's own slices
-    over their last fraction-free pivot M (``_slice_projections``): a
-    discriminant has degree 12 in the coefficients, so it scales by
-    M^-12, as ``classify`` argues.  Raises WorkLimitError, before any
-    elimination, when d**(n+1) exceeds MAX_FLATTENING_COST."""
+    """Exact discriminants of every projected curve, one per kept axes of
+    CURVE_AXES, or None when the format has no determinantal projections
+    or the rank is deficient.  They are those of the canonical basis, read
+    off the state's own slices over their last fraction-free pivot M
+    (``_slice_projections``): a discriminant has degree 12 in the
+    coefficients, so it scales by M^-12, as ``classify`` argues.  The
+    projected curves share their invariants (``_curve_projections``), so
+    one projection is built and its discriminant repeated.  Raises
+    WorkLimitError, before any elimination, when d**(n+1) exceeds
+    MAX_FLATTENING_COST."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
     rank, pivot = _slice_pivot(t)
@@ -647,27 +665,31 @@ def exact_projection_discriminants(t: Tensor):
     return tuple(pr.invariants.discriminant for pr in _slice_projections(t, pivot))
 
 
-def _slice_curves(t):
-    """The CurveInvariants of the projections of the model whose rows are
-    the state's own slices along the last axis, or None outside the curve
-    formats; the rows are the numerators t.nums[k::d], over the state's
-    denominator."""
+def _slice_curve(t):
+    """The CurveInvariants of the projected curve of the model whose rows
+    are the state's own slices along the last axis, or None outside the
+    curve formats; the rows are the numerators t.nums[k::d], over the
+    state's denominator.  Every kept axis projects to a curve with these
+    invariants (``_curve_projections``), so this one curve stands for
+    them all."""
     if (t.n, t.d) not in CURVE_AXES:
         return None
-    return tuple(pr.invariants for pr in _slice_projections(t, t.den**t.d))
+    return _slice_projections(t, t.den**t.d)[0].invariants
 
 
 def slice_discriminants(t: Tensor):
     """Discriminants of the projections of the model whose rows are the
-    state's own slices (``_slice_curves``), or None outside the curve
-    formats.  With full flattening rank these rows differ from the
-    canonical basis by an invertible d x d change, which scales every
-    discriminant by a nonzero power of its determinant; over F_p the same
-    holds for the reduced basis whenever the reduction is good.  So for
-    such p >= 5 a reduced curve is singular exactly when p divides the
-    numerator of one of these values."""
-    curves = _slice_curves(t)
-    return curves and tuple(curve.discriminant for curve in curves)
+    state's own slices, one per kept axes of CURVE_AXES, or None outside
+    the curve formats.  The projected curves share their invariants, so
+    the values are one discriminant (``_slice_curve``), repeated.  With
+    full flattening rank these rows differ from the canonical basis by an
+    invertible d x d change, which scales the discriminant by a nonzero
+    power of its determinant; over F_p the same holds for the reduced
+    basis whenever the reduction is good.  So for such p >= 5 a reduced
+    curve is singular exactly when p divides the numerator of this
+    value."""
+    curve = _slice_curve(t)
+    return curve and (curve.discriminant,) * len(CURVE_AXES[(t.n, t.d)])
 
 
 def curve_singular_mod_p(model: VarietyModel):
@@ -676,11 +698,13 @@ def curve_singular_mod_p(model: VarietyModel):
 
     The reduced rows are read as integers and run through the exact
     projection and invariants; a discriminant vanishes mod p exactly when
-    p divides its numerator.  Requires p > 3 so the invariant denominators
-    stay invertible: p = 2 and 3 raise UnsupportedPrimeError, larger moduli
-    of a hand-built model are not checked.  A model over Q raises
-    ValueError: reduce it first (``model_mod_p``).  The model needs d rows
-    (``geometry._check_square``).
+    p divides its numerator.  The projected curves share their invariants
+    as polynomial identities in the rows (``_curve_projections``), so one
+    projection decides for all of them.  Requires p > 3 so the invariant
+    denominators stay invertible: p = 2 and 3 raise UnsupportedPrimeError,
+    larger moduli of a hand-built model are not checked.  A model over Q
+    raises ValueError: reduce it first (``model_mod_p``).  The model needs
+    d rows (``geometry._check_square``).
     """
     fmt, p = (model.n, model.d), model.p
     if fmt not in CURVE_AXES:
@@ -689,8 +713,8 @@ def curve_singular_mod_p(model: VarietyModel):
         raise ValueError("curve_singular_mod_p needs a model over F_p; reduce it with model_mod_p")
     if p < 5:
         raise UnsupportedPrimeError(f"curve_singular_mod_p needs p >= 5, not {p}")
-    projections = _curve_projections(fmt, model.rows, 1)
-    return any(pr.invariants.discriminant.numerator % p == 0 for pr in projections)
+    curve = _curve_projections(fmt, model.rows, 1)[0].invariants
+    return curve.discriminant.numerator % p == 0
 
 
 #: The hyperdeterminant of each format that has one, as (name, function).
@@ -722,7 +746,8 @@ def classify(t: Tensor, primes: PRIMES = None):
     callers share it.
 
     For (3,3) and (4,2) the smooth/singular split is decided exactly by
-    discriminants; the prime sweep only supplies a singular witness.
+    the discriminant of the one projected curve; the prime sweep only
+    supplies a singular witness.
 
     The curve invariants are read off the state's own slices: the rows
     F = [t.nums[k::d] ...], its numerators along the last axis.  The
@@ -733,12 +758,16 @@ def classify(t: Tensor, primes: PRIMES = None):
     F_P^-1 * F (the state's denominator cancels).  A projection is the
     determinant of the matrix of linear forms whose row k is linear in
     form k, so it is alternating-multilinear in the d forms, and the
-    canonical basis's projection is F's divided by det F_P = +-M.  Each
-    projection is therefore built from F over the divisor M.  S and T (I
-    and J of the branch quartic) have degrees 4 and 6 in the coefficients,
-    so the sign of M drops out, and every reported value is the canonical
-    basis's, to the byte.  The same rescaling gives
-    ``exact_projection_discriminants``: a discriminant scales by M^-12.
+    canonical basis's projection is F's divided by det F_P = +-M.  The
+    projection is therefore built from F over the divisor M, once: the
+    projected curves of every kept axis share their invariants
+    (``_curve_projections``), so the verdict holds one record per kept
+    axis, each with the first axis's invariants, and checks no copy
+    against another.  S and T (I and J of the branch quartic) have degrees
+    4 and 6 in the coefficients, so the sign of M drops out, and every
+    reported value is the canonical basis's, to the byte.  The same
+    rescaling gives ``exact_projection_discriminants``: a discriminant
+    scales by M^-12.
 
     At full rank a (4,2) state's hyperdeterminant comes from its first
     projection.  Dropping the group z leaves det(y0 * A0(x) + y1 * A1(x)),
@@ -821,12 +850,8 @@ def _classify(t, primes):
     j, used, witness = None, (), None
     if rank < t.d:
         status = RANK_DEFICIENT
-    elif curve and all(pr.invariants.discriminant != 0 for pr in projections):
-        j = projections[0].invariants.j
-        if any(pr.invariants.j != j for pr in projections[1:]):
-            js = sorted({str(pr.invariants.j) for pr in projections})
-            raise SloccGeoError(f"projection j values disagree: {js}")
-        status = SMOOTH_GENERIC
+    elif curve and projections[0].invariants.discriminant:
+        j, status = projections[0].invariants.j, SMOOTH_GENERIC
     elif _certified_smooth(t):
         status = SMOOTH_GENERIC
     else:

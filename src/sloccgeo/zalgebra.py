@@ -34,7 +34,7 @@ from the rank of the state's slices (``geometry._slice_pivot``), in one
 error order.  Each check answers for one prime; a refusal says nothing
 about the state at any other prime.
 
-A profile off its expected series at a prime that divides a slice
+A profile off its expected series at a prime that divides the slice
 discriminant of a smooth curve state is refused with BadReductionError
 (``_refuse_singular_reduction``): the reduced curve is singular.  The
 roundtrip and the section-product test name such a prime by the same
@@ -70,7 +70,7 @@ from .geometry import (
     _walk,
     hasse_window,
 )
-from .invariants import slice_discriminants
+from .invariants import _slice_curve
 
 #: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
 #: for (3,3) and k_max <= 8 for (4,2).  The quotient recursion is cheap on
@@ -417,10 +417,13 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
 
 
 def _refuse_singular_reduction(state, p):
-    """Raise BadReductionError when p divides a slice discriminant of a
+    """Raise BadReductionError when p divides the slice discriminant of a
     smooth curve state (``geometry._singular_reduction``): the reduced
-    curve is singular.  A refusing check calls this before its own error."""
-    if _singular_reduction(slice_discriminants(state), p):
+    curve is singular.  The state's projected curves share that one
+    discriminant, which one projection gives (``invariants._slice_curve``).
+    A refusing check calls this before its own error."""
+    curve = _slice_curve(state)
+    if curve and _singular_reduction(curve.discriminant, p):
         raise BadReductionError(
             p, f"p={p} divides a slice discriminant: the reduced curve is singular"
         )

@@ -12,6 +12,7 @@ import pytest
 from sloccgeo import __version__
 from sloccgeo.cli import build_parser, main, run
 from sloccgeo.linalg import DEFAULT_PRIMES
+from sloccgeo.zalgebra import roundtrip_check
 from sloccgeo.states import (
     MAX_COEFFICIENT_DIGITS,
     SloccOperator,
@@ -222,6 +223,35 @@ def test_roundtrip_degenerate_is_reported(tmp_path, capsys):
     # every requested prime is refused, so --strict finds no verdict
     code, strict_doc = run_json(capsys, ["roundtrip", path, "--primes", "7", "--strict"])
     assert code == 1 and strict_doc == doc
+
+
+def test_roundtrip_checks_every_prefix_budget_before_the_first_prime(
+    tmp_path, capsys, monkeypatch
+):
+    # a (4,3) walk visits (1 + p + p^2)^2 prefixes: 145,161 at p = 19 and
+    # 305,809 at 23, over the budget.  At the default primes the command
+    # used to roundtrip 5..19, then exit 2 at 23 and discard those six
+    # entries; now it exits 2, with the same message, before any roundtrip
+    import sloccgeo.cli
+
+    calls = []
+
+    def counted(t, p):
+        calls.append(p)
+        return roundtrip_check(t, p)
+
+    monkeypatch.setattr(sloccgeo.cli, "roundtrip_check", counted)
+    path = write_state(tmp_path, "s43.json", random_state(4, 3, 5, seed=1))
+    code = run(["roundtrip", path])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and calls == []
+    assert captured.err == (
+        "sloccgeo: a point sweep of (P^2)^3 at primes [23] visits 305809 prefixes, "
+        "over the budget of 200000\n"
+    )
+    code, doc = run_json(capsys, ["roundtrip", path, "--primes", "5,7,11", "--strict"])
+    assert code == 0 and calls == [5, 7, 11]
+    assert doc["results"] == [{"prime": p, "ok": True} for p in (5, 7, 11)]
 
 
 def test_strict_fails_exactly_on_an_off_target_entry_or_no_verdict(tmp_path, capsys):

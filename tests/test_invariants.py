@@ -33,6 +33,7 @@ from sloccgeo.geometry import (
     _slice_pivot,
     determinantal_projection,
     model_mod_p,
+    projection_coefficients,
     projective_points,
     smoothness_scan,
     variety_from_state,
@@ -776,6 +777,97 @@ def test_curve_singular_mod_p_refuses_a_model_over_q(family_1235):
             curve_singular_mod_p(variety_from_state(t))
 
 
+def _one_curve_states(n, d):
+    """20 states whose integer entries are drawn uniformly from
+    [-10^12, 10^12] (seed 45), then GHZ, a small random state, every basis
+    state, for (4,2) W(4) and two family members, SLOCC images of four of
+    these and rational scalings of four more."""
+    rng = random.Random(45)
+    drawn = [
+        Tensor.from_integers(n, d, [rng.randint(-10**12, 10**12) for _ in range(d**n)])
+        for _ in range(20)
+    ]
+    named = [ghz(n, d), random_state(n, d, 5, 1)]
+    named += [basis_state(n, d, idx) for idx in product(range(d), repeat=n)]
+    if (n, d) == (4, 2):
+        named += [w_state(4), four_qubit_generic_family(1, 2, 3, 5),
+                  four_qubit_generic_family(Fraction(1, 2), -3, 0, 7)]
+    images = [
+        apply_slocc(t, SloccOperator.random(n, d, 3, seed=400 + s))
+        for s, t in enumerate(named[:2] + drawn[:2])
+    ]
+    scaled = [t.scale(Fraction(-7, 3)) for t in named[:2] + images[:2]]
+    return drawn + named + images + scaled
+
+
+@pytest.mark.parametrize("fmt", sorted(CURVE_AXES))
+def test_projected_curves_share_their_invariants(fmt):
+    """Every kept axis of CURVE_AXES projects a state's curve to a curve
+    with the first axis's invariants, so the pipeline builds one
+    projection per state.
+
+    Each axis's projection is built here from the state's slices with
+    ``projection_coefficients`` and its invariants compared with the first
+    axis's: the pair, the discriminant and j, and for (4,2) the branch
+    quartics of (0, 1) and (0, 2), which are one quartic.  Each compared
+    quantity is a polynomial in the state's entries of degree at most 18:
+    a projection's coefficients have degree d, S and T degrees 12 and 18,
+    a branch quartic degree 4, I and J degrees 8 and 12.  By the
+    Schwartz-Zippel lemma a nonzero polynomial of degree D vanishes at a
+    point drawn uniformly from S^N, S finite, with probability at most
+    D/|S|.  With S the integers in [-10^12, 10^12] that is at most
+    18/(2*10^12 + 1) < 9*10^-12 per draw, and a false identity would have
+    to vanish at all 20 draws (from one fixed seed).  The named states
+    cover the special loci: GHZ, W(4), basis states, family members, SLOCC
+    images and rational scalings."""
+    n, d = fmt
+    invariants = plane_cubic_invariants if fmt == (3, 3) else biquadratic_invariants
+    first, *rest = CURVE_AXES[fmt]
+    for t in _one_curve_states(n, d):
+        rows = [t.nums[k::d] for k in range(d)]
+        coeffs = {kept: projection_coefficients(rows, n, d, kept) for kept in CURVE_AXES[fmt]}
+        curve = invariants(coeffs[first], t.den**d)
+        for kept in rest:
+            other = invariants(coeffs[kept], t.den**d)
+            assert (other.pair, other.discriminant, other.j) == (
+                curve.pair, curve.discriminant, curve.j
+            ), (t, kept)
+        if fmt == (4, 2):
+            assert branch_quartic(coeffs[(0, 1)]) == branch_quartic(coeffs[(0, 2)]), t
+
+
+def test_each_curve_entry_point_builds_one_projection(monkeypatch):
+    # the projected curves share their invariants, so each entry point
+    # builds the projection of the first kept axes alone, where it built
+    # one per kept axis (2 for (3,3), 3 for (4,2))
+    import sloccgeo.invariants
+    from sloccgeo.zalgebra import _refuse_singular_reduction
+
+    calls = []
+
+    def counted(rows, n, d, kept):
+        calls.append(kept)
+        return projection_coefficients(rows, n, d, kept)
+
+    monkeypatch.setattr(sloccgeo.invariants, "projection_coefficients", counted)
+    for t in (random_state(3, 3, 5, 42), random_state(4, 2, 5, 3)):
+        reduced = model_mod_p(variety_from_state(t), 13)
+        entries = {
+            "classify": lambda: classify(t),
+            "smoothness_scan": lambda: smoothness_scan(t, (5, 7)),
+            "exact_projection_discriminants": lambda: exact_projection_discriminants(t),
+            "slice_discriminants": lambda: slice_discriminants(t),
+            "curve_singular_mod_p": lambda: curve_singular_mod_p(reduced),
+            "_refuse_singular_reduction": lambda: _refuse_singular_reduction(t, 13),
+        }
+        for name, entry in entries.items():
+            classify.cache_clear()
+            calls.clear()
+            entry()
+            assert calls == [CURVE_AXES[(t.n, t.d)][0]], (t.n, name, calls)
+    classify.cache_clear()
+
+
 def test_compare_never_distinct_under_slocc(family_1235):
     for seed in range(3):
         g = SloccOperator.random(4, 2, 3, seed=400 + seed)
@@ -1399,7 +1491,8 @@ def test_classify_and_scan_build_at_most_one_exact_flattening(monkeypatch):
               ghz(4, 2).scale(Fraction(1, 35))):
         for primes in ((5,), (7, 31), DEFAULT_PRIMES):
             eliminations.clear()
-            _file_primes(t, primes, slice_discriminants(t))
+            discs = slice_discriminants(t)
+            _file_primes(t, primes, discs and discs[0])
             assert eliminations == [t.d ** (t.n - 1)]
     assert calls == []
 
