@@ -106,9 +106,9 @@ def _per_prime(primes, check):
     an entry is off target or every prime is refused, as at every prime of
     a rank-deficient state.  A WorkLimitError ends the command: it bounds
     the request, not the prime.  A bound that grows with the prime (the
-    prefix budget of the roundtrip's point walk) is checked at every
-    requested prime before the first one runs (``_cmd_roundtrip``), so no
-    computed entry is discarded."""
+    prefix budget of the roundtrip's point walk, per call) is checked once,
+    at the largest requested prime, before the first prime runs
+    (``_cmd_roundtrip``), so no computed entry is discarded."""
     entries, degenerate = [], False
     for p in primes:
         try:
@@ -207,11 +207,10 @@ def _cmd_hilbert(t, args):
 
 @_state_command
 def _cmd_roundtrip(t, args):
-    # each walk checks its prime's prefix budget (geometry._walk); checked
-    # here first, in the primes' ascending order, a prime over it ends the
-    # command before any roundtrip runs
-    for p in args.primes:
-        _check_prefix_budget(t.d, t.n - 1, (p,))
+    # each walk checks its own prime's prefix budget (geometry._walk), and
+    # a prime's prefix count grows with p: the largest prime, checked here
+    # first, ends an over-budget command before any roundtrip runs
+    _check_prefix_budget(t.d, t.n - 1, args.primes[-1:])
 
     def check(p):
         return {"prime": p, "ok": roundtrip_check(t, p)}, False

@@ -14,12 +14,20 @@ as bad reduction when their rank drops.  ``model_mod_p``, the sweeps and
 ``_file_primes`` reduce through it directly; the graded checks of
 ``zalgebra`` reduce through ``_rotation_models``, which names a failed
 reduction of one state in one error order, and the relation spaces of a
-state's n rotations come from its one reduction, rotated.  A sweep
-files its primes by one rank certificate, the last fraction-free pivot of
-the state's slices (``_file_primes``): a prime that divides neither it
-nor the denominator keeps rank d with no reduction, and only the others
-are reduced to be filed.  Points come from one walk over the variable
-groups (``_points``), as plain tuples of coordinate tuples:
+state's n rotations come from its one reduction, rotated.
+
+What a prime means for a state is filed in one place, ``_file_primes``:
+bad, excluded or used.  It files by one rank certificate, the last
+fraction-free pivot of the state's slices: a prime that divides neither
+it nor the denominator keeps rank d with no reduction, and only the others
+are reduced to be filed.  The sweeps (``smoothness_scan`` and classify's
+vote) file their primes through it after checking their summed prefix
+budget, and a graded check of ``zalgebra`` that fails files its one prime
+through it (``_refuse_singular_reduction``) to tell a singular reduction
+from its own refusal.
+
+Points come from one walk over the variable groups (``_points``), as
+plain tuples of coordinate tuples:
 ``enumerate_points`` lists it as ProjPoints, both Jacobian sweeps
 (``smoothness_scan`` and the one in ``invariants.classify``) test the
 points it does not certify smooth, and only a witness becomes a
@@ -41,8 +49,8 @@ Rodriguez-Villegas and Tate) and (-27I, -27J) for the branch quartic of a
 point count is a sum of quadratic characters over F_p
 (``invariants._jacobian_count``), and the scan finds no singular point
 there by proof, not by search.  A prime that divides the slice
-discriminant's numerator is excluded instead.  The curve formats and their
-projections are listed once, in ``CURVE_AXES`` and
+discriminant's numerator is excluded instead, by the filing.  The curve
+formats and their projections are listed once, in ``CURVE_AXES`` and
 ``PROJECTION_MONOMIALS``.
 """
 
@@ -789,15 +797,6 @@ def _first_witness(reduced, points):
     return None
 
 
-def _singular_reduction(disc, p):
-    """Whether p divides the numerator of the nonzero slice discriminant
-    ``disc``: the curve model is smooth over Q, and its reduction modulo p
-    is singular.  The projected curves of a state share one discriminant
-    (``invariants._slice_curve``), so one value decides.  False when
-    ``disc`` is None or zero."""
-    return bool(disc) and disc.numerator % p == 0
-
-
 def _slice_pivot(t):
     """(rank, M) of the fraction-free elimination of the state's slice
     numerators (``states._slice_elimination``, which checks the
@@ -809,19 +808,18 @@ def _slice_pivot(t):
 
 
 def _file_primes(t, primes, disc=None, pivot=None):
-    """The primes of one sweep, filed once, before any point is enumerated.
-
-    The primes come checked by the caller's guard (``check_primes``); None
-    stands for DEFAULT_PRIMES.  Checks the prefix budget and the
-    flattening's cost, and files each distinct prime in ascending order as
-    bad, excluded or used.  A caller that has eliminated the slices at full
-    rank already (``classify``) passes their last pivot, and no second
-    elimination is made.  Returns (used, bad, excluded), three tuples of
-    primes; each caller reduces a used prime (``_reduced_model``) only when
-    it sweeps it.  The checks raise WorkLimitError, then RankDeficientError
-    when the flattening over Q has dimension below d; the filing itself never
-    raises.  When every prime is bad, bad lists them all, in order, and
-    each caller states what that means for its own result.
+    """The one filing of primes: each of the given primes, which the caller
+    passes distinct and ascending, filed once as bad, excluded or used,
+    before any point is enumerated.  A caller that has eliminated the
+    slices at full rank already (``classify``) passes their last pivot, and
+    no second elimination is made; otherwise the flattening's cost is
+    checked and RankDeficientError raised when the flattening over Q has
+    dimension below d.  The filing itself never raises.  Returns (used,
+    bad, excluded), three tuples of primes; each caller reduces a used
+    prime (``_reduced_model``) only when it sweeps it.  When every prime is
+    bad, bad lists them all, in order, and each caller states what that
+    means for its own result.  A sweep checks its prefix budget before it
+    files (``_check_prefix_budget``).
 
     One rank certificate files every prime: the last pivot M of the
     fraction-free elimination (``linalg._bareiss``) of the state's slice
@@ -833,15 +831,14 @@ def _file_primes(t, primes, disc=None, pivot=None):
     the prime is not bad, with no reduction.  Every other prime is reduced
     and filed bad when the reduction fails.
 
-    smoothness_scan passes the state's one slice discriminant
-    (``invariants._slice_curve``; its projected curves share it).  A prime
+    ``disc`` is the state's one slice discriminant
+    (``invariants._slice_curve``; its projected curves share it), which
+    ``smoothness_scan`` and ``_refuse_singular_reduction`` pass.  A prime
     that is not bad is excluded when it divides the numerator of that
-    nonzero value (``_singular_reduction``): the reduced curve is
-    degenerate and says nothing about the original model.  Every other
-    prime that is not bad is used.
+    nonzero value: the curve model is smooth over Q, its reduction modulo
+    p is singular, and the reduced curve says nothing about the original
+    model.  Every other prime that is not bad is used.
     """
-    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
-    _check_prefix_budget(t.d, t.n - 1, primes)
     if pivot is None:
         rank, pivot = _slice_pivot(t)
         if rank < t.d:
@@ -854,8 +851,25 @@ def _file_primes(t, primes, disc=None, pivot=None):
             except BadReductionError:
                 bad.append(p)
                 continue
-        (excluded if _singular_reduction(disc, p) else used).append(p)
+        (excluded if disc and disc.numerator % p == 0 else used).append(p)
     return tuple(used), tuple(bad), tuple(excluded)
+
+
+def _refuse_singular_reduction(t, p):
+    """Raise BadReductionError when the filing (``_file_primes``) excludes
+    p for the state: p divides the slice discriminant of a smooth curve
+    state, so the reduced curve is singular.  The graded checks of
+    ``zalgebra`` call this only after a check has failed, before their own
+    error, so a check that passes files no prime.  The state's projected
+    curves share one discriminant, which one projection gives
+    (``invariants._slice_curve``)."""
+    from .invariants import _slice_curve
+
+    curve = _slice_curve(t)
+    if _file_primes(t, (p,), curve and curve.discriminant)[2]:
+        raise BadReductionError(
+            p, f"p={p} divides a slice discriminant: the reduced curve is singular"
+        )
 
 
 def smoothness_scan(t: Tensor, primes: PRIMES = None):
@@ -872,9 +886,9 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     those it does not certify smooth (``_pencil_roots``) are tested; the
     witness, its rank and the counts are those of testing every point.
     Each rank test is one left-kernel test, not an elimination (see
-    ``_first_witness``).  The prefix budget is checked once, for all
-    primes, by ``_file_primes``, also for the scans below that walk no
-    point.
+    ``_first_witness``).  The prefix budget is checked once, summed over
+    all primes, before they are filed, also for the scans below that walk
+    no point.
 
     A (3,3) or (4,2) state has one slice discriminant, since its
     projected curves share their invariants (``invariants._slice_curve``
@@ -905,6 +919,8 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     """
     from .invariants import _certified_smooth, _jacobian_count, _slice_curve
 
+    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
+    _check_prefix_budget(t.d, t.n - 1, primes)
     curve = _slice_curve(t)
     disc = curve and curve.discriminant
     used, bad, excluded = _file_primes(t, primes, disc)

@@ -65,6 +65,7 @@ from .geometry import (
     CURVE_AXES,
     VarietyModel,
     _check_formula_format,
+    _check_prefix_budget,
     _file_primes,
     _first_witness,
     _points,
@@ -804,11 +805,13 @@ def classify(t: Tensor, primes: PRIMES = None):
 
     Neither reads a point count, so the sweep here is lazy, and as in
     ``smoothness_scan`` only the points that the walk (``_points``) does not
-    certify smooth (``_pencil_roots``) get a Jacobian test.  Every prime is
-    filed up front as used or bad by the one rule of ``_file_primes``: a
-    prime that divides neither the state's denominator nor the last
-    fraction-free pivot M of its slices keeps the flattening's rank d and
-    is used with no reduction; only the other primes are reduced
+    certify smooth (``_pencil_roots``) get a Jacobian test.  The sweep's
+    prefix budget, summed over its primes, is checked first
+    (WorkLimitError); then every prime is filed up front as used or bad by
+    the one filing of every command, ``_file_primes``: a prime that
+    divides neither the state's denominator nor the last fraction-free
+    pivot M of its slices keeps the flattening's rank d and is used with
+    no reduction; only the other primes are reduced
     (``geometry._reduced_model``) to be filed.  A used prime is reduced
     when the sweep reaches it, so a sweep that stops at its first prime
     reduces once.  ``primes_used`` and the witness are those of the full
@@ -862,9 +865,12 @@ def _classify(t, primes):
 def _vote(t, primes, curve, pivot):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
-    ``classify`` states the rules and passes the last pivot of the slices'
-    elimination (``_file_primes``)."""
+    ``classify`` states the rules.  The scan's prefix budget, summed over
+    its primes, is checked before they are filed (``_file_primes``, given
+    the last pivot of the slices' elimination and no discriminant: a state
+    that reaches the vote has none that excludes a prime)."""
     scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
+    _check_prefix_budget(t.d, t.n - 1, scan)
     used = _file_primes(t, scan, pivot=pivot)[0]
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict

@@ -34,11 +34,14 @@ from the rank of the state's slices (``geometry._slice_pivot``), in one
 error order.  Each check answers for one prime; a refusal says nothing
 about the state at any other prime.
 
-A profile off its expected series at a prime that divides the slice
-discriminant of a smooth curve state is refused with BadReductionError
-(``_refuse_singular_reduction``): the reduced curve is singular.  The
-roundtrip and the section-product test name such a prime by the same
-rule when they refuse it.
+What a prime means is filed in geometry, once (``geometry._file_primes``).
+A check that fails asks that filing about its prime
+(``geometry._refuse_singular_reduction``): a profile off its expected
+series, a roundtrip short of its rank and a section product short of its
+points are refused with BadReductionError when the filing excludes the
+prime, since it divides the slice discriminant of a smooth curve state
+and the reduced curve is singular.  A check that passes files no prime.
+This module imports nothing from ``invariants``.
 
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
@@ -55,22 +58,16 @@ kernel, and ``roundtrip_check`` returns True or refuses.
 from dataclasses import dataclass
 
 from ._guard import Kind, guard, ints, power_exceeds
-from .errors import (
-    BadReductionError,
-    InsufficientPointsError,
-    WorkLimitError,
-    WrongFormatError,
-)
+from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
 from .linalg import PRIME, Matrix, _eliminate
 from .states import FORMAT, Tensor
 from .geometry import (
     VarietyModel,
+    _refuse_singular_reduction,
     _rotation_models,
-    _singular_reduction,
     _walk,
     hasse_window,
 )
-from .invariants import _slice_curve
 
 #: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
 #: for (3,3) and k_max <= 8 for (4,2).  The quotient recursion is cheap on
@@ -237,11 +234,12 @@ def check_hilbert_degree(d: FORMAT, k_max: DEGREE):
 def _hilbert_profile(state, p, k_max, kind, expected_fn):
     """The profile of dims A_m for m <= k_max (``_quotient_dims``) against
     its expected series.  A profile off that series is refused with
-    BadReductionError when p divides a slice discriminant of a smooth curve
-    state (``_refuse_singular_reduction``), the rule of the roundtrip and
-    the section products: the reduced curve is singular, and its profile
-    says nothing about the state's.  Every other profile is reported, on
-    target or not."""
+    BadReductionError when the one filing excludes p
+    (``geometry._refuse_singular_reduction``), the rule of the roundtrip
+    and the section products: p divides the slice discriminant of a smooth
+    curve state, the reduced curve is singular, and its profile says
+    nothing about the state's.  Every other profile is reported, on target
+    or not."""
     profile = HilbertProfile(kind, p, _quotient_dims(state, p, k_max), expected_fn(k_max))
     if not profile.matches():
         _refuse_singular_reduction(state, p)
@@ -379,14 +377,14 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     bad prime.  The number of distinct projected points must be plausible
     for a curve of genus one: a count above the Hasse window certifies a
     degenerate model, and fewer than five points cannot pin the kernel
-    down.  Both refuse the prime.  When no slice discriminant vanishes and
-    p divides the numerator of one (a prime ``smoothness_scan`` excludes),
-    the reduced curve is singular, and the refusal is a BadReductionError
-    saying so; every other refusal is an InsufficientPointsError.  For such
-    a state every other prime gives a smooth reduced curve, whose projected
-    count lies in the Hasse window (``geometry.smoothness_scan``), so only
-    p = 5 and 7, where the window starts below five, can still lack
-    points.  The prime is not tested before the points are enumerated: at
+    down.  Both refuse the prime.  When the one filing excludes p
+    (``geometry._refuse_singular_reduction``, the filing of
+    ``smoothness_scan``), the reduced curve is singular, and the refusal is
+    a BadReductionError saying so; every other refusal is an
+    InsufficientPointsError.  For a smooth curve state every other prime
+    gives a smooth reduced curve, whose projected count lies in the Hasse
+    window (``geometry.smoothness_scan``), so only p = 5 and 7, where the
+    window starts below five, can still lack points.  The prime is not tested before the points are enumerated: at
     many singular reductions the test still passes.  The axis pair must
     name two distinct groups among 0, 1 and 2 (``AXIS_PAIR``), else
     ValueError.
@@ -416,19 +414,6 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 
-def _refuse_singular_reduction(state, p):
-    """Raise BadReductionError when p divides the slice discriminant of a
-    smooth curve state (``geometry._singular_reduction``): the reduced
-    curve is singular.  The state's projected curves share that one
-    discriminant, which one projection gives (``invariants._slice_curve``).
-    A refusing check calls this before its own error."""
-    curve = _slice_curve(state)
-    if curve and _singular_reduction(curve.discriminant, p):
-        raise BadReductionError(
-            p, f"p={p} divides a slice discriminant: the reduced curve is singular"
-        )
-
-
 def roundtrip_check(state: Tensor, p: PRIME):
     """Reconstruct the flattening image from the model's F_p-points: True,
     or a refusal.
@@ -438,8 +423,8 @@ def roundtrip_check(state: Tensor, p: PRIME):
     the evaluation rank reaches width - rank(forms)
     (``relations_from_points``), so a roundtrip that returns returns True;
     it never reports a wrong space.  Bad reduction is raised by the
-    model's reduction, or, when the evaluation rank falls short and p
-    divides a slice discriminant of a smooth curve state, as
+    model's reduction, or, when the evaluation rank falls short and the one
+    filing excludes p (``geometry._refuse_singular_reduction``), as
     BadReductionError naming the singular reduced curve, as in
     ``multiplication_surjectivity``.  Any other shortfall is an
     InsufficientPointsError naming the F_p-point count: a smooth curve at

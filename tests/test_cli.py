@@ -231,7 +231,9 @@ def test_roundtrip_checks_every_prefix_budget_before_the_first_prime(
     # a (4,3) walk visits (1 + p + p^2)^2 prefixes: 145,161 at p = 19 and
     # 305,809 at 23, over the budget.  At the default primes the command
     # used to roundtrip 5..19, then exit 2 at 23 and discard those six
-    # entries; now it exits 2, with the same message, before any roundtrip
+    # entries; now it exits 2 before any roundtrip.  The count grows with
+    # p, so one check at the largest prime covers every prime, and the
+    # message names that prime, 31
     import sloccgeo.cli
 
     calls = []
@@ -246,12 +248,62 @@ def test_roundtrip_checks_every_prefix_budget_before_the_first_prime(
     captured = capsys.readouterr()
     assert code == 2 and not captured.out and calls == []
     assert captured.err == (
-        "sloccgeo: a point sweep of (P^2)^3 at primes [23] visits 305809 prefixes, "
+        "sloccgeo: a point sweep of (P^2)^3 at primes [31] visits 986049 prefixes, "
         "over the budget of 200000\n"
     )
     code, doc = run_json(capsys, ["roundtrip", path, "--primes", "5,7,11", "--strict"])
     assert code == 0 and calls == [5, 7, 11]
     assert doc["results"] == [{"prime": p, "ok": True} for p in (5, 7, 11)]
+
+
+def test_roundtrip_budget_check_refuses_exactly_the_over_budget_requests(
+    tmp_path, capsys, monkeypatch
+):
+    # one check at the largest requested prime stands for a check at every
+    # prime, since a prime's per-call prefix count grows with p: the command
+    # exits 2 with no roundtrip exactly when some requested prime is over
+    # PREFIX_BUDGET, and otherwise makes one call per prime.  The stub
+    # walks no point, so only the budget check runs
+    pytest.importorskip("hypothesis")
+    from hypothesis import example, given, settings, strategies as st
+
+    import sloccgeo.cli
+    from sloccgeo.geometry import PREFIX_BUDGET
+
+    calls = []
+
+    def counted(t, p):
+        calls.append(p)
+        return True
+
+    monkeypatch.setattr(sloccgeo.cli, "roundtrip_check", counted)
+    formats = ((3, 3), (4, 2), (5, 2), (3, 4), (4, 3))
+    paths = {(n, d): write_state(tmp_path, f"s{n}{d}.json", random_state(n, d, 5, seed=1))
+             for n, d in formats}
+    primes = [p for p in range(5, 444) if all(p % q for q in range(2, p))]
+    seen = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(fmt=st.sampled_from(formats),
+           requested=st.sets(st.sampled_from(primes), min_size=1, max_size=6))
+    @example(fmt=(4, 3), requested={19, 23})
+    @example(fmt=(3, 4), requested={53, 59})
+    @example(fmt=(3, 3), requested={443})
+    def check(fmt, requested):
+        n, d = fmt
+        over = any(sum(p**i for i in range(d)) ** (n - 2) > PREFIX_BUDGET for p in requested)
+        calls.clear()
+        code = run(["roundtrip", paths[fmt], "--primes", ",".join(map(str, requested))])
+        captured = capsys.readouterr()
+        if over:
+            assert code == 2 and not captured.out and calls == []
+            assert f"at primes [{max(requested)}] visits" in captured.err
+        else:
+            assert code == 0 and calls == sorted(requested)
+        seen.add(over)
+
+    check()
+    assert seen == {False, True}
 
 
 def test_strict_fails_exactly_on_an_off_target_entry_or_no_verdict(tmp_path, capsys):

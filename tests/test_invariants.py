@@ -841,7 +841,7 @@ def test_each_curve_entry_point_builds_one_projection(monkeypatch):
     # builds the projection of the first kept axes alone, where it built
     # one per kept axis (2 for (3,3), 3 for (4,2))
     import sloccgeo.invariants
-    from sloccgeo.zalgebra import _refuse_singular_reduction
+    from sloccgeo.geometry import _refuse_singular_reduction
 
     calls = []
 

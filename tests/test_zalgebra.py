@@ -261,19 +261,34 @@ def test_quotient_recursion_matches_dense_rank_at_every_degree(ghz3_qutrit):
 def test_off_target_profiles_come_only_from_singular_reductions():
     # a prime is good for a state when it divides no numerator or
     # denominator of its slice discriminants and not its denominator; at a
-    # good prime the profile must be on target, and an off-target profile
-    # is refused as a singular reduction (measured on seeds 0-59 of each
-    # format at p = 5..23 to k_max 5 and 8: all 725 profiles at good primes
-    # on target, 29 of the 115 at bad primes off target)
+    # good prime the profile must be on target (measured on seeds 0-59 of
+    # each format at p = 5..23 to k_max 5 and 8: all 725 profiles at good
+    # primes on target, 29 of the 115 at bad primes off target).  Every
+    # command reads one filing of the prime: a graded check that fails is
+    # refused as a singular reduction exactly when the scan excludes its
+    # prime, and an off-target profile at a prime the scan uses is
+    # reported, not refused.  The roundtrip and, for (4,2), the section
+    # product are held to the same rule
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-    from sloccgeo.geometry import _singular_reduction
     from sloccgeo.invariants import slice_discriminants
 
     hilbert = {(3, 3): (quadratic_hilbert, quadratic_expected_dims, 5),
                (4, 2): (cubic_hilbert, cubic_expected_dims, 8)}
     seen = set()
+
+    def refusal(call):
+        """None when call() passes, else whether its refusal names the
+        singular reduced curve."""
+        try:
+            call()
+        except BadReductionError as exc:
+            assert str(exc).endswith("divides a slice discriminant: the reduced curve is singular")
+            return True
+        except InsufficientPointsError:
+            return False
+        return None
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
@@ -291,18 +306,83 @@ def test_off_target_profiles_come_only_from_singular_reductions():
             dims = _quotient_dims(t, p, k_max)
         except BadReductionError:
             assume(False)
+        excluded = p in smoothness_scan(t, (p,)).excluded_primes
         good = t.den % p and all(x.numerator % p and x.denominator % p for x in discs)
         if dims == series(k_max):
             assert profile(t, p, k_max).dims == dims
         else:
             assert not good, f"off-target profile {dims} of seed {seed} at the good prime {p}"
-            assert _singular_reduction(discs[0], p)
-            with pytest.raises(BadReductionError, match="the reduced curve is singular"):
-                profile(t, p, k_max)
+            assert refusal(lambda: profile(t, p, k_max)) is (True if excluded else None)
+            if not excluded:
+                assert profile(t, p, k_max).dims == dims
+        checks = [lambda: roundtrip_check(t, p)]
+        if fmt == (4, 2):
+            checks.append(lambda: multiplication_surjectivity(t, (0, 1), p))
+        for call in checks:
+            refused = refusal(call)
+            assert refused in (None, excluded), (fmt, seed, p, refused, excluded)
+            seen.add(("refused", refused, excluded))
         seen.add((bool(good), dims == series(k_max)))
 
     check()
-    assert {(True, True), (False, False)} <= seen
+    assert {(True, True), (False, False), ("refused", True, True),
+            ("refused", False, False)} <= seen, seen
+
+
+def test_every_command_files_its_prime_through_one_filing(monkeypatch, family_1235):
+    # geometry._file_primes is the one filing: the sweeps file their primes
+    # through it, and a graded check that fails files its one prime through
+    # it, once, before its own error; a check that passes files none.
+    # zalgebra reads the filing through geometry and imports nothing from
+    # invariants
+    import ast
+    import inspect
+
+    import sloccgeo.geometry
+    import sloccgeo.invariants
+    import sloccgeo.zalgebra
+
+    filing, calls = sloccgeo.geometry._file_primes, []
+
+    def counted(t, primes, *args, **kwargs):
+        calls.append(tuple(primes))
+        return filing(t, primes, *args, **kwargs)
+
+    monkeypatch.setattr(sloccgeo.geometry, "_file_primes", counted)
+    monkeypatch.setattr(sloccgeo.invariants, "_file_primes", counted)
+    t30, t4, t42 = random_state(3, 3, 5, 30), random_state(3, 3, 5, 4), random_state(4, 2, 5, 1)
+    filed_once = {
+        "classify's vote": (lambda: classify(ghz(3, 3)), None),
+        "smoothness_scan": (lambda: smoothness_scan(t30, (11, 7)), None),
+        "off-target profile": (lambda: quadratic_hilbert(t30, 7, 5), BadReductionError),
+        "refused roundtrip": (lambda: roundtrip_check(t4, 7), InsufficientPointsError),
+        "refused section product": (
+            lambda: multiplication_surjectivity(t42, (0, 1), 23), BadReductionError),
+    }
+    for name, (call, error) in filed_once.items():
+        classify.cache_clear()
+        calls.clear()
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert len(calls) == 1, (name, calls)
+    assert calls == [(23,)]
+    passing = {
+        "profile": lambda: quadratic_hilbert(t30, 11, 5).matches(),
+        "roundtrip": lambda: roundtrip_check(t4, 11),
+        "section product": lambda: multiplication_surjectivity(family_1235, (0, 1), 13).rank == 4,
+    }
+    for name, call in passing.items():
+        calls.clear()
+        assert call() is True and calls == [], (name, calls)
+    classify.cache_clear()
+    tree = ast.parse(inspect.getsource(sloccgeo.zalgebra))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for a in node.names}
+    assert not any(name and name.split(".")[-1] == "invariants" for name in imported), imported
 
 
 def test_profile_is_slocc_invariant():
