@@ -21,10 +21,11 @@ bad, excluded or used.  It files by one rank certificate, the last
 fraction-free pivot of the state's slices: a prime that divides neither
 it nor the denominator keeps rank d with no reduction, and only the others
 are reduced to be filed.  The sweeps (``smoothness_scan`` and classify's
-vote) file their primes through it after checking their summed prefix
-budget, and a graded check of ``zalgebra`` that fails files its one prime
-through it (``_refuse_singular_reduction``) to tell a singular reduction
-from its own refusal.
+vote) file their primes through one entry, ``_file_sweep``, which checks
+their summed prefix budget first, and a graded check of ``zalgebra`` that
+fails files its one prime through the filing
+(``_refuse_singular_reduction``) to tell a singular reduction from its own
+refusal.
 
 Points come from one walk over the variable groups (``_points``), as
 plain tuples of coordinate tuples:
@@ -818,8 +819,8 @@ def _file_primes(t, primes, disc=None, pivot=None):
     bad, excluded), three tuples of primes; each caller reduces a used
     prime (``_reduced_model``) only when it sweeps it.  When every prime is
     bad, bad lists them all, in order, and each caller states what that
-    means for its own result.  A sweep checks its prefix budget before it
-    files (``_check_prefix_budget``).
+    means for its own result.  The sweeps file through ``_file_sweep``,
+    which checks their prefix budget first.
 
     One rank certificate files every prime: the last pivot M of the
     fraction-free elimination (``linalg._bareiss``) of the state's slice
@@ -855,6 +856,17 @@ def _file_primes(t, primes, disc=None, pivot=None):
     return tuple(used), tuple(bad), tuple(excluded)
 
 
+def _file_sweep(t, primes, disc=None, pivot=None):
+    """The filing (``_file_primes``) of one sweep's primes, after its
+    prefix budget, summed over them, is checked, so WorkLimitError comes
+    before RankDeficientError.  None stands for DEFAULT_PRIMES, and the
+    primes are filed distinct and ascending.  Both sweeps,
+    ``smoothness_scan`` and classify's vote, file through here."""
+    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
+    _check_prefix_budget(t.d, t.n - 1, primes)
+    return _file_primes(t, primes, disc, pivot)
+
+
 def _refuse_singular_reduction(t, p):
     """Raise BadReductionError when the filing (``_file_primes``) excludes
     p for the state: p divides the slice discriminant of a smooth curve
@@ -862,11 +874,12 @@ def _refuse_singular_reduction(t, p):
     ``zalgebra`` call this only after a check has failed, before their own
     error, so a check that passes files no prime.  The state's projected
     curves share one discriminant, which one projection gives
-    (``invariants._slice_curve``)."""
+    (``invariants._slice_curve``); a state outside the curve formats has
+    none, so it is refused by the check's own error and files nothing."""
     from .invariants import _slice_curve
 
     curve = _slice_curve(t)
-    if _file_primes(t, (p,), curve and curve.discriminant)[2]:
+    if curve and _file_primes(t, (p,), curve.discriminant)[2]:
         raise BadReductionError(
             p, f"p={p} divides a slice discriminant: the reduced curve is singular"
         )
@@ -887,8 +900,8 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     witness, its rank and the counts are those of testing every point.
     Each rank test is one left-kernel test, not an elimination (see
     ``_first_witness``).  The prefix budget is checked once, summed over
-    all primes, before they are filed, also for the scans below that walk
-    no point.
+    all primes, before they are filed (``_file_sweep``), also for the scans
+    below that walk no point.
 
     A (3,3) or (4,2) state has one slice discriminant, since its
     projected curves share their invariants (``invariants._slice_curve``
@@ -919,11 +932,9 @@ def smoothness_scan(t: Tensor, primes: PRIMES = None):
     """
     from .invariants import _certified_smooth, _jacobian_count, _slice_curve
 
-    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
-    _check_prefix_budget(t.d, t.n - 1, primes)
     curve = _slice_curve(t)
     disc = curve and curve.discriminant
-    used, bad, excluded = _file_primes(t, primes, disc)
+    used, bad, excluded = _file_sweep(t, primes, disc)
     if not used and not excluded:
         raise AllPrimesBadError(f"all primes {_excerpt(list(bad))} hit bad reduction")
     counts = []

@@ -65,8 +65,7 @@ from .geometry import (
     CURVE_AXES,
     VarietyModel,
     _check_formula_format,
-    _check_prefix_budget,
-    _file_primes,
+    _file_sweep,
     _first_witness,
     _points,
     _reduced_model,
@@ -808,7 +807,8 @@ def classify(t: Tensor, primes: PRIMES = None):
     certify smooth (``_pencil_roots``) get a Jacobian test.  The sweep's
     prefix budget, summed over its primes, is checked first
     (WorkLimitError); then every prime is filed up front as used or bad by
-    the one filing of every command, ``_file_primes``: a prime that
+    the one filing of every command, ``_file_primes``, entered as
+    ``smoothness_scan`` enters it (``geometry._file_sweep``): a prime that
     divides neither the state's denominator nor the last fraction-free
     pivot M of its slices keeps the flattening's rank d and is used with
     no reduction; only the other primes are reduced
@@ -866,12 +866,11 @@ def _vote(t, primes, curve, pivot):
     """(primes used, status, witness or None) of the sweep that decides a
     state with no exact verdict, or finds a singular curve model's witness;
     ``classify`` states the rules.  The scan's prefix budget, summed over
-    its primes, is checked before they are filed (``_file_primes``, given
+    its primes, is checked before they are filed (``_file_sweep``, given
     the last pivot of the slices' elimination and no discriminant: a state
     that reaches the vote has none that excludes a prime)."""
     scan = (tuple(p for p in primes if p <= 13) or primes) if (t.n, t.d) == (5, 2) else primes
-    _check_prefix_budget(t.d, t.n - 1, scan)
-    used = _file_primes(t, scan, pivot=pivot)[0]
+    used = _file_sweep(t, scan, pivot=pivot)[0]
     # every prime bad: a curve model is singular by its discriminants
     # alone, any other model has no verdict
     if not used and not curve:

@@ -264,11 +264,11 @@ def test_off_target_profiles_come_only_from_singular_reductions():
     # good prime the profile must be on target (measured on seeds 0-59 of
     # each format at p = 5..23 to k_max 5 and 8: all 725 profiles at good
     # primes on target, 29 of the 115 at bad primes off target).  Every
-    # command reads one filing of the prime: a graded check that fails is
-    # refused as a singular reduction exactly when the scan excludes its
-    # prime, and an off-target profile at a prime the scan uses is
-    # reported, not refused.  The roundtrip and, for (4,2), the section
-    # product are held to the same rule
+    # command reads one filing of the prime: an off-target profile comes
+    # only from a prime the scan excludes, a singular reduction, and is
+    # refused as one.  The roundtrip and, for (4,2), the section product
+    # either pass or are refused, naming the singular reduced curve exactly
+    # when the scan excludes the prime
     pytest.importorskip("hypothesis")
     from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
@@ -312,9 +312,8 @@ def test_off_target_profiles_come_only_from_singular_reductions():
             assert profile(t, p, k_max).dims == dims
         else:
             assert not good, f"off-target profile {dims} of seed {seed} at the good prime {p}"
-            assert refusal(lambda: profile(t, p, k_max)) is (True if excluded else None)
-            if not excluded:
-                assert profile(t, p, k_max).dims == dims
+            assert excluded, f"off-target profile {dims} of seed {seed} at the used prime {p}"
+            assert refusal(lambda: profile(t, p, k_max)) is True
         checks = [lambda: roundtrip_check(t, p)]
         if fmt == (4, 2):
             checks.append(lambda: multiplication_surjectivity(t, (0, 1), p))
@@ -331,8 +330,10 @@ def test_off_target_profiles_come_only_from_singular_reductions():
 
 def test_every_command_files_its_prime_through_one_filing(monkeypatch, family_1235):
     # geometry._file_primes is the one filing: the sweeps file their primes
-    # through it, and a graded check that fails files its one prime through
-    # it, once, before its own error; a check that passes files none.
+    # through it (geometry._file_sweep, after their budget check), and a
+    # graded check that fails files its one prime through it, once, before
+    # its own error; a check that passes files none.  Only geometry binds
+    # it, so counting there counts every call.
     # zalgebra reads the filing through geometry and imports nothing from
     # invariants
     import ast
@@ -348,8 +349,8 @@ def test_every_command_files_its_prime_through_one_filing(monkeypatch, family_12
         calls.append(tuple(primes))
         return filing(t, primes, *args, **kwargs)
 
+    assert not hasattr(sloccgeo.invariants, "_file_primes")
     monkeypatch.setattr(sloccgeo.geometry, "_file_primes", counted)
-    monkeypatch.setattr(sloccgeo.invariants, "_file_primes", counted)
     t30, t4, t42 = random_state(3, 3, 5, 30), random_state(3, 3, 5, 4), random_state(4, 2, 5, 1)
     filed_once = {
         "classify's vote": (lambda: classify(ghz(3, 3)), None),
@@ -377,6 +378,12 @@ def test_every_command_files_its_prime_through_one_filing(monkeypatch, family_12
     for name, call in passing.items():
         calls.clear()
         assert call() is True and calls == [], (name, calls)
+    # a state outside the curve formats has no slice discriminant, so its
+    # refusal files nothing either
+    calls.clear()
+    with pytest.raises(InsufficientPointsError):
+        roundtrip_check(w_state(5), 5)
+    assert calls == []
     classify.cache_clear()
     tree = ast.parse(inspect.getsource(sloccgeo.zalgebra))
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
