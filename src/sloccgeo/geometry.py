@@ -35,7 +35,11 @@ points it does not certify smooth, and only a witness becomes a
 ProjPoint.  The walk solves the innermost prefix group's lines through a
 determinant pencil and reads each prefix system's fibre from its rank, so
 Matrix.kernel runs only for the one system of an n = 2 model, a d = 3
-system of rank 1, a non-square system and d > 3.  The projected curves of
+system of rank 1, a non-square system and d > 3.  The section products
+of ``zalgebra`` walk nothing: a (4,2) model's points, projected onto two
+groups, are the F_p-points of those groups' determinantal curve, one
+binary quadratic per point of the first group, whose roots come from the
+walk's one root rule (``_roots``).  The projected curves of
 a (3,3) or (4,2) state share their invariants, as polynomial identities in
 the state (``invariants._curve_projections``), so a state has one slice
 discriminant, computed from one projection.  A state whose slice
@@ -71,7 +75,7 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, MODULUS, PRIME, PRIMES, Matrix, check_primes
+from .linalg import MODULUS, PRIME, PRIMES, Matrix, _sorted_primes, check_primes
 from .states import (
     FORMAT,
     Tensor,
@@ -84,8 +88,10 @@ from .states import (
 )
 
 #: Most prefixes one point sweep may visit: summed over the requested primes
-#: in smoothness_scan, per call in enumerate_points.  A full default-prime
-#: (5,2) sweep visits 92,624; a (4,3) sweep visits ~10^6 at p = 31 alone.
+#: in smoothness_scan, per call in enumerate_points and in a section product,
+#: whose curve listing evaluates about as many quadratics.  A full
+#: default-prime (5,2) sweep visits 92,624; a (4,3) sweep visits ~10^6 at
+#: p = 31 alone.
 PREFIX_BUDGET = 200_000
 
 #: Most bits d**n may have in ``section_count`` and ``moduli_dimension``,
@@ -529,14 +535,29 @@ def _cross(u, v):
     )
 
 
+def _roots(c0, c1, c2, c3, p):
+    """(t, simple) for the t in F_p where c(t) = c3*t^3 + c2*t^2 + c1*t + c0
+    vanishes, the coefficients given as residues in [0, p): c is evaluated
+    at t = 0..p-1 in one pass, and a root is simple when c'(t) =
+    3*c3*t^2 + 2*c2*t + c1 does not vanish there.  A polynomial that
+    vanishes identically mod p has every t as a root, none of them simple.
+    The one root rule of the walk's lines (``_pencil_roots``) and of the
+    section products' binary quadratics
+    (``zalgebra._projected_points``)."""
+    if not (c0 or c1 or c2 or c3):
+        return _every_t(p)
+    return [
+        (t, ((3 * c3 * t + 2 * c2) * t + c1) % p != 0)
+        for t in range(p)
+        if (((c3 * t + c2) * t + c1) * t + c0) % p == 0
+    ]
+
+
 def _pencil_roots(a, b, d, p):
     """(t, simple) for the t in F_p where c(t) = det(A + tB) vanishes, A
     and B the d x d matrices with rows a and b (d = 2, 3).  c is a
     polynomial of degree at most d in t: its coefficients come from the
-    rows once, and it is evaluated at t = 0..p-1 in one pass.  A root is
-    simple when c'(t) = 3*c3*t^2 + 2*c2*t + c1 does not vanish there.  A
-    polynomial that vanishes identically mod p has every t as a root, none
-    of them simple.
+    rows once, and its roots from one pass over t = 0..p-1 (``_roots``).
 
     A simple root certifies the point over it as smooth, over any field.
     By Jacobi's formula c'(t) = tr(adj(A + tB) * B), so at a simple root
@@ -561,14 +582,7 @@ def _pencil_roots(a, b, d, p):
         c1 = (_dot(b[0], x) + _dot(a[0], y)) % p
         c2 = (_dot(b[0], y) + _dot(a[0], z)) % p
         c3 = _dot(b[0], z) % p
-    c0 %= p
-    if not (c0 or c1 or c2 or c3):
-        return _every_t(p)
-    return [
-        (t, ((3 * c3 * t + 2 * c2) * t + c1) % p != 0)
-        for t in range(p)
-        if (((c3 * t + c2) * t + c1) * t + c0) % p == 0
-    ]
+    return _roots(c0 % p, c1, c2, c3, p)
 
 
 @cache
@@ -692,8 +706,7 @@ def _walk(model, p):
     """(reduced model, its walk): the model over F_p (``model_mod_p``) and
     the lazy (coords, certified) pairs of ``_points`` over it, the prefix
     budget at p checked in between.  ``enumerate_points`` lists the walk,
-    ``zalgebra.multiplication_surjectivity`` projects its coordinates, and
-    ``zalgebra.relations_from_points`` stops it once its rank is full."""
+    and ``zalgebra.relations_from_points`` stops it once its rank is full."""
     reduced = model_mod_p(model, p)
     _check_prefix_budget(reduced.d, reduced.groups, (p,))
     return reduced, _points(reduced, p)
@@ -860,9 +873,10 @@ def _file_sweep(t, primes, disc=None, pivot=None):
     """The filing (``_file_primes``) of one sweep's primes, after its
     prefix budget, summed over them, is checked, so WorkLimitError comes
     before RankDeficientError.  None stands for DEFAULT_PRIMES, and the
-    primes are filed distinct and ascending.  Both sweeps,
+    primes are filed distinct and ascending (``linalg._sorted_primes``).
+    Both sweeps,
     ``smoothness_scan`` and classify's vote, file through here."""
-    primes = DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
+    primes = _sorted_primes(primes)
     _check_prefix_budget(t.d, t.n - 1, primes)
     return _file_primes(t, primes, disc, pivot)
 

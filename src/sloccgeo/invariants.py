@@ -57,7 +57,7 @@ from .errors import (
     WrongFormatError,
     _excerpt,
 )
-from .linalg import DEFAULT_PRIMES, MAX_PRIME, PRIMES, clear_denominators
+from .linalg import MAX_PRIME, PRIMES, _sorted_primes, clear_denominators
 from .states import FORMAT, Tensor, _frac_str
 from .geometry import (
     BIQUADRATIC_MONOMIALS,
@@ -829,7 +829,7 @@ def classify(t: Tensor, primes: PRIMES = None):
     no verdict without a usable prime.  Given primes must pass
     ``check_primes``, also when no sweep runs or the verdict is memoized.
     """
-    return _classify(t, DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes))))
+    return _classify(t, _sorted_primes(primes))
 
 
 @lru_cache(maxsize=CLASSIFY_MEMO_SIZE)

@@ -19,10 +19,15 @@ pivot.  Every F_p rank, kernel, row space and Hilbert degree goes
 through the other, ``_eliminate``: it works in place on rows already in
 ``[0, p)``, updates each row from the pivot column rightward, and returns
 the rank and the pivot columns, so no caller scans its rows for them
-again.  Its rank-only mode stops at forward elimination; ``Matrix.rank``,
-the top degree of a Hilbert profile and the rank walk of
-``zalgebra.relations_from_points`` use it, and that walk's forms take
-the full mode once.  ``Matrix.rref``, ``row_space``
+again.  Its rank-only mode stops at forward elimination; ``Matrix.rank``
+and the top degree of a Hilbert profile use it, and the forms of
+``zalgebra.relations_from_points`` take the full mode once.  The ranks of
+rows that come one at a time, the evaluation rows of the two point checks
+(``relations_from_points`` and ``zalgebra.multiplication_surjectivity``),
+use its one-row form, ``_join_echelon``: each row is reduced against the
+row-echelon basis of the rows before it and joins it when something is
+left, so a check stops as soon as its rank is full and never eliminates
+its basis again.  ``Matrix.rref``, ``row_space``
 and ``kernel`` hand its rows to the private ``Matrix._trusted``
 constructor, which stores rows already in ``[0, p)`` without reducing them
 again.  The public constructor checks and reduces its input; over F_p it
@@ -91,7 +96,7 @@ def check_primes(primes: UNCHECKED):
     try:
         if not isinstance(primes, Collection):
             raise TypeError
-        primes = tuple(sorted(set(primes)))
+        primes = _sorted_primes(primes)
     except TypeError:
         raise UnsupportedPrimeError(f"{_excerpt(primes)} is not a collection of primes") from None
     if not primes:
@@ -100,6 +105,15 @@ def check_primes(primes: UNCHECKED):
         if type(p) is not int or not 5 <= p <= MAX_PRIME or not _is_prime(p):
             raise UnsupportedPrimeError(f"{_excerpt(p)} is not a prime in [5, {MAX_PRIME}]")
     return primes
+
+
+def _sorted_primes(primes):
+    """The distinct entries of a prime request in ascending order, as a
+    tuple, or DEFAULT_PRIMES for None: the one normal form of a request.
+    ``check_primes`` returns it, and ``classify`` and
+    ``geometry._file_sweep`` apply it to the request they receive, since
+    the guard checks a prime list but passes the caller's value on."""
+    return DEFAULT_PRIMES if primes is None else tuple(sorted(set(primes)))
 
 
 #: A prime, checked in full where its state is reduced: every int passes,
@@ -351,6 +365,43 @@ def _eliminate(m, cols, p, reduce=True):
         if rank == height:
             break
     return rank, pivots
+
+
+def _join_echelon(basis, pivots, row, p):
+    """Add one row of ints in [0, p) to a row-echelon basis of rows seen so
+    far, in place: the rank-only mode of ``_eliminate`` for rows that come
+    one at a time.  Returns the rank, len(basis).
+
+    ``basis`` holds lists led by a 1 at their column in ``pivots``, zero
+    left of it, and each row is zero at the pivot columns of the rows that
+    joined before it.  The row is cleared at each pivot column in that
+    order, from the pivot column rightward; a later step cannot refill an
+    earlier column, since the later basis row is zero there.  What is left
+    is the row minus a combination of the basis, zero at every pivot
+    column, and it is zero exactly when the row lies in the span: a
+    nonzero combination is nonzero at the pivot column of its first basis
+    row.  Otherwise it joins, scaled to lead with a 1 at its first nonzero
+    column, and keeps every condition above.  So the rank after each row
+    is that of all the rows so far, at ~rank * width updates per row,
+    where eliminating the basis again would rescan every column of every
+    row.  A leading entry that is not invertible modulo a composite p
+    raises UnsupportedPrimeError, as in ``_eliminate``.
+    """
+    for top, col in zip(basis, pivots):
+        f = row[col]
+        if f:
+            row[col:] = [(a - f * b) % p for a, b in zip(row[col:], top[col:])]
+    col = next((c for c, x in enumerate(row) if x), None)
+    if col is not None:
+        try:
+            inv = pow(row[col], -1, p)
+        except ValueError:
+            raise UnsupportedPrimeError(f"pivot {row[col]} is not invertible modulo {p}") from None
+        if inv != 1:
+            row[col:] = [x * inv % p for x in row[col:]]
+        basis.append(row)
+        pivots.append(col)
+    return len(basis)
 
 
 def _free_basis(rows, pivots, cols):

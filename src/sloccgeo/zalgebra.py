@@ -46,27 +46,36 @@ This module imports nothing from ``invariants``.
 The reconstruction roundtrip and the section-product test evaluate
 monomials at the model's F_p-points instead, by one rule
 (``_monomial_row``): a point's row is the Kronecker product of its
-coordinate vectors in the order given.  Both read the point walk
-(``geometry._walk``) as plain coordinate tuples and eliminate plain
-residue rows (``_eliminate``); no ProjPoint is built.  The roundtrip is
-one evaluation rank: the points give back the model's forms exactly when
-that rank reaches width - rank(forms), which no rank can pass, so
-``relations_from_points`` stops or refuses at that ceiling and takes no
-kernel, and ``roundtrip_check`` returns True or refuses.
+coordinate vectors in the order given.  The roundtrip reads the point
+walk (``geometry._walk``) as plain coordinate tuples; the section
+product reads no walk, since the projections of the points onto a pair
+of groups are the F_p-points of the pair's determinantal curve
+(``_projected_points``).  Both rank their rows one at a time, each
+reduced against the row-echelon basis of the rows before it
+(``linalg._join_echelon``), and stop at the largest rank they can
+reach; no ProjPoint is built.  The roundtrip is one evaluation rank: the
+points give back the model's forms exactly when that rank reaches
+width - rank(forms), which no rank can pass, so ``relations_from_points``
+stops or refuses at that ceiling and takes no kernel, and
+``roundtrip_check`` returns True or refuses.
 """
 
 from dataclasses import dataclass
 
 from ._guard import Kind, guard, ints, power_exceeds
 from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
-from .linalg import PRIME, Matrix, _eliminate
+from .linalg import PRIME, Matrix, _eliminate, _join_echelon
 from .states import FORMAT, Tensor
 from .geometry import (
     VarietyModel,
+    _check_prefix_budget,
     _refuse_singular_reduction,
+    _roots,
     _rotation_models,
     _walk,
     hasse_window,
+    projection_coefficients,
+    projective_points,
 )
 
 #: Widest degree a Hilbert profile may reach: d**k_max.  That is k_max <= 5
@@ -150,11 +159,12 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     the F_p-point count, instead of reporting a wrong space.
 
     The points are walked lazily (``geometry._walk``), and each row joins
-    a row-echelon basis of the rows so far (``_eliminate`` without
-    back-substitution), so no matrix of all the points is formed; the walk
-    stops once the rank reaches the ceiling, when no further point can
-    change the answer.  A walk that stays short runs to the end, so the
-    error names the full rank and point count.
+    a row-echelon basis of the rows so far by being reduced against it
+    (``linalg._join_echelon``), so no matrix of all the points is formed
+    and the basis is never eliminated again; the walk stops once the rank
+    reaches the ceiling, when no further point can change the answer.  A
+    walk that stays short runs to the end, so the error names the full
+    rank and point count.
 
     The evaluation rows are d**k wide, the width of the model's rows, so
     before any point is enumerated a model whose rows are too wide is
@@ -172,12 +182,10 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     reduced, walk = _walk(model, p)
     forms = [[x % p for x in row] for row in reduced.rows]
     span = _eliminate(forms, width, p)[0]
-    ceiling, basis, rank, count = width - span, [], 0, 0
+    ceiling, basis, pivots, rank, count = width - span, [], [], 0, 0
     for coords, _ in walk:
         count += 1
-        basis.append(_monomial_row(coords, p))
-        rank = _eliminate(basis, width, p, reduce=False)[0]
-        del basis[rank:]
+        rank = _join_echelon(basis, pivots, _monomial_row(coords, p), p)
         if rank == ceiling:
             break
     if rank < ceiling:
@@ -367,6 +375,27 @@ AXIS_PAIR = Kind(
 )
 
 
+def _projected_points(model, pair, p):
+    """The F_p-points (x, y) of the determinantal curve of a (4,2) model
+    over F_p on the axis pair (a, b), a < b: the form F =
+    ``projection_coefficients(model.rows, 4, 2, pair)`` mod p, read as
+    A(x)*y0^2 + B(x)*y0*y1 + C(x)*y1^2 (``BIQUADRATIC_MONOMIALS``).  For
+    each x of P^1(F_p), in ``projective_points`` order, the points over x
+    are the roots (1, t) of the binary quadratic A + B*t + C*t^2, by the
+    walk's root rule (``geometry._roots``), and then (0, 1) when C(x)
+    vanishes; a quadratic that vanishes identically gives all of P^1.
+    Each (x, y) comes once, as a pair of normalized coordinate tuples."""
+    f = [c % p for c in projection_coefficients(model.rows, 4, 2, pair)]
+    points = []
+    for x in projective_points(2, p):
+        x0, x1 = x
+        a, b, c = (((f[k] * x0 + f[k + 1] * x1) * x0 + f[k + 2] * x1 * x1) % p for k in (0, 3, 6))
+        points += [(x, (1, t)) for t, _ in _roots(a, b, c, 0, p)]
+        if not c:
+            points.append((x, (0, 1)))
+    return points
+
+
 def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     """Test whether products of sections from two axes span the full
     4-dimensional target, by evaluating the 4 monomials at the
@@ -384,21 +413,31 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     InsufficientPointsError.  For a smooth curve state every other prime
     gives a smooth reduced curve, whose projected count lies in the Hasse
     window (``geometry.smoothness_scan``), so only p = 5 and 7, where the
-    window starts below five, can still lack points.  The prime is not tested before the points are enumerated: at
-    many singular reductions the test still passes.  The axis pair must
-    name two distinct groups among 0, 1 and 2 (``AXIS_PAIR``), else
-    ValueError.
+    window starts below five, can still lack points.  The prime is not
+    tested before the points are listed: at many singular reductions the
+    test still passes.  The axis pair must name two distinct groups among
+    0, 1 and 2 (``AXIS_PAIR``), else ValueError.
 
-    The walk's coordinate tuples are projected as they come
-    (``geometry._walk``), with no list of ProjPoints, and the rank is that
-    of the distinct projections' evaluation rows (``_monomial_row``) under
-    forward elimination (``_eliminate`` without back-substitution).
+    The projections are listed without walking the model.  With c the
+    third group, the model's two forms read M(x, y) z = 0, M the 2 x 2
+    matrix of linear forms in z, so (x, y) is the projection of an
+    F_p-point exactly when M(x, y) has an F_p kernel vector, that is,
+    when det M(x, y) = 0 mod p.  det M is the pair's determinantal curve
+    (``geometry.projection_coefficients``), so the projected points are
+    that curve's F_p-points, one binary quadratic in y per x
+    (``_projected_points``).  The listing evaluates ~(p+1)*p quadratics,
+    against the walk's (p+1)**2 prefixes, so the walk's prefix budget at p
+    (``geometry._check_prefix_budget``) still bounds the work and still
+    refuses the same primes, first.  Each projection's evaluation row
+    (``_monomial_row``) joins a row-echelon basis
+    (``linalg._join_echelon``), which stops at the full rank 4.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
-    a, b = axis_pair = tuple(sorted(axis_pair))
+    axis_pair = tuple(sorted(axis_pair))
     (model,) = _rotation_models(state, p, 1)
-    projected = sorted({(coords[a], coords[b]) for coords, _ in _walk(model, p)[1]})
+    _check_prefix_budget(model.d, model.groups, (p,))
+    projected = _projected_points(model, axis_pair, p)
     lo, hi = hasse_window(p)
     if not max(5, lo) <= len(projected) <= hi:
         _refuse_singular_reduction(state, p)
@@ -410,7 +449,11 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
         raise InsufficientPointsError(
             f"only {len(projected)} projected points at p={p}; kernel not determined"
         )
-    rank = _eliminate([_monomial_row(pt, p) for pt in projected], 4, p, reduce=False)[0]
+    basis, pivots, rank = [], [], 0
+    for pt in projected:
+        rank = _join_echelon(basis, pivots, _monomial_row(pt, p), p)
+        if rank == 4:
+            break
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 

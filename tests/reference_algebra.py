@@ -13,7 +13,8 @@ two-elimination kernel that ``Matrix.kernel`` is checked against, the
 former index loops behind the monomial rows and the span points, the
 former full sweep of ``smoothness_scan`` (every witness reported) and
 its former filing, each with a reduction at every prime, the former
-listed-points route of ``multiplication_surjectivity``, the former exact
+walk-based route of ``multiplication_surjectivity`` (``section_product``),
+the former exact
 route of ``cyclic_relations`` (a model over Q per rotation), and the former exact
 kernels of the curve path: the determinant-sum projection, the
 term-by-term S/T evaluation, the sorted-tuple S/T contraction and the
@@ -28,14 +29,17 @@ from functools import cache, reduce
 from itertools import product
 from math import gcd
 
-from sloccgeo.errors import BadReductionError
+from sloccgeo.errors import BadReductionError, InsufficientPointsError, WrongFormatError
 from sloccgeo.geometry import (
     CURVE_AXES,
     PROJECTION_MONOMIALS,
     _first_witness,
     _points,
     _reduced_model,
+    _refuse_singular_reduction,
+    _rotation_models,
     enumerate_points,
+    hasse_window,
     model_mod_p,
     projective_points,
     variety_from_state,
@@ -52,6 +56,7 @@ from sloccgeo.invariants import (
 )
 from sloccgeo.linalg import Matrix
 from sloccgeo.states import Tensor, _rotate, flattening_basis
+from sloccgeo.zalgebra import ProductMapResult
 
 
 # A form is a plain term dict {flat exponent tuple: coefficient}: the
@@ -342,17 +347,32 @@ def cyclic_relations(state, p):
 
 
 def section_product(state, axis_pair, p):
-    """(rank, projected point count) of the section-product map the former
-    way: the exact model (``variety_from_state``) reduced through its state
-    (``model_mod_p``), every F_p-point listed as a ProjPoint
-    (``enumerate_points``) and projected onto the axis pair, and the
-    index-loop evaluation rows of the distinct projections ranked as a
-    Matrix.  ``zalgebra.multiplication_surjectivity`` projects the walk's
-    coordinate tuples and ranks by forward elimination."""
-    model = model_mod_p(variety_from_state(state), p)
-    pair = sorted(axis_pair)
+    """The section-product test the walk-based way, with every refusal and
+    message of ``zalgebra.multiplication_surjectivity``: the model over F_p
+    from the state's one reduction (``_rotation_models``), every F_p-point
+    listed by the walk (``enumerate_points``, which checks the prefix
+    budget first) and projected onto the axis pair, and the index-loop
+    evaluation rows of the distinct projections ranked as a Matrix.  The
+    library lists the pair's determinantal curve instead, and ranks one row
+    at a time."""
+    if (state.n, state.d) != (4, 2):
+        raise WrongFormatError("the section-product test needs format (4,2)")
+    pair = tuple(sorted(axis_pair))
+    (model,) = _rotation_models(state, p, 1)
     projected = sorted({tuple(pt.coords[a] for a in pair) for pt in enumerate_points(model, p)})
-    return monomial_rows(projected, 2, 2, p).rank(), len(projected)
+    lo, hi = hasse_window(p)
+    if not max(5, lo) <= len(projected) <= hi:
+        _refuse_singular_reduction(state, p)
+        if len(projected) > hi:
+            raise InsufficientPointsError(
+                f"{len(projected)} projected points at p={p} exceed the genus-one "
+                f"bound {hi}: degenerate model"
+            )
+        raise InsufficientPointsError(
+            f"only {len(projected)} projected points at p={p}; kernel not determined"
+        )
+    rank = monomial_rows(projected, 2, 2, p).rank()
+    return ProductMapResult(p, pair, rank, 4 - rank, len(projected))
 
 
 def full_sweep(t, primes):

@@ -836,6 +836,24 @@ def test_projected_curves_share_their_invariants(fmt):
             assert branch_quartic(coeffs[(0, 1)]) == branch_quartic(coeffs[(0, 2)]), t
 
 
+@pytest.mark.parametrize("fmt", sorted(CURVE_AXES))
+def test_j_is_unchanged_under_every_party_permutation(fmt):
+    # the state's curve does not depend on which party is read as the
+    # forms' axis or as which group: classify reports one j for the state
+    # under every permutation of its factors (ref.permute_factors), on
+    # seeds 0-14 of each curve format, 6 permutations of (3,3) and 24 of
+    # (4,2)
+    n, d = fmt
+    seen = set()
+    for seed in range(15):
+        t = random_state(n, d, 5, seed)
+        j = classify(t).j
+        seen.add(j is None)
+        for perm in permutations(range(n)):
+            assert classify(ref.permute_factors(t, list(perm))).j == j, (seed, perm)
+    assert False in seen
+
+
 def test_each_curve_entry_point_builds_one_projection(monkeypatch):
     # the projected curves share their invariants, so each entry point
     # builds the projection of the first kept axes alone, where it built
