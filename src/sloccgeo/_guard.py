@@ -15,9 +15,9 @@ that an int out of its bounds raises its kind's error (WorkLimitError for
 a Hilbert degree), a prime that is not an int raises
 UnsupportedPrimeError, and a prime list is checked in full
 (``check_primes``).  None passes where it is the default.  A single prime
-is tested in full where its state is reduced (``Tensor.reduce_mod``), and
-a model built by hand over F_p keeps its own modulus, so the guard tests
-only that the prime is an int.
+is tested in full where its state is reduced (``Tensor.reduce_mod``) or
+its model is built by hand (``linalg.FIELD``), so the guard tests only
+that a prime argument is an int.
 
 The annotations are read when a module is imported, so each call's checks
 are planned once, and they run where a call enters the package.  While a

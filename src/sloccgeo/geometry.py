@@ -75,7 +75,7 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import MODULUS, PRIME, PRIMES, Matrix, _sorted_primes, check_primes
+from .linalg import FIELD, PRIME, PRIMES, Matrix, _echelon_rank, _sorted_primes, check_primes
 from .states import (
     FORMAT,
     Tensor,
@@ -136,7 +136,9 @@ class VarietyModel:
 
     A model over Q reduces modulo a prime only through its ``source``
     state (``model_mod_p``); a model built by hand over F_p needs none, and
-    its p is a modulus.  Every model has n, d >= 2 (``states.FORMAT``)
+    its p must be a prime (``FIELD``: 2, 3, or one that ``check_primes``
+    accepts), else UnsupportedPrimeError, so no composite modulus reaches
+    the walk or a rank.  Every model has n, d >= 2 (``states.FORMAT``)
     and at least one row, each of d**(n-1) coefficients, else ValueError;
     the length is decided before d**(n-1) is formed (``power_exceeds``).
     The entry points that read the d x d matrix of linear forms also need
@@ -147,7 +149,7 @@ class VarietyModel:
     d: FORMAT
     rows: ROWS
     den: NONZERO
-    p: MODULUS = None
+    p: FIELD = None
     source: Tensor = None    # when built from one
 
     def __post_init__(self):
@@ -648,10 +650,17 @@ def _points(reduced, p):
     yielded as finished points.  A square d = 2, 3 system there sits at a
     root of its pencil, or at e_last when det B vanishes, so it is singular
     by construction and no determinant is taken again.  With n = 2 the
-    model is one system, which may be regular, so it is eliminated."""
+    model is one system, which may be regular, so it is eliminated, and
+    its kernel's projective space is listed only when it has at most
+    PREFIX_BUDGET points, else WorkLimitError before the first point."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
     if groups == 1:
         kernel = Matrix(reduced.rows, cols=d, p=p).kernel()
+        if (count := sum(p**i for i in range(kernel.rows))) > PREFIX_BUDGET:
+            raise WorkLimitError(
+                f"the kernel of a model of format (n=2, d={d}) has {count} points at "
+                f"p={p}, over the budget of {PREFIX_BUDGET}"
+            )
         for tail in _subspace_points(kernel.entries, p):
             yield (tail,), False
         return
@@ -691,7 +700,10 @@ def enumerate_points(model: VarietyModel, p: PRIME):
     by construction, so no determinant is taken there.  Points come in
     prefix order (``projective_points`` per group), then in kernel order.
     Raises WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the
-    budget counts prefixes, not lines.
+    budget counts prefixes, not lines.  An n = 2 model has one prefix, and
+    its one fibre, the kernel's projective space, is refused the same way
+    when it has more than PREFIX_BUDGET points, before the first is
+    listed.
 
     The walk (``_points``) yields plain coordinate tuples and marks the
     points it certifies smooth (``_pencil_roots``); this list makes each
@@ -754,7 +766,8 @@ def jacobian_rank_at(model: VarietyModel, pt: POINT):
     point must satisfy every defining form, else NotOnVarietyError, and
     each group's coordinate vector must be nonzero mod p, else ValueError.
     The point needs one coordinate vector of length d per group, and a
-    hand-built model d rows (``_check_square``), else ValueError.
+    hand-built model d rows (``_check_square``), else ValueError.  The
+    rank is the one rank routine's (``linalg._echelon_rank``), up to d.
     """
     reduced = model_mod_p(model, pt.p)
     d, groups = reduced.d, reduced.groups
@@ -770,7 +783,7 @@ def jacobian_rank_at(model: VarietyModel, pt: POINT):
             raise NotOnVarietyError(
                 f"form {k} (row {_excerpt(reduced.rows[k])}) does not vanish at {pt}"
             )
-    return Matrix(jac, cols=reduced.groups * d, p=pt.p).rank()
+    return _echelon_rank(jac, pt.p, d)[0]
 
 
 def _first_witness(reduced, points):
@@ -787,9 +800,9 @@ def _first_witness(reduced, points):
     vector l that _kernel_points finds on the transpose of S (closed form
     for d = 2, 3), and the Jacobian has rank d unless l*J = 0 mod p.  The
     other blocks of l*J are built from the prefix contractions, innermost
-    group first, up to the first nonzero entry.  Matrix.rank runs only when
-    the test fails, so a witness reports its exact rank, or when rank S <=
-    d - 2.
+    group first, up to the first nonzero entry.  The Jacobian is ranked
+    (``linalg._echelon_rank``, up to d) only when the test fails, so a
+    witness reports its exact rank, or when rank S <= d - 2.
     """
     d, p, m = reduced.d, reduced.p, len(reduced.rows)
     tensor = _coefficient_tensor(reduced)
@@ -805,7 +818,7 @@ def _first_witness(reduced, points):
             for i in range(d)
         ):
             continue
-        rank = Matrix(_jacobian_rows(tensor, coords, d, p), cols=len(coords) * d, p=p).rank()
+        rank = _echelon_rank(_jacobian_rows(tensor, coords, d, p), p, d)[0]
         if rank < d:
             return p, ProjPoint(p, coords), rank
     return None

@@ -701,8 +701,9 @@ def curve_singular_mod_p(model: VarietyModel):
     p divides its numerator.  The projected curves share their invariants
     as polynomial identities in the rows (``_curve_projections``), so one
     projection decides for all of them.  Requires p > 3 so the invariant
-    denominators stay invertible: p = 2 and 3 raise UnsupportedPrimeError,
-    larger moduli of a hand-built model are not checked.  A model over Q
+    denominators stay invertible: p = 2 and 3 raise UnsupportedPrimeError.
+    Any other p of a hand-built model is a prime, checked when the model
+    was built (``linalg.FIELD``).  A model over Q
     raises ValueError: reduce it first (``model_mod_p``).  The model needs
     d rows (``geometry._check_square``).
     """

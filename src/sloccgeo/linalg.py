@@ -10,28 +10,29 @@ subspace is its canonical basis, the nonzero RREF rows as a ``Matrix``
 (``Matrix.row_space``): ``rows`` is its dimension and ``cols`` the ambient
 dimension, and two subspaces are equal when these matrices are.
 
-There are two elimination loops, one per ring.  Over Z it is ``_bareiss``,
-fraction-free: ``states.flattening_basis`` normalises its rows into the
-one RREF over Q, and the invertibility checks of ``random_invertible`` and
-``SloccOperator`` read its rank; ``Matrix.det``, the prime filing and
-``classify``'s curve invariants (``geometry._slice_pivot``) read its last
-pivot.  Every F_p rank, kernel, row space and Hilbert degree goes
-through the other, ``_eliminate``: it works in place on rows already in
-``[0, p)``, updates each row from the pivot column rightward, and returns
-the rank and the pivot columns, so no caller scans its rows for them
-again.  Its rank-only mode stops at forward elimination; ``Matrix.rank``
-and the top degree of a Hilbert profile use it, and the forms of
-``zalgebra.relations_from_points`` take the full mode once.  The ranks of
-rows that come one at a time, the evaluation rows of the two point checks
-(``relations_from_points`` and ``zalgebra.multiplication_surjectivity``),
-use its one-row form, ``_join_echelon``: each row is reduced against the
-row-echelon basis of the rows before it and joins it when something is
-left, so a check stops as soon as its rank is full and never eliminates
-its basis again.  ``Matrix.rref``, ``row_space``
-and ``kernel`` hand its rows to the private ``Matrix._trusted``
-constructor, which stores rows already in ``[0, p)`` without reducing them
-again.  The public constructor checks and reduces its input; over F_p it
-takes integer entries only.  A kernel takes its free-column basis
+There are two elimination loops, one per ring, and one rank routine.
+Over Z it is ``_bareiss``, fraction-free: ``states.flattening_basis``
+normalises its rows into the one RREF over Q, and the invertibility checks
+of ``random_invertible`` and ``SloccOperator`` read its rank;
+``Matrix.det``, the prime filing and ``classify``'s curve invariants
+(``geometry._slice_pivot``) read its last pivot.  Every F_p RREF, kernel
+and row space, and the lower degrees of a Hilbert profile, go through
+``_eliminate``, the column-pivot Gauss-Jordan: it works in place on rows
+already in ``[0, p)``, updates each row from the pivot column rightward,
+and returns the rank and the pivot columns, so no caller scans its rows
+for them again.  Every F_p rank that needs no RREF goes through
+``_echelon_rank``: each row joins a row-echelon basis keyed by pivot
+column, and reading stops once the rank reaches the caller's ceiling (the
+column count for ``Matrix.rank`` and a profile's top degree, d for a
+Jacobian, width - rank(forms) for ``zalgebra.relations_from_points`` and 4
+for a section product).  So rows that come one at a time, the point
+checks' evaluation rows, are ranked without eliminating their basis again,
+and a lazy point walk stops as soon as its rank is full.
+``Matrix.rref``, ``row_space`` and ``kernel`` hand ``_eliminate``'s rows
+to the private ``Matrix._trusted`` constructor, which stores rows already
+in ``[0, p)`` without reducing them again.  The public constructor
+checks and reduces its input; over F_p it takes integer entries only.  A
+kernel takes its free-column basis
 (``_free_basis``) from one elimination, of the column-reversed matrix
 (``Matrix.kernel``).
 
@@ -121,6 +122,14 @@ def _sorted_primes(primes):
 PRIME = Kind(lambda v: type(v) is int or check_primes((v,)), "a prime")
 #: A prime list, checked in full.
 PRIMES = Kind(check_primes, "a prime list")
+#: The prime of a model built by hand over F_p (``geometry.VarietyModel``):
+#: 2, 3 or a prime that check_primes accepts, so that the model's points
+#: and ranks are over a field.
+FIELD = Kind(
+    lambda v: type(v) is int and (v in (2, 3) or 5 <= v <= MAX_PRIME and _is_prime(v)),
+    f"a prime up to {MAX_PRIME}",
+    UnsupportedPrimeError,
+)
 #: A matrix dimension (``Matrix``).
 SIZE = ints(0)
 #: The bound of a random draw's entries, short enough that every state
@@ -206,6 +215,7 @@ class Matrix:
     (bools count) and Fractions, else ValueError (``MATRIX_ROWS``).  The
     modulus p must be an int >= 2 (not a bool), else UnsupportedPrimeError
     (``MODULUS``); a composite p is refused by ``rref`` at the first pivot
+    it cannot invert, and by ``rank`` at the first leading entry of a row
     it cannot invert.  An F_p entry must be an int; a Fraction raises
     ValueError instead of being truncated, since a rational reaches F_p
     only through its state, which checks the denominator.  ``_trusted``
@@ -285,9 +295,9 @@ class Matrix:
         return [list(row) for row in self.entries]
 
     def rank(self):
-        """The rank, from forward elimination alone (``_eliminate`` without
-        back-substitution)."""
-        return _eliminate(self._residue_rows(), self.cols, self.p, reduce=False)[0]
+        """The rank, from the rows joined one at a time up to the column
+        count (``_echelon_rank``), with no RREF."""
+        return _echelon_rank(self._residue_rows(), self.p, self.cols)[0]
 
     def det(self):
         """The determinant modulo p from the integer elimination
@@ -327,20 +337,17 @@ class Matrix:
         return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
 
 
-def _eliminate(m, cols, p, reduce=True):
+def _eliminate(m, cols, p):
     """Gauss-Jordan elimination over F_p of the rows m, lists of ints in
-    [0, p), in place: the package's one F_p elimination loop.  Returns
-    (rank, pivots), the pivot column of each of the first rank rows.
+    [0, p), in place, to the canonical RREF, zero rows last: the package's
+    one column-pivot elimination, for the callers that read an RREF.
+    Returns (rank, pivots), the pivot column of each of the first rank rows.
 
     At each pivot the pivot row is zero left of the pivot column, so
-    normalising it and clearing the column touch only the columns from the
-    pivot column rightward, and each row is updated in place.  With reduce
-    (the default) the column is cleared from every other row, which leaves
-    the canonical RREF, zero rows last.  Without it only the rows below the
-    pivot are cleared (forward elimination, no back-substitution): the rank
-    and the pivots are the same, and the first rank rows are a row-echelon
-    basis of the span, each led by a 1.  A pivot that is not invertible
-    modulo a composite p raises UnsupportedPrimeError.
+    normalising it and clearing the column from every other row touch only
+    the columns from the pivot column rightward, and each row is updated in
+    place.  A pivot that is not invertible modulo a composite p raises
+    UnsupportedPrimeError.  A rank alone comes from ``_echelon_rank``.
     """
     rank, pivots, height = 0, [], len(m)
     for col in range(cols):
@@ -349,14 +356,11 @@ def _eliminate(m, cols, p, reduce=True):
             continue
         top = m[pivot]
         m[pivot], m[rank] = m[rank], top
-        try:
-            inv = pow(top[col], -1, p)
-        except ValueError:
-            raise UnsupportedPrimeError(f"pivot {top[col]} is not invertible modulo {p}") from None
+        inv = _inverse(top[col], p)
         if inv != 1:
             top[col:] = [x * inv % p for x in top[col:]]
         tail = top[col:]
-        for row in m if reduce else m[rank + 1 :]:
+        for row in m:
             f = row[col]
             if f and row is not top:
                 row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
@@ -367,41 +371,51 @@ def _eliminate(m, cols, p, reduce=True):
     return rank, pivots
 
 
-def _join_echelon(basis, pivots, row, p):
-    """Add one row of ints in [0, p) to a row-echelon basis of rows seen so
-    far, in place: the rank-only mode of ``_eliminate`` for rows that come
-    one at a time.  Returns the rank, len(basis).
+def _echelon_rank(rows, p, ceiling):
+    """(rank, read): the rank over F_p of the rows read, lists of ints in
+    [0, p) taken one at a time from any iterable and reduced in place, and
+    how many were read.  The package's one rank-only elimination: reading
+    stops once the rank reaches ``ceiling``, which each caller sets to a
+    bound no rank of its rows can pass, so a lazy source (the point walk)
+    is never drawn past the first row that reaches it.
 
-    ``basis`` holds lists led by a 1 at their column in ``pivots``, zero
-    left of it, and each row is zero at the pivot columns of the rows that
-    joined before it.  The row is cleared at each pivot column in that
-    order, from the pivot column rightward; a later step cannot refill an
-    earlier column, since the later basis row is zero there.  What is left
-    is the row minus a combination of the basis, zero at every pivot
-    column, and it is zero exactly when the row lies in the span: a
-    nonzero combination is nonzero at the pivot column of its first basis
-    row.  Otherwise it joins, scaled to lead with a 1 at its first nonzero
-    column, and keeps every condition above.  So the rank after each row
-    is that of all the rows so far, at ~rank * width updates per row,
-    where eliminating the basis again would rescan every column of every
-    row.  A leading entry that is not invertible modulo a composite p
-    raises UnsupportedPrimeError, as in ``_eliminate``.
+    Each row joins a row-echelon basis keyed by pivot column, each basis
+    row led by a 1 there.  The row is scanned left to right, each entry
+    read after every update to its left: a nonzero entry at a basis row's
+    column is cleared by that basis row, which changes only that entry and
+    entries to its right, and the first nonzero entry at a column with no
+    basis row makes the row join, scaled to lead with a 1 there.  A row
+    whose scan reaches its end is zero, so it lies in the span.  The basis
+    rows lead at distinct columns, so they are independent, and the rank
+    after each row is that of all the rows so far, at most one update per
+    basis row.  Reading a row costs ~rank * width, and a caller
+    whose rows come one at a time never eliminates its basis again.  An
+    RREF needs the column-pivot loop, ``_eliminate``: joining rows and then
+    back-substituting gives the same rows but is slower.  A leading entry
+    that is not invertible modulo a composite p raises
+    UnsupportedPrimeError, as in ``_eliminate``.
     """
-    for top, col in zip(basis, pivots):
-        f = row[col]
-        if f:
-            row[col:] = [(a - f * b) % p for a, b in zip(row[col:], top[col:])]
-    col = next((c for c, x in enumerate(row) if x), None)
-    if col is not None:
-        try:
-            inv = pow(row[col], -1, p)
-        except ValueError:
-            raise UnsupportedPrimeError(f"pivot {row[col]} is not invertible modulo {p}") from None
-        if inv != 1:
-            row[col:] = [x * inv % p for x in row[col:]]
-        basis.append(row)
-        pivots.append(col)
-    return len(basis)
+    basis, read, rows = {}, 0, iter(rows)
+    while len(basis) < ceiling and (row := next(rows, None)) is not None:
+        read += 1
+        for col, f in enumerate(row):
+            if not f:
+                continue
+            if col not in basis:
+                inv = _inverse(f, p)
+                basis[col] = [x * inv % p for x in row[col:]]
+                break
+            row[col:] = [(a - f * b) % p for a, b in zip(row[col:], basis[col])]
+    return len(basis), read
+
+
+def _inverse(x, p):
+    """The inverse of a pivot x modulo p, or UnsupportedPrimeError when p
+    is composite and shares a factor with x."""
+    try:
+        return pow(x, -1, p)
+    except ValueError:
+        raise UnsupportedPrimeError(f"pivot {x} is not invertible modulo {p}") from None
 
 
 def _free_basis(rows, pivots, cols):

@@ -50,21 +50,21 @@ coordinate vectors in the order given.  The roundtrip reads the point
 walk (``geometry._walk``) as plain coordinate tuples; the section
 product reads no walk, since the projections of the points onto a pair
 of groups are the F_p-points of the pair's determinantal curve
-(``_projected_points``).  Both rank their rows one at a time, each
-reduced against the row-echelon basis of the rows before it
-(``linalg._join_echelon``), and stop at the largest rank they can
-reach; no ProjPoint is built.  The roundtrip is one evaluation rank: the
-points give back the model's forms exactly when that rank reaches
-width - rank(forms), which no rank can pass, so ``relations_from_points``
-stops or refuses at that ceiling and takes no kernel, and
-``roundtrip_check`` returns True or refuses.
+(``_projected_points``).  Both rank their rows with the package's one
+rank routine, ``linalg._echelon_rank``, which joins each row to the
+row-echelon basis of the rows before it and stops at the largest rank
+the check can reach (4 for a section product); no ProjPoint is built.
+The roundtrip is one evaluation rank: the points give back the model's
+forms exactly when that rank reaches width - rank(forms), which no rank
+can pass, so ``relations_from_points`` stops or refuses at that ceiling
+and takes no kernel, and ``roundtrip_check`` returns True or refuses.
 """
 
 from dataclasses import dataclass
 
 from ._guard import Kind, guard, ints, power_exceeds
 from .errors import InsufficientPointsError, WorkLimitError, WrongFormatError
-from .linalg import PRIME, Matrix, _eliminate, _join_echelon
+from .linalg import PRIME, Matrix, _echelon_rank, _eliminate
 from .states import FORMAT, Tensor
 from .geometry import (
     VarietyModel,
@@ -159,12 +159,12 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     the F_p-point count, instead of reporting a wrong space.
 
     The points are walked lazily (``geometry._walk``), and each row joins
-    a row-echelon basis of the rows so far by being reduced against it
-    (``linalg._join_echelon``), so no matrix of all the points is formed
-    and the basis is never eliminated again; the walk stops once the rank
-    reaches the ceiling, when no further point can change the answer.  A
-    walk that stays short runs to the end, so the error names the full
-    rank and point count.
+    a row-echelon basis of the rows so far (``linalg._echelon_rank``), so
+    no matrix of all the points is formed and the basis is never
+    eliminated again; the walk stops once the rank reaches the ceiling,
+    when no further point can change the answer.  A walk that stays short
+    runs to the end, so the error names the full rank and the count of
+    rows read, which is the point count.
 
     The evaluation rows are d**k wide, the width of the model's rows, so
     before any point is enumerated a model whose rows are too wide is
@@ -182,12 +182,8 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     reduced, walk = _walk(model, p)
     forms = [[x % p for x in row] for row in reduced.rows]
     span = _eliminate(forms, width, p)[0]
-    ceiling, basis, pivots, rank, count = width - span, [], [], 0, 0
-    for coords, _ in walk:
-        count += 1
-        rank = _join_echelon(basis, pivots, _monomial_row(coords, p), p)
-        if rank == ceiling:
-            break
+    ceiling = width - span
+    rank, count = _echelon_rank((_monomial_row(coords, p) for coords, _ in walk), p, ceiling)
     if rank < ceiling:
         raise InsufficientPointsError(
             f"evaluation rank {rank} below generic target {ceiling} at p={p} "
@@ -271,7 +267,8 @@ def _quotient_dims(state, p, k_max):
     is stored sparsely, as the (i, x) pairs of each column's nonzero
     entries: a free column has the one pair (i, 1), and when A_m is 0 every
     column has none.  No later degree reads mu_{k_max}, so the top degree
-    is ranked only: forward elimination, no back-substitution and no mu.
+    is ranked only, up to its width (``linalg._echelon_rank``), with no
+    RREF and no mu.
     """
     check_hilbert_degree(state.d, k_max)
     relations = cyclic_relations(state, p)
@@ -297,11 +294,11 @@ def _quotient_dims(state, p, k_max):
                         vec = _push(terms, mus[j], dims[j], d ** (m - j), p)
                         terms = enumerate(vec)
                     rows.append(vec)
-        top = m == k_max
-        rank, pivots = _eliminate(rows, width, p, reduce=not top)
-        dims.append(width - rank)
-        if top:
+        if m == k_max:
+            dims.append(width - _echelon_rank(rows, p, width)[0])
             break
+        rank, pivots = _eliminate(rows, width, p)
+        dims.append(width - rank)
         pivot_set = set(pivots)
         free = [f for f in range(width) if f not in pivot_set]
         mu = [()] * width
@@ -428,9 +425,9 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
     (``_projected_points``).  The listing evaluates ~(p+1)*p quadratics,
     against the walk's (p+1)**2 prefixes, so the walk's prefix budget at p
     (``geometry._check_prefix_budget``) still bounds the work and still
-    refuses the same primes, first.  Each projection's evaluation row
-    (``_monomial_row``) joins a row-echelon basis
-    (``linalg._join_echelon``), which stops at the full rank 4.
+    refuses the same primes, first.  The projections' evaluation rows
+    (``_monomial_row``) are ranked up to the full rank 4
+    (``linalg._echelon_rank``), which reads no row past it.
     """
     if (state.n, state.d) != (4, 2):
         raise WrongFormatError("the section-product test needs format (4,2)")
@@ -449,11 +446,7 @@ def multiplication_surjectivity(state: Tensor, axis_pair: AXIS_PAIR, p: PRIME):
         raise InsufficientPointsError(
             f"only {len(projected)} projected points at p={p}; kernel not determined"
         )
-    basis, pivots, rank = [], [], 0
-    for pt in projected:
-        rank = _join_echelon(basis, pivots, _monomial_row(pt, p), p)
-        if rank == 4:
-            break
+    rank = _echelon_rank((_monomial_row(pt, p) for pt in projected), p, 4)[0]
     return ProductMapResult(p, axis_pair, rank, 4 - rank, len(projected))
 
 

@@ -59,6 +59,7 @@ from sloccgeo.states import (
     random_state,
     w_state,
 )
+from sloccgeo.zalgebra import relations_from_points
 
 import reference_algebra as ref
 
@@ -214,6 +215,81 @@ def test_enumerate_zero_forms_full_space():
     pts = enumerate_points(model, p)
     count = (p * p + p + 1) ** 2
     assert len(pts) == count == 169
+
+
+@pytest.mark.parametrize("p", [4, 9, 15, 25])
+def test_hand_built_models_refuse_composite_moduli(p):
+    # Z/p is no field: a model over it is refused when it is built, where
+    # p = 9 ended in a bare ValueError and p = 15 and 25 answered as if
+    # Z/p were a field (no point, or 2 points and a 2-row span at p = 25)
+    rows = ((1, 0, 0, 3), (0, 1, 3, 0))
+    with pytest.raises(UnsupportedPrimeError, match=f"^p={p} is not a prime up to "):
+        VarietyModel(3, 2, rows, 1, p)
+    for q in (2, 3, 5, 2**31 - 1):
+        assert VarietyModel(3, 2, rows, 1, q).p == q
+    for q in (True, 2**31 + 11, 1):
+        with pytest.raises(UnsupportedPrimeError):
+            VarietyModel(3, 2, rows, 1, q)
+
+
+def test_an_n2_fibre_is_bounded_before_it_is_listed(monkeypatch):
+    # a model with no prefix group is one system, and its kernel's
+    # projective space is listed only up to PREFIX_BUDGET points: a zero
+    # (2,2) form at p = 1,000,003 has 1,000,004 points, and a zero (2,3)
+    # form at p = 1009 has 1,019,091, each refused before any point
+    import sloccgeo.geometry
+
+    def listed(*args):
+        raise AssertionError("the fibre was listed")
+
+    for model, p, count in (
+        (VarietyModel(2, 2, ((0, 0),), 1, 1000003), 1000003, 1000004),
+        (VarietyModel(2, 3, ((0, 0, 0),), 1, 1009), 1009, 1019091),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(sloccgeo.geometry, "_subspace_points", listed)
+            for call in (enumerate_points, relations_from_points):
+                with pytest.raises(WorkLimitError, match=f"has {count} points at p={p}, over"):
+                    call(model, p)
+    # the bound is on the fibre's points: 8 at p = 7 is within a budget of
+    # 8, 12 at p = 11 is not
+    monkeypatch.setattr(sloccgeo.geometry, "PREFIX_BUDGET", 8)
+    assert len(enumerate_points(VarietyModel(2, 2, ((0, 0),), 1, 7), 7)) == 8
+    with pytest.raises(WorkLimitError, match="has 12 points at p=11"):
+        enumerate_points(VarietyModel(2, 2, ((0, 0),), 1, 11), 11)
+    # a model built from a (2, d) state is regular: no point, at any prime
+    for d in (2, 3):
+        assert enumerate_points(variety_from_state(random_state(2, d, 5, 1)), 1009) == []
+
+
+def test_ranks_take_the_one_rank_routine(monkeypatch, ghz3_qutrit):
+    # every F_p rank that needs no RREF is linalg._echelon_rank, up to its
+    # ceiling: _eliminate takes no mode, and the Jacobian ranks of
+    # jacobian_rank_at and of a witness-finding scan build no Matrix to rank
+    import inspect
+
+    import sloccgeo.geometry
+    import sloccgeo.linalg
+
+    assert list(inspect.signature(sloccgeo.linalg._eliminate).parameters) == ["m", "cols", "p"]
+    ceilings, echelon = [], sloccgeo.geometry._echelon_rank
+
+    def counting(rows, p, ceiling):
+        ceilings.append(ceiling)
+        return echelon(rows, p, ceiling)
+
+    def refused(self):
+        raise AssertionError("Matrix.rank was called")
+
+    monkeypatch.setattr(Matrix, "rank", refused)
+    monkeypatch.setattr(sloccgeo.geometry, "_echelon_rank", counting)
+    model = variety_from_state(ghz3_qutrit)
+    assert jacobian_rank_at(model, ProjPoint(5, ((1, 0, 0), (0, 1, 0)))) == 2
+    assert ceilings == [3]
+    ceilings.clear()
+    report = smoothness_scan(ghz3_qutrit, (5, 7))
+    assert report.verdict == "SingularFound" and report.witnesses[0][2] < 3
+    assert ceilings and set(ceilings) == {3}
 
 
 def test_hasse_window_example():

@@ -15,7 +15,7 @@ from sloccgeo.errors import (
 )
 from sloccgeo.geometry import ProjPoint, VarietyModel, jacobian_rank_at
 from sloccgeo.invariants import TernaryCubic
-from sloccgeo.linalg import Matrix, check_primes, random_invertible
+from sloccgeo.linalg import Matrix, _echelon_rank, check_primes, random_invertible
 from sloccgeo.states import Tensor, basis_state, random_state
 from sloccgeo.zalgebra import quadratic_hilbert
 
@@ -326,6 +326,42 @@ def test_fp_elimination_matches_reference():
         assert m.row_space() == Matrix(red.entries[:rank], cols=m.cols, p=p)
 
     check()
+
+
+def test_echelon_rank_stops_at_its_ceiling_with_the_reference_rank():
+    # linalg._echelon_rank draws rows one at a time and stops once its rank
+    # reaches the ceiling: its rank is the reference rank of the rows it
+    # read, it reads a row only while the rows before it rank below the
+    # ceiling, and it stops early only at the ceiling.  Zero, repeated and
+    # dependent rows are common in the draws (``_fp_matrix``)
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def check(data):
+        m = _fp_matrix(data.draw)
+        ceiling = data.draw(st.integers(0, m.cols + 1))
+        drawn = []
+        rows = (drawn.append(row) or list(row) for row in m.entries)
+        rank, read = _echelon_rank(rows, m.p, ceiling)
+        assert read == len(drawn)
+
+        def ref_rank(k):
+            return ref.rref_mod_p(Matrix(m.entries[:k], cols=m.cols, p=m.p))[0]
+
+        assert rank == ref_rank(read) == min(ref_rank(m.rows), ceiling)
+        assert read == m.rows or rank == ceiling
+        assert read == 0 or ref_rank(read - 1) < ceiling
+
+    check()
+    # every row zero, or repeated, or a combination of the rows before it:
+    # the rank stays below the ceiling and every row is read
+    assert _echelon_rank([[0, 0, 0] for _ in range(4)], 7, 3) == (0, 4)
+    assert _echelon_rank([[1, 2, 3], [1, 2, 3], [2, 4, 6]], 7, 3) == (1, 3)
+    assert _echelon_rank([[1, 0, 2], [0, 1, 1], [3, 4, 0]], 5, 3) == (2, 3)
+    assert _echelon_rank([[1, 0, 2], [0, 1, 1], [0, 0, 1], [1, 1, 1]], 5, 3) == (3, 3)
+    assert _echelon_rank([[1, 0]], 5, 0) == (0, 0)
 
 
 def test_kernel_matches_two_elimination_reference():

@@ -789,36 +789,43 @@ def test_section_products_neither_walk_nor_re_eliminate(monkeypatch, family_1235
     # the section product lists one determinantal curve and walks no
     # point; neither point check eliminates its basis again per point: the
     # section product runs no elimination, the relations one, of the forms,
-    # and each point's row joins the basis once
+    # and each check ranks its rows in one call of linalg._echelon_rank,
+    # which reads each point's row once and stops at the check's ceiling
     import sloccgeo.zalgebra
 
-    calls = []
+    calls, read = [], []
 
     def counted(name):
         fn = getattr(sloccgeo.zalgebra, name)
 
         def counting(*args, **kwargs):
             calls.append(name)
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "_echelon_rank":
+                read.append((args[2], result[1]))
+            return result
 
         monkeypatch.setattr(sloccgeo.zalgebra, name, counting)
 
-    for name in ("_walk", "projection_coefficients", "_eliminate", "_join_echelon"):
+    for name in ("_walk", "projection_coefficients", "_eliminate", "_echelon_rank"):
         counted(name)
     for pair in ((0, 1), (0, 2), (1, 2)):
-        calls.clear()
+        calls.clear(), read.clear()
         result = multiplication_surjectivity(family_1235, pair, 13)
         assert result.rank == 4
         assert calls.count("projection_coefficients") == 1
         assert "_walk" not in calls and "_eliminate" not in calls
-        assert 4 <= calls.count("_join_echelon") <= result.points_used
+        assert calls.count("_echelon_rank") == 1
+        ((ceiling, rows),) = read
+        assert ceiling == 4 and 4 <= rows <= result.points_used
     t = random_state(4, 2, 5, 1)
     model = model_mod_p(variety_from_state(t), 13)
     total = len(enumerate_points(model, 13))
-    calls.clear()
+    calls.clear(), read.clear()
     assert relations_from_points(model, 13) == reduced_flattening_image(t, 13)
-    assert calls[:2] == ["_walk", "_eliminate"] and "_eliminate" not in calls[2:]
-    assert 6 <= calls.count("_join_echelon") < total
+    assert calls == ["_walk", "_eliminate", "_echelon_rank"]
+    ((ceiling, rows),) = read
+    assert ceiling == 8 - 2 and 6 <= rows < total
 
 
 def test_section_products_follow_the_party_permutations(singlet_times_bell):
@@ -1145,7 +1152,7 @@ def test_monomial_rows_match_the_index_loop():
 
 def test_relations_never_eliminate_the_full_evaluation_matrix(monkeypatch):
     # each point's row joins a row-echelon basis of the rows so far by one
-    # reduction against it (linalg._join_echelon), and the walk stops once
+    # reduction against it (linalg._echelon_rank), and the walk stops once
     # the rank reaches width - rank(model rows) = 9 - 3: the one elimination
     # is of the 3 model rows, and the walk of a smooth state ends before
     # its last point.  The result is still the reduced flattening image
