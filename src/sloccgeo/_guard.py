@@ -16,7 +16,7 @@ a Hilbert degree), a prime that is not an int raises
 UnsupportedPrimeError, and a prime list is checked in full
 (``check_primes``).  None passes where it is the default.  A single prime
 is tested in full where its state is reduced (``Tensor.reduce_mod``) or
-its model is built by hand (``linalg.FIELD``), so the guard tests only
+its matrix or model is built (``linalg.FIELD``), so the guard tests only
 that a prime argument is an int.
 
 The annotations are read when a module is imported, so each call's checks

@@ -104,18 +104,21 @@ def _per_prime(primes, check):
     prime's {"prime", "error"} entry, which refuses that prime only, whatever
     its type: a check answers for one prime.  The command is degenerate when
     an entry is off target or every prime is refused, as at every prime of
-    a rank-deficient state.  A WorkLimitError ends the command: it bounds
-    the request, not the prime.  A bound that grows with the prime (the
-    prefix budget of the roundtrip's point walk, per call) is checked once,
-    at the largest requested prime, before the first prime runs
-    (``_cmd_roundtrip``), so no computed entry is discarded."""
+    a rank-deficient state.  A WorkLimitError at the first prime ends the
+    command: it bounds the request, not the prime.  A bound that grows with
+    the prime (the prefix budget of the roundtrip's point walk, per call) is
+    checked once, at the largest requested prime, before the first prime
+    runs (``_cmd_roundtrip``).  The one bound that cannot be checked before
+    its walk runs, on the points a walk lists (``geometry._points``), can
+    fire at a later prime; it then refuses that prime like any other error,
+    so no computed entry is discarded."""
     entries, degenerate = [], False
     for p in primes:
         try:
             entry, off = check(p)
-        except WorkLimitError:
-            raise
         except SloccGeoError as exc:
+            if isinstance(exc, WorkLimitError) and not entries:
+                raise
             entry, off = {"prime": p, "error": str(exc)}, False
         entries.append(entry)
         degenerate = degenerate or off

@@ -34,8 +34,10 @@ plain tuples of coordinate tuples:
 points it does not certify smooth, and only a witness becomes a
 ProjPoint.  The walk solves the innermost prefix group's lines through a
 determinant pencil and reads each prefix system's fibre from its rank, so
-Matrix.kernel runs only for the one system of an n = 2 model, a d = 3
-system of rank 1, a non-square system and d > 3.  The section products
+the one kernel routine (``linalg._kernel_basis``) runs only for the one
+system of an n = 2 model, a d = 3 system of rank 1, a non-square system
+and d > 3; no walk or sweep builds a Matrix.  A walk lists at most
+PREFIX_BUDGET points, counted fibre by fibre.  The section products
 of ``zalgebra`` walk nothing: a (4,2) model's points, projected onto two
 groups, are the F_p-points of those groups' determinantal curve, one
 binary quadratic per point of the first group, whose roots come from the
@@ -62,7 +64,7 @@ formats and their projections are listed once, in ``CURVE_AXES`` and
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import product, repeat
 
 from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, guard, power_exceeds
 from .errors import (
@@ -75,7 +77,7 @@ from .errors import (
     WorkLimitError,
     _excerpt,
 )
-from .linalg import FIELD, PRIME, PRIMES, Matrix, _echelon_rank, _sorted_primes, check_primes
+from .linalg import FIELD, PRIME, PRIMES, _echelon_rank, _kernel_basis, _sorted_primes, check_primes
 from .states import (
     FORMAT,
     Tensor,
@@ -477,7 +479,7 @@ def _kernel_points(system, d, p):
     system (rows of d unreduced integers), in the order of _subspace_points,
     read from the system's rank mod p.
 
-    A zero system has all of P^(d-1) as kernel (``_projective_space``).  A
+    A zero system has all of P^(d-1) as kernel.  A
     nonzero square system with d = 2 or 3 must be singular mod p, and a
     rank d-1 one yields its one point: (v, -u) for its first nonzero row
     (u, v) when d = 2, the first nonzero cross product of two rows, in the
@@ -486,11 +488,11 @@ def _kernel_points(system, d, p):
     line's determinant pencil (``_pencil_roots``) or at e_last when det B
     vanishes, and ``_first_witness`` the transpose of a system that the
     point solves.  So no determinant is taken here.  Every other system (d
-    = 3 of rank 1, a non-square one, any other d) goes through
-    Matrix.kernel.
+    = 3 of rank 1, a non-square one, any other d) goes through the one
+    kernel routine, ``linalg._kernel_basis``.
     """
     if not any(x % p for row in system for x in row):
-        return _projective_space(d, p)
+        return tuple(projective_points(d, p))
     if len(system) == d == 2:
         for u, v in system:
             if v % p:
@@ -503,16 +505,7 @@ def _kernel_points(system, d, p):
             vec = [x % p for x in _cross(a, b)]
             if any(vec):
                 return (_normalize_projective(vec, p),)
-    kernel = Matrix(system, cols=d, p=p).kernel()
-    return tuple(_subspace_points(kernel.entries, p))
-
-
-@cache
-def _projective_space(d, p):
-    """projective_points(d, p) as a tuple: the fibre over a prefix whose
-    system vanishes mod p.  Cached per (d, p); with a prefix group the
-    fibre has no more points than the prefixes PREFIX_BUDGET bounds."""
-    return tuple(projective_points(d, p))
+    return tuple(_subspace_points(_kernel_basis(system, d, p), p))
 
 
 def _det(rows):
@@ -547,7 +540,7 @@ def _roots(c0, c1, c2, c3, p):
     section products' binary quadratics
     (``zalgebra._projected_points``)."""
     if not (c0 or c1 or c2 or c3):
-        return _every_t(p)
+        return [(t, False) for t in range(p)]
     return [
         (t, ((3 * c3 * t + 2 * c2) * t + c1) % p != 0)
         for t in range(p)
@@ -588,12 +581,6 @@ def _pencil_roots(a, b, d, p):
 
 
 @cache
-def _every_t(p):
-    """(t, False) for t = 0..p-1: every point of a line, none certified."""
-    return tuple((t, False) for t in range(p))
-
-
-@cache
 def _line_bases(d, p):
     """The points (v, 0) of P^(d-1) over F_p, v running over P^(d-2) in
     projective_points order: the bases of the lines _line_points walks.
@@ -628,7 +615,8 @@ def _line_points(part, d, m, p):
     pencil = m == d and d in (2, 3) and size == d * d
     for u in _line_bases(d, p):
         a = _contract(part, u)
-        ts = _pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil else _every_t(p)
+        ts = (_pencil_roots([a[k::m] for k in range(m)], b_rows, d, p) if pencil
+              else zip(range(p), repeat(False)))
         for t, simple in ts:
             yield u[:-1] + (t,), [x + t * y for x, y in zip(a, b)], simple
     if not (pencil and _det(b_rows) % p):
@@ -650,32 +638,53 @@ def _points(reduced, p):
     yielded as finished points.  A square d = 2, 3 system there sits at a
     root of its pencil, or at e_last when det B vanishes, so it is singular
     by construction and no determinant is taken again.  With n = 2 the
-    model is one system, which may be regular, so it is eliminated, and
-    its kernel's projective space is listed only when it has at most
-    PREFIX_BUDGET points, else WorkLimitError before the first point."""
+    model is one system, which may be regular, so its kernel is taken
+    (``linalg._kernel_basis``), and its projective space is its one fibre.
+
+    The walk lists at most PREFIX_BUDGET points: before a fibre is yielded,
+    its points are added to those of the fibres before it, and a sum over
+    the budget raises WorkLimitError (``_too_many_points``).  An n = 2
+    fibre is counted from its kernel's dimension, before its first point
+    is formed; any other fibre holds at most the points of P^(d-1), which
+    the prefix budget bounds.  So a model with a large component (a zero
+    fibre over every prefix of a line) is refused before its walk, or a
+    list of it, outgrows the budget."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
     if groups == 1:
-        kernel = Matrix(reduced.rows, cols=d, p=p).kernel()
-        if (count := sum(p**i for i in range(kernel.rows))) > PREFIX_BUDGET:
-            raise WorkLimitError(
-                f"the kernel of a model of format (n=2, d={d}) has {count} points at "
-                f"p={p}, over the budget of {PREFIX_BUDGET}"
-            )
-        for tail in _subspace_points(kernel.entries, p):
+        kernel = _kernel_basis(reduced.rows, d, p)
+        if (count := sum(p**i for i in range(len(kernel)))) > PREFIX_BUDGET:
+            raise _too_many_points(reduced, p, count)
+        for tail in _subspace_points(kernel, p):
             yield (tail,), False
         return
+    listed = 0
 
     def walk(part, prefix):
+        nonlocal listed
         if len(prefix) < groups - 2:
             for x, inner, _ in _line_points(part, d, m, p):
                 yield from walk(inner, prefix + (x,))
             return
         for x, system, certified in _line_points(part, d, m, p):
+            fibre = _kernel_points([system[k::m] for k in range(m)], d, p)
+            if (listed := listed + len(fibre)) > PREFIX_BUDGET:
+                raise _too_many_points(reduced, p, listed)
             head = prefix + (x,)
-            for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
+            for tail in fibre:
                 yield head + (tail,), certified
 
     yield from walk(_coefficient_tensor(reduced), ())
+
+
+def _too_many_points(reduced, p, count):
+    """The WorkLimitError of a walk whose fibres so far hold count points,
+    over PREFIX_BUDGET: all of them for n = 2, whose one fibre is the
+    whole walk, and at least that many otherwise."""
+    at_least = "" if reduced.groups == 1 else "at least "
+    return WorkLimitError(
+        f"a model of format (n={reduced.n}, d={reduced.d}) has {at_least}{count} points at "
+        f"p={p}, over the budget of {PREFIX_BUDGET}"
+    )
 
 
 def enumerate_points(model: VarietyModel, p: PRIME):
@@ -695,15 +704,16 @@ def enumerate_points(model: VarietyModel, p: PRIME):
     roots (at every t when it vanishes identically mod p), plus at e_last.
     Every other system is solved at every t.  Each prefix system's fibre is
     read from its rank (``_kernel_points``): all of P^(d-1) when it
-    vanishes mod p, one closed-form point at rank d-1 for d = 2, 3, and
-    Matrix.kernel otherwise.  A square system at a pencil root is singular
-    by construction, so no determinant is taken there.  Points come in
-    prefix order (``projective_points`` per group), then in kernel order.
-    Raises WorkLimitError when the prefix count exceeds PREFIX_BUDGET; the
-    budget counts prefixes, not lines.  An n = 2 model has one prefix, and
-    its one fibre, the kernel's projective space, is refused the same way
-    when it has more than PREFIX_BUDGET points, before the first is
-    listed.
+    vanishes mod p, one closed-form point at rank d-1 for d = 2, 3, and the
+    one kernel routine (``linalg._kernel_basis``) otherwise.  A square
+    system at a pencil root is singular by construction, so no determinant
+    is taken there.  Points come in prefix order (``projective_points`` per
+    group), then in kernel order.  Raises WorkLimitError when the prefix
+    count exceeds PREFIX_BUDGET; the budget counts prefixes, not lines.
+    The same budget bounds the points listed: a fibre that would take the
+    list past PREFIX_BUDGET points raises WorkLimitError before it is
+    listed (``_points``).  An n = 2 model has one prefix, and its one
+    fibre, the kernel's projective space, is that rule's first case.
 
     The walk (``_points``) yields plain coordinate tuples and marks the
     points it certifies smooth (``_pencil_roots``); this list makes each

@@ -1,7 +1,8 @@
 """Exact dense linear algebra over prime fields.
 
-Matrices carry their field with them: ``p`` an int >= 2 means entries are
-ints in ``[0, p)``, and every elimination is over F_p.  ``p is None``
+Matrices carry their field with them: ``p`` a prime (``FIELD``: 2, 3, or
+one that ``check_primes`` accepts) means entries are ints in ``[0, p)``,
+and every elimination is over the field F_p.  ``p is None``
 means entries are ``fractions.Fraction``: such a Matrix is a value only
 (an operator's factor, a flattening image), and its ``rref``, ``rank``,
 ``row_space``, ``kernel`` and ``det`` raise ValueError.  Every operation is
@@ -10,13 +11,14 @@ subspace is its canonical basis, the nonzero RREF rows as a ``Matrix``
 (``Matrix.row_space``): ``rows`` is its dimension and ``cols`` the ambient
 dimension, and two subspaces are equal when these matrices are.
 
-There are two elimination loops, one per ring, and one rank routine.
+There are two elimination loops, one per ring, one rank routine and one
+kernel routine.
 Over Z it is ``_bareiss``, fraction-free: ``states.flattening_basis``
 normalises its rows into the one RREF over Q, and the invertibility checks
 of ``random_invertible`` and ``SloccOperator`` read its rank;
 ``Matrix.det``, the prime filing and ``classify``'s curve invariants
-(``geometry._slice_pivot``) read its last pivot.  Every F_p RREF, kernel
-and row space, and the lower degrees of a Hilbert profile, go through
+(``geometry._slice_pivot``) read its last pivot.  Every F_p RREF and row
+space, and the lower degrees of a Hilbert profile, go through
 ``_eliminate``, the column-pivot Gauss-Jordan: it works in place on rows
 already in ``[0, p)``, updates each row from the pivot column rightward,
 and returns the rank and the pivot columns, so no caller scans its rows
@@ -27,14 +29,17 @@ column count for ``Matrix.rank`` and a profile's top degree, d for a
 Jacobian, width - rank(forms) for ``zalgebra.relations_from_points`` and 4
 for a section product).  So rows that come one at a time, the point
 checks' evaluation rows, are ranked without eliminating their basis again,
-and a lazy point walk stops as soon as its rank is full.
-``Matrix.rref``, ``row_space`` and ``kernel`` hand ``_eliminate``'s rows
+and a lazy point walk stops as soon as its rank is full.  Every F_p
+kernel goes through ``_kernel_basis``: one elimination of the
+column-reversed rows and their free-column basis, for
+``Matrix.kernel`` and for the point walk's fibres
+(``geometry._kernel_points``), which builds no Matrix.  Over a field
+every nonzero pivot is a unit, so no elimination can meet one it cannot
+invert.
+``Matrix.rref``, ``row_space`` and ``kernel`` hand their rows
 to the private ``Matrix._trusted`` constructor, which stores rows already
 in ``[0, p)`` without reducing them again.  The public constructor
-checks and reduces its input; over F_p it takes integer entries only.  A
-kernel takes its free-column basis
-(``_free_basis``) from one elimination, of the column-reversed matrix
-(``Matrix.kernel``).
+checks and reduces its input; over F_p it takes integer entries only.
 
 A Q matrix is never reduced entrywise: a state or model reaches F_p only
 through ``Tensor.reduce_mod`` (``geometry._reduced_model`` and
@@ -63,10 +68,10 @@ DEFAULT_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31)
 #: keeps every accepted entry under that.
 MAX_PRIME = 2**31 - 1
 
-#: Most entries the basis of a ``Matrix.kernel`` may have, counted as
-#: cols**2 before any elimination: widths up to 362 pass, among them every
-#: kernel of the package, the fibres of the point walk (d columns, d at
-#: most 256).
+#: Most entries a kernel basis (``_kernel_basis``, behind ``Matrix.kernel``
+#: and the point walk) may have, counted as cols**2 before any
+#: elimination: widths up to 362 pass, among them every kernel of the
+#: package, the fibres of the point walk (d columns, d at most 256).
 MAX_MATRIX_ENTRIES = 2**17
 
 #: Most decimal digits parse_state accepts in a numerator or denominator of
@@ -122,9 +127,9 @@ def _sorted_primes(primes):
 PRIME = Kind(lambda v: type(v) is int or check_primes((v,)), "a prime")
 #: A prime list, checked in full.
 PRIMES = Kind(check_primes, "a prime list")
-#: The prime of a model built by hand over F_p (``geometry.VarietyModel``):
-#: 2, 3 or a prime that check_primes accepts, so that the model's points
-#: and ranks are over a field.
+#: The prime of a Matrix over F_p and of a model built by hand over F_p
+#: (``geometry.VarietyModel``): 2, 3 or a prime that check_primes accepts,
+#: so that every elimination, point and rank is over a field.
 FIELD = Kind(
     lambda v: type(v) is int and (v in (2, 3) or 5 <= v <= MAX_PRIME and _is_prime(v)),
     f"a prime up to {MAX_PRIME}",
@@ -198,8 +203,6 @@ def _bareiss(rows, cols):
     return rank, m, prev, sign
 
 
-#: The modulus of a Matrix, an int >= 2; p names a prime elsewhere.
-MODULUS = Kind(lambda v: type(v) is int and v >= 2, "an int >= 2", UnsupportedPrimeError)
 #: The rows of a Matrix: ints (bools count) and Fractions.
 MATRIX_ROWS = each(
     each(lambda x: isinstance(x, (int, Fraction)), "").test, "rows of ints and Fractions"
@@ -212,16 +215,15 @@ class Matrix:
 
     The constructor checks its input and reduces it to the field's normal
     form: Fractions over Q, ints in [0, p) over F_p.  The entries are ints
-    (bools count) and Fractions, else ValueError (``MATRIX_ROWS``).  The
-    modulus p must be an int >= 2 (not a bool), else UnsupportedPrimeError
-    (``MODULUS``); a composite p is refused by ``rref`` at the first pivot
-    it cannot invert, and by ``rank`` at the first leading entry of a row
-    it cannot invert.  An F_p entry must be an int; a Fraction raises
-    ValueError instead of being truncated, since a rational reaches F_p
-    only through its state, which checks the denominator.  ``_trusted``
-    skips the checks for rows already in normal form.  Only an F_p matrix
-    is eliminated: over Q, ``rref``, ``rank``, ``row_space``, ``kernel`` and
-    ``det`` raise ValueError (``_residue_rows``).
+    (bools count) and Fractions, else ValueError (``MATRIX_ROWS``).  p must
+    be a prime (``FIELD``: 2, 3, or one that ``check_primes`` accepts),
+    else UnsupportedPrimeError when the matrix is built, so a composite or
+    too large modulus is never eliminated.  An F_p entry must be an int; a
+    Fraction raises ValueError instead of being truncated, since a rational
+    reaches F_p only through its state, which checks the denominator.
+    ``_trusted`` skips the checks for rows already in normal form.  Only an
+    F_p matrix is eliminated: over Q, ``rref``, ``rank``, ``row_space``,
+    ``kernel`` and ``det`` raise ValueError (``_residue_rows``).
     """
 
     rows: int
@@ -229,7 +231,7 @@ class Matrix:
     p: object
     entries: tuple
 
-    def __init__(self, entries: MATRIX_ROWS, cols: SIZE = None, p: MODULUS = None):
+    def __init__(self, entries: MATRIX_ROWS, cols: SIZE = None, p: FIELD = None):
         entries = [tuple(row) for row in entries]
         if entries:
             width = len(entries[0])
@@ -272,19 +274,16 @@ class Matrix:
     def rref(self):
         """Return (rank, reduced) where reduced is the canonical RREF: one
         Gauss-Jordan pass (``_eliminate``) on a single copy of the rows,
-        built by ``_trusted``: its rows are already in [0, p).  A pivot
-        that is not invertible modulo a composite p raises
-        UnsupportedPrimeError.
+        built by ``_trusted``: its rows are already in [0, p).
         """
-        rank, rows, _ = self._reduced_rows()
+        rank, rows = self._reduced_rows()
         return rank, Matrix._trusted(rows, self.cols, self.p)
 
     def _reduced_rows(self):
-        """(rank, rows, pivots): the RREF's rows as tuples, the zero rows
-        last, and the pivot column of each of the rank nonzero rows."""
+        """(rank, rows): the RREF's rows as tuples, the zero rows last."""
         m = self._residue_rows()
-        rank, pivots = _eliminate(m, self.cols, self.p)
-        return rank, [tuple(row) for row in m], pivots
+        rank = _eliminate(m, self.cols, self.p)[0]
+        return rank, [tuple(row) for row in m]
 
     def _residue_rows(self):
         """A copy of the rows as lists, to be eliminated over F_p.  A matrix
@@ -312,29 +311,21 @@ class Matrix:
     def row_space(self):
         """The row span as its canonical basis: the rank nonzero rows of the
         RREF, a rank x cols Matrix over the same field."""
-        rank, rows, _ = self._reduced_rows()
+        rank, rows = self._reduced_rows()
         return Matrix._trusted(rows[:rank], self.cols, self.p)
 
     def kernel(self):
         """Right null space as its canonical basis (see ``row_space``), from
-        one elimination, of the matrix with its columns reversed, whose null
-        space is this one's reversed.  The free-column basis vector of that
-        elimination for free column f is 1 at f and 0 at the other free
-        columns, and it is nonzero elsewhere only at pivot columns left of f.
-        So each vector, reversed, leads with a 1 where every other one is 0:
-        the reversed vectors, in reverse order, are in reduced row-echelon
-        form, and by its uniqueness they are the canonical basis.  The basis
-        has up to cols x cols entries, so a cols**2 above MAX_MATRIX_ENTRIES
-        raises WorkLimitError before any elimination or allocation; every
+        the one kernel routine (``_kernel_basis``).  The basis has up to
+        cols x cols entries, so a cols**2 above MAX_MATRIX_ENTRIES raises
+        WorkLimitError before any elimination or allocation, as it does for
+        every caller of the routine; the width is checked here first, so a
+        matrix over Q that is too wide is refused for its width too.  Every
         kernel of the package, a fibre of the point walk (d columns, d at
         most 256, ``geometry._kernel_points``), passes."""
-        if self.cols**2 > MAX_MATRIX_ENTRIES:
-            size = f"{_excerpt(self.cols)} x {_excerpt(self.cols)}"
-            raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
-        rev = Matrix._trusted([row[::-1] for row in self.entries], self.cols, self.p)
-        rank, rows, pivots = rev._reduced_rows()
-        basis = _free_basis(rows[:rank], pivots, self.cols)
-        return Matrix([v[::-1] for v in reversed(basis)], cols=self.cols, p=self.p)
+        _check_kernel_width(self.cols)
+        basis = _kernel_basis(self._residue_rows(), self.cols, self.p)
+        return Matrix._trusted(basis, self.cols, self.p)
 
 
 def _eliminate(m, cols, p):
@@ -346,8 +337,7 @@ def _eliminate(m, cols, p):
     At each pivot the pivot row is zero left of the pivot column, so
     normalising it and clearing the column from every other row touch only
     the columns from the pivot column rightward, and each row is updated in
-    place.  A pivot that is not invertible modulo a composite p raises
-    UnsupportedPrimeError.  A rank alone comes from ``_echelon_rank``.
+    place.  A rank alone comes from ``_echelon_rank``.
     """
     rank, pivots, height = 0, [], len(m)
     for col in range(cols):
@@ -356,7 +346,7 @@ def _eliminate(m, cols, p):
             continue
         top = m[pivot]
         m[pivot], m[rank] = m[rank], top
-        inv = _inverse(top[col], p)
+        inv = pow(top[col], -1, p)
         if inv != 1:
             top[col:] = [x * inv % p for x in top[col:]]
         tail = top[col:]
@@ -391,9 +381,7 @@ def _echelon_rank(rows, p, ceiling):
     basis row.  Reading a row costs ~rank * width, and a caller
     whose rows come one at a time never eliminates its basis again.  An
     RREF needs the column-pivot loop, ``_eliminate``: joining rows and then
-    back-substituting gives the same rows but is slower.  A leading entry
-    that is not invertible modulo a composite p raises
-    UnsupportedPrimeError, as in ``_eliminate``.
+    back-substituting gives the same rows but is slower.
     """
     basis, read, rows = {}, 0, iter(rows)
     while len(basis) < ceiling and (row := next(rows, None)) is not None:
@@ -402,38 +390,48 @@ def _echelon_rank(rows, p, ceiling):
             if not f:
                 continue
             if col not in basis:
-                inv = _inverse(f, p)
+                inv = pow(f, -1, p)
                 basis[col] = [x * inv % p for x in row[col:]]
                 break
             row[col:] = [(a - f * b) % p for a, b in zip(row[col:], basis[col])]
     return len(basis), read
 
 
-def _inverse(x, p):
-    """The inverse of a pivot x modulo p, or UnsupportedPrimeError when p
-    is composite and shares a factor with x."""
-    try:
-        return pow(x, -1, p)
-    except ValueError:
-        raise UnsupportedPrimeError(f"pivot {x} is not invertible modulo {p}") from None
+def _check_kernel_width(cols):
+    """WorkLimitError when a kernel basis of cols columns could have more
+    than MAX_MATRIX_ENTRIES entries, counted as cols**2."""
+    if cols**2 > MAX_MATRIX_ENTRIES:
+        size = f"{_excerpt(cols)} x {_excerpt(cols)}"
+        raise WorkLimitError(f"a {size} matrix has more than {MAX_MATRIX_ENTRIES} entries")
 
 
-def _free_basis(rows, pivots, cols):
-    """The free-column basis of the right null space of the nonzero rows
-    of an RREF with cols columns, whose pivot columns are pivots: for each
-    free column, in order, the vector with 1 there, minus that column of
-    the rows at their pivot columns and 0 elsewhere.  Entries are left
-    unreduced."""
-    pivot_set = set(pivots)
+def _kernel_basis(rows, cols, p):
+    """The canonical basis of the right null space over F_p of integer
+    rows of cols entries, in any range: the package's one kernel routine,
+    for ``Matrix.kernel`` and the point walk.  Returns the basis rows as
+    tuples of ints in [0, p), a cols**2 above MAX_MATRIX_ENTRIES raising
+    WorkLimitError first (``_check_kernel_width``).
+
+    One elimination (``_eliminate``), of the rows reduced mod p with their
+    columns reversed, whose null space is this one's reversed.  Its
+    free-column basis vector for free column f is 1 at f, minus column f
+    of the RREF's rows at their pivot columns, and 0 elsewhere: 0 at the
+    other free columns, and nonzero elsewhere only at pivot columns left of
+    f.  So each vector, reversed, leads with a 1 where every other one is
+    0: the reversed vectors, free columns taken from the right, are in
+    reduced row-echelon form, and by its uniqueness they are the canonical
+    basis.
+    """
+    _check_kernel_width(cols)
+    m = [[x % p for x in reversed(row)] for row in rows]
+    pivots = _eliminate(m, cols, p)[1]
     basis = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(cols)).difference(pivots), reverse=True):
         v = [0] * cols
         v[f] = 1
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[f]
-        basis.append(v)
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[f] % p
+        basis.append(tuple(v[::-1]))
     return basis
 
 

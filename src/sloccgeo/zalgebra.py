@@ -164,7 +164,13 @@ def relations_from_points(model: VarietyModel, p: PRIME):
     eliminated again; the walk stops once the rank reaches the ceiling,
     when no further point can change the answer.  A walk that stays short
     runs to the end, so the error names the full rank and the count of
-    rows read, which is the point count.
+    rows read, which is the point count.  The walk lists at most
+    PREFIX_BUDGET points (``geometry._points``), and that bound can fire
+    before the ceiling: a model with a large component, such as
+    {x0 = 0} x P^2 at p = 443, is refused with WorkLimitError after its
+    first fibres, whatever rank they reached.  So the ``roundtrip`` command
+    turns that refusal at a later prime into the prime's error entry
+    (``cli._per_prime``), and no computed entry is discarded.
 
     The evaluation rows are d**k wide, the width of the model's rows, so
     before any point is enumerated a model whose rows are too wide is

@@ -256,6 +256,27 @@ def test_roundtrip_checks_every_prefix_budget_before_the_first_prime(
     assert doc["results"] == [{"prime": p, "ok": True} for p in (5, 7, 11)]
 
 
+def test_roundtrip_keeps_its_entries_when_a_later_walk_lists_too_many_points(
+    tmp_path, capsys
+):
+    # t[i][j][k] = [i = 0] * A[j][k] has a model containing {x0 = 0} x P^2:
+    # at p = 443 its 196,693 prefixes are within the prefix budget, but the
+    # walk is refused once its fibres hold more than 200,000 points, which
+    # no check can tell before the walk.  At a later prime that refuses the
+    # prime and keeps the entries computed before it; at the first prime it
+    # ends the command
+    a = ((4, -1, 0), (5, 3, -5), (2, -2, 5))
+    t = Tensor.from_entries(3, 3, {(0, j, k): a[j][k] for j in range(3) for k in range(3)})
+    path = write_state(tmp_path, "plane.json", t)
+    refusal = ("a model of format (n=3, d=3) has at least 393386 points at p=443, "
+               "over the budget of 200000")
+    code, doc = run_json(capsys, ["roundtrip", path, "--primes", "31,443", "--strict"])
+    assert code == 0
+    assert doc["results"] == [{"prime": 31, "ok": True}, {"prime": 443, "error": refusal}]
+    assert run(["roundtrip", path, "--primes", "443"]) == 2
+    assert capsys.readouterr().err == f"sloccgeo: {refusal}\n"
+
+
 def test_roundtrip_budget_check_refuses_exactly_the_over_budget_requests(
     tmp_path, capsys, monkeypatch
 ):

@@ -262,6 +262,68 @@ def test_an_n2_fibre_is_bounded_before_it_is_listed(monkeypatch):
         assert enumerate_points(variety_from_state(random_state(2, d, 5, 1)), 1009) == []
 
 
+#: t[i][j][k] = [i = 0] * A[j][k]: full flattening rank, and a model that
+#: contains {x0 = 0} x P^2, so (p + 1)(p^2 + p + 1) points at p
+_PLANE_A = ((4, -1, 0), (5, 3, -5), (2, -2, 5))
+PLANE_STATE = Tensor.from_entries(
+    3, 3, {(0, j, k): _PLANE_A[j][k] for j in range(3) for k in range(3) if _PLANE_A[j][k]}
+)
+
+
+def test_a_walk_lists_at_most_the_budget_of_points(monkeypatch):
+    # p = 443 has 196,693 prefixes, within the prefix budget, but 87.3
+    # million points: every walk is refused before it lists more than
+    # PREFIX_BUDGET of them, where it used to list them all (1,050,906
+    # points and 158 MB at p = 101).  The bound can fire before a
+    # roundtrip's ceiling, so relations_from_points is refused too
+    import sloccgeo.geometry
+
+    model = variety_from_state(PLANE_STATE)
+
+    def listed(p, budget):
+        count = 0
+        message = f"has at least [0-9]+ points at p={p}, over the budget of {budget}$"
+        with pytest.raises(WorkLimitError, match=message):
+            for _ in _points(model_mod_p(model, p), p):
+                count += 1
+        return count
+
+    def scan(model, p):
+        return smoothness_scan(model.source, (p,))
+
+    for call in (enumerate_points, relations_from_points, scan):
+        with pytest.raises(WorkLimitError, match="points at p=443, over the budget of 200000"):
+            call(model, 443)
+    assert PREFIX_BUDGET - 196693 < listed(443, PREFIX_BUDGET) <= PREFIX_BUDGET
+    # at p = 31 every walk lists all 31,776 points, and with a budget of
+    # 5,000 it stops within one fibre (993 points) of the budget
+    assert len(enumerate_points(model, 31)) == 32 * 993 == 31776
+    assert smoothness_scan(PLANE_STATE, (31,)).point_counts == ((31, 31776),)
+    monkeypatch.setattr(sloccgeo.geometry, "PREFIX_BUDGET", 5000)
+    assert 5000 - 993 < listed(31, 5000) <= 5000
+
+
+def test_the_walk_builds_no_matrix(monkeypatch):
+    # the walk's kernels come from the one kernel routine
+    # (linalg._kernel_basis), with no Matrix: the one system of an n = 2
+    # model and the non-square systems of a (3,3) model of two forms
+    # answer with Matrix refused, and match the reference enumeration
+    cases = [
+        (VarietyModel(2, 3, ((1, 2, 3),), 1, 7), 7),
+        (VarietyModel(2, 2, ((3, 0), (6, 0)), 1, 5), 5),
+        (VarietyModel(3, 3, ((1, 0, 2, 0, 1, 0, 3, 0, 0), (0, 1, 0, 4, 0, 0, 0, 0, 1)), 1, 5), 5),
+    ]
+    expected = [reference_points(model, p) for model, p in cases]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a Matrix was built")
+
+    monkeypatch.setattr(Matrix, "__init__", refused)
+    for (model, p), points in zip(cases, expected):
+        assert enumerate_points(model, p) == points
+    assert [len(points) for points in expected[:2]] == [8, 1]
+
+
 def test_ranks_take_the_one_rank_routine(monkeypatch, ghz3_qutrit):
     # every F_p rank that needs no RREF is linalg._echelon_rank, up to its
     # ceiling: _eliminate takes no mode, and the Jacobian ranks of

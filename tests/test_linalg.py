@@ -232,11 +232,62 @@ def test_matrix_modulus_must_be_an_int_of_at_least_two(p):
         Matrix([[2, 1], [1, 1]], p=p)
 
 
-def test_composite_modulus_refused_at_a_non_invertible_pivot():
+def test_composite_modulus_refused_when_the_matrix_is_built():
+    # Z/p is no field, and above MAX_PRIME no prime is accepted: the matrix
+    # is refused when it is built, where a composite p used to answer or
+    # refuse by the elimination order (rows mod 9 below: rank 2 by the
+    # column-pivot loop, a refused leading entry 3 by the row join)
+    rows = [[0, 0, 3], [0, 0, 0], [0, 0, 7], [0, 0, 0], [2, 0, 0]]
+    for p in (4, 6, 8, 9, 15, 25, 2**31 + 11, 2**61 - 1):
+        for entries in (rows, [[3, 1], [1, 0]], [[1]]):
+            with pytest.raises(UnsupportedPrimeError, match=f"^p={p} is not a prime up to "):
+                Matrix(entries, p=p)
+    # 2 and 3 are fields, below check_primes' range, and still eliminate
     assert Matrix([[1, 1], [1, 3]], p=2).rank() == 1
-    assert Matrix([[3, 1], [1, 0]], p=4).rank() == 2  # both pivots are units mod 4
-    with pytest.raises(UnsupportedPrimeError, match="not invertible modulo 4"):
-        Matrix([[2, 1], [1, 1]], p=4).rref()
+    assert Matrix([[1, 1], [1, 3]], p=2).kernel().entries == ((1, 1),)
+    assert Matrix(rows, p=3).rref()[1].entries[:2] == ((1, 0, 0), (0, 0, 1))
+    assert Matrix(rows, p=3).kernel().entries == ((0, 1, 0),)
+    assert Matrix([[2, 1], [1, 1]], p=3).det() == 1
+
+
+def test_no_elimination_refuses_a_pivot():
+    # over a field every nonzero pivot is a unit: linalg inverts pivots with
+    # pow(x, -1, p) directly, and keeps no modulus kind or pivot refusal
+    import sloccgeo.linalg
+
+    for name in ("MODULUS", "_inverse"):
+        assert not hasattr(sloccgeo.linalg, name), name
+
+
+def test_kernel_basis_matches_the_reference_kernel():
+    # the one kernel routine, on integer rows in any range: unreduced and
+    # negative entries, zero and dependent rows, no rows or no columns;
+    # its rows are canonical, in [0, p), and equal Matrix.kernel's
+    from sloccgeo.linalg import _kernel_basis
+
+    rng = random.Random(5050)
+    for p in (2, 3, 5, 7, 31, 443, 2**31 - 1):
+        for _ in range(60):
+            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+            base = [[rng.randint(-3 * p, 3 * p) for _ in range(cols)] for _ in range(2)]
+            entries = []
+            for _ in range(rows):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    entries.append([0] * cols)
+                elif kind == 1:
+                    a, b = rng.randint(-p, p), rng.randint(-p, p)
+                    entries.append([a * x + b * y for x, y in zip(*base)])
+                else:
+                    entries.append([rng.choice((0, -1, rng.randint(-5 * p, 5 * p)))
+                                    for _ in range(cols)])
+            expected = ref.kernel_mod_p(Matrix(entries, cols=cols, p=p))
+            got = _kernel_basis(entries, cols, p)
+            assert tuple(got) == expected, (entries, cols, p)
+            assert all(type(v) is tuple and all(0 <= x < p for x in v) for v in got)
+            assert Matrix(entries, cols=cols, p=p).kernel().entries == expected
+    assert _kernel_basis([], 3, 5) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert _kernel_basis([[]] * 3, 0, 5) == _kernel_basis([], 0, 5) == []
 
 
 def test_explicit_cols_must_match_the_rows():

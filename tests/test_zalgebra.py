@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -1189,8 +1190,14 @@ def check_relations_against_reference(model, p):
     InsufficientPointsError message, rank, ceiling and full point count;
     at the ceiling the reference kernel is the rows' canonical span, and
     relations_from_points returns that span.  True when a span was
-    compared."""
-    points = [pt.coords for pt in enumerate_points(model, p)]
+    compared.  The reference lists every point, also past the points a
+    walk may list (``geometry.PREFIX_BUDGET``): a zero (3,3) model at
+    p = 23 has 553**2 = 305,809, while relations_from_points, under the
+    budget, reaches its ceiling 9 within the first three fibres."""
+    import sloccgeo.geometry
+
+    with mock.patch.object(sloccgeo.geometry, "PREFIX_BUDGET", 553**2):
+        points = [pt.coords for pt in enumerate_points(model, p)]
     evaluation = ref.monomial_rows(points, model.d, model.groups, p)
     kernel = ref.kernel_mod_p(evaluation)
     span, forms = ref.rref_mod_p(Matrix(model.rows, p=p))
