@@ -20,11 +20,12 @@ from .errors import (
     InputFileError,
     SloccGeoError,
     UnsupportedPrimeError,
-    WorkLimitError,
     _excerpt,
 )
 from .linalg import DEFAULT_PRIMES, check_primes
-from .states import _INTEGER, _frac_str, parse_state, random_state, state_to_json
+from .states import (
+    _INTEGER, _frac_str, check_flattening_cost, parse_state, random_state, state_to_json
+)
 from .geometry import _check_prefix_budget, smoothness_scan, section_count
 from .invariants import (
     HYPERDETERMINANTS,
@@ -34,7 +35,7 @@ from .invariants import (
     moduli_dimension,
     slocc_compare,
 )
-from .zalgebra import cubic_hilbert, quadratic_hilbert, roundtrip_check
+from .zalgebra import check_hilbert_degree, cubic_hilbert, quadratic_hilbert, roundtrip_check
 
 TOOL = "sloccgeo"
 
@@ -101,24 +102,32 @@ def _parse_primes(text):
 def _per_prime(primes, check):
     """(entries, degenerate) over the primes, where check(p) returns one
     prime's (entry, off target).  A SloccGeoError at one prime becomes that
-    prime's {"prime", "error"} entry, which refuses that prime only, whatever
-    its type: a check answers for one prime.  The command is degenerate when
+    prime's {"prime", "error"} entry, whatever its type and wherever the
+    prime sits: a check answers for one prime, so a prime's entry does not
+    depend on the other primes requested.  The command is degenerate when
     an entry is off target or every prime is refused, as at every prime of
-    a rank-deficient state.  A WorkLimitError at the first prime ends the
-    command: it bounds the request, not the prime.  A bound that grows with
-    the prime (the prefix budget of the roundtrip's point walk, per call) is
-    checked once, at the largest requested prime, before the first prime
-    runs (``_cmd_roundtrip``).  The one bound that cannot be checked before
-    its walk runs, on the points a walk lists (``geometry._points``), can
-    fire at a later prime; it then refuses that prime like any other error,
-    so no computed entry is discarded."""
+    a rank-deficient state.
+
+    A bound on the request is checked by its handler before this loop, so
+    it ends the command (exit 2) before any prime runs: the Hilbert degree
+    (``zalgebra.check_hilbert_degree``) in ``_cmd_hilbert``, and in
+    ``_cmd_roundtrip`` the prefix budget at the largest prime (a prime's
+    prefix count grows with p) and the flattening cost
+    (``states.check_flattening_cost``).  The width bound of
+    ``relations_from_points``, d**(n-1) <= MAX_PROFILE_WIDTH = 256, cannot
+    fire once those two pass.  For n >= 3 a walk visits
+    (1 + p + ... + p**(d-1))**(n-2) prefixes, and at a prime >= 5 the
+    budget of 200,000 admits only d**(n-1) <= 128: 2**7 for (8,2), 3**4
+    for (5,3), 4**3 for (4,4), and d**2 <= 64 for n = 3, d <= 8.  For
+    n = 2 the flattening cost d**3 <= 2**16 admits only d <= 40.  So the
+    one bound left in the loop is the point bound of a walk
+    (``geometry._points``), which depends on that prime's points alone and
+    refuses its own prime."""
     entries, degenerate = [], False
     for p in primes:
         try:
             entry, off = check(p)
         except SloccGeoError as exc:
-            if isinstance(exc, WorkLimitError) and not entries:
-                raise
             entry, off = {"prime": p, "error": str(exc)}, False
         entries.append(entry)
         degenerate = degenerate or off
@@ -199,6 +208,7 @@ def _cmd_hilbert(t, args):
     else:
         raise SloccGeoError(f"no Hilbert profile for format {(t.n, t.d)}")
     k_max = args.k_max if args.k_max is not None else default_k
+    check_hilbert_degree(t.d, k_max)
 
     def check(p):
         profile = runner(t, p, k_max)
@@ -210,10 +220,11 @@ def _cmd_hilbert(t, args):
 
 @_state_command
 def _cmd_roundtrip(t, args):
-    # each walk checks its own prime's prefix budget (geometry._walk), and
-    # a prime's prefix count grows with p: the largest prime, checked here
-    # first, ends an over-budget command before any roundtrip runs
+    # the request's bounds, before any roundtrip runs (see _per_prime): each
+    # walk checks its own prime's prefix budget (geometry._walk), and a
+    # prime's prefix count grows with p, so the largest prime stands for all
     _check_prefix_budget(t.d, t.n - 1, args.primes[-1:])
+    check_flattening_cost(t)
 
     def check(p):
         return {"prime": p, "ok": roundtrip_check(t, p)}, False

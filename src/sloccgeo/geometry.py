@@ -36,8 +36,9 @@ ProjPoint.  The walk solves the innermost prefix group's lines through a
 determinant pencil and reads each prefix system's fibre from its rank, so
 the one kernel routine (``linalg._kernel_basis``) runs only for the one
 system of an n = 2 model, a d = 3 system of rank 1, a non-square system
-and d > 3; no walk or sweep builds a Matrix.  A walk lists at most
-PREFIX_BUDGET points, counted fibre by fibre.  The section products
+and d > 3; no walk or sweep builds a Matrix.  A reader takes at most
+PREFIX_BUDGET points of a walk, which is refused only when the next one is
+asked for.  The section products
 of ``zalgebra`` walk nothing: a (4,2) model's points, projected onto two
 groups, are the F_p-points of those groups' determinantal curve, one
 binary quadratic per point of the first group, whose roots come from the
@@ -64,7 +65,7 @@ formats and their projections are listed once, in ``CURVE_AXES`` and
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product, repeat
+from itertools import islice, product, repeat
 
 from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, guard, power_exceeds
 from .errors import (
@@ -641,50 +642,37 @@ def _points(reduced, p):
     model is one system, which may be regular, so its kernel is taken
     (``linalg._kernel_basis``), and its projective space is its one fibre.
 
-    The walk lists at most PREFIX_BUDGET points: before a fibre is yielded,
-    its points are added to those of the fibres before it, and a sum over
-    the budget raises WorkLimitError (``_too_many_points``).  An n = 2
-    fibre is counted from its kernel's dimension, before its first point
-    is formed; any other fibre holds at most the points of P^(d-1), which
-    the prefix budget bounds.  So a model with a large component (a zero
-    fibre over every prefix of a line) is refused before its walk, or a
-    list of it, outgrows the budget."""
+    A reader takes at most PREFIX_BUDGET points, charged as they are
+    taken: the walk raises WorkLimitError when point PREFIX_BUDGET + 1 is
+    asked for, and only then, with one message for every format.  So a
+    reader that stops sooner, as ``relations_from_points`` does at its
+    ceiling, is never refused, however large the fibre it stops in, and a
+    list of a walk, even of a model with a large component (a zero fibre
+    over every prefix of a line), is refused once it holds PREFIX_BUDGET
+    points.  The n = 2 system is one fibre under the same rule, its points
+    formed one at a time from the kernel basis (``_subspace_points``)."""
     groups, d, m = reduced.groups, reduced.d, len(reduced.rows)
-    if groups == 1:
-        kernel = _kernel_basis(reduced.rows, d, p)
-        if (count := sum(p**i for i in range(len(kernel)))) > PREFIX_BUDGET:
-            raise _too_many_points(reduced, p, count)
-        for tail in _subspace_points(kernel, p):
-            yield (tail,), False
-        return
-    listed = 0
 
     def walk(part, prefix):
-        nonlocal listed
         if len(prefix) < groups - 2:
             for x, inner, _ in _line_points(part, d, m, p):
                 yield from walk(inner, prefix + (x,))
             return
         for x, system, certified in _line_points(part, d, m, p):
-            fibre = _kernel_points([system[k::m] for k in range(m)], d, p)
-            if (listed := listed + len(fibre)) > PREFIX_BUDGET:
-                raise _too_many_points(reduced, p, listed)
             head = prefix + (x,)
-            for tail in fibre:
+            for tail in _kernel_points([system[k::m] for k in range(m)], d, p):
                 yield head + (tail,), certified
 
-    yield from walk(_coefficient_tensor(reduced), ())
-
-
-def _too_many_points(reduced, p, count):
-    """The WorkLimitError of a walk whose fibres so far hold count points,
-    over PREFIX_BUDGET: all of them for n = 2, whose one fibre is the
-    whole walk, and at least that many otherwise."""
-    at_least = "" if reduced.groups == 1 else "at least "
-    return WorkLimitError(
-        f"a model of format (n={reduced.n}, d={reduced.d}) has {at_least}{count} points at "
-        f"p={p}, over the budget of {PREFIX_BUDGET}"
-    )
+    if groups == 1:
+        points = (((x,), False) for x in _subspace_points(_kernel_basis(reduced.rows, d, p), p))
+    else:
+        points = walk(_coefficient_tensor(reduced), ())
+    yield from islice(points, PREFIX_BUDGET)
+    if next(points, None) is not None:
+        raise WorkLimitError(
+            f"a model of format (n={reduced.n}, d={reduced.d}) has more than "
+            f"{PREFIX_BUDGET} points at p={p}, the budget of a walk"
+        )
 
 
 def enumerate_points(model: VarietyModel, p: PRIME):
@@ -710,10 +698,11 @@ def enumerate_points(model: VarietyModel, p: PRIME):
     is taken there.  Points come in prefix order (``projective_points`` per
     group), then in kernel order.  Raises WorkLimitError when the prefix
     count exceeds PREFIX_BUDGET; the budget counts prefixes, not lines.
-    The same budget bounds the points listed: a fibre that would take the
-    list past PREFIX_BUDGET points raises WorkLimitError before it is
-    listed (``_points``).  An n = 2 model has one prefix, and its one
-    fibre, the kernel's projective space, is that rule's first case.
+    The same budget bounds the points listed: the list is refused with
+    WorkLimitError once it holds PREFIX_BUDGET points and the walk has
+    another (``_points``), the n = 2 model's one fibre, the kernel's
+    projective space, included.  So a model with more points pays for
+    PREFIX_BUDGET of them before it is refused.
 
     The walk (``_points``) yields plain coordinate tuples and marks the
     points it certifies smooth (``_pencil_roots``); this list makes each

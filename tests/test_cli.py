@@ -256,25 +256,126 @@ def test_roundtrip_checks_every_prefix_budget_before_the_first_prime(
     assert doc["results"] == [{"prime": p, "ok": True} for p in (5, 7, 11)]
 
 
+#: t[i][j][k] = [i = 0] * A[j][k]: a model that contains {x0 = 0} x P^2, so
+#: (p + 1)(p^2 + p + 1) points at p; its flattening rank drops at 5 and 11
+_PLANE_A = ((4, -1, 0), (5, 3, -5), (2, -2, 5))
+PLANE_STATE = Tensor.from_entries(
+    3, 3, {(0, j, k): _PLANE_A[j][k] for j in range(3) for k in range(3) if _PLANE_A[j][k]}
+)
+
+
 def test_roundtrip_keeps_its_entries_when_a_later_walk_lists_too_many_points(
-    tmp_path, capsys
+    tmp_path, capsys, monkeypatch
 ):
-    # t[i][j][k] = [i = 0] * A[j][k] has a model containing {x0 = 0} x P^2:
-    # at p = 443 its 196,693 prefixes are within the prefix budget, but the
-    # walk is refused once its fibres hold more than 200,000 points, which
-    # no check can tell before the walk.  At a later prime that refuses the
-    # prime and keeps the entries computed before it; at the first prime it
-    # ends the command
-    a = ((4, -1, 0), (5, 3, -5), (2, -2, 5))
-    t = Tensor.from_entries(3, 3, {(0, j, k): a[j][k] for j in range(3) for k in range(3)})
-    path = write_state(tmp_path, "plane.json", t)
-    refusal = ("a model of format (n=3, d=3) has at least 393386 points at p=443, "
-               "over the budget of 200000")
-    code, doc = run_json(capsys, ["roundtrip", path, "--primes", "31,443", "--strict"])
-    assert code == 0
-    assert doc["results"] == [{"prime": 31, "ok": True}, {"prime": 443, "error": refusal}]
-    assert run(["roundtrip", path, "--primes", "443"]) == 2
-    assert capsys.readouterr().err == f"sloccgeo: {refusal}\n"
+    # at p = 443 the plane state's walk holds 87.3 million points, but the
+    # roundtrip reaches its ceiling after 197,137 of them, within
+    # PREFIX_BUDGET: 443 is ok alone, where the command used to exit 2, and
+    # after 31, where it used to be an error entry.  With the budget patched
+    # to 1,000, 31's walk (993 prefixes, 1,025 points to the ceiling) is
+    # refused instead.  Its error entry is the same alone, written first or
+    # last in the request, and beside a bad prime; the exit code follows the
+    # entries (1 under --strict only when every prime is refused), never 2
+    import sloccgeo.geometry
+
+    path = write_state(tmp_path, "plane.json", PLANE_STATE)
+    for primes in ("443", "31,443"):
+        code, doc = run_json(capsys, ["roundtrip", path, "--primes", primes, "--strict"])
+        assert code == 0 and doc["results"][-1] == {"prime": 443, "ok": True}, primes
+    assert doc["results"][0] == {"prime": 31, "ok": True}
+    monkeypatch.setattr(sloccgeo.geometry, "PREFIX_BUDGET", 1000)
+    refused = {"prime": 31, "error": "a model of format (n=3, d=3) has more than 1000 points "
+                                     "at p=31, the budget of a walk"}
+    bad = {"prime": 5, "error": "flattening rank drops modulo 5"}
+    for primes, strict, entries in (
+        ("31", 1, [refused]),
+        ("31,7", 0, [{"prime": 7, "ok": True}, refused]),
+        ("7,31", 0, [{"prime": 7, "ok": True}, refused]),
+        ("5,31", 1, [bad, refused]),
+    ):
+        code, doc = run_json(capsys, ["roundtrip", path, "--primes", primes])
+        assert code == 0 and doc["results"] == entries, primes
+        code, strict_doc = run_json(capsys, ["roundtrip", path, "--primes", primes, "--strict"])
+        assert code == strict and strict_doc == doc, primes
+
+
+def test_a_primes_outcome_does_not_depend_on_the_other_primes(tmp_path, capsys):
+    # one outcome per prime: for each command that takes --primes and runs
+    # them one at a time, what a prime gives alone it gives beside any other
+    # primes.  roundtrip and hilbert report it in that prime's entry.  A
+    # sweep reports its count, witness and filing; smoothness and classify
+    # end the request on a bound at any prime, so a request is refused
+    # exactly as one of its primes is alone, and classify's witness is that
+    # of its first prime with one.  The plane state's walk at 443 is over
+    # PREFIX_BUDGET, its flattening rank drops at 5, and it is singular; the
+    # drawn states are smooth curve states
+    rng = random.Random(2727)
+    formats = ((3, 3), (3, 3), (4, 2))
+    states = [("plane", PLANE_STATE)] + [
+        (f"s{n}{d}", random_state(n, d, 5, rng.randrange(1000))) for n, d in formats
+    ]
+    primes = (5, 7, 31, 443)
+
+    def report(command, path, request):
+        code = run([command, path, "--primes", ",".join(map(str, request))])
+        captured = capsys.readouterr()
+        assert code in (0, 2), (command, request)
+        return captured.err if code == 2 else json.loads(captured.out)
+
+    def outcome(command, doc, p):
+        if command in ("roundtrip", "hilbert"):
+            key = "results" if command == "roundtrip" else "profiles"
+            return next(entry for entry in doc[key] if entry["prime"] == p)
+        if "error" in doc or p in doc["bad_primes"]:  # smoothness
+            return "bad"
+        if p in doc["excluded_primes"]:
+            return "excluded"
+        witnesses = [w for w in doc["witnesses"] if w["prime"] == p]
+        return dict(doc["point_counts"])[p], witnesses
+
+    for name, t in states:
+        path = write_state(tmp_path, f"{name}.json", t)
+        for command in ("smoothness", "roundtrip", "hilbert", "classify"):
+            alone = {p: report(command, path, (p,)) for p in primes}
+            for request in ((7, 31), primes):
+                doc = report(command, path, request)
+                refusals = [alone[p] for p in request if isinstance(alone[p], str)]
+                if refusals:
+                    assert doc == refusals[0], (name, command, request)
+                    continue
+                assert isinstance(doc, dict), (name, command, request, doc)
+                if command != "classify":
+                    for p in request:
+                        assert outcome(command, doc, p) == outcome(command, alone[p], p)
+                    continue
+                found = [p for p in request if alone[p]["singular_witness"]]
+                expected = dict(alone[found[0] if found else request[0]])
+                expected["primes_used"] = [p for p in request if alone[p]["primes_used"]]
+                assert doc == expected, (name, request)
+
+
+def test_no_request_past_the_roundtrip_checks_has_too_wide_rows():
+    # the argument of cli._per_prime: once the roundtrip's request checks
+    # pass (the prefix budget at a prime >= 5, the flattening cost), the
+    # width bound of relations_from_points cannot fire, so no bound on the
+    # request is left to fire inside the per-prime loop
+    from sloccgeo.errors import WorkLimitError
+    from sloccgeo.geometry import _check_prefix_budget
+    from sloccgeo.states import MAX_COEFFICIENTS, MAX_FLATTENING_COST
+    from sloccgeo.zalgebra import MAX_PROFILE_WIDTH
+
+    widest = {}
+    for n in range(2, MAX_COEFFICIENTS.bit_length()):
+        for d in range(2, MAX_COEFFICIENTS):
+            if d**n > MAX_COEFFICIENTS:
+                break
+            try:
+                _check_prefix_budget(d, n - 1, (5,))
+            except WorkLimitError:
+                continue
+            if d ** (n + 1) <= MAX_FLATTENING_COST:
+                widest[min(n, 3)] = max(widest.get(min(n, 3), 0), d ** (n - 1))
+    # n = 2, and n >= 3
+    assert widest == {2: 40, 3: 128} and max(widest.values()) <= MAX_PROFILE_WIDTH
 
 
 def test_roundtrip_budget_check_refuses_exactly_the_over_budget_requests(
@@ -488,6 +589,7 @@ def test_out_of_envelope_requests_exit_2(tmp_path, capsys):
         ["hilbert", s33, "--k-max", "6"],
         ["hilbert", s42, "--k-max", "9"],
         ["classify", str(wide)],
+        ["roundtrip", wide],
     ):
         code = run(argv)
         captured = capsys.readouterr()

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 import pytest
@@ -232,31 +232,45 @@ def test_hand_built_models_refuse_composite_moduli(p):
             VarietyModel(3, 2, rows, 1, q)
 
 
-def test_an_n2_fibre_is_bounded_before_it_is_listed(monkeypatch):
-    # a model with no prefix group is one system, and its kernel's
-    # projective space is listed only up to PREFIX_BUDGET points: a zero
-    # (2,2) form at p = 1,000,003 has 1,000,004 points, and a zero (2,3)
-    # form at p = 1009 has 1,019,091, each refused before any point
+def test_an_n2_fibre_is_charged_per_point_taken(monkeypatch):
+    # a model with no prefix group is one system, whose kernel's projective
+    # space is its one fibre, charged per point taken like any other: a
+    # zero (2,2) form at p = 1,000,003 has 1,000,004 points, and a zero
+    # (2,3) form at p = 1009 has 1,019,091.  A list of either forms
+    # PREFIX_BUDGET + 1 of them, the last to tell that the walk goes on, and
+    # is refused (it used to be refused before its first point);
+    # relations_from_points stops at its ceiling and answers
     import sloccgeo.geometry
 
-    def listed(*args):
-        raise AssertionError("the fibre was listed")
+    subspace_points, formed = sloccgeo.geometry._subspace_points, 0
 
-    for model, p, count in (
-        (VarietyModel(2, 2, ((0, 0),), 1, 1000003), 1000003, 1000004),
-        (VarietyModel(2, 3, ((0, 0, 0),), 1, 1009), 1009, 1019091),
+    def counted(basis, p):
+        nonlocal formed
+        for point in subspace_points(basis, p):
+            formed += 1
+            yield point
+
+    monkeypatch.setattr(sloccgeo.geometry, "_subspace_points", counted)
+    for model, p, d in (
+        (VarietyModel(2, 2, ((0, 0),), 1, 1000003), 1000003, 2),
+        (VarietyModel(2, 3, ((0, 0, 0),), 1, 1009), 1009, 3),
     ):
-        with monkeypatch.context() as m:
-            m.setattr(sloccgeo.geometry, "_subspace_points", listed)
-            for call in (enumerate_points, relations_from_points):
-                with pytest.raises(WorkLimitError, match=f"has {count} points at p={p}, over"):
-                    call(model, p)
-    # the bound is on the fibre's points: 8 at p = 7 is within a budget of
-    # 8, 12 at p = 11 is not
+        formed = 0
+        message = rf"^a model of format \(n=2, d={d}\) has more than 200000 points at p={p}, "
+        with pytest.raises(WorkLimitError, match=message):
+            enumerate_points(model, p)
+        assert formed == PREFIX_BUDGET + 1
+        span = relations_from_points(model, p)
+        assert (span.rows, span.cols) == (0, d)
+    # the bound is on the points taken: 8 at p = 7 are within a budget of
+    # 8, and the ninth of the 12 at p = 11 is refused
     monkeypatch.setattr(sloccgeo.geometry, "PREFIX_BUDGET", 8)
     assert len(enumerate_points(VarietyModel(2, 2, ((0, 0),), 1, 7), 7)) == 8
-    with pytest.raises(WorkLimitError, match="has 12 points at p=11"):
+    formed = 0
+    message = r"^a model of format \(n=2, d=2\) has more than 8 points at p=11, the budget "
+    with pytest.raises(WorkLimitError, match=message):
         enumerate_points(VarietyModel(2, 2, ((0, 0),), 1, 11), 11)
+    assert formed == 9
     # a model built from a (2, d) state is regular: no point, at any prime
     for d in (2, 3):
         assert enumerate_points(variety_from_state(random_state(2, d, 5, 1)), 1009) == []
@@ -272,18 +286,23 @@ PLANE_STATE = Tensor.from_entries(
 
 def test_a_walk_lists_at_most_the_budget_of_points(monkeypatch):
     # p = 443 has 196,693 prefixes, within the prefix budget, but 87.3
-    # million points: every walk is refused before it lists more than
-    # PREFIX_BUDGET of them, where it used to list them all (1,050,906
-    # points and 158 MB at p = 101).  The bound can fire before a
-    # roundtrip's ceiling, so relations_from_points is refused too
+    # million points: a list of the walk is refused once it holds
+    # PREFIX_BUDGET points and the walk has another, where it used to list
+    # them all (1,050,906 points and 158 MB at p = 101).  A reader that
+    # stops sooner is not refused: relations_from_points reaches its
+    # ceiling after 197,137 points and answers, where it was refused while
+    # the bound counted whole fibres
     import sloccgeo.geometry
 
     model = variety_from_state(PLANE_STATE)
 
-    def listed(p, budget):
+    def refusal(p, budget):
+        return (rf"^a model of format \(n=3, d=3\) has more than {budget} points at p={p}, "
+                "the budget of a walk$")
+
+    def taken(p, budget):
         count = 0
-        message = f"has at least [0-9]+ points at p={p}, over the budget of {budget}$"
-        with pytest.raises(WorkLimitError, match=message):
+        with pytest.raises(WorkLimitError, match=refusal(p, budget)):
             for _ in _points(model_mod_p(model, p), p):
                 count += 1
         return count
@@ -291,16 +310,33 @@ def test_a_walk_lists_at_most_the_budget_of_points(monkeypatch):
     def scan(model, p):
         return smoothness_scan(model.source, (p,))
 
-    for call in (enumerate_points, relations_from_points, scan):
-        with pytest.raises(WorkLimitError, match="points at p=443, over the budget of 200000"):
-            call(model, 443)
-    assert PREFIX_BUDGET - 196693 < listed(443, PREFIX_BUDGET) <= PREFIX_BUDGET
-    # at p = 31 every walk lists all 31,776 points, and with a budget of
-    # 5,000 it stops within one fibre (993 points) of the budget
+    with pytest.raises(WorkLimitError, match=refusal(443, PREFIX_BUDGET)):
+        scan(model, 443)
+    assert relations_from_points(model, 443).rows == 3
+    # at p = 31 every walk lists all 31,776 points.  With a budget of
+    # 5,000, exactly 5,000 are taken before the refusal, where the bound
+    # used to allow up to one fibre (993 points) less; every list is
+    # refused, and the roundtrip's reader, which takes 1,025, answers
     assert len(enumerate_points(model, 31)) == 32 * 993 == 31776
-    assert smoothness_scan(PLANE_STATE, (31,)).point_counts == ((31, 31776),)
+    assert scan(model, 31).point_counts == ((31, 31776),)
     monkeypatch.setattr(sloccgeo.geometry, "PREFIX_BUDGET", 5000)
-    assert 5000 - 993 < listed(31, 5000) <= 5000
+    assert taken(31, 5000) == 5000
+    for call in (enumerate_points, scan):
+        with pytest.raises(WorkLimitError, match=refusal(31, 5000)):
+            call(model, 31)
+    assert relations_from_points(model, 31).rows == 3
+
+
+def test_a_lazy_reader_is_never_refused():
+    # the bound charges the points a reader takes: PREFIX_BUDGET points of
+    # the plane model at p = 443 are taken with no refusal, though the last
+    # of them lie inside a fibre of 196,693 points, and only the next point
+    # asked for is refused
+    reduced = model_mod_p(variety_from_state(PLANE_STATE), 443)
+    walk = _points(reduced, 443)
+    assert sum(1 for _ in islice(walk, PREFIX_BUDGET)) == PREFIX_BUDGET
+    with pytest.raises(WorkLimitError, match="has more than 200000 points at p=443, "):
+        next(walk)
 
 
 def test_the_walk_builds_no_matrix(monkeypatch):
