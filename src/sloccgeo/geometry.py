@@ -65,7 +65,7 @@ formats and their projections are listed once, in ``CURVE_AXES`` and
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 
 from ._guard import INTS, NONZERO, ROWS, UNCHECKED, Kind, guard, power_exceeds
 from .errors import (
@@ -434,11 +434,17 @@ def determinantal_projection(model: VarietyModel, kept_axes: INTS):
 
 def projective_points(dim: UNCHECKED, p: UNCHECKED):
     """All normalized representatives of P^(dim-1) over F_p, in a fixed
-    order.  A generator of the point walk's inner loops, left unchecked."""
+    order, the last entry fastest.  A generator of the point walk's inner
+    loops, left unchecked.  Each entry after the leading 1 is appended
+    lazily from range(p), whose residues are never stored
+    (itertools.product would copy range(p) into a tuple before its first
+    point), so a reader that stops early pays for the points it took, at
+    any p."""
     for lead in range(dim):
-        prefix = (0,) * lead + (1,)
-        for tail in product(range(p), repeat=dim - 1 - lead):
-            yield prefix + tail
+        points = [(0,) * lead + (1,)]
+        for _ in range(dim - 1 - lead):
+            points = chain.from_iterable(map(q.__add__, zip(range(p))) for q in points)
+        yield from points
 
 
 def _normalize_projective(vec, p):

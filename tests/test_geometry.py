@@ -276,6 +276,70 @@ def test_an_n2_fibre_is_charged_per_point_taken(monkeypatch):
         assert enumerate_points(variety_from_state(random_state(2, d, 5, 1)), 1009) == []
 
 
+#: run in a child whose address space is capped at 1 GiB, so that a walk
+#: which stored a range of residues fails there instead of taking tens of GB
+_LARGEST_PRIME_WALK = """
+import json, resource, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+import sloccgeo.geometry as geometry
+from sloccgeo.errors import WorkLimitError
+from sloccgeo.zalgebra import relations_from_points
+
+p, formed, subspace_points = 2**31 - 1, 0, geometry._subspace_points
+
+def counted(basis, p):
+    global formed
+    for point in subspace_points(basis, p):
+        formed += 1
+        yield point
+
+geometry._subspace_points = counted
+model = geometry.VarietyModel(2, 2, ((0, 0),), 1, p)
+tracemalloc.start()
+span = relations_from_points(model, p)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+formed, read = 0, formed
+try:
+    geometry.enumerate_points(model, p)
+    message = None
+except WorkLimitError as exc:
+    message = str(exc)
+print(json.dumps({"rows": span.rows, "read": read, "peak": peak, "formed": formed,
+                  "message": message}))
+"""
+
+
+def test_an_n2_walk_at_the_largest_prime_is_bounded_by_the_points_taken():
+    # the zero (2,2) form at p = 2^31 - 1 has p + 1 points, and its points
+    # are formed one at a time (projective_points stores no range(p), which
+    # itertools.product copied into a tuple, tens of GB, before its first
+    # point): relations_from_points reads two points and answers in a few
+    # kB, and a list forms PREFIX_BUDGET + 1 points and is refused
+    pytest.importorskip("resource")
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", _LARGEST_PRIME_WALK],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout)
+    assert (result["rows"], result["read"]) == (0, 2)
+    assert result["peak"] < 2**16
+    assert result["formed"] == PREFIX_BUDGET + 1
+    assert result["message"] == (
+        f"a model of format (n=2, d=2) has more than {PREFIX_BUDGET} points at "
+        f"p={2**31 - 1}, the budget of a walk"
+    )
+
+
 #: t[i][j][k] = [i = 0] * A[j][k]: full flattening rank, and a model that
 #: contains {x0 = 0} x P^2, so (p + 1)(p^2 + p + 1) points at p
 _PLANE_A = ((4, -1, 0), (5, 3, -5), (2, -2, 5))
